@@ -10,7 +10,7 @@
 
 use crate::runtime::connect_retry;
 use crate::scenario::{parse_spec, read_corpus, RangeQuery, Scenario, KNN_K};
-use crate::wire::{self, Frame, Member, StatsReport};
+use crate::wire::{self, Frame, FrameBuf, Member, StatsReport};
 use serde_json::Value;
 use std::collections::HashMap;
 use std::net::TcpStream;
@@ -40,6 +40,9 @@ pub struct Report {
 pub struct Client {
     stream: TcpStream,
     addr: String,
+    /// Reply bytes: one `read` usually delivers a whole reply.
+    inbox: FrameBuf,
+    scratch: Box<[u8]>,
 }
 
 impl Client {
@@ -52,17 +55,22 @@ impl Client {
         let deadline = Instant::now() + Duration::from_secs(15);
         let mut last_error;
         loop {
-            let mut stream = connect_retry(addr, Duration::from_secs(15))?;
+            let mut client = Client {
+                stream: connect_retry(addr)?,
+                addr: addr.to_string(),
+                inbox: FrameBuf::default(),
+                scratch: vec![0; wire::READ_CHUNK].into_boxed_slice(),
+            };
             let handshake = wire::write_frame(
-                &mut stream,
+                &mut client.stream,
                 &Frame::Hello {
                     role: wire::Role::Client,
                     index: 0,
                 },
             )
-            .and_then(|()| wire::write_frame(&mut stream, &Frame::MembersRequest))
+            .and_then(|()| wire::write_frame(&mut client.stream, &Frame::MembersRequest))
             .map_err(|e| format!("hello to {addr} failed: {e}"))
-            .and_then(|()| match wire::read_frame(&mut stream) {
+            .and_then(|()| match client.read_reply() {
                 Ok(Some(Frame::Members { .. })) => Ok(()),
                 Ok(Some(Frame::Error { reason })) => {
                     Err(format!("{addr} rejected the client handshake: {reason}"))
@@ -75,12 +83,7 @@ impl Client {
                 Err(e) => Err(format!("handshake reply from {addr} failed: {e}")),
             });
             match handshake {
-                Ok(()) => {
-                    return Ok(Client {
-                        stream,
-                        addr: addr.to_string(),
-                    })
-                }
+                Ok(()) => return Ok(client),
                 Err(e) => last_error = e,
             }
             if Instant::now() >= deadline {
@@ -92,12 +95,16 @@ impl Client {
         }
     }
 
+    fn read_reply(&mut self) -> std::io::Result<Option<Frame>> {
+        self.inbox.read_frame(&mut self.stream, &mut self.scratch)
+    }
+
     /// One request/reply round trip. A [`Frame::Error`] reply becomes
     /// an `Err` with the server's reason.
     pub fn request(&mut self, req: &Frame) -> Result<Frame, String> {
         wire::write_frame(&mut self.stream, req)
             .map_err(|e| format!("request to {} failed: {e}", self.addr))?;
-        match wire::read_frame(&mut self.stream) {
+        match self.read_reply() {
             Ok(Some(Frame::Error { reason })) => {
                 Err(format!("{} rejected the request: {reason}", self.addr))
             }

@@ -15,9 +15,10 @@
 //! * [`scenario`] — the deterministic shared scenario (ring ids, grid,
 //!   corpus, query script) every process and the simulator derive from
 //!   one seed, making sim-vs-socket parity checkable.
-//! * [`runtime`] — the node process: bootstrap join dance, per-peer
-//!   writer threads, shared timer wheel, and the single-threaded event
-//!   loop that owns the protocol state.
+//! * [`runtime`] — the node process: bootstrap join dance, then one
+//!   thread multiplexing every non-blocking socket with `poll(2)` and
+//!   owning the protocol state, the timer wheel and all connection
+//!   buffers.
 //! * [`client`] — client-side operations with exact expected-answer
 //!   verification (used by the CLI and the smoke script).
 //!

@@ -1,27 +1,36 @@
-//! The real-socket driver: a `std::net` TCP event loop around the
-//! sans-io [`SearchNode`] core.
+//! The real-socket driver: a single-threaded `poll(2)` reactor around
+//! the sans-io [`SearchNode`] core.
 //!
-//! One process hosts one node. The protocol state machine runs on the
-//! main thread, exactly as in the simulator: every inbound frame and
-//! every expired timer becomes one [`sansio::Input`], every resulting
-//! [`sansio::Output::Send`] goes to a per-peer writer thread, and every
-//! [`sansio::Output::Timer`] is armed on a shared timer wheel the event
-//! loop sleeps against. The core never sees a socket.
+//! One process hosts one node, and one thread is the whole node: it
+//! owns the listener, every connection, the protocol state, the timer
+//! wheel and the self-send queue. As in the simulator, every inbound
+//! frame and every expired timer becomes one [`sansio::Input`]; every
+//! resulting [`sansio::Output::Send`] is encoded into its destination's
+//! write buffer and every [`sansio::Output::Timer`] is armed on the
+//! wheel the loop sleeps against. The core never sees a socket.
 //!
-//! ## Threads
+//! ## The loop
 //!
-//! * **event loop** (main thread) — owns the [`SearchNode`]; the only
-//!   thread that touches protocol state.
-//! * **accept thread** — takes new connections, classifies them by
-//!   their first frame ([`Frame::Hello`]) and spawns a reader per
-//!   connection.
-//! * **peer readers** — decode [`Frame::Search`] frames and forward
-//!   them to the event loop over an mpsc channel.
-//! * **peer writers** — one lazily-started thread per outbound peer,
-//!   owning that peer's [`TcpStream`]; the event loop never blocks on a
-//!   slow peer.
-//! * **client handlers** — sequential request/reply loops; requests are
-//!   serviced by the event loop via a per-connection reply channel.
+//! All sockets are non-blocking. One turn of the loop is:
+//!
+//! 1. **self-sends** — drain the local queue (a self-send is the
+//!    simulator's earliest event, so it goes before anything else);
+//! 2. **due timers** — feed each, draining self-sends after each;
+//! 3. **flush** — one `write` per connection that has unsent bytes.
+//!    What a socket will not take stays buffered and the connection is
+//!    also polled for writability;
+//! 4. **poll** — sleep in `poll(2)` until a socket is ready or the
+//!    wheel's next deadline;
+//! 5. **accept / read / dispatch** — one `read` per readable
+//!    connection, then every complete frame in its buffer in order,
+//!    draining self-sends after each. A connection's role is looked up
+//!    per frame, so a `Hello` and the first request may share a read.
+//!
+//! The only things that block are `poll` itself and a first-use
+//! outbound connect (one attempt, at most `CONNECT_PATIENCE`). A peer
+//! or client that stops reading costs memory up to `MAX_BACKLOG` and
+//! then its connection — never a turn of the loop. A malformed frame,
+//! a cut frame or a protocol violation kills only its connection.
 //!
 //! ## Bootstrap
 //!
@@ -31,6 +40,7 @@
 //! order and broadcasts the [`Frame::Members`] list. Every process then
 //! recomputes the identical evenly-spaced ring ids and Chord tables
 //! from the shared [`Scenario`] — no further coordination needed.
+//! Bootstrap runs before the loop and uses plain blocking I/O.
 //!
 //! ## The distance oracle
 //!
@@ -42,8 +52,11 @@
 //! map *before* dispatching it; the oracle answers from that map with
 //! the same [`l2`] arithmetic the expected-answer model uses.
 
+#[cfg(not(unix))]
+compile_error!("the node runtime multiplexes its sockets with poll(2) and needs a unix target");
+
 use crate::scenario::{l2, rotation, Scenario, KNN_K};
-use crate::wire::{self, Frame, HistogramSummary, Member, Role, StatsReport};
+use crate::wire::{self, Frame, FrameBuf, HistogramSummary, Member, Role, StatsReport};
 use lph::Rect;
 use metric::ObjectId;
 use sansio::{dispatch, Input, Links, Output, ProtoCtx};
@@ -52,9 +65,10 @@ use simsearch::msg::DistanceOracle;
 use simsearch::node::IndexState;
 use simsearch::{Entry, QueryBall, QueryId, SearchMsg, SearchNode, Store, SubQueryMsg, Telemetry};
 use std::collections::{BinaryHeap, HashMap, VecDeque};
-use std::io::Write as _;
-use std::net::{TcpListener, TcpStream};
-use std::sync::mpsc::{self, RecvTimeoutError};
+use std::ffi::c_int;
+use std::io::{self, Write as _};
+use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::os::unix::io::{AsRawFd, RawFd};
 use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -64,8 +78,19 @@ use std::time::{Duration, Instant};
 /// sizing only — never for correctness — so a constant is fine.
 const PEER_RTT: SimDuration = SimDuration(10_000_000);
 
-/// How long to keep retrying an outbound TCP connect before giving up.
-const CONNECT_PATIENCE: Duration = Duration::from_secs(15);
+/// How long [`connect_retry`] (bootstrap and clients) keeps trying:
+/// nodes come up in arbitrary order, so a refused connect is normal then.
+const RETRY_PATIENCE: Duration = Duration::from_secs(15);
+
+/// How long the serving loop waits on an outbound connect. Every member
+/// bound its listener before the membership was broadcast, so one
+/// attempt either succeeds at once or the peer is gone.
+const CONNECT_PATIENCE: Duration = Duration::from_secs(1);
+
+/// Most unsent bytes one connection may hold. A destination that falls
+/// this far behind is dropped (and, for a peer, reconnected on the next
+/// send) instead of growing the node without bound.
+const MAX_BACKLOG: usize = 32 * 1024 * 1024;
 
 /// Server configuration, straight off the CLI.
 #[derive(Clone, Debug)]
@@ -175,88 +200,116 @@ impl TimerWheel {
     }
 }
 
-/// One stimulus for the event loop.
-enum Event {
-    /// A search frame arrived from peer `from`.
-    Peer { from: usize, msg: SearchMsg },
-    /// A client request; the response goes back over `reply`.
-    Client {
-        req: Frame,
-        reply: mpsc::Sender<Frame>,
-    },
-    /// A client finished writing its shutdown ack — exit the loop.
-    Stop,
+/// `struct pollfd` of `poll(2)`.
+#[repr(C)]
+struct PollFd {
+    fd: RawFd,
+    events: i16,
+    revents: i16,
 }
 
-/// Outbound peer connections: one lazily-started writer thread per
-/// destination, each owning its socket.
-struct Peers {
-    me: usize,
-    members: Vec<Member>,
-    senders: Vec<Option<mpsc::Sender<SearchMsg>>>,
+const POLLIN: i16 = 0x1;
+const POLLOUT: i16 = 0x4;
+
+/// An entry `poll` skips: negative descriptors are ignored.
+const NO_FD: PollFd = PollFd {
+    fd: -1,
+    events: 0,
+    revents: 0,
+};
+
+#[cfg(target_os = "linux")]
+type NFds = std::ffi::c_ulong;
+#[cfg(not(target_os = "linux"))]
+type NFds = std::ffi::c_uint;
+
+extern "C" {
+    fn poll(fds: *mut PollFd, nfds: NFds, timeout: c_int) -> c_int;
 }
 
-impl Peers {
-    fn new(me: usize, members: Vec<Member>) -> Peers {
-        let senders = members.iter().map(|_| None).collect();
-        Peers {
-            me,
-            members,
-            senders,
+/// Sleep until a descriptor in `fds` is ready (its `revents` is then
+/// non-zero) or `timeout` passes; `None` waits indefinitely. `std` has
+/// no readiness API, hence the binding. A signal just ends the wait.
+fn wait_ready(fds: &mut [PollFd], timeout: Option<Duration>) -> io::Result<()> {
+    // Round up: a timer must not fire before its deadline.
+    let ms = timeout.map_or(-1, |t| {
+        t.as_micros().div_ceil(1000).min(c_int::MAX as u128) as c_int
+    });
+    // SAFETY: `fds` is an exclusively borrowed slice of `#[repr(C)]`
+    // structs with `struct pollfd`'s layout, and the length passed is
+    // the slice's own; the kernel reads `fd`/`events`, writes `revents`
+    // of those entries only, and keeps no pointer once the call returns.
+    let rc = unsafe { poll(fds.as_mut_ptr(), fds.len() as NFds, ms) };
+    if rc < 0 {
+        let e = io::Error::last_os_error();
+        if e.kind() != io::ErrorKind::Interrupted {
+            return Err(e);
         }
     }
+    Ok(())
+}
 
-    fn send(&mut self, to: usize, msg: SearchMsg) {
-        if self.senders[to].is_none() {
-            match self.connect(to) {
-                Ok(tx) => self.senders[to] = Some(tx),
-                Err(e) => {
-                    eprintln!("node {}: dropping message to peer {to}: {e}", self.me);
-                    return;
-                }
-            }
-        }
-        let tx = self.senders[to].as_ref().expect("sender just installed");
-        if tx.send(msg).is_err() {
-            // The writer thread died (peer closed mid-write). Drop the
-            // stale sender so the next send reconnects.
-            eprintln!(
-                "node {}: writer for peer {to} is gone; will reconnect on next send",
-                self.me
-            );
-            self.senders[to] = None;
-        }
+/// What a connection is for; decides how its next frame is read.
+#[derive(Clone, Copy)]
+enum Link {
+    /// Accepted, no [`Frame::Hello`] yet.
+    Fresh,
+    /// Accepted from peer `.0`: its search frames come in, nothing goes
+    /// out.
+    PeerIn(usize),
+    /// Accepted from a client: requests in, one reply out per request.
+    Client,
+    /// Opened by this node to peer `.0`: our search frames go out,
+    /// nothing comes in.
+    PeerOut(usize),
+}
+
+/// One non-blocking TCP connection with its two buffers. Both start
+/// empty and hand back what a burst grew them by once they drain.
+struct Conn {
+    stream: TcpStream,
+    link: Link,
+    inbox: FrameBuf,
+    /// Encoded frames the kernel has not taken yet, after the first
+    /// `sent` bytes, which it has.
+    outbox: Vec<u8>,
+    sent: usize,
+}
+
+impl Conn {
+    fn unsent(&self) -> usize {
+        self.outbox.len() - self.sent
     }
 
-    fn connect(&self, to: usize) -> Result<mpsc::Sender<SearchMsg>, String> {
-        let addr = self.members[to].addr.clone();
-        let mut stream = connect_retry(&addr, CONNECT_PATIENCE)?;
-        wire::write_frame(
-            &mut stream,
-            &Frame::Hello {
-                role: Role::Peer,
-                index: self.me as u64,
-            },
-        )
-        .map_err(|e| format!("hello to peer {to} ({addr}) failed: {e}"))?;
-        let (tx, rx) = mpsc::channel::<SearchMsg>();
-        let me = self.me;
-        thread::spawn(move || {
-            for msg in rx {
-                if let Err(e) = wire::write_frame(&mut stream, &Frame::Search(msg)) {
-                    eprintln!("node {me}: write to peer {to} ({addr}) failed: {e}");
-                    return;
-                }
-            }
-        });
-        Ok(tx)
+    /// One `write`: hand the kernel as much of the outbox as it takes.
+    fn flush(&mut self) -> io::Result<()> {
+        match self.stream.write(&self.outbox[self.sent..]) {
+            Ok(n) => self.sent += n,
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::WouldBlock | io::ErrorKind::Interrupted
+                ) => {}
+            Err(e) => return Err(e),
+        }
+        if self.unsent() == 0 {
+            self.outbox.clear();
+            self.outbox.shrink_to(wire::IDLE_CAPACITY);
+            self.sent = 0;
+        } else if self.sent > self.outbox.len() / 2 {
+            // Only once the sent part is the bigger half, so a slow
+            // reader does not make every turn recopy its backlog.
+            self.outbox.drain(..self.sent);
+            self.sent = 0;
+        }
+        Ok(())
     }
 }
 
 /// Keep attempting a TCP connect until it succeeds or patience runs out
 /// (peers come up in arbitrary order; a refused connect is normal early
 /// in a cluster's life).
-pub(crate) fn connect_retry(addr: &str, patience: Duration) -> Result<TcpStream, String> {
+pub(crate) fn connect_retry(addr: &str) -> Result<TcpStream, String> {
     let start = Instant::now();
     loop {
         let last_error = match TcpStream::connect(addr) {
@@ -267,9 +320,9 @@ pub(crate) fn connect_retry(addr: &str, patience: Duration) -> Result<TcpStream,
             }
             Err(e) => e,
         };
-        if start.elapsed() >= patience {
+        if start.elapsed() >= RETRY_PATIENCE {
             return Err(format!(
-                "could not connect to {addr} within {patience:?}: {last_error}"
+                "could not connect to {addr} within {RETRY_PATIENCE:?}: {last_error}"
             ));
         }
         thread::sleep(Duration::from_millis(100));
@@ -346,7 +399,7 @@ fn bootstrap(
             Ok(members)
         }
         Some(seed) => {
-            let mut conn = connect_retry(seed, CONNECT_PATIENCE)?;
+            let mut conn = connect_retry(seed)?;
             wire::write_frame(
                 &mut conn,
                 &Frame::JoinRequest {
@@ -385,20 +438,32 @@ fn bootstrap(
     }
 }
 
-/// Everything the event loop owns.
+/// Everything the loop owns — which is everything.
 struct Runtime {
     me: usize,
     node: SearchNode,
-    peers: Peers,
     wheel: TimerWheel,
     /// Self-addressed sends, drained before anything else — matching
     /// the simulator, where a self-send is just the earliest event.
-    local: VecDeque<(usize, SearchMsg)>,
+    local: VecDeque<SearchMsg>,
     start: Instant,
     data: Arc<Mutex<OracleData>>,
     telemetry: Telemetry,
     grid_dims: usize,
     members: Vec<Member>,
+    listener: TcpListener,
+    /// Connection slots; a closed connection leaves a hole for reuse.
+    conns: Vec<Option<Conn>>,
+    /// Per member, the slot of this node's [`Link::PeerOut`] to it.
+    out: Vec<Option<usize>>,
+    /// `poll` set of the current turn: one entry per slot of `conns`,
+    /// then the listener.
+    fds: Vec<PollFd>,
+    /// The one read buffer every connection's `read` goes through.
+    scratch: Box<[u8]>,
+    /// The slot owed a [`Frame::ShutdownAck`]; the loop ends once that
+    /// is on the wire.
+    stop: Option<usize>,
 }
 
 impl Runtime {
@@ -422,9 +487,9 @@ impl Runtime {
             match out {
                 Output::Send { to, msg, bytes: _ } => {
                     if to.0 == self.me {
-                        self.local.push_back((self.me, msg));
+                        self.local.push_back(msg);
                     } else {
-                        self.peers.send(to.0, msg);
+                        self.send(to.0, msg);
                     }
                 }
                 Output::Timer { delay, tag } => {
@@ -432,6 +497,111 @@ impl Runtime {
                         .schedule(Instant::now() + Duration::from_nanos(delay.0), tag);
                 }
             }
+        }
+    }
+
+    /// Feed every queued self-send, including the ones that feeding
+    /// queues. Runs after every other input, so no wire frame or timer
+    /// ever overtakes a self-send.
+    fn drain_local(&mut self) {
+        while let Some(msg) = self.local.pop_front() {
+            self.feed(Input::Message {
+                from: AgentId(self.me),
+                msg,
+            });
+        }
+    }
+
+    /// Queue `msg` for peer `to`, connecting first if this is the first
+    /// send (or the first since the connection broke). An unreachable
+    /// peer costs this message and a log line.
+    fn send(&mut self, to: usize, msg: SearchMsg) {
+        let slot = match self.out[to] {
+            Some(slot) => slot,
+            None => match self.connect(to) {
+                Ok(slot) => slot,
+                Err(e) => {
+                    eprintln!("node {}: dropping message to peer {to}: {e}", self.me);
+                    return;
+                }
+            },
+        };
+        self.queue(slot, &Frame::Search(msg));
+    }
+
+    fn connect(&mut self, to: usize) -> Result<usize, String> {
+        let addr = &self.members[to].addr;
+        let sock: SocketAddr = addr
+            .parse()
+            .map_err(|e| format!("peer address {addr} is unusable: {e}"))?;
+        let stream = TcpStream::connect_timeout(&sock, CONNECT_PATIENCE)
+            .map_err(|e| format!("could not connect to {addr}: {e}"))?;
+        let slot = self
+            .open(stream, Link::PeerOut(to))
+            .map_err(|e| format!("could not set up the connection: {e}"))?;
+        self.out[to] = Some(slot);
+        self.queue(
+            slot,
+            &Frame::Hello {
+                role: Role::Peer,
+                index: self.me as u64,
+            },
+        );
+        Ok(slot)
+    }
+
+    /// Adopt a connected socket into a free slot.
+    fn open(&mut self, stream: TcpStream, link: Link) -> io::Result<usize> {
+        stream.set_nonblocking(true)?;
+        // Frames are small and latency-sensitive.
+        let _ = stream.set_nodelay(true);
+        let conn = Conn {
+            stream,
+            link,
+            inbox: FrameBuf::default(),
+            outbox: Vec::new(),
+            sent: 0,
+        };
+        let free = self.conns.iter().position(Option::is_none);
+        let slot = free.unwrap_or_else(|| {
+            self.conns.push(None);
+            self.conns.len() - 1
+        });
+        self.conns[slot] = Some(conn);
+        Ok(slot)
+    }
+
+    /// Drop a connection, saying `why` unless it ended in good order.
+    fn close(&mut self, slot: usize, why: Option<String>) {
+        let Some(mut conn) = self.conns[slot].take() else {
+            return;
+        };
+        if let Some(why) = why {
+            eprintln!("node {}: {why}", self.me);
+        }
+        // Last words (an error reply) get one try at the wire.
+        if conn.unsent() > 0 {
+            let _ = conn.flush();
+        }
+        if let Link::PeerOut(to) = conn.link {
+            // The next send to this peer reconnects.
+            self.out[to] = None;
+        }
+    }
+
+    /// Append `frame` to a connection's outbox; the turn's flush step
+    /// writes it. No-op on a slot that closed in the meantime.
+    fn queue(&mut self, slot: usize, frame: &Frame) {
+        let Some(conn) = self.conns[slot].as_mut() else {
+            return;
+        };
+        wire::encode_frame_into(&mut conn.outbox, frame);
+        if conn.unsent() > MAX_BACKLOG {
+            let why = format!(
+                "dropping a connection that stopped reading ({} unsent bytes)",
+                conn.unsent()
+            );
+            self.close(slot, Some(why));
         }
     }
 
@@ -488,7 +658,7 @@ impl Runtime {
     }
 
     /// Service one client request. Returns the reply frame; the caller
-    /// sends it back over the connection's reply channel.
+    /// queues it on the client's connection.
     fn handle_client(&mut self, req: Frame) -> Frame {
         match req {
             Frame::ClientPublish { index, obj, point } => {
@@ -599,85 +769,175 @@ impl Runtime {
     }
 }
 
-/// Per-connection service: classify by the first frame, then either
-/// pump search frames into the event loop (peer) or run a sequential
-/// request/reply session (client). Errors are returned, logged by the
-/// caller, and kill only this connection — never the node.
-fn serve_conn(mut conn: TcpStream, events: mpsc::Sender<Event>) -> Result<(), String> {
-    let _ = conn.set_nodelay(true);
-    match wire::read_frame(&mut conn) {
-        Ok(Some(Frame::Hello {
-            role: Role::Peer,
-            index,
-        })) => {
-            let from = index as usize;
-            loop {
-                match wire::read_frame(&mut conn) {
-                    Ok(Some(Frame::Search(msg))) => {
-                        if events.send(Event::Peer { from, msg }).is_err() {
-                            return Ok(()); // node is shutting down
-                        }
-                    }
-                    Ok(Some(other)) => {
+/// The reactor proper: what happens to connections and in what order.
+impl Runtime {
+    /// Act on one inbound frame according to its connection's current
+    /// role. An `Err` is a protocol violation: it is logged and kills
+    /// this connection — never the node.
+    fn on_frame(&mut self, slot: usize, frame: Frame) -> Result<(), String> {
+        let conn = self.conns[slot]
+            .as_mut()
+            .expect("frames are only read off open connections");
+        match (conn.link, frame) {
+            (Link::Fresh, Frame::Hello { role, index }) => {
+                conn.link = match role {
+                    Role::Client => Link::Client,
+                    Role::Peer if index < self.members.len() as u64 => Link::PeerIn(index as usize),
+                    Role::Peer => {
                         return Err(format!(
-                            "peer {from} sent an unexpected {} frame on a search connection",
-                            other.kind()
+                            "hello from peer {index}, but the cluster has {} members",
+                            self.members.len()
                         ));
                     }
-                    Ok(None) => return Ok(()), // clean close between frames
-                    Err(e) => {
-                        return Err(format!("connection from peer {from} failed: {e}"));
-                    }
-                }
-            }
-        }
-        Ok(Some(Frame::Hello {
-            role: Role::Client, ..
-        })) => {
-            let (reply_tx, reply_rx) = mpsc::channel::<Frame>();
-            loop {
-                let req = match wire::read_frame(&mut conn) {
-                    Ok(Some(f)) => f,
-                    Ok(None) => return Ok(()),
-                    Err(e) => return Err(format!("client connection failed: {e}")),
                 };
-                let shutting_down = matches!(req, Frame::Shutdown);
-                if events
-                    .send(Event::Client {
-                        req,
-                        reply: reply_tx.clone(),
-                    })
-                    .is_err()
-                {
-                    return Ok(()); // node is shutting down
+            }
+            (Link::Fresh, Frame::JoinRequest { addr }) => {
+                let reason = "cluster already formed; joins are closed".to_string();
+                self.queue(slot, &Frame::Error { reason });
+                return Err(format!("turned away a late join request from {addr}"));
+            }
+            (Link::Fresh, other) => {
+                return Err(format!(
+                    "connection opened with {} instead of hello",
+                    other.kind()
+                ));
+            }
+            (Link::PeerIn(from), Frame::Search(msg)) => self.feed(Input::Message {
+                from: AgentId(from),
+                msg,
+            }),
+            (Link::PeerIn(from), other) => {
+                return Err(format!(
+                    "peer {from} sent an unexpected {} frame on a search connection",
+                    other.kind()
+                ));
+            }
+            (Link::Client, req) => {
+                if matches!(req, Frame::Shutdown) {
+                    self.stop = Some(slot);
                 }
-                let resp = reply_rx
-                    .recv()
-                    .map_err(|_| "event loop dropped a client request".to_string())?;
-                wire::write_frame(&mut conn, &resp)
-                    .map_err(|e| format!("client reply failed: {e}"))?;
-                if shutting_down {
-                    // The ack is on the wire; now let the loop exit.
-                    let _ = events.send(Event::Stop);
-                    return Ok(());
-                }
+                let resp = self.handle_client(req);
+                self.queue(slot, &resp);
+            }
+            (Link::PeerOut(to), other) => {
+                return Err(format!(
+                    "peer {to} sent a {} frame on this node's outbound connection",
+                    other.kind()
+                ));
             }
         }
-        Ok(Some(Frame::JoinRequest { .. })) => {
-            let _ = wire::write_frame(
-                &mut conn,
-                &Frame::Error {
-                    reason: "cluster already formed; joins are closed".to_string(),
-                },
-            );
-            Ok(())
+        Ok(())
+    }
+
+    /// One `read` off a readable connection, then every complete frame
+    /// it now holds, in order.
+    fn read_ready(&mut self, slot: usize) {
+        let Some(conn) = self.conns[slot].as_mut() else {
+            return;
+        };
+        match conn.inbox.fill(&mut conn.stream, &mut self.scratch) {
+            Ok(0) if conn.inbox.is_empty() => return self.close(slot, None),
+            Ok(0) => {
+                return self.close(slot, Some("connection closed inside a frame".to_string()));
+            }
+            Ok(_) => {}
+            // Readiness is a hint: the bytes may be gone by now.
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::WouldBlock | io::ErrorKind::Interrupted
+                ) =>
+            {
+                return;
+            }
+            Err(e) => return self.close(slot, Some(format!("read failed: {e}"))),
         }
-        Ok(Some(other)) => Err(format!(
-            "connection opened with {} instead of hello",
-            other.kind()
-        )),
-        Ok(None) => Ok(()), // probe connection
-        Err(e) => Err(format!("handshake failed: {e}")),
+        // The slot empties if a frame's handling closes the connection.
+        while let Some(conn) = self.conns[slot].as_mut() {
+            let handled = match conn.inbox.next_frame() {
+                Ok(Some(frame)) => self.on_frame(slot, frame),
+                Ok(None) => return,
+                Err(e) => Err(format!("malformed frame: {e}")),
+            };
+            if let Err(why) = handled {
+                return self.close(slot, Some(why));
+            }
+            self.drain_local();
+        }
+    }
+
+    /// The flush step for one slot: write what the socket takes, and
+    /// say what this turn's `poll` should watch the slot for.
+    fn flush(&mut self, slot: usize) -> PollFd {
+        let Some(conn) = self.conns[slot].as_mut() else {
+            return NO_FD;
+        };
+        if conn.unsent() > 0 {
+            if let Err(e) = conn.flush() {
+                self.close(slot, Some(format!("write failed: {e}")));
+                return NO_FD;
+            }
+        }
+        PollFd {
+            fd: conn.stream.as_raw_fd(),
+            events: if conn.unsent() > 0 {
+                POLLIN | POLLOUT
+            } else {
+                POLLIN
+            },
+            revents: 0,
+        }
+    }
+
+    /// One turn of the loop, in the order the module doc gives. `false`
+    /// once the node has been shut down.
+    fn turn(&mut self) -> Result<bool, String> {
+        self.drain_local();
+        while let Some(tag) = self.wheel.pop_due(Instant::now()) {
+            self.feed(Input::Timer(tag));
+            self.drain_local();
+        }
+
+        self.fds.clear();
+        for slot in 0..self.conns.len() {
+            let fd = self.flush(slot);
+            self.fds.push(fd);
+        }
+        let polled = self.fds.len();
+        self.fds.push(PollFd {
+            fd: self.listener.as_raw_fd(),
+            events: POLLIN,
+            revents: 0,
+        });
+        // The shutdown ack is on the wire, or its client is gone.
+        if let Some(slot) = self.stop {
+            if self.conns[slot].as_ref().is_none_or(|c| c.unsent() == 0) {
+                return Ok(false);
+            }
+        }
+
+        let timeout = self
+            .wheel
+            .next_deadline()
+            .map(|at| at.saturating_duration_since(Instant::now()));
+        wait_ready(&mut self.fds, timeout).map_err(|e| format!("poll failed: {e}"))?;
+
+        if self.fds[polled].revents != 0 {
+            match self.listener.accept() {
+                Ok((stream, _)) => self.open(stream, Link::Fresh).map(drop),
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => Ok(()),
+                Err(e) => Err(e),
+            }
+            .unwrap_or_else(|e| eprintln!("node {}: accept failed: {e}", self.me));
+        }
+        // Slots opened during this pass are polled from the next turn.
+        for slot in 0..polled {
+            // Errors and hang-ups surface through the read as well.
+            if self.fds[slot].revents & !POLLOUT != 0 {
+                self.read_ready(slot);
+            }
+        }
+        Ok(true)
     }
 }
 
@@ -750,80 +1010,28 @@ pub fn run_server(opts: &ServerOpts) -> Result<(), String> {
     let telemetry = Telemetry::new();
     node.attach_telemetry(telemetry.clone());
 
-    let (events_tx, events_rx) = mpsc::channel::<Event>();
-    let accept_tx = events_tx.clone();
-    thread::spawn(move || {
-        for conn in listener.incoming() {
-            match conn {
-                Ok(conn) => {
-                    let tx = accept_tx.clone();
-                    thread::spawn(move || {
-                        if let Err(e) = serve_conn(conn, tx) {
-                            eprintln!("node: {e}");
-                        }
-                    });
-                }
-                Err(e) => eprintln!("node: accept failed: {e}"),
-            }
-        }
-    });
-
+    listener
+        .set_nonblocking(true)
+        .map_err(|e| format!("failed to make the listener non-blocking: {e}"))?;
     let mut rt = Runtime {
         me,
         node,
-        peers: Peers::new(me, members.clone()),
         wheel: TimerWheel::default(),
         local: VecDeque::new(),
         start: Instant::now(),
         data,
         telemetry,
         grid_dims,
+        out: members.iter().map(|_| None).collect(),
         members,
+        listener,
+        conns: Vec::new(),
+        fds: Vec::new(),
+        scratch: vec![0; wire::READ_CHUNK].into_boxed_slice(),
+        stop: None,
     };
     rt.feed(Input::Start);
-
-    loop {
-        // Self-sends first, then due timers, then the wire — the same
-        // priority a simulator event at the current instant would get.
-        if let Some((from, msg)) = rt.local.pop_front() {
-            rt.feed(Input::Message {
-                from: AgentId(from),
-                msg,
-            });
-            continue;
-        }
-        if let Some(tag) = rt.wheel.pop_due(Instant::now()) {
-            rt.feed(Input::Timer(tag));
-            continue;
-        }
-        let event = match rt.wheel.next_deadline() {
-            Some(at) => {
-                let wait = at.saturating_duration_since(Instant::now());
-                match events_rx.recv_timeout(wait) {
-                    Ok(ev) => ev,
-                    Err(RecvTimeoutError::Timeout) => continue,
-                    Err(RecvTimeoutError::Disconnected) => {
-                        return Err("event channel closed while timers were pending".to_string());
-                    }
-                }
-            }
-            None => events_rx
-                .recv()
-                .map_err(|_| "event channel closed unexpectedly".to_string())?,
-        };
-        match event {
-            Event::Peer { from, msg } => rt.feed(Input::Message {
-                from: AgentId(from),
-                msg,
-            }),
-            Event::Client { req, reply } => {
-                let resp = rt.handle_client(req);
-                // A dropped reply receiver just means the client hung up.
-                let _ = reply.send(resp);
-            }
-            Event::Stop => break,
-        }
-    }
-    eprintln!("node {me}: clean shutdown", me = rt.me);
+    while rt.turn()? {}
+    eprintln!("node {me}: clean shutdown");
     Ok(())
 }

@@ -471,40 +471,39 @@ fn put_search(out: &mut Vec<u8>, msg: &SearchMsg) {
     }
 }
 
-/// Encode a frame's tag + body, without the length prefix.
-pub fn encode_body(frame: &Frame) -> Vec<u8> {
-    let mut out = Vec::new();
+/// Append a frame's tag + body, without the length prefix.
+fn put_frame(out: &mut Vec<u8>, frame: &Frame) {
     match frame {
-        Frame::Search(msg) => put_search(&mut out, msg),
+        Frame::Search(msg) => put_search(out, msg),
         Frame::Hello { role, index } => {
             out.push(16);
             out.push(match role {
                 Role::Peer => 0,
                 Role::Client => 1,
             });
-            put_u64(&mut out, *index);
+            put_u64(out, *index);
         }
         Frame::JoinRequest { addr } => {
             out.push(17);
-            put_str(&mut out, addr);
+            put_str(out, addr);
         }
         Frame::Members { members } => {
             out.push(18);
-            put_u16(&mut out, members.len() as u16);
+            put_u16(out, members.len() as u16);
             for m in members {
-                put_u64(&mut out, m.index);
-                put_str(&mut out, &m.addr);
+                put_u64(out, m.index);
+                put_str(out, &m.addr);
             }
         }
         Frame::Error { reason } => {
             out.push(19);
-            put_str(&mut out, reason);
+            put_str(out, reason);
         }
         Frame::ClientPublish { index, obj, point } => {
             out.push(20);
             out.push(*index);
-            put_u32(&mut out, *obj);
-            put_points(&mut out, point);
+            put_u32(out, *obj);
+            put_points(out, point);
         }
         Frame::PublishAck => out.push(21),
         Frame::ClientQuery {
@@ -514,14 +513,14 @@ pub fn encode_body(frame: &Frame) -> Vec<u8> {
             radius,
         } => {
             out.push(22);
-            put_u32(&mut out, *qid);
+            put_u32(out, *qid);
             out.push(*index);
-            put_f64(&mut out, *radius);
-            put_points(&mut out, center);
+            put_f64(out, *radius);
+            put_points(out, center);
         }
         Frame::QueryStatus { qid } => {
             out.push(23);
-            put_u32(&mut out, *qid);
+            put_u32(out, *qid);
         }
         Frame::QueryReport {
             qid,
@@ -531,68 +530,77 @@ pub fn encode_body(frame: &Frame) -> Vec<u8> {
             merged,
         } => {
             out.push(24);
-            put_u32(&mut out, *qid);
-            put_u32(&mut out, *responses);
-            put_u32(&mut out, *max_hops);
+            put_u32(out, *qid);
+            put_u32(out, *responses);
+            put_u32(out, *max_hops);
             out.push(*degraded as u8);
-            put_u16(&mut out, merged.len() as u16);
+            put_u16(out, merged.len() as u16);
             for &(o, d) in merged {
-                put_u32(&mut out, o);
-                put_f64(&mut out, d);
+                put_u32(out, o);
+                put_f64(out, d);
             }
         }
         Frame::StatsRequest => out.push(25),
         Frame::StatsReport(r) => {
             out.push(26);
-            put_u16(&mut out, r.counters.len() as u16);
+            put_u16(out, r.counters.len() as u16);
             for (name, v) in &r.counters {
-                put_str(&mut out, name);
-                put_u64(&mut out, *v);
+                put_str(out, name);
+                put_u64(out, *v);
             }
-            put_u16(&mut out, r.histograms.len() as u16);
+            put_u16(out, r.histograms.len() as u16);
             for h in &r.histograms {
-                put_str(&mut out, &h.name);
-                put_u64(&mut out, h.count);
-                put_u64(&mut out, h.sum);
-                put_u64(&mut out, h.max);
+                put_str(out, &h.name);
+                put_u64(out, h.count);
+                put_u64(out, h.sum);
+                put_u64(out, h.max);
             }
-            put_u32(&mut out, r.queries.len() as u32);
+            put_u32(out, r.queries.len() as u32);
             for (qid, s) in &r.queries {
-                put_u32(&mut out, *qid);
-                put_u32(&mut out, s.hops);
-                put_u32(&mut out, s.splits);
-                put_u32(&mut out, s.shared_paths);
-                put_u32(&mut out, s.forwards);
-                put_u32(&mut out, s.handoffs);
-                put_u32(&mut out, s.refines);
-                put_u32(&mut out, s.peels);
-                put_u32(&mut out, s.answers);
-                put_u64(&mut out, s.scanned);
-                put_u64(&mut out, s.matched);
-                put_u64(&mut out, s.returned);
-                put_u64(&mut out, s.query_bytes);
-                put_u64(&mut out, s.result_bytes);
+                put_u32(out, *qid);
+                put_u32(out, s.hops);
+                put_u32(out, s.splits);
+                put_u32(out, s.shared_paths);
+                put_u32(out, s.forwards);
+                put_u32(out, s.handoffs);
+                put_u32(out, s.refines);
+                put_u32(out, s.peels);
+                put_u32(out, s.answers);
+                put_u64(out, s.scanned);
+                put_u64(out, s.matched);
+                put_u64(out, s.returned);
+                put_u64(out, s.query_bytes);
+                put_u64(out, s.result_bytes);
             }
-            put_u64(&mut out, r.load);
+            put_u64(out, r.load);
         }
         Frame::MembersRequest => out.push(27),
         Frame::Shutdown => out.push(28),
         Frame::ShutdownAck => out.push(29),
     }
-    out
 }
 
-/// Encode a complete frame: 4-byte little-endian length, tag, body.
-pub fn encode_frame(frame: &Frame) -> Vec<u8> {
-    let body = encode_body(frame);
+/// Append a complete frame — 4-byte little-endian length, tag, body —
+/// to `out`. The body is encoded in place and the length back-patched,
+/// so a caller that keeps its buffer pays no allocation per frame.
+pub fn encode_frame_into(out: &mut Vec<u8>, frame: &Frame) {
+    let start = out.len();
+    out.extend_from_slice(&[0; 4]);
+    put_frame(out, frame);
+    let len = out.len() - start - 4;
     assert!(
-        body.len() <= MAX_FRAME_BYTES as usize,
+        len <= MAX_FRAME_BYTES as usize,
         "outbound {} frame exceeds MAX_FRAME_BYTES",
         frame.kind()
     );
-    let mut out = Vec::with_capacity(4 + body.len());
-    put_u32(&mut out, body.len() as u32);
-    out.extend_from_slice(&body);
+    out[start..start + 4].copy_from_slice(&(len as u32).to_le_bytes());
+}
+
+/// Encode a complete frame into a fresh buffer.
+pub fn encode_frame(frame: &Frame) -> Vec<u8> {
+    // Most protocol frames are 100–300 bytes: skip the doubling steps.
+    let mut out = Vec::with_capacity(256);
+    encode_frame_into(&mut out, frame);
     out
 }
 
@@ -1041,6 +1049,99 @@ pub fn decode_frame(buf: &[u8]) -> Result<Option<(Frame, usize)>, WireError> {
     }
     let frame = decode_body(&buf[4..total])?;
     Ok(Some((frame, total)))
+}
+
+/// Capacity a drained [`FrameBuf`] keeps; anything a burst grew beyond
+/// it is handed back to the allocator.
+pub(crate) const IDLE_CAPACITY: usize = 4096;
+
+/// Size of the scratch this crate's [`FrameBuf::fill`] callers read
+/// through: the most one `read` asks of the kernel.
+pub(crate) const READ_CHUNK: usize = 64 * 1024;
+
+/// The receiving end of a byte stream carrying frames: bytes go in as
+/// they arrive ([`FrameBuf::fill`]), complete frames come out
+/// ([`FrameBuf::next_frame`]). A frame split over many reads waits in the
+/// buffer; many frames in one read come out one by one. The buffer
+/// starts empty and never holds more than one maximal frame plus one
+/// read: [`decode_frame`] rejects an oversized prefix before any of its
+/// body is waited for.
+#[derive(Default)]
+pub struct FrameBuf {
+    buf: Vec<u8>,
+    /// Start of the first undecoded byte in `buf`.
+    pos: usize,
+}
+
+impl FrameBuf {
+    /// One `read` from `r` through `scratch`, appended to the buffer.
+    /// Returns the byte count; 0 is end-of-stream. The scratch is the
+    /// caller's so that many connections can share one.
+    pub fn fill(&mut self, r: &mut impl Read, scratch: &mut [u8]) -> io::Result<usize> {
+        let n = r.read(scratch)?;
+        self.buf.extend_from_slice(&scratch[..n]);
+        Ok(n)
+    }
+
+    /// Decode the next complete frame, if the buffer holds one.
+    /// `Ok(None)` keeps the partial frame for the next [`fill`].
+    ///
+    /// [`fill`]: FrameBuf::fill
+    pub fn next_frame(&mut self) -> Result<Option<Frame>, WireError> {
+        let Some((frame, used)) = decode_frame(&self.buf[self.pos..])? else {
+            self.buf.drain(..self.pos);
+            self.pos = 0;
+            return Ok(None);
+        };
+        self.pos += used;
+        if self.pos == self.buf.len() {
+            self.buf.clear();
+            self.buf.shrink_to(IDLE_CAPACITY);
+            self.pos = 0;
+        }
+        Ok(Some(frame))
+    }
+
+    /// True when no undecoded byte is buffered — end-of-stream now is a
+    /// clean close, not a cut frame.
+    pub fn is_empty(&self) -> bool {
+        self.pos == self.buf.len()
+    }
+
+    /// Blocking read of the next frame, with [`read_frame`]'s contract
+    /// (`Ok(None)` is a clean close between frames) but buffered: one
+    /// `read` usually yields the whole frame, and bytes read past it
+    /// stay for the next call.
+    pub fn read_frame(
+        &mut self,
+        r: &mut impl Read,
+        scratch: &mut [u8],
+    ) -> io::Result<Option<Frame>> {
+        loop {
+            if let Some(frame) = self
+                .next_frame()
+                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?
+            {
+                return Ok(Some(frame));
+            }
+            let n = match self.fill(r, scratch) {
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                other => other?,
+            };
+            if n == 0 {
+                if self.is_empty() {
+                    return Ok(None); // clean close between frames
+                }
+                return Err(io::Error::new(
+                    io::ErrorKind::UnexpectedEof,
+                    format!(
+                        "connection closed inside a frame ({} bytes of it arrived)",
+                        self.buf.len()
+                    ),
+                ));
+            }
+        }
+    }
 }
 
 /// Write one frame to a stream.

@@ -1,0 +1,395 @@
+//! The node's readiness loop against hostile and awkward byte streams,
+//! on real `node` processes: frames cut into single bytes, frames glued
+//! into one segment, garbage, connections cut mid-frame, and a client
+//! that never reads. `tests/parity.rs` proves the loop preserves event
+//! order; this file proves no connection can stall or kill the others.
+//! One in-process test covers the framer both ends share.
+
+use node::client::Client;
+use node::wire::{encode_frame, read_frame, Frame, FrameBuf, Role};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
+use std::net::TcpStream;
+use std::process::{Child, Command, Stdio};
+use std::time::{Duration, Instant};
+
+/// A slow CI host gets this long for anything that should be instant.
+const PATIENCE: Duration = Duration::from_secs(20);
+
+/// Kills every child on drop so a failing assertion never leaks node
+/// processes into the test environment.
+struct Cluster {
+    children: Vec<Child>,
+    addrs: Vec<String>,
+}
+
+impl Drop for Cluster {
+    fn drop(&mut self) {
+        for child in &mut self.children {
+            let _ = child.kill();
+            let _ = child.wait();
+        }
+    }
+}
+
+impl Cluster {
+    /// Spawn `n` nodes and wait until every one is past bootstrap.
+    fn spawn(n: usize) -> Cluster {
+        let mut cluster = Cluster {
+            children: Vec::new(),
+            addrs: Vec::new(),
+        };
+        for _ in 0..n {
+            let mut cmd = Command::new(env!("CARGO_BIN_EXE_node"));
+            cmd.args(["--listen", "127.0.0.1:0", "--expect", &n.to_string()])
+                .stdout(Stdio::piped())
+                .stderr(Stdio::inherit());
+            if let Some(seed) = cluster.addrs.first() {
+                cmd.args(["--join", seed]);
+            }
+            let mut child = cmd.spawn().expect("spawn node process");
+            let stdout = child.stdout.take().expect("child stdout is piped");
+            cluster.children.push(child);
+            let mut line = String::new();
+            BufReader::new(stdout)
+                .read_line(&mut line)
+                .expect("read the node's listen announcement");
+            let addr = line
+                .trim()
+                .strip_prefix("listening on ")
+                .unwrap_or_else(|| panic!("unexpected node announcement: {line:?}"));
+            cluster.addrs.push(addr.to_string());
+        }
+        // `Client::connect` only returns once a request round-trips,
+        // i.e. the node is in its serving loop.
+        for addr in &cluster.addrs {
+            Client::connect(addr).expect("node never left bootstrap");
+        }
+        cluster
+    }
+
+    /// A connection that has said nothing yet.
+    fn raw(&self, node: usize) -> TcpStream {
+        let stream = TcpStream::connect(&self.addrs[node]).expect("connect to node");
+        stream.set_nodelay(true).expect("nodelay");
+        stream
+            .set_read_timeout(Some(PATIENCE))
+            .expect("read timeout");
+        stream
+    }
+}
+
+fn hello() -> Vec<u8> {
+    encode_frame(&Frame::Hello {
+        role: Role::Client,
+        index: 0,
+    })
+}
+
+/// The node hung up: end-of-stream, or a reset because it closed with
+/// bytes of ours still unread.
+fn assert_closed(conn: &mut TcpStream, what: &str) {
+    match read_frame(conn) {
+        Ok(None) => {}
+        Err(e) if e.kind() == ErrorKind::ConnectionReset => {}
+        other => panic!("{what}: expected the node to hang up, got {other:?}"),
+    }
+}
+
+/// Hands out at most `step` bytes per `read`, then end-of-stream.
+struct Dribble<'a> {
+    bytes: &'a [u8],
+    step: usize,
+}
+
+impl Read for Dribble<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = self.step.min(buf.len()).min(self.bytes.len());
+        buf[..n].copy_from_slice(&self.bytes[..n]);
+        self.bytes = &self.bytes[n..];
+        Ok(n)
+    }
+}
+
+/// The framer the node's connections and the client share, without a
+/// socket: however the stream is cut into reads, the same frames come
+/// out, and a stream that ends early or lies about a length is an error
+/// of the right kind.
+#[test]
+fn the_shared_framer_reassembles_any_chunking() {
+    let frames = [
+        Frame::Hello {
+            role: Role::Peer,
+            index: 3,
+        },
+        Frame::ClientQuery {
+            qid: 9,
+            index: 0,
+            center: vec![0.25; 40],
+            radius: 0.5,
+        },
+        Frame::StatsRequest,
+        Frame::Shutdown,
+    ];
+    let bytes: Vec<u8> = frames.iter().flat_map(encode_frame).collect();
+    let mut scratch = [0u8; 64];
+    let drain = |bytes: &[u8], step: usize, scratch: &mut [u8]| {
+        let mut stream = Dribble { bytes, step };
+        let mut inbox = FrameBuf::default();
+        let mut seen = Vec::new();
+        loop {
+            match inbox.read_frame(&mut stream, scratch) {
+                Ok(Some(frame)) => seen.extend(encode_frame(&frame)),
+                Ok(None) => return Ok(seen),
+                Err(e) => return Err((seen, e)),
+            }
+        }
+    };
+    for step in [1, 2, 3, 5, 13, 64] {
+        let seen = drain(&bytes, step, &mut scratch).expect("a whole stream decodes");
+        assert_eq!(seen, bytes, "frames differ at {step} bytes per read");
+    }
+
+    // Cut inside the last frame: everything before it, then a cut-frame
+    // error — not a clean close.
+    let (seen, e) =
+        drain(&bytes[..bytes.len() - 1], 7, &mut scratch).expect_err("a cut stream is an error");
+    assert_eq!(seen, bytes[..bytes.len() - 5], "frames before the cut");
+    assert_eq!(e.kind(), ErrorKind::UnexpectedEof);
+    assert!(e.to_string().contains("closed inside a frame"), "{e}");
+
+    // An oversized prefix fails as soon as it is in, body or no body.
+    let lie = (node::wire::MAX_FRAME_BYTES + 1).to_le_bytes();
+    let (_, e) = drain(&lie, 4, &mut scratch).expect_err("an oversized prefix is an error");
+    assert_eq!(e.kind(), ErrorKind::InvalidData);
+    assert!(e.to_string().contains("oversized length prefix"), "{e}");
+}
+
+#[test]
+fn a_frame_arriving_byte_by_byte_is_decoded() {
+    let cluster = Cluster::spawn(1);
+    let mut conn = cluster.raw(0);
+    let mut bytes = hello();
+    bytes.extend(encode_frame(&Frame::MembersRequest));
+    for b in bytes {
+        conn.write_all(&[b]).expect("write one byte");
+        // No-delay sends each byte as its own segment; the pause lets
+        // the node read it before the next one lands.
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    match read_frame(&mut conn).expect("reply to the dribbled request") {
+        Some(Frame::Members { members }) => assert_eq!(members.len(), 1),
+        other => panic!("expected the membership, got {other:?}"),
+    }
+}
+
+#[test]
+fn frames_sharing_one_segment_are_all_answered_in_order() {
+    let cluster = Cluster::spawn(1);
+    let mut conn = cluster.raw(0);
+    let mut bytes = hello();
+    bytes.extend(encode_frame(&Frame::MembersRequest));
+    bytes.extend(encode_frame(&Frame::StatsRequest));
+    conn.write_all(&bytes).expect("one write, three frames");
+    let first = read_frame(&mut conn).expect("first reply");
+    assert!(
+        matches!(first, Some(Frame::Members { .. })),
+        "expected the membership first, got {first:?}"
+    );
+    let second = read_frame(&mut conn).expect("second reply");
+    assert!(
+        matches!(second, Some(Frame::StatsReport(_))),
+        "expected the stats second, got {second:?}"
+    );
+}
+
+#[test]
+fn a_bad_connection_dies_alone() {
+    let cluster = Cluster::spawn(1);
+    let mut good = Client::connect(&cluster.addrs[0]).expect("well-behaved client");
+
+    // An unassigned tag inside a well-formed length prefix.
+    let mut garbage = cluster.raw(0);
+    let mut bytes = hello();
+    bytes.extend([1, 0, 0, 0, 99]);
+    garbage.write_all(&bytes).expect("write garbage");
+    assert_closed(&mut garbage, "unknown tag");
+
+    // A length prefix over the cap: rejected before any body arrives.
+    let mut oversized = cluster.raw(0);
+    let mut bytes = hello();
+    bytes.extend((node::wire::MAX_FRAME_BYTES + 1).to_le_bytes());
+    oversized.write_all(&bytes).expect("write oversized prefix");
+    assert_closed(&mut oversized, "oversized prefix");
+
+    // A request from nobody: no hello came first.
+    let mut confused = cluster.raw(0);
+    confused
+        .write_all(&encode_frame(&Frame::StatsRequest))
+        .expect("write a request before hello");
+    assert_closed(&mut confused, "no hello");
+
+    // A connection cut inside a frame.
+    let mut cut = cluster.raw(0);
+    let mut bytes = hello();
+    bytes.extend(&encode_frame(&Frame::StatsRequest)[..3]);
+    cut.write_all(&bytes).expect("write a partial frame");
+    drop(cut);
+
+    // A join after the cluster formed is told so, then hung up on.
+    let mut late = cluster.raw(0);
+    late.write_all(&encode_frame(&Frame::JoinRequest {
+        addr: "127.0.0.1:1".to_string(),
+    }))
+    .expect("write a late join");
+    match read_frame(&mut late).expect("reply to the late join") {
+        Some(Frame::Error { reason }) => assert!(reason.contains("joins are closed"), "{reason}"),
+        other => panic!("expected a rejection, got {other:?}"),
+    }
+    assert_closed(&mut late, "late join");
+
+    // None of that touched the node or its other connections.
+    assert_eq!(
+        good.members().expect("old connection still served").len(),
+        1
+    );
+    Client::connect(&cluster.addrs[0])
+        .expect("new connections still accepted")
+        .stats()
+        .expect("new connection served");
+}
+
+#[test]
+fn a_client_that_never_reads_delays_nobody() {
+    /// Replies left unread: above what the kernel will buffer between
+    /// two loopback sockets (send plus receive buffer, ~10 MiB at the
+    /// default sysctl maxima), below the node's 32 MiB backlog cap — so
+    /// the node's socket to the stalled client really is full, and the
+    /// node really is holding the rest.
+    const UNREAD_BYTES: usize = 16 * 1024 * 1024;
+    /// One round trip of the well-behaved client, stalled neighbour or
+    /// not. Generous: it is ~100 µs on an idle host.
+    const DEADLINE: Duration = Duration::from_secs(2);
+
+    let cluster = Cluster::spawn(2);
+    let mut stalled = cluster.raw(0);
+    stalled.write_all(&hello()).expect("stalled client hello");
+    // Membership replies: their size never changes, so the unread total
+    // is exact.
+    let request = encode_frame(&Frame::MembersRequest);
+    stalled.write_all(&request).expect("sizing request");
+    let reply = read_frame(&mut stalled)
+        .expect("sizing reply")
+        .expect("sizing reply is a frame");
+    let requests = UNREAD_BYTES.div_ceil(encode_frame(&reply).len());
+    stalled
+        .write_all(&request.repeat(requests))
+        .expect("pipelined requests");
+
+    // Publishes and queries entering at the same node, with a peer hop.
+    let mut good = Client::connect(&cluster.addrs[0]).expect("well-behaved client");
+    let mut other = Client::connect(&cluster.addrs[1]).expect("client of the other node");
+    let timed = |what: &str, t0: Instant| {
+        let took = t0.elapsed();
+        assert!(
+            took < DEADLINE,
+            "{what} took {took:?} next to a stalled client"
+        );
+    };
+    const OBJECTS: u32 = 32;
+    for obj in 0..OBJECTS {
+        let x = f64::from(obj) / f64::from(OBJECTS);
+        let t0 = Instant::now();
+        good.publish(0, obj, &[x, 1.0 - x, 0.5]).expect("publish");
+        timed("publish", t0);
+    }
+    let deadline = Instant::now() + PATIENCE;
+    let stored = |c: &mut Client| c.stats().expect("stats").load;
+    while stored(&mut good) + stored(&mut other) < u64::from(OBJECTS) {
+        assert!(Instant::now() < deadline, "publishes never all stored");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    for qid in 0..32u32 {
+        let t0 = Instant::now();
+        good.query(qid, 0, &[0.5, 0.5, 0.5], 0.3).expect("query");
+        timed("query", t0);
+        let t0 = Instant::now();
+        good.status(qid).expect("status");
+        timed("status", t0);
+    }
+    while good.status(31).expect("status").merged.is_empty() {
+        assert!(Instant::now() < deadline, "the last query found nothing");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    // The stalled client lost nothing: every reply, in order, once it
+    // finally reads.
+    let mut inbox = FrameBuf::default();
+    let mut scratch = vec![0u8; 64 * 1024];
+    for k in 0..requests {
+        match inbox.read_frame(&mut stalled, &mut scratch) {
+            Ok(Some(Frame::Members { .. })) => {}
+            other => panic!("backlogged reply {k} of {requests}: {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn a_backlog_past_the_cap_costs_only_that_connection() {
+    /// Well past the node's 32 MiB cap on one connection's unsent bytes.
+    const UNREAD_BYTES: usize = 48 * 1024 * 1024;
+
+    let cluster = Cluster::spawn(1);
+    // Fatten the stats reply (one trace summary per query), so a few
+    // thousand five-byte requests are owed all of `UNREAD_BYTES`.
+    let mut good = Client::connect(&cluster.addrs[0]).expect("well-behaved client");
+    for qid in 0..64 {
+        good.query(qid, 0, &[0.5, 0.5, 0.5], 0.1).expect("query");
+    }
+    let reply = encode_frame(&Frame::StatsReport(good.stats().expect("stats")));
+
+    let mut hoarder = cluster.raw(0);
+    hoarder.write_all(&hello()).expect("hoarder hello");
+    let request = encode_frame(&Frame::StatsRequest);
+    let requests = UNREAD_BYTES.div_ceil(reply.len());
+    hoarder
+        .write_all(&request.repeat(requests))
+        .expect("pipelined requests");
+
+    // Never read. The node must hang up, which shows here as a write
+    // failing once the kernel has answered one with a reset.
+    let deadline = Instant::now() + PATIENCE;
+    while hoarder.write_all(&request).is_ok() {
+        assert!(
+            Instant::now() < deadline,
+            "the node kept buffering for a client that never reads"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    good.stats().expect("node still serving");
+}
+
+#[test]
+fn shutdown_is_acknowledged_before_a_clean_exit() {
+    let mut cluster = Cluster::spawn(1);
+    let mut conn = cluster.raw(0);
+    let mut bytes = hello();
+    bytes.extend(encode_frame(&Frame::Shutdown));
+    conn.write_all(&bytes).expect("hello and shutdown");
+    let ack = read_frame(&mut conn).expect("shutdown reply");
+    assert!(
+        matches!(ack, Some(Frame::ShutdownAck)),
+        "expected the ack, got {ack:?}"
+    );
+    let deadline = Instant::now() + PATIENCE;
+    let status = loop {
+        if let Some(status) = cluster.children[0].try_wait().expect("wait for node") {
+            break status;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "node still running after its ack"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    assert!(status.success(), "node exited with {status}");
+}

@@ -4,8 +4,9 @@
 # Boots a 7-process cluster on 127.0.0.1, publishes the deterministic
 # 120-object corpus, runs two range checks and one expanding-ring kNN
 # check (each asserts recall 1.0 against the locally recomputed exact
-# answer), then shuts the cluster down and requires every process to
-# exit cleanly — all within $NODE_SMOKE_BUDGET_SECS (default 120).
+# answer), checks that every node is still one thread, then shuts the
+# cluster down and requires every process to exit cleanly — all within
+# $NODE_SMOKE_BUDGET_SECS (default 120).
 #
 # Per-node logs land in target/node-smoke/; CI uploads them as
 # artifacts when the job fails.
@@ -89,6 +90,21 @@ check_budget "running range checks"
 # Expanding-ring k-nearest: the 5 nearest objects, certified exactly.
 "$BIN" --connect "$SEED_ADDR" --check-knn "0.6,0.4,0.5@5" --qid 3 --corpus "$CORPUS"
 check_budget "running the knn check"
+
+# A node is one readiness loop on one thread; a second thread means a
+# hand-off has crept back into the message path.
+if [ -r "/proc/$$/status" ]; then
+    for i in "${!PIDS[@]}"; do
+        threads="$(awk '/^Threads:/ { print $2 }' "/proc/${PIDS[$i]}/status")"
+        if [ "$threads" != 1 ]; then
+            echo "node smoke: node $i (pid ${PIDS[$i]}) runs $threads threads, expected 1"
+            exit 1
+        fi
+    done
+    echo "node smoke: every node runs 1 thread"
+else
+    echo "node smoke: no /proc on this host; thread-count check skipped"
+fi
 
 "$BIN" --connect "$SEED_ADDR" --shutdown-cluster
 
