@@ -1,7 +1,8 @@
 //! Criterion microbenchmarks of the hot kernels: locality-preserving
 //! hashing, query splitting, metric evaluations, landmark selection,
 //! local routing decisions, and the query-path performance kernels
-//! (span-narrowed store scans, lower-bound pruning, parallel mapping).
+//! (span- and bounds-narrowed store scans, store inserts, lower-bound
+//! pruning, parallel mapping).
 //!
 //! Besides the timing suite, this target emits the canonical
 //! `BENCH_micro.json` (work counters of the 64-node scenario plus kernel
@@ -175,13 +176,55 @@ fn scan_fixture() -> (Store, Rect, (u64, u64)) {
     (store, rect, span)
 }
 
+/// One node's store of the repo benchmark's `wide` workload — of 60 000
+/// uniform points of `[0, 1]^5` under a depth-12 grid, the ≈ 7 500 whose
+/// key falls in the first eighth of the ring — and a query box of side
+/// 0.5 (radius 0.25) with its key span. Returned as entries, in publish
+/// order, so the insert case can time building the store from them.
+fn wide_fixture() -> (Vec<Entry>, Rect, (u64, u64)) {
+    let mut rng = SimRng::new(0xE3);
+    let grid = Grid::new(Rect::cube(5, 0.0, 1.0), 12);
+    let entries = (0..60_000u32)
+        .map(|i| {
+            let p: Vec<f64> = (0..5).map(|_| rng.f64()).collect();
+            Entry {
+                ring_key: grid.hash(&p),
+                obj: ObjectId(i),
+                point: p.into_boxed_slice(),
+            }
+        })
+        .filter(|e| e.ring_key < 1 << 61)
+        .collect();
+    let center: Vec<f64> = (0..5).map(|_| 0.25 + 0.5 * rng.f64()).collect();
+    let rect = Rect::ball(&center, 0.25, grid.bounds());
+    let span = grid.key_span(&rect);
+    (entries, rect, span)
+}
+
+/// A store filled the way a node's is: one publish at a time.
+fn store_by_insert(entries: &[Entry]) -> Store {
+    let mut store = Store::new();
+    for e in entries {
+        store.insert(e.clone());
+    }
+    store
+}
+
 fn bench_store_scan(c: &mut Criterion) {
     let (store, rect, span) = scan_fixture();
     c.bench_function("store/scan_full_4000", |b| {
-        b.iter(|| store.scan(black_box(&rect)))
+        b.iter(|| store.scan_range(black_box(&rect), black_box((0, u64::MAX))))
     });
     c.bench_function("store/scan_range_4000", |b| {
         b.iter(|| store.scan_range(black_box(&rect), black_box(span)))
+    });
+    let (entries, rect, span) = wide_fixture();
+    let store = store_by_insert(&entries);
+    c.bench_function("store/scan_range_wide_7500", |b| {
+        b.iter(|| store.scan_range(black_box(&rect), black_box(span)))
+    });
+    c.bench_function("store/insert_wide_7500", |b| {
+        b.iter(|| store_by_insert(black_box(&entries)))
     });
 }
 
@@ -257,11 +300,20 @@ fn time_ns(budget: Duration, mut f: impl FnMut()) -> f64 {
 fn kernel_timings(budget: Duration) -> serde_json::Value {
     let (store, rect, span) = scan_fixture();
     let scan_full = time_ns(budget, || {
-        black_box(store.scan(black_box(&rect)));
+        black_box(store.scan_range(black_box(&rect), black_box((0, u64::MAX))));
     });
     let scan_range = time_ns(budget, || {
         black_box(store.scan_range(black_box(&rect), black_box(span)));
     });
+    let (entries, rect, span) = wide_fixture();
+    let store = store_by_insert(&entries);
+    let wide_stats = store.scan_range(&rect, span).1;
+    let scan_wide = time_ns(budget, || {
+        black_box(store.scan_range(black_box(&rect), black_box(span)));
+    });
+    let insert_wide = time_ns(budget, || {
+        black_box(store_by_insert(black_box(&entries)));
+    }) / entries.len() as f64;
 
     let mut rng = SimRng::new(0xD1);
     let bounds = Rect::cube(5, 0.0, 100.0);
@@ -298,6 +350,10 @@ fn kernel_timings(budget: Duration) -> serde_json::Value {
     serde_json::json!({
         "scan_full_4000_ns": scan_full,
         "scan_range_4000_ns": scan_range,
+        "scan_range_wide_7500_ns": scan_wide,
+        "scan_range_wide_7500_scanned": wide_stats.scanned,
+        "scan_range_wide_7500_matched": wide_stats.matched,
+        "insert_wide_7500_ns_per_entry": insert_wide,
         "lower_bound_5d_ns": lower_bound,
         "map_seq_4000x100d_k10_ns": map_seq,
         "map_all_par_4000x100d_k10_ns": map_par,
@@ -372,10 +428,10 @@ fn main() {
 
 /// Checked-in smoke thresholds for the quick (`BENCH_SMOKE=1`) scenario.
 /// The counters are fully deterministic — current values are scanned
-/// 9230, pruned 18, recall 1.0 — so the margins below only have to
+/// 4443, pruned 18, recall 1.0 — so the margins below only have to
 /// absorb intentional scenario retuning, not noise. Tighten or loosen
 /// them in the same commit as the behavior change they reflect.
-const MAX_SCANNED_QUICK: u64 = 12_000;
+const MAX_SCANNED_QUICK: u64 = 6_000;
 const MIN_PRUNED_QUICK: u64 = 10;
 const MIN_RECALL: f64 = 1.0;
 
@@ -389,7 +445,7 @@ fn check_thresholds(counters: &bench::micro_report::MicroCounters) {
     if counters.scanned > max_scanned {
         eprintln!(
             "bench-smoke FAIL: scanned {} exceeds threshold {max_scanned} — \
-             the sorted-range scan narrowing regressed",
+             the store scan's key-span or block-bounds narrowing regressed",
             counters.scanned
         );
         failed = true;

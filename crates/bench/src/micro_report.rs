@@ -5,9 +5,10 @@
 //! telemetry counters then say exactly how much work the query path did:
 //!
 //! * `store.entries_scanned` / `store.entries_skipped` — entries
-//!   rect-tested vs. entries excluded up front by the sorted-range
-//!   binary search. "Before" the span-narrowed scan, every owned entry
-//!   was rect-tested, so `scanned + skipped` *is* the pre-change cost.
+//!   rect-tested vs. entries passed over without a test: outside the
+//!   query's key span, or in a store block whose bounds miss the rect.
+//!   A scan that narrows nothing rect-tests every owned entry, so
+//!   `scanned + skipped` *is* the cost "before".
 //! * `search.refine.dist_calls` / `search.refine.pruned` — true-distance
 //!   oracle calls made vs. skipped by the landmark lower bound. The
 //!   pre-change cost is again the sum.
@@ -63,7 +64,7 @@ impl MicroCounters {
         self.dist_calls + self.pruned
     }
 
-    /// Scan-work reduction factor of the sorted-range scan.
+    /// Scan-work reduction factor of the span- and bounds-narrowed scan.
     pub fn scan_reduction(&self) -> f64 {
         self.scanned_before() as f64 / (self.scanned.max(1)) as f64
     }

@@ -125,10 +125,10 @@ impl SearchSystem {
             for a in actions {
                 match a {
                     Action::Answer(ans) => {
-                        let matches = node.indexes[index as usize]
-                            .store
-                            .matching(&ans.rect)
-                            .count();
+                        let ix = &node.indexes[index as usize];
+                        let (lo, hi) = grid.key_span(&ans.rect);
+                        let span = (ix.rotation.to_ring(lo), ix.rotation.to_ring(hi));
+                        let matches = ix.store.scan_range(&ans.rect, span).1.matched;
                         report.total_matches += matches;
                         report.max_hops = report.max_hops.max(ans.hops);
                         if !report.answering_nodes.contains(&at) {

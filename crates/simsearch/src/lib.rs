@@ -73,7 +73,7 @@ pub use routing::{
     route_subquery, route_subquery_traced, surrogate_refine, surrogate_refine_traced, Action,
     RoutingEvent, WithShortcuts,
 };
-pub use store::{Entry, ScanStats, Store};
+pub use store::{Entry, EntryRef, ScanStats, Store};
 pub use system::{
     threads_from_env, IndexSpec, LoadBalanceConfig, QueryOutcome, QuerySpec, SearchSystem,
     SystemConfig,

@@ -166,7 +166,7 @@ fn split_point(node: &SearchNode, arc_start: u64) -> Option<u64> {
     let mut offsets: Vec<u64> = node
         .indexes
         .iter()
-        .flat_map(|ix| ix.store.entries().iter())
+        .flat_map(|ix| ix.store.entries())
         .map(|e| e.ring_key.wrapping_sub(arc_start))
         .collect();
     if offsets.len() < 2 {

@@ -89,11 +89,12 @@ struct AnswerCore {
     ranked: Vec<(ObjectId, f64)>,
     /// True when part of the queried range is known lost.
     degraded: bool,
-    /// Store entries walked.
+    /// Store entries rect-tested.
     scanned: u64,
     /// Entries whose rect matched a fragment.
     matched: u64,
-    /// Entries skipped by span binary search bookkeeping.
+    /// Entries passed over without a rect test (outside the key span, or
+    /// in a block whose bounds miss the fragment).
     skipped: u64,
     /// Candidates dropped by radius or lower-bound pruning.
     pruned: u64,
@@ -930,45 +931,60 @@ impl SearchNode {
                 (ix.rotation.to_ring(lo), ix.rotation.to_ring(hi))
             })
             .collect();
-        // Collect matching entries over all fragments, dedup by object.
-        // A candidate carries its pivot lower bound (`None` without a
+        // Collect matching entries over all fragments, each object once
+        // however many fragments (a point on a split face lies in both
+        // halves) or stored copies (an object published twice) or replica
+        // copies match it: the first sighting, in scan order, decides. A
+        // candidate carries its pivot lower bound (`None` without a
         // ball: such candidates are never pruned); candidates provably
         // outside the metric range are dropped before refinement — but
         // when a cacheable candidate set is being collected they are
         // still captured first: a contained future query has a different
         // center, so only the *rect* filter may be applied at cache time.
+        let bounds = ix.grid.bounds();
+        let scans: Vec<_> = fragments
+            .iter()
+            .zip(&spans)
+            .map(|(f, span)| ix.store.scan_range(&f.rect, *span))
+            .collect();
+        // Sized up front: growing a hash set rehashes it again and again.
+        let mut seen: HashSet<ObjectId> =
+            HashSet::with_capacity(scans.iter().map(|(hits, _)| hits.len()).sum());
         let mut cands: Vec<(ObjectId, Option<f64>)> = Vec::new();
-        let mut range_pruned: Vec<ObjectId> = Vec::new();
         let mut cache_pts: Option<Vec<(ObjectId, Box<[f64]>)>> = collect_cache.then(Vec::new);
         let mut pruned = 0u64;
         let mut scanned = 0u64;
         let mut matched = 0u64;
         let mut skipped = 0u64;
-        for (f, span) in fragments.iter().zip(&spans) {
-            let (hits, work) = ix.store.scan_range(&f.rect, *span);
+        // The pivot lower bound of one new candidate, computed once: it
+        // is both the range test here and the k-th-best test below. The
+        // range test cannot fire while the fragment's rect lies inside
+        // the ball's own bounding box — every coordinate gap is then at
+        // most the radius — which is how every driver in this repository
+        // builds its queries; it stays as the guard for a caller whose
+        // rect is looser than its ball. Strict `>`: a NaN bound excludes
+        // nothing.
+        let mut admit = |obj: ObjectId, point: &[f64]| -> bool {
+            let lb = ball.as_ref().map(|b| b.lower_bound(point, bounds));
+            if lb.zip(ball.as_ref()).is_some_and(|(lb, b)| lb > b.radius) {
+                pruned += 1;
+                return false;
+            }
+            cands.push((obj, lb));
+            true
+        };
+        for (hits, work) in scans {
             scanned += work.scanned as u64;
             matched += work.matched as u64;
             skipped += work.skipped as u64;
             for e in hits {
-                if let Some(pts) = &mut cache_pts {
-                    if !pts.iter().any(|(o, _)| *o == e.obj) {
-                        pts.push((e.obj, e.point.clone()));
-                    }
-                }
-                if cands.iter().any(|(o, _)| *o == e.obj) || range_pruned.contains(&e.obj) {
+                if !seen.insert(e.obj) {
                     continue;
                 }
-                match &ball {
-                    Some(b) if b.excludes(&e.point, ix.grid.bounds()) => {
-                        range_pruned.push(e.obj);
-                        pruned += 1;
-                    }
-                    b => cands.push((
-                        e.obj,
-                        b.as_ref()
-                            .map(|b| b.lower_bound(&e.point, ix.grid.bounds())),
-                    )),
+                if let Some(pts) = &mut cache_pts {
+                    pts.push((e.obj, e.point.into()));
                 }
+                admit(e.obj, e.point);
             }
         }
         // Resilient mode: also answer, on behalf of suspected-dead
@@ -982,22 +998,8 @@ impl SearchNode {
                     if !self.suspected.contains(*owner) || !f.rect.contains_point(&e.point) {
                         continue;
                     }
-                    if cands.iter().any(|(o, _)| *o == e.obj) || range_pruned.contains(&e.obj) {
-                        continue;
-                    }
-                    match &ball {
-                        Some(b) if b.excludes(&e.point, ix.grid.bounds()) => {
-                            range_pruned.push(e.obj);
-                            pruned += 1;
-                        }
-                        b => {
-                            cands.push((
-                                e.obj,
-                                b.as_ref()
-                                    .map(|b| b.lower_bound(&e.point, ix.grid.bounds())),
-                            ));
-                            replica_answers += 1;
-                        }
+                    if seen.insert(e.obj) && admit(e.obj, &e.point) {
+                        replica_answers += 1;
                     }
                 }
             }
@@ -1745,6 +1747,83 @@ mod tests {
         assert_eq!(st.registry.counter("store.entries_scanned"), s.scanned);
         assert_eq!(st.registry.counter("store.entries_matched"), s.matched);
         assert_eq!(st.registry.counter("search.bytes.results"), s.result_bytes);
+    }
+
+    #[test]
+    fn an_object_on_a_split_midpoint_is_answered_once() {
+        let (mut sim, _ring, grid) = build();
+        // Node 0 owns cells 0..=3. An object at exactly 2.0 — the
+        // midpoint both fragments below end on — hashes to cell 1 (the
+        // lower half) and lies in both closed rects.
+        let node = sim.agent_mut(AgentId(0));
+        node.indexes[0].store.insert(Entry {
+            ring_key: grid.hash(&[2.0]),
+            obj: ObjectId(100),
+            point: vec![2.0].into_boxed_slice(),
+        });
+        let fragment = |lo: f64, hi: f64, key: u64| SubQueryMsg {
+            qid: 0,
+            index: 0,
+            rect: Rect::new(vec![lo], vec![hi]),
+            prefix: Prefix::of_key(key << 62, 2),
+            hops: 0,
+            origin: AgentId(0),
+            ball: None,
+            shortcut: false,
+        };
+        let fragments = [fragment(0.5, 2.0, 0b00), fragment(2.0, 3.5, 0b01)];
+        let core = node.collect_answer(0, 0, &fragments, true);
+        // Each fragment matched three entries, object 100 both times...
+        assert_eq!(core.matched, 6);
+        assert_eq!(core.scanned + core.skipped, 2 * 5);
+        // ...but it is ranked, measured and cached once, where the first
+        // fragment's scan met it (the oracle's distance is the object id).
+        let ranked: Vec<u32> = core.ranked.iter().map(|&(o, _)| o.0).collect();
+        assert_eq!(ranked, vec![0, 1, 2, 3, 100]);
+        assert_eq!(core.dist_calls, 5);
+        assert_eq!(core.pruned, 0);
+        let cached: Vec<u32> = core.cache_pts.unwrap().iter().map(|(o, _)| o.0).collect();
+        assert_eq!(cached, vec![0, 1, 100, 2, 3]);
+    }
+
+    #[test]
+    fn an_object_published_twice_is_answered_once() {
+        let (mut sim, _ring, grid) = build();
+        let tel = crate::telemetry::Telemetry::new();
+        for a in 0..2 {
+            sim.agent_mut(AgentId(a)).attach_telemetry(tel.clone());
+        }
+        // The same entry arrives twice at a node that does not own it.
+        for _ in 0..2 {
+            sim.inject(
+                SimTime::ZERO,
+                AgentId(0),
+                SearchMsg::Publish {
+                    index: 0,
+                    entry: Entry {
+                        ring_key: grid.hash(&[6.25]),
+                        obj: ObjectId(100),
+                        point: vec![6.25].into_boxed_slice(),
+                    },
+                    hops: 0,
+                },
+            );
+        }
+        sim.run();
+        assert_eq!(sim.agent(AgentId(1)).indexes[0].store.load(), 4 + 2);
+        sim.inject(
+            sim.now(),
+            AgentId(0),
+            issue(Rect::new(vec![0.0], vec![8.0]), &grid, 0),
+        );
+        sim.run();
+        let iq = &sim.agent(AgentId(0)).issued[&0];
+        let found: Vec<u32> = iq.merged.iter().map(|&(o, _)| o.0).collect();
+        assert_eq!(found, vec![0, 1, 2, 3, 4, 5, 6, 7, 100]);
+        // Both stored copies match the rect; one distance is computed.
+        let st = tel.lock();
+        assert_eq!(st.registry.counter("store.entries_matched"), 10);
+        assert_eq!(st.registry.counter("search.refine.dist_calls"), 9);
     }
 
     #[test]

@@ -134,7 +134,7 @@ impl SearchSystem {
                     break; // wrapped all the way around
                 }
                 for e in store.entries() {
-                    copies[tgt.addr.0].push((owner.id.0, e.clone()));
+                    copies[tgt.addr.0].push((owner.id.0, e.to_entry()));
                 }
             }
         }
@@ -352,7 +352,6 @@ mod tests {
             let primary: Vec<metric::ObjectId> = nodes[owner.addr.0].indexes[0]
                 .store
                 .entries()
-                .iter()
                 .map(|e| e.obj)
                 .collect();
             expected_total += primary.len();
@@ -499,8 +498,7 @@ mod tests {
             let held = system.sim.agent(owner).indexes[0]
                 .store
                 .entries()
-                .iter()
-                .any(|e| new_points.iter().any(|np| np.as_slice() == &*e.point));
+                .any(|e| new_points.iter().any(|np| np.as_slice() == e.point));
             assert!(held, "owner {owner:?} lacks the published entry");
         }
         // And a query around (50,50) retrieves them (the oracle in
