@@ -1,8 +1,10 @@
 //! Criterion microbenchmarks of the hot kernels: locality-preserving
 //! hashing, query splitting, metric evaluations, landmark selection,
 //! local routing decisions, and the query-path performance kernels
-//! (span- and bounds-narrowed store scans, store inserts, lower-bound
-//! pruning, parallel mapping).
+//! (span- and bounds-narrowed store scans, store inserts, one node's
+//! refine answer through `sansio::dispatch` with the parent's sniffed
+//! oracle and with the stored-vector one, lower-bound pruning, parallel
+//! mapping).
 //!
 //! Besides the timing suite, this target emits the canonical
 //! `BENCH_micro.json` (work counters of the 64-node scenario plus kernel
@@ -11,6 +13,8 @@
 //! only and fails the process when the scanned/pruned counters regress
 //! past the thresholds checked in below (`MAX_SCANNED_QUICK` etc.).
 
+use std::collections::HashMap;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use bench::micro_report::{run_cache_scenario, run_micro_scenario};
@@ -18,8 +22,15 @@ use criterion::{black_box, criterion_group, Criterion};
 use landmark::{greedy, Mapper};
 use lph::{Grid, Prefix, Rect, Rotation};
 use metric::{Angular, EditDistance, Metric, ObjectId, SparseVector, L2};
-use simnet::SimRng;
-use simsearch::{route_subquery, Entry, QueryBall, Store, SubQueryMsg};
+use node::scenario::{l2, rotation, Scenario, StoredL2, KNN_K};
+use sansio::{dispatch, Input, Links, Output, ProtoCtx};
+use simnet::{AgentId, SimDuration, SimRng, SimTime};
+use simsearch::msg::DistanceOracle;
+use simsearch::node::IndexState;
+use simsearch::{
+    route_subquery, Entry, QueryBall, QueryDistance, QueryId, SearchMsg, SearchNode, Store,
+    SubQueryMsg,
+};
 
 fn bench_lph(c: &mut Criterion) {
     let grid = Grid::uniform(10, 0.0, 1000.0);
@@ -176,12 +187,10 @@ fn scan_fixture() -> (Store, Rect, (u64, u64)) {
     (store, rect, span)
 }
 
-/// One node's store of the repo benchmark's `wide` workload — of 60 000
-/// uniform points of `[0, 1]^5` under a depth-12 grid, the ≈ 7 500 whose
-/// key falls in the first eighth of the ring — and a query box of side
-/// 0.5 (radius 0.25) with its key span. Returned as entries, in publish
-/// order, so the insert case can time building the store from them.
-fn wide_fixture() -> (Vec<Entry>, Rect, (u64, u64)) {
+/// The repo benchmark's `wide` corpus — 60 000 uniform points of
+/// `[0, 1]^5` keyed by a depth-12 grid, in publish order — and a query
+/// ball of radius 0.25 with its box (side 0.5) and key span.
+fn wide_corpus() -> (Vec<Entry>, QueryBall, Rect, (u64, u64)) {
     let mut rng = SimRng::new(0xE3);
     let grid = Grid::new(Rect::cube(5, 0.0, 1.0), 12);
     let entries = (0..60_000u32)
@@ -193,12 +202,24 @@ fn wide_fixture() -> (Vec<Entry>, Rect, (u64, u64)) {
                 point: p.into_boxed_slice(),
             }
         })
-        .filter(|e| e.ring_key < 1 << 61)
         .collect();
     let center: Vec<f64> = (0..5).map(|_| 0.25 + 0.5 * rng.f64()).collect();
     let rect = Rect::ball(&center, 0.25, grid.bounds());
     let span = grid.key_span(&rect);
-    (entries, rect, span)
+    let ball = QueryBall {
+        center: center.into(),
+        radius: 0.25,
+    };
+    (entries, ball, rect, span)
+}
+
+/// One node's store of [`wide_corpus`]: the ≈ 7 500 entries whose key
+/// falls in the first eighth of the ring, in publish order, so the
+/// insert case can time building the store from them.
+fn wide_fixture() -> (Vec<Entry>, QueryBall, Rect, (u64, u64)) {
+    let (mut entries, ball, rect, span) = wide_corpus();
+    entries.retain(|e| e.ring_key < 1 << 61);
+    (entries, ball, rect, span)
 }
 
 /// A store filled the way a node's is: one publish at a time.
@@ -210,6 +231,161 @@ fn store_by_insert(entries: &[Entry]) -> Store {
     store
 }
 
+/// The parent commit's runtime oracle, kept only as the refine kernel's
+/// baseline: query centers and object points sniffed out of every frame
+/// into two maps behind one lock, both looked up per distance call.
+#[derive(Default)]
+struct SniffedMaps {
+    centers: HashMap<QueryId, Arc<[f64]>>,
+    points: HashMap<u32, Box<[f64]>>,
+}
+
+/// Queries one `wide` node sees in a 20 s run at ≈ 1 000 q/s. The
+/// baseline's center map holds one per query (it never shrank), and the
+/// kernel's answers cycle through them, a new query id each.
+const QUERIES_SEEN: u32 = 20_000;
+
+/// One refinement call as the node makes it: `(qid, object, ball, stored
+/// vector)`.
+type RefineCall = (QueryId, ObjectId, QueryBall, Box<[f64]>);
+
+/// Wraps an oracle and records every refinement call made through it.
+struct Recorder {
+    inner: DistanceOracle,
+    calls: Mutex<Vec<RefineCall>>,
+}
+
+impl QueryDistance for Recorder {
+    fn distance(&self, qid: QueryId, obj: ObjectId) -> f64 {
+        self.inner.distance(qid, obj)
+    }
+
+    fn refine(&self, qid: QueryId, obj: ObjectId, ball: Option<&QueryBall>, stored: &[f64]) -> f64 {
+        let b = ball.expect("the kernel's query has a ball").clone();
+        self.calls
+            .lock()
+            .unwrap()
+            .push((qid, obj, b, stored.into()));
+        self.inner.refine(qid, obj, ball, stored)
+    }
+}
+
+/// One answering node of the `wide` cluster — node 1 of 8 owns the
+/// fixture's first eighth of the ring — holding [`wide_fixture`]'s store,
+/// and the side-0.5 `Refine` it is handed.
+struct RefineKernel {
+    node: SearchNode,
+    refine: SubQueryMsg,
+    /// `Some` for the baseline, which sniffs each frame before dispatch.
+    /// It holds every corpus point (publishes are routed through a node,
+    /// so it sniffs most of them) and [`QUERIES_SEEN`] centers.
+    sniffed: Option<Arc<Mutex<SniffedMaps>>>,
+}
+
+/// Round trips never matter here: resilience is off.
+struct NoLinks;
+
+impl Links for NoLinks {
+    fn rtt_to(&self, _other: AgentId) -> SimDuration {
+        SimDuration(0)
+    }
+}
+
+impl RefineKernel {
+    fn new(sniffed: bool) -> RefineKernel {
+        let (entries, ball, rect, _) = wide_fixture();
+        let sc = Scenario {
+            dims: 5,
+            depth: 12,
+            ..Scenario::new(8)
+        };
+        let grid = Arc::new(sc.grid());
+        let table = sc.ring().build_all_tables(16, None, 16).swap_remove(1);
+        let mut maps = SniffedMaps::default();
+        if sniffed {
+            let corpus = wide_corpus().0;
+            maps.points = corpus.into_iter().map(|e| (e.obj.0, e.point)).collect();
+            maps.centers = (0..QUERIES_SEEN)
+                .map(|q| (q, ball.center.clone()))
+                .collect();
+        }
+        let maps = Arc::new(Mutex::new(maps));
+        let oracle: DistanceOracle = if sniffed {
+            let m = Arc::clone(&maps);
+            Arc::new(move |qid: QueryId, obj: ObjectId| {
+                let d = m.lock().unwrap();
+                l2(&d.centers[&qid], &d.points[&obj.0])
+            })
+        } else {
+            Arc::new(StoredL2)
+        };
+        let index = IndexState {
+            grid: Arc::clone(&grid),
+            rotation: rotation(),
+            store: store_by_insert(&entries),
+        };
+        let refine = SubQueryMsg {
+            qid: 0,
+            index: 0,
+            prefix: grid.enclosing_prefix(&rect),
+            rect,
+            hops: 1,
+            origin: AgentId(0),
+            ball: Some(ball),
+            shortcut: false,
+        };
+        RefineKernel {
+            node: SearchNode::new(table, vec![index], oracle, KNN_K, None),
+            refine,
+            sniffed: sniffed.then_some(maps),
+        }
+    }
+
+    /// One answer to the next query, driven as the runtime drives it.
+    fn answer(&mut self) -> Vec<Output<SearchMsg>> {
+        let qid = (self.refine.qid + 1) % QUERIES_SEEN;
+        self.refine.qid = qid;
+        if let Some(maps) = &self.sniffed {
+            let ball = self
+                .refine
+                .ball
+                .as_ref()
+                .expect("the kernel's query has a ball");
+            let mut maps = maps.lock().unwrap();
+            maps.centers
+                .entry(qid)
+                .or_insert_with(|| ball.center.clone());
+        }
+        let msg = SearchMsg::Refine(self.refine.clone());
+        let mut ctx = ProtoCtx::new(AgentId(1), SimTime::ZERO, 8, &NoLinks);
+        let from = AgentId(0);
+        dispatch(&mut self.node, &mut ctx, Input::Message { from, msg });
+        ctx.into_outputs()
+    }
+
+    /// The refinement calls of one answer.
+    fn record(&mut self) -> Vec<RefineCall> {
+        let recorder = Arc::new(Recorder {
+            inner: Arc::clone(&self.node.oracle),
+            calls: Mutex::new(Vec::new()),
+        });
+        let inner = std::mem::replace(&mut self.node.oracle, recorder.clone());
+        self.answer();
+        self.node.oracle = inner;
+        let calls = recorder.calls.lock().unwrap().clone();
+        calls
+    }
+
+    /// The node's oracle on `calls` alone — one answer's refinement cost.
+    fn refine_all(&self, calls: &[RefineCall]) -> f64 {
+        let oracle = &self.node.oracle;
+        calls
+            .iter()
+            .map(|(qid, obj, ball, stored)| oracle.refine(*qid, *obj, Some(ball), stored))
+            .sum()
+    }
+}
+
 fn bench_store_scan(c: &mut Criterion) {
     let (store, rect, span) = scan_fixture();
     c.bench_function("store/scan_full_4000", |b| {
@@ -218,7 +394,7 @@ fn bench_store_scan(c: &mut Criterion) {
     c.bench_function("store/scan_range_4000", |b| {
         b.iter(|| store.scan_range(black_box(&rect), black_box(span)))
     });
-    let (entries, rect, span) = wide_fixture();
+    let (entries, _, rect, span) = wide_fixture();
     let store = store_by_insert(&entries);
     c.bench_function("store/scan_range_wide_7500", |b| {
         b.iter(|| store.scan_range(black_box(&rect), black_box(span)))
@@ -226,6 +402,16 @@ fn bench_store_scan(c: &mut Criterion) {
     c.bench_function("store/insert_wide_7500", |b| {
         b.iter(|| store_by_insert(black_box(&entries)))
     });
+}
+
+fn bench_refine(c: &mut Criterion) {
+    for (name, sniffed) in [
+        ("refine/wide_7500_sniffed_maps", true),
+        ("refine/wide_7500_stored_l2", false),
+    ] {
+        let mut kernel = RefineKernel::new(sniffed);
+        c.bench_function(name, |b| b.iter(|| kernel.answer()));
+    }
 }
 
 fn bench_prune(c: &mut Criterion) {
@@ -276,7 +462,7 @@ criterion_group! {
         .measurement_time(Duration::from_secs(1))
         .sample_size(30);
     targets = bench_lph, bench_metrics, bench_selection, bench_hilbert, bench_pastry,
-        bench_routing, bench_store_scan, bench_prune, bench_map_all, bench_e2e
+        bench_routing, bench_store_scan, bench_refine, bench_prune, bench_map_all, bench_e2e
 }
 
 /// Median-free, budget-bound mean ns/iter — same loop the criterion shim
@@ -305,7 +491,7 @@ fn kernel_timings(budget: Duration) -> serde_json::Value {
     let scan_range = time_ns(budget, || {
         black_box(store.scan_range(black_box(&rect), black_box(span)));
     });
-    let (entries, rect, span) = wide_fixture();
+    let (entries, _, rect, span) = wide_fixture();
     let store = store_by_insert(&entries);
     let wide_stats = store.scan_range(&rect, span).1;
     let scan_wide = time_ns(budget, || {
@@ -314,6 +500,26 @@ fn kernel_timings(budget: Duration) -> serde_json::Value {
     let insert_wide = time_ns(budget, || {
         black_box(store_by_insert(black_box(&entries)));
     }) / entries.len() as f64;
+
+    // The same answer through the parent's sniffed maps and through the
+    // stored vector, whole and its refinement calls alone: identical
+    // work, so identical calls with identical distances.
+    let [sniffed, stored] = [true, false].map(|sniffed| {
+        let mut kernel = RefineKernel::new(sniffed);
+        let calls = kernel.record();
+        let answer_ns = time_ns(budget, || {
+            black_box(kernel.answer());
+        });
+        let dist_ns = time_ns(budget, || {
+            black_box(kernel.refine_all(black_box(&calls)));
+        });
+        (answer_ns, dist_ns, calls.len(), kernel.refine_all(&calls))
+    });
+    assert_eq!(
+        (sniffed.2, sniffed.3.to_bits()),
+        (stored.2, stored.3.to_bits()),
+        "both oracles make the same calls and find the same distances"
+    );
 
     let mut rng = SimRng::new(0xD1);
     let bounds = Rect::cube(5, 0.0, 100.0);
@@ -354,6 +560,11 @@ fn kernel_timings(budget: Duration) -> serde_json::Value {
         "scan_range_wide_7500_scanned": wide_stats.scanned,
         "scan_range_wide_7500_matched": wide_stats.matched,
         "insert_wide_7500_ns_per_entry": insert_wide,
+        "refine_wide_7500_dist_calls_per_answer": stored.2,
+        "refine_wide_7500_sniffed_maps_ns_per_answer": sniffed.0,
+        "refine_wide_7500_stored_l2_ns_per_answer": stored.0,
+        "refine_wide_7500_sniffed_maps_dist_ns_per_answer": sniffed.1,
+        "refine_wide_7500_stored_l2_dist_ns_per_answer": stored.1,
         "lower_bound_5d_ns": lower_bound,
         "map_seq_4000x100d_k10_ns": map_seq,
         "map_all_par_4000x100d_k10_ns": map_par,

@@ -44,24 +44,27 @@
 //!
 //! ## The distance oracle
 //!
-//! The simulator's drivers hold the whole dataset, so their
-//! distance oracle is a closure over global knowledge. A real
-//! node only ever learns points and query centers from the frames it
-//! handles, so the runtime sniffs every inbound message (publishes
-//! carry points, subqueries carry the query ball) into a process-local
-//! map *before* dispatching it; the oracle answers from that map with
-//! the same [`l2`] arithmetic the expected-answer model uses.
+//! The simulator's drivers hold the whole dataset, so their distance
+//! oracle is a closure over global knowledge. A real node has none, and
+//! needs none: [`SearchNode`] hands its oracle the sub-query's ball and
+//! the stored vector of the copy it admitted, and under the identity
+//! mapping those two are the query and the object. [`StoredL2`] is
+//! [`l2`](crate::scenario::l2) of them — the arithmetic the
+//! expected-answer model uses — with no side table, no lock and nothing
+//! done to a frame before dispatch. What it relies on is checked at the
+//! door instead: a peer's search frame whose sub-query lacks a ball, or
+//! whose center, rect or point has the wrong dimensionality, or whose
+//! index byte is out of range, is a protocol violation.
 
 #[cfg(not(unix))]
 compile_error!("the node runtime multiplexes its sockets with poll(2) and needs a unix target");
 
-use crate::scenario::{l2, rotation, Scenario, KNN_K};
+use crate::scenario::{rotation, Scenario, StoredL2, KNN_K};
 use crate::wire::{self, Frame, FrameBuf, HistogramSummary, Member, Role, StatsReport};
 use lph::Rect;
 use metric::ObjectId;
 use sansio::{dispatch, Input, Links, Output, ProtoCtx};
 use simnet::{AgentId, SimDuration, SimTime, TimerTag};
-use simsearch::msg::DistanceOracle;
 use simsearch::node::IndexState;
 use simsearch::{Entry, QueryBall, QueryId, SearchMsg, SearchNode, Store, SubQueryMsg, Telemetry};
 use std::collections::{BinaryHeap, HashMap, VecDeque};
@@ -69,7 +72,7 @@ use std::ffi::c_int;
 use std::io::{self, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::{AsRawFd, RawFd};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -107,51 +110,42 @@ pub struct ServerOpts {
     pub scenario: Scenario,
 }
 
-/// Query centers and object points learned from observed frames — the
-/// raw material of the node's [`QueryDistance`] oracle.
-#[derive(Default)]
-struct OracleData {
-    centers: HashMap<QueryId, Arc<[f64]>>,
-    points: HashMap<u32, Box<[f64]>>,
-}
-
-impl OracleData {
-    /// Harvest whatever oracle knowledge `msg` carries. Must run before
-    /// the message is dispatched: the handler may rank against the
-    /// oracle immediately.
-    fn sniff(&mut self, msg: &SearchMsg) {
-        match msg {
-            SearchMsg::Route(subs) | SearchMsg::RefineBatch(subs) => {
-                for sq in subs {
-                    self.sniff_subquery(sq);
-                }
-            }
-            SearchMsg::Refine(sq) | SearchMsg::Issue(sq) => self.sniff_subquery(sq),
-            SearchMsg::Publish { entry, .. } | SearchMsg::Replicate { entry, .. } => {
-                self.points
-                    .entry(entry.obj.0)
-                    .or_insert_with(|| entry.point.clone());
-            }
-            SearchMsg::ResultsOpt { items } => {
-                for it in items {
-                    if let Some(cached) = &it.cached {
-                        for (obj, point) in cached {
-                            self.points.entry(obj.0).or_insert_with(|| point.clone());
-                        }
-                    }
-                }
-            }
-            SearchMsg::Tracked { inner, .. } => self.sniff(inner),
-            SearchMsg::Results { .. } | SearchMsg::Ack { .. } => {}
+/// Whether a peer's search message may reach the core. The core looks
+/// indexes up by the index byte, and [`StoredL2`] refines from the
+/// ball's center and the stored points, so every sub-query must carry a
+/// ball and every center, rect and point must match the grid's `dims`.
+fn admissible(msg: &SearchMsg, indexes: usize, dims: usize) -> Result<(), String> {
+    let index = |i: u8| {
+        (usize::from(i) < indexes)
+            .then_some(())
+            .ok_or_else(|| format!("index {i}, but only {indexes} index(es) exist"))
+    };
+    let dims_of = |what: &str, n: usize| {
+        (n == dims)
+            .then_some(())
+            .ok_or_else(|| format!("{n}-dim {what} in a {dims}-dim index"))
+    };
+    let subquery = |sq: &SubQueryMsg| {
+        index(sq.index)?;
+        let ball = sq.ball.as_ref();
+        let ball = ball.ok_or_else(|| format!("query {} carries no ball", sq.qid))?;
+        dims_of("ball center", ball.center.len())?;
+        dims_of("query rect", sq.rect.dims())
+    };
+    match msg {
+        SearchMsg::Route(subs) | SearchMsg::RefineBatch(subs) => subs.iter().try_for_each(subquery),
+        SearchMsg::Refine(sq) | SearchMsg::Issue(sq) => subquery(sq),
+        SearchMsg::Publish {
+            index: i, entry, ..
         }
-    }
-
-    fn sniff_subquery(&mut self, sq: &SubQueryMsg) {
-        if let Some(ball) = &sq.ball {
-            self.centers
-                .entry(sq.qid)
-                .or_insert_with(|| ball.center.clone());
+        | SearchMsg::Replicate {
+            index: i, entry, ..
+        } => {
+            index(*i)?;
+            dims_of("point", entry.point.len())
         }
+        SearchMsg::Tracked { inner, .. } => admissible(inner, indexes, dims),
+        SearchMsg::Results { .. } | SearchMsg::ResultsOpt { .. } | SearchMsg::Ack { .. } => Ok(()),
     }
 }
 
@@ -447,7 +441,6 @@ struct Runtime {
     /// the simulator, where a self-send is just the earliest event.
     local: VecDeque<SearchMsg>,
     start: Instant,
-    data: Arc<Mutex<OracleData>>,
     telemetry: Telemetry,
     grid_dims: usize,
     members: Vec<Member>,
@@ -470,12 +463,6 @@ impl Runtime {
     /// Drive one input through the sans-io core and act on its outputs
     /// in emission order — the whole driver contract in one method.
     fn feed(&mut self, input: Input<SearchMsg>) {
-        if let Input::Message { msg, .. } = &input {
-            self.data
-                .lock()
-                .expect("oracle data lock poisoned")
-                .sniff(msg);
-        }
         let now = SimTime(self.start.elapsed().as_nanos() as u64);
         let links = ConstLinks(PEER_RTT);
         let outputs = {
@@ -680,12 +667,6 @@ impl Runtime {
                     };
                 }
                 let point = point.into_boxed_slice();
-                self.data
-                    .lock()
-                    .expect("oracle data lock poisoned")
-                    .points
-                    .entry(obj)
-                    .or_insert_with(|| point.clone());
                 let ring_key = self.node.indexes[index as usize].grid.hash(&point);
                 let entry = Entry {
                     ring_key,
@@ -733,11 +714,6 @@ impl Runtime {
                     };
                 }
                 let center: Arc<[f64]> = center.into();
-                self.data
-                    .lock()
-                    .expect("oracle data lock poisoned")
-                    .centers
-                    .insert(qid, center.clone());
                 let grid = self.node.indexes[index as usize].grid.clone();
                 let rect = Rect::ball(&center, radius, grid.bounds());
                 let prefix = grid.enclosing_prefix(&rect);
@@ -802,10 +778,15 @@ impl Runtime {
                     other.kind()
                 ));
             }
-            (Link::PeerIn(from), Frame::Search(msg)) => self.feed(Input::Message {
-                from: AgentId(from),
-                msg,
-            }),
+            (Link::PeerIn(from), Frame::Search(msg)) => {
+                admissible(&msg, self.node.indexes.len(), self.grid_dims).map_err(|why| {
+                    format!("peer {from} sent an inadmissible search frame: {why}")
+                })?;
+                self.feed(Input::Message {
+                    from: AgentId(from),
+                    msg,
+                });
+            }
             (Link::PeerIn(from), other) => {
                 return Err(format!(
                     "peer {from} sent an unexpected {} frame on a search connection",
@@ -980,20 +961,6 @@ pub fn run_server(opts: &ServerOpts) -> Result<(), String> {
         .nth(me)
         .expect("build_all_tables returned a table per member");
 
-    let data = Arc::new(Mutex::new(OracleData::default()));
-    let oracle_data = Arc::clone(&data);
-    let oracle: DistanceOracle = Arc::new(move |qid: QueryId, obj: ObjectId| {
-        let d = oracle_data.lock().expect("oracle data lock poisoned");
-        let center = d
-            .centers
-            .get(&qid)
-            .unwrap_or_else(|| panic!("distance oracle: query {qid} has no sniffed ball center"));
-        let point = d.points.get(&obj.0).unwrap_or_else(|| {
-            panic!("distance oracle: object {} was never published here", obj.0)
-        });
-        l2(center, point)
-    });
-
     let grid = Arc::new(sc.grid());
     let grid_dims = grid.dims();
     let mut node = SearchNode::new(
@@ -1003,7 +970,7 @@ pub fn run_server(opts: &ServerOpts) -> Result<(), String> {
             rotation: rotation(),
             store: Store::new(),
         }],
-        oracle,
+        Arc::new(StoredL2),
         KNN_K,
         None,
     );
@@ -1019,7 +986,6 @@ pub fn run_server(opts: &ServerOpts) -> Result<(), String> {
         wheel: TimerWheel::default(),
         local: VecDeque::new(),
         start: Instant::now(),
-        data,
         telemetry,
         grid_dims,
         out: members.iter().map(|_| None).collect(),

@@ -21,7 +21,7 @@ use chord::{ChordId, NodeRef, OracleRing};
 use lph::{Grid, Prefix, Rect, Rotation};
 use metric::ObjectId;
 use simnet::{AgentId, SimRng};
-use simsearch::msg::{QueryBall, SearchMsg, SubQueryMsg};
+use simsearch::msg::{QueryBall, QueryDistance, QueryId, SearchMsg, SubQueryMsg};
 use simsearch::store::Entry;
 use std::sync::Arc;
 
@@ -202,9 +202,10 @@ impl Scenario {
     }
 }
 
-/// Euclidean distance — the scenario's object-space metric. Both the
-/// runtime's distance oracle and the expected-answer model call this
-/// one function, so both sides do the identical float arithmetic.
+/// Euclidean distance — the scenario's object-space metric. The
+/// runtime's [`StoredL2`] oracle, the simulator-side oracles of the
+/// parity test and the expected-answer model all call this one
+/// function, so every side does the identical float arithmetic.
 pub fn l2(a: &[f64], b: &[f64]) -> f64 {
     debug_assert_eq!(a.len(), b.len());
     a.iter()
@@ -212,6 +213,29 @@ pub fn l2(a: &[f64], b: &[f64]) -> f64 {
         .map(|(x, y)| (x - y) * (x - y))
         .sum::<f64>()
         .sqrt()
+}
+
+/// The real node's distance oracle. The landmark mapping is the
+/// identity, so the vector a node stores *is* the object, and every
+/// sub-query carries its center in its ball: refinement is [`l2`] of
+/// the two, from nothing but what the answering node holds.
+pub struct StoredL2;
+
+impl QueryDistance for StoredL2 {
+    /// Never called: [`simsearch::SearchNode`] refines only through
+    /// [`Self::refine`], and a query id or object id alone names no
+    /// vector this oracle could measure.
+    fn distance(&self, qid: QueryId, obj: ObjectId) -> f64 {
+        unreachable!(
+            "SearchNode refines from stored vectors; distance({qid}, {}) has no source",
+            obj.0
+        )
+    }
+
+    fn refine(&self, _: QueryId, _: ObjectId, ball: Option<&QueryBall>, stored: &[f64]) -> f64 {
+        let ball = ball.expect("the runtime admits only sub-queries that carry a ball");
+        l2(&ball.center, stored)
+    }
 }
 
 /// Identity rotation shared by every index instance the drivers build.

@@ -1,12 +1,16 @@
 //! The node's readiness loop against hostile and awkward byte streams,
 //! on real `node` processes: frames cut into single bytes, frames glued
-//! into one segment, garbage, connections cut mid-frame, and a client
-//! that never reads. `tests/parity.rs` proves the loop preserves event
+//! into one segment, garbage, connections cut mid-frame, peer frames the
+//! core could not serve, and a client that never reads. `tests/parity.rs` proves the loop preserves event
 //! order; this file proves no connection can stall or kill the others.
 //! One in-process test covers the framer both ends share.
 
+use lph::{Prefix, Rect};
+use metric::ObjectId;
 use node::client::Client;
 use node::wire::{encode_frame, read_frame, Frame, FrameBuf, Role};
+use simnet::AgentId;
+use simsearch::{Entry, QueryBall, SearchMsg, SubQueryMsg};
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::process::{Child, Command, Stdio};
@@ -248,6 +252,117 @@ fn a_bad_connection_dies_alone() {
     assert_closed(&mut late, "late join");
 
     // None of that touched the node or its other connections.
+    assert_eq!(
+        good.members().expect("old connection still served").len(),
+        1
+    );
+    Client::connect(&cluster.addrs[0])
+        .expect("new connections still accepted")
+        .stats()
+        .expect("new connection served");
+}
+
+/// A peer's search frame the core could not serve — a sub-query without
+/// the ball the node refines from, a center, rect or point of the wrong
+/// dimensionality, an index byte out of range — is a protocol violation:
+/// it costs its connection, never the node.
+#[test]
+fn an_inadmissible_peer_frame_kills_only_its_connection() {
+    let cluster = Cluster::spawn(1);
+    let mut good = Client::connect(&cluster.addrs[0]).expect("well-behaved client");
+    // The node's grid is the default scenario's: 3-d, one index.
+    let sq = |index: u8, rect_dims: usize, center: Option<Vec<f64>>| SubQueryMsg {
+        qid: 7,
+        index,
+        rect: Rect::cube(rect_dims, 0.4, 0.6),
+        prefix: Prefix::ROOT,
+        hops: 1,
+        origin: AgentId(0),
+        ball: center.map(|c| QueryBall {
+            center: c.into(),
+            radius: 0.1,
+        }),
+        shortcut: false,
+    };
+    let entry = |dims: usize| Entry {
+        ring_key: 0,
+        obj: ObjectId(1),
+        point: vec![0.5; dims].into_boxed_slice(),
+    };
+    let ball = || Some(vec![0.5; 3]);
+    let cases = [
+        ("a refine without a ball", SearchMsg::Refine(sq(0, 3, None))),
+        (
+            "a tracked route without a ball",
+            SearchMsg::Tracked {
+                seq: 1,
+                dead: Vec::new(),
+                inner: Box::new(SearchMsg::Route(vec![sq(0, 3, ball()), sq(0, 3, None)])),
+            },
+        ),
+        (
+            "a 2-dim ball center",
+            SearchMsg::Route(vec![sq(0, 3, Some(vec![0.5; 2]))]),
+        ),
+        ("a 4-dim rect", SearchMsg::Refine(sq(0, 4, ball()))),
+        (
+            "a 2-dim published point",
+            SearchMsg::Publish {
+                index: 0,
+                entry: entry(2),
+                hops: 0,
+            },
+        ),
+        (
+            "a 4-dim replicated point",
+            SearchMsg::Replicate {
+                index: 0,
+                owner: 0,
+                entry: entry(4),
+            },
+        ),
+        (
+            "a sub-query into index 1",
+            SearchMsg::Refine(sq(1, 3, ball())),
+        ),
+        (
+            "a publish into index 9",
+            SearchMsg::Publish {
+                index: 9,
+                entry: entry(3),
+                hops: 0,
+            },
+        ),
+    ];
+    let peer = |msg: SearchMsg| {
+        let mut conn = cluster.raw(0);
+        let mut bytes = encode_frame(&Frame::Hello {
+            role: Role::Peer,
+            index: 0,
+        });
+        bytes.extend(encode_frame(&Frame::Search(msg)));
+        conn.write_all(&bytes).expect("write a peer frame");
+        conn
+    };
+    for (what, msg) in cases {
+        assert_closed(&mut peer(msg), what);
+    }
+
+    // A well-formed peer frame still gets through...
+    let _kept = peer(SearchMsg::Publish {
+        index: 0,
+        entry: entry(3),
+        hops: 0,
+    });
+    let deadline = Instant::now() + PATIENCE;
+    while good.stats().expect("stats").load == 0 {
+        assert!(
+            Instant::now() < deadline,
+            "a valid peer publish was refused"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    // ...and the clients never noticed.
     assert_eq!(
         good.members().expect("old connection still served").len(),
         1

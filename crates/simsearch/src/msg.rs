@@ -17,6 +17,18 @@ pub type QueryId = u32;
 pub trait QueryDistance: Send + Sync {
     /// `d(query_qid, object)` in the original metric space.
     fn distance(&self, qid: QueryId, obj: ObjectId) -> f64;
+
+    /// The answering node's refinement call: `d(query_qid, object)`
+    /// given everything the node holds about the candidate — the
+    /// sub-query's ball (if it carried one) and the stored vector of the
+    /// copy the node admitted. [`crate::SearchNode`] calls only this.
+    /// The default forwards to [`Self::distance`], so a driver with
+    /// global knowledge ignores the extra arguments; one whose stored
+    /// vector *is* the object can answer from them alone.
+    fn refine(&self, qid: QueryId, obj: ObjectId, ball: Option<&QueryBall>, stored: &[f64]) -> f64 {
+        let _ = (ball, stored);
+        self.distance(qid, obj)
+    }
 }
 
 /// Blanket impl for closures.
@@ -533,5 +545,7 @@ mod tests {
         let oracle: DistanceOracle =
             Arc::new(|qid: QueryId, obj: ObjectId| (qid as f64) + (obj.0 as f64) * 0.1);
         assert_eq!(oracle.distance(2, ObjectId(5)), 2.5);
+        // A closure knows only `distance`; `refine` forwards to it.
+        assert_eq!(oracle.refine(2, ObjectId(5), None, &[9.0]), 2.5);
     }
 }

@@ -200,7 +200,9 @@ pub struct SearchNode {
     pub table: Overlay,
     /// Per-index grid/rotation/store.
     pub indexes: Vec<IndexState>,
-    /// True-distance oracle for ranking local candidates.
+    /// True-distance oracle for ranking local candidates. The node only
+    /// ever calls [`crate::QueryDistance::refine`], passing the ball and
+    /// the admitted copy's stored vector.
     pub oracle: DistanceOracle,
     /// How many nearest local results an index node returns (paper: 10).
     pub knn_k: usize,
@@ -908,8 +910,8 @@ impl SearchNode {
     /// [`Self::answer_item`]: scan the fragments' ring spans, dedup and
     /// radius-prune candidates, answer replicas for suspected owners,
     /// detect degradation, and rank by true distance.
-    fn collect_answer(
-        &self,
+    fn collect_answer<'s>(
+        &'s self,
         qid: QueryId,
         index: u8,
         fragments: &[SubQueryMsg],
@@ -936,7 +938,8 @@ impl SearchNode {
         // halves) or stored copies (an object published twice) or replica
         // copies match it: the first sighting, in scan order, decides. A
         // candidate carries its pivot lower bound (`None` without a
-        // ball: such candidates are never pruned); candidates provably
+        // ball: such candidates are never pruned) and the admitted copy's
+        // stored vector, borrowed for refinement; candidates provably
         // outside the metric range are dropped before refinement — but
         // when a cacheable candidate set is being collected they are
         // still captured first: a contained future query has a different
@@ -950,7 +953,7 @@ impl SearchNode {
         // Sized up front: growing a hash set rehashes it again and again.
         let mut seen: HashSet<ObjectId> =
             HashSet::with_capacity(scans.iter().map(|(hits, _)| hits.len()).sum());
-        let mut cands: Vec<(ObjectId, Option<f64>)> = Vec::new();
+        let mut cands: Vec<(ObjectId, Option<f64>, &'s [f64])> = Vec::new();
         let mut cache_pts: Option<Vec<(ObjectId, Box<[f64]>)>> = collect_cache.then(Vec::new);
         let mut pruned = 0u64;
         let mut scanned = 0u64;
@@ -964,13 +967,13 @@ impl SearchNode {
         // builds its queries; it stays as the guard for a caller whose
         // rect is looser than its ball. Strict `>`: a NaN bound excludes
         // nothing.
-        let mut admit = |obj: ObjectId, point: &[f64]| -> bool {
+        let mut admit = |obj: ObjectId, point: &'s [f64]| -> bool {
             let lb = ball.as_ref().map(|b| b.lower_bound(point, bounds));
             if lb.zip(ball.as_ref()).is_some_and(|(lb, b)| lb > b.radius) {
                 pruned += 1;
                 return false;
             }
-            cands.push((obj, lb));
+            cands.push((obj, lb, point));
             true
         };
         for (hits, work) in scans {
@@ -1030,7 +1033,7 @@ impl SearchNode {
         // the reply is identical to the unpruned sort-then-truncate.
         let mut ranked: Vec<(ObjectId, f64)> = Vec::new();
         let mut dist_calls = 0u64;
-        for (o, lb) in cands {
+        for (o, lb, point) in cands {
             if ranked.len() == self.knn_k {
                 if let (Some(lb), Some(&(_, worst))) = (lb, ranked.last()) {
                     if lb > worst {
@@ -1039,7 +1042,7 @@ impl SearchNode {
                     }
                 }
             }
-            let d = self.oracle.distance(qid, o);
+            let d = self.oracle.refine(qid, o, ball.as_ref(), point);
             dist_calls += 1;
             // total_cmp, not partial_cmp().unwrap(): a NaN distance from
             // a degenerate oracle must not panic the answering node
@@ -1106,7 +1109,7 @@ impl SearchNode {
                         if ball.excludes(point, bounds) {
                             continue;
                         }
-                        let d = self.oracle.distance(sq.qid, *obj);
+                        let d = self.oracle.refine(sq.qid, *obj, Some(ball), point);
                         dist_calls += 1;
                         let pos = ranked
                             .partition_point(|x| x.1.total_cmp(&d).then(x.0.cmp(obj)).is_lt());
@@ -1567,13 +1570,20 @@ impl simnet::Agent for SearchNode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::msg::{QueryBall, QueryDistance};
     use crate::store::Entry;
     use chord::{NodeRef, OracleRing};
     use lph::{Prefix, Rect};
     use simnet::{Sim, SimTime, Topology};
 
-    /// Two-node world over a 1-D [0,8) index space, depth 3.
+    /// Two-node world over a 1-D [0,8) index space, depth 3, whose
+    /// oracle's distance is the object id.
     fn build() -> (Sim<SearchNode>, OracleRing, Arc<Grid>) {
+        build_with(Arc::new(|_q: QueryId, o: ObjectId| o.0 as f64))
+    }
+
+    /// The same world around any oracle.
+    fn build_with(oracle: DistanceOracle) -> (Sim<SearchNode>, OracleRing, Arc<Grid>) {
         let grid = Arc::new(Grid::new(Rect::cube(1, 0.0, 8.0), 3));
         let ids = [3u64 << 61, 7u64 << 61];
         let ring = OracleRing::new(
@@ -1584,7 +1594,6 @@ mod tests {
         );
         let tables = ring.build_all_tables(16, None, 16);
         // Objects: one per cell center, object id = cell.
-        let oracle: DistanceOracle = Arc::new(|_q: QueryId, o: ObjectId| o.0 as f64);
         let nodes: Vec<SearchNode> = tables
             .into_iter()
             .map(|t| {
@@ -1824,6 +1833,177 @@ mod tests {
         let st = tel.lock();
         assert_eq!(st.registry.counter("store.entries_matched"), 10);
         assert_eq!(st.registry.counter("search.refine.dist_calls"), 9);
+    }
+
+    /// One refinement call: `(qid, object, ball center, stored vector)`.
+    type Call = (QueryId, u32, Option<Vec<f64>>, Vec<f64>);
+
+    /// An oracle that can only refine: `distance` panics, and `refine`
+    /// records what it was handed and answers with the stored vector's
+    /// first coordinate.
+    #[derive(Default)]
+    struct RefineOnly {
+        calls: std::sync::Mutex<Vec<Call>>,
+    }
+
+    impl QueryDistance for RefineOnly {
+        fn distance(&self, qid: QueryId, obj: ObjectId) -> f64 {
+            panic!("SearchNode called distance({qid}, {}), not refine", obj.0)
+        }
+
+        fn refine(
+            &self,
+            qid: QueryId,
+            obj: ObjectId,
+            ball: Option<&QueryBall>,
+            stored: &[f64],
+        ) -> f64 {
+            let center = ball.map(|b| b.center.to_vec());
+            let mut calls = self.calls.lock().unwrap();
+            calls.push((qid, obj.0, center, stored.to_vec()));
+            stored[0]
+        }
+    }
+
+    impl RefineOnly {
+        /// The calls so far, by object id.
+        fn calls(&self) -> Vec<Call> {
+            let mut calls = self.calls.lock().unwrap().clone();
+            calls.sort_by_key(|c| c.1);
+            calls
+        }
+    }
+
+    fn refine_only() -> (Arc<RefineOnly>, (Sim<SearchNode>, OracleRing, Arc<Grid>)) {
+        let oracle = Arc::new(RefineOnly::default());
+        (Arc::clone(&oracle), build_with(oracle))
+    }
+
+    /// A query at node 0 whose fragment carries its ball.
+    fn ball_query(qid: QueryId, center: f64, radius: f64, grid: &Grid) -> SubQueryMsg {
+        let rect = Rect::ball(&[center], radius, grid.bounds());
+        SubQueryMsg {
+            qid,
+            index: 0,
+            prefix: grid.enclosing_prefix(&rect),
+            rect,
+            hops: 0,
+            origin: AgentId(0),
+            ball: Some(QueryBall {
+                center: Arc::from(vec![center]),
+                radius,
+            }),
+            shortcut: false,
+        }
+    }
+
+    /// The calls of query `qid` at `center` for every cell object.
+    fn cell_calls(qid: QueryId, center: f64) -> Vec<Call> {
+        (0..8u32)
+            .map(|c| (qid, c, Some(vec![center]), vec![f64::from(c) + 0.5]))
+            .collect()
+    }
+
+    #[test]
+    fn the_primary_arm_refines_from_the_ball_and_the_stored_vector() {
+        let (oracle, (mut sim, _ring, grid)) = refine_only();
+        let sq = ball_query(5, 4.0, 4.0, &grid);
+        sim.inject(SimTime::ZERO, AgentId(0), SearchMsg::Issue(sq));
+        sim.run();
+        let merged: Vec<(u32, f64)> = sim.agent(AgentId(0)).issued[&5]
+            .merged
+            .iter()
+            .map(|&(o, d)| (o.0, d))
+            .collect();
+        let want: Vec<(u32, f64)> = (0..8u32).map(|c| (c, f64::from(c) + 0.5)).collect();
+        assert_eq!(merged, want);
+        assert_eq!(oracle.calls(), cell_calls(5, 4.0));
+    }
+
+    #[test]
+    fn the_replica_arm_refines_from_the_replica_copy() {
+        let (oracle, (mut sim, _ring, grid)) = refine_only();
+        // Node 1 (ring id 7 << 61, owner of cells 4..=7) is suspected
+        // dead, and node 0 holds its replica of object 100.
+        let node = sim.agent_mut(AgentId(0));
+        node.enable_resilience(ResilienceConfig::default());
+        node.suspected.insert(7 << 61);
+        node.indexes[0].store.put_replica(
+            7 << 61,
+            Entry {
+                ring_key: grid.hash(&[6.25]),
+                obj: ObjectId(100),
+                point: vec![6.25].into_boxed_slice(),
+            },
+        );
+        let core = node.collect_answer(9, 0, &[ball_query(9, 4.0, 4.0, &grid)], false);
+        assert_eq!(core.replica_answers, 1);
+        let ranked: Vec<(u32, f64)> = core.ranked.iter().map(|&(o, d)| (o.0, d)).collect();
+        assert_eq!(
+            ranked,
+            vec![(0, 0.5), (1, 1.5), (2, 2.5), (3, 3.5), (100, 6.25)]
+        );
+        let mut want = cell_calls(9, 4.0);
+        want.truncate(4);
+        want.push((9, 100, Some(vec![4.0]), vec![6.25]));
+        assert_eq!(oracle.calls(), want);
+    }
+
+    #[test]
+    fn the_result_cache_arm_refines_from_the_cached_copy() {
+        let (oracle, (mut sim, _ring, grid)) = refine_only();
+        let tel = crate::telemetry::Telemetry::new();
+        for a in 0..2 {
+            let node = sim.agent_mut(AgentId(a));
+            node.enable_routing_opt(RoutingOptConfig::default());
+            node.attach_telemetry(tel.clone());
+        }
+        // The first query fills node 0's result cache; the second, inside
+        // the same region at the same radius but from another center, is
+        // answered out of it.
+        let first = ball_query(0, 4.0, 4.0, &grid);
+        sim.inject(SimTime::ZERO, AgentId(0), SearchMsg::Issue(first));
+        sim.run();
+        oracle.calls.lock().unwrap().clear();
+        let second = ball_query(1, 4.5, 4.0, &grid);
+        sim.inject(sim.now(), AgentId(0), SearchMsg::Issue(second));
+        sim.run();
+        assert_eq!(tel.lock().registry.counter("cache.hits"), 1);
+        assert_eq!(oracle.calls(), cell_calls(1, 4.5));
+    }
+
+    #[test]
+    fn an_object_published_twice_is_ranked_by_its_first_admitted_copy() {
+        let (oracle, (mut sim, _ring, grid)) = refine_only();
+        // Two copies of object 100 under node 1's cell-6 key, the farther
+        // one first: equal keys keep arrival order, so it is admitted.
+        for x in [6.75, 6.25] {
+            let entry = Entry {
+                ring_key: grid.hash(&[x]),
+                obj: ObjectId(100),
+                point: vec![x].into_boxed_slice(),
+            };
+            let publish = SearchMsg::Publish {
+                index: 0,
+                entry,
+                hops: 0,
+            };
+            sim.inject(SimTime::ZERO, AgentId(0), publish);
+        }
+        sim.run();
+        assert_eq!(sim.agent(AgentId(1)).indexes[0].store.load(), 4 + 2);
+        let sq = ball_query(0, 4.0, 4.0, &grid);
+        sim.inject(sim.now(), AgentId(0), SearchMsg::Issue(sq));
+        sim.run();
+        let merged = &sim.agent(AgentId(0)).issued[&0].merged;
+        let copies: Vec<f64> = merged
+            .iter()
+            .filter(|(o, _)| o.0 == 100)
+            .map(|&(_, d)| d)
+            .collect();
+        assert_eq!(copies, vec![6.75], "answered once, at the first copy");
+        let calls: Vec<_> = oracle.calls().into_iter().filter(|c| c.1 == 100).collect();
+        assert_eq!(calls, vec![(0, 100, Some(vec![4.0]), vec![6.75])]);
     }
 
     #[test]

@@ -1,0 +1,105 @@
+#!/usr/bin/env bash
+# Alternating A/B runs of the repo benchmark: REV against this checkout.
+#
+#   scripts/bench_ab.sh REV WORKLOAD SEED PAIRS
+#
+# Checks REV out into a temporary git worktree and builds each side into
+# its own CARGO_TARGET_DIR, then runs `benchmark/run.sh --trace 0` for
+# PAIRS pairs, REV and this checkout taking turns (which side goes first
+# alternates too, so drift during the session hits both alike). Each run
+# lasts BENCHMARK.json's run_seconds. Prints, per metric, each side's
+# median [quartiles] and how many pairs this checkout won, "better"
+# being the direction BENCHMARK.json gives.
+#
+# Exits non-zero if any run fails or reports `correct: false` or
+# `failed > 0`, or if a count metric (msgs_per_query,
+# wire_bytes_per_query) is not exactly equal in every run of both sides.
+# Writes nothing under benchmark/ except what run.sh itself leaves in
+# its git-ignored out/. Needs python3.
+set -euo pipefail
+
+if [ $# -ne 4 ]; then
+    echo "usage: scripts/bench_ab.sh REV WORKLOAD SEED PAIRS" >&2
+    exit 2
+fi
+rev=$1 workload=$2 seed=$3 pairs=$4
+root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
+tmp="$(mktemp -d)"
+base="$tmp/base"
+cleanup() {
+    git -C "$root" worktree remove --force "$base" >/dev/null 2>&1 || true
+    git -C "$root" worktree prune
+    rm -rf "$tmp"
+}
+trap cleanup EXIT
+git -C "$root" worktree add --detach --quiet "$base" "$rev"
+seconds="$(python3 -c 'import json, sys; print(json.load(open(sys.argv[1]))["run_seconds"])' \
+    "$root/BENCHMARK.json")"
+
+# run SIDE PAIR: one benchmark run; its result line lands in SIDE-PAIR.json.
+run() {
+    local side=$1 pair=$2 dir
+    if [ "$side" = base ]; then dir="$base"; else dir="$root"; fi
+    echo "pair $pair/$pairs: $side" >&2
+    if ! CARGO_TARGET_DIR="$tmp/target-$side" bash "$dir/benchmark/run.sh" \
+        --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0 \
+        >"$tmp/$side-$pair.out" 2>"$tmp/$side-$pair.log"; then
+        tail -n 30 "$tmp/$side-$pair.log" >&2
+        echo "bench_ab: the $side run of pair $pair failed" >&2
+        exit 1
+    fi
+    tail -n 1 "$tmp/$side-$pair.out" >"$tmp/$side-$pair.json"
+}
+
+for pair in $(seq 1 "$pairs"); do
+    if [ $((pair % 2)) = 1 ]; then
+        run base "$pair"
+        run head "$pair"
+    else
+        run head "$pair"
+        run base "$pair"
+    fi
+done
+
+echo "$workload @ seed $seed, $pairs pairs of ${seconds} s: base = $rev, head = this checkout"
+python3 - "$root/BENCHMARK.json" "$tmp" "$pairs" <<'PY'
+import json, statistics, sys
+
+spec_path, tmp, pairs = sys.argv[1], sys.argv[2], int(sys.argv[3])
+spec = json.load(open(spec_path))
+better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+exact = {"msgs_per_query", "wire_bytes_per_query"}
+runs = {
+    side: [json.load(open(f"{tmp}/{side}-{i}.json")) for i in range(1, pairs + 1)]
+    for side in ("base", "head")
+}
+bad = 0
+for side, results in runs.items():
+    for i, r in enumerate(results, 1):
+        if not r["correct"] or r["failed"]:
+            print(f"{side} pair {i}: correct {r['correct']}, {r['failed']} of {r['attempted']} ops failed")
+            bad += 1
+
+def quartiles(v):
+    if len(v) == 1:
+        return v[0], v[0], v[0]
+    q1, med, q3 = statistics.quantiles(v, n=4, method="inclusive")
+    return q1, med, q3
+
+print(f"{'metric':22s} {'base median [q1, q3]':>34s} {'head median [q1, q3]':>34s} {'change':>8s} {'wins':>6s}")
+for name in sorted(runs["base"][0]["metrics"]):
+    if name not in better:
+        continue
+    v = {s: [r["metrics"][name]["value"] for r in runs[s]] for s in runs}
+    (b1, bm, b3), (h1, hm, h3) = quartiles(v["base"]), quartiles(v["head"])
+    sign = 1 if better[name] == "higher" else -1
+    wins = sum(sign * (h - b) > 0 for b, h in zip(v["base"], v["head"]))
+    change = f"{(hm - bm) / bm:+.1%}" if bm else "n/a"
+    flag = ""
+    if name in exact and len(set(v["base"] + v["head"])) != 1:
+        flag = "  DIFFERS"
+        bad += 1
+    print(f"{name:22s} {bm:12.3f} [{b1:9.3f}, {b3:9.3f}] {hm:12.3f} [{h1:9.3f}, {h3:9.3f}] "
+          f"{change:>8s} {wins:>2d}/{pairs}{flag}")
+sys.exit(1 if bad else 0)
+PY
