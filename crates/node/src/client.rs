@@ -4,9 +4,9 @@
 //!
 //! Every check recomputes the ground truth locally from the corpus file
 //! with the same arithmetic the cluster uses ([`Scenario::expected_range`]
-//! / [`Scenario::expected_knn`]), then polls the origin node until its
-//! merged result list matches exactly. Recall below 1.0 is therefore a
-//! hard failure (nonzero exit), not a statistic.
+//! / [`Scenario::expected_knn`]), then waits for news from the origin
+//! node until its merged result list matches exactly. Recall below 1.0
+//! is therefore a hard failure (nonzero exit), not a statistic.
 
 use crate::runtime::connect_retry;
 use crate::scenario::{parse_spec, read_corpus, RangeQuery, Scenario, KNN_K};
@@ -20,7 +20,7 @@ use std::time::{Duration, Instant};
 /// answer before declaring failure.
 const CHECK_PATIENCE: Duration = Duration::from_secs(60);
 
-/// Poll interval while waiting on query results or publish barriers.
+/// Poll interval of the publish barrier.
 const POLL_EVERY: Duration = Duration::from_millis(50);
 
 /// Origin-side query state as returned by the server.
@@ -43,6 +43,9 @@ pub struct Client {
     /// Reply bytes: one `read` usually delivers a whole reply.
     inbox: FrameBuf,
     scratch: Box<[u8]>,
+    /// `(qid, responses)` of the last report received: what a status
+    /// request on that query has already seen.
+    last_report: Option<(u32, u32)>,
 }
 
 impl Client {
@@ -60,6 +63,7 @@ impl Client {
                 addr: addr.to_string(),
                 inbox: FrameBuf::default(),
                 scratch: vec![0; wire::READ_CHUNK].into_boxed_slice(),
+                last_report: None,
             };
             let handshake = wire::write_frame(
                 &mut client.stream,
@@ -145,7 +149,9 @@ impl Client {
         }
     }
 
-    /// Issue a range query at the connected node (fire-and-poll).
+    /// Issue a range query at the connected node. Returns the first
+    /// report with a response, or the unchanged view once the node's
+    /// [`PARK_PATIENCE`](crate::runtime::PARK_PATIENCE) runs out.
     pub fn query(
         &mut self,
         qid: u32,
@@ -159,13 +165,21 @@ impl Client {
             center: center.to_vec(),
             radius,
         };
-        self.request(&frame).and_then(expect_report)
+        let reply = self.request(&frame)?;
+        self.take_report(reply)
     }
 
-    /// Current origin-side state of a query.
+    /// News of a query: the origin's first report with more responses
+    /// than the last report this client received for it, or the
+    /// unchanged view once the node's
+    /// [`PARK_PATIENCE`](crate::runtime::PARK_PATIENCE) runs out.
     pub fn status(&mut self, qid: u32) -> Result<Report, String> {
-        self.request(&Frame::QueryStatus { qid })
-            .and_then(expect_report)
+        let seen = match self.last_report {
+            Some((last, responses)) if last == qid => responses,
+            _ => 0,
+        };
+        let reply = self.request(&Frame::QueryStatus { qid, seen })?;
+        self.take_report(reply)
     }
 
     /// The node's telemetry snapshot.
@@ -191,23 +205,27 @@ impl Client {
             )),
         }
     }
-}
 
-fn expect_report(frame: Frame) -> Result<Report, String> {
-    match frame {
-        Frame::QueryReport {
-            responses,
-            max_hops,
-            degraded,
-            merged,
-            ..
-        } => Ok(Report {
-            responses,
-            max_hops,
-            degraded,
-            merged,
-        }),
-        other => Err(format!("expected a query report, got {}", other.kind())),
+    /// Unpack a query report and remember what it told this client.
+    fn take_report(&mut self, frame: Frame) -> Result<Report, String> {
+        match frame {
+            Frame::QueryReport {
+                qid,
+                responses,
+                max_hops,
+                degraded,
+                merged,
+            } => {
+                self.last_report = Some((qid, responses));
+                Ok(Report {
+                    responses,
+                    max_hops,
+                    degraded,
+                    merged,
+                })
+            }
+            other => Err(format!("expected a query report, got {}", other.kind())),
+        }
     }
 }
 
@@ -281,8 +299,8 @@ fn render_results(results: &[(u32, f64)]) -> String {
     format!("[{}]", parts.join(", "))
 }
 
-/// Poll `qid` at `client` until its merged results *start with*
-/// `expected` (same objects, same order, bit-identical distances).
+/// Wait for news of `qid` at `client` until its merged results *start
+/// with* `expected` (same objects, same order, bit-identical distances).
 /// The tail beyond the prefix is allowed: the L∞ pruning bound admits
 /// points just outside the metric radius, and an expanding k-nearest
 /// search accumulates them behind the certified nearest entries.
@@ -304,14 +322,13 @@ fn await_prefix(
                 last.responses
             ));
         }
-        std::thread::sleep(POLL_EVERY);
         last = client.status(qid)?;
     }
     Ok(last)
 }
 
-/// Poll `qid` at `client` until its merged results equal `expected`
-/// exactly (same objects, same order, bit-identical distances).
+/// Wait for news of `qid` at `client` until its merged results equal
+/// `expected` exactly (same objects, same order, bit-identical distances).
 fn await_expected(
     client: &mut Client,
     qid: u32,
@@ -330,7 +347,6 @@ fn await_expected(
                 last.responses
             ));
         }
-        std::thread::sleep(POLL_EVERY);
         last = client.status(qid)?;
     }
     Ok(last)

@@ -16,12 +16,15 @@
 //! 1. **self-sends** — drain the local queue (a self-send is the
 //!    simulator's earliest event, so it goes before anything else);
 //! 2. **due timers** — feed each, draining self-sends after each;
-//! 3. **flush** — one `write` per connection that has unsent bytes.
+//! 3. **parked requests** — answer those whose query has news or whose
+//!    patience ran out, then serve the frames that were queued behind
+//!    them, answering again after each connection;
+//! 4. **flush** — one `write` per connection that has unsent bytes.
 //!    What a socket will not take stays buffered and the connection is
 //!    also polled for writability;
-//! 4. **poll** — sleep in `poll(2)` until a socket is ready or the
-//!    wheel's next deadline;
-//! 5. **accept / read / dispatch** — one `read` per readable
+//! 5. **poll** — sleep in `poll(2)` until a socket is ready, the
+//!    wheel's next deadline or the earliest parked request's patience;
+//! 6. **accept / read / dispatch** — one `read` per readable
 //!    connection, then every complete frame in its buffer in order,
 //!    draining self-sends after each. A connection's role is looked up
 //!    per frame, so a `Hello` and the first request may share a read.
@@ -31,6 +34,24 @@
 //! or client that stops reading costs memory up to `MAX_BACKLOG` and
 //! then its connection — never a turn of the loop. A malformed frame,
 //! a cut frame or a protocol violation kills only its connection.
+//!
+//! ## Client connections
+//!
+//! A client gets one reply per request, in request order. Most are
+//! answered at once. A [`Frame::QueryStatus`] is answered when the
+//! query's `responses` count exceeds the `seen` count the client sent,
+//! and a [`Frame::ClientQuery`] when its query has a first response;
+//! until then the request is *parked* on its connection, so a client
+//! waiting for an answer costs the node one reply per change instead of
+//! one per poll. Parked requests are checked once per turn, just before
+//! the flush: every response read in the turn is in the report, and no
+//! reply leaves later than an earlier check would have sent it. The
+//! reply is the ordinary report; one still unchanged after
+//! [`PARK_PATIENCE`] goes out as it is. While a request is parked its
+//! connection is polled without `POLLIN`, so whatever the client sent
+//! behind it waits in the kernel (or, already read, in the connection's
+//! buffer) and replies keep request order. A hang-up still surfaces and
+//! closes the connection, and the parked request with it.
 //!
 //! ## Bootstrap
 //!
@@ -94,6 +115,11 @@ const CONNECT_PATIENCE: Duration = Duration::from_secs(1);
 /// this far behind is dropped (and, for a peer, reconnected on the next
 /// send) instead of growing the node without bound.
 const MAX_BACKLOG: usize = 32 * 1024 * 1024;
+
+/// How long a parked query request waits for news before the unchanged
+/// report goes out: far above a query's lifetime on a loopback cluster
+/// (a few milliseconds), far below any client's patience (seconds).
+pub const PARK_PATIENCE: Duration = Duration::from_millis(100);
 
 /// Server configuration, straight off the CLI.
 #[derive(Clone, Debug)]
@@ -204,6 +230,13 @@ struct PollFd {
 
 const POLLIN: i16 = 0x1;
 const POLLOUT: i16 = 0x4;
+/// The peer closed its end: on Linux this surfaces even on an entry
+/// polled without `POLLIN`. Elsewhere only a full hang-up (`POLLHUP`,
+/// which needs no request) does.
+#[cfg(target_os = "linux")]
+const POLLRDHUP: i16 = 0x2000;
+#[cfg(not(target_os = "linux"))]
+const POLLRDHUP: i16 = 0;
 
 /// An entry `poll` skips: negative descriptors are ignored.
 const NO_FD: PollFd = PollFd {
@@ -251,7 +284,8 @@ enum Link {
     /// Accepted from peer `.0`: its search frames come in, nothing goes
     /// out.
     PeerIn(usize),
-    /// Accepted from a client: requests in, one reply out per request.
+    /// Accepted from a client: requests in, one reply out per request,
+    /// in request order.
     Client,
     /// Opened by this node to peer `.0`: our search frames go out,
     /// nothing comes in.
@@ -268,6 +302,21 @@ struct Conn {
     /// `sent` bytes, which it has.
     outbox: Vec<u8>,
     sent: usize,
+    /// A client's query request waiting for news; it dies with the
+    /// connection. While it waits, the connection is not read, so later
+    /// requests queue behind it.
+    parked: Option<Parked>,
+}
+
+/// A [`Frame::QueryStatus`] or [`Frame::ClientQuery`] waiting for its
+/// query to move.
+#[derive(Clone, Copy)]
+struct Parked {
+    qid: QueryId,
+    /// Answer once the query has more responses than this.
+    seen: u32,
+    /// Answer with the unchanged view at this instant at the latest.
+    until: Instant,
 }
 
 impl Conn {
@@ -454,6 +503,9 @@ struct Runtime {
     fds: Vec<PollFd>,
     /// The one read buffer every connection's `read` goes through.
     scratch: Box<[u8]>,
+    /// Slots whose parked request was answered while frames behind it
+    /// sat in their read buffer; served before the next flush.
+    resume: Vec<usize>,
     /// The slot owed a [`Frame::ShutdownAck`]; the loop ends once that
     /// is on the wire.
     stop: Option<usize>,
@@ -548,6 +600,7 @@ impl Runtime {
             inbox: FrameBuf::default(),
             outbox: Vec::new(),
             sent: 0,
+            parked: None,
         };
         let free = self.conns.iter().position(Option::is_none);
         let slot = free.unwrap_or_else(|| {
@@ -644,27 +697,24 @@ impl Runtime {
         }
     }
 
-    /// Service one client request. Returns the reply frame; the caller
-    /// queues it on the client's connection.
-    fn handle_client(&mut self, req: Frame) -> Frame {
+    /// Service one client request: a reply now, or a report once the
+    /// query it names has news.
+    fn handle_client(&mut self, req: Frame) -> Reply {
+        let error = |reason: String| Reply::Now(Frame::Error { reason });
         match req {
             Frame::ClientPublish { index, obj, point } => {
                 if index as usize >= self.node.indexes.len() {
-                    return Frame::Error {
-                        reason: format!(
-                            "publish into index {index}, but only {} index(es) exist",
-                            self.node.indexes.len()
-                        ),
-                    };
+                    return error(format!(
+                        "publish into index {index}, but only {} index(es) exist",
+                        self.node.indexes.len()
+                    ));
                 }
                 if point.len() != self.grid_dims {
-                    return Frame::Error {
-                        reason: format!(
-                            "publish of a {}-dim point into a {}-dim index",
-                            point.len(),
-                            self.grid_dims
-                        ),
-                    };
+                    return error(format!(
+                        "publish of a {}-dim point into a {}-dim index",
+                        point.len(),
+                        self.grid_dims
+                    ));
                 }
                 let point = point.into_boxed_slice();
                 let ring_key = self.node.indexes[index as usize].grid.hash(&point);
@@ -681,7 +731,7 @@ impl Runtime {
                         hops: 0,
                     },
                 });
-                Frame::PublishAck
+                Reply::Now(Frame::PublishAck)
             }
             Frame::ClientQuery {
                 qid,
@@ -690,28 +740,22 @@ impl Runtime {
                 radius,
             } => {
                 if index as usize >= self.node.indexes.len() {
-                    return Frame::Error {
-                        reason: format!(
-                            "query against index {index}, but only {} index(es) exist",
-                            self.node.indexes.len()
-                        ),
-                    };
+                    return error(format!(
+                        "query against index {index}, but only {} index(es) exist",
+                        self.node.indexes.len()
+                    ));
                 }
                 if center.len() != self.grid_dims {
-                    return Frame::Error {
-                        reason: format!(
-                            "{}-dim query center against a {}-dim index",
-                            center.len(),
-                            self.grid_dims
-                        ),
-                    };
+                    return error(format!(
+                        "{}-dim query center against a {}-dim index",
+                        center.len(),
+                        self.grid_dims
+                    ));
                 }
                 if !(radius.is_finite() && radius >= 0.0) {
-                    return Frame::Error {
-                        reason: format!(
-                            "query radius {radius} is not a finite non-negative number"
-                        ),
-                    };
+                    return error(format!(
+                        "query radius {radius} is not a finite non-negative number"
+                    ));
                 }
                 let center: Arc<[f64]> = center.into();
                 let grid = self.node.indexes[index as usize].grid.clone();
@@ -730,19 +774,56 @@ impl Runtime {
                         shortcut: false,
                     }),
                 });
-                self.report(qid)
+                Reply::News { qid, seen: 0 }
             }
-            Frame::QueryStatus { qid } => self.report(qid),
-            Frame::StatsRequest => Frame::StatsReport(self.stats()),
-            Frame::MembersRequest => Frame::Members {
+            Frame::QueryStatus { qid, seen } => Reply::News { qid, seen },
+            Frame::StatsRequest => Reply::Now(Frame::StatsReport(self.stats())),
+            Frame::MembersRequest => Reply::Now(Frame::Members {
                 members: self.members.clone(),
-            },
-            Frame::Shutdown => Frame::ShutdownAck,
-            other => Frame::Error {
-                reason: format!("unexpected {} request on a client connection", other.kind()),
-            },
+            }),
+            Frame::Shutdown => Reply::Now(Frame::ShutdownAck),
+            other => error(format!(
+                "unexpected {} request on a client connection",
+                other.kind()
+            )),
         }
     }
+
+    /// Answer every parked request whose query has more responses than
+    /// its client has seen, or whose patience ran out, with the ordinary
+    /// [`Runtime::report`]. Runs once per turn before the flush (and
+    /// after each resumed connection): a reply queued earlier would leave
+    /// in the same write, and one queued now carries every response the
+    /// turn brought.
+    fn answer_parked(&mut self) {
+        let now = Instant::now();
+        for slot in 0..self.conns.len() {
+            let Some(conn) = self.conns[slot].as_mut() else {
+                continue;
+            };
+            let Some(p) = conn.parked else {
+                continue;
+            };
+            let responses = self.node.issued.get(&p.qid).map_or(0, |iq| iq.responses);
+            if responses <= p.seen && now < p.until {
+                continue;
+            }
+            conn.parked = None;
+            if !conn.inbox.is_empty() {
+                self.resume.push(slot);
+            }
+            let report = self.report(p.qid);
+            self.queue(slot, &report);
+        }
+    }
+}
+
+/// What a client request gets.
+enum Reply {
+    /// This frame, at once.
+    Now(Frame),
+    /// A report on `qid` once it has more than `seen` responses.
+    News { qid: QueryId, seen: u32 },
 }
 
 /// The reactor proper: what happens to connections and in what order.
@@ -797,8 +878,19 @@ impl Runtime {
                 if matches!(req, Frame::Shutdown) {
                     self.stop = Some(slot);
                 }
-                let resp = self.handle_client(req);
-                self.queue(slot, &resp);
+                match self.handle_client(req) {
+                    Reply::Now(resp) => self.queue(slot, &resp),
+                    Reply::News { qid, seen } => {
+                        let conn = self.conns[slot]
+                            .as_mut()
+                            .expect("a client request leaves its own connection open");
+                        conn.parked = Some(Parked {
+                            qid,
+                            seen,
+                            until: Instant::now() + PARK_PATIENCE,
+                        });
+                    }
+                }
             }
             (Link::PeerOut(to), other) => {
                 return Err(format!(
@@ -810,8 +902,7 @@ impl Runtime {
         Ok(())
     }
 
-    /// One `read` off a readable connection, then every complete frame
-    /// it now holds, in order.
+    /// One `read` off a readable connection, then [`Runtime::serve`] it.
     fn read_ready(&mut self, slot: usize) {
         let Some(conn) = self.conns[slot].as_mut() else {
             return;
@@ -833,8 +924,17 @@ impl Runtime {
             }
             Err(e) => return self.close(slot, Some(format!("read failed: {e}"))),
         }
+        self.serve(slot);
+    }
+
+    /// Handle the complete frames a connection holds, in order, until
+    /// none is left or one is parked.
+    fn serve(&mut self, slot: usize) {
         // The slot empties if a frame's handling closes the connection.
         while let Some(conn) = self.conns[slot].as_mut() {
+            if conn.parked.is_some() {
+                return;
+            }
             let handled = match conn.inbox.next_frame() {
                 Ok(Some(frame)) => self.on_frame(slot, frame),
                 Ok(None) => return,
@@ -859,13 +959,17 @@ impl Runtime {
                 return NO_FD;
             }
         }
+        // A parked connection is not read: what the client sent behind
+        // the parked request waits in the kernel.
+        let read = if conn.parked.is_some() {
+            POLLRDHUP
+        } else {
+            POLLIN
+        };
+        let write = if conn.unsent() > 0 { POLLOUT } else { 0 };
         PollFd {
             fd: conn.stream.as_raw_fd(),
-            events: if conn.unsent() > 0 {
-                POLLIN | POLLOUT
-            } else {
-                POLLIN
-            },
+            events: read | write,
             revents: 0,
         }
     }
@@ -877,6 +981,11 @@ impl Runtime {
         while let Some(tag) = self.wheel.pop_due(Instant::now()) {
             self.feed(Input::Timer(tag));
             self.drain_local();
+        }
+        self.answer_parked();
+        while let Some(slot) = self.resume.pop() {
+            self.serve(slot);
+            self.answer_parked();
         }
 
         self.fds.clear();
@@ -897,9 +1006,10 @@ impl Runtime {
             }
         }
 
-        let timeout = self
-            .wheel
-            .next_deadline()
+        let parked = self.conns.iter().flatten().filter_map(|c| c.parked);
+        let timeout = (self.wheel.next_deadline().into_iter())
+            .chain(parked.map(|p| p.until))
+            .min()
             .map(|at| at.saturating_duration_since(Instant::now()));
         wait_ready(&mut self.fds, timeout).map_err(|e| format!("poll failed: {e}"))?;
 
@@ -913,9 +1023,16 @@ impl Runtime {
         }
         // Slots opened during this pass are polled from the next turn.
         for slot in 0..polled {
-            // Errors and hang-ups surface through the read as well.
-            if self.fds[slot].revents & !POLLOUT != 0 {
-                self.read_ready(slot);
+            if self.fds[slot].revents & !POLLOUT == 0 {
+                continue;
+            }
+            // Errors and hang-ups surface through the read as well, but a
+            // parked connection is not read: a hang-up ends it and its
+            // parked request.
+            match self.conns[slot].as_ref().map(|c| c.parked.is_some()) {
+                Some(true) => self.close(slot, None),
+                Some(false) => self.read_ready(slot),
+                None => {}
             }
         }
         Ok(true)
@@ -994,6 +1111,7 @@ pub fn run_server(opts: &ServerOpts) -> Result<(), String> {
         conns: Vec::new(),
         fds: Vec::new(),
         scratch: vec![0; wire::READ_CHUNK].into_boxed_slice(),
+        resume: Vec::new(),
         stop: None,
     };
     rt.feed(Input::Start);

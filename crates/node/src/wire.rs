@@ -246,12 +246,19 @@ pub enum Frame {
         /// Metric search radius.
         radius: f64,
     },
-    /// Client: ask for the current state of an issued query.
+    /// Client: ask for news of an issued query. The node replies once
+    /// the query has more than `seen` responses, or with the unchanged
+    /// view after [`PARK_PATIENCE`](crate::runtime::PARK_PATIENCE); the
+    /// connection's later requests wait behind this one.
     QueryStatus {
         /// The query.
         qid: u32,
+        /// The `responses` count of the last report the client holds
+        /// for this query (0 for none).
+        seen: u32,
     },
-    /// Reply to [`Frame::QueryStatus`] (and [`Frame::ClientQuery`]).
+    /// Reply to [`Frame::QueryStatus`], and to [`Frame::ClientQuery`]
+    /// once the query has its first response (or the patience ran out).
     QueryReport {
         /// The query.
         qid: u32,
@@ -518,9 +525,10 @@ fn put_frame(out: &mut Vec<u8>, frame: &Frame) {
             put_f64(out, *radius);
             put_points(out, center);
         }
-        Frame::QueryStatus { qid } => {
+        Frame::QueryStatus { qid, seen } => {
             out.push(23);
             put_u32(out, *qid);
+            put_u32(out, *seen);
         }
         Frame::QueryReport {
             qid,
@@ -947,6 +955,7 @@ pub fn decode_body(body: &[u8]) -> Result<Frame, WireError> {
         }
         23 => Frame::QueryStatus {
             qid: d.u32("status qid")?,
+            seen: d.u32("status seen")?,
         },
         24 => {
             let qid = d.u32("report qid")?;

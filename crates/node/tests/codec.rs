@@ -242,6 +242,7 @@ fn gen_control(rng: &mut TestRng) -> Frame {
         },
         7 => Frame::QueryStatus {
             qid: rng.next_u64() as u32,
+            seen: rng.next_u64() as u32,
         },
         8 => Frame::QueryReport {
             qid: rng.next_u64() as u32,

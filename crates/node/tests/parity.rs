@@ -67,7 +67,7 @@ fn sim_digest(sc: &Scenario) -> Digest {
 
     // The simulator driver may hold global knowledge; the oracle closes
     // over the whole corpus and query list, with the same `l2` the
-    // cluster's sniffing oracle uses.
+    // cluster's nodes apply to the ball center and the stored point.
     let oracle_corpus = corpus.clone();
     let oracle_queries = queries.clone();
     let oracle: DistanceOracle = Arc::new(move |qid: QueryId, obj: metric::ObjectId| {
@@ -270,8 +270,8 @@ fn cluster_digest(sc: &Scenario, sim: &Digest) -> Digest {
         std::thread::sleep(Duration::from_millis(25));
     }
 
-    // Query phase: issue at the scripted origins, then wait for each
-    // origin's merged list to reach the sim's answer.
+    // Query phase: issue at the scripted origins, then wait for news at
+    // each origin until its merged list reaches the sim's answer.
     for (qid, q) in queries.iter().enumerate() {
         clients[q.origin]
             .query(qid as u32, 0, &q.center, q.radius)
@@ -289,7 +289,6 @@ fn cluster_digest(sc: &Scenario, sim: &Digest) -> Digest {
                 "qid {qid} never converged: want {want:?}, still seeing {:?}",
                 report.merged
             );
-            std::thread::sleep(Duration::from_millis(25));
         }
     }
 

@@ -1,13 +1,16 @@
 //! The node's readiness loop against hostile and awkward byte streams,
 //! on real `node` processes: frames cut into single bytes, frames glued
 //! into one segment, garbage, connections cut mid-frame, peer frames the
-//! core could not serve, and a client that never reads. `tests/parity.rs` proves the loop preserves event
+//! core could not serve, a client that never reads, query requests
+//! parked until their query has news, and a client-chosen query id
+//! near `u32::MAX`. `tests/parity.rs` proves the loop preserves event
 //! order; this file proves no connection can stall or kill the others.
 //! One in-process test covers the framer both ends share.
 
 use lph::{Prefix, Rect};
 use metric::ObjectId;
 use node::client::Client;
+use node::runtime::PARK_PATIENCE;
 use node::wire::{encode_frame, read_frame, Frame, FrameBuf, Role};
 use simnet::AgentId;
 use simsearch::{Entry, QueryBall, SearchMsg, SubQueryMsg};
@@ -87,6 +90,50 @@ fn hello() -> Vec<u8> {
         role: Role::Client,
         index: 0,
     })
+}
+
+/// `(qid, responses, merged)` of a query report.
+type Report = (u32, u32, Vec<(u32, f64)>);
+
+fn report_of(reply: std::io::Result<Option<Frame>>) -> Report {
+    match reply {
+        Ok(Some(Frame::QueryReport {
+            qid,
+            responses,
+            merged,
+            ..
+        })) => (qid, responses, merged),
+        other => panic!("expected a query report, got {other:?}"),
+    }
+}
+
+/// A client connection to node 0 of a one-node cluster, past its hello,
+/// that issued query `qid` and holds its first report. The node answers
+/// the whole query itself, so no later report can bring news.
+fn issued(cluster: &Cluster, qid: u32) -> (TcpStream, Report) {
+    let mut conn = cluster.raw(0);
+    let mut bytes = hello();
+    bytes.extend(encode_frame(&Frame::ClientQuery {
+        qid,
+        index: 0,
+        center: vec![0.5; 3],
+        radius: 0.2,
+    }));
+    conn.write_all(&bytes).expect("hello and query");
+    let report = report_of(read_frame(&mut conn));
+    assert!(report.1 >= 1, "a one-node query is answered: {report:?}");
+    (conn, report)
+}
+
+/// Nothing is waiting to be read on `conn`.
+fn assert_quiet(conn: &mut TcpStream, what: &str) {
+    conn.set_nonblocking(true).expect("nonblocking");
+    let peeked = conn.peek(&mut [0u8; 1]);
+    conn.set_nonblocking(false).expect("blocking");
+    match peeked {
+        Err(e) if e.kind() == ErrorKind::WouldBlock => {}
+        other => panic!("{what}: expected nothing to read, got {other:?}"),
+    }
 }
 
 /// The node hung up: end-of-stream, or a reset because it closed with
@@ -507,4 +554,152 @@ fn shutdown_is_acknowledged_before_a_clean_exit() {
         std::thread::sleep(Duration::from_millis(10));
     };
     assert!(status.success(), "node exited with {status}");
+}
+
+/// A status on a query that already has every response it will get
+/// waits out the patience, then gets the unchanged report — while other
+/// clients of the same node are served at once.
+#[test]
+fn a_status_without_news_waits_out_the_patience_alone() {
+    let cluster = Cluster::spawn(1);
+    let (mut waiter, (qid, responses, merged)) = issued(&cluster, 1);
+    let t0 = Instant::now();
+    waiter
+        .write_all(&encode_frame(&Frame::QueryStatus {
+            qid,
+            seen: responses,
+        }))
+        .expect("status");
+
+    let mut other = Client::connect(&cluster.addrs[0]).expect("second client");
+    other.members().expect("members");
+    other.stats().expect("stats");
+    other.query(2, 0, &[0.5; 3], 0.2).expect("query");
+    let others = t0.elapsed();
+    assert!(
+        others < PARK_PATIENCE,
+        "the second client's round trips took {others:?} beside a parked request"
+    );
+    assert_quiet(&mut waiter, "the parked status before its patience");
+
+    let reply = report_of(read_frame(&mut waiter));
+    let waited = t0.elapsed();
+    assert!(
+        waited >= PARK_PATIENCE,
+        "the unchanged report came after {waited:?}"
+    );
+    assert_eq!(reply, (qid, responses, merged), "the report is unchanged");
+}
+
+/// Requests behind a parked one, even those the node already read, are
+/// answered after it and in the order sent.
+#[test]
+fn requests_behind_a_parked_status_keep_their_order() {
+    let cluster = Cluster::spawn(1);
+    let (mut conn, (qid, responses, _)) = issued(&cluster, 1);
+    let mut bytes = encode_frame(&Frame::QueryStatus {
+        qid,
+        seen: responses,
+    });
+    bytes.extend(encode_frame(&Frame::MembersRequest));
+    // Seen nothing yet: news at once.
+    bytes.extend(encode_frame(&Frame::QueryStatus { qid, seen: 0 }));
+    bytes.extend(encode_frame(&Frame::StatsRequest));
+    conn.write_all(&bytes).expect("four requests in one write");
+
+    assert_eq!(
+        report_of(read_frame(&mut conn)).1,
+        responses,
+        "parked status"
+    );
+    let members = read_frame(&mut conn).expect("second reply");
+    assert!(
+        matches!(members, Some(Frame::Members { .. })),
+        "expected the membership second, got {members:?}"
+    );
+    assert_eq!(
+        report_of(read_frame(&mut conn)).1,
+        responses,
+        "fresh status"
+    );
+    let stats = read_frame(&mut conn).expect("fourth reply");
+    assert!(
+        matches!(stats, Some(Frame::StatsReport(_))),
+        "expected the stats last, got {stats:?}"
+    );
+}
+
+/// A client that hangs up while parked takes its parked request with
+/// it: the node keeps serving, and the next client in its slot gets
+/// only its own replies, even after the patience has run out.
+#[test]
+fn a_parked_request_dies_with_its_connection() {
+    let cluster = Cluster::spawn(1);
+    let mut witness = Client::connect(&cluster.addrs[0]).expect("witness client");
+    let (mut quitter, (qid, responses, _)) = issued(&cluster, 1);
+    quitter
+        .write_all(&encode_frame(&Frame::QueryStatus {
+            qid,
+            seen: responses,
+        }))
+        .expect("status");
+    drop(quitter);
+    // Loopback delivers the hang-up before the witness's request, and
+    // the node handles connections in slot order, so once this round
+    // trip is back the quitter's slot is free for the next client.
+    witness.members().expect("node still serving");
+
+    let mut next = cluster.raw(0);
+    let mut bytes = hello();
+    bytes.extend(encode_frame(&Frame::MembersRequest));
+    next.write_all(&bytes).expect("hello and members");
+    let first = read_frame(&mut next).expect("first reply");
+    assert!(
+        matches!(first, Some(Frame::Members { .. })),
+        "expected the membership, got {first:?}"
+    );
+    std::thread::sleep(PARK_PATIENCE * 2);
+    next.write_all(&encode_frame(&Frame::StatsRequest))
+        .expect("stats");
+    let second = read_frame(&mut next).expect("second reply");
+    assert!(
+        matches!(second, Some(Frame::StatsReport(_))),
+        "expected the stats, got {second:?}"
+    );
+    assert_quiet(&mut next, "the next client after its own replies");
+}
+
+/// Query ids are the client's choice. A query with an id near `u32::MAX`
+/// is answered like any other, and costs the nodes it touches memory for
+/// that one query, not for every id below it.
+#[test]
+fn a_query_id_near_the_top_costs_one_query_of_memory() {
+    /// Peak resident set a node may reach; a ledger row for every qid
+    /// up to 2^24 alone is ~400 MB.
+    const MAX_HWM_KB: u64 = 64 * 1024;
+    let cluster = Cluster::spawn(2);
+    let mut client = Client::connect(&cluster.addrs[0]).expect("client");
+    // A ball over most of the space: both nodes answer.
+    let report = client
+        .query(u32::MAX - 1, 0, &[0.5; 3], 0.45)
+        .expect("query");
+    assert!(report.responses >= 1, "{report:?}");
+    for child in &cluster.children {
+        let Ok(status) = std::fs::read_to_string(format!("/proc/{}/status", child.id())) else {
+            eprintln!("no /proc: peak memory not checked");
+            break;
+        };
+        let hwm_kb: u64 = status
+            .lines()
+            .find_map(|l| l.strip_prefix("VmHWM:"))
+            .and_then(|v| v.trim().trim_end_matches("kB").trim().parse().ok())
+            .expect("VmHWM in /proc/<pid>/status");
+        assert!(hwm_kb < MAX_HWM_KB, "a node peaked at {hwm_kb} kB");
+    }
+    for addr in &cluster.addrs {
+        Client::connect(addr)
+            .expect("a second client connects")
+            .stats()
+            .expect("and is served");
+    }
 }

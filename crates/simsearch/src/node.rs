@@ -123,56 +123,50 @@ impl CostRow {
     }
 }
 
-/// Per-query send-cost ledger, dense in the query id.
+/// Per-query send-cost ledger, one row per query this node touched.
 ///
-/// Query ids are assigned sequentially by the workload driver, so a
-/// plain vector indexed by id replaces what used to be three hash maps —
-/// the per-send cost attribution is on the message hot path, where at
-/// 100k nodes hashing was measurable and a bounds-checked index is not.
-/// Rows exist from the highest id this node ever touched downward;
-/// untouched ids read as zero.
+/// Keyed by query id in a map, not indexed by it: ids come from clients,
+/// so a dense vector would let one query with a large id allocate rows
+/// for every id below it (`u32::MAX` is ~100 GB). Untouched ids read as
+/// zero.
 #[derive(Default)]
 pub struct CostLedger {
-    rows: Vec<CostRow>,
+    rows: HashMap<QueryId, CostRow>,
 }
 
 impl CostLedger {
-    /// Mutable row for `qid`, growing the ledger on first touch.
+    /// Mutable row for `qid`, created on first touch.
     #[inline]
     pub fn row_mut(&mut self, qid: QueryId) -> &mut CostRow {
-        let i = qid as usize;
-        if i >= self.rows.len() {
-            self.rows.resize(i + 1, CostRow::default());
-        }
-        &mut self.rows[i]
+        self.rows.entry(qid).or_default()
     }
 
     /// The row for `qid` (zero if never touched).
     #[inline]
     pub fn row(&self, qid: QueryId) -> CostRow {
-        self.rows.get(qid as usize).copied().unwrap_or_default()
+        self.rows.get(&qid).copied().unwrap_or_default()
     }
 
-    /// Iterate `(qid, row)` over rows with any nonzero counter.
+    /// Iterate `(qid, row)` over rows with any nonzero counter, in no
+    /// particular order.
     pub fn iter_nonzero(&self) -> impl Iterator<Item = (QueryId, CostRow)> + '_ {
         self.rows
             .iter()
-            .enumerate()
             .filter(|(_, r)| !r.is_zero())
-            .map(|(i, r)| (i as QueryId, *r))
+            .map(|(&qid, r)| (qid, *r))
     }
 
     /// Total bytes (query + result) across all queries.
     pub fn total_bytes(&self) -> u64 {
         self.rows
-            .iter()
+            .values()
             .map(|r| r.query_bytes + r.result_bytes)
             .sum()
     }
 
     /// Total query-delivery messages across all queries.
     pub fn total_query_msgs(&self) -> u32 {
-        self.rows.iter().map(|r| r.query_msgs).sum()
+        self.rows.values().map(|r| r.query_msgs).sum()
     }
 }
 
@@ -212,7 +206,7 @@ pub struct SearchNode {
     pub naive_level: Option<u32>,
     /// Queries this node originated.
     pub issued: HashMap<QueryId, IssuedQuery>,
-    /// Per-query send-cost attribution (dense in the query id).
+    /// Per-query send-cost attribution.
     pub costs: CostLedger,
     /// `(hops, stored-at)` of publications that completed at this node
     /// as the owner.

@@ -3,13 +3,24 @@
 #
 #   scripts/bench_ab.sh REV WORKLOAD SEED PAIRS
 #
-# Checks REV out into a temporary git worktree and builds each side into
-# its own CARGO_TARGET_DIR, then runs `benchmark/run.sh --trace 0` for
-# PAIRS pairs, REV and this checkout taking turns (which side goes first
-# alternates too, so drift during the session hits both alike). Each run
-# lasts BENCHMARK.json's run_seconds. Prints, per metric, each side's
-# median [quartiles] and how many pairs this checkout won, "better"
-# being the direction BENCHMARK.json gives.
+# Exports REV's tree into a temporary directory (`git archive`) and
+# builds each side into its own CARGO_TARGET_DIR, then runs
+# `benchmark/run.sh --trace 0` for PAIRS pairs, REV and this checkout
+# taking turns (which side goes first alternates too, so drift during
+# the session hits both alike). Each run lasts BENCHMARK.json's
+# run_seconds. Prints failed/attempted operations per side, then per
+# metric each side's median [quartiles], how many pairs this checkout
+# won ("better" being the direction BENCHMARK.json gives) and a verdict:
+#
+#   gain        head won at least 9 of every 10 pairs, and the medians
+#               differ by more than base's interquartile range
+#   worse       head's median is worse than base's by more than the
+#               metric's BENCHMARK.json bound
+#   unresolved  base's interquartile range exceeds the bound, and not
+#               every head run beats every base run
+#   same        none of the above
+#
+# Per-layer metrics have no bound, so they are only ever gain or same.
 #
 # Exits non-zero if any run fails or reports `correct: false` or
 # `failed > 0`, or if a count metric (msgs_per_query,
@@ -26,13 +37,9 @@ rev=$1 workload=$2 seed=$3 pairs=$4
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 tmp="$(mktemp -d)"
 base="$tmp/base"
-cleanup() {
-    git -C "$root" worktree remove --force "$base" >/dev/null 2>&1 || true
-    git -C "$root" worktree prune
-    rm -rf "$tmp"
-}
-trap cleanup EXIT
-git -C "$root" worktree add --detach --quiet "$base" "$rev"
+trap 'rm -rf "$tmp"' EXIT
+mkdir "$base"
+git -C "$root" archive "$rev" | tar -x -C "$base"
 seconds="$(python3 -c 'import json, sys; print(json.load(open(sys.argv[1]))["run_seconds"])' \
     "$root/BENCHMARK.json")"
 
@@ -68,6 +75,7 @@ import json, statistics, sys
 spec_path, tmp, pairs = sys.argv[1], sys.argv[2], int(sys.argv[3])
 spec = json.load(open(spec_path))
 better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
+bound = {m["name"]: m["bound"] for m in spec["end_to_end"]}
 exact = {"msgs_per_query", "wire_bytes_per_query"}
 runs = {
     side: [json.load(open(f"{tmp}/{side}-{i}.json")) for i in range(1, pairs + 1)]
@@ -79,6 +87,10 @@ for side, results in runs.items():
         if not r["correct"] or r["failed"]:
             print(f"{side} pair {i}: correct {r['correct']}, {r['failed']} of {r['attempted']} ops failed")
             bad += 1
+for side, results in runs.items():
+    failed = sum(r["failed"] for r in results)
+    attempted = sum(r["attempted"] for r in results)
+    print(f"{side}: {failed} of {attempted} ops failed")
 
 def quartiles(v):
     if len(v) == 1:
@@ -86,7 +98,21 @@ def quartiles(v):
     q1, med, q3 = statistics.quantiles(v, n=4, method="inclusive")
     return q1, med, q3
 
-print(f"{'metric':22s} {'base median [q1, q3]':>34s} {'head median [q1, q3]':>34s} {'change':>8s} {'wins':>6s}")
+def verdict(name, base, head, wins):
+    (b1, bm, b3), (_, hm, _) = quartiles(base), quartiles(head)
+    sign = 1 if better[name] == "higher" else -1
+    if wins >= 0.9 * len(base) and sign * (hm - bm) > b3 - b1:
+        return "gain"
+    if name not in bound or not bm:
+        return "same"
+    if -sign * (hm - bm) / bm > bound[name]:
+        return "worse"
+    every_head_better = min(sign * h for h in head) > max(sign * b for b in base)
+    if (b3 - b1) / bm > bound[name] and not every_head_better:
+        return "unresolved"
+    return "same"
+
+print(f"{'metric':22s} {'base median [q1, q3]':>34s} {'head median [q1, q3]':>34s} {'change':>8s} {'wins':>6s}  verdict")
 for name in sorted(runs["base"][0]["metrics"]):
     if name not in better:
         continue
@@ -100,6 +126,6 @@ for name in sorted(runs["base"][0]["metrics"]):
         flag = "  DIFFERS"
         bad += 1
     print(f"{name:22s} {bm:12.3f} [{b1:9.3f}, {b3:9.3f}] {hm:12.3f} [{h1:9.3f}, {h3:9.3f}] "
-          f"{change:>8s} {wins:>2d}/{pairs}{flag}")
+          f"{change:>8s} {wins:>2d}/{pairs}  {verdict(name, v['base'], v['head'], wins)}{flag}")
 sys.exit(1 if bad else 0)
 PY
