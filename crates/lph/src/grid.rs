@@ -89,26 +89,31 @@ impl Grid {
     /// the lower half (the paper's `> mid` test); points outside the
     /// boundary are clamped onto it first (paper §3.1: out-of-boundary
     /// objects map to boundary points).
+    ///
+    /// A division only narrows its own dimension's interval, so each
+    /// dimension is bisected on its own — the divisions at positions
+    /// `j + 1`, `j + 1 + k`, … — and its bits are dropped straight into
+    /// their key positions: no scratch bounds, no division by `k`, and a
+    /// select instead of a data-dependent branch.
     pub fn hash(&self, point: &[f64]) -> u64 {
-        assert_eq!(point.len(), self.dims(), "dimension mismatch");
         let k = self.dims();
-        let mut lo: Vec<f64> = self.bounds.lo().to_vec();
-        let mut hi: Vec<f64> = self.bounds.hi().to_vec();
+        assert_eq!(point.len(), k, "dimension mismatch");
+        let (bound_lo, bound_hi) = (self.bounds.lo(), self.bounds.hi());
         let mut key = 0u64;
-        for i in 1..=self.depth {
-            let j = self.split_dim(i);
-            debug_assert_eq!(j, ((i - 1) as usize) % k);
-            let mid = 0.5 * (lo[j] + hi[j]);
-            let x = point[j].clamp(self.bounds.lo()[j], self.bounds.hi()[j]);
-            key <<= 1;
-            if x > mid {
-                lo[j] = mid;
-                key |= 1;
-            } else {
-                hi[j] = mid;
+        for j in 0..k {
+            let x = point[j].clamp(bound_lo[j], bound_hi[j]);
+            let (mut lo, mut hi) = (bound_lo[j], bound_hi[j]);
+            let mut pos = j as u32 + 1;
+            while pos <= self.depth {
+                let mid = 0.5 * (lo + hi);
+                let upper = x > mid;
+                lo = if upper { mid } else { lo };
+                hi = if upper { hi } else { mid };
+                key |= u64::from(upper) << (KEY_BITS - pos);
+                pos += k as u32;
             }
         }
-        key << (KEY_BITS - self.depth)
+        key
     }
 
     /// The cuboid of a prefix: the sub-box reached by replaying the

@@ -145,3 +145,80 @@ proptest! {
         }
     }
 }
+
+/// The bisection loop `Grid::hash` replaced, kept as its reference: one
+/// division at a time, cycling through the dimensions, over scratch
+/// copies of the bounds.
+fn hash_by_divisions(grid: &Grid, point: &[f64]) -> u64 {
+    let k = grid.dims();
+    let (bound_lo, bound_hi) = (grid.bounds().lo(), grid.bounds().hi());
+    let mut lo = bound_lo.to_vec();
+    let mut hi = bound_hi.to_vec();
+    let mut key = 0u64;
+    for i in 1..=grid.depth() {
+        let j = ((i - 1) as usize) % k;
+        let mid = 0.5 * (lo[j] + hi[j]);
+        let x = point[j].clamp(bound_lo[j], bound_hi[j]);
+        key <<= 1;
+        if x > mid {
+            lo[j] = mid;
+            key |= 1;
+        } else {
+            hi[j] = mid;
+        }
+    }
+    key << (64 - grid.depth())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Every depth from 1 to 64 — multiples of `dims` and not — over
+    /// dyadic bounds, with coordinates drawn from the interior, exact
+    /// division midpoints, the boundary, outside it, infinities and NaN.
+    #[test]
+    fn hash_matches_the_division_by_division_loop(
+        dims in 1usize..=5,
+        bounds in prop::collection::vec((0u32..8, 0u32..6), 5),
+        coords in prop::collection::vec((0u8..9, 0.0f64..1.0, 1u32..24, any::<u64>()), 5),
+    ) {
+        let lo: Vec<f64> = bounds[..dims].iter().map(|&(a, _)| -f64::from(a)).collect();
+        let hi: Vec<f64> = bounds[..dims]
+            .iter()
+            .zip(&lo)
+            .map(|(&(_, e), l)| l + f64::from(1u32 << e))
+            .collect();
+        let point: Vec<f64> = coords[..dims]
+            .iter()
+            .zip(lo.iter().zip(&hi))
+            .map(|(&(kind, u, level, m), (&l, &h))| match kind {
+                0 | 1 => l + u * (h - l),
+                // The midpoint of a division `level` deep: an odd
+                // multiple of span / 2^level, exact in binary.
+                2 => {
+                    let odd = 2 * (m % (1u64 << (level - 1))) + 1;
+                    l + (h - l) * (odd as f64 / (1u64 << level) as f64)
+                }
+                3 => l,
+                4 => h,
+                5 => l - 1.0 - 100.0 * u,
+                6 => h + 1.0 + 100.0 * u,
+                7 => f64::NAN,
+                _ if u < 0.5 => f64::INFINITY,
+                _ => f64::NEG_INFINITY,
+            })
+            .collect();
+        for depth in 1..=64 {
+            let g = Grid::new(Rect::new(lo.clone(), hi.clone()), depth);
+            prop_assert_eq!(
+                g.hash(&point),
+                hash_by_divisions(&g, &point),
+                "depth {} over {:?}..{:?} at {:?}",
+                depth,
+                lo,
+                hi,
+                point
+            );
+        }
+    }
+}

@@ -53,6 +53,27 @@
 //! buffer) and replies keep request order. A hang-up still surfaces and
 //! closes the connection, and the parked request with it.
 //!
+//! ## Per-query state
+//!
+//! A node holds three things per query: the origin's
+//! [`SearchNode::issued`] record, which reports read; a cost-ledger row;
+//! and a telemetry trace, which the stats reply summarises. It keeps
+//! them for the [`QUERY_WINDOW`] newest queries by first touch at this
+//! node (an issue, or the first message sent on the query's behalf),
+//! and after each input retires whatever is older, so memory and the
+//! stats reply follow the queries in flight, not every query served.
+//! Counters and histograms are run totals and are never retired.
+//!
+//! A retired query is unknown again. A status on it gets the
+//! unknown-query report (no responses, nothing merged) once
+//! [`PARK_PATIENCE`] runs out, like any query without news; a late
+//! result for it is dropped, as for a query this node never issued; a
+//! fragment routed to it, or a client issuing it again, starts its
+//! state over as the newest query. So a query in flight is safe while
+//! fewer than `QUERY_WINDOW` newer queries reach the node before its
+//! last result does; the repo benchmark's clients keep at most two in
+//! flight.
+//!
 //! ## Bootstrap
 //!
 //! There is no dynamic membership (the simulator's worlds are static
@@ -120,6 +141,11 @@ const MAX_BACKLOG: usize = 32 * 1024 * 1024;
 /// report goes out: far above a query's lifetime on a loopback cluster
 /// (a few milliseconds), far below any client's patience (seconds).
 pub const PARK_PATIENCE: Duration = Duration::from_millis(100);
+
+/// How many queries a node keeps state for: the newest by first touch
+/// at this node. A query older than that is retired (see the module's
+/// "Per-query state").
+pub const QUERY_WINDOW: usize = 1024;
 
 /// Server configuration, straight off the CLI.
 #[derive(Clone, Debug)]
@@ -522,6 +548,7 @@ impl Runtime {
             dispatch(&mut self.node, &mut ctx, input);
             ctx.into_outputs()
         };
+        self.node.retire_oldest(QUERY_WINDOW);
         for out in outputs {
             match out {
                 Output::Send { to, msg, bytes: _ } => {

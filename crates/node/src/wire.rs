@@ -182,14 +182,17 @@ pub struct HistogramSummary {
 /// [`Frame::StatsRequest`]. Counters and summaries are partial (this
 /// node's share); summing counters and [`QuerySummary::merge`]-folding
 /// the per-query roll-ups across all nodes reproduces the simulator's
-/// global view — the parity digest.
+/// global view (for queries no node has retired yet) — the parity
+/// digest.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct StatsReport {
     /// Every named counter this node recorded.
     pub counters: Vec<(String, u64)>,
     /// Every named histogram, summarized.
     pub histograms: Vec<HistogramSummary>,
-    /// Per-query trace roll-ups recorded at this node.
+    /// Per-query trace roll-ups recorded at this node, for at most
+    /// [`QUERY_WINDOW`](crate::runtime::QUERY_WINDOW) queries: the
+    /// newest it touched.
     pub queries: Vec<(u32, QuerySummary)>,
     /// Entries currently stored (the node's load).
     pub load: u64,
@@ -259,6 +262,12 @@ pub enum Frame {
     },
     /// Reply to [`Frame::QueryStatus`], and to [`Frame::ClientQuery`]
     /// once the query has its first response (or the patience ran out).
+    ///
+    /// A query the node does not know — never issued there, or retired
+    /// because [`QUERY_WINDOW`](crate::runtime::QUERY_WINDOW) newer
+    /// queries have reached the node since — reports 0 responses, 0
+    /// hops, not degraded and an empty merged list. It has no news, so
+    /// a status on it waits out the patience.
     QueryReport {
         /// The query.
         qid: u32,

@@ -2,17 +2,20 @@
 //! on real `node` processes: frames cut into single bytes, frames glued
 //! into one segment, garbage, connections cut mid-frame, peer frames the
 //! core could not serve, a client that never reads, query requests
-//! parked until their query has news, and a client-chosen query id
-//! near `u32::MAX`. `tests/parity.rs` proves the loop preserves event
-//! order; this file proves no connection can stall or kill the others.
+//! parked until their query has news, a client-chosen query id near
+//! `u32::MAX`, and three windows' worth of queries against nodes that
+//! keep only the newest window. `tests/parity.rs` proves the loop
+//! preserves event order; this file proves no connection can stall or
+//! kill the others.
 //! One in-process test covers the framer both ends share.
 
 use lph::{Prefix, Rect};
 use metric::ObjectId;
 use node::client::Client;
-use node::runtime::PARK_PATIENCE;
+use node::runtime::{PARK_PATIENCE, QUERY_WINDOW};
+use node::scenario::{RangeQuery, Scenario};
 use node::wire::{encode_frame, read_frame, Frame, FrameBuf, Role};
-use simnet::AgentId;
+use simnet::{AgentId, SimRng};
 use simsearch::{Entry, QueryBall, SearchMsg, SubQueryMsg};
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::TcpStream;
@@ -123,6 +126,17 @@ fn issued(cluster: &Cluster, qid: u32) -> (TcpStream, Report) {
     let report = report_of(read_frame(&mut conn));
     assert!(report.1 >= 1, "a one-node query is answered: {report:?}");
     (conn, report)
+}
+
+/// A process's peak resident set in kB, or `None` without `/proc`.
+fn vm_hwm_kb(child: &Child) -> Option<u64> {
+    let status = std::fs::read_to_string(format!("/proc/{}/status", child.id())).ok()?;
+    let hwm = status
+        .lines()
+        .find_map(|l| l.strip_prefix("VmHWM:"))
+        .and_then(|v| v.trim().trim_end_matches("kB").trim().parse().ok())
+        .expect("VmHWM in /proc/<pid>/status");
+    Some(hwm)
 }
 
 /// Nothing is waiting to be read on `conn`.
@@ -685,15 +699,10 @@ fn a_query_id_near_the_top_costs_one_query_of_memory() {
         .expect("query");
     assert!(report.responses >= 1, "{report:?}");
     for child in &cluster.children {
-        let Ok(status) = std::fs::read_to_string(format!("/proc/{}/status", child.id())) else {
+        let Some(hwm_kb) = vm_hwm_kb(child) else {
             eprintln!("no /proc: peak memory not checked");
             break;
         };
-        let hwm_kb: u64 = status
-            .lines()
-            .find_map(|l| l.strip_prefix("VmHWM:"))
-            .and_then(|v| v.trim().trim_end_matches("kB").trim().parse().ok())
-            .expect("VmHWM in /proc/<pid>/status");
         assert!(hwm_kb < MAX_HWM_KB, "a node peaked at {hwm_kb} kB");
     }
     for addr in &cluster.addrs {
@@ -702,4 +711,94 @@ fn a_query_id_near_the_top_costs_one_query_of_memory() {
             .stats()
             .expect("and is served");
     }
+}
+
+/// A node keeps state for its `QUERY_WINDOW` newest queries only. Three
+/// windows of sequential queries are all answered exactly, each node's
+/// stats reply carries at most one window of query summaries, the
+/// origin's peak memory stops growing once its window is full, and the
+/// first query is unknown again, while the node goes on serving.
+#[test]
+fn a_node_keeps_state_for_its_newest_window_of_queries_only() {
+    /// Growth of the origin's peak resident set allowed from the end of
+    /// the first window to the end of the third. A node that kept every
+    /// query grew by ≈ 2 MB over those 2 048 queries; this one grows by
+    /// tens of kB.
+    const HWM_SLACK_KB: u64 = 512;
+    let window = QUERY_WINDOW as u32;
+    let cluster = Cluster::spawn(2);
+    let sc = Scenario::new(2);
+    let grid = sc.grid();
+    let corpus = sc.corpus();
+    let mut client = Client::connect(&cluster.addrs[0]).expect("client");
+    let mut other = Client::connect(&cluster.addrs[1]).expect("client of the other node");
+    for (obj, point) in corpus.iter().enumerate() {
+        client.publish(0, obj as u32, point).expect("publish");
+    }
+    let deadline = Instant::now() + PATIENCE;
+    let stored = |c: &mut Client| c.stats().expect("stats").load;
+    while stored(&mut client) + stored(&mut other) < corpus.len() as u64 {
+        assert!(Instant::now() < deadline, "publishes never all stored");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    // Balls of every size up to most of the space: some stay on one
+    // node, some reach both.
+    let mut rng = SimRng::new(7);
+    let mut ask = |client: &mut Client, qid: u32| {
+        let q = RangeQuery {
+            origin: 0,
+            center: (0..sc.dims).map(|_| 0.1 + 0.8 * rng.f64()).collect(),
+            radius: 0.02 + 0.3 * rng.f64(),
+        };
+        let expected = sc.expected_range(&grid, &corpus, &q);
+        let deadline = Instant::now() + PATIENCE;
+        let mut report = client.query(qid, 0, &q.center, q.radius).expect("query");
+        while report.merged != expected {
+            assert!(
+                Instant::now() < deadline,
+                "query {qid}: expected {expected:?}, still {report:?}"
+            );
+            report = client.status(qid).expect("status");
+        }
+    };
+    for qid in 0..window {
+        ask(&mut client, qid);
+    }
+    let origin_hwm = || vm_hwm_kb(&cluster.children[0]);
+    let one_window = origin_hwm();
+    for qid in window..3 * window {
+        ask(&mut client, qid);
+    }
+    match (one_window, origin_hwm()) {
+        (Some(one), Some(three)) => assert!(
+            three <= one + HWM_SLACK_KB,
+            "the origin's peak grew from {one} kB to {three} kB over two more windows"
+        ),
+        _ => eprintln!("no /proc: the origin's peak memory not checked"),
+    }
+
+    let summaries = |c: &mut Client| c.stats().expect("stats").queries;
+    let held = summaries(&mut client);
+    assert_eq!(held.len(), QUERY_WINDOW, "the origin touched every query");
+    assert!(
+        held.iter().all(|&(qid, _)| qid >= 2 * window),
+        "the origin kept an old query: {:?}",
+        held.first()
+    );
+    let held = summaries(&mut other).len();
+    assert!(held <= QUERY_WINDOW, "the other node holds {held} queries");
+
+    // The first query is retired: the unknown-query report, after the
+    // patience, as for any query without news.
+    let t0 = Instant::now();
+    let report = client.status(0).expect("status of a retired query");
+    let waited = t0.elapsed();
+    assert_eq!(
+        (report.responses, report.merged.len()),
+        (0, 0),
+        "{report:?}"
+    );
+    assert!(waited >= PARK_PATIENCE, "the report came after {waited:?}");
+    ask(&mut client, 3 * window);
 }

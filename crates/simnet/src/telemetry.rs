@@ -112,17 +112,28 @@ impl Registry {
         Registry::default()
     }
 
-    /// Add `by` to the named counter (created at 0 on first touch).
+    /// Add `by` to the named counter (created at 0 on first touch; only
+    /// then is the name copied).
     pub fn incr(&mut self, name: &str, by: u64) {
-        *self.counters.entry(name.to_string()).or_default() += by;
+        match self.counters.get_mut(name) {
+            Some(c) => *c += by,
+            None => {
+                self.counters.insert(name.to_string(), by);
+            }
+        }
     }
 
-    /// Record one sample into the named histogram.
+    /// Record one sample into the named histogram (created on first
+    /// touch; only then is the name copied).
     pub fn observe(&mut self, name: &str, value: u64) {
-        self.histograms
-            .entry(name.to_string())
-            .or_default()
-            .observe(value);
+        match self.histograms.get_mut(name) {
+            Some(h) => h.observe(value),
+            None => self
+                .histograms
+                .entry(name.to_string())
+                .or_default()
+                .observe(value),
+        }
     }
 
     /// Current value of a counter (0 when never touched).

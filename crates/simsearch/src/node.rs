@@ -5,7 +5,7 @@
 //! state machine under the deterministic simulator; `crates/node` drives
 //! it over real sockets.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{hash_map, BTreeMap, HashMap, HashSet, VecDeque};
 use std::sync::Arc;
 
 use lph::{Grid, Rect, Rotation};
@@ -129,16 +129,39 @@ impl CostRow {
 /// so a dense vector would let one query with a large id allocate rows
 /// for every id below it (`u32::MAX` is ~100 GB). Untouched ids read as
 /// zero.
+///
+/// Every query a node holds any state for has a row (an issue creates
+/// one), so the ledger also keeps the node's first-touch order of
+/// queries, the order [`SearchNode::retire_oldest`] retires them in.
 #[derive(Default)]
 pub struct CostLedger {
     rows: HashMap<QueryId, CostRow>,
+    /// The keys of `rows`, in the order their rows were created.
+    order: VecDeque<QueryId>,
 }
 
 impl CostLedger {
     /// Mutable row for `qid`, created on first touch.
     #[inline]
     pub fn row_mut(&mut self, qid: QueryId) -> &mut CostRow {
-        self.rows.entry(qid).or_default()
+        match self.rows.entry(qid) {
+            hash_map::Entry::Occupied(row) => row.into_mut(),
+            hash_map::Entry::Vacant(row) => {
+                self.order.push_back(qid);
+                row.insert(CostRow::default())
+            }
+        }
+    }
+
+    /// Remove the oldest row if more than `keep` rows exist, returning
+    /// its query id.
+    fn pop_oldest_beyond(&mut self, keep: usize) -> Option<QueryId> {
+        if self.order.len() <= keep {
+            return None;
+        }
+        let qid = self.order.pop_front()?;
+        self.rows.remove(&qid);
+        Some(qid)
     }
 
     /// The row for `qid` (zero if never touched).
@@ -345,6 +368,26 @@ impl SearchNode {
         }
         if let Some(tel) = &self.telemetry {
             tel.incr(&format!("index{index}.{what}"), by);
+        }
+    }
+
+    /// Forget the oldest queries this node touched until at most `keep`
+    /// remain: each one's [`Self::issued`] entry, cost-ledger row and
+    /// telemetry trace. Age is first touch at this node — an issue, or
+    /// the first message sent on the query's behalf — and a query touched
+    /// again after retirement starts over as the newest. Amortised O(1)
+    /// per query; a no-op while at most `keep` queries are held.
+    ///
+    /// The trace goes from the attached telemetry, so only a driver that
+    /// gives each node a handle of its own may call this (the socket
+    /// runtime does; the simulator, whose nodes share one, never
+    /// retires).
+    pub fn retire_oldest(&mut self, keep: usize) {
+        while let Some(qid) = self.costs.pop_oldest_beyond(keep) {
+            self.issued.remove(&qid);
+            if let Some(tel) = &self.telemetry {
+                tel.forget(qid);
+            }
         }
     }
 
@@ -1062,6 +1105,9 @@ impl SearchNode {
         if let Some(tel) = &self.telemetry {
             tel.begin_query(sq.qid, ctx.me());
         }
+        // The row is the query's first-touch mark, even if answering
+        // sends nothing (a result-cache hit).
+        self.costs.row_mut(sq.qid);
         self.issued.insert(
             sq.qid,
             IssuedQuery {
@@ -2030,5 +2076,113 @@ mod tests {
             naive_msgs >= fast_msgs,
             "naive {naive_msgs} < fast {fast_msgs}"
         );
+    }
+
+    /// The two-node world with a telemetry handle per node, as the socket
+    /// runtime gives them, after full-range queries `qids` were issued at
+    /// node 0 one at a time, in that order. Both nodes answer each.
+    fn touched(qids: &[QueryId]) -> (Sim<SearchNode>, Arc<Grid>, Vec<Telemetry>) {
+        let (mut sim, _, grid) = build();
+        let tels: Vec<Telemetry> = (0..2)
+            .map(|a| {
+                let tel = Telemetry::new();
+                sim.agent_mut(AgentId(a)).attach_telemetry(tel.clone());
+                tel
+            })
+            .collect();
+        for &qid in qids {
+            let q = issue(Rect::new(vec![0.0], vec![8.0]), &grid, qid);
+            sim.inject(sim.now(), AgentId(0), q);
+            sim.run();
+        }
+        (sim, grid, tels)
+    }
+
+    /// The qids node `a` holds in each of its per-query stores, sorted:
+    /// `issued`, cost-ledger rows, telemetry traces.
+    fn held(sim: &Sim<SearchNode>, tels: &[Telemetry], a: usize) -> [Vec<QueryId>; 3] {
+        let node = sim.agent(AgentId(a));
+        let mut issued: Vec<QueryId> = node.issued.keys().copied().collect();
+        let mut rows: Vec<QueryId> = node.costs.rows.keys().copied().collect();
+        issued.sort_unstable();
+        rows.sort_unstable();
+        let traces = tels[a].lock().traces.keys().copied().collect();
+        [issued, rows, traces]
+    }
+
+    fn retire_all(sim: &mut Sim<SearchNode>, keep: usize) {
+        for a in 0..2 {
+            sim.agent_mut(AgentId(a)).retire_oldest(keep);
+        }
+    }
+
+    #[test]
+    fn retiring_drops_exactly_the_oldest_queries_from_every_store() {
+        // Age is first touch, not qid order.
+        let (mut sim, _, tels) = touched(&[4, 1, 3, 0, 2]);
+        let all = vec![0, 1, 2, 3, 4];
+        assert_eq!(
+            held(&sim, &tels, 0),
+            [all.clone(), all.clone(), all.clone()]
+        );
+        assert_eq!(held(&sim, &tels, 1), [vec![], all.clone(), all]);
+        retire_all(&mut sim, 2);
+        assert_eq!(held(&sim, &tels, 0), [vec![0, 2], vec![0, 2], vec![0, 2]]);
+        assert_eq!(held(&sim, &tels, 1), [vec![], vec![0, 2], vec![0, 2]]);
+        assert_eq!(sim.agent(AgentId(0)).costs.order, [0, 2]);
+    }
+
+    #[test]
+    fn retiring_to_a_window_not_yet_full_is_a_no_op() {
+        let (mut sim, _, tels) = touched(&[4, 1, 3]);
+        let before = [held(&sim, &tels, 0), held(&sim, &tels, 1)];
+        for keep in [3, 4, usize::MAX] {
+            retire_all(&mut sim, keep);
+            assert_eq!([held(&sim, &tels, 0), held(&sim, &tels, 1)], before);
+        }
+    }
+
+    #[test]
+    fn a_query_touched_after_retirement_is_the_newest() {
+        let (mut sim, grid, tels) = touched(&[4, 1, 3]);
+        retire_all(&mut sim, 2);
+        assert_eq!(held(&sim, &tels, 1)[1], vec![1, 3]);
+        // Issued again at node 0; node 1 sees it again as a routed
+        // fragment. Both recreate its state as their newest query.
+        sim.inject(
+            sim.now(),
+            AgentId(0),
+            issue(Rect::new(vec![0.0], vec![8.0]), &grid, 4),
+        );
+        sim.run();
+        retire_all(&mut sim, 1);
+        assert_eq!(held(&sim, &tels, 0), [vec![4], vec![4], vec![4]]);
+        assert_eq!(held(&sim, &tels, 1), [vec![], vec![4], vec![4]]);
+        let found: Vec<u32> = sim.agent(AgentId(0)).issued[&4]
+            .merged
+            .iter()
+            .map(|&(o, _)| o.0)
+            .collect();
+        assert_eq!(found, vec![0, 1, 2, 3, 4, 5, 6, 7]);
+    }
+
+    #[test]
+    fn results_for_a_retired_query_change_nothing() {
+        let (mut sim, _, tels) = touched(&[4, 1, 3]);
+        retire_all(&mut sim, 2);
+        let before = held(&sim, &tels, 0);
+        sim.inject(
+            sim.now(),
+            AgentId(0),
+            SearchMsg::Results {
+                qid: 4,
+                hops: 1,
+                entries: vec![(ObjectId(5), 5.0)],
+                degraded: false,
+            },
+        );
+        sim.run();
+        assert_eq!(held(&sim, &tels, 0), before);
+        assert_eq!(sim.agent(AgentId(0)).costs.order, [1, 3]);
     }
 }

@@ -419,6 +419,12 @@ impl Telemetry {
         self.trace_op(PendingOp::Event { qid, event });
     }
 
+    /// Drop the trace of `qid`; a later event on it starts a fresh one.
+    /// Registry counters and histograms keep everything it added.
+    pub fn forget(&self, qid: QueryId) {
+        self.lock().traces.remove(&qid);
+    }
+
     /// Clone of the trace of `qid`, if the query was seen.
     pub fn trace(&self, qid: QueryId) -> Option<QueryTrace> {
         self.lock().traces.get(&qid).cloned()
@@ -523,6 +529,24 @@ mod tests {
         assert_eq!(trace.origin, 2);
         assert_eq!(trace.events.len(), 1);
         assert_eq!(t.lock().registry.counter("routing.splits"), 1);
+    }
+
+    #[test]
+    fn forget_drops_one_trace_and_no_counter() {
+        let t = Telemetry::new();
+        for qid in [1, 2] {
+            t.begin_query(qid, AgentId(0));
+            t.record_routing(
+                qid,
+                0,
+                crate::routing::RoutingEvent::Split { prefix_len: 1 },
+            );
+        }
+        t.forget(1);
+        t.forget(9);
+        assert!(t.trace(1).is_none());
+        assert_eq!(t.trace(2).unwrap().events.len(), 1);
+        assert_eq!(t.lock().registry.counter("routing.splits"), 2);
     }
 
     #[test]

@@ -4,7 +4,8 @@
 # Boots a 7-process cluster on 127.0.0.1, publishes the deterministic
 # 120-object corpus, runs two range checks and one expanding-ring kNN
 # check (each asserts recall 1.0 against the locally recomputed exact
-# answer), checks that every node is still one thread, then shuts the
+# answer), checks that every node is still one thread and that its peak
+# resident set (VmHWM) stays under MAX_HWM_KB (16 MB), then shuts the
 # cluster down and requires every process to exit cleanly — all within
 # $NODE_SMOKE_BUDGET_SECS (default 120).
 #
@@ -18,6 +19,9 @@ N=7
 BUDGET="${NODE_SMOKE_BUDGET_SECS:-120}"
 LOGDIR="${NODE_SMOKE_DIR:-$ROOT/target/node-smoke}"
 BIN="${NODE_BIN:-$ROOT/target/release/node}"
+# A node starts at ~3 MB and bounds its per-query state by a window of
+# recent queries, so a peak far above that is a leak.
+MAX_HWM_KB=$((16 * 1024))
 
 if [ ! -x "$BIN" ]; then
     echo "node smoke: building $BIN"
@@ -95,15 +99,22 @@ check_budget "running the knn check"
 # hand-off has crept back into the message path.
 if [ -r "/proc/$$/status" ]; then
     for i in "${!PIDS[@]}"; do
-        threads="$(awk '/^Threads:/ { print $2 }' "/proc/${PIDS[$i]}/status")"
+        status="/proc/${PIDS[$i]}/status"
+        threads="$(awk '/^Threads:/ { print $2 }' "$status")"
+        hwm_kb="$(awk '/^VmHWM:/ { print $2 }' "$status")"
+        echo "node smoke: node $i: $threads thread(s), VmHWM $hwm_kb kB"
         if [ "$threads" != 1 ]; then
             echo "node smoke: node $i (pid ${PIDS[$i]}) runs $threads threads, expected 1"
             exit 1
         fi
+        if [ "$hwm_kb" -gt "$MAX_HWM_KB" ]; then
+            echo "node smoke: node $i (pid ${PIDS[$i]}) peaked at $hwm_kb kB, cap $MAX_HWM_KB kB"
+            exit 1
+        fi
     done
-    echo "node smoke: every node runs 1 thread"
+    echo "node smoke: every node runs 1 thread and peaked under $MAX_HWM_KB kB"
 else
-    echo "node smoke: no /proc on this host; thread-count check skipped"
+    echo "node smoke: no /proc on this host; thread-count and peak-memory checks skipped"
 fi
 
 "$BIN" --connect "$SEED_ADDR" --shutdown-cluster
