@@ -9,9 +9,9 @@
 //!
 //! * [`wire`] — the length-prefixed frame codec. Tags 0–9 carry the ten
 //!   [`simsearch::SearchMsg`] variants; higher tags are bootstrap and
-//!   client control frames. The codec's physical frame sizes are pinned
-//!   to the paper's §4.1 `msg_bytes` pricing model by a documented
-//!   per-variant delta ([`wire::model_delta`]).
+//!   client control frames. Each type's layout is one field list that
+//!   both encoder and decoder derive from; the paper's §4.1 price of a
+//!   message lives in [`simsearch::msg::msg_bytes`], not here.
 //! * [`scenario`] — the deterministic shared scenario (ring ids, grid,
 //!   corpus, query script) every process and the simulator derive from
 //!   one seed, making sim-vs-socket parity checkable.

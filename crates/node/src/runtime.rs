@@ -96,7 +96,9 @@
 //! done to a frame before dispatch. What it relies on is checked at the
 //! door instead: a peer's search frame whose sub-query lacks a ball, or
 //! whose center, rect or point has the wrong dimensionality, or whose
-//! index byte is out of range, is a protocol violation.
+//! index byte is out of range, is a protocol violation. So is any
+//! variant but the four a node sends (`Route`, `Refine`, `Results`,
+//! `Publish`).
 
 #[cfg(not(unix))]
 compile_error!("the node runtime multiplexes its sockets with poll(2) and needs a unix target");
@@ -162,7 +164,11 @@ pub struct ServerOpts {
     pub scenario: Scenario,
 }
 
-/// Whether a peer's search message may reach the core. The core looks
+/// Whether a peer's search message may reach the core. A node runs with
+/// resilience and `routing_opt` off, so it sends only `Route`, `Refine`,
+/// `Results` and `Publish`; any other variant from a peer would drive
+/// machinery this driver never runs (an ack, a suspicion set, a
+/// never-pruned duplicate filter, an unanswered replica). The core looks
 /// indexes up by the index byte, and [`StoredL2`] refines from the
 /// ball's center and the stored points, so every sub-query must carry a
 /// ball and every center, rect and point must match the grid's `dims`.
@@ -184,20 +190,23 @@ fn admissible(msg: &SearchMsg, indexes: usize, dims: usize) -> Result<(), String
         dims_of("ball center", ball.center.len())?;
         dims_of("query rect", sq.rect.dims())
     };
+    let never = |what: &str| Err(format!("{what} is never sent by this node"));
     match msg {
-        SearchMsg::Route(subs) | SearchMsg::RefineBatch(subs) => subs.iter().try_for_each(subquery),
-        SearchMsg::Refine(sq) | SearchMsg::Issue(sq) => subquery(sq),
+        SearchMsg::Route(subs) => subs.iter().try_for_each(subquery),
+        SearchMsg::Refine(sq) => subquery(sq),
         SearchMsg::Publish {
-            index: i, entry, ..
-        }
-        | SearchMsg::Replicate {
             index: i, entry, ..
         } => {
             index(*i)?;
             dims_of("point", entry.point.len())
         }
-        SearchMsg::Tracked { inner, .. } => admissible(inner, indexes, dims),
-        SearchMsg::Results { .. } | SearchMsg::ResultsOpt { .. } | SearchMsg::Ack { .. } => Ok(()),
+        SearchMsg::Results { .. } => Ok(()),
+        SearchMsg::RefineBatch(_) => never("a refine batch"),
+        SearchMsg::ResultsOpt { .. } => never("a results batch"),
+        SearchMsg::Issue(_) => never("an issue"),
+        SearchMsg::Replicate { .. } => never("a replica"),
+        SearchMsg::Tracked { .. } => never("a tracked envelope"),
+        SearchMsg::Ack { .. } => never("an ack"),
     }
 }
 

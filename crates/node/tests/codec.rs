@@ -1,7 +1,8 @@
 //! Codec tests: proptest round-trips over every message variant,
-//! malformed-input rejection (errors, never panics), and the pin of the
-//! physical frame length to the paper's §4.1 `msg_bytes` pricing model
-//! via the documented per-variant delta.
+//! malformed-input rejection (errors, never panics), and byte goldens
+//! that pin the encoding of one fixed instance of every frame kind. The
+//! §4.1 price of a message is `simsearch::msg::msg_bytes`, not the
+//! codec's concern.
 //!
 //! The vendored proptest stand-in has no combinators beyond `prop_map`,
 //! so the generators here are written directly against its [`TestRng`]
@@ -10,13 +11,13 @@
 use lph::{Prefix, Rect};
 use metric::ObjectId;
 use node::wire::{
-    decode_body, decode_frame, encode_frame, model_delta, read_frame, Frame, HistogramSummary,
-    Member, Role, StatsReport, WireError, MAX_FRAME_BYTES,
+    decode_body, decode_frame, encode_frame, read_frame, Frame, HistogramSummary, Member, Role,
+    StatsReport, WireError, MAX_FRAME_BYTES,
 };
 use proptest::prelude::*;
 use proptest::TestRng;
 use simnet::AgentId;
-use simsearch::msg::{msg_bytes, QueryBall, ResultItem, SearchMsg, SubQueryMsg};
+use simsearch::msg::{QueryBall, ResultItem, SearchMsg, SubQueryMsg};
 use simsearch::store::Entry;
 use simsearch::telemetry::QuerySummary;
 
@@ -327,15 +328,268 @@ proptest! {
             Err(WireError::TrailingGarbage { .. })
         ));
     }
+}
 
-    /// The physical frame length equals the §4.1 model price plus the
-    /// documented structural delta, for every protocol variant.
-    #[test]
-    fn physical_length_pins_to_byte_model(msg in Gen(gen_search)) {
-        let k = |_: u8| 3usize;
-        let encoded = encode_frame(&Frame::Search(msg.clone())).len() as i64;
-        let model = msg_bytes(&msg, k) as i64;
-        prop_assert_eq!(encoded, model + model_delta(&msg, k));
+// ------------------------------------------------------------------
+// Byte goldens: the wire format, pinned
+// ------------------------------------------------------------------
+
+fn golden_sub(ball: bool) -> SubQueryMsg {
+    SubQueryMsg {
+        qid: 7,
+        index: 1,
+        rect: Rect::new(vec![0.25, 0.5], vec![0.75, 1.0]),
+        prefix: Prefix::of_key(0xA000_0000_0000_0000, 3),
+        hops: 2,
+        origin: AgentId(5),
+        ball: ball.then(|| QueryBall {
+            center: vec![0.5, 0.75].into(),
+            radius: 0.25,
+        }),
+        shortcut: true,
+    }
+}
+
+fn golden_entry() -> Entry {
+    Entry {
+        ring_key: 0x0123_4567_89AB_CDEF,
+        obj: ObjectId(42),
+        point: vec![0.5, -1.0].into_boxed_slice(),
+    }
+}
+
+fn golden_item(cached: bool) -> ResultItem {
+    ResultItem {
+        qid: 9,
+        hops: 3,
+        entries: vec![(ObjectId(1), 0.5)],
+        degraded: false,
+        index: 1,
+        owner: 0xFEED,
+        covered: vec![(10, 20)],
+        cached: cached.then(|| vec![(ObjectId(1), vec![0.5, 0.25].into_boxed_slice())]),
+    }
+}
+
+/// One fixed instance of every `SearchMsg` variant and every control
+/// frame, with its complete encoding (length prefix included) as hex.
+/// Covers a sub-query with and without a ball, a result item with and
+/// without a cached candidate set, and `Tracked` around a `Refine`.
+fn golden_frames() -> Vec<(Frame, &'static str)> {
+    let search = |m: SearchMsg| Frame::Search(m);
+    vec![
+        (
+            search(SearchMsg::Route(vec![golden_sub(true), golden_sub(false)])),
+            "9f00000000020007000000010200000005000000000000000100000000000000
+             a0030000000200000000000000d03f000000000000e03f000000000000e83f00
+             0000000000f03f01000000000000d03f0200000000000000e03f000000000000
+             e83f07000000010200000005000000000000000100000000000000a003000000
+             0200000000000000d03f000000000000e03f000000000000e83f000000000000
+             f03f00",
+        ),
+        (
+            search(SearchMsg::Refine(golden_sub(true))),
+            "5c0000000107000000010200000005000000000000000100000000000000a003
+             0000000200000000000000d03f000000000000e03f000000000000e83f000000
+             000000f03f01000000000000d03f0200000000000000e03f000000000000e83f",
+        ),
+        (
+            search(SearchMsg::RefineBatch(vec![golden_sub(false)])),
+            "4400000002010007000000010200000005000000000000000100000000000000
+             a0030000000200000000000000d03f000000000000e03f000000000000e83f00
+             0000000000f03f00",
+        ),
+        (
+            search(SearchMsg::Results {
+                qid: 9,
+                hops: 3,
+                entries: vec![(ObjectId(1), 0.5), (ObjectId(2), 1.5)],
+                degraded: true,
+            }),
+            "2400000003090000000300000001020001000000000000000000e03f02000000
+             000000000000f83f",
+        ),
+        (
+            search(SearchMsg::ResultsOpt {
+                items: vec![golden_item(true), golden_item(false)],
+            }),
+            "8300000004020009000000030000000001edfe00000000000001000100000000
+             0000000000e03f01000a00000000000000140000000000000001010000000100
+             00000200000000000000e03f000000000000d03f09000000030000000001edfe
+             000000000000010001000000000000000000e03f01000a000000000000001400
+             00000000000000",
+        ),
+        (
+            search(SearchMsg::Issue(golden_sub(true))),
+            "5c0000000507000000010200000005000000000000000100000000000000a003
+             0000000200000000000000d03f000000000000e03f000000000000e83f000000
+             000000f03f01000000000000d03f0200000000000000e03f000000000000e83f",
+        ),
+        (
+            search(SearchMsg::Publish {
+                index: 0,
+                entry: golden_entry(),
+                hops: 4,
+            }),
+            "24000000060004000000efcdab89674523012a0000000200000000000000e03f
+             000000000000f0bf",
+        ),
+        (
+            search(SearchMsg::Replicate {
+                index: 1,
+                owner: 77,
+                entry: golden_entry(),
+            }),
+            "2800000007014d00000000000000efcdab89674523012a000000020000000000
+             0000e03f000000000000f0bf",
+        ),
+        (
+            search(SearchMsg::Tracked {
+                seq: 5,
+                dead: vec![3, 8],
+                inner: Box::new(SearchMsg::Refine(golden_sub(false))),
+            }),
+            "5d00000008050000000000000002000300000000000000080000000000000001
+             07000000010200000005000000000000000100000000000000a0030000000200
+             000000000000d03f000000000000e03f000000000000e83f000000000000f03f
+             00",
+        ),
+        (
+            search(SearchMsg::Ack { seq: 6 }),
+            "09000000090600000000000000",
+        ),
+        (
+            Frame::Hello {
+                role: Role::Client,
+                index: 11,
+            },
+            "0a00000010010b00000000000000",
+        ),
+        (
+            Frame::JoinRequest {
+                addr: "127.0.0.1:9000".into(),
+            },
+            "11000000110e003132372e302e302e313a39303030",
+        ),
+        (
+            Frame::Members {
+                members: vec![
+                    Member {
+                        index: 0,
+                        addr: "a:1".into(),
+                    },
+                    Member {
+                        index: 1,
+                        addr: "b:2".into(),
+                    },
+                ],
+            },
+            "1d00000012020000000000000000000300613a3101000000000000000300623a
+             32",
+        ),
+        (
+            Frame::Error {
+                reason: "bad".into(),
+            },
+            "06000000130300626164",
+        ),
+        (
+            Frame::ClientPublish {
+                index: 0,
+                obj: 3,
+                point: vec![0.5, 0.25],
+            },
+            "180000001400030000000200000000000000e03f000000000000d03f",
+        ),
+        (Frame::PublishAck, "0100000015"),
+        (
+            Frame::ClientQuery {
+                qid: 5,
+                index: 0,
+                center: vec![0.125, 0.875],
+                radius: 0.0625,
+            },
+            "20000000160500000000000000000000b03f0200000000000000c03f00000000
+             0000ec3f",
+        ),
+        (
+            Frame::QueryStatus { qid: 5, seen: 2 },
+            "09000000170500000002000000",
+        ),
+        (
+            Frame::QueryReport {
+                qid: 5,
+                responses: 2,
+                max_hops: 3,
+                degraded: false,
+                merged: vec![(1, 0.5)],
+            },
+            "1c0000001805000000020000000300000000010001000000000000000000e03f",
+        ),
+        (Frame::StatsRequest, "0100000019"),
+        (
+            Frame::StatsReport(StatsReport {
+                counters: vec![("a".into(), 1)],
+                histograms: vec![HistogramSummary {
+                    name: "h".into(),
+                    count: 2,
+                    sum: 3,
+                    max: 4,
+                }],
+                queries: vec![(
+                    5,
+                    QuerySummary {
+                        hops: 1,
+                        splits: 2,
+                        shared_paths: 3,
+                        forwards: 4,
+                        handoffs: 5,
+                        refines: 6,
+                        peels: 7,
+                        answers: 8,
+                        scanned: 9,
+                        matched: 10,
+                        returned: 11,
+                        query_bytes: 12,
+                        result_bytes: 13,
+                    },
+                )],
+                load: 9,
+            }),
+            "830000001a010001006101000000000000000100010068020000000000000003
+             0000000000000004000000000000000100000005000000010000000200000003
+             000000040000000500000006000000070000000800000009000000000000000a
+             000000000000000b000000000000000c000000000000000d0000000000000009
+             00000000000000",
+        ),
+        (Frame::MembersRequest, "010000001b"),
+        (Frame::Shutdown, "010000001c"),
+        (Frame::ShutdownAck, "010000001d"),
+    ]
+}
+
+fn hex(bytes: &[u8]) -> String {
+    bytes.iter().map(|b| format!("{b:02x}")).collect()
+}
+
+/// Every frame encodes to exactly its pinned bytes, and decodes back to
+/// a frame that re-encodes to them.
+#[test]
+fn every_frame_matches_its_pinned_bytes() {
+    let frames = golden_frames();
+    assert_eq!(frames.len(), 24, "ten search variants, fourteen controls");
+    for (frame, want) in &frames {
+        let bytes = encode_frame(frame);
+        let want: String = want.split_whitespace().collect();
+        assert_eq!(hex(&bytes), want, "{} frame's bytes moved", frame.kind());
+        let (back, used) = decode_frame(&bytes).unwrap().unwrap();
+        assert_eq!(used, bytes.len());
+        assert_eq!(
+            encode_frame(&back),
+            bytes,
+            "{} re-encode differs",
+            frame.kind()
+        );
     }
 }
 
@@ -389,11 +643,12 @@ fn bad_utf8_in_strings_is_an_error() {
 
 #[test]
 fn deep_tracked_nesting_is_bounded() {
-    // Hand-roll 6 nested Tracked envelopes around an Ack; the decoder
-    // caps recursion instead of following a hostile frame down.
+    // Hand-roll two nested Tracked envelopes around an Ack: the protocol
+    // never nests them, so the decoder refuses the inner one instead of
+    // following a hostile frame down.
     let mut body = vec![9u8];
     body.extend_from_slice(&7u64.to_le_bytes()); // Ack { seq: 7 }
-    for _ in 0..6 {
+    for _ in 0..2 {
         let mut outer = vec![8u8]; // Tracked
         outer.extend_from_slice(&1u64.to_le_bytes()); // seq
         outer.extend_from_slice(&0u16.to_le_bytes()); // empty dead list

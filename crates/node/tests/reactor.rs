@@ -325,8 +325,9 @@ fn a_bad_connection_dies_alone() {
 
 /// A peer's search frame the core could not serve — a sub-query without
 /// the ball the node refines from, a center, rect or point of the wrong
-/// dimensionality, an index byte out of range — is a protocol violation:
-/// it costs its connection, never the node.
+/// dimensionality, an index byte out of range, or a well-formed variant
+/// no node sends with resilience and routing_opt off — is a protocol
+/// violation: it costs its connection, never the node.
 #[test]
 fn an_inadmissible_peer_frame_kills_only_its_connection() {
     let cluster = Cluster::spawn(1);
@@ -351,15 +352,38 @@ fn an_inadmissible_peer_frame_kills_only_its_connection() {
         point: vec![0.5; dims].into_boxed_slice(),
     };
     let ball = || Some(vec![0.5; 3]);
+    let publish = || SearchMsg::Publish {
+        index: 0,
+        entry: entry(3),
+        hops: 0,
+    };
     let cases = [
         ("a refine without a ball", SearchMsg::Refine(sq(0, 3, None))),
         (
-            "a tracked route without a ball",
+            "a tracked publish, which would be acked",
             SearchMsg::Tracked {
                 seq: 1,
-                dead: Vec::new(),
-                inner: Box::new(SearchMsg::Route(vec![sq(0, 3, ball()), sq(0, 3, None)])),
+                dead: vec![5],
+                inner: Box::new(publish()),
             },
+        ),
+        ("an ack", SearchMsg::Ack { seq: 1 }),
+        (
+            "a replica",
+            SearchMsg::Replicate {
+                index: 0,
+                owner: 0,
+                entry: entry(3),
+            },
+        ),
+        ("an issue", SearchMsg::Issue(sq(0, 3, ball()))),
+        (
+            "a refine batch",
+            SearchMsg::RefineBatch(vec![sq(0, 3, ball())]),
+        ),
+        (
+            "a results batch",
+            SearchMsg::ResultsOpt { items: Vec::new() },
         ),
         (
             "a 2-dim ball center",
@@ -372,14 +396,6 @@ fn an_inadmissible_peer_frame_kills_only_its_connection() {
                 index: 0,
                 entry: entry(2),
                 hops: 0,
-            },
-        ),
-        (
-            "a 4-dim replicated point",
-            SearchMsg::Replicate {
-                index: 0,
-                owner: 0,
-                entry: entry(4),
             },
         ),
         (
@@ -410,11 +426,7 @@ fn an_inadmissible_peer_frame_kills_only_its_connection() {
     }
 
     // A well-formed peer frame still gets through...
-    let _kept = peer(SearchMsg::Publish {
-        index: 0,
-        entry: entry(3),
-        hops: 0,
-    });
+    let _kept = peer(publish());
     let deadline = Instant::now() + PATIENCE;
     while good.stats().expect("stats").load == 0 {
         assert!(

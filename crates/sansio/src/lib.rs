@@ -64,8 +64,8 @@ pub enum Input<M> {
 pub enum Output<M> {
     /// Transmit `msg` to `to`; `bytes` is the modelled wire size from
     /// the paper's §4.1 pricing (`simsearch::msg`/`chord::protocol`
-    /// `msg_bytes`) and feeds bandwidth accounting in the simulator and
-    /// the frame-length cross-check in the socket codec.
+    /// `msg_bytes`) and feeds bandwidth accounting in the simulator; the
+    /// socket runtime ignores it.
     Send {
         /// Destination node.
         to: AgentId,
