@@ -12,7 +12,6 @@ use crate::runtime::connect_retry;
 use crate::scenario::{parse_spec, read_corpus, RangeQuery, Scenario, KNN_K};
 use crate::wire::{self, Frame, FrameBuf, Member, StatsReport};
 use serde_json::Value;
-use std::collections::HashMap;
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
@@ -121,15 +120,16 @@ impl Client {
         }
     }
 
+    /// The error for a reply of the wrong kind to a `what` request.
+    fn unexpected(&self, what: &str, reply: &Frame) -> String {
+        format!("{} answered {what} with {}", self.addr, reply.kind())
+    }
+
     /// The cluster membership in agent-index order.
     pub fn members(&mut self) -> Result<Vec<Member>, String> {
         match self.request(&Frame::MembersRequest)? {
             Frame::Members { members } => Ok(members),
-            other => Err(format!(
-                "{} answered members-request with {}",
-                self.addr,
-                other.kind()
-            )),
+            other => Err(self.unexpected("members-request", &other)),
         }
     }
 
@@ -141,11 +141,7 @@ impl Client {
             point: point.to_vec(),
         })? {
             Frame::PublishAck => Ok(()),
-            other => Err(format!(
-                "{} answered publish with {}",
-                self.addr,
-                other.kind()
-            )),
+            other => Err(self.unexpected("publish", &other)),
         }
     }
 
@@ -186,11 +182,7 @@ impl Client {
     pub fn stats(&mut self) -> Result<StatsReport, String> {
         match self.request(&Frame::StatsRequest)? {
             Frame::StatsReport(r) => Ok(r),
-            other => Err(format!(
-                "{} answered stats-request with {}",
-                self.addr,
-                other.kind()
-            )),
+            other => Err(self.unexpected("stats-request", &other)),
         }
     }
 
@@ -198,11 +190,7 @@ impl Client {
     pub fn shutdown(&mut self) -> Result<(), String> {
         match self.request(&Frame::Shutdown)? {
             Frame::ShutdownAck => Ok(()),
-            other => Err(format!(
-                "{} answered shutdown with {}",
-                self.addr,
-                other.kind()
-            )),
+            other => Err(self.unexpected("shutdown", &other)),
         }
     }
 
@@ -250,35 +238,22 @@ pub fn publish_file(connect: &str, corpus_path: &str) -> Result<(), String> {
     if corpus.is_empty() {
         return Err(format!("corpus {corpus_path} is empty"));
     }
-    let mut entry_client = Client::connect(connect)?;
-    let members = entry_client.members()?;
-    let n = members.len();
-    let mut per_member: HashMap<usize, Client> = HashMap::new();
+    let members = Client::connect(connect)?.members()?;
+    let mut clients: Vec<Client> = members
+        .iter()
+        .map(|m| Client::connect(&m.addr))
+        .collect::<Result<_, _>>()?;
+    let n = clients.len();
     for (obj, point) in corpus.iter().enumerate() {
-        let at = obj % n;
-        if let std::collections::hash_map::Entry::Vacant(e) = per_member.entry(at) {
-            e.insert(Client::connect(&members[at].addr)?);
-        }
-        per_member
-            .get_mut(&at)
-            .expect("client just inserted")
-            .publish(0, obj as u32, point)?;
+        clients[obj % n].publish(0, obj as u32, point)?;
     }
     // Barrier: with no replication every object is stored exactly once,
     // so total load == corpus size means all publishes completed.
     let deadline = Instant::now() + CHECK_PATIENCE;
     loop {
         let mut stored = 0u64;
-        for m in &members {
-            let at = m.index as usize;
-            if let std::collections::hash_map::Entry::Vacant(e) = per_member.entry(at) {
-                e.insert(Client::connect(&m.addr)?);
-            }
-            stored += per_member
-                .get_mut(&at)
-                .expect("client just inserted")
-                .stats()?
-                .load;
+        for client in &mut clients {
+            stored += client.stats()?.load;
         }
         if stored as usize >= corpus.len() {
             println!("published {} objects ({} stored)", corpus.len(), stored);
@@ -299,49 +274,28 @@ fn render_results(results: &[(u32, f64)]) -> String {
     format!("[{}]", parts.join(", "))
 }
 
-/// Wait for news of `qid` at `client` until its merged results *start
-/// with* `expected` (same objects, same order, bit-identical distances).
-/// The tail beyond the prefix is allowed: the L∞ pruning bound admits
-/// points just outside the metric radius, and an expanding k-nearest
-/// search accumulates them behind the certified nearest entries.
-fn await_prefix(
-    client: &mut Client,
-    qid: u32,
-    expected: &[(u32, f64)],
-    what: &str,
-) -> Result<Report, String> {
-    let deadline = Instant::now() + CHECK_PATIENCE;
-    let mut last = client.status(qid)?;
-    while !last.merged.starts_with(expected) {
-        if Instant::now() >= deadline {
-            return Err(format!(
-                "{what} qid={qid}: expected a {} prefix, still seeing {} after \
-                 {CHECK_PATIENCE:?} ({} responses)",
-                render_results(expected),
-                render_results(&last.merged),
-                last.responses
-            ));
-        }
-        last = client.status(qid)?;
-    }
-    Ok(last)
-}
-
 /// Wait for news of `qid` at `client` until its merged results equal
-/// `expected` exactly (same objects, same order, bit-identical distances).
-fn await_expected(
+/// `expected` exactly (same objects, same order, bit-identical
+/// distances) or, with `prefix`, start with it. A tail beyond the prefix
+/// is allowed there: the L∞ pruning bound admits points just outside the
+/// metric radius, and an expanding k-nearest search accumulates them
+/// behind the certified nearest entries.
+fn await_results(
     client: &mut Client,
     qid: u32,
     expected: &[(u32, f64)],
+    prefix: bool,
     what: &str,
 ) -> Result<Report, String> {
+    let done = |r: &Report| r.merged.starts_with(expected) && (prefix || r.merged == expected);
     let deadline = Instant::now() + CHECK_PATIENCE;
     let mut last = client.status(qid)?;
-    while last.merged != expected {
+    while !done(&last) {
         if Instant::now() >= deadline {
             return Err(format!(
-                "{what} qid={qid}: expected {}, still seeing {} after {CHECK_PATIENCE:?} \
+                "{what} qid={qid}: expected {}{}, still seeing {} after {CHECK_PATIENCE:?} \
                  ({} responses)",
+                if prefix { "a prefix " } else { "" },
                 render_results(expected),
                 render_results(&last.merged),
                 last.responses
@@ -367,7 +321,7 @@ pub fn check_range(connect: &str, spec: &str, qid: u32, corpus_path: &str) -> Re
     let expected = sc.expected_range(&grid, &corpus, &q);
     let mut client = Client::connect(connect)?;
     client.query(qid, 0, &center, radius)?;
-    let report = await_expected(&mut client, qid, &expected, "range")?;
+    let report = await_results(&mut client, qid, &expected, false, "range")?;
     println!(
         "range qid={qid}: {} results, recall 1.000, max_hops={}, responses={}",
         report.merged.len(),
@@ -408,7 +362,7 @@ pub fn check_knn(connect: &str, spec: &str, qid: u32, corpus_path: &str) -> Resu
             // This radius provably covers the k nearest; wait for them
             // to surface at the head of the merged list (the tail may
             // hold admitted-but-farther points from earlier rounds).
-            let report = await_prefix(&mut client, qid, &expected, "knn")?;
+            let report = await_results(&mut client, qid, &expected, true, "knn")?;
             println!(
                 "knn qid={qid}: k={k} certified at radius {radius:.4} (round {round}), \
                  recall 1.000, responses={}",
@@ -426,7 +380,7 @@ pub fn check_knn(connect: &str, spec: &str, qid: u32, corpus_path: &str) -> Resu
             .copied()
             .filter(|&(_, d)| d <= radius)
             .collect();
-        await_prefix(&mut client, qid, &covered, "knn round")?;
+        await_results(&mut client, qid, &covered, true, "knn round")?;
         radius *= growth;
     }
     Err(format!(

@@ -16,7 +16,8 @@
 //!   corpus, query script) every process and the simulator derive from
 //!   one seed, making sim-vs-socket parity checkable.
 //! * [`runtime`] — the node process: bootstrap join dance, then one
-//!   thread multiplexing every non-blocking socket with `poll(2)` and
+//!   thread waiting on every non-blocking socket through one
+//!   level-triggered `epoll(7)` set (so the node is Linux-only) and
 //!   owning the protocol state, the timer wheel and all connection
 //!   buffers.
 //! * [`client`] — client-side operations with exact expected-answer

@@ -1,4 +1,4 @@
-//! The real-socket driver: a single-threaded `poll(2)` reactor around
+//! The real-socket driver: a single-threaded `epoll(7)` reactor around
 //! the sans-io [`SearchNode`] core.
 //!
 //! One process hosts one node, and one thread is the whole node: it
@@ -21,15 +21,26 @@
 //!    them, answering again after each connection;
 //! 4. **flush** — one `write` per connection that has unsent bytes.
 //!    What a socket will not take stays buffered and the connection is
-//!    also polled for writability;
-//! 5. **poll** — sleep in `poll(2)` until a socket is ready, the
+//!    also watched for writability. A connection whose interest changed
+//!    (below) is re-registered with `EPOLL_CTL_MOD`;
+//! 5. **wait** — sleep in `epoll_wait(2)` until a socket is ready, the
 //!    wheel's next deadline or the earliest parked request's patience;
 //! 6. **accept / read / dispatch** — one `read` per readable
 //!    connection, then every complete frame in its buffer in order,
 //!    draining self-sends after each. A connection's role is looked up
 //!    per frame, so a `Hello` and the first request may share a read.
 //!
-//! The only things that block are `poll` itself and a first-use
+//! Readiness comes from one level-triggered `epoll` set that lives as
+//! long as the node. A socket is added when its connection opens and
+//! removed when it closes; its interest is reads (only a hang-up while a
+//! request is parked), plus writes while bytes remain, and is modified
+//! only when that changes: a request parks or is answered, or a write
+//! comes up short. Any other turn costs one `epoll_wait` and no other
+//! readiness syscall. Its key, slot plus open count, drops an event for
+//! a connection closed earlier in the same batch, even once a newer
+//! connection holds the slot.
+//!
+//! The only things that block are `epoll_wait` itself and a first-use
 //! outbound connect (one attempt, at most `CONNECT_PATIENCE`). A peer
 //! or client that stops reading costs memory up to `MAX_BACKLOG` and
 //! then its connection — never a turn of the loop. A malformed frame,
@@ -48,7 +59,7 @@
 //! reply leaves later than an earlier check would have sent it. The
 //! reply is the ordinary report; one still unchanged after
 //! [`PARK_PATIENCE`] goes out as it is. While a request is parked its
-//! connection is polled without `POLLIN`, so whatever the client sent
+//! connection is watched for `EPOLLRDHUP` only, so whatever the client sent
 //! behind it waits in the kernel (or, already read, in the connection's
 //! buffer) and replies keep request order. A hang-up still surfaces and
 //! closes the connection, and the parked request with it.
@@ -100,22 +111,20 @@
 //! variant but the four a node sends (`Route`, `Refine`, `Results`,
 //! `Publish`).
 
-#[cfg(not(unix))]
-compile_error!("the node runtime multiplexes its sockets with poll(2) and needs a unix target");
+#[cfg(not(target_os = "linux"))]
+compile_error!("the node runtime waits on its sockets with epoll(7) and needs a Linux target");
 
-use crate::scenario::{rotation, Scenario, StoredL2, KNN_K};
+use crate::scenario::{rotation, RangeQuery, Scenario, StoredL2, KNN_K};
 use crate::wire::{self, Frame, FrameBuf, HistogramSummary, Member, Role, StatsReport};
-use lph::Rect;
-use metric::ObjectId;
 use sansio::{dispatch, Input, Links, Output, ProtoCtx};
 use simnet::{AgentId, SimDuration, SimTime, TimerTag};
 use simsearch::node::IndexState;
-use simsearch::{Entry, QueryBall, QueryId, SearchMsg, SearchNode, Store, SubQueryMsg, Telemetry};
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use simsearch::{QueryId, SearchMsg, SearchNode, Store, SubQueryMsg, Telemetry};
+use std::collections::{BinaryHeap, VecDeque};
 use std::ffi::c_int;
 use std::io::{self, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::os::unix::io::{AsRawFd, RawFd};
+use std::os::fd::{AsRawFd, FromRawFd, OwnedFd, RawFd};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -221,94 +230,122 @@ impl Links for ConstLinks {
 
 /// The shared timer wheel: armed one-shot timers ordered by deadline,
 /// with arm order breaking ties — mirroring the simulator's
-/// `(time, seq)` event ordering.
+/// `(time, seq)` event ordering. Arm orders are unique, so the tag that
+/// rides along never decides the order.
 #[derive(Default)]
 struct TimerWheel {
-    heap: BinaryHeap<std::cmp::Reverse<(Instant, u64)>>,
-    tags: HashMap<u64, TimerTag>,
+    heap: BinaryHeap<std::cmp::Reverse<(Instant, u64, u64)>>,
     seq: u64,
 }
 
 impl TimerWheel {
     fn schedule(&mut self, at: Instant, tag: TimerTag) {
-        let seq = self.seq;
+        self.heap.push(std::cmp::Reverse((at, self.seq, tag.0)));
         self.seq += 1;
-        self.tags.insert(seq, tag);
-        self.heap.push(std::cmp::Reverse((at, seq)));
     }
 
     fn next_deadline(&self) -> Option<Instant> {
-        self.heap.peek().map(|std::cmp::Reverse((at, _))| *at)
+        self.heap.peek().map(|std::cmp::Reverse((at, ..))| *at)
     }
 
     fn pop_due(&mut self, now: Instant) -> Option<TimerTag> {
-        let &std::cmp::Reverse((at, seq)) = self.heap.peek()?;
+        let &std::cmp::Reverse((at, _, tag)) = self.heap.peek()?;
         if at > now {
             return None;
         }
         self.heap.pop();
-        Some(
-            self.tags
-                .remove(&seq)
-                .expect("timer wheel entry lost its tag"),
-        )
+        Some(TimerTag(tag))
     }
 }
 
-/// `struct pollfd` of `poll(2)`.
+/// `struct epoll_event` of `epoll_ctl(2)`: the events, then the key the
+/// kernel hands back with them. The kernel packs it on x86-64 only.
 #[repr(C)]
-struct PollFd {
-    fd: RawFd,
-    events: i16,
-    revents: i16,
+#[cfg_attr(target_arch = "x86_64", repr(packed))]
+#[derive(Clone, Copy)]
+struct EpollEvent {
+    events: u32,
+    key: u64,
 }
 
-const POLLIN: i16 = 0x1;
-const POLLOUT: i16 = 0x4;
-/// The peer closed its end: on Linux this surfaces even on an entry
-/// polled without `POLLIN`. Elsewhere only a full hang-up (`POLLHUP`,
-/// which needs no request) does.
-#[cfg(target_os = "linux")]
-const POLLRDHUP: i16 = 0x2000;
-#[cfg(not(target_os = "linux"))]
-const POLLRDHUP: i16 = 0;
-
-/// An entry `poll` skips: negative descriptors are ignored.
-const NO_FD: PollFd = PollFd {
-    fd: -1,
-    events: 0,
-    revents: 0,
-};
-
-#[cfg(target_os = "linux")]
-type NFds = std::ffi::c_ulong;
-#[cfg(not(target_os = "linux"))]
-type NFds = std::ffi::c_uint;
+const EPOLLIN: u32 = 0x1;
+const EPOLLOUT: u32 = 0x4;
+/// The peer closed its end; reported even to a registration without
+/// `EPOLLIN`, so a connection that is not being read still sees it.
+const EPOLLRDHUP: u32 = 0x2000;
+/// `O_CLOEXEC` with the generic open flags (x86-64, arm64, ...).
+const EPOLL_CLOEXEC: c_int = 0o2_000_000;
+const EPOLL_CTL_ADD: c_int = 1;
+const EPOLL_CTL_DEL: c_int = 2;
+const EPOLL_CTL_MOD: c_int = 3;
 
 extern "C" {
-    fn poll(fds: *mut PollFd, nfds: NFds, timeout: c_int) -> c_int;
+    fn epoll_create1(flags: c_int) -> c_int;
+    fn epoll_ctl(epfd: c_int, op: c_int, fd: c_int, event: *mut EpollEvent) -> c_int;
+    fn epoll_wait(epfd: c_int, events: *mut EpollEvent, max: c_int, timeout: c_int) -> c_int;
 }
 
-/// Sleep until a descriptor in `fds` is ready (its `revents` is then
-/// non-zero) or `timeout` passes; `None` waits indefinitely. `std` has
-/// no readiness API, hence the binding. A signal just ends the wait.
-fn wait_ready(fds: &mut [PollFd], timeout: Option<Duration>) -> io::Result<()> {
-    // Round up: a timer must not fire before its deadline.
-    let ms = timeout.map_or(-1, |t| {
-        t.as_micros().div_ceil(1000).min(c_int::MAX as u128) as c_int
-    });
-    // SAFETY: `fds` is an exclusively borrowed slice of `#[repr(C)]`
-    // structs with `struct pollfd`'s layout, and the length passed is
-    // the slice's own; the kernel reads `fd`/`events`, writes `revents`
-    // of those entries only, and keeps no pointer once the call returns.
-    let rc = unsafe { poll(fds.as_mut_ptr(), fds.len() as NFds, ms) };
-    if rc < 0 {
-        let e = io::Error::last_os_error();
-        if e.kind() != io::ErrorKind::Interrupted {
-            return Err(e);
+/// The listener's key. A connection's key is its slot in the low half
+/// and its open count in the high half, so it is never this.
+const LISTENER: u64 = u64::MAX;
+
+/// One level-triggered `epoll` instance, each socket registered under a
+/// key. `std` has no readiness API, hence the binding.
+struct Epoll {
+    fd: OwnedFd,
+    /// What the last [`Epoll::wait`] reported, in its first entries.
+    ready: [EpollEvent; 64],
+}
+
+impl Epoll {
+    fn new() -> io::Result<Epoll> {
+        // SAFETY: the call takes no pointer.
+        let fd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
+        if fd < 0 {
+            return Err(io::Error::last_os_error());
         }
+        Ok(Epoll {
+            // SAFETY: `fd` was just opened by this process, and nothing
+            // else owns or closes it.
+            fd: unsafe { OwnedFd::from_raw_fd(fd) },
+            ready: [EpollEvent { events: 0, key: 0 }; 64],
+        })
     }
-    Ok(())
+
+    /// Register `fd` (`EPOLL_CTL_ADD`), change what it is registered for
+    /// (`EPOLL_CTL_MOD`) or remove it (`EPOLL_CTL_DEL`).
+    fn ctl(&self, op: c_int, fd: RawFd, events: u32, key: u64) -> io::Result<()> {
+        let mut event = EpollEvent { events, key };
+        // SAFETY: `event` is a `struct epoll_event` that lives across the
+        // call; the kernel reads it and keeps no pointer to it.
+        let rc = unsafe { epoll_ctl(self.fd.as_raw_fd(), op, fd, &mut event) };
+        if rc < 0 {
+            return Err(io::Error::last_os_error());
+        }
+        Ok(())
+    }
+
+    /// Sleep until a registered socket is ready or `timeout` passes
+    /// (`None` waits indefinitely); returns how many entries of `ready`
+    /// the kernel filled. A signal just ends the wait.
+    fn wait(&mut self, timeout: Option<Duration>) -> io::Result<usize> {
+        // Round up: a timer must not fire before its deadline.
+        let ms = timeout.map_or(-1, |t| {
+            t.as_micros().div_ceil(1000).min(c_int::MAX as u128) as c_int
+        });
+        let (ready, max) = (self.ready.as_mut_ptr(), self.ready.len() as c_int);
+        // SAFETY: `ready` points at `max` exclusively borrowed entries;
+        // the kernel writes at most `max` of them and keeps no pointer
+        // once the call returns.
+        let n = unsafe { epoll_wait(self.fd.as_raw_fd(), ready, max, ms) };
+        if n >= 0 {
+            return Ok(n as usize);
+        }
+        let e = io::Error::last_os_error();
+        (e.kind() == io::ErrorKind::Interrupted)
+            .then_some(0)
+            .ok_or(e)
+    }
 }
 
 /// What a connection is for; decides how its next frame is read.
@@ -332,6 +369,10 @@ enum Link {
 struct Conn {
     stream: TcpStream,
     link: Link,
+    /// Its registration: the key its events carry, and the events it is
+    /// registered for.
+    key: u64,
+    interest: u32,
     inbox: FrameBuf,
     /// Encoded frames the kernel has not taken yet, after the first
     /// `sent` bytes, which it has.
@@ -424,35 +465,27 @@ fn bootstrap(
                 let (mut conn, _) = listener
                     .accept()
                     .map_err(|e| format!("accept failed during bootstrap: {e}"))?;
-                match wire::read_frame(&mut conn) {
+                let reason = match wire::read_frame(&mut conn) {
+                    Ok(Some(Frame::JoinRequest { addr }))
+                        if addr == my_addr || joined.iter().any(|(a, _)| *a == addr) =>
+                    {
+                        format!("listen address {addr} is already a member (double join)")
+                    }
                     Ok(Some(Frame::JoinRequest { addr })) => {
-                        if addr == my_addr || joined.iter().any(|(a, _)| *a == addr) {
-                            let _ = wire::write_frame(
-                                &mut conn,
-                                &Frame::Error {
-                                    reason: format!(
-                                        "listen address {addr} is already a member (double join)"
-                                    ),
-                                },
-                            );
-                            continue;
-                        }
                         joined.push((addr, conn));
+                        continue;
                     }
-                    Ok(Some(other)) => {
-                        let _ = wire::write_frame(
-                            &mut conn,
-                            &Frame::Error {
-                                reason: format!(
-                                    "cluster is bootstrapping; {} frames not accepted yet",
-                                    other.kind()
-                                ),
-                            },
-                        );
+                    Ok(Some(other)) => format!(
+                        "cluster is bootstrapping; {} frames not accepted yet",
+                        other.kind()
+                    ),
+                    Ok(None) => continue, // probe connection; ignore
+                    Err(e) => {
+                        eprintln!("seed: malformed join attempt: {e}");
+                        continue;
                     }
-                    Ok(None) => {} // probe connection; ignore
-                    Err(e) => eprintln!("seed: malformed join attempt: {e}"),
-                }
+                };
+                let _ = wire::write_frame(&mut conn, &Frame::Error { reason });
             }
             let mut addrs: Vec<String> = joined.iter().map(|(a, _)| a.clone()).collect();
             addrs.push(my_addr.to_string());
@@ -526,16 +559,18 @@ struct Runtime {
     local: VecDeque<SearchMsg>,
     start: Instant,
     telemetry: Telemetry,
-    grid_dims: usize,
+    /// What every member derives its grid and messages from.
+    scenario: Scenario,
     members: Vec<Member>,
     listener: TcpListener,
     /// Connection slots; a closed connection leaves a hole for reuse.
     conns: Vec<Option<Conn>>,
     /// Per member, the slot of this node's [`Link::PeerOut`] to it.
     out: Vec<Option<usize>>,
-    /// `poll` set of the current turn: one entry per slot of `conns`,
-    /// then the listener.
-    fds: Vec<PollFd>,
+    /// The listener's and every connection's registration.
+    epoll: Epoll,
+    /// Connections opened so far: the high half of the next one's key.
+    opened: u32,
     /// The one read buffer every connection's `read` goes through.
     scratch: Box<[u8]>,
     /// Slots whose parked request was answered while frames behind it
@@ -625,25 +660,30 @@ impl Runtime {
         Ok(slot)
     }
 
-    /// Adopt a connected socket into a free slot.
+    /// Adopt a connected socket into a free slot, registered for reads.
     fn open(&mut self, stream: TcpStream, link: Link) -> io::Result<usize> {
         stream.set_nonblocking(true)?;
         // Frames are small and latency-sensitive.
         let _ = stream.set_nodelay(true);
-        let conn = Conn {
-            stream,
-            link,
-            inbox: FrameBuf::default(),
-            outbox: Vec::new(),
-            sent: 0,
-            parked: None,
-        };
         let free = self.conns.iter().position(Option::is_none);
         let slot = free.unwrap_or_else(|| {
             self.conns.push(None);
             self.conns.len() - 1
         });
-        self.conns[slot] = Some(conn);
+        self.opened = self.opened.wrapping_add(1);
+        let key = u64::from(self.opened) << 32 | slot as u64;
+        let fd = stream.as_raw_fd();
+        self.epoll.ctl(EPOLL_CTL_ADD, fd, EPOLLIN, key)?;
+        self.conns[slot] = Some(Conn {
+            stream,
+            link,
+            key,
+            interest: EPOLLIN,
+            inbox: FrameBuf::default(),
+            outbox: Vec::new(),
+            sent: 0,
+            parked: None,
+        });
         Ok(slot)
     }
 
@@ -659,6 +699,9 @@ impl Runtime {
         if conn.unsent() > 0 {
             let _ = conn.flush();
         }
+        // Dropping the socket below deregisters it too, so a failure
+        // here leaves nothing behind.
+        let _ = self.epoll.ctl(EPOLL_CTL_DEL, conn.stream.as_raw_fd(), 0, 0);
         if let Link::PeerOut(to) = conn.link {
             // The next send to this peer reconnects.
             self.out[to] = None;
@@ -745,20 +788,19 @@ impl Runtime {
                         self.node.indexes.len()
                     ));
                 }
-                if point.len() != self.grid_dims {
+                if point.len() != self.scenario.dims {
                     return error(format!(
                         "publish of a {}-dim point into a {}-dim index",
                         point.len(),
-                        self.grid_dims
+                        self.scenario.dims
                     ));
                 }
-                let point = point.into_boxed_slice();
-                let ring_key = self.node.indexes[index as usize].grid.hash(&point);
-                let entry = Entry {
-                    ring_key,
-                    obj: ObjectId(obj),
-                    point,
-                };
+                // No query rect could ever hold it.
+                if let Some(x) = point.iter().find(|x| !x.is_finite()) {
+                    return error(format!("published coordinate {x} is not a finite number"));
+                }
+                let grid = &self.node.indexes[index as usize].grid;
+                let entry = self.scenario.entry(grid, obj, &point);
                 self.feed(Input::Message {
                     from: AgentId(self.me),
                     msg: SearchMsg::Publish {
@@ -781,11 +823,18 @@ impl Runtime {
                         self.node.indexes.len()
                     ));
                 }
-                if center.len() != self.grid_dims {
+                if center.len() != self.scenario.dims {
                     return error(format!(
                         "{}-dim query center against a {}-dim index",
                         center.len(),
-                        self.grid_dims
+                        self.scenario.dims
+                    ));
+                }
+                // `Rect::ball` clips with `f64::max`/`min`, which drop a
+                // NaN: such a center would become a whole-space query.
+                if let Some(x) = center.iter().find(|x| !x.is_finite()) {
+                    return error(format!(
+                        "query center coordinate {x} is not a finite number"
                     ));
                 }
                 if !(radius.is_finite() && radius >= 0.0) {
@@ -793,22 +842,16 @@ impl Runtime {
                         "query radius {radius} is not a finite non-negative number"
                     ));
                 }
-                let center: Arc<[f64]> = center.into();
-                let grid = self.node.indexes[index as usize].grid.clone();
-                let rect = Rect::ball(&center, radius, grid.bounds());
-                let prefix = grid.enclosing_prefix(&rect);
+                let q = RangeQuery {
+                    origin: self.me,
+                    center,
+                    radius,
+                };
+                let grid = &self.node.indexes[index as usize].grid;
+                let msg = self.scenario.issue_msg(grid, qid, &q);
                 self.feed(Input::Message {
                     from: AgentId(self.me),
-                    msg: SearchMsg::Issue(SubQueryMsg {
-                        qid,
-                        index,
-                        rect,
-                        prefix,
-                        hops: 0,
-                        origin: AgentId(self.me),
-                        ball: Some(QueryBall { center, radius }),
-                        shortcut: false,
-                    }),
+                    msg,
                 });
                 Reply::News { qid, seen: 0 }
             }
@@ -896,7 +939,7 @@ impl Runtime {
                 ));
             }
             (Link::PeerIn(from), Frame::Search(msg)) => {
-                admissible(&msg, self.node.indexes.len(), self.grid_dims).map_err(|why| {
+                admissible(&msg, self.node.indexes.len(), self.scenario.dims).map_err(|why| {
                     format!("peer {from} sent an inadmissible search frame: {why}")
                 })?;
                 self.feed(Input::Message {
@@ -983,30 +1026,33 @@ impl Runtime {
         }
     }
 
-    /// The flush step for one slot: write what the socket takes, and
-    /// say what this turn's `poll` should watch the slot for.
-    fn flush(&mut self, slot: usize) -> PollFd {
+    /// The flush step for one slot: write what the socket takes, then
+    /// make its registration match what this turn's wait should watch
+    /// it for, if it does not already.
+    fn flush(&mut self, slot: usize) {
         let Some(conn) = self.conns[slot].as_mut() else {
-            return NO_FD;
+            return;
         };
         if conn.unsent() > 0 {
             if let Err(e) = conn.flush() {
-                self.close(slot, Some(format!("write failed: {e}")));
-                return NO_FD;
+                return self.close(slot, Some(format!("write failed: {e}")));
             }
         }
         // A parked connection is not read: what the client sent behind
         // the parked request waits in the kernel.
         let read = if conn.parked.is_some() {
-            POLLRDHUP
+            EPOLLRDHUP
         } else {
-            POLLIN
+            EPOLLIN
         };
-        let write = if conn.unsent() > 0 { POLLOUT } else { 0 };
-        PollFd {
-            fd: conn.stream.as_raw_fd(),
-            events: read | write,
-            revents: 0,
+        let write = if conn.unsent() > 0 { EPOLLOUT } else { 0 };
+        if read | write == conn.interest {
+            return;
+        }
+        conn.interest = read | write;
+        let fd = conn.stream.as_raw_fd();
+        if let Err(e) = self.epoll.ctl(EPOLL_CTL_MOD, fd, conn.interest, conn.key) {
+            self.close(slot, Some(format!("epoll_ctl failed: {e}")));
         }
     }
 
@@ -1024,17 +1070,9 @@ impl Runtime {
             self.answer_parked();
         }
 
-        self.fds.clear();
         for slot in 0..self.conns.len() {
-            let fd = self.flush(slot);
-            self.fds.push(fd);
+            self.flush(slot);
         }
-        let polled = self.fds.len();
-        self.fds.push(PollFd {
-            fd: self.listener.as_raw_fd(),
-            events: POLLIN,
-            revents: 0,
-        });
         // The shutdown ack is on the wire, or its client is gone.
         if let Some(slot) = self.stop {
             if self.conns[slot].as_ref().is_none_or(|c| c.unsent() == 0) {
@@ -1047,25 +1085,36 @@ impl Runtime {
             .chain(parked.map(|p| p.until))
             .min()
             .map(|at| at.saturating_duration_since(Instant::now()));
-        wait_ready(&mut self.fds, timeout).map_err(|e| format!("poll failed: {e}"))?;
+        let ready = self
+            .epoll
+            .wait(timeout)
+            .map_err(|e| format!("epoll_wait failed: {e}"))?;
 
-        if self.fds[polled].revents != 0 {
-            match self.listener.accept() {
-                Ok((stream, _)) => self.open(stream, Link::Fresh).map(drop),
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => Ok(()),
-                Err(e) => Err(e),
-            }
-            .unwrap_or_else(|e| eprintln!("node {}: accept failed: {e}", self.me));
-        }
-        // Slots opened during this pass are polled from the next turn.
-        for slot in 0..polled {
-            if self.fds[slot].revents & !POLLOUT == 0 {
+        // Connections opened while handling these events are reported
+        // from the next wait on.
+        for i in 0..ready {
+            let EpollEvent { events, key } = self.epoll.ready[i];
+            if key == LISTENER {
+                match self.listener.accept() {
+                    Ok((stream, _)) => self.open(stream, Link::Fresh).map(drop),
+                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => Ok(()),
+                    Err(e) => Err(e),
+                }
+                .unwrap_or_else(|e| eprintln!("node {}: accept failed: {e}", self.me));
                 continue;
             }
+            // Writable only: the next flush step writes.
+            if events & !EPOLLOUT == 0 {
+                continue;
+            }
+            // A connection closed earlier in this batch is gone from its
+            // slot, or replaced by one with a newer key.
+            let slot = key as u32 as usize;
+            let conn = self.conns[slot].as_ref().filter(|c| c.key == key);
             // Errors and hang-ups surface through the read as well, but a
             // parked connection is not read: a hang-up ends it and its
             // parked request.
-            match self.conns[slot].as_ref().map(|c| c.parked.is_some()) {
+            match conn.map(|c| c.parked.is_some()) {
                 Some(true) => self.close(slot, None),
                 Some(false) => self.read_ready(slot),
                 None => {}
@@ -1115,7 +1164,6 @@ pub fn run_server(opts: &ServerOpts) -> Result<(), String> {
         .expect("build_all_tables returned a table per member");
 
     let grid = Arc::new(sc.grid());
-    let grid_dims = grid.dims();
     let mut node = SearchNode::new(
         table,
         vec![IndexState {
@@ -1133,6 +1181,10 @@ pub fn run_server(opts: &ServerOpts) -> Result<(), String> {
     listener
         .set_nonblocking(true)
         .map_err(|e| format!("failed to make the listener non-blocking: {e}"))?;
+    let epoll = Epoll::new().map_err(|e| format!("failed to create the epoll instance: {e}"))?;
+    epoll
+        .ctl(EPOLL_CTL_ADD, listener.as_raw_fd(), EPOLLIN, LISTENER)
+        .map_err(|e| format!("failed to register the listener: {e}"))?;
     let mut rt = Runtime {
         me,
         node,
@@ -1140,12 +1192,13 @@ pub fn run_server(opts: &ServerOpts) -> Result<(), String> {
         local: VecDeque::new(),
         start: Instant::now(),
         telemetry,
-        grid_dims,
+        scenario: sc,
         out: members.iter().map(|_| None).collect(),
         members,
         listener,
         conns: Vec::new(),
-        fds: Vec::new(),
+        epoll,
+        opened: 0,
         scratch: vec![0; wire::READ_CHUNK].into_boxed_slice(),
         resume: Vec::new(),
         stop: None,
@@ -1154,4 +1207,52 @@ pub fn run_server(opts: &ServerOpts) -> Result<(), String> {
     while rt.turn()? {}
     eprintln!("node {me}: clean shutdown");
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn epoll_event_has_the_kernel_layout() {
+        let size = if cfg!(target_arch = "x86_64") { 12 } else { 16 };
+        assert_eq!(std::mem::size_of::<EpollEvent>(), size);
+    }
+
+    /// The binding end to end on one loopback pair: the key comes back
+    /// intact, a registration without `EPOLLIN` ignores bytes but not a
+    /// hang-up, and a removed socket reports nothing.
+    #[test]
+    fn epoll_reports_readiness_under_the_registered_key() {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let mut writer = TcpStream::connect(listener.local_addr().expect("addr")).expect("connect");
+        let (reader, _) = listener.accept().expect("accept");
+        let mut ep = Epoll::new().expect("epoll_create1");
+        let fd = reader.as_raw_fd();
+        let key = 7 << 32 | 3;
+        let (now, soon) = (Some(Duration::ZERO), Some(Duration::from_secs(5)));
+        let events = |ep: &Epoll, n: usize| -> Vec<(u32, u64)> {
+            ep.ready[..n].iter().map(|e| (e.events, e.key)).collect()
+        };
+
+        ep.ctl(EPOLL_CTL_ADD, fd, EPOLLIN, key).expect("add");
+        assert_eq!(ep.wait(now).expect("wait"), 0, "nothing sent yet");
+        writer.write_all(b"x").expect("write");
+        let n = ep.wait(soon).expect("wait");
+        assert_eq!(events(&ep, n), [(EPOLLIN, key)]);
+        // Level-triggered: the unread byte is reported again.
+        let n = ep.wait(now).expect("wait");
+        assert_eq!(events(&ep, n), [(EPOLLIN, key)]);
+
+        ep.ctl(EPOLL_CTL_MOD, fd, EPOLLRDHUP, key).expect("mod");
+        assert_eq!(ep.wait(now).expect("wait"), 0, "bytes alone are not news");
+        writer
+            .shutdown(std::net::Shutdown::Write)
+            .expect("shutdown");
+        let n = ep.wait(soon).expect("wait");
+        assert_eq!(events(&ep, n), [(EPOLLRDHUP, key)]);
+
+        ep.ctl(EPOLL_CTL_DEL, fd, 0, 0).expect("del");
+        assert_eq!(ep.wait(now).expect("wait"), 0, "a removed socket is silent");
+    }
 }

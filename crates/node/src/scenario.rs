@@ -17,13 +17,12 @@
 //! exactly, which is what lets it predict the cluster's answers from
 //! the corpus alone.
 
-use chord::{ChordId, NodeRef, OracleRing};
+use chord::{NodeRef, OracleRing};
 use lph::{Grid, Prefix, Rect, Rotation};
 use metric::ObjectId;
 use simnet::{AgentId, SimRng};
 use simsearch::msg::{QueryBall, QueryDistance, QueryId, SearchMsg, SubQueryMsg};
 use simsearch::store::Entry;
-use std::sync::Arc;
 
 /// Merged result lists are truncated to this many entries at the origin
 /// (the simulator's `knn_k`); both drivers must agree on it.
@@ -133,12 +132,8 @@ impl Scenario {
         }
     }
 
-    /// The agent that owns `key` on the ring.
-    pub fn owner_of(&self, ring: &OracleRing, key: u64) -> AgentId {
-        ring.owner_of(ChordId(key)).addr
-    }
-
-    /// The `Issue` message both drivers inject for a range query.
+    /// The `Issue` message both drivers inject for a range query: the
+    /// parity test into the simulator, a node for each client query.
     pub fn issue_msg(&self, grid: &Grid, qid: u32, q: &RangeQuery) -> SearchMsg {
         let rect = Rect::ball(&q.center, q.radius, grid.bounds());
         let prefix: Prefix = grid.enclosing_prefix(&rect);
@@ -310,15 +305,6 @@ pub fn parse_spec(spec: &str) -> Result<(Vec<f64>, f64), String> {
         .parse::<f64>()
         .map_err(|e| format!("bad radius/count {tail:?} in query spec: {e}"))?;
     Ok((center, r))
-}
-
-/// The [`QueryBall`] lower-bound pruning helper reused by the model —
-/// re-exported so `expected_range` and the runtime visibly share it.
-pub fn ball(center: &[f64], radius: f64) -> QueryBall {
-    QueryBall {
-        center: Arc::from(center.to_vec()),
-        radius,
-    }
 }
 
 #[cfg(test)]

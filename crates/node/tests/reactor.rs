@@ -1,10 +1,11 @@
 //! The node's readiness loop against hostile and awkward byte streams,
 //! on real `node` processes: frames cut into single bytes, frames glued
 //! into one segment, garbage, connections cut mid-frame, peer frames the
-//! core could not serve, a client that never reads, query requests
-//! parked until their query has news, a client-chosen query id near
-//! `u32::MAX`, and three windows' worth of queries against nodes that
-//! keep only the newest window. `tests/parity.rs` proves the loop
+//! core could not serve, non-finite client coordinates, a client that
+//! never reads, query requests parked until their query has news, a
+//! client-chosen query id near `u32::MAX`, three windows' worth of
+//! queries against nodes that keep only the newest window, and hundreds
+//! of connections opened and closed. `tests/parity.rs` proves the loop
 //! preserves event order; this file proves no connection can stall or
 //! kill the others.
 //! One in-process test covers the framer both ends share.
@@ -137,6 +138,12 @@ fn vm_hwm_kb(child: &Child) -> Option<u64> {
         .and_then(|v| v.trim().trim_end_matches("kB").trim().parse().ok())
         .expect("VmHWM in /proc/<pid>/status");
     Some(hwm)
+}
+
+/// How many descriptors a process holds open, or `None` without `/proc`.
+fn open_fds(child: &Child) -> Option<usize> {
+    let dir = std::fs::read_dir(format!("/proc/{}/fd", child.id())).ok()?;
+    Some(dir.count())
 }
 
 /// Nothing is waiting to be read on `conn`.
@@ -321,6 +328,128 @@ fn a_bad_connection_dies_alone() {
         .expect("new connections still accepted")
         .stats()
         .expect("new connection served");
+}
+
+/// A query center or published point with a NaN or infinite coordinate
+/// is refused with an error reply. Clipped to the index bounds, a NaN
+/// center would turn into a query over the whole space, and no query
+/// could ever match such a point. The connection goes on serving.
+#[test]
+fn a_non_finite_query_or_point_is_refused() {
+    let cluster = Cluster::spawn(1);
+    let mut client = Client::connect(&cluster.addrs[0]).expect("client");
+    for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        let center = [bad, 0.5, 0.5];
+        let e = client.query(1, 0, &center, 0.1).expect_err("refused query");
+        assert!(e.contains("not a finite number"), "center {center:?}: {e}");
+        let e = client.publish(0, 1, &center).expect_err("refused publish");
+        assert!(e.contains("not a finite number"), "point {center:?}: {e}");
+    }
+    assert_eq!(client.stats().expect("stats").load, 0, "nothing stored");
+    client.publish(0, 1, &[0.5; 3]).expect("a finite publish");
+    let report = client.query(2, 0, &[0.5; 3], 0.1).expect("a finite query");
+    assert_eq!(report.merged, [(1, 0.0)]);
+}
+
+/// Hundreds of client connections come and go — some cleanly, some
+/// inside a frame, some while a request is parked, some before saying
+/// anything — in waves that close together, so slots are reused while
+/// events for their last occupants may still be pending. A client
+/// beside them gets exact answers throughout, and afterwards the node
+/// holds as many descriptors as before.
+#[test]
+fn connection_churn_leaks_nothing_and_disturbs_nobody() {
+    const WAVES: u32 = 40;
+    const PER_WAVE: u32 = 10;
+    let cluster = Cluster::spawn(2);
+    let sc = Scenario::new(2);
+    let grid = sc.grid();
+    let corpus = sc.corpus();
+    let mut clients = [0, 1].map(|i| Client::connect(&cluster.addrs[i]).expect("client"));
+    // Entering at both nodes, publishes open both nodes' connections to
+    // each other before the count is taken.
+    for (obj, point) in corpus.iter().enumerate() {
+        clients[obj % 2]
+            .publish(0, obj as u32, point)
+            .expect("publish");
+    }
+    let deadline = Instant::now() + PATIENCE;
+    while clients
+        .iter_mut()
+        .map(|c| c.stats().expect("stats").load)
+        .sum::<u64>()
+        < corpus.len() as u64
+    {
+        assert!(Instant::now() < deadline, "publishes never all stored");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let before = open_fds(&cluster.children[0]);
+
+    let [mut live, _] = clients;
+    let mut rng = SimRng::new(11);
+    for wave in 0..WAVES {
+        let mut churn = Vec::new();
+        for k in 0..PER_WAVE {
+            let mut conn = cluster.raw(0);
+            let bytes = match k % 4 {
+                // Silent: not even a hello.
+                0 => Vec::new(),
+                // A request, answered in full.
+                1 => [hello(), encode_frame(&Frame::MembersRequest)].concat(),
+                // Cut inside a frame.
+                2 => [hello(), encode_frame(&Frame::StatsRequest)[..3].to_vec()].concat(),
+                // Parked: the node has no news of a query it never saw.
+                _ => [
+                    hello(),
+                    encode_frame(&Frame::QueryStatus {
+                        qid: 1_000_000 + wave * PER_WAVE + k,
+                        seen: 0,
+                    }),
+                ]
+                .concat(),
+            };
+            conn.write_all(&bytes).expect("write");
+            if k % 4 == 1 {
+                read_frame(&mut conn).expect("members reply");
+            }
+            churn.push(conn);
+        }
+        drop(churn);
+
+        let q = RangeQuery {
+            origin: 0,
+            center: (0..sc.dims).map(|_| 0.1 + 0.8 * rng.f64()).collect(),
+            radius: 0.02 + 0.2 * rng.f64(),
+        };
+        let expected = sc.expected_range(&grid, &corpus, &q);
+        let deadline = Instant::now() + PATIENCE;
+        let mut report = live.query(wave, 0, &q.center, q.radius).expect("query");
+        while report.merged != expected {
+            assert!(
+                Instant::now() < deadline,
+                "query {wave}: expected {expected:?}, still {report:?}"
+            );
+            report = live.status(wave).expect("status");
+        }
+    }
+
+    // Every churned connection is closed, the parked ones included.
+    let deadline = Instant::now() + PATIENCE;
+    loop {
+        let after = open_fds(&cluster.children[0]);
+        if after == before {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "the node held {before:?} descriptors before the churn, {after:?} after"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    if before.is_none() {
+        eprintln!("no /proc: descriptor count not checked");
+    }
+    live.members().expect("the live client is still served");
 }
 
 /// A peer's search frame the core could not serve — a sub-query without
@@ -671,8 +800,9 @@ fn a_parked_request_dies_with_its_connection() {
         .expect("status");
     drop(quitter);
     // Loopback delivers the hang-up before the witness's request, and
-    // the node handles connections in slot order, so once this round
-    // trip is back the quitter's slot is free for the next client.
+    // the node handles every event of a wait before it writes a reply,
+    // so once this round trip is back the quitter's slot is free for
+    // the next client.
     witness.members().expect("node still serving");
 
     let mut next = cluster.raw(0);

@@ -4,10 +4,11 @@
 # Boots a 7-process cluster on 127.0.0.1, publishes the deterministic
 # 120-object corpus, runs two range checks and one expanding-ring kNN
 # check (each asserts recall 1.0 against the locally recomputed exact
-# answer), checks that every node is still one thread and that its peak
-# resident set (VmHWM) stays under MAX_HWM_KB (16 MB), then shuts the
-# cluster down and requires every process to exit cleanly — all within
-# $NODE_SMOKE_BUDGET_SECS (default 120).
+# answer), checks that every node is still one thread, that its peak
+# resident set (VmHWM) stays under MAX_HWM_KB (16 MB) and that it holds
+# at most MAX_FDS descriptors, then shuts the cluster down and requires
+# every process to exit cleanly — all within $NODE_SMOKE_BUDGET_SECS
+# (default 120).
 #
 # Per-node logs land in target/node-smoke/; CI uploads them as
 # artifacts when the job fails.
@@ -22,6 +23,10 @@ BIN="${NODE_BIN:-$ROOT/target/release/node}"
 # A node starts at ~3 MB and bounds its per-query state by a window of
 # recent queries, so a peak far above that is a leak.
 MAX_HWM_KB=$((16 * 1024))
+# At most one inbound and one outbound socket per peer, plus stdin,
+# stdout, stderr, the listener and the epoll instance. Every client has
+# exited by the time this is checked, so more is a leaked socket.
+MAX_FDS=$((2 * (N - 1) + 5))
 
 if [ ! -x "$BIN" ]; then
     echo "node smoke: building $BIN"
@@ -102,7 +107,8 @@ if [ -r "/proc/$$/status" ]; then
         status="/proc/${PIDS[$i]}/status"
         threads="$(awk '/^Threads:/ { print $2 }' "$status")"
         hwm_kb="$(awk '/^VmHWM:/ { print $2 }' "$status")"
-        echo "node smoke: node $i: $threads thread(s), VmHWM $hwm_kb kB"
+        fds="$(find "/proc/${PIDS[$i]}/fd" -mindepth 1 -maxdepth 1 | wc -l)"
+        echo "node smoke: node $i: $threads thread(s), VmHWM $hwm_kb kB, $fds open fds"
         if [ "$threads" != 1 ]; then
             echo "node smoke: node $i (pid ${PIDS[$i]}) runs $threads threads, expected 1"
             exit 1
@@ -111,10 +117,14 @@ if [ -r "/proc/$$/status" ]; then
             echo "node smoke: node $i (pid ${PIDS[$i]}) peaked at $hwm_kb kB, cap $MAX_HWM_KB kB"
             exit 1
         fi
+        if [ "$fds" -gt "$MAX_FDS" ]; then
+            echo "node smoke: node $i (pid ${PIDS[$i]}) holds $fds descriptors, cap $MAX_FDS"
+            exit 1
+        fi
     done
-    echo "node smoke: every node runs 1 thread and peaked under $MAX_HWM_KB kB"
+    echo "node smoke: every node runs 1 thread, peaked under $MAX_HWM_KB kB and holds at most $MAX_FDS fds"
 else
-    echo "node smoke: no /proc on this host; thread-count and peak-memory checks skipped"
+    echo "node smoke: no /proc on this host; thread-count, peak-memory and descriptor checks skipped"
 fi
 
 "$BIN" --connect "$SEED_ADDR" --shutdown-cluster
