@@ -110,25 +110,6 @@ fn main() {
         .map(|v| v == "1")
         .unwrap_or(false);
 
-    // `--threads N` routes through the same `SIMSEARCH_THREADS` knob
-    // every probe system reads via `SystemConfig::default()`; the knee
-    // results are byte-identical at any setting, only wall clock moves.
-    let args: Vec<String> = std::env::args().collect();
-    for (i, a) in args.iter().enumerate() {
-        let v = match a.strip_prefix("--threads=") {
-            Some(v) => Some(v.to_string()),
-            None if a == "--threads" => args.get(i + 1).cloned(),
-            None => None,
-        };
-        if let Some(v) = v {
-            v.parse::<usize>()
-                .unwrap_or_else(|e| panic!("bad --threads value {v:?}: {e}"));
-            // Single-threaded at this point: workers only exist inside
-            // `Sim::run`, well after every config read below.
-            std::env::set_var("SIMSEARCH_THREADS", &v);
-        }
-    }
-
     let (fixture, duration_s, refine) = if smoke {
         (LoadFixture::quick(SEED), DURATION_S, 2)
     } else if full {

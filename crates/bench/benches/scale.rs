@@ -18,15 +18,6 @@
 //! * the whole smoke sweep fits the `MAX_SMOKE_WALL_MS` budget — the
 //!   calendar queue, coordinate topology, and instant-ring builder
 //!   keep large overlays cheap.
-//!
-//! `--threads 1,8` (or `SIMSEARCH_THREADS=8`) re-measures every point's
-//! run phase at each listed simulator thread count; the deterministic
-//! counters are asserted byte-identical across settings inside
-//! `run_scale_point` and the wall-clock curve lands in each point's
-//! `timing.threads` array. `PAR_SMOKE=1` is the CI parallel-speedup
-//! gate: the 4k quick-fixture point at threads {1, 8} must clear
-//! `MIN_PAR_SMOKE_SPEEDUP` (only enforced when the host actually has
-//! >= `PAR_SMOKE_MIN_CORES` cores; the artifact is written either way).
 
 use bench::scale_report::{peak_rss_kb, run_scale_point, ScaleFixture, ScalePoint};
 use serde_json::ToJson;
@@ -47,17 +38,6 @@ const MIN_CACHE_HITS: u64 = 8;
 /// measured ~1.3 s on one core, so this only catches order-of-magnitude
 /// regressions in overlay construction or event processing.
 const MAX_SMOKE_WALL_MS: f64 = 60_000.0;
-
-/// `PAR_SMOKE` run-phase speedup floor at 4096 nodes, threads 1 -> 8.
-/// Measured headroom is well above this; the floor is set to catch the
-/// parallel path silently degenerating to sequential (speedup ~1.0),
-/// not to benchmark the scheduler — CI runners are noisy and share
-/// cores, so anything meaningfully above 1.0 proves the windows are
-/// actually fanning out.
-const MIN_PAR_SMOKE_SPEEDUP: f64 = 1.2;
-/// Below this many available cores the speedup floor is advisory only:
-/// a 2-core runner cannot demonstrate an 8-thread win.
-const PAR_SMOKE_MIN_CORES: usize = 4;
 
 fn check_point(p: &ScalePoint) -> bool {
     let mut failed = false;
@@ -97,90 +77,11 @@ fn check_point(p: &ScalePoint) -> bool {
     failed
 }
 
-/// Thread settings for the sweep: `--threads 1,8` (also `--threads=`)
-/// wins, then `SIMSEARCH_THREADS` as a single setting, default `[1]`.
-fn thread_settings() -> Vec<usize> {
-    let args: Vec<String> = std::env::args().collect();
-    let mut spec: Option<String> = None;
-    for (i, a) in args.iter().enumerate() {
-        if let Some(v) = a.strip_prefix("--threads=") {
-            spec = Some(v.to_string());
-        } else if a == "--threads" {
-            spec = args.get(i + 1).cloned();
-        }
-    }
-    let spec = spec.or_else(|| std::env::var("SIMSEARCH_THREADS").ok());
-    let Some(spec) = spec else { return vec![1] };
-    let parsed: Vec<usize> = spec
-        .split(',')
-        .map(|s| s.trim().parse::<usize>())
-        .collect::<Result<_, _>>()
-        .unwrap_or_else(|e| panic!("bad --threads list {spec:?}: {e}"));
-    assert!(
-        !parsed.is_empty() && parsed.iter().all(|&t| t >= 1),
-        "--threads needs at least one setting >= 1, got {spec:?}"
-    );
-    parsed
-}
-
-/// `PAR_SMOKE=1`: one 4k quick-fixture point at threads {1, 8}, gating
-/// the parallel engine's speedup floor. Exits the process.
-fn par_smoke() -> ! {
-    let start = std::time::Instant::now();
-    let fixture = ScaleFixture::quick(SEED);
-    let p = run_scale_point(&fixture, 1 << 12, SEED, &[1, 8]);
-    let wall_ms = start.elapsed().as_secs_f64() * 1e3;
-    let par = p
-        .thread_timings
-        .last()
-        .expect("two settings were requested");
-    let cores = std::thread::available_parallelism().map_or(1, |c| c.get());
-    println!(
-        "par-smoke n={}: run {:.0} ms @ 1 thread, {:.0} ms @ {} threads \
-         (speedup {:.2}x, {cores} cores)",
-        p.n_nodes, p.run_ms, par.run_ms, par.threads, par.speedup
-    );
-    // Persist before any threshold exit so CI can attach the artifact
-    // to a failed run.
-    bench::report::save_json(
-        "BENCH_par_smoke",
-        &serde_json::json!({
-            "point": p.to_json(),
-            "wall_ms": wall_ms,
-            "cores": cores as u64,
-        }),
-    );
-    if cores < PAR_SMOKE_MIN_CORES {
-        println!(
-            "par-smoke SKIP: only {cores} cores available (need {PAR_SMOKE_MIN_CORES}); \
-             determinism was still verified across thread counts"
-        );
-        std::process::exit(0);
-    }
-    if par.speedup < MIN_PAR_SMOKE_SPEEDUP {
-        eprintln!(
-            "par-smoke FAIL: speedup {:.2}x below {MIN_PAR_SMOKE_SPEEDUP}x — \
-             the window engine stopped fanning work out to shards",
-            par.speedup
-        );
-        std::process::exit(1);
-    }
-    println!(
-        "par-smoke OK: {:.2}x >= {MIN_PAR_SMOKE_SPEEDUP}x at {} threads",
-        par.speedup, par.threads
-    );
-    std::process::exit(0);
-}
-
 fn main() {
     let smoke = std::env::var_os("SCALE_SMOKE").is_some();
     let full = std::env::var("SIMSEARCH_FULL")
         .map(|v| v == "1")
         .unwrap_or(false);
-    if std::env::var_os("PAR_SMOKE").is_some() {
-        par_smoke();
-    }
-    let threads = thread_settings();
 
     let start = std::time::Instant::now();
     let (fixture, sizes): (ScaleFixture, Vec<usize>) = if smoke {
@@ -197,7 +98,7 @@ fn main() {
     let mut points: Vec<ScalePoint> = Vec::new();
     let mut failed = false;
     for &n in &sizes {
-        let p = run_scale_point(&fixture, n, SEED, &threads);
+        let p = run_scale_point(&fixture, n, SEED);
         println!(
             "scale n={:>6}: hops/query {:.2} ({:.2} * log2 N), recall {:.3}/{:.3} \
              (plain/churn), cache hits {}, build {:.0} ms, run {:.0} ms, peak RSS {} MB",
@@ -211,12 +112,6 @@ fn main() {
             p.run_ms,
             p.peak_rss_kb / 1024,
         );
-        for t in p.thread_timings.iter().skip(1) {
-            println!(
-                "               threads {:>2}: run {:.0} ms ({:.2}x)",
-                t.threads, t.run_ms, t.speedup
-            );
-        }
         if smoke {
             failed |= check_point(&p);
         }

@@ -501,10 +501,6 @@ pub struct LoadReport {
     pub wall_ms: f64,
     /// Process peak RSS after the sweep, kB.
     pub peak_rss_kb: u64,
-    /// Simulator threads every probe ran with (`SIMSEARCH_THREADS`,
-    /// default 1). Recorded in the timing block only: thread count
-    /// changes wall clock, never the deterministic capacity results.
-    pub threads: usize,
 }
 
 impl LoadReport {
@@ -531,7 +527,6 @@ impl ToJson for LoadReport {
                 serde_json::json!({
                     "wall_ms": self.wall_ms,
                     "peak_rss_kb": self.peak_rss_kb,
-                    "threads": self.threads as u64,
                 }),
             );
         }
@@ -573,9 +568,6 @@ pub fn run_load_report(
         scenarios,
         wall_ms: t0.elapsed().as_secs_f64() * 1e3,
         peak_rss_kb: peak_rss_kb(),
-        // `Scenario::system_config` builds on `SystemConfig::default()`,
-        // so every probe system above already ran at this setting.
-        threads: simsearch::threads_from_env(),
     }
 }
 

@@ -50,10 +50,8 @@ const INTERARRIVAL_S: f64 = 5.0;
 /// Query interarrival for the plain workload. Plain queries are
 /// independent — no faults (so no per-send RNG draws), no caches, no
 /// cross-query state, and `SideStats` carries no time-derived fields —
-/// so packing them closer changes *no* deterministic counter. It does
-/// change how many events share a lookahead window, which is what lets
-/// the parallel engine (`simnet::par`) fan the run out: at 5 s spacing
-/// one query is in flight at a time and every window is near-empty.
+/// so packing them closer changes *no* deterministic counter, only how
+/// many queries are in flight at once.
 const PLAIN_INTERARRIVAL_S: f64 = 0.08;
 
 /// The dataset-side state shared by every sweep point: mapped points,
@@ -226,28 +224,6 @@ impl ToJson for SideStats {
     }
 }
 
-/// One thread-count setting's wall-clock measurement of a sweep point.
-#[derive(Clone, Copy, Debug)]
-pub struct ThreadTiming {
-    /// Simulator worker threads (`simnet::Sim::set_threads`).
-    pub threads: usize,
-    /// Wall time of the run phase at this setting (second build + both
-    /// query runs), ms.
-    pub run_ms: f64,
-    /// `run_ms` of the first (baseline) setting divided by this one.
-    pub speedup: f64,
-}
-
-impl ToJson for ThreadTiming {
-    fn to_json(&self) -> Value {
-        serde_json::json!({
-            "threads": self.threads as u64,
-            "run_ms": self.run_ms,
-            "speedup": self.speedup,
-        })
-    }
-}
-
 /// One sweep point: both workloads at one overlay size, plus the
 /// (non-deterministic) wall-clock and memory measurements.
 #[derive(Clone, Debug)]
@@ -260,14 +236,8 @@ pub struct ScalePoint {
     pub churn: SideStats,
     /// Wall time to build the plain system (instant ring, publication).
     pub build_ms: f64,
-    /// Wall time of everything else (second build + both query runs) at
-    /// the first requested thread setting.
+    /// Wall time of everything else (second build + both query runs).
     pub run_ms: f64,
-    /// Per-thread-setting run timings; one entry per requested setting,
-    /// first entry the baseline (`speedup` = 1.0). The deterministic
-    /// counters are asserted byte-identical across settings as the
-    /// point is measured, so this is a pure wall-clock curve.
-    pub thread_timings: Vec<ThreadTiming>,
     /// Process peak RSS after this point, kB (`VmHWM`; monotone).
     pub peak_rss_kb: u64,
 }
@@ -301,11 +271,6 @@ impl ToJson for ScalePoint {
                     "build_ms": self.build_ms,
                     "run_ms": self.run_ms,
                     "peak_rss_kb": self.peak_rss_kb,
-                    "threads": self
-                        .thread_timings
-                        .iter()
-                        .map(|t| t.to_json())
-                        .collect::<Vec<_>>(),
                 }),
             );
         }
@@ -387,22 +352,7 @@ fn side_stats(
 /// The plain system exercises the instant-ring builder and (above the
 /// dense threshold) the coordinate topology; at 16k+ nodes this is the
 /// path that must build and answer in seconds, not minutes.
-///
-/// `threads` lists the simulator thread settings to measure, first
-/// entry the baseline (the report's `plain`/`churn` counters and
-/// `run_ms`). Every further setting re-runs both workloads and must
-/// reproduce the baseline's deterministic counters **byte-identically**
-/// — the parallel engine's contract — or this panics; only wall clock
-/// may differ, and the per-setting timings land in `thread_timings`.
-/// Multi-setting runs start with one untimed warm-up pass so process
-/// warm-up cost does not masquerade as a thread-count effect.
-pub fn run_scale_point(
-    fixture: &ScaleFixture,
-    n_nodes: usize,
-    seed: u64,
-    threads: &[usize],
-) -> ScalePoint {
-    assert!(!threads.is_empty(), "need at least one thread setting");
+pub fn run_scale_point(fixture: &ScaleFixture, n_nodes: usize, seed: u64) -> ScalePoint {
     let spec = |name: &str| IndexSpec {
         name: name.into(),
         boundary: fixture.boundary.clone(),
@@ -411,101 +361,58 @@ pub fn run_scale_point(
         rotation: None,
     };
 
-    let mut build_ms = 0.0;
-    let mut baseline: Option<(SideStats, SideStats, String)> = None;
-    let mut thread_timings: Vec<ThreadTiming> = Vec::new();
-    // Comparative runs (more than one setting) prepend an untimed
-    // warm-up pass at the baseline setting: the first workload a
-    // process runs pays one-time costs — allocator arena growth, page
-    // faults on a working set that reaches hundreds of MB at 100k
-    // nodes — that every later setting skips, and that asymmetry can
-    // dwarf the thread-count effect being measured.
-    let mut settings: Vec<usize> = Vec::with_capacity(threads.len() + 1);
-    if threads.len() > 1 {
-        settings.push(threads[0]);
-    }
-    let n_warmup = settings.len();
-    settings.extend_from_slice(threads);
-    for (i, &n_threads) in settings.iter().enumerate() {
-        let t0 = std::time::Instant::now();
-        let mut plain_sys = SearchSystem::build(
-            SystemConfig {
-                n_nodes,
-                seed,
-                knn_k: KNN_K,
-                threads: n_threads,
-                ..SystemConfig::default()
-            },
-            &[spec("scale-plain")],
-            fixture.plain_oracle.clone(),
-        );
-        if i == n_warmup {
-            build_ms = t0.elapsed().as_secs_f64() * 1e3;
-        }
+    let t0 = std::time::Instant::now();
+    let mut plain_sys = SearchSystem::build(
+        SystemConfig {
+            n_nodes,
+            seed,
+            knn_k: KNN_K,
+            ..SystemConfig::default()
+        },
+        &[spec("scale-plain")],
+        fixture.plain_oracle.clone(),
+    );
+    let build_ms = t0.elapsed().as_secs_f64() * 1e3;
 
-        let t1 = std::time::Instant::now();
-        let plain = side_stats(
-            &mut plain_sys,
-            &fixture.plain_queries,
-            None,
-            PLAIN_INTERARRIVAL_S,
-        );
-        drop(plain_sys);
+    let t1 = std::time::Instant::now();
+    let plain = side_stats(
+        &mut plain_sys,
+        &fixture.plain_queries,
+        None,
+        PLAIN_INTERARRIVAL_S,
+    );
+    drop(plain_sys);
 
-        let mut churn_sys = SearchSystem::build(
-            SystemConfig {
-                n_nodes,
-                seed,
-                // Per-node answers must not truncate away range results
-                // before the origin-side merge (hot radii are small, but
-                // crashes reroute to replica holders mid-query).
-                knn_k: 200,
-                resilience: Some(ResilienceConfig::default()),
-                routing_opt: Some(RoutingOptConfig::default()),
-                threads: n_threads,
-                ..SystemConfig::default()
-            },
-            &[spec("scale-churn")],
-            fixture.hot_oracle.clone(),
-        );
-        churn_sys.set_loss_rate(0.05);
-        let span_s = INTERARRIVAL_S * fixture.hot_queries.len() as f64;
-        schedule_hot_churn(&mut churn_sys, &HOT_ORIGINS, span_s);
-        let churn = side_stats(
-            &mut churn_sys,
-            &fixture.hot_queries,
-            Some(&HOT_ORIGINS),
-            INTERARRIVAL_S,
-        );
-        let run_ms = t1.elapsed().as_secs_f64() * 1e3;
-        if i < n_warmup {
-            continue;
-        }
-
-        let det = serde_json::json!({"plain": plain, "churn": churn}).to_string();
-        match &baseline {
-            None => baseline = Some((plain, churn, det)),
-            Some((_, _, base_det)) => assert!(
-                *base_det == det,
-                "deterministic counters diverged at {n_threads} threads \
-                 (n={n_nodes}):\n{base_det}\nvs\n{det}"
-            ),
-        }
-        let speedup = thread_timings.first().map_or(1.0, |b| b.run_ms / run_ms);
-        thread_timings.push(ThreadTiming {
-            threads: n_threads,
-            run_ms,
-            speedup,
-        });
-    }
-    let (plain, churn, _) = baseline.expect("baseline recorded on first setting");
+    let mut churn_sys = SearchSystem::build(
+        SystemConfig {
+            n_nodes,
+            seed,
+            // Per-node answers must not truncate away range results
+            // before the origin-side merge (hot radii are small, but
+            // crashes reroute to replica holders mid-query).
+            knn_k: 200,
+            resilience: Some(ResilienceConfig::default()),
+            routing_opt: Some(RoutingOptConfig::default()),
+            ..SystemConfig::default()
+        },
+        &[spec("scale-churn")],
+        fixture.hot_oracle.clone(),
+    );
+    churn_sys.set_loss_rate(0.05);
+    let span_s = INTERARRIVAL_S * fixture.hot_queries.len() as f64;
+    schedule_hot_churn(&mut churn_sys, &HOT_ORIGINS, span_s);
+    let churn = side_stats(
+        &mut churn_sys,
+        &fixture.hot_queries,
+        Some(&HOT_ORIGINS),
+        INTERARRIVAL_S,
+    );
     ScalePoint {
         n_nodes,
         plain,
         churn,
         build_ms,
-        run_ms: thread_timings[0].run_ms,
-        thread_timings,
+        run_ms: t1.elapsed().as_secs_f64() * 1e3,
         peak_rss_kb: peak_rss_kb(),
     }
 }
@@ -517,9 +424,7 @@ mod tests {
     #[test]
     fn quick_point_holds_recall_at_small_n() {
         let fixture = ScaleFixture::build(1_500, 8, 0x5CA1E);
-        // Two settings so the in-measurement cross-thread determinism
-        // assertion is exercised on every `cargo test` run.
-        let point = run_scale_point(&fixture, 64, 0x5CA1E, &[1, 2]);
+        let point = run_scale_point(&fixture, 64, 0x5CA1E);
         assert_eq!(point.plain.mean_recall, 1.0);
         assert!(
             point.churn.mean_recall >= 0.99,

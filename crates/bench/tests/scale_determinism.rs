@@ -15,7 +15,7 @@ use bench::scale_report::{run_scale_point, ScaleFixture};
 fn sweep_point_at_4k_regenerates_byte_identically() {
     let regenerate = || {
         let fixture = ScaleFixture::quick(0x5CA1E);
-        let point = run_scale_point(&fixture, 4096, 0x5CA1E, &[1]);
+        let point = run_scale_point(&fixture, 4096, 0x5CA1E);
         serde_json::to_string_pretty(&point.deterministic_json()).expect("serialize")
     };
     let a = regenerate();

@@ -55,7 +55,6 @@
 pub mod event;
 pub mod fault;
 pub mod loadgen;
-pub mod par;
 pub mod rng;
 pub mod sim;
 pub mod stats;
@@ -66,7 +65,6 @@ pub mod topology;
 pub use event::TimerTag;
 pub use fault::{FaultPlane, PartitionWindow};
 pub use loadgen::{ArrivalProcess, LatencyLedger, RampPhase};
-pub use par::{current_effect_rank, EffectRank};
 pub use rng::SimRng;
 pub use sim::{Agent, AgentId, Ctx, Sim};
 pub use stats::NetStats;

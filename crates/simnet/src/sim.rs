@@ -42,164 +42,88 @@ pub trait Agent {
 }
 
 /// Everything except the agents themselves: clock, queue, network model.
-pub(crate) struct Core<M> {
-    pub(crate) now: SimTime,
-    pub(crate) queue: EventQueue<M>,
-    pub(crate) topo: Topology,
-    pub(crate) rng: SimRng,
-    pub(crate) stats: NetStats,
+struct Core<M> {
+    now: SimTime,
+    queue: EventQueue<M>,
+    topo: Topology,
+    rng: SimRng,
+    stats: NetStats,
     /// Fault-injection configuration (default: strict no-op).
-    pub(crate) faults: FaultPlane,
+    faults: FaultPlane,
     /// Independent RNG streams, one per fault kind, so enabling one
     /// fault never perturbs the draw sequence of another.
-    pub(crate) drop_rng: SimRng,
-    pub(crate) dup_rng: SimRng,
-    pub(crate) spike_rng: SimRng,
+    drop_rng: SimRng,
+    dup_rng: SimRng,
+    spike_rng: SimRng,
     /// Liveness per agent; down hosts silently discard messages and
     /// timers until their scheduled restart.
-    pub(crate) down: Vec<bool>,
+    down: Vec<bool>,
     /// Opt-in per-node service model: when set, an agent occupies its
     /// (single) CPU for this long per delivered message, and deliveries
     /// arriving while it is busy queue behind it. `None` (the default)
     /// is the historical infinite-capacity model — no behavior change,
     /// no extra RNG draws, goldens untouched.
-    pub(crate) service: Option<SimDuration>,
+    service: Option<SimDuration>,
     /// Per-agent busy horizon under the service model.
-    pub(crate) busy_until: Vec<SimTime>,
+    busy_until: Vec<SimTime>,
 }
 
-/// The full cross-host delivery path with every fault draw, shared —
-/// draw for draw, push for push — by the sequential [`Ctx::send`] and
-/// the parallel barrier replay (which replays deferred sends through
-/// this exact function, in the exact order the sequential loop would
-/// have reached it, against the same single RNG streams). `at` is the
-/// simulated instant the message was sent; `src != dst`.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn deliver_cross<M: Clone>(
-    queue: &mut EventQueue<M>,
-    stats: &mut NetStats,
-    faults: &FaultPlane,
-    drop_rng: &mut SimRng,
-    spike_rng: &mut SimRng,
-    dup_rng: &mut SimRng,
-    topo: &Topology,
-    at: SimTime,
-    src: AgentId,
-    dst: AgentId,
-    msg: M,
-    bytes: u32,
-) {
-    debug_assert_ne!(src, dst, "self-sends never touch the wire");
-    stats.on_send(bytes);
-    if faults.drop_rate > 0.0 && drop_rng.f64() < faults.drop_rate {
-        // Lost on the wire: it consumed bandwidth but never
-        // arrives. Loss applies only to cross-host traffic.
-        stats.dropped += 1;
-        return;
+impl<M: Clone> Core<M> {
+    /// The full cross-host delivery path with every fault draw. `at` is
+    /// the simulated instant the message was sent; `src != dst`.
+    fn deliver_cross(&mut self, at: SimTime, src: AgentId, dst: AgentId, msg: M, bytes: u32) {
+        debug_assert_ne!(src, dst, "self-sends never touch the wire");
+        let faults = &self.faults;
+        self.stats.on_send(bytes);
+        if faults.drop_rate > 0.0 && self.drop_rng.f64() < faults.drop_rate {
+            // Lost on the wire: it consumed bandwidth but never
+            // arrives. Loss applies only to cross-host traffic.
+            self.stats.dropped += 1;
+            return;
+        }
+        if faults.partitioned(at, src.0, dst.0) {
+            self.stats.partitioned += 1;
+            return;
+        }
+        let mut delay = self.topo.one_way(src.0, dst.0);
+        if faults.spike_rate > 0.0 && self.spike_rng.f64() < faults.spike_rate {
+            delay = SimDuration(((delay.0 as f64) * faults.spike_factor).round() as u64);
+            self.stats.spiked += 1;
+        }
+        if faults.dup_rate > 0.0 && self.dup_rng.f64() < faults.dup_rate {
+            // The duplicate trails the original by one extra
+            // propagation delay, as if retransmitted by the network.
+            // Invariant: this is the only place delivery clones the
+            // message — fan-out is 2 here (duplicate + original), and
+            // every other path below moves `msg` into the queue. Keep
+            // it that way: `Clone` on a `SearchMsg` copies the whole
+            // entry/result payload, and the common path must stay
+            // zero-copy (`send_is_zero_copy_without_dup_faults`).
+            self.stats.duplicated += 1;
+            self.queue.push(
+                at + delay + delay,
+                dst,
+                EventKind::Deliver {
+                    from: src,
+                    msg: msg.clone(),
+                },
+            );
+        }
+        self.queue
+            .push(at + delay, dst, EventKind::Deliver { from: src, msg });
     }
-    if faults.partitioned(at, src.0, dst.0) {
-        stats.partitioned += 1;
-        return;
-    }
-    let mut delay = topo.one_way(src.0, dst.0);
-    if faults.spike_rate > 0.0 && spike_rng.f64() < faults.spike_rate {
-        delay = SimDuration(((delay.0 as f64) * faults.spike_factor).round() as u64);
-        stats.spiked += 1;
-    }
-    if faults.dup_rate > 0.0 && dup_rng.f64() < faults.dup_rate {
-        // The duplicate trails the original by one extra
-        // propagation delay, as if retransmitted by the network.
-        // Invariant: this is the only place delivery clones the
-        // message — fan-out is 2 here (duplicate + original), and
-        // every other path below moves `msg` into the queue. Keep
-        // it that way: `Clone` on a `SearchMsg` copies the whole
-        // entry/result payload, and the common path must stay
-        // zero-copy (`send_is_zero_copy_without_dup_faults`).
-        stats.duplicated += 1;
-        queue.push(
-            at + delay + delay,
-            dst,
-            EventKind::Deliver {
-                from: src,
-                msg: msg.clone(),
-            },
-        );
-    }
-    queue.push(at + delay, dst, EventKind::Deliver { from: src, msg });
-}
-
-impl<M> Core<M> {
-    /// Method form of [`deliver_cross`] for the sequential path, where
-    /// no other borrow of `Core` is outstanding.
-    pub(crate) fn deliver_cross(
-        &mut self,
-        at: SimTime,
-        src: AgentId,
-        dst: AgentId,
-        msg: M,
-        bytes: u32,
-    ) where
-        M: Clone,
-    {
-        deliver_cross(
-            &mut self.queue,
-            &mut self.stats,
-            &self.faults,
-            &mut self.drop_rng,
-            &mut self.spike_rng,
-            &mut self.dup_rng,
-            &self.topo,
-            at,
-            src,
-            dst,
-            msg,
-            bytes,
-        );
-    }
-}
-
-/// Which engine a [`Ctx`] is wired to: the sequential core, or one
-/// shard of a parallel time window (where cross-host sends are deferred
-/// to the window barrier so fault RNG draws stay globally ordered).
-pub(crate) enum CtxBack<'a, M> {
-    Seq(&'a mut Core<M>),
-    Shard {
-        sh: &'a mut crate::par::ShardState<M>,
-        topo: &'a Topology,
-    },
 }
 
 /// The capability handle given to agent callbacks.
 pub struct Ctx<'a, M> {
-    back: CtxBack<'a, M>,
+    core: &'a mut Core<M>,
     me: AgentId,
 }
 
-impl<'a, M> Ctx<'a, M> {
-    pub(crate) fn seq(core: &'a mut Core<M>, me: AgentId) -> Self {
-        Ctx {
-            back: CtxBack::Seq(core),
-            me,
-        }
-    }
-
-    pub(crate) fn shard(
-        sh: &'a mut crate::par::ShardState<M>,
-        topo: &'a Topology,
-        me: AgentId,
-    ) -> Self {
-        Ctx {
-            back: CtxBack::Shard { sh, topo },
-            me,
-        }
-    }
-
+impl<M> Ctx<'_, M> {
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
-        match &self.back {
-            CtxBack::Seq(core) => core.now,
-            CtxBack::Shard { sh, .. } => sh.now(),
-        }
+        self.core.now
     }
 
     /// The id of the agent this callback is running on.
@@ -209,10 +133,7 @@ impl<'a, M> Ctx<'a, M> {
 
     /// Total number of agents in the simulation.
     pub fn n_agents(&self) -> usize {
-        match &self.back {
-            CtxBack::Seq(core) => core.topo.len(),
-            CtxBack::Shard { topo, .. } => topo.len(),
-        }
+        self.core.topo.len()
     }
 
     /// Send `msg` to `dst`; it arrives after the one-way propagation delay
@@ -224,77 +145,39 @@ impl<'a, M> Ctx<'a, M> {
     where
         M: Clone,
     {
-        let me = self.me;
-        match &mut self.back {
-            CtxBack::Seq(core) => {
-                if dst == me {
-                    let at = core.now;
-                    core.queue
-                        .push(at, dst, EventKind::Deliver { from: me, msg });
-                } else {
-                    let at = core.now;
-                    core.deliver_cross(at, me, dst, msg, bytes);
-                }
-            }
-            CtxBack::Shard { sh, .. } => sh.send(me, dst, msg, bytes),
+        let (me, at) = (self.me, self.core.now);
+        if dst == me {
+            self.core
+                .queue
+                .push(at, dst, EventKind::Deliver { from: me, msg });
+        } else {
+            self.core.deliver_cross(at, me, dst, msg, bytes);
         }
     }
 
     /// Round-trip time between this agent and `other`.
     pub fn rtt_to(&self, other: AgentId) -> SimDuration {
-        match &self.back {
-            CtxBack::Seq(core) => core.topo.rtt(self.me.0, other.0),
-            CtxBack::Shard { topo, .. } => topo.rtt(self.me.0, other.0),
-        }
+        self.core.topo.rtt(self.me.0, other.0)
     }
 
     /// Schedule a timer for this agent to fire after `delay`.
     pub fn schedule(&mut self, delay: SimDuration, tag: TimerTag) {
-        let me = self.me;
-        match &mut self.back {
-            CtxBack::Seq(core) => {
-                let at = core.now + delay;
-                core.queue.push(at, me, EventKind::Timer { tag });
-            }
-            CtxBack::Shard { sh, .. } => sh.schedule(me, delay, tag),
-        }
+        let at = self.core.now + delay;
+        self.core.queue.push(at, self.me, EventKind::Timer { tag });
     }
 
     /// Deterministic randomness scoped to the simulation.
-    ///
-    /// # Panics
-    ///
-    /// Unavailable during parallel window execution ([`Sim::set_threads`]
-    /// above 1): the shared stream would make draw order depend on the
-    /// thread interleaving. Agents that need randomness at message time
-    /// should fork a per-agent [`SimRng`] at construction instead.
     pub fn rng(&mut self) -> &mut SimRng {
-        match &mut self.back {
-            CtxBack::Seq(core) => &mut core.rng,
-            CtxBack::Shard { .. } => panic!(
-                "ctx.rng() is unavailable during parallel window execution; \
-                 fork a per-agent SimRng at agent construction instead"
-            ),
-        }
+        &mut self.core.rng
     }
 }
 
 /// A complete simulation: a topology, a population of agents, and an event
 /// queue. See the crate docs for a usage example.
 pub struct Sim<A: Agent> {
-    pub(crate) core: Core<A::Msg>,
-    pub(crate) agents: Vec<A>,
+    core: Core<A::Msg>,
+    agents: Vec<A>,
     started: bool,
-    /// Worker threads for conservative time-window parallel execution;
-    /// 1 (the default) is the historical sequential loop.
-    threads: usize,
-    /// Take the windowed path even on a single-core host (see
-    /// [`Sim::force_parallel`]).
-    par_force: bool,
-    /// High-water mark of in-flight events observed at parallel window
-    /// barriers (global queue + per-shard queues); 0 when the run never
-    /// went parallel.
-    pub(crate) par_peak: usize,
 }
 
 impl<A: Agent> Sim<A> {
@@ -323,48 +206,7 @@ impl<A: Agent> Sim<A> {
             },
             agents,
             started: false,
-            threads: 1,
-            par_force: false,
-            par_peak: 0,
         }
-    }
-
-    /// Execute with `threads` worker threads using conservative
-    /// time-window parallelism (see the [`crate::par`] module docs). The
-    /// default of 1 is the historical sequential loop. Any setting
-    /// produces **bit-identical results** — agent states, counters,
-    /// delivery order, final clock — because windows are bounded by the
-    /// topology's minimum one-way delay and every cross-shard effect is
-    /// merged back in the sequential engine's exact order. Topologies
-    /// without a positive latency floor (zero-RTT pairs) and single-agent
-    /// simulations always run sequentially regardless of this setting.
-    pub fn set_threads(&mut self, threads: usize) {
-        assert!(threads >= 1, "at least one execution thread required");
-        self.threads = threads;
-    }
-
-    /// The configured worker-thread count (default 1).
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Run the windowed parallel engine even where it cannot win —
-    /// hosts reporting a single available core, where fanning out only
-    /// adds context switches and [`Sim::set_threads`] therefore degrades
-    /// to the sequential loop. Results are byte-identical either way;
-    /// this knob exists so equivalence tests and engine benchmarks
-    /// exercise the shard/merge machinery regardless of the machine
-    /// they happen to run on.
-    pub fn force_parallel(&mut self, on: bool) {
-        self.par_force = on;
-    }
-
-    /// Whether `run`/`run_until` will take the parallel windowed path.
-    fn parallel_eligible(&self) -> bool {
-        self.threads > 1
-            && self.agents.len() > 1
-            && self.core.topo.min_one_way().0 > 0
-            && (self.par_force || std::thread::available_parallelism().map_or(1, |c| c.get()) > 1)
     }
 
     /// Give every host a finite processing capacity: each delivered
@@ -439,9 +281,11 @@ impl<A: Agent> Sim<A> {
             return;
         }
         self.started = true;
-        for i in 0..self.agents.len() {
-            let ctx = &mut Ctx::seq(&mut self.core, AgentId(i));
-            self.agents[i].on_start(ctx);
+        for (i, agent) in self.agents.iter_mut().enumerate() {
+            agent.on_start(&mut Ctx {
+                core: &mut self.core,
+                me: AgentId(i),
+            });
         }
     }
 
@@ -491,8 +335,10 @@ impl<A: Agent> Sim<A> {
             EventKind::Restart => {
                 self.core.down[dst.0] = false;
                 self.core.stats.restarts += 1;
-                let ctx = &mut Ctx::seq(&mut self.core, dst);
-                self.agents[dst.0].on_restart(ctx);
+                self.agents[dst.0].on_restart(&mut Ctx {
+                    core: &mut self.core,
+                    me: dst,
+                });
                 return true;
             }
             _ => {}
@@ -505,7 +351,10 @@ impl<A: Agent> Sim<A> {
             }
             return true;
         }
-        let ctx = &mut Ctx::seq(&mut self.core, dst);
+        let ctx = &mut Ctx {
+            core: &mut self.core,
+            me: dst,
+        };
         match ev.kind {
             EventKind::Deliver { from, msg } | EventKind::Serve { from, msg } => {
                 self.agents[dst.0].on_message(ctx, from, msg)
@@ -520,36 +369,20 @@ impl<A: Agent> Sim<A> {
     }
 
     /// Run until the event queue drains.
-    pub fn run(&mut self)
-    where
-        A: Send,
-        A::Msg: Clone + Send,
-    {
+    pub fn run(&mut self) {
         self.start();
-        if self.parallel_eligible() {
-            crate::par::run_parallel(self, SimTime::MAX);
-            return;
-        }
         while self.step() {}
     }
 
     /// Run until the queue drains or the next event would fire after
     /// `horizon`; events at exactly `horizon` are processed.
-    pub fn run_until(&mut self, horizon: SimTime)
-    where
-        A: Send,
-        A::Msg: Clone + Send,
-    {
+    pub fn run_until(&mut self, horizon: SimTime) {
         self.start();
-        if self.parallel_eligible() {
-            crate::par::run_parallel(self, horizon);
-        } else {
-            while let Some(t) = self.core.queue.peek_time() {
-                if t > horizon {
-                    break;
-                }
-                self.step();
+        while let Some(t) = self.core.queue.peek_time() {
+            if t > horizon {
+                break;
             }
+            self.step();
         }
         if self.core.now < horizon {
             self.core.now = horizon;
@@ -569,10 +402,7 @@ impl<A: Agent> Sim<A> {
     /// Aggregate network counters.
     pub fn stats(&self) -> NetStats {
         let mut stats = self.core.stats;
-        // Under parallel execution part of the in-flight population lives
-        // in per-shard queues; the high-water mark is the larger of the
-        // global queue's own peak and the barrier-sampled global total.
-        stats.peak_queue = self.core.queue.peak_len().max(self.par_peak) as u64;
+        stats.peak_queue = self.core.queue.peak_len() as u64;
         stats
     }
 

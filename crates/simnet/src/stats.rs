@@ -31,12 +31,8 @@ pub struct NetStats {
     pub restarts: u64,
     /// Most events simultaneously queued at any point in the run — the
     /// working-set size the event queue had to hold, which at scale is
-    /// the simulator's dominant memory driver. Under parallel execution
-    /// (`Sim::set_threads` > 1) queued events live in two places — the
-    /// global calendar queue between windows and per-shard heaps inside
-    /// one — so the mark is the maximum over both accountings: the
-    /// calendar queue's own peak, and at each window barrier the
-    /// leftover calendar population plus every shard's high-water mark.
+    /// the simulator's dominant memory driver. It is the event queue's
+    /// own high-water mark.
     pub peak_queue: u64,
     /// Deliveries that had to wait for a busy destination host, counted
     /// once per waiting delivery (only nonzero under the opt-in

@@ -192,10 +192,11 @@ impl Registry {
     }
 }
 
-/// A registry shared between agents of one simulation. The simulator is
-/// single-threaded, but agents are owned by the `Sim` while experiment
-/// drivers also hold the handle, and systems run in parallel across
-/// experiments — so the shared handle must be `Send + Sync`.
+/// A registry shared between agents of one simulation. The simulator
+/// runs one serial event loop, but agents are owned by the `Sim` while
+/// experiment drivers also hold the handle, and independent systems may
+/// run on different threads (the test harness runs tests concurrently)
+/// — so the shared handle must be `Send + Sync`.
 pub type SharedRegistry = Arc<Mutex<Registry>>;
 
 /// A fresh shared registry.

@@ -69,12 +69,6 @@ enum Repr {
 pub struct Topology {
     n: usize,
     repr: Repr,
-    /// Lower bound on every distinct-pair one-way delay, in nanoseconds
-    /// (0 when there are no pairs). Exact for the dense representation,
-    /// analytic for the coordinate representation. This is the safe
-    /// lookahead window for conservative parallel execution: any message
-    /// sent at time `t` arrives no earlier than `t + min_one_way_ns`.
-    min_one_way_ns: u64,
 }
 
 impl Topology {
@@ -91,7 +85,6 @@ impl Topology {
         }
         Topology {
             n,
-            min_one_way_ns: dense_min_one_way(n, &rtt_ns),
             repr: Repr::Dense { rtt_ns },
         }
     }
@@ -111,7 +104,6 @@ impl Topology {
                 repr: Repr::Dense {
                     rtt_ns: vec![0u64; 1].into_boxed_slice(),
                 },
-                min_one_way_ns: 0,
             };
         }
         let mut rng = SimRng::new(seed).fork(0x7090);
@@ -163,7 +155,6 @@ impl Topology {
         }
         Topology {
             n,
-            min_one_way_ns: dense_min_one_way(n, &rtt_ns),
             repr: Repr::Dense { rtt_ns },
         }
     }
@@ -198,7 +189,6 @@ impl Topology {
                     scale: 1.0,
                     seed,
                 },
-                min_one_way_ns: 0,
             };
         }
 
@@ -213,7 +203,6 @@ impl Topology {
         let scale = mean_rtt_ms / (sum / count as f64);
         Topology {
             n,
-            min_one_way_ns: coords_min_one_way(scale),
             repr: Repr::Coords {
                 coords,
                 scale,
@@ -242,19 +231,6 @@ impl Topology {
     #[inline]
     pub fn one_way(&self, a: usize, b: usize) -> SimDuration {
         SimDuration(self.rtt_ns(a, b) / 2)
-    }
-
-    /// A lower bound on [`Topology::one_way`] over all distinct pairs:
-    /// no message between distinct hosts is ever delivered in less than
-    /// this. Exact (the true minimum) for dense matrices; for the
-    /// coordinate representation it is the analytic floor of the jitter
-    /// model, which every on-demand pair provably respects. Zero when
-    /// the topology has fewer than two hosts or contains a zero-latency
-    /// pair — conservative parallel execution falls back to the
-    /// sequential loop in that case.
-    #[inline]
-    pub fn min_one_way(&self) -> SimDuration {
-        SimDuration(self.min_one_way_ns)
     }
 
     #[inline]
@@ -351,37 +327,6 @@ fn for_each_stat_pair(n: usize, seed: u64, mut f: impl FnMut(usize, usize)) {
             f(i, j);
         }
     }
-}
-
-/// Exact minimum one-way delay over the off-diagonal entries of a dense
-/// RTT matrix, in nanoseconds; zero when there are no pairs.
-fn dense_min_one_way(n: usize, rtt_ns: &[u64]) -> u64 {
-    let mut min = u64::MAX;
-    for i in 0..n {
-        for j in (i + 1)..n {
-            min = min.min(rtt_ns[i * n + j]);
-        }
-    }
-    if min == u64::MAX {
-        0
-    } else {
-        min / 2
-    }
-}
-
-/// Analytic lower bound on the coordinate representation's one-way delay
-/// in nanoseconds. [`raw_latency`] is `(LAST_MILE + dist) * exp(sigma*z)`
-/// with `dist >= 0` and the Irwin–Hall `z` strictly above `-2*sqrt(3)`
-/// (four uniforms in `[0, 1)` summed), so every raw latency exceeds
-/// `LAST_MILE * exp(-sigma * 2*sqrt(3))`. The stored RTT rounds
-/// `raw * scale * 1e6` to the nearest integer, which can move it at most
-/// 0.5 below the real value; flooring the bound and subtracting one
-/// absorbs that.
-fn coords_min_one_way(scale: f64) -> u64 {
-    let z_floor = -2.0 * 1.732_050_807_568_877_2; // -2*sqrt(3)
-    let raw_floor = LAST_MILE * (JITTER_SIGMA * z_floor).exp();
-    let rtt_floor = (raw_floor * scale * 1e6).floor() as u64;
-    rtt_floor.saturating_sub(1) / 2
 }
 
 /// Raw (pre-rescale) latency of pair `(i, j)` in the coordinate
@@ -552,58 +497,6 @@ mod tests {
         let p95 = t.percentile_rtt_ms(95.0);
         assert!(p5 < 100.0, "p5 was {p5}");
         assert!(p95 > 280.0, "p95 was {p95}");
-    }
-
-    #[test]
-    fn min_one_way_exact_for_dense() {
-        for seed in [3u64, 42, 99] {
-            let t = Topology::king_like(96, seed, 180.0);
-            let mut true_min = u64::MAX;
-            for i in 0..96 {
-                for j in 0..96 {
-                    if i != j {
-                        true_min = true_min.min(t.one_way(i, j).0);
-                    }
-                }
-            }
-            assert_eq!(t.min_one_way().0, true_min);
-            assert!(t.min_one_way().0 > 0);
-        }
-        let u = Topology::uniform(4, SimTime::from_millis(100));
-        assert_eq!(u.min_one_way(), SimDuration::from_millis(50));
-    }
-
-    #[test]
-    fn min_one_way_bounds_every_scalable_pair() {
-        for seed in [1u64, 7, 42, 1234] {
-            for n in [2usize, 64, 500] {
-                let t = Topology::king_like_scalable(n, seed, 180.0);
-                let bound = t.min_one_way().0;
-                assert!(bound > 0, "n={n} seed={seed}: zero lookahead bound");
-                for i in 0..n {
-                    for j in (i + 1)..n {
-                        assert!(
-                            t.one_way(i, j).0 >= bound,
-                            "n={n} seed={seed} pair ({i},{j}): one-way {} < bound {bound}",
-                            t.one_way(i, j).0
-                        );
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn min_one_way_degenerate_topologies_are_zero() {
-        assert_eq!(Topology::king_like(1, 9, 180.0).min_one_way().0, 0);
-        assert_eq!(Topology::king_like_scalable(1, 9, 180.0).min_one_way().0, 0);
-        assert_eq!(Topology::uniform(2, SimTime::ZERO).min_one_way().0, 0);
-        assert_eq!(
-            Topology::uniform(1, SimTime::from_millis(10))
-                .min_one_way()
-                .0,
-            0
-        );
     }
 
     /// The scalable representation must stay O(n) in memory, which this

@@ -72,18 +72,6 @@ fn steady_state_delivery_does_not_allocate() {
     sim.run();
     assert_eq!(sim.agent(AgentId(1)).received, BATCH);
 
-    // Requesting threads must not cost anything here: this topology has
-    // no positive latency floor, so there is no safe lookahead window
-    // and the run falls back to the sequential loop — which must remain
-    // allocation-free even with the parallel engine compiled in and
-    // asked for (force_parallel leaves only the W = 0 gate standing, so
-    // this holds on single-core hosts too). Parallel-eligible runs
-    // allocate per-window shard state by design; that trade is
-    // wall-clock for allocations and is measured by the bench suite,
-    // not this gate.
-    sim.set_threads(8);
-    sim.force_parallel(true);
-
     // Measured: the identical workload through the warmed machinery.
     // Every inject, send, queue push/pop, and delivery must be
     // allocation-free.
@@ -100,12 +88,11 @@ fn steady_state_delivery_does_not_allocate() {
         delta, 0,
         "steady-state delivery allocated {delta} times over {BATCH} messages"
     );
-    // The high-water mark survives the threads knob: it still reflects
-    // the real queue population (the warm-up batch parked ~BATCH events
-    // at one instant), not the per-shard accounting path that never ran.
+    // The high-water mark reflects the real queue population: the
+    // warm-up batch parked ~BATCH events at one instant.
     assert!(
         sim.stats().peak_queue >= BATCH as u64,
-        "peak_queue {} lost the sequential high-water mark",
+        "peak_queue {} lost the high-water mark",
         sim.stats().peak_queue
     );
 }

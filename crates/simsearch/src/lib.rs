@@ -75,7 +75,6 @@ pub use routing::{
 };
 pub use store::{Entry, EntryRef, ScanStats, Store};
 pub use system::{
-    threads_from_env, IndexSpec, LoadBalanceConfig, QueryOutcome, QuerySpec, SearchSystem,
-    SystemConfig,
+    IndexSpec, LoadBalanceConfig, QueryOutcome, QuerySpec, SearchSystem, SystemConfig,
 };
 pub use telemetry::{QuerySummary, QueryTrace, Telemetry, TraceEvent};

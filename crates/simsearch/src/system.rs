@@ -64,35 +64,18 @@ pub struct SystemConfig {
     /// and the hot-range result cache. `None` (default) keeps the wire
     /// protocol byte-identical to the unoptimized implementation.
     pub routing_opt: Option<RoutingOptConfig>,
-    /// Worker threads for the simulation event loop (see
-    /// [`simnet::Sim::set_threads`]). Results are bit-identical at every
-    /// setting; this is purely a wall-clock knob, so it is deliberately
-    /// *not* part of the telemetry snapshot. Defaults to the
-    /// `SIMSEARCH_THREADS` environment variable, or 1.
+    /// Inert: nothing reads it, and the simulator always runs one
+    /// serial event loop. It remains only because the repo benchmark
+    /// (`benchmark/src/sim.rs`) names it in a struct literal and that
+    /// harness is frozen; the next `benchmark` PR (ROADMAP item 1)
+    /// deletes it. Defaults to 1.
     pub threads: usize,
-    /// Run the windowed parallel engine even when the host reports a
-    /// single CPU (see [`simnet::Sim::force_parallel`]). Results are
-    /// bit-identical either way, so like `threads` this never enters
-    /// the telemetry snapshot; it exists so determinism tests exercise
-    /// the real merge machinery on any hardware. Defaults to whether
-    /// the `SIMSEARCH_FORCE_PAR` environment variable is set.
-    pub force_parallel: bool,
     /// Additionally maintain per-index namespaced counters
     /// (`index{i}.answers`, `index{i}.scanned`, `index{i}.dist_calls`,
     /// `index{i}.routed`, `index{i}.published`) so co-hosted schemes are
     /// attributable individually. Off by default: the extra registry
     /// keys would perturb the historical golden snapshots.
     pub index_telemetry: bool,
-}
-
-/// Read the `SIMSEARCH_THREADS` environment variable: a positive thread
-/// count, or 1 when unset, unparsable, or zero.
-pub fn threads_from_env() -> usize {
-    std::env::var("SIMSEARCH_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&t| t >= 1)
-        .unwrap_or(1)
 }
 
 impl Default for SystemConfig {
@@ -111,8 +94,7 @@ impl Default for SystemConfig {
             overlay: OverlayKind::Chord,
             resilience: None,
             routing_opt: None,
-            threads: threads_from_env(),
-            force_parallel: std::env::var_os("SIMSEARCH_FORCE_PAR").is_some(),
+            threads: 1,
             index_telemetry: false,
         }
     }
@@ -403,9 +385,7 @@ impl SearchSystem {
             )
         });
 
-        let mut sim = Sim::new(topo, nodes, cfg.seed ^ 0x51);
-        sim.set_threads(cfg.threads);
-        sim.force_parallel(cfg.force_parallel);
+        let sim = Sim::new(topo, nodes, cfg.seed ^ 0x51);
         let mut system = SearchSystem {
             sim,
             ring,

@@ -14,7 +14,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 
 use serde_json::Value;
 use simnet::telemetry::Registry;
-use simnet::{current_effect_rank, AgentId, EffectRank};
+use simnet::AgentId;
 
 use crate::msg::QueryId;
 
@@ -279,19 +279,6 @@ impl QueryTrace {
     }
 }
 
-/// A trace mutation deferred during parallel window execution; applied
-/// in effect-rank order at the next flush. Only trace mutations need
-/// this treatment: registry counters and histograms are commutative
-/// sums, so they can be applied in any order, but a trace's event list
-/// is order-sensitive and must match the sequential execution order.
-#[derive(Debug)]
-enum PendingOp {
-    /// `begin_query`: anchor the trace's origin.
-    Begin { qid: QueryId, origin: usize },
-    /// `record` / the trace half of `record_routing`: append one event.
-    Event { qid: QueryId, event: TraceEvent },
-}
-
 /// Shared telemetry state of one simulated system.
 #[derive(Debug, Default)]
 pub struct TelemetryState {
@@ -299,33 +286,6 @@ pub struct TelemetryState {
     pub registry: Registry,
     /// Per-query traces, keyed by query id.
     pub traces: BTreeMap<QueryId, QueryTrace>,
-    /// Trace mutations buffered during parallel window execution, tagged
-    /// with the rank of the simulation event that produced them.
-    pending: Vec<(EffectRank, PendingOp)>,
-}
-
-impl TelemetryState {
-    /// Apply buffered trace mutations in global simulation order. Ranks
-    /// are unique per simulation event; a *stable* sort keeps same-rank
-    /// entries (multiple pushes from one event's callback, appended
-    /// under the mutex by one thread) in their push order.
-    fn flush_pending(&mut self) {
-        if self.pending.is_empty() {
-            return;
-        }
-        let mut pending = std::mem::take(&mut self.pending);
-        pending.sort_by(|a, b| a.0.cmp(&b.0));
-        for (_, op) in pending {
-            match op {
-                PendingOp::Begin { qid, origin } => {
-                    self.traces.entry(qid).or_default().origin = origin;
-                }
-                PendingOp::Event { qid, event } => {
-                    self.traces.entry(qid).or_default().events.push(event);
-                }
-            }
-        }
-    }
 }
 
 /// Cloneable handle to one system's telemetry. Cheap to clone (an `Arc`);
@@ -339,63 +299,34 @@ impl Telemetry {
         Telemetry::default()
     }
 
-    /// Lock the state for direct inspection or mutation. Flushes any
-    /// trace mutations buffered during parallel window execution first,
-    /// so the guard always exposes a globally-ordered view.
+    /// Lock the state for direct inspection or mutation.
     pub fn lock(&self) -> MutexGuard<'_, TelemetryState> {
-        let mut st = self.raw();
-        st.flush_pending();
-        st
-    }
-
-    /// Lock without flushing; the recording fast path.
-    fn raw(&self) -> MutexGuard<'_, TelemetryState> {
         self.0.lock().expect("telemetry poisoned")
-    }
-
-    /// Buffer `op` if a parallel window is executing, otherwise apply it
-    /// now (flushing first, so earlier buffered mutations keep their
-    /// place in the order).
-    fn trace_op(&self, op: PendingOp) {
-        let mut st = self.raw();
-        match current_effect_rank() {
-            Some(rank) => st.pending.push((rank, op)),
-            None => {
-                st.flush_pending();
-                match op {
-                    PendingOp::Begin { qid, origin } => {
-                        st.traces.entry(qid).or_default().origin = origin;
-                    }
-                    PendingOp::Event { qid, event } => {
-                        st.traces.entry(qid).or_default().events.push(event);
-                    }
-                }
-            }
-        }
     }
 
     /// Start (or re-anchor) the trace of `qid` at its issuing node.
     pub fn begin_query(&self, qid: QueryId, origin: AgentId) {
-        self.trace_op(PendingOp::Begin {
-            qid,
-            origin: origin.0,
-        });
+        self.lock().traces.entry(qid).or_default().origin = origin.0;
     }
 
     /// Append one event to the trace of `qid`.
     pub fn record(&self, qid: QueryId, event: TraceEvent) {
-        self.trace_op(PendingOp::Event { qid, event });
+        self.lock()
+            .traces
+            .entry(qid)
+            .or_default()
+            .events
+            .push(event);
     }
 
-    /// Add `by` to a named counter. Counters are commutative, so this
-    /// never buffers — parallel or not, the sum is order-independent.
+    /// Add `by` to a named counter.
     pub fn incr(&self, name: &str, by: u64) {
-        self.raw().registry.incr(name, by);
+        self.lock().registry.incr(name, by);
     }
 
-    /// Record one histogram sample (commutative, like `incr`).
+    /// Record one histogram sample.
     pub fn observe(&self, name: &str, value: u64) {
-        self.raw().registry.observe(name, value);
+        self.lock().registry.observe(name, value);
     }
 
     /// Record a routing-layer event observed at node `at` while working
@@ -415,8 +346,9 @@ impl Telemetry {
             ),
             R::RefinePeel { prefix_len } => ("routing.peels", TraceEvent::Peel { at, prefix_len }),
         };
-        self.raw().registry.incr(counter, 1);
-        self.trace_op(PendingOp::Event { qid, event });
+        let mut st = self.lock();
+        st.registry.incr(counter, 1);
+        st.traces.entry(qid).or_default().events.push(event);
     }
 
     /// Drop the trace of `qid`; a later event on it starts a fresh one.

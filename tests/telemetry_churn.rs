@@ -6,6 +6,8 @@
 //! `UPDATE_GOLDEN=1 cargo test --test telemetry_churn` and review the
 //! diff like source.
 
+mod common;
+
 use std::sync::Arc;
 
 use landmark::{boundary_from_metric, kmeans, Mapper};
@@ -130,13 +132,6 @@ fn run_scenario() -> (Vec<QueryOutcome>, String) {
     (outcomes, system.telemetry_json())
 }
 
-fn golden_path() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests")
-        .join("golden")
-        .join("telemetry_churn_64node.json")
-}
-
 #[test]
 fn churn_keeps_full_range_recall() {
     let (outcomes, _) = run_scenario();
@@ -160,29 +155,10 @@ fn same_seed_churn_snapshots_are_byte_identical() {
 
 #[test]
 fn churn_snapshot_matches_checked_in_golden() {
-    let (_, got) = run_scenario();
-    let path = golden_path();
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, &got).unwrap();
-        println!("regenerated {}", path.display());
-        return;
-    }
-    let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden file {} ({e}); regenerate with \
-             UPDATE_GOLDEN=1 cargo test --test telemetry_churn",
-            path.display()
-        )
-    });
-    assert!(
-        got == want,
-        "churn telemetry snapshot diverged from {} (len {} vs {}); if \
-         the change is intentional, regenerate with UPDATE_GOLDEN=1 and \
-         review the diff",
-        path.display(),
-        got.len(),
-        want.len()
+    common::check_golden(
+        "telemetry_churn_64node.json",
+        &run_scenario().1,
+        "cargo test --release --test telemetry_churn",
     );
 }
 

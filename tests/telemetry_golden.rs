@@ -5,6 +5,8 @@
 //! regenerate it (`UPDATE_GOLDEN=1 cargo test --test telemetry_golden`)
 //! and the diff reviewed like source.
 
+mod common;
+
 use std::sync::Arc;
 
 use landmark::{boundary_from_metric, kmeans, Mapper};
@@ -76,13 +78,6 @@ fn run_scenario() -> String {
     system.telemetry_json()
 }
 
-fn golden_path() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("tests")
-        .join("golden")
-        .join("telemetry_64node.json")
-}
-
 #[test]
 fn same_seed_snapshots_are_byte_identical() {
     assert_eq!(run_scenario(), run_scenario());
@@ -90,29 +85,10 @@ fn same_seed_snapshots_are_byte_identical() {
 
 #[test]
 fn snapshot_matches_checked_in_golden() {
-    let got = run_scenario();
-    let path = golden_path();
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
-        std::fs::write(&path, &got).unwrap();
-        println!("regenerated {}", path.display());
-        return;
-    }
-    let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden file {} ({e}); regenerate with \
-             UPDATE_GOLDEN=1 cargo test --test telemetry_golden",
-            path.display()
-        )
-    });
-    assert!(
-        got == want,
-        "telemetry snapshot diverged from {} (len {} vs {}); if the \
-         change is intentional, regenerate with UPDATE_GOLDEN=1 and \
-         review the diff",
-        path.display(),
-        got.len(),
-        want.len()
+    common::check_golden(
+        "telemetry_64node.json",
+        &run_scenario(),
+        "cargo test --release --test telemetry_golden",
     );
 }
 
