@@ -77,4 +77,4 @@ pub use store::{Entry, EntryRef, ScanStats, Store};
 pub use system::{
     IndexSpec, LoadBalanceConfig, QueryOutcome, QuerySpec, SearchSystem, SystemConfig,
 };
-pub use telemetry::{QuerySummary, QueryTrace, Telemetry, TraceEvent};
+pub use telemetry::{QuerySummary, QueryTrace, Telemetry, TraceEvent, TraceLog};

@@ -6,6 +6,7 @@
 //! it over real sockets.
 
 use std::collections::{hash_map, BTreeMap, HashMap, HashSet, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use lph::{Grid, Rect, Rotation};
@@ -79,6 +80,32 @@ struct CacheFill {
     covered: Vec<(u64, u64)>,
     /// Candidate union so far, deduplicated by object.
     cands: Vec<(ObjectId, Box<[f64]>)>,
+}
+
+/// The hasher of one answer's object-dedup set, in place of SipHash: a
+/// Fibonacci multiply of the `u32` id with the high half folded into the
+/// low bits the table indexes by. It is unkeyed and publishers choose
+/// object ids, but the set lives for one answer and holds at most that
+/// answer's hits, which bounds what colliding ids can cost. The
+/// qid-keyed maps, whose keys clients choose, stay on SipHash.
+#[derive(Default)]
+struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write_u32(&mut self, id: u32) {
+        let h = u64::from(id).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = h ^ (h >> 32);
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u32((self.0 as u32).rotate_left(8) ^ u32::from(b));
+        }
+    }
 }
 
 /// What one local answering pass produced, shared between the classic
@@ -988,8 +1015,11 @@ impl SearchNode {
             .map(|(f, span)| ix.store.scan_range(&f.rect, *span))
             .collect();
         // Sized up front: growing a hash set rehashes it again and again.
-        let mut seen: HashSet<ObjectId> =
-            HashSet::with_capacity(scans.iter().map(|(hits, _)| hits.len()).sum());
+        let mut seen: HashSet<ObjectId, BuildHasherDefault<IdHasher>> =
+            HashSet::with_capacity_and_hasher(
+                scans.iter().map(|(hits, _)| hits.len()).sum(),
+                Default::default(),
+            );
         let mut cands: Vec<(ObjectId, Option<f64>, &'s [f64])> = Vec::new();
         let mut cache_pts: Option<Vec<(ObjectId, Box<[f64]>)>> = collect_cache.then(Vec::new);
         let mut pruned = 0u64;
@@ -1237,13 +1267,16 @@ impl SearchNode {
         iq.max_hops = iq.max_hops.max(hops);
         iq.responses += 1;
         iq.degraded |= degraded;
+        // The answering node's order (`collect_answer`): total_cmp, then
+        // id. A `<` on f64 would sort a NaN distance first and break
+        // `partition_point`'s precondition for every later entry.
         for (obj, d) in entries {
             if iq.merged.iter().any(|&(o, _)| o == obj) {
                 continue;
             }
             let pos = iq
                 .merged
-                .partition_point(|&(o, x)| x < d || (x == d && o < obj));
+                .partition_point(|&(o, x)| x.total_cmp(&d).then(o.cmp(&obj)).is_lt());
             if pos < k {
                 iq.merged.insert(pos, (obj, d));
                 iq.merged.truncate(k);
@@ -1737,6 +1770,39 @@ mod tests {
         sorted.sort_by(f64::total_cmp);
         assert_eq!(dists, sorted);
         assert_eq!(iq.merged.len(), 8);
+    }
+
+    #[test]
+    fn a_nan_distance_merges_where_the_answering_node_ranks_it() {
+        // Distance = id, except object 2 whose distance is NaN. With
+        // k = 4, node 0 (cells 0..=3) replies [0, 1, 3, NaN], so the NaN
+        // reaches the origin and must not displace object 4.
+        let oracle = |_q: QueryId, o: ObjectId| if o.0 == 2 { f64::NAN } else { o.0 as f64 };
+        let (mut sim, _ring, grid) = build_with(Arc::new(oracle));
+        let k = 4;
+        for a in 0..2 {
+            sim.agent_mut(AgentId(a)).knn_k = k;
+        }
+        sim.inject(
+            SimTime::ZERO,
+            AgentId(0),
+            issue(Rect::new(vec![0.0], vec![8.0]), &grid, 0),
+        );
+        sim.run();
+        let mut want: Vec<(ObjectId, f64)> = (0..8)
+            .map(|o| (ObjectId(o), oracle(0, ObjectId(o))))
+            .collect();
+        want.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+        want.truncate(k);
+        let bits = |v: &[(ObjectId, f64)]| -> Vec<(u32, u64)> {
+            v.iter().map(|&(o, d)| (o.0, d.to_bits())).collect()
+        };
+        let got = &sim.agent(AgentId(0)).issued[&0].merged;
+        assert_eq!(bits(got), bits(&want));
+        assert_eq!(
+            got.iter().map(|&(o, _)| o.0).collect::<Vec<_>>(),
+            [0, 1, 3, 4]
+        );
     }
 
     #[test]

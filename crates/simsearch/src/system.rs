@@ -526,11 +526,6 @@ impl SearchSystem {
             let h = histogram_of(self.sim.agents().map(|n| n.indexes[ix].store.load() as u64));
             load.insert(format!("index{ix}"), h.to_json());
         }
-        let queries: BTreeMap<String, Value> = st
-            .traces
-            .iter()
-            .map(|(qid, t)| (format!("{qid:010}"), t.to_json()))
-            .collect();
         let mut config = serde_json::json!({
             "n_nodes": Value::UInt(self.cfg.n_nodes as u64),
             "seed": Value::UInt(self.cfg.seed),
@@ -580,7 +575,7 @@ impl SearchSystem {
             }),
             "registry": st.registry.to_json(),
             "load": Value::Object(load),
-            "queries": Value::Object(queries),
+            "queries": st.traces_json(),
         })
     }
 

@@ -3,7 +3,8 @@
 //! A [`Telemetry`] handle is shared between the experiment driver and
 //! every [`crate::node::SearchNode`] of one simulated system. Nodes
 //! record [`TraceEvent`]s as they route, split, refine and answer query
-//! fragments; the overlay and load-balancer layers add counters to the
+//! fragments, each query's into one compact [`TraceLog`]; the overlay
+//! and load-balancer layers add counters to the
 //! embedded [`simnet::Registry`]. Everything recorded is an integer
 //! derived from simulated events — never a wall-clock reading — so two
 //! runs with the same seed produce byte-identical JSON, which is what
@@ -89,67 +90,119 @@ pub enum TraceEvent {
     },
 }
 
-impl TraceEvent {
-    /// The event's snake_case tag.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            TraceEvent::Forward { .. } => "forward",
-            TraceEvent::Handoff { .. } => "handoff",
-            TraceEvent::SharedPath { .. } => "shared_path",
-            TraceEvent::Split { .. } => "split",
-            TraceEvent::Refine { .. } => "refine",
-            TraceEvent::Peel { .. } => "peel",
-            TraceEvent::Answer { .. } => "answer",
-        }
-    }
+/// Each variant's snake_case tag and field names, indexed by the tag
+/// byte that starts it in a [`TraceLog`]. [`TraceEvent::fields`] lists
+/// the values in this order, and both the JSON form and the log's
+/// varints follow it.
+const LAYOUT: [(&str, &[&str]); 7] = [
+    ("forward", &["from", "to", "subqueries", "bytes"]),
+    ("handoff", &["from", "to", "bytes"]),
+    ("shared_path", &["at", "prefix_len"]),
+    ("split", &["at", "prefix_len"]),
+    ("refine", &["at", "prefix_len"]),
+    ("peel", &["at", "prefix_len"]),
+    (
+        "answer",
+        &["at", "hops", "scanned", "matched", "returned", "bytes"],
+    ),
+];
 
-    /// Canonical JSON: an object tagged by `"event"`, integer fields only.
-    pub fn to_json(&self) -> Value {
-        let mut obj: BTreeMap<String, Value> = BTreeMap::new();
-        obj.insert("event".into(), Value::String(self.kind().into()));
-        let mut put = |k: &str, v: u64| {
-            obj.insert(k.into(), Value::UInt(v));
-        };
+impl TraceEvent {
+    /// The event's tag byte and its field values widened to `u64`, in
+    /// [`LAYOUT`] order; slots past the variant's field count are 0.
+    fn fields(&self) -> (u8, [u64; 6]) {
+        use TraceEvent as E;
         match *self {
-            TraceEvent::Forward {
+            E::Forward {
                 from,
                 to,
                 subqueries,
                 bytes,
-            } => {
-                put("from", from as u64);
-                put("to", to as u64);
-                put("subqueries", subqueries as u64);
-                put("bytes", bytes as u64);
-            }
-            TraceEvent::Handoff { from, to, bytes } => {
-                put("from", from as u64);
-                put("to", to as u64);
-                put("bytes", bytes as u64);
-            }
-            TraceEvent::SharedPath { at, prefix_len }
-            | TraceEvent::Split { at, prefix_len }
-            | TraceEvent::Refine { at, prefix_len }
-            | TraceEvent::Peel { at, prefix_len } => {
-                put("at", at as u64);
-                put("prefix_len", prefix_len as u64);
-            }
-            TraceEvent::Answer {
+            } => (
+                0,
+                [
+                    from as u64,
+                    to as u64,
+                    subqueries.into(),
+                    bytes.into(),
+                    0,
+                    0,
+                ],
+            ),
+            E::Handoff { from, to, bytes } => (1, [from as u64, to as u64, bytes.into(), 0, 0, 0]),
+            E::SharedPath { at, prefix_len } => (2, [at as u64, prefix_len.into(), 0, 0, 0, 0]),
+            E::Split { at, prefix_len } => (3, [at as u64, prefix_len.into(), 0, 0, 0, 0]),
+            E::Refine { at, prefix_len } => (4, [at as u64, prefix_len.into(), 0, 0, 0, 0]),
+            E::Peel { at, prefix_len } => (5, [at as u64, prefix_len.into(), 0, 0, 0, 0]),
+            E::Answer {
                 at,
                 hops,
                 scanned,
                 matched,
                 returned,
                 bytes,
-            } => {
-                put("at", at as u64);
-                put("hops", hops as u64);
-                put("scanned", scanned);
-                put("matched", matched);
-                put("returned", returned);
-                put("bytes", bytes as u64);
-            }
+            } => (
+                6,
+                [
+                    at as u64,
+                    hops.into(),
+                    scanned,
+                    matched,
+                    returned,
+                    bytes.into(),
+                ],
+            ),
         }
+    }
+
+    /// The inverse of [`Self::fields`]. The narrowing casts are lossless:
+    /// every value was widened from the field it returns to.
+    fn from_fields(tag: u8, [a, b, c, d, e, f]: [u64; 6]) -> TraceEvent {
+        use TraceEvent as E;
+        let (at, prefix_len) = (a as usize, b as u32);
+        match tag {
+            0 => E::Forward {
+                from: a as usize,
+                to: b as usize,
+                subqueries: c as u32,
+                bytes: d as u32,
+            },
+            1 => E::Handoff {
+                from: a as usize,
+                to: b as usize,
+                bytes: c as u32,
+            },
+            2 => E::SharedPath { at, prefix_len },
+            3 => E::Split { at, prefix_len },
+            4 => E::Refine { at, prefix_len },
+            5 => E::Peel { at, prefix_len },
+            6 => E::Answer {
+                at,
+                hops: b as u32,
+                scanned: c,
+                matched: d,
+                returned: e,
+                bytes: f as u32,
+            },
+            _ => unreachable!("trace log tag {tag}"),
+        }
+    }
+
+    /// The event's snake_case tag.
+    pub fn kind(&self) -> &'static str {
+        LAYOUT[self.fields().0 as usize].0
+    }
+
+    /// Canonical JSON: an object tagged by `"event"`, integer fields only.
+    pub fn to_json(&self) -> Value {
+        let (tag, values) = self.fields();
+        let (kind, names) = LAYOUT[tag as usize];
+        let mut obj: BTreeMap<String, Value> = names
+            .iter()
+            .zip(values)
+            .map(|(&k, v)| (k.to_string(), Value::UInt(v)))
+            .collect();
+        obj.insert("event".into(), Value::String(kind.into()));
         Value::Object(obj)
     }
 }
@@ -215,14 +268,12 @@ impl QuerySummary {
         self.query_bytes += other.query_bytes;
         self.result_bytes += other.result_bytes;
     }
-}
 
-impl QueryTrace {
-    /// Roll the event list up into integer totals.
-    pub fn summary(&self) -> QuerySummary {
+    /// Roll a query's events up into integer totals.
+    fn of(events: impl IntoIterator<Item = TraceEvent>) -> QuerySummary {
         let mut s = QuerySummary::default();
-        for e in &self.events {
-            match *e {
+        for e in events {
+            match e {
                 TraceEvent::Forward { bytes, .. } => {
                     s.forwards += 1;
                     s.query_bytes += bytes as u64;
@@ -254,6 +305,13 @@ impl QueryTrace {
         }
         s
     }
+}
+
+impl QueryTrace {
+    /// Roll the event list up into integer totals.
+    pub fn summary(&self) -> QuerySummary {
+        QuerySummary::of(self.events.iter().copied())
+    }
 
     /// Canonical JSON: origin, the integer summary, and the event list.
     pub fn to_json(&self) -> Value {
@@ -279,13 +337,82 @@ impl QueryTrace {
     }
 }
 
+/// One query's trace as it is stored: the origin plus a byte log in
+/// which each event is its variant's tag byte followed by its fields as
+/// LEB128 varints (7 bits a byte, low group first). Node addresses, hop
+/// counts and prefix lengths are small, so an event averages a few
+/// bytes rather than the 48 of a [`TraceEvent`]; every field's full
+/// range still round-trips. [`Self::to_trace`] decodes it.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct TraceLog {
+    /// The issuing node's address.
+    pub origin: usize,
+    bytes: Vec<u8>,
+}
+
+impl TraceLog {
+    /// Append one event.
+    pub fn push(&mut self, event: &TraceEvent) {
+        let (tag, values) = event.fields();
+        self.bytes.push(tag);
+        for mut v in values.into_iter().take(LAYOUT[tag as usize].1.len()) {
+            while v >= 0x80 {
+                self.bytes.push(v as u8 | 0x80);
+                v >>= 7;
+            }
+            self.bytes.push(v as u8);
+        }
+    }
+
+    /// The events in recording order, decoded one at a time.
+    pub fn events(&self) -> impl Iterator<Item = TraceEvent> + '_ {
+        let mut rest = self.bytes.as_slice();
+        std::iter::from_fn(move || {
+            let (&tag, tail) = rest.split_first()?;
+            rest = tail;
+            let mut values = [0u64; 6];
+            for v in values.iter_mut().take(LAYOUT[tag as usize].1.len()) {
+                let mut shift = 0;
+                loop {
+                    let (&b, tail) = rest.split_first().expect("truncated trace log");
+                    rest = tail;
+                    *v |= u64::from(b & 0x7f) << shift;
+                    if b < 0x80 {
+                        break;
+                    }
+                    shift += 7;
+                }
+            }
+            Some(TraceEvent::from_fields(tag, values))
+        })
+    }
+
+    /// Bytes the log occupies (its length, not its capacity).
+    pub fn byte_len(&self) -> usize {
+        self.bytes.len()
+    }
+
+    /// Roll the log up into integer totals, decoding as it folds.
+    pub fn summary(&self) -> QuerySummary {
+        QuerySummary::of(self.events())
+    }
+
+    /// The decoded trace.
+    pub fn to_trace(&self) -> QueryTrace {
+        QueryTrace {
+            origin: self.origin,
+            events: self.events().collect(),
+        }
+    }
+}
+
 /// Shared telemetry state of one simulated system.
 #[derive(Debug, Default)]
 pub struct TelemetryState {
     /// Named counters and histograms (overlay, routing, store, balancer).
     pub registry: Registry,
     /// Per-query traces, keyed by query id.
-    pub traces: BTreeMap<QueryId, QueryTrace>,
+    pub traces: BTreeMap<QueryId, TraceLog>,
 }
 
 /// Cloneable handle to one system's telemetry. Cheap to clone (an `Arc`);
@@ -311,12 +438,7 @@ impl Telemetry {
 
     /// Append one event to the trace of `qid`.
     pub fn record(&self, qid: QueryId, event: TraceEvent) {
-        self.lock()
-            .traces
-            .entry(qid)
-            .or_default()
-            .events
-            .push(event);
+        self.lock().traces.entry(qid).or_default().push(&event);
     }
 
     /// Add `by` to a named counter.
@@ -348,7 +470,7 @@ impl Telemetry {
         };
         let mut st = self.lock();
         st.registry.incr(counter, 1);
-        st.traces.entry(qid).or_default().events.push(event);
+        st.traces.entry(qid).or_default().push(&event);
     }
 
     /// Drop the trace of `qid`; a later event on it starts a fresh one.
@@ -357,18 +479,19 @@ impl Telemetry {
         self.lock().traces.remove(&qid);
     }
 
-    /// Clone of the trace of `qid`, if the query was seen.
+    /// The decoded trace of `qid`, if the query was seen.
     pub fn trace(&self, qid: QueryId) -> Option<QueryTrace> {
-        self.lock().traces.get(&qid).cloned()
+        self.lock().traces.get(&qid).map(TraceLog::to_trace)
     }
+}
 
+impl TelemetryState {
     /// Canonical JSON of every trace, keyed by decimal query id.
     pub fn traces_json(&self) -> Value {
-        let state = self.lock();
-        let map: BTreeMap<String, Value> = state
+        let map: BTreeMap<String, Value> = self
             .traces
             .iter()
-            .map(|(qid, t)| (format!("{qid:010}"), t.to_json()))
+            .map(|(qid, t)| (format!("{qid:010}"), t.to_trace().to_json()))
             .collect();
         Value::Object(map)
     }
@@ -486,7 +609,7 @@ mod tests {
         let t = Telemetry::new();
         t.begin_query(10, AgentId(0));
         t.begin_query(2, AgentId(1));
-        let j = t.traces_json().to_string();
+        let j = t.lock().traces_json().to_string();
         let p2 = j.find("0000000002").unwrap();
         let p10 = j.find("0000000010").unwrap();
         assert!(p2 < p10, "{j}");

@@ -17,7 +17,8 @@ use workloads::{ClusteredParams, ClusteredVectors};
 
 const SEED: u64 = 64064;
 
-fn run_scenario() -> String {
+/// The scenario's system after its queries have run.
+fn run_system() -> SearchSystem {
     let data = ClusteredVectors::generate(
         ClusteredParams {
             dims: 12,
@@ -75,7 +76,11 @@ fn run_scenario() -> String {
         oracle,
     );
     system.run_queries(&queries, 10.0);
-    system.telemetry_json()
+    system
+}
+
+fn run_scenario() -> String {
+    run_system().telemetry_json()
 }
 
 #[test]
@@ -89,6 +94,23 @@ fn snapshot_matches_checked_in_golden() {
         "telemetry_64node.json",
         &run_scenario(),
         "cargo test --release --test telemetry_golden",
+    );
+}
+
+/// Each query's trace is one varint log (`simsearch::TraceLog`): an
+/// event costs its tag byte plus a byte or two per small field, not the
+/// 48 bytes of a `TraceEvent`.
+#[test]
+fn traces_average_at_most_8_bytes_per_event() {
+    let system = run_system();
+    let st = system.telemetry().lock();
+    let bytes: usize = st.traces.values().map(|t| t.byte_len()).sum();
+    let events: usize = st.traces.values().map(|t| t.events().count()).sum();
+    assert!(events > 1_000, "the scenario records {events} events");
+    assert!(
+        bytes <= 8 * events,
+        "{bytes} B for {events} events: {:.2} B/event",
+        bytes as f64 / events as f64
     );
 }
 
