@@ -9,11 +9,12 @@
 
 use chord::ChordId;
 use lph::{Prefix, Rect};
+use metric::ObjectId;
 use simnet::AgentId;
 
 use crate::msg::{query_msg_bytes, QueryId, SubQueryMsg};
 use crate::routing::{route_subquery, surrogate_refine, Action};
-use crate::system::SearchSystem;
+use crate::system::{publish_entry, SearchSystem};
 
 /// One step of a query's resolution.
 #[derive(Clone, Debug)]
@@ -249,14 +250,8 @@ impl SearchSystem {
     /// The node that owns a given index-space point (diagnostics).
     pub fn owner_of_point(&self, index: u8, point: &[f64]) -> AgentId {
         let grid = &self.grids[index as usize];
-        let rot = self.rotations[index as usize];
-        let clamped: Vec<f64> = point
-            .iter()
-            .enumerate()
-            .map(|(d, &v)| v.clamp(grid.bounds().lo()[d], grid.bounds().hi()[d]))
-            .collect();
-        let key = rot.to_ring(grid.hash(&clamped));
-        self.ring().owner_of(ChordId(key)).addr
+        let entry = publish_entry(grid, self.rotations[index as usize], ObjectId(0), point);
+        self.ring().owner_of(ChordId(entry.ring_key)).addr
     }
 
     /// The prefix a query region would be routed with (diagnostics).

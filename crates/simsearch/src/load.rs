@@ -240,7 +240,11 @@ pub fn rebuild_tables(
     }
 }
 
-/// Run dynamic load migration to convergence (or `max_rounds`).
+/// Run dynamic load migration to convergence (or `max_rounds`). With a
+/// `registry`, also record `lb.rounds`, `lb.migrations` and a per-round
+/// `lb.migrations_per_round` histogram into it. Every choice is
+/// deterministic (heaviest first, ties by address), so no randomness is
+/// drawn.
 pub fn balance(
     ring: &mut OracleRing,
     nodes: &mut [SearchNode],
@@ -248,31 +252,6 @@ pub fn balance(
     topo: &Topology,
     n_successors: usize,
     pns_candidates: usize,
-    rng: &mut SimRng,
-) -> LoadBalanceReport {
-    balance_with_telemetry(
-        ring,
-        nodes,
-        cfg,
-        topo,
-        n_successors,
-        pns_candidates,
-        rng,
-        None,
-    )
-}
-
-/// [`balance`], additionally recording `lb.rounds`, `lb.migrations` and a
-/// per-round `lb.migrations_per_round` histogram into `registry`.
-#[allow(clippy::too_many_arguments)]
-pub fn balance_with_telemetry(
-    ring: &mut OracleRing,
-    nodes: &mut [SearchNode],
-    cfg: &LoadBalanceConfig,
-    topo: &Topology,
-    n_successors: usize,
-    pns_candidates: usize,
-    rng: &mut SimRng,
     mut registry: Option<&mut simnet::Registry>,
 ) -> LoadBalanceReport {
     let mut report = LoadBalanceReport::default();
@@ -367,7 +346,6 @@ pub fn balance_with_telemetry(
             let moved = loads[h] / 2;
             loads[victim] = moved;
             loads[h] -= moved;
-            let _ = rng; // ordering is deterministic; rng reserved for tie policies
         }
 
         if let Some(reg) = registry.as_deref_mut() {
@@ -448,8 +426,7 @@ mod tests {
         let max_before = nodes.iter().map(|n| n.load()).max().unwrap();
         assert!(max_before > 500, "setup must be skewed, got {max_before}");
         let cfg = LoadBalanceConfig::default();
-        let mut rng = SimRng::new(5);
-        let report = balance(&mut ring, &mut nodes, &cfg, &topo, 8, 8, &mut rng);
+        let report = balance(&mut ring, &mut nodes, &cfg, &topo, 8, 8, None);
         assert!(report.migrations > 0);
         let max_after = nodes.iter().map(|n| n.load()).max().unwrap();
         let total: usize = nodes.iter().map(|n| n.load()).sum();
@@ -465,18 +442,8 @@ mod tests {
         let keys: Vec<u64> = (0..2000u64).map(|i| (1u64 << 40) + i * 1000).collect();
         let (mut ring, mut nodes, topo) = make_world(32, &keys);
         let cfg = LoadBalanceConfig::default();
-        let mut rng = SimRng::new(5);
         let mut reg = simnet::Registry::new();
-        let report = balance_with_telemetry(
-            &mut ring,
-            &mut nodes,
-            &cfg,
-            &topo,
-            8,
-            8,
-            &mut rng,
-            Some(&mut reg),
-        );
+        let report = balance(&mut ring, &mut nodes, &cfg, &topo, 8, 8, Some(&mut reg));
         assert_eq!(reg.counter("lb.rounds") as usize, report.rounds);
         assert_eq!(reg.counter("lb.migrations") as usize, report.migrations);
         let h = reg.histogram("lb.migrations_per_round").unwrap();
@@ -491,8 +458,7 @@ mod tests {
         let keys: Vec<u64> = vec![12345; 500];
         let (mut ring, mut nodes, topo) = make_world(16, &keys);
         let cfg = LoadBalanceConfig::default();
-        let mut rng = SimRng::new(5);
-        let _ = balance(&mut ring, &mut nodes, &cfg, &topo, 8, 8, &mut rng);
+        let _ = balance(&mut ring, &mut nodes, &cfg, &topo, 8, 8, None);
         let max_after = nodes.iter().map(|n| n.load()).max().unwrap();
         assert_eq!(max_after, 500, "single-key load is indivisible");
         let total: usize = nodes.iter().map(|n| n.load()).sum();
@@ -511,8 +477,7 @@ mod tests {
             delta: 4.0,
             ..LoadBalanceConfig::default()
         };
-        let mut rng = SimRng::new(5);
-        let report = balance(&mut ring, &mut nodes, &cfg, &topo, 8, 8, &mut rng);
+        let report = balance(&mut ring, &mut nodes, &cfg, &topo, 8, 8, None);
         let total: usize = nodes.iter().map(|n| n.load()).sum();
         assert_eq!(total, 1024);
         assert!(
@@ -675,8 +640,7 @@ mod tests {
             probe_level: 0,
             ..LoadBalanceConfig::default()
         };
-        let mut rng = SimRng::new(5);
-        let report = balance(&mut ring, &mut nodes, &cfg, &topo, 8, 8, &mut rng);
+        let report = balance(&mut ring, &mut nodes, &cfg, &topo, 8, 8, None);
         assert_eq!(report.migrations, 0, "probe level 0 must never migrate");
         assert_eq!(nodes.iter().map(|n| n.load()).max().unwrap(), 100);
     }
@@ -693,8 +657,7 @@ mod tests {
             delta: 2.0,
             ..LoadBalanceConfig::default()
         };
-        let mut rng = SimRng::new(5);
-        let report = balance(&mut ring, &mut nodes, &cfg, &topo, 8, 8, &mut rng);
+        let report = balance(&mut ring, &mut nodes, &cfg, &topo, 8, 8, None);
         assert_eq!(report.migrations, 0, "load == avg*(1+δ) must not trigger");
 
         let (mut ring, mut nodes, topo) = world_with_loads(&[30, 10, 10, 10]);
@@ -702,7 +665,7 @@ mod tests {
             delta: 1.9,
             ..LoadBalanceConfig::default()
         };
-        let report = balance(&mut ring, &mut nodes, &cfg, &topo, 8, 8, &mut rng);
+        let report = balance(&mut ring, &mut nodes, &cfg, &topo, 8, 8, None);
         assert!(report.migrations > 0, "load above avg*(1+δ) must trigger");
     }
 
@@ -712,8 +675,7 @@ mod tests {
         // load: splitting with them cannot strictly improve the peak.
         let (mut ring, mut nodes, topo) = world_with_loads(&[40, 25, 25, 25]);
         let cfg = LoadBalanceConfig::default(); // δ = 0: 40 > 25 triggers
-        let mut rng = SimRng::new(5);
-        let report = balance(&mut ring, &mut nodes, &cfg, &topo, 8, 8, &mut rng);
+        let report = balance(&mut ring, &mut nodes, &cfg, &topo, 8, 8, None);
         assert_eq!(
             report.migrations, 0,
             "a victim holding >= half the heavy load must be refused"
@@ -737,8 +699,7 @@ mod tests {
             delta: 0.8,
             ..LoadBalanceConfig::default()
         };
-        let mut rng = SimRng::new(5);
-        let report = balance(&mut ring, &mut nodes, &cfg, &topo, 8, 8, &mut rng);
+        let report = balance(&mut ring, &mut nodes, &cfg, &topo, 8, 8, None);
         assert_eq!(
             report.migrations, 0,
             "migration that shifts the peak to the victim's successor must be refused"

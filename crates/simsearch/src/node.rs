@@ -1,6 +1,11 @@
 //! The index node as a sans-io [`sansio::Protocol`]: executes routing
 //! actions as messages, answers queries from its local store, and keeps
-//! the per-query cost accounting the experiments report. A thin
+//! the per-query cost accounting the experiments report. Each job has
+//! one path: `route_all` routes or refines a round of fragments,
+//! `send_query` prices and accounts every query delivery,
+//! `record_answer` accounts every local answer, and `insert_ranked` is
+//! the one ranking. Telemetry is always on: every node records into a
+//! handle, its own or its system's. A thin
 //! [`simnet::Agent`] adapter at the bottom of this file drives the same
 //! state machine under the deterministic simulator; `crates/node` drives
 //! it over real sockets.
@@ -19,14 +24,13 @@ use crate::cache::{
     RoutingOptConfig, ShortcutCache,
 };
 use crate::msg::{
-    ack_msg_bytes, msg_bytes, result_item_bytes, tracked_overhead_bytes, DistanceOracle, QueryId,
-    ResultItem, SearchMsg, SubQueryMsg,
+    ack_msg_bytes, msg_bytes, result_item_bytes, result_msg_bytes, tracked_overhead_bytes,
+    DistanceOracle, QueryId, ResultItem, SearchMsg, SubQueryMsg,
 };
 use crate::overlay::{FailureAware, Overlay, OverlayTable};
 use crate::resilience::{ResilienceConfig, SuspicionSet};
 use crate::routing::{
-    route_subquery, route_subquery_traced, surrogate_refine, surrogate_refine_traced, Action,
-    WithShortcuts,
+    route_subquery, route_subquery_traced, surrogate_refine_traced, Action, WithShortcuts,
 };
 use crate::store::{Entry, Store};
 use crate::telemetry::{Telemetry, TraceEvent};
@@ -105,6 +109,22 @@ impl Hasher for IdHasher {
         for &b in bytes {
             self.write_u32((self.0 as u32).rotate_left(8) ^ u32::from(b));
         }
+    }
+}
+
+/// Insert `hit` into `ranked`, kept ascending by distance then object
+/// id, and keep the best `k`. Every ranking in the node — an answerer's
+/// reply, a result-cache hit, the origin's merge — goes through here, so
+/// the origin merges in exactly the order answerers rank. `total_cmp`,
+/// not `partial_cmp().unwrap()`: a NaN distance from a degenerate oracle
+/// must not panic the node mid-query, and a `<` on f64 would break
+/// `partition_point`'s precondition for every later entry.
+fn insert_ranked(ranked: &mut Vec<(ObjectId, f64)>, hit: (ObjectId, f64), k: usize) {
+    let (obj, d) = hit;
+    let pos = ranked.partition_point(|&(o, x)| x.total_cmp(&d).then(o.cmp(&obj)).is_lt());
+    if pos < k {
+        ranked.insert(pos, hit);
+        ranked.truncate(k);
     }
 }
 
@@ -261,9 +281,11 @@ pub struct SearchNode {
     /// `(hops, stored-at)` of publications that completed at this node
     /// as the owner.
     pub publishes_stored: Vec<(u32, metric::ObjectId)>,
-    /// Shared telemetry of the system this node belongs to; `None`
-    /// leaves the node untraced (standalone tests, ad-hoc worlds).
-    pub telemetry: Option<Telemetry>,
+    /// Telemetry this node records every counter and trace event into:
+    /// a fresh handle of its own from [`SearchNode::new`], or the one its
+    /// system shares across nodes after [`SearchNode::attach_telemetry`].
+    /// No node runs untraced.
+    pub telemetry: Telemetry,
     /// Also maintain per-index namespaced counters (`index{i}.*`) next
     /// to the global ones. Off by default: extra registry keys would
     /// perturb historical golden snapshots.
@@ -314,7 +336,7 @@ impl SearchNode {
             issued: HashMap::new(),
             costs: CostLedger::default(),
             publishes_stored: Vec::new(),
-            telemetry: None,
+            telemetry: Telemetry::new(),
             index_telemetry: false,
             resilience: None,
             suspected: SuspicionSet::new(),
@@ -328,9 +350,10 @@ impl SearchNode {
         }
     }
 
-    /// Attach the system-wide telemetry handle (shared across nodes).
+    /// Replace the node's telemetry handle with `telemetry` (a system's
+    /// handle, shared across its nodes).
     pub fn attach_telemetry(&mut self, telemetry: Telemetry) {
-        self.telemetry = Some(telemetry);
+        self.telemetry = telemetry;
     }
 
     /// Switch on retry/failover, replica answering, and failure-aware
@@ -359,9 +382,7 @@ impl SearchNode {
         if self.routing_opt.is_some() {
             let n = self.shortcuts.invalidate_owner(id);
             if n > 0 {
-                if let Some(tel) = &self.telemetry {
-                    tel.incr("cache.invalidations", n);
-                }
+                self.telemetry.incr("cache.invalidations", n);
             }
         }
     }
@@ -380,9 +401,7 @@ impl SearchNode {
         }
         self.cache_fill.clear();
         if n > 0 {
-            if let Some(tel) = &self.telemetry {
-                tel.incr("cache.invalidations", n);
-            }
+            self.telemetry.incr("cache.invalidations", n);
         }
     }
 
@@ -390,11 +409,8 @@ impl SearchNode {
     /// per-index namespacing is on (see
     /// [`crate::system::SystemConfig::index_telemetry`]).
     fn incr_index(&self, index: u8, what: &str, by: u64) {
-        if !self.index_telemetry || by == 0 {
-            return;
-        }
-        if let Some(tel) = &self.telemetry {
-            tel.incr(&format!("index{index}.{what}"), by);
+        if self.index_telemetry && by > 0 {
+            self.telemetry.incr(&format!("index{index}.{what}"), by);
         }
     }
 
@@ -412,9 +428,7 @@ impl SearchNode {
     pub fn retire_oldest(&mut self, keep: usize) {
         while let Some(qid) = self.costs.pop_oldest_beyond(keep) {
             self.issued.remove(&qid);
-            if let Some(tel) = &self.telemetry {
-                tel.forget(qid);
-            }
+            self.telemetry.forget(qid);
         }
     }
 
@@ -427,51 +441,27 @@ impl SearchNode {
         self.indexes[index as usize].grid.dims()
     }
 
-    /// Route one subquery, mirroring routing-layer events (splits,
-    /// shared paths, peels) into the telemetry trace when attached.
-    fn route_traced(
-        &self,
-        me: usize,
-        grid: &Grid,
-        rot: Rotation,
-        sq: SubQueryMsg,
-        split: bool,
-    ) -> Vec<Action> {
-        self.route_or_refine(me, grid, rot, sq, split, false)
-    }
-
-    /// Surrogate-refine one fragment, mirroring events into telemetry.
-    fn refine_traced(
-        &self,
-        me: usize,
-        grid: &Grid,
-        rot: Rotation,
-        sq: SubQueryMsg,
-        split: bool,
-    ) -> Vec<Action> {
-        self.route_or_refine(me, grid, rot, sq, split, true)
-    }
-
-    /// Shared routing entry point: stack the failure-aware view (when
-    /// resilient) and the learned-shortcut view (when the optimization
-    /// layer is on and this fragment has not already taken its one
-    /// cache-derived hop) over the node's table, then route or refine.
+    /// Route every fragment of one round — or, with `refine`, run
+    /// `SurrogateRefine` on each — against its index's grid and rotation,
+    /// recording routing events on each fragment's trace, then execute
+    /// the round's actions at once so its outputs coalesce.
     ///
-    /// When any shortcut fired, every outgoing fragment is marked
+    /// Fragments route over the failure-aware view (when resilient) and
+    /// the learned-shortcut view (when the optimization layer is on and
+    /// the fragment has not already taken its one cache-derived hop)
+    /// stacked on the node's table. When any shortcut fired for a
+    /// fragment, every fragment it produced is marked
     /// [`SubQueryMsg::shortcut`] so receivers route it with their plain
     /// tables — one cache hop per fragment, never a routing cycle.
-    fn route_or_refine(
-        &self,
-        me: usize,
-        grid: &Grid,
-        rot: Rotation,
-        sq: SubQueryMsg,
-        split: bool,
+    fn route_all(
+        &mut self,
+        ctx: &mut ProtoCtx<'_, SearchMsg>,
+        fragments: Vec<SubQueryMsg>,
         refine: bool,
-    ) -> Vec<Action> {
-        let qid = sq.qid;
-        let use_shortcuts = !sq.shortcut
-            && self.naive_level.is_none()
+    ) {
+        let me = ctx.me().0;
+        let split = self.naive_level.is_none();
+        let shortcuts_on = split
             && self.routing_opt.as_ref().is_some_and(|o| o.shortcuts)
             && !self.shortcuts.is_empty();
         let fa;
@@ -481,48 +471,38 @@ impl SearchNode {
         } else {
             &self.table
         };
-        let sc = use_shortcuts
-            .then(|| WithShortcuts::new(base, &self.shortcuts, self.suspected.as_set()));
-        let table: &dyn OverlayTable = match &sc {
-            Some(w) => w,
-            None => base,
-        };
-        let mut actions = match &self.telemetry {
-            None => {
-                if refine {
-                    surrogate_refine(table, grid, rot, sq, split)
-                } else {
-                    route_subquery(table, grid, rot, sq, split)
-                }
-            }
-            Some(tel) => {
-                let mut sink = |ev| tel.record_routing(qid, me, ev);
-                if refine {
-                    surrogate_refine_traced(table, grid, rot, sq, split, &mut sink)
-                } else {
-                    route_subquery_traced(table, grid, rot, sq, split, &mut sink)
-                }
-            }
-        };
-        if let Some(w) = &sc {
-            let (hits, misses) = (w.hits(), w.misses());
-            if let Some(tel) = &self.telemetry {
-                if hits > 0 {
-                    tel.incr("cache.hits", hits);
-                }
-                if misses > 0 {
-                    tel.incr("cache.misses", misses);
-                }
-            }
-            if hits > 0 {
-                for a in &mut actions {
-                    if let Action::Forward { sq, .. } | Action::Handoff { sq, .. } = a {
-                        sq.shortcut = true;
+        let mut actions = Vec::new();
+        for sq in fragments {
+            let ix = &self.indexes[sq.index as usize];
+            let sc = (shortcuts_on && !sq.shortcut)
+                .then(|| WithShortcuts::new(base, &self.shortcuts, self.suspected.as_set()));
+            let table: &dyn OverlayTable = match &sc {
+                Some(w) => w,
+                None => base,
+            };
+            let qid = sq.qid;
+            let mut sink = |ev| self.telemetry.record_routing(qid, me, ev);
+            let mut routed = if refine {
+                surrogate_refine_traced(table, &ix.grid, ix.rotation, sq, split, &mut sink)
+            } else {
+                route_subquery_traced(table, &ix.grid, ix.rotation, sq, split, &mut sink)
+            };
+            if let Some(w) = &sc {
+                if w.hits() > 0 {
+                    self.telemetry.incr("cache.hits", w.hits());
+                    for a in &mut routed {
+                        if let Action::Forward { sq, .. } | Action::Handoff { sq, .. } = a {
+                            sq.shortcut = true;
+                        }
                     }
                 }
+                if w.misses() > 0 {
+                    self.telemetry.incr("cache.misses", w.misses());
+                }
             }
+            actions.extend(routed);
         }
-        actions
+        self.execute(ctx, actions);
     }
 
     /// Send an index-layer message, wrapping it in a tracked envelope
@@ -570,9 +550,7 @@ impl SearchNode {
                 first_timeout: timeout,
             },
         );
-        if let Some(tel) = &self.telemetry {
-            tel.incr("resilience.tracked_sent", 1);
-        }
+        self.telemetry.incr("resilience.tracked_sent", 1);
         ctx.schedule(timeout, TimerTag(seq));
         ctx.send(to, wire, wire_bytes);
     }
@@ -581,62 +559,23 @@ impl SearchNode {
     /// route the payload around it.
     fn redispatch(&mut self, ctx: &mut ProtoCtx<'_, SearchMsg>, msg: SearchMsg) {
         match msg {
-            SearchMsg::Route(subs) => {
-                let me = ctx.me().0;
-                let mut actions = Vec::new();
-                for sq in subs {
-                    let ix = &self.indexes[sq.index as usize];
-                    let grid = Arc::clone(&ix.grid);
-                    let rot = ix.rotation;
-                    let split = self.naive_level.is_none();
-                    actions.extend(self.route_traced(me, &grid, rot, sq, split));
-                }
-                self.execute(ctx, actions);
+            // The next hop or surrogate died: re-route every fragment
+            // from here; failure-aware routing finds the next live owner
+            // around the suspicion set above.
+            SearchMsg::Route(subs) | SearchMsg::RefineBatch(subs) => {
+                self.route_all(ctx, subs, false)
             }
-            SearchMsg::Refine(sq) => {
-                // The surrogate died: re-route the fragment from here;
-                // failure-aware routing finds the next live owner.
-                let ix = &self.indexes[sq.index as usize];
-                let grid = Arc::clone(&ix.grid);
-                let rot = ix.rotation;
-                let split = self.naive_level.is_none();
-                let actions = self.route_traced(ctx.me().0, &grid, rot, sq, split);
-                self.execute(ctx, actions);
-            }
-            SearchMsg::RefineBatch(subs) => {
-                // The shared surrogate died: re-route every coalesced
-                // fragment (suspicion set above routes around it).
-                let me = ctx.me().0;
-                let mut actions = Vec::new();
-                for sq in subs {
-                    let ix = &self.indexes[sq.index as usize];
-                    let grid = Arc::clone(&ix.grid);
-                    let rot = ix.rotation;
-                    let split = self.naive_level.is_none();
-                    actions.extend(self.route_traced(me, &grid, rot, sq, split));
-                }
-                self.execute(ctx, actions);
-            }
+            SearchMsg::Refine(sq) => self.route_all(ctx, vec![sq], false),
             SearchMsg::Publish { index, entry, hops } => self.on_publish(ctx, index, entry, hops),
-            SearchMsg::Results { .. } => {
-                // The query's origin is gone; there is nowhere else for
-                // its results to go. Count the loss instead of hiding it.
-                if let Some(tel) = &self.telemetry {
-                    tel.incr("resilience.results_lost", 1);
-                }
-            }
-            SearchMsg::ResultsOpt { items } => {
-                if let Some(tel) = &self.telemetry {
-                    tel.incr("resilience.results_lost", items.len() as u64);
-                }
-            }
-            SearchMsg::Replicate { .. } => {
-                // The chosen replica holder is dead: the entry keeps
-                // fewer copies until the next re-replication pass.
-                if let Some(tel) = &self.telemetry {
-                    tel.incr("resilience.replicas_lost", 1);
-                }
-            }
+            // The query's origin is gone; there is nowhere else for its
+            // results to go. Count the loss instead of hiding it.
+            SearchMsg::Results { .. } => self.telemetry.incr("resilience.results_lost", 1),
+            SearchMsg::ResultsOpt { items } => self
+                .telemetry
+                .incr("resilience.results_lost", items.len() as u64),
+            // The chosen replica holder is dead: the entry keeps fewer
+            // copies until the next re-replication pass.
+            SearchMsg::Replicate { .. } => self.telemetry.incr("resilience.replicas_lost", 1),
             // Never wrapped in tracked envelopes.
             SearchMsg::Issue(_) | SearchMsg::Tracked { .. } | SearchMsg::Ack { .. } => {}
         }
@@ -670,88 +609,34 @@ impl SearchNode {
                 }
             }
         }
-        let batching = self.routing_opt.as_ref().is_some_and(|o| o.batching);
-        for (to, subs) in forwards {
+        for (to, mut subs) in forwards {
             // Deterministic order inside a batch.
-            let mut subs = subs;
             subs.sort_by_key(|s| (s.qid, s.prefix.key(), s.prefix.len()));
-            let msg = SearchMsg::Route(subs);
-            let bytes = msg_bytes(&msg, |ix| self.k_of(ix));
-            if let SearchMsg::Route(ref subs) = msg {
-                for s in subs {
-                    self.costs.row_mut(s.qid).query_msgs += 1;
-                }
-                // Attribute the batch's bytes to its first query (batches
-                // are single-query in practice: queries are independent).
-                let qid = subs[0].qid;
-                self.costs.row_mut(qid).query_bytes += bytes as u64;
-                if let Some(tel) = &self.telemetry {
-                    tel.record(
-                        qid,
-                        TraceEvent::Forward {
-                            from: ctx.me().0,
-                            to: to.0,
-                            subqueries: subs.len() as u32,
-                            bytes,
-                        },
-                    );
-                    tel.incr("search.msgs.route", 1);
-                    tel.incr("search.bytes.query", bytes as u64);
-                    if batching && subs.len() > 1 {
-                        tel.incr("batch.coalesced", (subs.len() - 1) as u64);
-                    }
-                }
-                for s in subs {
-                    self.incr_index(s.index, "routed", 1);
-                }
-            }
-            self.send_search(ctx, to, msg, bytes);
+            self.send_query(ctx, to, SearchMsg::Route(subs));
         }
-        if batching {
-            // Coalesce co-destined surrogate hand-offs from this round
-            // into one RefineBatch per destination: n-1 headers saved.
-            let mut groups: BTreeMap<AgentId, Vec<SubQueryMsg>> = BTreeMap::new();
-            for (to, sq) in handoffs {
-                groups.entry(to).or_default().push(sq);
-            }
-            for (to, mut subs) in groups {
-                subs.sort_by_key(|s| (s.qid, s.prefix.key(), s.prefix.len()));
-                if subs.len() == 1 {
-                    self.send_refine(ctx, to, subs.pop().expect("len checked"));
-                    continue;
+        // Surrogate hand-offs go one `Refine` each, in action order —
+        // unless batching coalesces this round's co-destined ones into
+        // one `RefineBatch` per destination (n-1 headers saved).
+        let handoffs: Vec<(AgentId, Vec<SubQueryMsg>)> =
+            if self.routing_opt.as_ref().is_some_and(|o| o.batching) {
+                let mut groups: BTreeMap<AgentId, Vec<SubQueryMsg>> = BTreeMap::new();
+                for (to, sq) in handoffs {
+                    groups.entry(to).or_default().push(sq);
                 }
-                let coalesced = (subs.len() - 1) as u64;
-                let msg = SearchMsg::RefineBatch(subs);
-                let bytes = msg_bytes(&msg, |ix| self.k_of(ix));
-                if let SearchMsg::RefineBatch(ref subs) = msg {
-                    for s in subs {
-                        self.costs.row_mut(s.qid).query_msgs += 1;
-                    }
-                    let qid = subs[0].qid;
-                    self.costs.row_mut(qid).query_bytes += bytes as u64;
-                    if let Some(tel) = &self.telemetry {
-                        tel.record(
-                            qid,
-                            TraceEvent::Handoff {
-                                from: ctx.me().0,
-                                to: to.0,
-                                bytes,
-                            },
-                        );
-                        tel.incr("search.msgs.refine", 1);
-                        tel.incr("search.bytes.query", bytes as u64);
-                        tel.incr("batch.coalesced", coalesced);
-                    }
-                    for s in subs {
-                        self.incr_index(s.index, "routed", 1);
-                    }
-                }
-                self.send_search(ctx, to, msg, bytes);
-            }
-        } else {
-            for (to, sq) in handoffs {
-                self.send_refine(ctx, to, sq);
-            }
+                groups.into_iter().collect()
+            } else {
+                handoffs
+                    .into_iter()
+                    .map(|(to, sq)| (to, vec![sq]))
+                    .collect()
+            };
+        for (to, mut subs) in handoffs {
+            subs.sort_by_key(|s| (s.qid, s.prefix.key(), s.prefix.len()));
+            let msg = match <[SubQueryMsg; 1]>::try_from(subs) {
+                Ok([sq]) => SearchMsg::Refine(sq),
+                Err(subs) => SearchMsg::RefineBatch(subs),
+            };
+            self.send_query(ctx, to, msg);
         }
         if self.routing_opt.is_some() {
             // One ResultsOpt per origin: every answer this round rides
@@ -763,19 +648,15 @@ impl SearchNode {
             }
             for (origin, items) in groups {
                 let coalesced = (items.len() - 1) as u64;
+                // answer_item attributed each item's bytes; the shared
+                // header goes to the first item's query.
+                self.costs.row_mut(items[0].qid).result_bytes += 20;
                 let msg = SearchMsg::ResultsOpt { items };
                 let bytes = msg_bytes(&msg, |i| self.k_of(i));
-                if let SearchMsg::ResultsOpt { ref items } = msg {
-                    // answer_item attributed each item's bytes; the
-                    // shared header goes to the first item's query.
-                    self.costs.row_mut(items[0].qid).result_bytes += 20;
-                    if let Some(tel) = &self.telemetry {
-                        tel.incr("search.msgs.results", 1);
-                        tel.incr("search.bytes.results", bytes as u64);
-                        if coalesced > 0 {
-                            tel.incr("batch.coalesced", coalesced);
-                        }
-                    }
+                self.telemetry.incr("search.msgs.results", 1);
+                self.telemetry.incr("search.bytes.results", bytes as u64);
+                if coalesced > 0 {
+                    self.telemetry.incr("batch.coalesced", coalesced);
                 }
                 self.send_search(ctx, origin, msg, bytes);
             }
@@ -786,25 +667,48 @@ impl SearchNode {
         }
     }
 
-    /// Send one un-batched surrogate hand-off (the pre-cache wire form).
-    fn send_refine(&mut self, ctx: &mut ProtoCtx<'_, SearchMsg>, to: AgentId, sq: SubQueryMsg) {
-        let qid = sq.qid;
-        self.incr_index(sq.index, "routed", 1);
-        let msg = SearchMsg::Refine(sq);
+    /// Price, account and send one query-delivery message — a `Route`,
+    /// `Refine` or `RefineBatch`: each fragment counts one message to its
+    /// query, the message's bytes go to the first fragment's query (a
+    /// batch is single-query in practice: queries are independent), and
+    /// that query's trace records a `Forward` (`Route`) or a `Handoff`.
+    fn send_query(&mut self, ctx: &mut ProtoCtx<'_, SearchMsg>, to: AgentId, msg: SearchMsg) {
         let bytes = msg_bytes(&msg, |ix| self.k_of(ix));
-        self.costs.row_mut(qid).query_bytes += bytes as u64;
-        self.costs.row_mut(qid).query_msgs += 1;
-        if let Some(tel) = &self.telemetry {
-            tel.record(
-                qid,
-                TraceEvent::Handoff {
-                    from: ctx.me().0,
+        let from = ctx.me().0;
+        let handoff = TraceEvent::Handoff {
+            from,
+            to: to.0,
+            bytes,
+        };
+        let (subs, event, counter) = match &msg {
+            SearchMsg::Route(subs) => {
+                let subqueries = subs.len() as u32;
+                let forward = TraceEvent::Forward {
+                    from,
                     to: to.0,
+                    subqueries,
                     bytes,
-                },
-            );
-            tel.incr("search.msgs.refine", 1);
-            tel.incr("search.bytes.query", bytes as u64);
+                };
+                (&subs[..], forward, "search.msgs.route")
+            }
+            SearchMsg::Refine(sq) => (std::slice::from_ref(sq), handoff, "search.msgs.refine"),
+            SearchMsg::RefineBatch(subs) => (&subs[..], handoff, "search.msgs.refine"),
+            _ => unreachable!("send_query sends query deliveries only"),
+        };
+        for s in subs {
+            self.costs.row_mut(s.qid).query_msgs += 1;
+        }
+        let qid = subs[0].qid;
+        self.costs.row_mut(qid).query_bytes += bytes as u64;
+        let tel = &self.telemetry;
+        tel.record(qid, event);
+        tel.incr(counter, 1);
+        tel.incr("search.bytes.query", bytes as u64);
+        if subs.len() > 1 && self.routing_opt.as_ref().is_some_and(|o| o.batching) {
+            tel.incr("batch.coalesced", (subs.len() - 1) as u64);
+        }
+        for s in subs {
+            self.incr_index(s.index, "routed", 1);
         }
         self.send_search(ctx, to, msg, bytes);
     }
@@ -821,49 +725,17 @@ impl SearchNode {
         fragments: Vec<SubQueryMsg>,
     ) {
         let core = self.collect_answer(qid, index, &fragments, false);
-        let returned = core.ranked.len() as u64;
-        let origin = fragments[0].origin;
-        let degraded = core.degraded;
+        let bytes = result_msg_bytes(core.ranked.len());
+        self.record_answer(ctx.me(), qid, index, hops, &core, bytes);
+        self.telemetry.incr("search.msgs.results", 1);
+        self.telemetry.incr("search.bytes.results", bytes as u64);
         let msg = SearchMsg::Results {
             qid,
             hops,
             entries: core.ranked,
-            degraded,
+            degraded: core.degraded,
         };
-        let bytes = msg_bytes(&msg, |i| self.k_of(i));
-        self.costs.row_mut(qid).result_bytes += bytes as u64;
-        if let Some(tel) = &self.telemetry {
-            tel.record(
-                qid,
-                TraceEvent::Answer {
-                    at: ctx.me().0,
-                    hops,
-                    scanned: core.scanned,
-                    matched: core.matched,
-                    returned,
-                    bytes,
-                },
-            );
-            tel.incr("store.entries_scanned", core.scanned);
-            tel.incr("store.entries_matched", core.matched);
-            tel.incr("store.entries_skipped", core.skipped);
-            tel.incr("search.refine.dist_calls", core.dist_calls);
-            if core.pruned > 0 {
-                tel.incr("search.refine.pruned", core.pruned);
-            }
-            tel.incr("search.msgs.results", 1);
-            tel.incr("search.bytes.results", bytes as u64);
-            if core.replica_answers > 0 {
-                tel.incr("resilience.replica_answers", core.replica_answers);
-            }
-            if degraded {
-                tel.incr("resilience.degraded_answers", 1);
-            }
-        }
-        self.incr_index(index, "answers", 1);
-        self.incr_index(index, "scanned", core.scanned);
-        self.incr_index(index, "dist_calls", core.dist_calls);
-        self.send_search(ctx, origin, msg, bytes);
+        self.send_search(ctx, fragments[0].origin, msg, bytes);
     }
 
     /// [`Self::answer`]'s optimization-layer sibling: same scan, same
@@ -881,7 +753,7 @@ impl SearchNode {
         hops: u32,
         fragments: Vec<SubQueryMsg>,
     ) -> (AgentId, ResultItem) {
-        let core = self.collect_answer(qid, index, &fragments, true);
+        let mut core = self.collect_answer(qid, index, &fragments, true);
         let me = self.table.me_ref();
         // The arc this node's primaries are authoritative for:
         // `(pred, me]`. With no known predecessor no claim is made (the
@@ -908,19 +780,19 @@ impl SearchNode {
             .routing_opt
             .as_ref()
             .map_or(0, |o| o.max_cached_entries);
-        let cached = match core.cache_pts {
-            Some(pts)
-                if core.replica_answers == 0
-                    && !core.degraded
-                    && !covered.is_empty()
-                    && pts.len() <= max_cached =>
-            {
-                Some(pts)
-            }
-            _ => None,
-        };
-        let returned = core.ranked.len() as u64;
-        let origin = fragments[0].origin;
+        let cached = core.cache_pts.take().filter(|pts| {
+            core.replica_answers == 0
+                && !core.degraded
+                && !covered.is_empty()
+                && pts.len() <= max_cached
+        });
+        let bytes = result_item_bytes(
+            core.ranked.len(),
+            covered.len(),
+            cached.as_ref().map(|c| c.len()),
+            self.k_of(index),
+        );
+        self.record_answer(ctx.me(), qid, index, hops, &core, bytes);
         let item = ResultItem {
             qid,
             hops,
@@ -931,43 +803,51 @@ impl SearchNode {
             covered,
             cached,
         };
-        let bytes = result_item_bytes(
-            item.entries.len(),
-            item.covered.len(),
-            item.cached.as_ref().map(|c| c.len()),
-            self.k_of(index),
-        );
+        (fragments[0].origin, item)
+    }
+
+    /// Account one local answer of `bytes` on the wire: its result bytes
+    /// on the query's ledger row, the `Answer` event on its trace, and
+    /// the store, refinement, resilience and per-index counters of the
+    /// scan behind it.
+    fn record_answer(
+        &mut self,
+        at: AgentId,
+        qid: QueryId,
+        index: u8,
+        hops: u32,
+        core: &AnswerCore,
+        bytes: u32,
+    ) {
         self.costs.row_mut(qid).result_bytes += bytes as u64;
-        if let Some(tel) = &self.telemetry {
-            tel.record(
-                qid,
-                TraceEvent::Answer {
-                    at: ctx.me().0,
-                    hops,
-                    scanned: core.scanned,
-                    matched: core.matched,
-                    returned,
-                    bytes,
-                },
-            );
-            tel.incr("store.entries_scanned", core.scanned);
-            tel.incr("store.entries_matched", core.matched);
-            tel.incr("store.entries_skipped", core.skipped);
-            tel.incr("search.refine.dist_calls", core.dist_calls);
-            if core.pruned > 0 {
-                tel.incr("search.refine.pruned", core.pruned);
-            }
-            if core.replica_answers > 0 {
-                tel.incr("resilience.replica_answers", core.replica_answers);
-            }
-            if core.degraded {
-                tel.incr("resilience.degraded_answers", 1);
-            }
+        let tel = &self.telemetry;
+        tel.record(
+            qid,
+            TraceEvent::Answer {
+                at: at.0,
+                hops,
+                scanned: core.scanned,
+                matched: core.matched,
+                returned: core.ranked.len() as u64,
+                bytes,
+            },
+        );
+        tel.incr("store.entries_scanned", core.scanned);
+        tel.incr("store.entries_matched", core.matched);
+        tel.incr("store.entries_skipped", core.skipped);
+        tel.incr("search.refine.dist_calls", core.dist_calls);
+        if core.pruned > 0 {
+            tel.incr("search.refine.pruned", core.pruned);
+        }
+        if core.replica_answers > 0 {
+            tel.incr("resilience.replica_answers", core.replica_answers);
+        }
+        if core.degraded {
+            tel.incr("resilience.degraded_answers", 1);
         }
         self.incr_index(index, "answers", 1);
         self.incr_index(index, "scanned", core.scanned);
         self.incr_index(index, "dist_calls", core.dist_calls);
-        (origin, item)
     }
 
     /// The answering core shared by [`Self::answer`] and
@@ -1111,12 +991,7 @@ impl SearchNode {
             }
             let d = self.oracle.refine(qid, o, ball.as_ref(), point);
             dist_calls += 1;
-            // total_cmp, not partial_cmp().unwrap(): a NaN distance from
-            // a degenerate oracle must not panic the answering node
-            // mid-query.
-            let pos = ranked.partition_point(|x| x.1.total_cmp(&d).then(x.0.cmp(&o)).is_lt());
-            ranked.insert(pos, (o, d));
-            ranked.truncate(self.knn_k);
+            insert_ranked(&mut ranked, (o, d), self.knn_k);
         }
         AnswerCore {
             ranked,
@@ -1132,9 +1007,7 @@ impl SearchNode {
     }
 
     fn on_issue(&mut self, ctx: &mut ProtoCtx<'_, SearchMsg>, sq: SubQueryMsg) {
-        if let Some(tel) = &self.telemetry {
-            tel.begin_query(sq.qid, ctx.me());
-        }
+        self.telemetry.begin_query(sq.qid, ctx.me());
         // The row is the query's first-touch mark, even if answering
         // sends nothing (a result-cache hit).
         self.costs.row_mut(sq.qid);
@@ -1181,10 +1054,7 @@ impl SearchNode {
                         }
                         let d = self.oracle.refine(sq.qid, *obj, Some(ball), point);
                         dist_calls += 1;
-                        let pos = ranked
-                            .partition_point(|x| x.1.total_cmp(&d).then(x.0.cmp(obj)).is_lt());
-                        ranked.insert(pos, (*obj, d));
-                        ranked.truncate(self.knn_k);
+                        insert_ranked(&mut ranked, (*obj, d), self.knn_k);
                     }
                     let returned = ranked.len() as u64;
                     let now = ctx.now();
@@ -1193,28 +1063,24 @@ impl SearchNode {
                     iq.last_result = Some(now);
                     iq.responses = 1;
                     iq.merged = ranked;
-                    if let Some(tel) = &self.telemetry {
-                        tel.record(
-                            sq.qid,
-                            TraceEvent::Answer {
-                                at: ctx.me().0,
-                                hops: 0,
-                                scanned: 0,
-                                matched,
-                                returned,
-                                bytes: 0,
-                            },
-                        );
-                        tel.incr("cache.hits", 1);
-                        tel.incr("search.refine.dist_calls", dist_calls);
-                    }
+                    self.telemetry.record(
+                        sq.qid,
+                        TraceEvent::Answer {
+                            at: ctx.me().0,
+                            hops: 0,
+                            scanned: 0,
+                            matched,
+                            returned,
+                            bytes: 0,
+                        },
+                    );
+                    self.telemetry.incr("cache.hits", 1);
+                    self.telemetry.incr("search.refine.dist_calls", dist_calls);
                     return;
                 }
                 // Miss: start a fill so the answers about to arrive can
                 // populate the cache once their arcs cover the span.
-                if let Some(tel) = &self.telemetry {
-                    tel.incr("cache.misses", 1);
-                }
+                self.telemetry.incr("cache.misses", 1);
                 let (lo, hi) = grid.key_span(&sq.rect);
                 let needed = split_wrap((rot.to_ring(lo), rot.to_ring(hi)));
                 self.cache_fill.insert(
@@ -1229,23 +1095,20 @@ impl SearchNode {
                 );
             }
         }
-        let actions = match self.naive_level {
-            None => self.route_traced(ctx.me().0, &grid, rot, sq, true),
-            Some(level) => {
-                // Naive baseline: decompose fully at the issuing node and
-                // route every cuboid independently (no shared paths).
-                let mut acts = Vec::new();
-                for part in grid.decompose(&sq.rect, level.min(grid.depth())) {
-                    let frag = SubQueryMsg {
-                        rect: part.rect,
-                        prefix: part.prefix,
-                        ..sq.clone()
-                    };
-                    acts.extend(route_subquery(&self.table, &grid, rot, frag, false));
-                }
-                acts
-            }
+        let Some(level) = self.naive_level else {
+            return self.route_all(ctx, vec![sq], false);
         };
+        // Naive baseline: decompose fully at the issuing node and route
+        // every cuboid independently (no shared paths).
+        let mut actions = Vec::new();
+        for part in grid.decompose(&sq.rect, level.min(grid.depth())) {
+            let frag = SubQueryMsg {
+                rect: part.rect,
+                prefix: part.prefix,
+                ..sq.clone()
+            };
+            actions.extend(route_subquery(&self.table, &grid, rot, frag, false));
+        }
         self.execute(ctx, actions);
     }
 
@@ -1267,19 +1130,9 @@ impl SearchNode {
         iq.max_hops = iq.max_hops.max(hops);
         iq.responses += 1;
         iq.degraded |= degraded;
-        // The answering node's order (`collect_answer`): total_cmp, then
-        // id. A `<` on f64 would sort a NaN distance first and break
-        // `partition_point`'s precondition for every later entry.
         for (obj, d) in entries {
-            if iq.merged.iter().any(|&(o, _)| o == obj) {
-                continue;
-            }
-            let pos = iq
-                .merged
-                .partition_point(|&(o, x)| x.total_cmp(&d).then(o.cmp(&obj)).is_lt());
-            if pos < k {
-                iq.merged.insert(pos, (obj, d));
-                iq.merged.truncate(k);
+            if !iq.merged.iter().any(|&(o, _)| o == obj) {
+                insert_ranked(&mut iq.merged, (obj, d), k);
             }
         }
     }
@@ -1316,9 +1169,7 @@ impl SearchNode {
                 evicted += self.shortcuts.learn(iv, chord::NodeRef::new(owner, from.0));
             }
             if evicted > 0 {
-                if let Some(tel) = &self.telemetry {
-                    tel.incr("cache.evictions", evicted);
-                }
+                self.telemetry.incr("cache.evictions", evicted);
             }
         }
         if fill_on && self.cache_fill.get(&qid).is_some_and(|f| f.key.0 == index) {
@@ -1348,11 +1199,9 @@ impl SearchNode {
                                 entries: fill.cands,
                             },
                         );
-                        if let Some(tel) = &self.telemetry {
-                            tel.incr("cache.stores", 1);
-                            if evicted > 0 {
-                                tel.incr("cache.evictions", evicted);
-                            }
+                        self.telemetry.incr("cache.stores", 1);
+                        if evicted > 0 {
+                            self.telemetry.incr("cache.evictions", evicted);
                         }
                     }
                 }
@@ -1395,10 +1244,8 @@ impl SearchNode {
                     hops: hops + 1,
                 };
                 let bytes = msg_bytes(&msg, |ix| self.k_of(ix));
-                if let Some(tel) = &self.telemetry {
-                    tel.incr("search.msgs.publish", 1);
-                    tel.incr("search.bytes.publish", bytes as u64);
-                }
+                self.telemetry.incr("search.msgs.publish", 1);
+                self.telemetry.incr("search.bytes.publish", bytes as u64);
                 self.send_search(ctx, next.addr, msg, bytes);
             }
         }
@@ -1411,10 +1258,8 @@ impl SearchNode {
         entry: Entry,
         hops: u32,
     ) {
-        if let Some(tel) = &self.telemetry {
-            tel.incr("publish.stored", 1);
-            tel.observe("publish.hops", hops as u64);
-        }
+        self.telemetry.incr("publish.stored", 1);
+        self.telemetry.observe("publish.hops", hops as u64);
         self.incr_index(index, "published", 1);
         self.publishes_stored.push((hops, entry.obj));
         if self.routing_opt.is_some() {
@@ -1424,9 +1269,7 @@ impl SearchNode {
                 .results_cache
                 .invalidate_containing(index, &entry.point);
             if n > 0 {
-                if let Some(tel) = &self.telemetry {
-                    tel.incr("cache.invalidations", n);
-                }
+                self.telemetry.incr("cache.invalidations", n);
             }
         }
         self.indexes[index as usize].store.insert(entry.clone());
@@ -1458,10 +1301,8 @@ impl SearchNode {
                 entry: entry.clone(),
             };
             let bytes = msg_bytes(&msg, |ix| self.k_of(ix));
-            if let Some(tel) = &self.telemetry {
-                tel.incr("search.msgs.replicate", 1);
-                tel.incr("search.bytes.replicate", bytes as u64);
-            }
+            self.telemetry.incr("search.msgs.replicate", 1);
+            self.telemetry.incr("search.bytes.replicate", bytes as u64);
             self.send_search(ctx, s.addr, msg, bytes);
         }
     }
@@ -1473,41 +1314,12 @@ impl Protocol for SearchNode {
     fn on_message(&mut self, ctx: &mut ProtoCtx<'_, SearchMsg>, from: AgentId, msg: SearchMsg) {
         match msg {
             SearchMsg::Issue(sq) => self.on_issue(ctx, sq),
-            SearchMsg::Route(subs) => {
-                let me = ctx.me().0;
-                let mut actions = Vec::new();
-                for sq in subs {
-                    let ix = &self.indexes[sq.index as usize];
-                    let grid = Arc::clone(&ix.grid);
-                    let rot = ix.rotation;
-                    let split = self.naive_level.is_none();
-                    actions.extend(self.route_traced(me, &grid, rot, sq, split));
-                }
-                self.execute(ctx, actions);
-            }
-            SearchMsg::Refine(sq) => {
-                let ix = &self.indexes[sq.index as usize];
-                let grid = Arc::clone(&ix.grid);
-                let rot = ix.rotation;
-                let split = self.naive_level.is_none();
-                let actions = self.refine_traced(ctx.me().0, &grid, rot, sq, split);
-                self.execute(ctx, actions);
-            }
-            SearchMsg::RefineBatch(subs) => {
-                // Coalesced co-destined hand-offs: refine each fragment,
-                // then execute the whole round's actions at once so its
-                // own outputs coalesce again.
-                let me = ctx.me().0;
-                let mut actions = Vec::new();
-                for sq in subs {
-                    let ix = &self.indexes[sq.index as usize];
-                    let grid = Arc::clone(&ix.grid);
-                    let rot = ix.rotation;
-                    let split = self.naive_level.is_none();
-                    actions.extend(self.refine_traced(me, &grid, rot, sq, split));
-                }
-                self.execute(ctx, actions);
-            }
+            SearchMsg::Route(subs) => self.route_all(ctx, subs, false),
+            SearchMsg::Refine(sq) => self.route_all(ctx, vec![sq], true),
+            // Coalesced co-destined hand-offs: refine each fragment, then
+            // execute the whole round's actions at once so its own
+            // outputs coalesce again.
+            SearchMsg::RefineBatch(subs) => self.route_all(ctx, subs, true),
             SearchMsg::ResultsOpt { items } => {
                 for item in items {
                     self.on_result_item(ctx, from, item);
@@ -1529,9 +1341,7 @@ impl Protocol for SearchNode {
                 owner,
                 entry,
             } => {
-                if let Some(tel) = &self.telemetry {
-                    tel.incr("replicate.stored", 1);
-                }
+                self.telemetry.incr("replicate.stored", 1);
                 self.indexes[index as usize].store.put_replica(owner, entry);
             }
             SearchMsg::Tracked { seq, dead, inner } => {
@@ -1550,18 +1360,14 @@ impl Protocol for SearchNode {
                 if !self.seen_tracked.insert((from.0, seq)) {
                     // Retransmission or network duplicate of a payload
                     // already executed: ack again (above), run nothing.
-                    if let Some(tel) = &self.telemetry {
-                        tel.incr("resilience.dup_dropped", 1);
-                    }
+                    self.telemetry.incr("resilience.dup_dropped", 1);
                     return;
                 }
                 Protocol::on_message(self, ctx, from, *inner);
             }
             SearchMsg::Ack { seq } => {
                 if self.pending.remove(&seq).is_some() {
-                    if let Some(tel) = &self.telemetry {
-                        tel.incr("resilience.acked", 1);
-                    }
+                    self.telemetry.incr("resilience.acked", 1);
                 }
             }
         }
@@ -1585,9 +1391,7 @@ impl Protocol for SearchNode {
                 inner: Box::new(p.msg.clone()),
             };
             let delay = rc.backoff_timeout(p.first_timeout, p.attempts);
-            if let Some(tel) = &self.telemetry {
-                tel.incr("resilience.retries", 1);
-            }
+            self.telemetry.incr("resilience.retries", 1);
             ctx.schedule(delay, TimerTag(seq));
             ctx.send(p.to, wire, wire_bytes);
             self.pending.insert(seq, p);
@@ -1599,9 +1403,7 @@ impl Protocol for SearchNode {
                     self.suspect_id(id);
                 }
             }
-            if let Some(tel) = &self.telemetry {
-                tel.incr("resilience.failovers", 1);
-            }
+            self.telemetry.incr("resilience.failovers", 1);
             self.redispatch(ctx, p.msg);
         }
     }

@@ -20,7 +20,7 @@ use std::sync::Arc;
 
 use crate::load::{self, LoadBalanceConfig, LoadBalanceReport};
 use crate::store::Entry;
-use crate::system::SearchSystem;
+use crate::system::{publish_entry, SearchSystem};
 
 /// What a re-index did.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -69,22 +69,12 @@ impl SearchSystem {
         let mut migrated = 0usize;
         for (i, p) in points.iter().enumerate() {
             assert_eq!(p.len(), grid.dims(), "point {i} has wrong dimensionality");
-            let clamped: Vec<f64> = p
-                .iter()
-                .enumerate()
-                .map(|(d, &v)| v.clamp(grid.bounds().lo()[d], grid.bounds().hi()[d]))
-                .collect();
-            let key = rot.to_ring(grid.hash(&clamped));
-            let owner = self.ring.owner_of(ChordId(key));
-            let obj = ObjectId(i as u32);
-            if old_owner.get(&obj).copied() != Some(owner.addr.0) {
+            let entry = publish_entry(&grid, rot, ObjectId(i as u32), p);
+            let owner = self.ring.owner_of(ChordId(entry.ring_key));
+            if old_owner.get(&entry.obj).copied() != Some(owner.addr.0) {
                 migrated += 1;
             }
-            per_addr[owner.addr.0].push(Entry {
-                ring_key: key,
-                obj,
-                point: clamped.into_boxed_slice(),
-            });
+            per_addr[owner.addr.0].push(entry);
         }
         let (_, nodes) = self.sim.topology_and_agents_mut();
         for (addr, entries) in per_addr.into_iter().enumerate() {
@@ -163,22 +153,11 @@ impl SearchSystem {
     /// distance oracle to cover the new id before querying.
     pub fn publish(&mut self, index: u8, obj: metric::ObjectId, point: &[f64]) -> u32 {
         use crate::msg::SearchMsg;
-        use crate::store::Entry;
         use simnet::{AgentId, SimDuration, SimTime};
 
         let grid = &self.grids[index as usize];
-        let rot = self.rotations[index as usize];
-        let clamped: Vec<f64> = point
-            .iter()
-            .enumerate()
-            .map(|(d, &v)| v.clamp(grid.bounds().lo()[d], grid.bounds().hi()[d]))
-            .collect();
-        let key = rot.to_ring(grid.hash(&clamped));
-        let entry = Entry {
-            ring_key: key,
-            obj,
-            point: clamped.into_boxed_slice(),
-        };
+        let entry = publish_entry(grid, self.rotations[index as usize], obj, point);
+        let key = entry.ring_key;
         let mut rng = simnet::SimRng::new(self.cfg.seed).fork(0x9B ^ obj.0 as u64);
         let origin = AgentId(rng.index(self.cfg.n_nodes));
         let at: SimTime = self.sim.now() + SimDuration::from_millis(1);
@@ -217,11 +196,10 @@ impl SearchSystem {
     /// skewed the placement). Same mechanism as the build-time `lb`
     /// option.
     pub fn rebalance(&mut self, lb: &LoadBalanceConfig) -> LoadBalanceReport {
-        let mut rng = SimRng::new(self.cfg.seed).fork(0x1B2);
         let n_succ = self.cfg.n_successors;
         let pns = self.cfg.pns_candidates.max(1);
         let (topo, nodes) = self.sim.topology_and_agents_mut();
-        let report = load::balance(&mut self.ring, nodes, lb, topo, n_succ, pns, &mut rng);
+        let report = load::balance(&mut self.ring, nodes, lb, topo, n_succ, pns, None);
         // Migration rewrites ring identifiers and moves primaries, so
         // every index's replica placement is recomputed from scratch.
         for ix in 0..self.grids.len() {

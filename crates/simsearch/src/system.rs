@@ -15,7 +15,7 @@ use simnet::{AgentId, Sim, SimRng, SimTime, Topology};
 use crate::cache::RoutingOptConfig;
 use crate::load::{self, LoadBalanceReport};
 use crate::msg::{DistanceOracle, QueryBall, QueryId, SearchMsg, SubQueryMsg};
-use crate::node::{IndexState, IssuedQuery, SearchNode};
+use crate::node::{CostLedger, IndexState, IssuedQuery, SearchNode};
 use crate::overlay::{Overlay, OverlayKind};
 use crate::resilience::ResilienceConfig;
 use crate::store::{Entry, Store};
@@ -205,6 +205,24 @@ pub struct SearchSystem {
     pub(crate) telemetry: Telemetry,
 }
 
+/// The entry `point` publishes as object `obj` in the index of `grid`
+/// and `rot`: the point clamped to the grid's bounds (objects beyond the
+/// boundary map to boundary points, paper §3.1), hashed and rotated to
+/// its ring key. The entry stores the clamped point, so rect matching
+/// and key placement agree.
+pub(crate) fn publish_entry(grid: &Grid, rot: Rotation, obj: ObjectId, point: &[f64]) -> Entry {
+    let clamped: Vec<f64> = point
+        .iter()
+        .enumerate()
+        .map(|(d, &v)| v.clamp(grid.bounds().lo()[d], grid.bounds().hi()[d]))
+        .collect();
+    Entry {
+        ring_key: rot.to_ring(grid.hash(&clamped)),
+        obj,
+        point: clamped.into_boxed_slice(),
+    }
+}
+
 impl SearchSystem {
     /// Build the overlay, publish every index, and (optionally) run load
     /// migration. The `oracle` must be able to answer
@@ -243,14 +261,8 @@ impl SearchSystem {
             let keys: Vec<u64> = specs[0]
                 .points
                 .iter()
-                .map(|p| {
-                    let clamped: Vec<f64> = p
-                        .iter()
-                        .enumerate()
-                        .map(|(d, &v)| v.clamp(grid0.bounds().lo()[d], grid0.bounds().hi()[d]))
-                        .collect();
-                    rot0.to_ring(grid0.hash(&clamped))
-                })
+                .enumerate()
+                .map(|(i, p)| publish_entry(grid0, rot0, ObjectId(i as u32), p).ring_key)
                 .collect();
             let ids = load::load_aware_ids(&keys, cfg.n_nodes, &mut ring_rng);
             OracleRing::new(
@@ -314,22 +326,8 @@ impl SearchSystem {
                     spec.name,
                     i
                 );
-                // Store the *clamped* point: objects beyond the boundary
-                // map to boundary points (paper §3.1), and the stored
-                // point must agree with the hashed one so rect matching
-                // and key placement stay consistent.
-                let clamped: Vec<f64> = p
-                    .iter()
-                    .enumerate()
-                    .map(|(d, &v)| v.clamp(grid.bounds().lo()[d], grid.bounds().hi()[d]))
-                    .collect();
-                let key = rot.to_ring(grid.hash(&clamped));
-                let owner = ring.owner_of(ChordId(key));
-                let entry = Entry {
-                    ring_key: key,
-                    obj: ObjectId(i as u32),
-                    point: clamped.into_boxed_slice(),
-                };
+                let entry = publish_entry(grid, rot, ObjectId(i as u32), p);
+                let owner = ring.owner_of(ChordId(entry.ring_key));
                 if replication > 1 {
                     let pos = ring.nodes().partition_point(|n| n.id < owner.id);
                     let n = ring.nodes().len();
@@ -371,16 +369,14 @@ impl SearchSystem {
 
         let mut ring = ring;
         let lb_report = cfg.lb.as_ref().map(|lb| {
-            let mut lb_rng = root.fork(0x1B);
             let mut st = telemetry.lock();
-            load::balance_with_telemetry(
+            load::balance(
                 &mut ring,
                 &mut nodes,
                 lb,
                 &topo,
                 cfg.n_successors,
                 cfg.pns_candidates.max(1),
-                &mut lb_rng,
                 Some(&mut st.registry),
             )
         });
@@ -596,16 +592,8 @@ impl SearchSystem {
         queries: &[QuerySpec],
         mean_interarrival_s: f64,
     ) -> Vec<QueryOutcome> {
-        assert!(queries.len() <= u32::MAX as usize);
-        let mut rng = SimRng::new(self.cfg.seed).fork(0x9E);
-        let mut t = self.sim.now().as_secs_f64();
-        for (qid, q) in queries.iter().enumerate() {
-            t += rng.exponential(mean_interarrival_s);
-            let origin = AgentId(rng.index(self.cfg.n_nodes));
-            self.inject_query(SimTime::from_secs_f64(t), origin, qid as QueryId, q);
-        }
-        self.sim.run();
-        self.collect(queries)
+        let n = self.cfg.n_nodes;
+        self.run_batch(queries, mean_interarrival_s, |_, rng| rng.index(n))
     }
 
     /// Inject one query as a simulation event: `q` is issued by `origin`
@@ -656,17 +644,7 @@ impl SearchSystem {
             grid.dims(),
             "publish point has wrong dimensionality"
         );
-        let clamped: Vec<f64> = point
-            .iter()
-            .enumerate()
-            .map(|(d, &v)| v.clamp(grid.bounds().lo()[d], grid.bounds().hi()[d]))
-            .collect();
-        let key = self.rotations[index as usize].to_ring(grid.hash(&clamped));
-        let entry = Entry {
-            ring_key: key,
-            obj,
-            point: clamped.into_boxed_slice(),
-        };
+        let entry = publish_entry(grid, self.rotations[index as usize], obj, point);
         self.sim.inject(
             at,
             origin,
@@ -722,13 +700,37 @@ impl SearchSystem {
         origins: &[usize],
         mean_interarrival_s: f64,
     ) -> Vec<QueryOutcome> {
-        assert!(queries.len() <= u32::MAX as usize);
         assert!(!origins.is_empty(), "need at least one origin");
+        let n = self.cfg.n_nodes;
+        self.run_batch(queries, mean_interarrival_s, |qid, _| {
+            origins[qid % origins.len()] % n
+        })
+    }
+
+    /// The batch driver under [`Self::run_queries`] and
+    /// [`Self::run_queries_from`]: forget every node's origin records and
+    /// cost rows from earlier batches (query ids restart at 0 in each),
+    /// inject query `i` at the `i`-th arrival of the seeded Poisson
+    /// process from the node `origin(i, rng)` picks, run to quiescence
+    /// and fold the outcomes. Telemetry keeps accumulating across
+    /// batches.
+    fn run_batch(
+        &mut self,
+        queries: &[QuerySpec],
+        mean_interarrival_s: f64,
+        mut origin: impl FnMut(usize, &mut SimRng) -> usize,
+    ) -> Vec<QueryOutcome> {
+        assert!(queries.len() <= u32::MAX as usize);
+        let (_, nodes) = self.sim.topology_and_agents_mut();
+        for node in nodes.iter_mut() {
+            node.issued.clear();
+            node.costs = CostLedger::default();
+        }
         let mut rng = SimRng::new(self.cfg.seed).fork(0x9E);
         let mut t = self.sim.now().as_secs_f64();
         for (qid, q) in queries.iter().enumerate() {
             t += rng.exponential(mean_interarrival_s);
-            let origin = AgentId(origins[qid % origins.len()] % self.cfg.n_nodes);
+            let origin = AgentId(origin(qid, &mut rng));
             self.inject_query(SimTime::from_secs_f64(t), origin, qid as QueryId, q);
         }
         self.sim.run();
@@ -877,6 +879,45 @@ mod tests {
         let mut sys = SearchSystem::build(cfg, &[spec], oracle);
         let outcomes = sys.run_queries(&queries, 10.0);
         (outcomes, sys)
+    }
+
+    #[test]
+    fn a_second_batch_reports_only_its_own_costs() {
+        // Eight queries, then the first four again on the same system.
+        // Without faults routing does not depend on time, and each batch
+        // draws its origins from the same seeded stream, so the second
+        // batch must cost exactly what it costs a fresh system: nothing
+        // of the first batch added in, and no index past its own end.
+        let (spec, points) = small_spec(400);
+        let qpoints: Vec<Vec<f64>> = (0..8)
+            .map(|i| vec![5.0 + 12.5 * i as f64, 90.0 - 11.0 * i as f64])
+            .collect();
+        let queries = build_queries(&points, &qpoints, 15.0, 5);
+        let build = || {
+            let (p, q) = (points.clone(), qpoints.clone());
+            let oracle: DistanceOracle = Arc::new(move |qid: QueryId, obj: ObjectId| {
+                l2(&q[qid as usize], &p[obj.0 as usize])
+            });
+            let cfg = SystemConfig {
+                n_nodes: 24,
+                knn_k: 5,
+                depth: 16,
+                ..SystemConfig::default()
+            };
+            SearchSystem::build(cfg, std::slice::from_ref(&spec), oracle)
+        };
+        let costs = |outcomes: &[QueryOutcome]| -> Vec<(AgentId, u32, u64, u64)> {
+            outcomes
+                .iter()
+                .map(|o| (o.origin, o.query_msgs, o.query_bytes, o.result_bytes))
+                .collect()
+        };
+        let mut reused = build();
+        reused.run_queries(&queries, 10.0);
+        let again = reused.run_queries(&queries[..4], 10.0);
+        let fresh = build().run_queries(&queries[..4], 10.0);
+        assert_eq!(costs(&again), costs(&fresh));
+        assert!(again.iter().all(|o| o.query_msgs > 0 && o.recall == 1.0));
     }
 
     #[test]
