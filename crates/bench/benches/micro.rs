@@ -23,6 +23,7 @@ use landmark::{greedy, Mapper};
 use lph::{Grid, Prefix, Rect, Rotation};
 use metric::{Angular, EditDistance, Metric, ObjectId, SparseVector, L2};
 use node::scenario::{l2, rotation, Scenario, StoredL2, KNN_K};
+use rand::RngCore;
 use sansio::{dispatch, Input, Links, Output, ProtoCtx};
 use simnet::{AgentId, SimDuration, SimRng, SimTime};
 use simsearch::msg::DistanceOracle;
@@ -101,36 +102,6 @@ fn bench_selection(c: &mut Criterion) {
     });
 }
 
-fn bench_hilbert(c: &mut Criterion) {
-    let g = lph::HilbertGrid::new(Rect::cube(4, 0.0, 1.0), 8);
-    let cell = [13u32, 200, 77, 4];
-    c.bench_function("hilbert/rank_4d_8bit", |b| {
-        b.iter(|| g.rank_of_cell(black_box(&cell)))
-    });
-    c.bench_function("hilbert/inverse_4d_8bit", |b| {
-        let r = g.rank_of_cell(&cell);
-        b.iter(|| g.cell_of_rank(black_box(r)))
-    });
-    c.bench_function("hilbert/morton_rank_4d_8bit", |b| {
-        b.iter(|| g.morton_rank_of_cell(black_box(&cell)))
-    });
-}
-
-fn bench_pastry(c: &mut Criterion) {
-    let mut rng = SimRng::new(8);
-    let ring = chord::OracleRing::with_random_ids(256, &mut rng);
-    let tables = pastry::build_all_tables(&ring, pastry::LEAF_HALF, None, 16);
-    use rand::RngCore;
-    let key = chord::ChordId(rng.next_u64());
-    c.bench_function("pastry/route_256nodes", |b| {
-        b.iter(|| tables[10].route(black_box(key)))
-    });
-    let chord_tables = ring.build_all_tables(16, None, 16);
-    c.bench_function("chord/route_256nodes", |b| {
-        b.iter(|| chord_tables[10].route(black_box(key)))
-    });
-}
-
 fn bench_routing(c: &mut Criterion) {
     let mut rng = SimRng::new(6);
     let ring = chord::OracleRing::with_random_ids(256, &mut rng);
@@ -158,6 +129,10 @@ fn bench_routing(c: &mut Criterion) {
                 true,
             )
         })
+    });
+    let key = chord::ChordId(rng.next_u64());
+    c.bench_function("chord/route_256nodes", |b| {
+        b.iter(|| tables[10].route(black_box(key)))
     });
 }
 
@@ -461,8 +436,8 @@ criterion_group! {
         .warm_up_time(Duration::from_millis(300))
         .measurement_time(Duration::from_secs(1))
         .sample_size(30);
-    targets = bench_lph, bench_metrics, bench_selection, bench_hilbert, bench_pastry,
-        bench_routing, bench_store_scan, bench_refine, bench_prune, bench_map_all, bench_e2e
+    targets = bench_lph, bench_metrics, bench_selection, bench_routing, bench_store_scan,
+        bench_refine, bench_prune, bench_map_all, bench_e2e
 }
 
 /// Median-free, budget-bound mean ns/iter — same loop the criterion shim

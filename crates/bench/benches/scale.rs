@@ -19,7 +19,8 @@
 //!   calendar queue, coordinate topology, and instant-ring builder
 //!   keep large overlays cheap.
 
-use bench::scale_report::{peak_rss_kb, run_scale_point, ScaleFixture, ScalePoint};
+use bench::fixture::peak_rss_kb;
+use bench::scale_report::{run_scale_point, ScaleFixture, ScalePoint};
 use serde_json::ToJson;
 
 const SEED: u64 = 0x5CA1E;

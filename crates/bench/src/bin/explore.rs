@@ -3,7 +3,7 @@
 //! ```text
 //! cargo run --release -p bench --bin explore -- \
 //!     --nodes 256 --objects 20000 --queries 100 \
-//!     --method kmeans --k 10 --factors 0.02,0.05,0.1 --lb --pastry
+//!     --method kmeans --k 10 --factors 0.02,0.05,0.1 --lb
 //! ```
 //!
 //! Knobs (all optional):
@@ -17,7 +17,6 @@
 //!   --lb             enable dynamic load migration
 //!   --load-aware     load-aware join placement
 //!   --naive L        naive routing at decomposition level L
-//!   --pastry         run on the Pastry substrate
 //!   --rotate         apply the space-mapping rotation
 //!   --no-pns         plain Chord fingers (no proximity selection)
 //!   --replicate R    retry/failover + publish to R successor replicas
@@ -34,7 +33,7 @@ use bench::scale::Scale;
 use bench::synth::{run_synth_system, synth_setup, SynthRun};
 use bench::{print_series, Row};
 use landmark::SelectionMethod;
-use simsearch::{LoadBalanceConfig, OverlayKind};
+use simsearch::LoadBalanceConfig;
 
 fn parse_args() -> (Scale, SynthRun, Vec<f64>, bool, bool) {
     let mut scale = Scale::quick();
@@ -76,7 +75,6 @@ fn parse_args() -> (Scale, SynthRun, Vec<f64>, bool, bool) {
             "--lb" => run.lb = Some(LoadBalanceConfig::default()),
             "--load-aware" => run.load_aware_join = true,
             "--naive" => run.naive = Some(value(&mut i).parse().expect("--naive")),
-            "--pastry" => run.overlay = OverlayKind::Pastry,
             "--rotate" => run.rotate = true,
             "--no-pns" => run.pns = 0,
             "--replicate" => {
@@ -104,13 +102,12 @@ fn parse_args() -> (Scale, SynthRun, Vec<f64>, bool, bool) {
 fn main() {
     let (scale, run, factors, explain, telemetry) = parse_args();
     println!(
-        "explore: {} nodes, {} objects, {} queries/factor, {}-{} landmarks, overlay {:?}{}{}{}",
+        "explore: {} nodes, {} objects, {} queries/factor, {}-{} landmarks{}{}{}",
         scale.n_nodes,
         scale.n_objects,
         scale.n_queries,
         run.method,
         run.k,
-        run.overlay,
         if run.lb.is_some() { ", LB on" } else { "" },
         run.naive
             .map(|l| format!(", naive L{l}"))
@@ -138,7 +135,6 @@ fn main() {
             SystemConfig {
                 n_nodes: scale.n_nodes,
                 seed: scale.seed,
-                overlay: run.overlay,
                 lb: run.lb,
                 ..SystemConfig::default()
             },

@@ -9,11 +9,14 @@
 //!   landmark selection → mapping → system → query sweep);
 //! * [`trec`] — the §4.3 text pipeline over the synthetic TREC-like
 //!   corpus (angular metric, sampled boundary);
+//! * [`fixture`] — the corpus, query builders and oracle under the
+//!   three `*_report` writers;
 //! * [`report`] — table printing and JSON persistence under
 //!   `target/experiments/`;
 //! * [`load_report`] — the sustained-load capacity-search scenario
 //!   behind `BENCH_load.json` and the CI `load-smoke` gate.
 
+pub mod fixture;
 pub mod load_report;
 pub mod micro_report;
 pub mod report;

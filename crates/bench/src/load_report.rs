@@ -25,21 +25,16 @@
 
 use std::sync::Arc;
 
-use landmark::{boundary_from_sample, kmeans, Mapper};
-use metric::{Dataset, Metric, ObjectId, L2};
+use metric::{Metric, ObjectId, L2};
 use serde_json::{ToJson, Value};
 use simnet::{AgentId, ArrivalProcess, SimDuration, SimRng};
 use simsearch::loadgen::{self, LoadPools};
 use simsearch::{
-    CapacityResult, IndexSpec, LoadConfig, LoadOutcome, QueryDistance, QueryId, QueryMix,
-    QuerySpec, ResilienceConfig, RoutingOptConfig, SearchSystem, SloSpec, SystemConfig,
+    CapacityResult, LoadConfig, LoadOutcome, QueryDistance, QueryMix, QuerySpec, ResilienceConfig,
+    RoutingOptConfig, SearchSystem, SloSpec, SystemConfig,
 };
-use workloads::{ground_truth, ClusteredParams, ClusteredVectors};
 
-use crate::scale_report::peak_rss_kb;
-
-const K_LANDMARKS: usize = 5;
-const KNN_K: usize = 10;
+use crate::fixture::{l2_oracle, peak_rss_kb, Corpus, KNN_K};
 /// Per-message service time of the finite-capacity model: what turns
 /// offered rate into queueing delay and gives the SLO a knee to find.
 const SERVICE_MS: f64 = 2.0;
@@ -60,14 +55,12 @@ const CHURN_CANDIDATES: [usize; 4] = [3, 11, 23, 37];
 /// outages and make latency anti-monotone in rate.
 const CHURN_DOWNTIME_S: f64 = 5.0;
 
-/// The dataset-side state shared by every scenario and probe: mapped
-/// points, query pools with exact truth, the publish pool, and the raw
-/// vectors behind the qid-keyed oracle.
+/// The dataset-side state shared by every scenario and probe: the
+/// mapped corpus published at build time, query pools with exact truth,
+/// the publish pool, and the raw vectors behind the qid-keyed oracle.
 pub struct LoadFixture {
-    /// Landmark-space index boundary.
-    pub boundary: Vec<(f64, f64)>,
-    /// Landmark-mapped dataset published at build time.
-    pub points: Vec<Vec<f64>>,
+    /// The mapped corpus every probe's system indexes.
+    pub corpus: Corpus,
     /// Range-query pool (wide padded radius, top-k truth).
     pub range: Vec<QuerySpec>,
     /// knn-query pool (tight padded radius, top-k truth).
@@ -90,50 +83,13 @@ impl LoadFixture {
     /// exact pool truth, and carve out a far-from-everything publish
     /// pool.
     pub fn build(n_objects: usize, pool_size: usize, n_publish: usize, seed: u64) -> LoadFixture {
-        let data = ClusteredVectors::generate(
-            ClusteredParams {
-                dims: 12,
-                clusters: 5,
-                deviation: 9.0,
-                n_objects,
-                ..ClusteredParams::default()
-            },
-            seed,
-        );
-        let metric = L2::bounded(12, 0.0, 100.0);
-        let mut rng = SimRng::new(seed);
-        let sample: Vec<Vec<f32>> = rng
-            .sample_indices(data.objects.len(), 250)
-            .into_iter()
-            .map(|i| data.objects[i].clone())
-            .collect();
-        let landmarks = kmeans::<_, [f32], _>(&metric, &sample, K_LANDMARKS, 10, &mut rng);
-        let mapper = Mapper::new(metric, landmarks);
-        let points = mapper.map_all::<[f32], _>(&data.objects);
-        let boundary = boundary_from_sample::<_, [f32], _>(&mapper, &sample, 0.05).dims;
-
-        // Pool truth is the exact top-k; radii are padded past the k-th
-        // distance (wide for the range pool, tight for knn) so recall
-        // 1.0 is achievable and refinement is exercised.
-        let dataset = Dataset::new(data.objects.clone());
-        let to_specs = |qpoints: &[Vec<f32>], pad: f64| -> Vec<QuerySpec> {
-            let truth =
-                ground_truth::knn_batch::<_, [f32], _>(&L2::new(), &dataset, qpoints, KNN_K);
-            qpoints
-                .iter()
-                .zip(&truth)
-                .map(|(q, t)| QuerySpec {
-                    index: 0,
-                    point: mapper.map(q.as_slice()).into_vec(),
-                    radius: t[KNN_K - 1].1 * pad,
-                    truth: t.iter().map(|&(id, _)| id).collect(),
-                })
-                .collect()
-        };
-        let range_raw = data.queries(pool_size, seed ^ 0x4A);
-        let knn_raw = data.queries(pool_size, seed ^ 0x4B);
-        let range = to_specs(&range_raw, 2.5);
-        let knn = to_specs(&knn_raw, 1.5);
+        let corpus = Corpus::build(n_objects, seed);
+        // Both pools are padded top-k: wide for the range pool, tight
+        // for knn.
+        let range_raw = corpus.data.queries(pool_size, seed ^ 0x4A);
+        let knn_raw = corpus.data.queries(pool_size, seed ^ 0x4B);
+        let range = corpus.padded_knn(&range_raw, 2.5);
+        let knn = corpus.padded_knn(&knn_raw, 1.5);
 
         // Publish candidates must not perturb any pool query's truth:
         // keep only candidates outside every pool query's ball (with a
@@ -182,16 +138,15 @@ impl LoadFixture {
             .map(|(i, c)| {
                 (
                     ObjectId((n_objects + i) as u32),
-                    mapper.map(c.as_slice()).into_vec(),
+                    corpus.mapper.map(c.as_slice()).into_vec(),
                 )
             })
             .collect();
-        let mut objects = data.objects;
+        let mut objects = corpus.data.objects.clone();
         objects.extend(chosen);
 
         LoadFixture {
-            boundary,
-            points,
+            corpus,
             range,
             knn,
             publish,
@@ -232,13 +187,7 @@ impl LoadFixture {
                 loadgen::PoolKind::Knn => self.knn_raw[idx].clone(),
             })
             .collect();
-        let objects = self.objects.clone();
-        Arc::new(move |qid: QueryId, obj: ObjectId| {
-            L2::new().distance(
-                qpoints[qid as usize].as_slice(),
-                objects[obj.0 as usize].as_slice(),
-            )
-        })
+        l2_oracle(self.objects.clone(), qpoints)
     }
 }
 
@@ -386,13 +335,7 @@ pub fn run_load_at(
     let pools = fixture.pools();
     let plan = loadgen::plan(&cfg, &pools, n_nodes, seed);
     let oracle = fixture.oracle_for(&plan);
-    let spec = IndexSpec {
-        name: format!("load-{}", scenario.name()),
-        boundary: fixture.boundary.clone(),
-        points: fixture.points.clone(),
-        rotate: true,
-        rotation: None,
-    };
+    let spec = fixture.corpus.index(&format!("load-{}", scenario.name()));
     let mut system = SearchSystem::build(scenario.system_config(n_nodes, seed), &[spec], oracle);
     system.set_service_time(Some(SimDuration::from_millis_f64(SERVICE_MS)));
     if scenario == Scenario::LossChurn {

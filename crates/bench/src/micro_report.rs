@@ -18,19 +18,13 @@
 
 use std::sync::Arc;
 
-use landmark::{boundary_from_sample, kmeans, Mapper};
-use metric::{Dataset, Metric, ObjectId, L2};
 use serde_json::{ToJson, Value};
-use simnet::SimRng;
-use simsearch::{
-    IndexSpec, QueryDistance, QueryId, QuerySpec, RoutingOptConfig, SearchSystem, SystemConfig,
-};
-use workloads::{ground_truth, ClusteredParams, ClusteredVectors};
+use simsearch::{RoutingOptConfig, SearchSystem, SystemConfig};
+
+use crate::fixture::{l2_oracle, Corpus, KNN_K};
 
 const SEED: u64 = 0x64_B3;
 const N_NODES: usize = 64;
-const K_LANDMARKS: usize = 5;
-const KNN_K: usize = 10;
 
 /// Deterministic work counters of one scenario run, with the pre-change
 /// costs derived from the same counters (`before = kept + avoided`).
@@ -93,53 +87,12 @@ impl ToJson for MicroCounters {
 /// everything but `elapsed_ms`.
 pub fn run_micro_scenario(quick: bool) -> MicroCounters {
     let (n_objects, n_queries) = if quick { (1_000, 16) } else { (2_000, 32) };
-    let data = ClusteredVectors::generate(
-        ClusteredParams {
-            dims: 12,
-            clusters: 5,
-            deviation: 9.0,
-            n_objects,
-            ..ClusteredParams::default()
-        },
-        SEED,
-    );
-    let metric = L2::bounded(12, 0.0, 100.0);
-    let mut rng = SimRng::new(SEED);
-    let sample: Vec<Vec<f32>> = rng
-        .sample_indices(data.objects.len(), 250)
-        .into_iter()
-        .map(|i| data.objects[i].clone())
-        .collect();
-    let landmarks = kmeans::<_, [f32], _>(&metric, &sample, K_LANDMARKS, 10, &mut rng);
-    let mapper = Mapper::new(metric, landmarks);
-    let points = mapper.map_all::<[f32], _>(&data.objects);
-
-    let qpoints = data.queries(n_queries, SEED ^ 0x51);
-    // Truth: the brute-force oracle's top-k. The query radius is padded
-    // past the k-th distance so every true neighbor is in range *and*
-    // plenty of non-answers match locally — which is what exercises the
-    // refinement prune (nodes rank more candidates than they return).
-    let dataset = Dataset::new(data.objects.clone());
-    let truth = ground_truth::knn_batch::<_, [f32], _>(&L2::new(), &dataset, &qpoints, KNN_K);
-    let queries: Vec<QuerySpec> = qpoints
-        .iter()
-        .zip(&truth)
-        .map(|(q, t)| QuerySpec {
-            index: 0,
-            point: mapper.map(q.as_slice()).into_vec(),
-            radius: t[KNN_K - 1].1 * 1.5,
-            truth: t.iter().map(|&(id, _)| id).collect(),
-        })
-        .collect();
-
-    let objects = Arc::new(data.objects.clone());
-    let qp = Arc::new(qpoints);
-    let oracle: Arc<dyn QueryDistance> = Arc::new(move |qid: QueryId, obj: ObjectId| {
-        L2::new().distance(
-            qp[qid as usize].as_slice(),
-            objects[obj.0 as usize].as_slice(),
-        )
-    });
+    let corpus = Corpus::build(n_objects, SEED);
+    let qpoints = corpus.data.queries(n_queries, SEED ^ 0x51);
+    // Nodes rank more candidates than they return, which is what
+    // exercises the refinement prune.
+    let queries = corpus.padded_knn(&qpoints, 1.5);
+    let oracle = l2_oracle(Arc::new(corpus.data.objects.clone()), qpoints);
     let mut system = SearchSystem::build(
         SystemConfig {
             n_nodes: N_NODES,
@@ -147,17 +100,7 @@ pub fn run_micro_scenario(quick: bool) -> MicroCounters {
             knn_k: KNN_K,
             ..SystemConfig::default()
         },
-        &[IndexSpec {
-            name: "micro".into(),
-            // Sample-derived boundary (§3.1 route 2): tight around the
-            // data, so the grid's key resolution is spent where entries
-            // actually live — this is what lets the ring-key span carve
-            // deep into each store.
-            boundary: boundary_from_sample::<_, [f32], _>(&mapper, &sample, 0.05).dims,
-            points,
-            rotate: true,
-            rotation: None,
-        }],
+        &[corpus.index("micro")],
         oracle,
     );
 
@@ -246,57 +189,14 @@ pub fn run_cache_scenario(quick: bool) -> CacheCounters {
     const ORIGINS: [usize; N_BASE] = [5, 17, 29, 41];
     let (n_objects, rounds) = if quick { (1_000, 4) } else { (2_000, 6) };
 
-    let data = ClusteredVectors::generate(
-        ClusteredParams {
-            dims: 12,
-            clusters: 5,
-            deviation: 9.0,
-            n_objects,
-            ..ClusteredParams::default()
-        },
-        SEED,
-    );
-    let metric = L2::bounded(12, 0.0, 100.0);
-    let mut rng = SimRng::new(SEED);
-    let sample: Vec<Vec<f32>> = rng
-        .sample_indices(data.objects.len(), 250)
-        .into_iter()
-        .map(|i| data.objects[i].clone())
-        .collect();
-    let landmarks = kmeans::<_, [f32], _>(&metric, &sample, K_LANDMARKS, 10, &mut rng);
-    let mapper = Mapper::new(metric, landmarks);
-    let points = mapper.map_all::<[f32], _>(&data.objects);
-
-    let base_q = data.queries(N_BASE, SEED ^ 0x7C);
-    let radius = 0.05 * data.max_distance();
+    let corpus = Corpus::build(n_objects, SEED);
+    let base_q = corpus.data.queries(N_BASE, SEED ^ 0x7C);
+    let radius = 0.05 * corpus.data.max_distance();
     let qpoints: Vec<Vec<f32>> = (0..N_BASE * rounds)
         .map(|i| base_q[i % N_BASE].clone())
         .collect();
-    let queries: Vec<QuerySpec> = qpoints
-        .iter()
-        .map(|q| QuerySpec {
-            index: 0,
-            point: mapper.map(q.as_slice()).into_vec(),
-            radius,
-            truth: data
-                .objects
-                .iter()
-                .enumerate()
-                .filter(|(_, o)| L2::new().distance(q.as_slice(), o.as_slice()) <= radius)
-                .map(|(i, _)| ObjectId(i as u32))
-                .collect(),
-        })
-        .collect();
-
-    let objects = Arc::new(data.objects.clone());
-    let qp = Arc::new(qpoints);
-    let oracle: Arc<dyn QueryDistance> = Arc::new(move |qid: QueryId, obj: ObjectId| {
-        L2::new().distance(
-            qp[qid as usize].as_slice(),
-            objects[obj.0 as usize].as_slice(),
-        )
-    });
-    let boundary = boundary_from_sample::<_, [f32], _>(&mapper, &sample, 0.05).dims;
+    let queries = corpus.range(&qpoints, radius);
+    let oracle = l2_oracle(Arc::new(corpus.data.objects.clone()), qpoints);
 
     let run = |opt: Option<RoutingOptConfig>| -> CacheSide {
         let mut system = SearchSystem::build(
@@ -308,13 +208,7 @@ pub fn run_cache_scenario(quick: bool) -> CacheCounters {
                 routing_opt: opt,
                 ..SystemConfig::default()
             },
-            &[IndexSpec {
-                name: "cache".into(),
-                boundary: boundary.clone(),
-                points: points.clone(),
-                rotate: true,
-                rotation: None,
-            }],
+            &[corpus.index("cache")],
             oracle.clone(),
         );
         let outcomes = system.run_queries_from(&queries, &ORIGINS, 5.0);
@@ -341,6 +235,52 @@ pub fn run_cache_scenario(quick: bool) -> CacheCounters {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
+
+    /// One object of the checked-in `BENCH_micro.json`, as field name →
+    /// the value's text exactly as the artifact prints it.
+    fn artifact_fields(block: &str) -> BTreeMap<String, String> {
+        let text = include_str!("../../../BENCH_micro.json");
+        let start = text
+            .find(&format!("\"{block}\": {{"))
+            .unwrap_or_else(|| panic!("BENCH_micro.json has no `{block}` object"));
+        text[start..]
+            .lines()
+            .skip(1)
+            .map(str::trim)
+            .take_while(|l| !l.starts_with('}'))
+            .map(|l| {
+                let (k, v) = l
+                    .trim_end_matches(',')
+                    .split_once(": ")
+                    .expect("`key: value`");
+                (k.trim_matches('"').to_string(), v.to_string())
+            })
+            .collect()
+    }
+
+    /// `v`'s fields printed as the artifact prints them.
+    fn fields(v: &Value) -> BTreeMap<String, String> {
+        let Value::Object(map) = v else {
+            panic!("not an object: {v}")
+        };
+        map.iter()
+            .map(|(k, v)| (k.clone(), v.to_string()))
+            .collect()
+    }
+
+    #[test]
+    fn full_scenarios_reproduce_the_checked_in_artifact() {
+        let mut e2e = fields(&run_micro_scenario(false).to_json());
+        let mut want = artifact_fields("e2e_64node");
+        // Wall time is the one field no run reproduces.
+        assert!(e2e.remove("elapsed_ms").is_some() && want.remove("elapsed_ms").is_some());
+        assert_eq!(e2e, want);
+        assert_eq!(
+            fields(&run_cache_scenario(false).to_json()),
+            artifact_fields("cache_64node")
+        );
+    }
 
     #[test]
     fn quick_scenario_counters_are_deterministic() {

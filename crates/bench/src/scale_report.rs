@@ -23,18 +23,13 @@
 
 use std::sync::Arc;
 
-use landmark::{boundary_from_sample, kmeans, Mapper};
-use metric::{Dataset, Metric, ObjectId, L2};
 use serde_json::{ToJson, Value};
-use simnet::{AgentId, SimRng, SimTime};
+use simnet::{AgentId, SimTime};
 use simsearch::{
-    IndexSpec, QueryDistance, QueryId, QuerySpec, ResilienceConfig, RoutingOptConfig, SearchSystem,
-    SystemConfig,
+    QueryDistance, QuerySpec, ResilienceConfig, RoutingOptConfig, SearchSystem, SystemConfig,
 };
-use workloads::{ground_truth, ClusteredParams, ClusteredVectors};
 
-const K_LANDMARKS: usize = 5;
-const KNN_K: usize = 10;
+use crate::fixture::{l2_oracle, peak_rss_kb, Corpus, KNN_K};
 /// Hot-workload shape: four base query points, re-issued from four
 /// fixed origins for this many rounds (cache hits need repetition).
 const N_HOT_BASE: usize = 4;
@@ -54,16 +49,14 @@ const INTERARRIVAL_S: f64 = 5.0;
 /// many queries are in flight at once.
 const PLAIN_INTERARRIVAL_S: f64 = 0.08;
 
-/// The dataset-side state shared by every sweep point: mapped points,
-/// index boundary, both query workloads, and their distance oracles.
-/// Building it once keeps the sweep's per-point cost purely overlay.
+/// The dataset-side state shared by every sweep point: the mapped
+/// corpus, both query workloads, and their distance oracles. Building
+/// it once keeps the sweep's per-point cost purely overlay.
 pub struct ScaleFixture {
     /// Objects published into every overlay.
     pub n_objects: usize,
-    /// Landmark-space index boundary.
-    pub boundary: Vec<(f64, f64)>,
-    /// Landmark-mapped dataset (`ObjectId(i)` = row `i`).
-    pub points: Vec<Vec<f64>>,
+    /// The mapped corpus every overlay indexes.
+    pub corpus: Corpus,
     /// The plain workload: distinct queries with exact top-k truth.
     pub plain_queries: Vec<QuerySpec>,
     /// The hot workload: `N_HOT_BASE` points × `HOT_ROUNDS` repeats.
@@ -78,49 +71,11 @@ impl ScaleFixture {
     /// Generate the dataset, select landmarks, map everything, and
     /// compute exact ground truth. `n_queries` sizes the plain batch.
     pub fn build(n_objects: usize, n_queries: usize, seed: u64) -> ScaleFixture {
-        let data = ClusteredVectors::generate(
-            ClusteredParams {
-                dims: 12,
-                clusters: 5,
-                deviation: 9.0,
-                n_objects,
-                ..ClusteredParams::default()
-            },
-            seed,
-        );
-        let metric = L2::bounded(12, 0.0, 100.0);
-        let mut rng = SimRng::new(seed);
-        let sample: Vec<Vec<f32>> = rng
-            .sample_indices(data.objects.len(), 250)
-            .into_iter()
-            .map(|i| data.objects[i].clone())
-            .collect();
-        let landmarks = kmeans::<_, [f32], _>(&metric, &sample, K_LANDMARKS, 10, &mut rng);
-        let mapper = Mapper::new(metric, landmarks);
-        let points = mapper.map_all::<[f32], _>(&data.objects);
-        let boundary = boundary_from_sample::<_, [f32], _>(&mapper, &sample, 0.05).dims;
-
-        let dataset = Dataset::new(data.objects.clone());
-        // Truth is the exact top-k; the radius is padded past the k-th
-        // distance so recall 1.0 is achievable and non-answers exercise
-        // refinement, exactly as in the micro scenario.
-        let to_specs = |qpoints: &[Vec<f32>]| -> Vec<QuerySpec> {
-            let truth =
-                ground_truth::knn_batch::<_, [f32], _>(&L2::new(), &dataset, qpoints, KNN_K);
-            qpoints
-                .iter()
-                .zip(&truth)
-                .map(|(q, t)| QuerySpec {
-                    index: 0,
-                    point: mapper.map(q.as_slice()).into_vec(),
-                    radius: t[KNN_K - 1].1 * 1.5,
-                    truth: t.iter().map(|&(id, _)| id).collect(),
-                })
-                .collect()
-        };
-
+        let corpus = Corpus::build(n_objects, seed);
+        let data = &corpus.data;
+        // Padded top-k, exactly as in the micro scenario.
         let plain_points = data.queries(n_queries, seed ^ 0x51);
-        let plain_queries = to_specs(&plain_points);
+        let plain_queries = corpus.padded_knn(&plain_points, 1.5);
 
         // The hot workload is a *range* workload (micro cache-scenario
         // shape): a real radius — 5% of the theoretical maximum — whose
@@ -129,48 +84,19 @@ impl ScaleFixture {
         // shortcuts to keep paying off at every overlay size; this is
         // also the "range recall under churn" curve.
         let hot_base = data.queries(N_HOT_BASE, seed ^ 0x7C);
-        let hot_radius = 0.05 * data.max_distance();
         let hot_points: Vec<Vec<f32>> = (0..N_HOT_BASE * HOT_ROUNDS)
             .map(|i| hot_base[i % N_HOT_BASE].clone())
             .collect();
-        let hot_queries: Vec<QuerySpec> = hot_points
-            .iter()
-            .map(|q| QuerySpec {
-                index: 0,
-                point: mapper.map(q.as_slice()).into_vec(),
-                radius: hot_radius,
-                truth: data
-                    .objects
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, o)| L2::new().distance(q.as_slice(), o.as_slice()) <= hot_radius)
-                    .map(|(i, _)| ObjectId(i as u32))
-                    .collect(),
-            })
-            .collect();
+        let hot_queries = corpus.range(&hot_points, 0.05 * data.max_distance());
 
-        let objects = Arc::new(data.objects);
-        let mk_oracle = |qp: Vec<Vec<f32>>| -> Arc<dyn QueryDistance> {
-            let objects = objects.clone();
-            let qp = Arc::new(qp);
-            Arc::new(move |qid: QueryId, obj: ObjectId| {
-                L2::new().distance(
-                    qp[qid as usize].as_slice(),
-                    objects[obj.0 as usize].as_slice(),
-                )
-            })
-        };
-        let plain_oracle = mk_oracle(plain_points);
-        let hot_oracle = mk_oracle(hot_points);
-
+        let objects = Arc::new(data.objects.clone());
         ScaleFixture {
             n_objects,
-            boundary,
-            points,
+            plain_oracle: l2_oracle(objects.clone(), plain_points),
+            hot_oracle: l2_oracle(objects, hot_points),
+            corpus,
             plain_queries,
             hot_queries,
-            plain_oracle,
-            hot_oracle,
         }
     }
 
@@ -278,19 +204,6 @@ impl ToJson for ScalePoint {
     }
 }
 
-/// Process peak resident set (`VmHWM`) in kB; 0 where unavailable.
-pub fn peak_rss_kb() -> u64 {
-    std::fs::read_to_string("/proc/self/status")
-        .ok()
-        .and_then(|s| {
-            s.lines()
-                .find(|l| l.starts_with("VmHWM:"))
-                .and_then(|l| l.split_whitespace().nth(1))
-                .and_then(|v| v.parse().ok())
-        })
-        .unwrap_or(0)
-}
-
 /// Inject `CHURN_PAIRS` crash/restart pairs across the hot workload's
 /// span. Victims are deterministic ring positions that are neither a
 /// query origin (it holds merge state) nor ring-adjacent to another
@@ -353,14 +266,6 @@ fn side_stats(
 /// dense threshold) the coordinate topology; at 16k+ nodes this is the
 /// path that must build and answer in seconds, not minutes.
 pub fn run_scale_point(fixture: &ScaleFixture, n_nodes: usize, seed: u64) -> ScalePoint {
-    let spec = |name: &str| IndexSpec {
-        name: name.into(),
-        boundary: fixture.boundary.clone(),
-        points: fixture.points.clone(),
-        rotate: true,
-        rotation: None,
-    };
-
     let t0 = std::time::Instant::now();
     let mut plain_sys = SearchSystem::build(
         SystemConfig {
@@ -369,7 +274,7 @@ pub fn run_scale_point(fixture: &ScaleFixture, n_nodes: usize, seed: u64) -> Sca
             knn_k: KNN_K,
             ..SystemConfig::default()
         },
-        &[spec("scale-plain")],
+        &[fixture.corpus.index("scale-plain")],
         fixture.plain_oracle.clone(),
     );
     let build_ms = t0.elapsed().as_secs_f64() * 1e3;
@@ -395,7 +300,7 @@ pub fn run_scale_point(fixture: &ScaleFixture, n_nodes: usize, seed: u64) -> Sca
             routing_opt: Some(RoutingOptConfig::default()),
             ..SystemConfig::default()
         },
-        &[spec("scale-churn")],
+        &[fixture.corpus.index("scale-churn")],
         fixture.hot_oracle.clone(),
     );
     churn_sys.set_loss_rate(0.05);

@@ -12,8 +12,8 @@ use metric::{Metric, ObjectId, L2};
 use rayon::prelude::*;
 use simnet::SimRng;
 use simsearch::{
-    IndexSpec, LoadBalanceConfig, OverlayKind, QueryDistance, QueryId, QueryOutcome, QuerySpec,
-    SearchSystem, SystemConfig,
+    IndexSpec, LoadBalanceConfig, QueryDistance, QueryId, QueryOutcome, QuerySpec, SearchSystem,
+    SystemConfig,
 };
 use workloads::{ClusteredParams, ClusteredVectors};
 
@@ -79,8 +79,6 @@ pub struct SynthRun {
     /// Static rotation (multi-index ablation; single-index experiments
     /// leave it off as it only permutes placement).
     pub rotate: bool,
-    /// DHT substrate (overlay ablation; default Chord).
-    pub overlay: OverlayKind,
     /// Join-time balancing (node ids split the heaviest range).
     pub load_aware_join: bool,
     /// Retry/failover + replicated publication (churn scenarios).
@@ -108,7 +106,6 @@ impl SynthRun {
             naive: None,
             pns: 16,
             rotate: false,
-            overlay: OverlayKind::Chord,
             load_aware_join: false,
             resilience: None,
             routing_opt: None,
@@ -251,7 +248,6 @@ pub fn run_synth_system(
         naive_level: run.naive,
         pns_candidates: run.pns,
         lb: run.lb,
-        overlay: run.overlay,
         load_aware_join: run.load_aware_join,
         resilience: run.resilience.clone(),
         routing_opt: run.routing_opt.clone(),

@@ -25,13 +25,11 @@
 //! and zero-padded on the right).
 
 pub mod grid;
-pub mod hilbert;
 pub mod prefix;
 pub mod rect;
 pub mod rotation;
 
 pub use grid::{Grid, SubQuery};
-pub use hilbert::HilbertGrid;
 pub use prefix::{Prefix, KEY_BITS};
 pub use rect::Rect;
 pub use rotation::Rotation;

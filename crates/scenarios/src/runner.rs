@@ -456,11 +456,6 @@ pub fn run(sc: &Scenario) -> RunReport {
         depth: sc.ring.depth,
         lb: sc.ring.lb.map(lb_config),
         load_aware_join: sc.ring.load_aware_join,
-        overlay: if sc.ring.overlay == "pastry" {
-            simsearch::OverlayKind::Pastry
-        } else {
-            simsearch::OverlayKind::Chord
-        },
         resilience: (sc.ring.replication > 1).then(|| ResilienceConfig {
             replication: sc.ring.replication,
             ..ResilienceConfig::default()

@@ -49,8 +49,6 @@ pub struct RingSpec {
     pub pns: usize,
     /// Top-k merged at the querier.
     pub knn_k: usize,
-    /// `"chord"` or `"pastry"`.
-    pub overlay: String,
     /// Join-time balancing on index 0's keys.
     pub load_aware_join: bool,
     /// Build-time dynamic load migration.
@@ -253,6 +251,15 @@ impl Ctx {
         }
     }
 
+    fn u32(&mut self, key: &str) -> Result<Option<u32>, String> {
+        let Some(v) = self.u64(key)? else {
+            return Ok(None);
+        };
+        u32::try_from(v)
+            .map(Some)
+            .map_err(|_| format!("{}.{key}: {v} is out of range", self.at))
+    }
+
     fn usize(&mut self, key: &str) -> Result<Option<usize>, String> {
         Ok(self.u64(key)?.map(|v| v as usize))
     }
@@ -285,13 +292,19 @@ impl Ctx {
     }
 }
 
+/// The `delta`/`probe_level`/`max_rounds` keys `[ring.lb]` and
+/// `[rebalance]` share.
+fn lb_keys(c: &mut Ctx) -> Result<LbDecl, String> {
+    Ok(LbDecl {
+        delta: c.f64("delta")?.unwrap_or(0.0),
+        probe_level: c.u32("probe_level")?.unwrap_or(4),
+        max_rounds: c.usize("max_rounds")?.unwrap_or(8),
+    })
+}
+
 fn parse_lb(v: Value, at: &str) -> Result<LbDecl, String> {
     let mut c = Ctx::new(v, at)?;
-    let lb = LbDecl {
-        delta: c.f64("delta")?.unwrap_or(0.0),
-        probe_level: c.u64("probe_level")?.unwrap_or(4) as u32,
-        max_rounds: c.usize("max_rounds")?.unwrap_or(8),
-    };
+    let lb = lb_keys(&mut c)?;
     c.finish()?;
     Ok(lb)
 }
@@ -324,11 +337,10 @@ impl Scenario {
         let ring = {
             let spec = RingSpec {
                 nodes: ring.usize("nodes")?.ok_or("ring.nodes is required")?,
-                depth: ring.u64("depth")?.unwrap_or(16) as u32,
+                depth: ring.u32("depth")?.unwrap_or(16),
                 successors: ring.usize("successors")?.unwrap_or(16),
                 pns: ring.usize("pns")?.unwrap_or(16),
                 knn_k: ring.usize("knn_k")?.unwrap_or(10),
-                overlay: ring.str("overlay")?.unwrap_or_else(|| "chord".into()),
                 load_aware_join: ring.bool("load_aware_join")?.unwrap_or(false),
                 lb,
                 routing_opt: ring.bool("routing_opt")?.unwrap_or(false),
@@ -337,8 +349,11 @@ impl Scenario {
             ring.finish()?;
             spec
         };
-        if ring.overlay != "chord" && ring.overlay != "pastry" {
-            return Err(format!("ring.overlay: unknown overlay `{}`", ring.overlay));
+        if ring.nodes == 0 {
+            return Err("ring.nodes: a ring needs at least one node".into());
+        }
+        if !(1..=64).contains(&ring.depth) {
+            return Err(format!("ring.depth: {} is outside 1..=64", ring.depth));
         }
 
         let faults = match root.take("faults") {
@@ -418,11 +433,7 @@ impl Scenario {
                 let mut c = Ctx::new(v, "rebalance")?;
                 let decl = RebalanceDecl {
                     after_frac: c.f64("after_frac")?.unwrap_or(0.5),
-                    lb: LbDecl {
-                        delta: c.f64("delta")?.unwrap_or(0.0),
-                        probe_level: c.u64("probe_level")?.unwrap_or(4) as u32,
-                        max_rounds: c.usize("max_rounds")?.unwrap_or(8),
-                    },
+                    lb: lb_keys(&mut c)?,
                 };
                 c.finish()?;
                 Ok(decl)
@@ -580,6 +591,34 @@ queries = 4
         assert!(Scenario::from_toml(&bad_faults)
             .unwrap_err()
             .contains("replication"));
+    }
+
+    #[test]
+    fn out_of_range_ring_values_are_rejected() {
+        let ring = |extra: &str| MINIMAL.replace("[ring]\nnodes = 16", extra);
+        for (text, key) in [
+            (ring("[ring]\nnodes = 0"), "ring.nodes"),
+            (ring("[ring]\nnodes = 16\ndepth = 0"), "ring.depth"),
+            (ring("[ring]\nnodes = 16\ndepth = 65"), "ring.depth"),
+            (ring("[ring]\nnodes = 16\ndepth = 4294967312"), "ring.depth"),
+            (
+                ring("[ring]\nnodes = 16\n[ring.lb]\nprobe_level = 4294967300"),
+                "ring.lb.probe_level",
+            ),
+            (
+                MINIMAL.replace(
+                    "[expect]",
+                    "[rebalance]\nprobe_level = 4294967300\n[expect]",
+                ),
+                "rebalance.probe_level",
+            ),
+        ] {
+            let err = Scenario::from_toml(&text).unwrap_err();
+            assert!(err.starts_with(key), "{key}: {err}");
+        }
+        let edge = ring("[ring]\nnodes = 1\ndepth = 64");
+        let s = Scenario::from_toml(&edge).unwrap();
+        assert_eq!((s.ring.nodes, s.ring.depth), (1, 64));
     }
 
     #[test]

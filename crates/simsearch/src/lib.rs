@@ -66,7 +66,7 @@ pub use loadgen::{
 };
 pub use msg::{QueryBall, QueryDistance, QueryId, SearchMsg, SubQueryMsg};
 pub use node::{IssuedQuery, SearchNode};
-pub use overlay::{FailureAware, Overlay, OverlayKind, OverlayTable};
+pub use overlay::{FailureAware, OverlayTable};
 pub use refresh::ReindexReport;
 pub use resilience::ResilienceConfig;
 pub use routing::{

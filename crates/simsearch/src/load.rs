@@ -23,7 +23,6 @@ use chord::{ChordId, NodeRef, OracleRing};
 use simnet::{SimRng, Topology};
 
 use crate::node::SearchNode;
-use crate::overlay::{Overlay, OverlayKind, OverlayTable};
 
 /// Parameters of the dynamic load-migration mechanism.
 #[derive(Clone, Copy, Debug)]
@@ -140,7 +139,7 @@ fn probe_set(nodes: &[SearchNode], start: usize, level: u32) -> Vec<usize> {
     for _ in 0..level {
         let mut next = Vec::new();
         for &addr in &frontier {
-            for n in nodes[addr].table.neighbors() {
+            for n in nodes[addr].table.known_nodes() {
                 let a = n.addr.0;
                 if !seen[a] {
                     seen[a] = true;
@@ -211,8 +210,7 @@ pub fn redistribute(ring: &OracleRing, nodes: &mut [SearchNode]) -> usize {
     total
 }
 
-/// Rebuild stabilized routing tables for the (new) ring into the nodes,
-/// preserving each node's overlay kind.
+/// Rebuild stabilized routing tables for the (new) ring into the nodes.
 pub fn rebuild_tables(
     ring: &OracleRing,
     nodes: &mut [SearchNode],
@@ -220,23 +218,9 @@ pub fn rebuild_tables(
     topo: Option<&Topology>,
     pns_candidates: usize,
 ) {
-    let kind = nodes
-        .first()
-        .map(|n| n.table.kind())
-        .unwrap_or(OverlayKind::Chord);
-    match kind {
-        OverlayKind::Chord => {
-            for t in ring.build_all_tables(n_successors, topo, pns_candidates) {
-                let addr = t.me().addr.0;
-                nodes[addr].table = Overlay::Chord(t);
-            }
-        }
-        OverlayKind::Pastry => {
-            for t in pastry::build_all_tables(ring, pastry::LEAF_HALF, topo, pns_candidates) {
-                let addr = t.me().addr.0;
-                nodes[addr].table = Overlay::Pastry(t);
-            }
-        }
+    for t in ring.build_all_tables(n_successors, topo, pns_candidates) {
+        let addr = t.me().addr.0;
+        nodes[addr].table = t;
     }
 }
 
@@ -549,7 +533,7 @@ mod tests {
         // Level-1 probes are exactly the routing table's known nodes.
         let known: Vec<usize> = nodes[0]
             .table
-            .neighbors()
+            .known_nodes()
             .iter()
             .map(|n| n.addr.0)
             .collect();
@@ -571,7 +555,7 @@ mod tests {
         for node in &nodes {
             for e in node.indexes[0].store.entries() {
                 let owner = ring.owner_of(ChordId(e.ring_key));
-                assert_eq!(owner.id, node.table.me_ref().id);
+                assert_eq!(owner.id, node.table.me().id);
             }
         }
     }

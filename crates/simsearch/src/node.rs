@@ -14,6 +14,7 @@ use std::collections::{hash_map, BTreeMap, HashMap, HashSet, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
+use chord::RoutingTable;
 use lph::{Grid, Rect, Rotation};
 use metric::ObjectId;
 use sansio::{Input, ProtoCtx, Protocol};
@@ -27,7 +28,7 @@ use crate::msg::{
     ack_msg_bytes, msg_bytes, result_item_bytes, result_msg_bytes, tracked_overhead_bytes,
     DistanceOracle, QueryId, ResultItem, SearchMsg, SubQueryMsg,
 };
-use crate::overlay::{FailureAware, Overlay, OverlayTable};
+use crate::overlay::{FailureAware, OverlayTable};
 use crate::resilience::{ResilienceConfig, SuspicionSet};
 use crate::routing::{
     route_subquery, route_subquery_traced, surrogate_refine_traced, Action, WithShortcuts,
@@ -260,8 +261,8 @@ struct PendingSend {
 
 /// A node of the distributed index.
 pub struct SearchNode {
-    /// Overlay routing state (pre-stabilized; Chord or Pastry).
-    pub table: Overlay,
+    /// Chord routing state (pre-stabilized).
+    pub table: RoutingTable,
     /// Per-index grid/rotation/store.
     pub indexes: Vec<IndexState>,
     /// True-distance oracle for ranking local candidates. The node only
@@ -321,14 +322,14 @@ pub struct SearchNode {
 impl SearchNode {
     /// Build a node from its routing table and per-index state.
     pub fn new(
-        table: impl Into<Overlay>,
+        table: RoutingTable,
         indexes: Vec<IndexState>,
         oracle: DistanceOracle,
         knn_k: usize,
         naive_level: Option<u32>,
     ) -> SearchNode {
         SearchNode {
-            table: table.into(),
+            table,
             indexes,
             oracle,
             knn_k,
@@ -534,7 +535,7 @@ impl SearchNode {
         };
         let dst_id = self
             .table
-            .neighbors()
+            .known_nodes()
             .into_iter()
             .find(|n| n.addr == to)
             .map(|n| n.id.0);
@@ -754,13 +755,13 @@ impl SearchNode {
         fragments: Vec<SubQueryMsg>,
     ) -> (AgentId, ResultItem) {
         let mut core = self.collect_answer(qid, index, &fragments, true);
-        let me = self.table.me_ref();
+        let me = self.table.me();
         // The arc this node's primaries are authoritative for:
         // `(pred, me]`. With no known predecessor no claim is made (the
         // origin then simply never completes its fill).
         let arc = self
             .table
-            .predecessor_ref()
+            .predecessor()
             .map(|p| (p.id.0.wrapping_add(1), me.id.0));
         let mut covered: Vec<(u64, u64)> = Vec::new();
         if let Some(arc) = arc {
@@ -1163,7 +1164,7 @@ impl SearchNode {
         };
         // The answerer's owned arc ∩ queried span is exactly the key
         // interval it is authoritative for: remember it owns those keys.
-        if learn && from != ctx.me() && owner != self.table.me_ref().id.0 {
+        if learn && from != ctx.me() && owner != self.table.me().id.0 {
             let mut evicted = 0u64;
             for &iv in &covered {
                 evicted += self.shortcuts.learn(iv, chord::NodeRef::new(owner, from.0));
@@ -1226,7 +1227,7 @@ impl SearchNode {
         let decision = if self.resilience.is_some() {
             FailureAware::new(&self.table, self.suspected.as_set()).decide(key)
         } else {
-            self.table.decide(key)
+            self.table.route(key)
         };
         match decision {
             chord::RouteDecision::Local => self.store_publish(ctx, index, entry, hops),
@@ -1286,11 +1287,12 @@ impl SearchNode {
             return;
         }
         let want = rc.replication - 1;
-        let me = self.table.me_ref();
+        let me = self.table.me();
         let targets: Vec<_> = self
             .table
-            .successor_list()
-            .into_iter()
+            .successors()
+            .iter()
+            .copied()
             .filter(|s| s.addr != me.addr && !self.suspected.contains(s.id.0))
             .take(want)
             .collect();
@@ -1351,7 +1353,7 @@ impl Protocol for SearchNode {
                 // message (and its ack) never arrived and the sender
                 // retries.
                 ctx.send(from, SearchMsg::Ack { seq }, ack_msg_bytes());
-                let me_id = self.table.me_ref().id.0;
+                let me_id = self.table.me().id.0;
                 for d in dead {
                     if d != me_id {
                         self.suspect_id(d);
@@ -1399,7 +1401,7 @@ impl Protocol for SearchNode {
             // Retry budget exhausted: suspect the destination and route
             // the payload around it.
             if let Some(id) = p.dst_id {
-                if id != self.table.me_ref().id.0 {
+                if id != self.table.me().id.0 {
                     self.suspect_id(id);
                 }
             }

@@ -1,13 +1,11 @@
 //! Overlay abstraction: the index layer (Algorithms 3–5) needs exactly
 //! two things from its DHT — *next-hop routing toward a key* and *ring
-//! ownership arcs* — which is why the paper can claim its techniques
-//! "are also applicable to other DHTs such as Pastry and Tapestry".
-//! This module captures that interface and provides both substrates:
-//! Chord (finger tables, the paper's evaluation platform) and Pastry
-//! (digit-prefix routing tables + leaf sets).
+//! ownership arcs*. [`OverlayTable`] captures that interface; Chord's
+//! [`RoutingTable`] (finger table + successor list, the paper's
+//! evaluation platform) is the substrate, and [`FailureAware`] and
+//! [`crate::WithShortcuts`] are views over it.
 
 use chord::{ChordId, NodeRef, RouteDecision, RoutingTable};
-use pastry::PastryTable;
 
 /// The routing interface the index layer programs against.
 pub trait OverlayTable {
@@ -17,24 +15,17 @@ pub trait OverlayTable {
     fn decide(&self, key: ChordId) -> RouteDecision;
     /// Every node this table knows (used by load-balance probing).
     fn neighbors(&self) -> Vec<NodeRef>;
-    /// This node's ring predecessor, when the substrate maintains one —
-    /// it bounds the node's owned arc `(pred, me]`, which the
-    /// routing-plane result cache uses to prove answer completeness.
-    /// `None` means the node cannot prove an arc claim (and the caches
-    /// simply learn nothing from its answers).
+    /// This node's ring predecessor, when the table knows one — it
+    /// bounds the node's owned arc `(pred, me]`, which the routing-plane
+    /// result cache uses to prove answer completeness. `None` means the
+    /// node cannot prove an arc claim (and the caches simply learn
+    /// nothing from its answers).
     fn predecessor_ref(&self) -> Option<NodeRef> {
         None
     }
     /// Known nodes ordered by clockwise ring distance from this node —
-    /// replica placement targets. Chord's successor list is exactly this;
-    /// other substrates derive it from their neighbor sets.
-    fn successor_list(&self) -> Vec<NodeRef> {
-        let me = self.me_ref();
-        let mut out = self.neighbors();
-        out.retain(|n| n.id != me.id);
-        out.sort_by_key(|n| me.id.cw_dist(n.id));
-        out
-    }
+    /// replica placement targets (Chord's successor list).
+    fn successor_list(&self) -> Vec<NodeRef>;
 }
 
 impl OverlayTable for RoutingTable {
@@ -55,190 +46,56 @@ impl OverlayTable for RoutingTable {
     }
 }
 
-impl OverlayTable for PastryTable {
-    fn me_ref(&self) -> NodeRef {
-        self.me()
-    }
-    fn decide(&self, key: ChordId) -> RouteDecision {
-        self.route(key)
-    }
-    fn neighbors(&self) -> Vec<NodeRef> {
-        self.known_nodes()
-    }
-    fn predecessor_ref(&self) -> Option<NodeRef> {
-        self.predecessor()
-    }
-}
-
-/// Which DHT substrate a system runs on.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum OverlayKind {
-    /// Chord with PNS fingers (the paper's platform).
-    #[default]
-    Chord,
-    /// Pastry-style digit routing with proximity rows.
-    Pastry,
-}
-
-/// A node's routing state, for either substrate.
-#[derive(Clone, Debug)]
-pub enum Overlay {
-    /// Chord finger table + successor list.
-    Chord(RoutingTable),
-    /// Pastry leaf set + digit rows.
-    Pastry(PastryTable),
-}
-
-impl Overlay {
-    /// Which substrate this is.
-    pub fn kind(&self) -> OverlayKind {
-        match self {
-            Overlay::Chord(_) => OverlayKind::Chord,
-            Overlay::Pastry(_) => OverlayKind::Pastry,
-        }
-    }
-
-    /// The Chord table, when this is one (protocol-specific callers).
-    pub fn as_chord(&self) -> Option<&RoutingTable> {
-        match self {
-            Overlay::Chord(t) => Some(t),
-            Overlay::Pastry(_) => None,
-        }
-    }
-}
-
-impl OverlayTable for Overlay {
-    fn me_ref(&self) -> NodeRef {
-        match self {
-            Overlay::Chord(t) => t.me(),
-            Overlay::Pastry(t) => t.me(),
-        }
-    }
-    fn decide(&self, key: ChordId) -> RouteDecision {
-        match self {
-            Overlay::Chord(t) => t.route(key),
-            Overlay::Pastry(t) => t.route(key),
-        }
-    }
-    fn neighbors(&self) -> Vec<NodeRef> {
-        match self {
-            Overlay::Chord(t) => t.known_nodes(),
-            Overlay::Pastry(t) => t.known_nodes(),
-        }
-    }
-    fn successor_list(&self) -> Vec<NodeRef> {
-        match self {
-            Overlay::Chord(t) => OverlayTable::successor_list(t),
-            Overlay::Pastry(t) => {
-                let me = t.me();
-                let mut out = t.known_nodes();
-                out.retain(|n| n.id != me.id);
-                out.sort_by_key(|n| me.id.cw_dist(n.id));
-                out
-            }
-        }
-    }
-    fn predecessor_ref(&self) -> Option<NodeRef> {
-        match self {
-            Overlay::Chord(t) => t.predecessor(),
-            Overlay::Pastry(t) => t.predecessor(),
-        }
-    }
-}
-
-/// A view of an [`Overlay`] that routes *around* suspected-dead nodes.
+/// A view of a [`RoutingTable`] that routes *around* suspected-dead
+/// nodes.
 ///
 /// Constructed per-decision by a resilient node from its current
 /// suspicion set; the underlying table is untouched, so a node cleared
-/// of suspicion is immediately routable again. Chord gets the native
-/// [`RoutingTable::route_excluding`]; other substrates fall back to a
-/// generic neighbor scan with the same semantics (forward to the
-/// closest-preceding live node, else the first live clockwise node is
-/// the surrogate that inherited the dead owner's arc).
+/// of suspicion is immediately routable again. Decisions come from
+/// [`RoutingTable::route_excluding`].
 pub struct FailureAware<'a> {
-    inner: &'a Overlay,
+    inner: &'a RoutingTable,
     dead: &'a std::collections::BTreeSet<u64>,
 }
 
 impl<'a> FailureAware<'a> {
     /// Wrap `inner`, treating every id in `dead` as unroutable.
-    pub fn new(inner: &'a Overlay, dead: &'a std::collections::BTreeSet<u64>) -> FailureAware<'a> {
+    pub fn new(
+        inner: &'a RoutingTable,
+        dead: &'a std::collections::BTreeSet<u64>,
+    ) -> FailureAware<'a> {
         FailureAware { inner, dead }
-    }
-
-    fn generic_excluding(&self, key: ChordId) -> RouteDecision {
-        let me = self.inner.me_ref();
-        // Honor the substrate's own ownership claim first.
-        if matches!(self.inner.decide(key), RouteDecision::Local) {
-            return RouteDecision::Local;
-        }
-        let live: Vec<NodeRef> = self
-            .inner
-            .neighbors()
-            .into_iter()
-            .filter(|n| !self.dead.contains(&n.id.0))
-            .collect();
-        // Closest-preceding live node strictly between me and the key.
-        let forward = live
-            .iter()
-            .filter(|n| n.id.in_open(me.id, key))
-            .min_by_key(|n| n.id.cw_dist(key));
-        if let Some(n) = forward {
-            return RouteDecision::Forward(*n);
-        }
-        // No live node precedes the key: the live node closest clockwise
-        // *from* the key inherited the dead owner's arc.
-        match live.iter().min_by_key(|n| key.cw_dist(n.id)) {
-            Some(n) => RouteDecision::Surrogate(*n),
-            None => RouteDecision::Local,
-        }
     }
 }
 
 impl OverlayTable for FailureAware<'_> {
     fn me_ref(&self) -> NodeRef {
-        self.inner.me_ref()
+        self.inner.me()
     }
     fn decide(&self, key: ChordId) -> RouteDecision {
-        if self.dead.is_empty() {
-            return self.inner.decide(key);
-        }
-        match self.inner {
-            Overlay::Chord(t) => t.route_excluding(key, |id| self.dead.contains(&id)),
-            Overlay::Pastry(_) => self.generic_excluding(key),
-        }
+        self.inner
+            .route_excluding(key, |id| self.dead.contains(&id))
     }
     fn neighbors(&self) -> Vec<NodeRef> {
         self.inner
-            .neighbors()
+            .known_nodes()
             .into_iter()
             .filter(|n| !self.dead.contains(&n.id.0))
             .collect()
     }
     fn successor_list(&self) -> Vec<NodeRef> {
         self.inner
-            .successor_list()
-            .into_iter()
+            .successors()
+            .iter()
             .filter(|n| !self.dead.contains(&n.id.0))
+            .copied()
             .collect()
     }
     fn predecessor_ref(&self) -> Option<NodeRef> {
         // The raw predecessor: the owned-arc claim is about ring
         // geometry, not liveness, and a suspected predecessor does not
         // change which keys this node stores.
-        self.inner.predecessor_ref()
-    }
-}
-
-impl From<RoutingTable> for Overlay {
-    fn from(t: RoutingTable) -> Overlay {
-        Overlay::Chord(t)
-    }
-}
-
-impl From<PastryTable> for Overlay {
-    fn from(t: PastryTable) -> Overlay {
-        Overlay::Pastry(t)
+        self.inner.predecessor()
     }
 }
 
@@ -249,34 +106,11 @@ mod tests {
     use simnet::SimRng;
 
     #[test]
-    fn both_substrates_agree_on_ownership_decisions() {
-        let mut rng = SimRng::new(3);
-        let ring = OracleRing::with_random_ids(24, &mut rng);
-        let chord_tables = ring.build_all_tables(8, None, 8);
-        let pastry_tables = pastry::build_all_tables(&ring, 8, None, 8);
-        use rand::RngCore;
-        for _ in 0..100 {
-            let key = ChordId(rng.next_u64());
-            let owner = ring.owner_of(key);
-            for node in ring.nodes() {
-                let c = Overlay::from(chord_tables[node.addr.0].clone());
-                let p = Overlay::from(pastry_tables[node.addr.0].clone());
-                let c_local = matches!(c.decide(key), RouteDecision::Local);
-                let p_local = matches!(p.decide(key), RouteDecision::Local);
-                assert_eq!(c_local, node.id == owner.id);
-                assert_eq!(p_local, node.id == owner.id);
-                assert_eq!(c.me_ref(), p.me_ref());
-            }
-        }
-    }
-
-    #[test]
-    fn failure_aware_avoids_dead_nodes_on_both_substrates() {
+    fn failure_aware_avoids_dead_nodes() {
         use std::collections::BTreeSet;
         let mut rng = SimRng::new(9);
         let ring = OracleRing::with_random_ids(16, &mut rng);
-        let chord_tables = ring.build_all_tables(8, None, 8);
-        let pastry_tables = pastry::build_all_tables(&ring, 8, None, 8);
+        let tables = ring.build_all_tables(8, None, 8);
         use rand::RngCore;
         for trial in 0..50 {
             let key = ChordId(rng.next_u64());
@@ -288,19 +122,14 @@ mod tests {
                 if node.id == owner.id {
                     continue;
                 }
-                for table in [
-                    Overlay::from(chord_tables[node.addr.0].clone()),
-                    Overlay::from(pastry_tables[node.addr.0].clone()),
-                ] {
-                    let fa = FailureAware::new(&table, &dead);
-                    match fa.decide(key) {
-                        RouteDecision::Local => {}
-                        RouteDecision::Surrogate(n) | RouteDecision::Forward(n) => {
-                            assert_ne!(n.id, owner.id, "trial {trial}: routed to dead owner");
-                        }
+                let fa = FailureAware::new(&tables[node.addr.0], &dead);
+                match fa.decide(key) {
+                    RouteDecision::Local => {}
+                    RouteDecision::Surrogate(n) | RouteDecision::Forward(n) => {
+                        assert_ne!(n.id, owner.id, "trial {trial}: routed to dead owner");
                     }
-                    assert!(fa.neighbors().iter().all(|n| n.id != owner.id));
                 }
+                assert!(fa.neighbors().iter().all(|n| n.id != owner.id));
             }
         }
     }
@@ -310,7 +139,7 @@ mod tests {
         use std::collections::BTreeSet;
         let mut rng = SimRng::new(5);
         let ring = OracleRing::with_random_ids(8, &mut rng);
-        let table: Overlay = ring.build_table(0, 8, None, 8).into();
+        let table = ring.build_table(0, 8, None, 8);
         let dead = BTreeSet::new();
         let fa = FailureAware::new(&table, &dead);
         use rand::RngCore;
@@ -325,7 +154,7 @@ mod tests {
     fn successor_list_orders_by_clockwise_distance() {
         let mut rng = SimRng::new(6);
         let ring = OracleRing::with_random_ids(12, &mut rng);
-        let table: Overlay = ring.build_table(0, 8, None, 8).into();
+        let table = ring.build_table(0, 8, None, 8);
         let me = table.me_ref();
         let list = table.successor_list();
         assert!(!list.is_empty());
@@ -336,18 +165,5 @@ mod tests {
         let pos = ring.nodes().iter().position(|n| n.id == me.id).unwrap();
         let next = ring.next_of(pos);
         assert_eq!(list[0].id, next.id);
-    }
-
-    #[test]
-    fn kind_and_accessors() {
-        let mut rng = SimRng::new(4);
-        let ring = OracleRing::with_random_ids(4, &mut rng);
-        let c: Overlay = ring.build_table(0, 4, None, 4).into();
-        assert_eq!(c.kind(), OverlayKind::Chord);
-        assert!(c.as_chord().is_some());
-        let p: Overlay = pastry::table::build_table(&ring, 0, 4, None, 4).into();
-        assert_eq!(p.kind(), OverlayKind::Pastry);
-        assert!(p.as_chord().is_none());
-        assert!(!p.neighbors().is_empty());
     }
 }

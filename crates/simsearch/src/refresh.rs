@@ -228,12 +228,6 @@ impl SearchSystem {
         use chord::protocol::{ChordAgent, ChordConfig, ChordMsg};
         use simnet::{AgentId, Sim, SimTime};
 
-        assert_eq!(
-            self.cfg.overlay,
-            crate::overlay::OverlayKind::Chord,
-            "the live join/stabilize protocol is Chord's"
-        );
-
         let n = self.cfg.n_nodes;
         // Same representation selection as `SearchSystem::build`, so the
         // protocol sim sees the identical latency draws the system did.
@@ -270,7 +264,7 @@ impl SearchSystem {
         let (_, nodes) = self.sim.topology_and_agents_mut();
         for (addr, t) in tables.into_iter().enumerate() {
             debug_assert_eq!(t.me().addr.0, addr);
-            nodes[addr].table = t.into();
+            nodes[addr].table = t;
         }
         elapsed
     }

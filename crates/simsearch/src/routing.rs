@@ -789,6 +789,9 @@ mod tests {
             fn neighbors(&self) -> Vec<NodeRef> {
                 Vec::new()
             }
+            fn successor_list(&self) -> Vec<NodeRef> {
+                Vec::new()
+            }
         }
         let grid = Grid::new(Rect::cube(1, 0.0, 8.0), 3);
         let rect = Rect::new(vec![3.2], vec![3.8]);
@@ -833,6 +836,9 @@ mod tests {
             RouteDecision::Forward(self.next)
         }
         fn neighbors(&self) -> Vec<NodeRef> {
+            vec![self.next]
+        }
+        fn successor_list(&self) -> Vec<NodeRef> {
             vec![self.next]
         }
     }

@@ -11,8 +11,7 @@ use lph::Rect;
 use metric::ObjectId;
 use proptest::prelude::*;
 use simsearch::{
-    IndexSpec, LoadBalanceConfig, OverlayKind, QueryDistance, QueryId, QuerySpec, SearchSystem,
-    SystemConfig,
+    IndexSpec, LoadBalanceConfig, QueryDistance, QueryId, QuerySpec, SearchSystem, SystemConfig,
 };
 
 const DIMS: usize = 2;
@@ -27,7 +26,6 @@ struct WorldSpec {
     rotate: bool,
     naive: bool,
     load_aware: bool,
-    pastry: bool,
     queries: Vec<(Vec<f64>, f64)>, // (center, radius)
 }
 
@@ -40,25 +38,21 @@ fn world_strategy() -> impl Strategy<Value = WorldSpec> {
         any::<bool>(),
         any::<bool>(),
         any::<bool>(),
-        any::<bool>(),
         prop::collection::vec(
             (prop::collection::vec(0.0..BOUND, DIMS), 0.5f64..30.0),
             1..4,
         ),
     )
         .prop_map(
-            |(n_nodes, n_objects, seed, lb, rotate, naive, load_aware, pastry, queries)| {
-                WorldSpec {
-                    n_nodes,
-                    n_objects,
-                    seed,
-                    lb,
-                    rotate,
-                    naive,
-                    load_aware,
-                    pastry,
-                    queries,
-                }
+            |(n_nodes, n_objects, seed, lb, rotate, naive, load_aware, queries)| WorldSpec {
+                n_nodes,
+                n_objects,
+                seed,
+                lb,
+                rotate,
+                naive,
+                load_aware,
+                queries,
             },
         )
 }
@@ -109,11 +103,6 @@ proptest! {
             naive_level: spec.naive.then_some(8),
             lb: spec.lb.then(LoadBalanceConfig::default),
             load_aware_join: spec.load_aware,
-            overlay: if spec.pastry {
-                OverlayKind::Pastry
-            } else {
-                OverlayKind::Chord
-            },
             ..SystemConfig::default()
         };
         let mut system = SearchSystem::build(
@@ -184,7 +173,6 @@ proptest! {
             rotate: false,
             naive: false,
             load_aware: false,
-            pastry: false,
             queries: vec![],
         };
         let objs = objects(&spec);

@@ -321,32 +321,3 @@ max_hops = 24
         "namespaced publish counters must sum to the global twin"
     );
 }
-
-#[test]
-fn pastry_substrate_answers_like_chord() {
-    let seed = 79;
-    let w = build_world(seed);
-    let mk = |overlay| SystemConfig {
-        n_nodes: 32,
-        seed,
-        overlay,
-        ..SystemConfig::default()
-    };
-    let mut chord_sys = SearchSystem::build(
-        mk(simsearch::OverlayKind::Chord),
-        std::slice::from_ref(&w.spec_a),
-        Arc::clone(&w.oracle),
-    );
-    let mut pastry_sys = SearchSystem::build(
-        mk(simsearch::OverlayKind::Pastry),
-        std::slice::from_ref(&w.spec_a),
-        Arc::clone(&w.oracle),
-    );
-    let a = chord_sys.run_queries(std::slice::from_ref(&w.query_a), 5.0);
-    let b = pastry_sys.run_queries(std::slice::from_ref(&w.query_a), 5.0);
-    let ids = |o: &simsearch::QueryOutcome| -> Vec<u32> {
-        o.results.iter().map(|&(id, _)| id.0).collect()
-    };
-    assert_eq!(ids(&a[0]), ids(&b[0]), "substrate changed the answers");
-    assert_eq!(a[0].recall, 1.0);
-}
