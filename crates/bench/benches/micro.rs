@@ -17,7 +17,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use bench::micro_report::{run_cache_scenario, run_micro_scenario};
+use bench::micro_report::run_micro_scenario;
 use criterion::{black_box, criterion_group, Criterion};
 use landmark::{greedy, Mapper};
 use lph::{Grid, Prefix, Rect, Rotation};
@@ -568,21 +568,6 @@ fn main() {
         counters.mean_recall,
     );
 
-    let cache = run_cache_scenario(quick);
-    println!(
-        "cache/64node[{mode}]: messages {} -> {} ({:.2}x), hops/query {:.2} -> {:.2}, \
-         cache hits {}, coalesced {}, recall {:.3}/{:.3}",
-        cache.base.messages,
-        cache.opt.messages,
-        cache.message_reduction(),
-        cache.base.hops_per_query,
-        cache.opt.hops_per_query,
-        cache.opt.cache_hits,
-        cache.opt.coalesced,
-        cache.base.mean_recall,
-        cache.opt.mean_recall,
-    );
-
     if smoke {
         // Persist the measured counters before any threshold exit so CI
         // can attach them to a failed run.
@@ -590,11 +575,9 @@ fn main() {
             "BENCH_micro_smoke",
             &serde_json::json!({
                 "e2e_64node": counters,
-                "cache_64node": cache,
             }),
         );
         check_thresholds(&counters);
-        check_cache_thresholds(&cache);
         return;
     }
 
@@ -606,7 +589,6 @@ fn main() {
     let report = serde_json::json!({
         "scenario": format!("64-node clustered-vector query batch ({mode})"),
         "e2e_64node": counters,
-        "cache_64node": cache,
         "kernels": kernel_timings(budget),
     });
     bench::report::save_json("BENCH_micro", &report);
@@ -657,79 +639,5 @@ fn check_thresholds(counters: &bench::micro_report::MicroCounters) {
     println!(
         "bench-smoke OK: scanned {} <= {max_scanned}, pruned {} >= {min_pruned}, recall {}",
         counters.scanned, counters.pruned, counters.mean_recall
-    );
-}
-
-/// Checked-in smoke thresholds for the quick cache A/B scenario. The
-/// counters are deterministic — current quick values are messages
-/// 532 -> 200, hops/query 4.25 -> 3.88, cache hits 9, coalesced 160 —
-/// so the margins only absorb intentional scenario retuning, not noise.
-const MAX_HOPS_PER_QUERY_OPT_QUICK: f64 = 4.0;
-const MIN_CACHE_HITS_QUICK: u64 = 4;
-const MIN_COALESCED_QUICK: u64 = 20;
-
-/// The cache gate: the routing-plane optimization layer must beat the
-/// baseline on total messages and per-query hops, actually exercise the
-/// result cache and batch coalescing, and hold 100% recall on both
-/// sides. Exits non-zero on regression.
-fn check_cache_thresholds(cache: &bench::micro_report::CacheCounters) {
-    let mut failed = false;
-    if cache.opt.messages >= cache.base.messages {
-        eprintln!(
-            "bench-smoke FAIL: routing_opt messages {} not below baseline {} — \
-             the optimization layer stopped saving traffic",
-            cache.opt.messages, cache.base.messages
-        );
-        failed = true;
-    }
-    if cache.opt.hops_per_query >= cache.base.hops_per_query
-        || cache.opt.hops_per_query > MAX_HOPS_PER_QUERY_OPT_QUICK
-    {
-        eprintln!(
-            "bench-smoke FAIL: routing_opt hops/query {:.3} (baseline {:.3}, \
-             ceiling {MAX_HOPS_PER_QUERY_OPT_QUICK}) — shortcuts or the result \
-             cache regressed",
-            cache.opt.hops_per_query, cache.base.hops_per_query
-        );
-        failed = true;
-    }
-    if cache.opt.cache_hits < MIN_CACHE_HITS_QUICK {
-        eprintln!(
-            "bench-smoke FAIL: cache.hits {} below floor {MIN_CACHE_HITS_QUICK} — \
-             the hot-range result cache stopped firing",
-            cache.opt.cache_hits
-        );
-        failed = true;
-    }
-    if cache.opt.coalesced < MIN_COALESCED_QUICK {
-        eprintln!(
-            "bench-smoke FAIL: batch.coalesced {} below floor {MIN_COALESCED_QUICK} — \
-             sub-query batching stopped firing",
-            cache.opt.coalesced
-        );
-        failed = true;
-    }
-    if cache.base.mean_recall < MIN_RECALL || cache.opt.mean_recall < MIN_RECALL {
-        eprintln!(
-            "bench-smoke FAIL: cache scenario recall {}/{} below {MIN_RECALL} — \
-             the caches served wrong answers",
-            cache.base.mean_recall, cache.opt.mean_recall
-        );
-        failed = true;
-    }
-    if failed {
-        std::process::exit(1);
-    }
-    println!(
-        "bench-smoke OK: cache messages {} < {}, hops/query {:.2} <= \
-         {MAX_HOPS_PER_QUERY_OPT_QUICK}, hits {} >= {MIN_CACHE_HITS_QUICK}, \
-         coalesced {} >= {MIN_COALESCED_QUICK}, recall {}/{}",
-        cache.opt.messages,
-        cache.base.messages,
-        cache.opt.hops_per_query,
-        cache.opt.cache_hits,
-        cache.opt.coalesced,
-        cache.base.mean_recall,
-        cache.opt.mean_recall
     );
 }

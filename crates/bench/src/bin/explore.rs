@@ -20,7 +20,6 @@
 //!   --rotate         apply the space-mapping rotation
 //!   --no-pns         plain Chord fingers (no proximity selection)
 //!   --replicate R    retry/failover + publish to R successor replicas
-//!   --routing-opt    routing-plane caches & sub-query batching
 //!   --loss P         drop each message with probability P (e.g. 0.1)
 //!   --churn N        inject N crash/restart pairs across the workload
 //!   --explain        print a step-by-step trace of one query's resolution
@@ -83,7 +82,6 @@ fn parse_args() -> (Scale, SynthRun, Vec<f64>, bool, bool) {
                     ..simsearch::ResilienceConfig::default()
                 })
             }
-            "--routing-opt" => run.routing_opt = Some(simsearch::RoutingOptConfig::default()),
             "--loss" => run.loss = value(&mut i).parse().expect("--loss"),
             "--churn" => run.churn = value(&mut i).parse().expect("--churn"),
             "--explain" => explain = true,

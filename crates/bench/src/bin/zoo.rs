@@ -7,8 +7,8 @@
 //!
 //! Each `scenarios/*.toml` file is executed through the deterministic
 //! simulator and summarized on one row: recall, hop ceiling, migration
-//! count, cache hits, and the combined hot-arc share that the rotation
-//! ablation compares. Exit is non-zero if any scenario violates its
+//! count, and the combined hot-arc share that the rotation ablation
+//! compares. Exit is non-zero if any scenario violates its
 //! `[expect]` block — the same invariants the `zoo` CI smoke job gates,
 //! minus the golden byte-compare (this bin is a report, not a gate).
 
@@ -44,8 +44,8 @@ fn main() -> ExitCode {
     }
 
     println!(
-        "{:<22} {:>3} {:>3} {:>7} {:>5} {:>5} {:>6} {:>9} {:>6}",
-        "scenario", "idx", "ten", "recall", "hops", "migr", "cache", "hot-share", "status"
+        "{:<22} {:>3} {:>3} {:>7} {:>5} {:>5} {:>9} {:>6}",
+        "scenario", "idx", "ten", "recall", "hops", "migr", "hot-share", "status"
     );
     let mut failed = false;
     for path in &paths {
@@ -71,14 +71,13 @@ fn main() -> ExitCode {
             }
         }
         println!(
-            "{:<22} {:>3} {:>3} {:>7} {:>5} {:>5} {:>6} {:>9} {:>6}",
+            "{:<22} {:>3} {:>3} {:>7} {:>5} {:>5} {:>9} {:>6}",
             sc.name,
             u(&d["scenario"]["indexes"]),
             u(&d["scenario"]["tenants"]),
             format!("{:.4}", recall_min as f64 / 1e6),
             hops_max,
             u(&d["balance"]["runtime_migrations"]),
-            u(&d["registry"]["counters"]["cache.hits"]),
             format!("{:.3}", u(&d["combined"]["max_share_micros"]) as f64 / 1e6),
             if report.violations.is_empty() {
                 "ok"

@@ -7,16 +7,12 @@
 //! runtime publishes is driven through `simsearch::loadgen` with the
 //! finite per-node service model on, and a capacity search finds the
 //! highest offered QPS whose p99 latency and error rate stay inside the
-//! SLO. Three scenarios share one dataset:
+//! SLO. Two scenarios share one dataset:
 //!
-//! * **plain** — healthy network, optimization layer off. The baseline
-//!   capacity knee.
+//! * **plain** — healthy network. The baseline capacity knee.
 //! * **loss_churn** — 1% message loss plus two crash/restart pairs,
 //!   `r = 2` replication with retry/failover. The SLO allows a small
 //!   error budget; completed queries must still have recall 1.0.
-//! * **routing_opt** — healthy network with the routing-plane cache on.
-//!   The Zipf head repeats, so shortcuts and the result cache raise the
-//!   knee relative to plain.
 //!
 //! Everything but the `timing` block is deterministic in the seed: the
 //! plan is drawn before the system is built (the distance oracle is
@@ -31,7 +27,7 @@ use simnet::{AgentId, ArrivalProcess, SimDuration, SimRng};
 use simsearch::loadgen::{self, LoadPools};
 use simsearch::{
     CapacityResult, LoadConfig, LoadOutcome, QueryDistance, QueryMix, QuerySpec, ResilienceConfig,
-    RoutingOptConfig, SearchSystem, SloSpec, SystemConfig,
+    SearchSystem, SloSpec, SystemConfig,
 };
 
 use crate::fixture::{l2_oracle, peak_rss_kb, Corpus, KNN_K};
@@ -191,15 +187,13 @@ impl LoadFixture {
     }
 }
 
-/// The three sustained-load scenarios.
+/// The two sustained-load scenarios.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Scenario {
-    /// Healthy network, optimization layer off.
+    /// Healthy network.
     Plain,
     /// 1% loss + crash/restart churn, `r = 2` replication.
     LossChurn,
-    /// Healthy network with the routing-plane cache on.
-    RoutingOpt,
 }
 
 impl Scenario {
@@ -208,7 +202,6 @@ impl Scenario {
         match self {
             Scenario::Plain => "plain",
             Scenario::LossChurn => "loss_churn",
-            Scenario::RoutingOpt => "routing_opt",
         }
     }
 
@@ -236,27 +229,17 @@ impl Scenario {
                     ..ResilienceConfig::default()
                 });
             }
-            Scenario::RoutingOpt => {
-                // No resilience layer: the network is healthy, and ack
-                // timers under deliberate over-saturation only breed
-                // spurious-retransmit storms that measure the timer
-                // config, not the cache. Plain is equally bare, so the
-                // knee gap is the cache's contribution alone.
-                cfg.routing_opt = Some(RoutingOptConfig::default());
-            }
         }
         cfg
     }
 
-    /// The SLO this scenario's capacity search runs under. The two
-    /// healthy scenarios share one latency bound so their knees are
-    /// directly comparable (the gap *is* the routing-plane cache's
-    /// headline number); the fault scenario gets a looser bound plus a
+    /// The SLO this scenario's capacity search runs under. The fault
+    /// scenario gets a looser latency bound than the healthy one plus a
     /// small error budget (a crashed owner can strand a few in-flight
     /// queries). Every scenario must keep recall 1.0 to pass.
     pub fn slo(self) -> SloSpec {
         match self {
-            Scenario::Plain | Scenario::RoutingOpt => SloSpec {
+            Scenario::Plain => SloSpec {
                 p99_ms: 3_500.0,
                 max_error_rate: 0.0,
                 min_recall: 1.0,
@@ -430,7 +413,7 @@ impl ToJson for ScenarioReport {
     }
 }
 
-/// The whole artifact: all three scenarios plus wall-clock timing.
+/// The whole artifact: both scenarios plus wall-clock timing.
 pub struct LoadReport {
     /// Overlay size the search ran at.
     pub n_nodes: usize,
@@ -477,7 +460,7 @@ impl ToJson for LoadReport {
     }
 }
 
-/// Run the full three-scenario sweep at one size.
+/// Run the full two-scenario sweep at one size.
 pub fn run_load_report(
     fixture: &LoadFixture,
     n_nodes: usize,
@@ -488,7 +471,7 @@ pub fn run_load_report(
     seed: u64,
 ) -> LoadReport {
     let t0 = std::time::Instant::now();
-    let scenarios = [Scenario::Plain, Scenario::LossChurn, Scenario::RoutingOpt]
+    let scenarios = [Scenario::Plain, Scenario::LossChurn]
         .into_iter()
         .map(|scenario| ScenarioReport {
             scenario,

@@ -19,7 +19,7 @@
 use std::sync::Arc;
 
 use serde_json::{ToJson, Value};
-use simsearch::{RoutingOptConfig, SearchSystem, SystemConfig};
+use simsearch::{SearchSystem, SystemConfig};
 
 use crate::fixture::{l2_oracle, Corpus, KNN_K};
 
@@ -121,117 +121,6 @@ pub fn run_micro_scenario(quick: bool) -> MicroCounters {
     }
 }
 
-/// One side of the cache A/B comparison: aggregate network cost of the
-/// hot query batch with the routing-plane optimization layer off or on.
-#[derive(Clone, Copy, Debug)]
-pub struct CacheSide {
-    /// Wire messages delivered over the whole run.
-    pub messages: u64,
-    /// Wire bytes delivered over the whole run.
-    pub bytes: u64,
-    /// Mean routing hops per query.
-    pub hops_per_query: f64,
-    /// Mean recall against the brute-force range oracle.
-    pub mean_recall: f64,
-    /// Result-cache hits (zero on the base side by construction).
-    pub cache_hits: u64,
-    /// Coalesced sub-query batches (zero on the base side).
-    pub coalesced: u64,
-}
-
-/// The cache A/B scenario's counters: the same deterministic hot
-/// workload (four query points re-issued round-robin from four fixed
-/// origins) run twice, `routing_opt` off vs. on. All counters are
-/// deterministic, so the bench-smoke gate can hold the optimized side
-/// to hard floors and ceilings.
-#[derive(Clone, Copy, Debug)]
-pub struct CacheCounters {
-    /// Queries answered per side.
-    pub queries: usize,
-    /// The `routing_opt: None` run.
-    pub base: CacheSide,
-    /// The `routing_opt: Some(default)` run.
-    pub opt: CacheSide,
-}
-
-impl CacheCounters {
-    /// Total-message reduction factor of the optimization layer.
-    pub fn message_reduction(&self) -> f64 {
-        self.base.messages as f64 / self.opt.messages.max(1) as f64
-    }
-}
-
-impl ToJson for CacheCounters {
-    fn to_json(&self) -> Value {
-        serde_json::json!({
-            "queries": self.queries as u64,
-            "messages_base": self.base.messages,
-            "messages_opt": self.opt.messages,
-            "message_reduction": self.message_reduction(),
-            "bytes_base": self.base.bytes,
-            "bytes_opt": self.opt.bytes,
-            "hops_per_query_base": self.base.hops_per_query,
-            "hops_per_query_opt": self.opt.hops_per_query,
-            "cache_hits": self.opt.cache_hits,
-            "batch_coalesced": self.opt.coalesced,
-            "mean_recall_base": self.base.mean_recall,
-            "mean_recall_opt": self.opt.mean_recall,
-        })
-    }
-}
-
-/// Run the hot-workload cache A/B scenario and collect its counters.
-///
-/// `quick` shrinks the dataset and the number of repeat rounds (the CI
-/// smoke size); the full size is what `BENCH_micro.json` records.
-pub fn run_cache_scenario(quick: bool) -> CacheCounters {
-    const N_BASE: usize = 4;
-    const ORIGINS: [usize; N_BASE] = [5, 17, 29, 41];
-    let (n_objects, rounds) = if quick { (1_000, 4) } else { (2_000, 6) };
-
-    let corpus = Corpus::build(n_objects, SEED);
-    let base_q = corpus.data.queries(N_BASE, SEED ^ 0x7C);
-    let radius = 0.05 * corpus.data.max_distance();
-    let qpoints: Vec<Vec<f32>> = (0..N_BASE * rounds)
-        .map(|i| base_q[i % N_BASE].clone())
-        .collect();
-    let queries = corpus.range(&qpoints, radius);
-    let oracle = l2_oracle(Arc::new(corpus.data.objects.clone()), qpoints);
-
-    let run = |opt: Option<RoutingOptConfig>| -> CacheSide {
-        let mut system = SearchSystem::build(
-            SystemConfig {
-                n_nodes: N_NODES,
-                seed: SEED,
-                // Per-node answers must not truncate away range results.
-                knn_k: 200,
-                routing_opt: opt,
-                ..SystemConfig::default()
-            },
-            &[corpus.index("cache")],
-            oracle.clone(),
-        );
-        let outcomes = system.run_queries_from(&queries, &ORIGINS, 5.0);
-        let n = outcomes.len().max(1) as f64;
-        let net = system.net_stats();
-        let tel = system.telemetry().lock();
-        CacheSide {
-            messages: net.messages,
-            bytes: net.bytes,
-            hops_per_query: outcomes.iter().map(|o| o.hops as f64).sum::<f64>() / n,
-            mean_recall: outcomes.iter().map(|o| o.recall).sum::<f64>() / n,
-            cache_hits: tel.registry.counter("cache.hits"),
-            coalesced: tel.registry.counter("batch.coalesced"),
-        }
-    };
-
-    CacheCounters {
-        queries: N_BASE * rounds,
-        base: run(None),
-        opt: run(Some(RoutingOptConfig::default())),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -276,10 +165,6 @@ mod tests {
         // Wall time is the one field no run reproduces.
         assert!(e2e.remove("elapsed_ms").is_some() && want.remove("elapsed_ms").is_some());
         assert_eq!(e2e, want);
-        assert_eq!(
-            fields(&run_cache_scenario(false).to_json()),
-            artifact_fields("cache_64node")
-        );
     }
 
     #[test]
@@ -291,20 +176,5 @@ mod tests {
             (b.scanned, b.skipped, b.dist_calls, b.pruned)
         );
         assert_eq!(a.mean_recall, b.mean_recall);
-    }
-
-    #[test]
-    fn quick_cache_scenario_beats_baseline_at_full_recall() {
-        let c = run_cache_scenario(true);
-        assert_eq!(c.base.mean_recall, 1.0);
-        assert_eq!(c.opt.mean_recall, 1.0);
-        assert!(
-            c.opt.messages < c.base.messages,
-            "opt {} vs base {} messages",
-            c.opt.messages,
-            c.base.messages
-        );
-        assert!(c.opt.hops_per_query < c.base.hops_per_query);
-        assert!(c.opt.cache_hits > 0);
     }
 }

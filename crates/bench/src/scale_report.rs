@@ -6,16 +6,15 @@
 //! `SIMSEARCH_FULL=1` 64k and 100k nodes — and each overlay answers the
 //! same two workloads:
 //!
-//! * **plain** — a batch of distinct range queries on a healthy overlay
-//!   with the optimization layer off. Its `hops_per_query` is the
+//! * **plain** — a batch of distinct range queries on a healthy
+//!   overlay. Its `hops_per_query` is the
 //!   scaling-law curve: Chord routes in O(log N), so the per-query hop
 //!   count must grow no faster than `c · log2 N`. Recall against the
 //!   exact oracle must be 1.0 — pruning is exact at any scale.
 //! * **churn** — a hot workload (four query points re-issued round-robin
 //!   from four fixed origins) under 5% message loss and two
-//!   crash/restart pairs, with replicated publication (`r = 2`),
-//!   retry/failover, and the routing-plane cache on. Recall must hold
-//!   ≥ 0.99, and the shortcut/result cache must keep firing as N grows.
+//!   crash/restart pairs, with replicated publication (`r = 2`) and
+//!   retry/failover. Recall must hold ≥ 0.99 as N grows.
 //!
 //! Everything but the `timing` block (wall clock, peak RSS) is
 //! deterministic in the seed, which is what the byte-compare
@@ -25,13 +24,11 @@ use std::sync::Arc;
 
 use serde_json::{ToJson, Value};
 use simnet::{AgentId, SimTime};
-use simsearch::{
-    QueryDistance, QuerySpec, ResilienceConfig, RoutingOptConfig, SearchSystem, SystemConfig,
-};
+use simsearch::{QueryDistance, QuerySpec, ResilienceConfig, SearchSystem, SystemConfig};
 
 use crate::fixture::{l2_oracle, peak_rss_kb, Corpus, KNN_K};
 /// Hot-workload shape: four base query points, re-issued from four
-/// fixed origins for this many rounds (cache hits need repetition).
+/// fixed origins for this many rounds.
 const N_HOT_BASE: usize = 4;
 const HOT_ROUNDS: usize = 8;
 const HOT_ORIGINS: [usize; 4] = [5, 17, 29, 41];
@@ -43,7 +40,7 @@ const CHURN_PAIRS: usize = 2;
 /// overlapping queries would reorder the draws and change the counters.
 const INTERARRIVAL_S: f64 = 5.0;
 /// Query interarrival for the plain workload. Plain queries are
-/// independent — no faults (so no per-send RNG draws), no caches, no
+/// independent — no faults (so no per-send RNG draws), no
 /// cross-query state, and `SideStats` carries no time-derived fields —
 /// so packing them closer changes *no* deterministic counter, only how
 /// many queries are in flight at once.
@@ -77,12 +74,9 @@ impl ScaleFixture {
         let plain_points = data.queries(n_queries, seed ^ 0x51);
         let plain_queries = corpus.padded_knn(&plain_points, 1.5);
 
-        // The hot workload is a *range* workload (micro cache-scenario
-        // shape): a real radius — 5% of the theoretical maximum — whose
-        // truth is every object in range. Range arcs are wide enough
-        // for the result-cache fill to complete and for the learned
-        // shortcuts to keep paying off at every overlay size; this is
-        // also the "range recall under churn" curve.
+        // The hot workload is a *range* workload: a real radius — 5% of
+        // the theoretical maximum — whose truth is every object in
+        // range. This is the "range recall under churn" curve.
         let hot_base = data.queries(N_HOT_BASE, seed ^ 0x7C);
         let hot_points: Vec<Vec<f32>> = (0..N_HOT_BASE * HOT_ROUNDS)
             .map(|i| hot_base[i % N_HOT_BASE].clone())
@@ -125,15 +119,6 @@ pub struct SideStats {
     pub messages: u64,
     /// Wire bytes delivered over the run.
     pub bytes: u64,
-    /// Result-cache hits (zero on the plain side by construction).
-    pub cache_hits: u64,
-}
-
-impl SideStats {
-    /// Cache hits per issued query.
-    pub fn cache_hit_rate(&self) -> f64 {
-        self.cache_hits as f64 / self.queries.max(1) as f64
-    }
 }
 
 impl ToJson for SideStats {
@@ -144,8 +129,6 @@ impl ToJson for SideStats {
             "mean_recall": self.mean_recall,
             "messages": self.messages,
             "bytes": self.bytes,
-            "cache_hits": self.cache_hits,
-            "cache_hit_rate": self.cache_hit_rate(),
         })
     }
 }
@@ -156,9 +139,9 @@ impl ToJson for SideStats {
 pub struct ScalePoint {
     /// Overlay size.
     pub n_nodes: usize,
-    /// The healthy, optimization-off scaling-law run.
+    /// The healthy scaling-law run.
     pub plain: SideStats,
-    /// The loss + crash/restart + cache run.
+    /// The loss + crash/restart run.
     pub churn: SideStats,
     /// Wall time to build the plain system (instant ring, publication).
     pub build_ms: f64,
@@ -249,14 +232,12 @@ fn side_stats(
     };
     let n = outcomes.len().max(1) as f64;
     let net = system.net_stats();
-    let tel = system.telemetry().lock();
     SideStats {
         queries: outcomes.len(),
         hops_per_query: outcomes.iter().map(|o| o.hops as f64).sum::<f64>() / n,
         mean_recall: outcomes.iter().map(|o| o.recall).sum::<f64>() / n,
         messages: net.messages,
         bytes: net.bytes,
-        cache_hits: tel.registry.counter("cache.hits"),
     }
 }
 
@@ -297,7 +278,6 @@ pub fn run_scale_point(fixture: &ScaleFixture, n_nodes: usize, seed: u64) -> Sca
             // crashes reroute to replica holders mid-query).
             knn_k: 200,
             resilience: Some(ResilienceConfig::default()),
-            routing_opt: Some(RoutingOptConfig::default()),
             ..SystemConfig::default()
         },
         &[fixture.corpus.index("scale-churn")],
@@ -337,10 +317,6 @@ mod tests {
             point.churn.mean_recall
         );
         assert!(point.plain.hops_per_query > 0.0);
-        assert!(
-            point.churn.cache_hits > 0,
-            "hot workload never hit the cache"
-        );
         assert!(point.peak_rss_kb > 0);
     }
 }

@@ -83,8 +83,6 @@ pub struct SynthRun {
     pub load_aware_join: bool,
     /// Retry/failover + replicated publication (churn scenarios).
     pub resilience: Option<simsearch::ResilienceConfig>,
-    /// Routing-plane caching & sub-query batching (hot-workload runs).
-    pub routing_opt: Option<simsearch::RoutingOptConfig>,
     /// Uniform message-drop probability applied to the query phase.
     pub loss: f64,
     /// Crash/restart pairs injected across the query phase.
@@ -108,7 +106,6 @@ impl SynthRun {
             rotate: false,
             load_aware_join: false,
             resilience: None,
-            routing_opt: None,
             loss: 0.0,
             churn: 0,
         }
@@ -250,7 +247,6 @@ pub fn run_synth_system(
         lb: run.lb,
         load_aware_join: run.load_aware_join,
         resilience: run.resilience.clone(),
-        routing_opt: run.routing_opt.clone(),
         ..SystemConfig::default()
     };
     let mut system = SearchSystem::build(cfg, &[spec], oracle);

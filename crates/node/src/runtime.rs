@@ -174,9 +174,9 @@ pub struct ServerOpts {
 }
 
 /// Whether a peer's search message may reach the core. A node runs with
-/// resilience and `routing_opt` off, so it sends only `Route`, `Refine`,
-/// `Results` and `Publish`; any other variant from a peer would drive
-/// machinery this driver never runs (an ack, a suspicion set, a
+/// resilience off, so it sends only `Route`, `Refine`, `Results` and
+/// `Publish`; any other variant from a peer would drive machinery this
+/// driver never runs (an ack, a suspicion set, a
 /// never-pruned duplicate filter, an unanswered replica). The core looks
 /// indexes up by the index byte, and [`StoredL2`] refines from the
 /// ball's center and the stored points, so every sub-query must carry a
@@ -210,8 +210,6 @@ fn admissible(msg: &SearchMsg, indexes: usize, dims: usize) -> Result<(), String
             dims_of("point", entry.point.len())
         }
         SearchMsg::Results { .. } => Ok(()),
-        SearchMsg::RefineBatch(_) => never("a refine batch"),
-        SearchMsg::ResultsOpt { .. } => never("a results batch"),
         SearchMsg::Issue(_) => never("an issue"),
         SearchMsg::Replicate { .. } => never("a replica"),
         SearchMsg::Tracked { .. } => never("a tracked envelope"),

@@ -5,10 +5,12 @@
 //! and is capped at [`MAX_FRAME_BYTES`]; a peer announcing more is
 //! treated as malformed and disconnected, never buffered.
 //!
-//! Tags 0–9 encode the ten [`SearchMsg`] variants one-to-one (the
-//! protocol plane); tags 16+ are control frames the runtime and client
-//! use for bootstrap, publishing, querying and stats (the driver plane).
-//! Control frames never reach the sans-io core.
+//! Tags 0–9 encode the eight [`SearchMsg`] variants one-to-one (the
+//! protocol plane); tags 2 and 4 are retired and decode as
+//! [`WireError::UnknownTag`], like any unassigned tag. Tags 16+ are
+//! control frames the runtime and client use for bootstrap, publishing,
+//! querying and stats (the driver plane). Control frames never reach the
+//! sans-io core.
 //!
 //! Integers are little-endian; `f64` travels as its IEEE-754 bit pattern
 //! (`to_bits`/`from_bits`), so round-trips are exact for every value,
@@ -28,7 +30,7 @@
 use lph::{Prefix, Rect};
 use metric::ObjectId;
 use simnet::AgentId;
-use simsearch::msg::{QueryBall, ResultItem, SearchMsg, SubQueryMsg};
+use simsearch::msg::{QueryBall, SearchMsg, SubQueryMsg};
 use simsearch::store::Entry;
 use simsearch::telemetry::QuerySummary;
 use std::cmp::Ordering;
@@ -533,8 +535,8 @@ impl Wire for Rect {
     }
 }
 
-/// A list with a `u32` count: the two that can outgrow a `u16`,
-/// [`ResultItem::cached`] and [`StatsReport::queries`].
+/// A list with a `u32` count: the one that can outgrow a `u16`,
+/// [`StatsReport::queries`].
 struct Long;
 
 impl<T: Wire> Via<Vec<T>> for Long {
@@ -545,22 +547,6 @@ impl<T: Wire> Via<Vec<T>> for Long {
     fn get(d: &mut Dec<'_>, what: &'static str) -> Result<Vec<T>, WireError> {
         let n = u32::get(d, what)?;
         get_n(d, n as usize, what)
-    }
-}
-
-impl<T: Wire> Via<Option<Vec<T>>> for Long {
-    fn put(v: &Option<Vec<T>>, out: &mut Vec<u8>) {
-        v.is_some().put(out);
-        if let Some(v) = v {
-            <Long as Via<Vec<T>>>::put(v, out);
-        }
-    }
-    fn get(d: &mut Dec<'_>, what: &'static str) -> Result<Option<Vec<T>>, WireError> {
-        Ok(if bool::get(d, what)? {
-            Some(<Long as Via<Vec<T>>>::get(d, what)?)
-        } else {
-            None
-        })
     }
 }
 
@@ -676,7 +662,6 @@ wire_struct! {
     SubQueryMsg { qid, index, hops, origin, shortcut, prefix, rect, ball }
     QueryBall { radius, center }
     Entry { ring_key, obj, point }
-    ResultItem { qid, hops, degraded, index, owner, entries, covered, cached as Long }
     Member { index, addr }
     HistogramSummary { name, count, sum, max }
     QuerySummary {
@@ -690,9 +675,7 @@ wire_enum! {
     SearchMsg {
         0 => Route(subs),
         1 => Refine(sq),
-        2 => RefineBatch(subs),
         3 => Results { qid, hops, degraded, entries },
-        4 => ResultsOpt { items },
         5 => Issue(sq),
         6 => Publish { index, hops, entry },
         7 => Replicate { index, owner, entry },

@@ -17,7 +17,7 @@ use node::wire::{
 use proptest::prelude::*;
 use proptest::TestRng;
 use simnet::AgentId;
-use simsearch::msg::{QueryBall, ResultItem, SearchMsg, SubQueryMsg};
+use simsearch::msg::{QueryBall, SearchMsg, SubQueryMsg};
 use simsearch::store::Entry;
 use simsearch::telemetry::QuerySummary;
 
@@ -92,65 +92,28 @@ fn gen_ranked(rng: &mut TestRng) -> Vec<(ObjectId, f64)> {
         .collect()
 }
 
-fn gen_item(rng: &mut TestRng) -> ResultItem {
-    let cached = if rng.next_u64().is_multiple_of(2) {
-        Some(
-            (0..usize_below(rng, 4))
-                .map(|_| {
-                    (
-                        ObjectId(rng.next_u64() as u32),
-                        point(rng, 3).into_boxed_slice(),
-                    )
-                })
-                .collect(),
-        )
-    } else {
-        None
-    };
-    ResultItem {
-        qid: rng.next_u64() as u32,
-        hops: rng.next_u64() as u32,
-        entries: gen_ranked(rng),
-        degraded: rng.next_u64().is_multiple_of(2),
-        index: (rng.next_u64() % 4) as u8,
-        owner: rng.next_u64(),
-        covered: (0..usize_below(rng, 4))
-            .map(|_| (rng.next_u64(), rng.next_u64()))
-            .collect(),
-        cached,
-    }
-}
-
-/// One of the nine non-tracked `SearchMsg` variants.
+/// One of the seven non-tracked `SearchMsg` variants.
 fn gen_flat_search(rng: &mut TestRng) -> SearchMsg {
-    match rng.next_u64() % 9 {
+    match rng.next_u64() % 7 {
         0 => SearchMsg::Route(
             (0..usize_below(rng, 4))
                 .map(|_| gen_subquery(rng))
                 .collect(),
         ),
         1 => SearchMsg::Refine(gen_subquery(rng)),
-        2 => SearchMsg::RefineBatch(
-            (0..usize_below(rng, 4))
-                .map(|_| gen_subquery(rng))
-                .collect(),
-        ),
-        3 => SearchMsg::Results {
+        2 => SearchMsg::Results {
             qid: rng.next_u64() as u32,
             hops: rng.next_u64() as u32,
             entries: gen_ranked(rng),
             degraded: rng.next_u64().is_multiple_of(2),
         },
-        4 => SearchMsg::ResultsOpt {
-            items: (0..usize_below(rng, 4)).map(|_| gen_item(rng)).collect(),
-        },
-        5 => SearchMsg::Issue(gen_subquery(rng)),
-        6 => SearchMsg::Publish {
+        3 => SearchMsg::Issue(gen_subquery(rng)),
+        4 => SearchMsg::Publish {
             index: (rng.next_u64() % 4) as u8,
             entry: gen_entry(rng),
             hops: rng.next_u64() as u32,
         },
-        7 => SearchMsg::Replicate {
+        5 => SearchMsg::Replicate {
             index: (rng.next_u64() % 4) as u8,
             owner: rng.next_u64(),
             entry: gen_entry(rng),
@@ -161,7 +124,7 @@ fn gen_flat_search(rng: &mut TestRng) -> SearchMsg {
     }
 }
 
-/// All ten variants; `Tracked` wraps a non-tracked inner message, as
+/// All eight variants; `Tracked` wraps a non-tracked inner message, as
 /// the protocol produces.
 fn gen_search(rng: &mut TestRng) -> SearchMsg {
     if rng.next_u64().is_multiple_of(10) {
@@ -358,23 +321,10 @@ fn golden_entry() -> Entry {
     }
 }
 
-fn golden_item(cached: bool) -> ResultItem {
-    ResultItem {
-        qid: 9,
-        hops: 3,
-        entries: vec![(ObjectId(1), 0.5)],
-        degraded: false,
-        index: 1,
-        owner: 0xFEED,
-        covered: vec![(10, 20)],
-        cached: cached.then(|| vec![(ObjectId(1), vec![0.5, 0.25].into_boxed_slice())]),
-    }
-}
-
 /// One fixed instance of every `SearchMsg` variant and every control
 /// frame, with its complete encoding (length prefix included) as hex.
-/// Covers a sub-query with and without a ball, a result item with and
-/// without a cached candidate set, and `Tracked` around a `Refine`.
+/// Covers a sub-query with and without a ball, and `Tracked` around a
+/// `Refine`.
 fn golden_frames() -> Vec<(Frame, &'static str)> {
     let search = |m: SearchMsg| Frame::Search(m);
     vec![
@@ -394,12 +344,6 @@ fn golden_frames() -> Vec<(Frame, &'static str)> {
              000000f03f01000000000000d03f0200000000000000e03f000000000000e83f",
         ),
         (
-            search(SearchMsg::RefineBatch(vec![golden_sub(false)])),
-            "4400000002010007000000010200000005000000000000000100000000000000
-             a0030000000200000000000000d03f000000000000e03f000000000000e83f00
-             0000000000f03f00",
-        ),
-        (
             search(SearchMsg::Results {
                 qid: 9,
                 hops: 3,
@@ -408,16 +352,6 @@ fn golden_frames() -> Vec<(Frame, &'static str)> {
             }),
             "2400000003090000000300000001020001000000000000000000e03f02000000
              000000000000f83f",
-        ),
-        (
-            search(SearchMsg::ResultsOpt {
-                items: vec![golden_item(true), golden_item(false)],
-            }),
-            "8300000004020009000000030000000001edfe00000000000001000100000000
-             0000000000e03f01000a00000000000000140000000000000001010000000100
-             00000200000000000000e03f000000000000d03f09000000030000000001edfe
-             000000000000010001000000000000000000e03f01000a000000000000001400
-             00000000000000",
         ),
         (
             search(SearchMsg::Issue(golden_sub(true))),
@@ -577,7 +511,7 @@ fn hex(bytes: &[u8]) -> String {
 #[test]
 fn every_frame_matches_its_pinned_bytes() {
     let frames = golden_frames();
-    assert_eq!(frames.len(), 24, "ten search variants, fourteen controls");
+    assert_eq!(frames.len(), 22, "eight search variants, fourteen controls");
     for (frame, want) in &frames {
         let bytes = encode_frame(frame);
         let want: String = want.split_whitespace().collect();
@@ -625,7 +559,7 @@ fn eof_mid_frame_is_a_described_error() {
 
 #[test]
 fn unknown_and_reserved_tags_are_errors() {
-    for tag in [10u8, 15, 30, 200, 255] {
+    for tag in [2u8, 4, 10, 15, 30, 200, 255] {
         assert!(
             matches!(decode_body(&[tag]), Err(WireError::UnknownTag(t)) if t == tag),
             "tag {tag} must be rejected"

@@ -455,7 +455,7 @@ fn connection_churn_leaks_nothing_and_disturbs_nobody() {
 /// A peer's search frame the core could not serve — a sub-query without
 /// the ball the node refines from, a center, rect or point of the wrong
 /// dimensionality, an index byte out of range, or a well-formed variant
-/// no node sends with resilience and routing_opt off — is a protocol
+/// no node sends with resilience off — is a protocol
 /// violation: it costs its connection, never the node.
 #[test]
 fn an_inadmissible_peer_frame_kills_only_its_connection() {
@@ -506,14 +506,6 @@ fn an_inadmissible_peer_frame_kills_only_its_connection() {
             },
         ),
         ("an issue", SearchMsg::Issue(sq(0, 3, ball()))),
-        (
-            "a refine batch",
-            SearchMsg::RefineBatch(vec![sq(0, 3, ball())]),
-        ),
-        (
-            "a results batch",
-            SearchMsg::ResultsOpt { items: Vec::new() },
-        ),
         (
             "a 2-dim ball center",
             SearchMsg::Route(vec![sq(0, 3, Some(vec![0.5; 2]))]),

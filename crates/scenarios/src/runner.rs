@@ -21,7 +21,7 @@ use serde_json::Value;
 use simnet::{AgentId, SimRng, SimTime};
 use simsearch::{
     IndexSpec, LoadBalanceConfig, QueryDistance, QueryId, QuerySpec, ResilienceConfig,
-    RoutingOptConfig, SearchSystem, SystemConfig,
+    SearchSystem, SystemConfig,
 };
 use workloads::{
     ClusteredParams, ClusteredVectors, Corpus, CorpusParams, StringWorkload, StringWorkloadParams,
@@ -460,7 +460,6 @@ pub fn run(sc: &Scenario) -> RunReport {
             replication: sc.ring.replication,
             ..ResilienceConfig::default()
         }),
-        routing_opt: sc.ring.routing_opt.then(RoutingOptConfig::default),
         index_telemetry: true,
         ..SystemConfig::default()
     };
@@ -641,14 +640,6 @@ pub fn run(sc: &Scenario) -> RunReport {
         }
     }
     let snapshot = system.telemetry_snapshot();
-    let cache_hits = snapshot["registry"]["counters"]["cache.hits"]
-        .as_u64()
-        .unwrap_or(0);
-    if let Some(min) = e.min_cache_hits {
-        if cache_hits < min {
-            violations.push(format!("{cache_hits} cache hits < required {min}"));
-        }
-    }
     // The hottest node's share of the combined (cross-index) load — the
     // §3.4 rotation-staggering observable.
     let mut combined = vec![0u64; sc.ring.nodes];

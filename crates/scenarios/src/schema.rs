@@ -53,8 +53,6 @@ pub struct RingSpec {
     pub load_aware_join: bool,
     /// Build-time dynamic load migration.
     pub lb: Option<LbDecl>,
-    /// Routing-plane optimization layer (defaults when present).
-    pub routing_opt: bool,
     /// Replication factor; > 1 switches on the resilience layer.
     pub replication: usize,
 }
@@ -166,8 +164,7 @@ pub struct TenantDecl {
     pub pool: usize,
     /// Zipf skew over the pool (0 = uniform; larger = hotter head).
     pub zipf: f64,
-    /// Fixed issuing nodes (0 = a fresh uniform origin per op). Fixed
-    /// origins are what make per-origin caches observable.
+    /// Fixed issuing nodes (0 = a fresh uniform origin per op).
     pub origins: usize,
     /// Flash crowd: from this op index (per-tenant) …
     pub flash_at: Option<usize>,
@@ -200,8 +197,6 @@ pub struct ExpectDecl {
     pub min_migrations: Option<u64>,
     /// Upper bound on `lb.migrations` (rebalance must NOT trigger).
     pub max_migrations: Option<u64>,
-    /// Lower bound on result-cache hits.
-    pub min_cache_hits: Option<u64>,
     /// Upper bound on the hottest node's share of the *combined*
     /// (cross-index) stored load, in micro-units (1e6 = everything on
     /// one node). The rotation-staggering invariant.
@@ -343,7 +338,6 @@ impl Scenario {
                 knn_k: ring.usize("knn_k")?.unwrap_or(10),
                 load_aware_join: ring.bool("load_aware_join")?.unwrap_or(false),
                 lb,
-                routing_opt: ring.bool("routing_opt")?.unwrap_or(false),
                 replication: ring.usize("replication")?.unwrap_or(1),
             };
             ring.finish()?;
@@ -453,7 +447,6 @@ impl Scenario {
                     conservation: c.bool("conservation")?.unwrap_or(true),
                     min_migrations: c.u64("min_migrations")?,
                     max_migrations: c.u64("max_migrations")?,
-                    min_cache_hits: c.u64("min_cache_hits")?,
                     max_combined_load_micros: c.u64("max_combined_load_micros")?,
                     min_combined_load_micros: c.u64("min_combined_load_micros")?,
                 };
@@ -566,7 +559,6 @@ queries = 4
         assert_eq!(s.name, "mini");
         assert_eq!(s.ring.nodes, 16);
         assert_eq!(s.ring.depth, 16);
-        assert!(!s.ring.routing_opt);
         assert_eq!(s.indexes.len(), 1);
         assert!(s.indexes[0].rotate);
         assert_eq!(s.tenants[0].pool, 8);
@@ -576,10 +568,18 @@ queries = 4
 
     #[test]
     fn unknown_keys_and_bad_references_are_rejected() {
-        let bad_key = MINIMAL.replace("[expect]", "[expect]\ntypo_invariant = 1");
-        assert!(Scenario::from_toml(&bad_key)
-            .unwrap_err()
-            .contains("unknown key"));
+        for bad_key in [
+            MINIMAL.replace("[expect]", "[expect]\ntypo_invariant = 1"),
+            MINIMAL.replace("[expect]", "[expect]\nmin_cache_hits = 1"),
+            MINIMAL.replace(
+                "[ring]\nnodes = 16",
+                "[ring]\nnodes = 16\nrouting_opt = true",
+            ),
+        ] {
+            assert!(Scenario::from_toml(&bad_key)
+                .unwrap_err()
+                .contains("unknown key"));
+        }
         let bad_ref = MINIMAL.replace("index = \"vecs\"", "index = \"nope\"");
         assert!(Scenario::from_toml(&bad_ref)
             .unwrap_err()

@@ -24,11 +24,6 @@
 //! * [`resilience`] — opt-in retry/failover and replicated publication
 //!   so queries keep full recall under the fault plane [`simnet`]
 //!   injects (loss, latency spikes, crash/restart churn);
-//! * [`cache`] — the opt-in routing-plane optimization layer: learned
-//!   key-range → owner shortcuts, a bounded hot-range result cache, and
-//!   (in [`node`]) sub-query batching; invalidated by the resilience
-//!   suspicion signal and data-plane mutation, never serving stale
-//!   answers;
 //! * [`stats`] — result aggregation helpers (percentiles, series);
 //! * [`telemetry`] — per-query traces (hop/split/refine/answer events)
 //!   plus the run-wide counter registry; serialized canonically so
@@ -41,7 +36,6 @@
 //! deployment where index entries carry enough of the object to evaluate
 //! the black-box distance.
 
-pub mod cache;
 pub mod explain;
 pub mod knn;
 pub mod load;
@@ -57,7 +51,6 @@ pub mod store;
 pub mod system;
 pub mod telemetry;
 
-pub use cache::{ResultCache, RoutingOptConfig, ShortcutCache};
 pub use explain::{ExplainReport, ExplainStep, StepKind};
 pub use knn::KnnOutcome;
 pub use loadgen::{
@@ -71,7 +64,7 @@ pub use refresh::ReindexReport;
 pub use resilience::ResilienceConfig;
 pub use routing::{
     route_subquery, route_subquery_traced, surrogate_refine, surrogate_refine_traced, Action,
-    RoutingEvent, WithShortcuts,
+    RoutingEvent,
 };
 pub use store::{Entry, EntryRef, ScanStats, Store};
 pub use system::{

@@ -120,14 +120,11 @@ pub struct SubQueryMsg {
     /// duplicates information the rect already carries for interior
     /// queries, and the model stays comparable with the paper's figures.
     pub ball: Option<QueryBall>,
-    /// True once a learned shortcut ([`crate::cache::ShortcutCache`])
-    /// has influenced this fragment's routing. Nodes route a marked
-    /// fragment with their plain tables only, so a fragment takes at
-    /// most one cache-derived hop — mutually stale caches can therefore
-    /// never bounce a fragment in a cycle, and Chord's progress
-    /// guarantee applies from the jump target onward. Carries no wire
-    /// bytes (one flag bit inside the per-subquery byte already counted
-    /// by the §4.1 model).
+    /// Always `false`: nothing routes a fragment beyond Chord's own
+    /// tables. The field stays only because the frozen repo benchmark
+    /// (`benchmark/src/inproc.rs`) builds `SubQueryMsg` literals that
+    /// name it; the codec still writes its flag byte, which the §4.1
+    /// byte model does not count.
     pub shortcut: bool,
 }
 
@@ -140,11 +137,6 @@ pub enum SearchMsg {
     Route(Vec<SubQueryMsg>),
     /// Algorithm 5 hand-off to the surrogate (owner) node.
     Refine(SubQueryMsg),
-    /// Routing-plane batching (opt-in): several co-destined surrogate
-    /// hand-offs emitted by one split/refine round, coalesced into a
-    /// single wire message. Sized exactly like a [`SearchMsg::Route`]
-    /// batch of the same arity — the shared header is paid once.
-    RefineBatch(Vec<SubQueryMsg>),
     /// An index node's local answer, sent straight back to the origin.
     Results {
         /// The answered query.
@@ -158,16 +150,6 @@ pub enum SearchMsg {
         /// key range was lost with a dead node it holds no replicas for
         /// — the origin's recall may silently be short otherwise.
         degraded: bool,
-    },
-    /// Routing-plane batching (opt-in): every answer one node produced
-    /// for one origin in one processing round, coalesced into a single
-    /// wire message. Each [`ResultItem`] also carries the metadata the
-    /// origin's caches learn from (the answerer's owned ring arc and,
-    /// when the answer is cacheable, the complete matching candidate
-    /// set). The shared header is paid once; see [`results_opt_bytes`].
-    ResultsOpt {
-        /// One answer per `(query, index)` the node resolved this round.
-        items: Vec<ResultItem>,
     },
     /// Control: injected at the querying node to start a query. Carries
     /// the initial subquery (rect clipped, prefix computed by the
@@ -216,40 +198,6 @@ pub enum SearchMsg {
     },
 }
 
-/// One node's answer to one query fragment set, as carried inside a
-/// batched [`SearchMsg::ResultsOpt`]. The first four fields mirror
-/// [`SearchMsg::Results`] exactly (the origin merges them identically);
-/// the rest feed the origin's routing-plane caches.
-#[derive(Clone, Debug)]
-pub struct ResultItem {
-    /// The answered query.
-    pub qid: QueryId,
-    /// Hops the query took to reach the answering node.
-    pub hops: u32,
-    /// `(object, true distance)` — the node's `k` nearest matching
-    /// local entries.
-    pub entries: Vec<(ObjectId, f64)>,
-    /// True when part of the fragment's key range may have been lost
-    /// with a dead node (see [`SearchMsg::Results`]).
-    pub degraded: bool,
-    /// Which co-hosted index scheme was answered.
-    pub index: u8,
-    /// The answering node's ring identifier — what the origin's
-    /// shortcut cache learns as the owner of `covered`.
-    pub owner: u64,
-    /// Non-wrapping inclusive ring intervals: the part of the fragment's
-    /// key span this node is *authoritative* for (its owned arc). The
-    /// origin may cache the query's answer only once the union of all
-    /// answerers' `covered` intervals spans the query's full key span.
-    pub covered: Vec<(u64, u64)>,
-    /// The complete candidate set for the fragment — every owned entry
-    /// whose stored point matches the query rect, *before* radius
-    /// pruning and top-k truncation (a contained future query re-ranks
-    /// for its own center). `None` when the answer is not cacheable
-    /// (replica-assisted, degraded, or over the configured size bound).
-    pub cached: Option<Vec<(ObjectId, Box<[f64]>)>>,
-}
-
 /// The paper's query-message size model:
 /// `20 (header) + 4 (source IP) + n · (2·2·k + 8 + 1)` bytes for `n`
 /// subqueries over a `k`-landmark index.
@@ -273,40 +221,6 @@ pub fn tracked_overhead_bytes(n_dead: usize) -> u32 {
     8 + 1 + 8 * n_dead as u32
 }
 
-/// Wire size of one [`ResultItem`] inside a batched result message: the
-/// item's explicit metadata (query id, hop count, index + flags, owner
-/// identifier = 14 bytes, which the unbatched form keeps in its shared
-/// header), 6 bytes per ranked entry (as [`result_msg_bytes`]), 16 per
-/// covered ring interval, and — only when a cacheable candidate set
-/// rides along — a 4-byte length plus one object id and `k` coordinate
-/// pairs per candidate (mirroring the query model's `2·2·k`).
-pub fn result_item_bytes(
-    n_entries: usize,
-    n_covered: usize,
-    cached_points: Option<usize>,
-    k_landmarks: usize,
-) -> u32 {
-    14 + 6 * n_entries as u32
-        + 16 * n_covered as u32
-        + cached_points.map_or(0, |n| 4 + (4 + 4 * k_landmarks as u32) * n as u32)
-}
-
-/// Wire size of a batched result message: one 20-byte header (paid
-/// once, like [`result_msg_bytes`]) plus the items.
-pub fn results_opt_bytes(items: &[ResultItem], k_of_index: impl Fn(u8) -> usize) -> u32 {
-    20 + items
-        .iter()
-        .map(|it| {
-            result_item_bytes(
-                it.entries.len(),
-                it.covered.len(),
-                it.cached.as_ref().map(|c| c.len()),
-                k_of_index(it.index),
-            )
-        })
-        .sum::<u32>()
-}
-
 /// Wire size of a message given the index dimensionality lookup.
 pub fn msg_bytes(msg: &SearchMsg, k_of_index: impl Fn(u8) -> usize) -> u32 {
     match msg {
@@ -315,12 +229,7 @@ pub fn msg_bytes(msg: &SearchMsg, k_of_index: impl Fn(u8) -> usize) -> u32 {
             query_msg_bytes(subs.len(), k)
         }
         SearchMsg::Refine(sq) => query_msg_bytes(1, k_of_index(sq.index)),
-        SearchMsg::RefineBatch(subs) => {
-            let k = subs.first().map(|s| k_of_index(s.index)).unwrap_or(0);
-            query_msg_bytes(subs.len(), k)
-        }
         SearchMsg::Results { entries, .. } => result_msg_bytes(entries.len()),
-        SearchMsg::ResultsOpt { items } => results_opt_bytes(items, &k_of_index),
         SearchMsg::Issue(_) => 0,
         SearchMsg::Publish { entry, .. } => 20 + 8 + 4 + 8 * entry.point.len() as u32,
         SearchMsg::Replicate { entry, .. } => 20 + 8 + 8 + 4 + 8 * entry.point.len() as u32,
@@ -466,17 +375,6 @@ mod tests {
         assert_eq!(msg_bytes(&refine, k), 24 + per_sub);
         assert_eq!(msg_bytes(&tracked(refine), k), env + 24 + per_sub);
 
-        // RefineBatch(n) costs exactly what Route(n) costs: coalescing
-        // saves n-1 prologues versus n separate Refine messages.
-        let batch = SearchMsg::RefineBatch(vec![sq.clone(), sq.clone()]);
-        assert_eq!(msg_bytes(&batch, k), msg_bytes(&route_of(&sq, 2), k));
-        assert_eq!(
-            msg_bytes(&batch, k),
-            2 * msg_bytes(&SearchMsg::Refine(sq.clone()), k) - 24,
-            "one shared prologue instead of two"
-        );
-        assert_eq!(msg_bytes(&tracked(batch), k), env + 24 + 2 * per_sub);
-
         // Results: header + 6 bytes per entry, once.
         let results = SearchMsg::Results {
             qid: 0,
@@ -486,28 +384,6 @@ mod tests {
         };
         assert_eq!(msg_bytes(&results, k), 20 + 18);
         assert_eq!(msg_bytes(&tracked(results), k), env + 20 + 18);
-
-        // ResultsOpt: one 20-byte header for the whole batch; items pay
-        // their explicit metadata (14) + entries + covered + cached.
-        let item = |cached: Option<usize>| ResultItem {
-            qid: 7,
-            hops: 3,
-            entries: vec![(ObjectId(1), 0.5); 3],
-            degraded: false,
-            index: 0,
-            owner: 42,
-            covered: vec![(0, 9), (20, 29)],
-            cached: cached.map(|n| vec![(ObjectId(2), vec![0.0; 10].into_boxed_slice()); n]),
-        };
-        let plain = result_item_bytes(3, 2, None, 10);
-        assert_eq!(plain, 14 + 18 + 32);
-        let with_payload = result_item_bytes(3, 2, Some(2), 10);
-        assert_eq!(with_payload, plain + 4 + 2 * 44);
-        let opt = SearchMsg::ResultsOpt {
-            items: vec![item(None), item(Some(2))],
-        };
-        assert_eq!(msg_bytes(&opt, k), 20 + plain + with_payload);
-        assert_eq!(msg_bytes(&tracked(opt), k), env + 20 + plain + with_payload);
 
         // Publish / Replicate / Ack: fixed-size records, envelope adds
         // only its overhead.
@@ -534,10 +410,6 @@ mod tests {
             msg_bytes(&tracked(SearchMsg::Ack { seq: 4 }), k),
             env + ack_msg_bytes()
         );
-    }
-
-    fn route_of(sq: &SubQueryMsg, n: usize) -> SearchMsg {
-        SearchMsg::Route(vec![sq.clone(); n])
     }
 
     #[test]

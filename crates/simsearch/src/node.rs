@@ -15,24 +15,18 @@ use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use chord::RoutingTable;
-use lph::{Grid, Rect, Rotation};
+use lph::{Grid, Rotation};
 use metric::ObjectId;
 use sansio::{Input, ProtoCtx, Protocol};
 use simnet::{AgentId, SimDuration, SimTime, TimerTag};
 
-use crate::cache::{
-    covers, intersect_wrap, radius_bucket, split_wrap, CachedRegion, ResultCache, ResultKey,
-    RoutingOptConfig, ShortcutCache,
-};
 use crate::msg::{
-    ack_msg_bytes, msg_bytes, result_item_bytes, result_msg_bytes, tracked_overhead_bytes,
-    DistanceOracle, QueryId, ResultItem, SearchMsg, SubQueryMsg,
+    ack_msg_bytes, msg_bytes, result_msg_bytes, tracked_overhead_bytes, DistanceOracle, QueryId,
+    SearchMsg, SubQueryMsg,
 };
 use crate::overlay::{FailureAware, OverlayTable};
 use crate::resilience::{ResilienceConfig, SuspicionSet};
-use crate::routing::{
-    route_subquery, route_subquery_traced, surrogate_refine_traced, Action, WithShortcuts,
-};
+use crate::routing::{route_subquery, route_subquery_traced, surrogate_refine_traced, Action};
 use crate::store::{Entry, Store};
 use crate::telemetry::{Telemetry, TraceEvent};
 
@@ -68,25 +62,6 @@ pub struct IssuedQuery {
     pub degraded: bool,
 }
 
-/// Origin-side accumulator for one in-flight query the node may cache
-/// once it completes: candidates and coverage claims arriving in
-/// [`ResultItem`]s are folded in until the answerers' owned arcs jointly
-/// cover the query's full key span (then the region is cached) or the
-/// answer turns out non-cacheable (then the fill is poisoned and
-/// dropped).
-struct CacheFill {
-    /// Where the completed region will be stored.
-    key: ResultKey,
-    /// The exact query rect the candidate set is complete for.
-    rect: Rect,
-    /// Non-wrapping parts of the query's rotated ring-key span.
-    needed: Vec<(u64, u64)>,
-    /// Owned-arc intervals claimed by answerers so far.
-    covered: Vec<(u64, u64)>,
-    /// Candidate union so far, deduplicated by object.
-    cands: Vec<(ObjectId, Box<[f64]>)>,
-}
-
 /// The hasher of one answer's object-dedup set, in place of SipHash: a
 /// Fibonacci multiply of the `u32` id with the high half folded into the
 /// low bits the table indexes by. It is unkeyed and publishers choose
@@ -115,9 +90,9 @@ impl Hasher for IdHasher {
 
 /// Insert `hit` into `ranked`, kept ascending by distance then object
 /// id, and keep the best `k`. Every ranking in the node — an answerer's
-/// reply, a result-cache hit, the origin's merge — goes through here, so
-/// the origin merges in exactly the order answerers rank. `total_cmp`,
-/// not `partial_cmp().unwrap()`: a NaN distance from a degenerate oracle
+/// reply and the origin's merge — goes through here, so the origin
+/// merges in exactly the order answerers rank. `total_cmp`, not
+/// `partial_cmp().unwrap()`: a NaN distance from a degenerate oracle
 /// must not panic the node mid-query, and a `<` on f64 would break
 /// `partition_point`'s precondition for every later entry.
 fn insert_ranked(ranked: &mut Vec<(ObjectId, f64)>, hit: (ObjectId, f64), k: usize) {
@@ -129,9 +104,7 @@ fn insert_ranked(ranked: &mut Vec<(ObjectId, f64)>, hit: (ObjectId, f64), k: usi
     }
 }
 
-/// What one local answering pass produced, shared between the classic
-/// [`SearchNode::answer`] reply and the optimization layer's
-/// [`SearchNode::answer_item`].
+/// What one local answering pass produced.
 struct AnswerCore {
     /// The node's `k` best candidates by true distance, sorted.
     ranked: Vec<(ObjectId, f64)>,
@@ -150,8 +123,6 @@ struct AnswerCore {
     dist_calls: u64,
     /// Candidates contributed from replicas of suspected owners.
     replica_answers: u64,
-    /// Every rect-matched point, pre-pruning (only when requested).
-    cache_pts: Option<Vec<(ObjectId, Box<[f64]>)>>,
 }
 
 /// One query's send-cost attribution at a node.
@@ -298,18 +269,6 @@ pub struct SearchNode {
     /// Ring ids this node currently believes dead (local suspicion +
     /// gossip merged from tracking envelopes).
     pub suspected: SuspicionSet,
-    /// `Some` switches on the routing-plane optimization layer:
-    /// sub-query batching, the learned shortcut cache, and the hot-range
-    /// result cache. `None` (the default) keeps the wire protocol
-    /// byte-identical to the pre-cache implementation.
-    pub routing_opt: Option<RoutingOptConfig>,
-    /// Learned `key interval -> owner` shortcuts (empty unless
-    /// `routing_opt` enables them).
-    shortcuts: ShortcutCache,
-    /// Complete cached answers for hot ranges this node queried.
-    results_cache: ResultCache,
-    /// Per-query fill state for the result cache, keyed by query id.
-    cache_fill: BTreeMap<QueryId, CacheFill>,
     /// Next tracking-envelope sequence number (monotonic per node).
     next_seq: u64,
     /// Unacked tracked sends, keyed by sequence number.
@@ -341,10 +300,6 @@ impl SearchNode {
             index_telemetry: false,
             resilience: None,
             suspected: SuspicionSet::new(),
-            routing_opt: None,
-            shortcuts: ShortcutCache::default(),
-            results_cache: ResultCache::default(),
-            cache_fill: BTreeMap::new(),
             next_seq: 0,
             pending: BTreeMap::new(),
             seen_tracked: HashSet::new(),
@@ -362,48 +317,6 @@ impl SearchNode {
     pub fn enable_resilience(&mut self, rc: ResilienceConfig) {
         rc.validate();
         self.resilience = Some(rc);
-    }
-
-    /// Switch on the routing-plane optimization layer (batching,
-    /// shortcut cache, hot-range result cache) with the given knobs.
-    pub fn enable_routing_opt(&mut self, cfg: RoutingOptConfig) {
-        cfg.validate();
-        self.shortcuts = ShortcutCache::new(cfg.shortcut_capacity);
-        self.results_cache = ResultCache::new(cfg.result_capacity);
-        self.routing_opt = Some(cfg);
-    }
-
-    /// Suspect ring id `id` dead. On the *transition* into suspicion,
-    /// drop every shortcut learned for it — the churn signal the
-    /// tentpole's invalidation rule hangs on.
-    fn suspect_id(&mut self, id: u64) {
-        if !self.suspected.insert(id) {
-            return;
-        }
-        if self.routing_opt.is_some() {
-            let n = self.shortcuts.invalidate_owner(id);
-            if n > 0 {
-                self.telemetry.incr("cache.invalidations", n);
-            }
-        }
-    }
-
-    /// Drop routing-plane cache state invalidated by a data-plane event:
-    /// cached result regions of `index` (`None` = all indexes), plus —
-    /// when ownership itself moved (migration, rebalance, reindex) — all
-    /// learned shortcuts.
-    pub fn flush_routing_caches(&mut self, index: Option<u8>, ownership_moved: bool) {
-        if self.routing_opt.is_none() {
-            return;
-        }
-        let mut n = self.results_cache.clear_index(index);
-        if ownership_moved {
-            n += self.shortcuts.clear();
-        }
-        self.cache_fill.clear();
-        if n > 0 {
-            self.telemetry.incr("cache.invalidations", n);
-        }
     }
 
     /// Increment the per-index twin of a global counter — a no-op unless
@@ -447,13 +360,8 @@ impl SearchNode {
     /// recording routing events on each fragment's trace, then execute
     /// the round's actions at once so its outputs coalesce.
     ///
-    /// Fragments route over the failure-aware view (when resilient) and
-    /// the learned-shortcut view (when the optimization layer is on and
-    /// the fragment has not already taken its one cache-derived hop)
-    /// stacked on the node's table. When any shortcut fired for a
-    /// fragment, every fragment it produced is marked
-    /// [`SubQueryMsg::shortcut`] so receivers route it with their plain
-    /// tables — one cache hop per fragment, never a routing cycle.
+    /// Fragments route over the failure-aware view of the node's table
+    /// when resilient, over the table itself otherwise.
     fn route_all(
         &mut self,
         ctx: &mut ProtoCtx<'_, SearchMsg>,
@@ -462,11 +370,8 @@ impl SearchNode {
     ) {
         let me = ctx.me().0;
         let split = self.naive_level.is_none();
-        let shortcuts_on = split
-            && self.routing_opt.as_ref().is_some_and(|o| o.shortcuts)
-            && !self.shortcuts.is_empty();
         let fa;
-        let base: &dyn OverlayTable = if self.resilience.is_some() {
+        let table: &dyn OverlayTable = if self.resilience.is_some() {
             fa = FailureAware::new(&self.table, self.suspected.as_set());
             &fa
         } else {
@@ -475,32 +380,13 @@ impl SearchNode {
         let mut actions = Vec::new();
         for sq in fragments {
             let ix = &self.indexes[sq.index as usize];
-            let sc = (shortcuts_on && !sq.shortcut)
-                .then(|| WithShortcuts::new(base, &self.shortcuts, self.suspected.as_set()));
-            let table: &dyn OverlayTable = match &sc {
-                Some(w) => w,
-                None => base,
-            };
             let qid = sq.qid;
             let mut sink = |ev| self.telemetry.record_routing(qid, me, ev);
-            let mut routed = if refine {
+            let routed = if refine {
                 surrogate_refine_traced(table, &ix.grid, ix.rotation, sq, split, &mut sink)
             } else {
                 route_subquery_traced(table, &ix.grid, ix.rotation, sq, split, &mut sink)
             };
-            if let Some(w) = &sc {
-                if w.hits() > 0 {
-                    self.telemetry.incr("cache.hits", w.hits());
-                    for a in &mut routed {
-                        if let Action::Forward { sq, .. } | Action::Handoff { sq, .. } = a {
-                            sq.shortcut = true;
-                        }
-                    }
-                }
-                if w.misses() > 0 {
-                    self.telemetry.incr("cache.misses", w.misses());
-                }
-            }
             actions.extend(routed);
         }
         self.execute(ctx, actions);
@@ -563,17 +449,12 @@ impl SearchNode {
             // The next hop or surrogate died: re-route every fragment
             // from here; failure-aware routing finds the next live owner
             // around the suspicion set above.
-            SearchMsg::Route(subs) | SearchMsg::RefineBatch(subs) => {
-                self.route_all(ctx, subs, false)
-            }
+            SearchMsg::Route(subs) => self.route_all(ctx, subs, false),
             SearchMsg::Refine(sq) => self.route_all(ctx, vec![sq], false),
             SearchMsg::Publish { index, entry, hops } => self.on_publish(ctx, index, entry, hops),
             // The query's origin is gone; there is nowhere else for its
             // results to go. Count the loss instead of hiding it.
             SearchMsg::Results { .. } => self.telemetry.incr("resilience.results_lost", 1),
-            SearchMsg::ResultsOpt { items } => self
-                .telemetry
-                .incr("resilience.results_lost", items.len() as u64),
             // The chosen replica holder is dead: the entry keeps fewer
             // copies until the next re-replication pass.
             SearchMsg::Replicate { .. } => self.telemetry.incr("resilience.replicas_lost", 1),
@@ -615,63 +496,19 @@ impl SearchNode {
             subs.sort_by_key(|s| (s.qid, s.prefix.key(), s.prefix.len()));
             self.send_query(ctx, to, SearchMsg::Route(subs));
         }
-        // Surrogate hand-offs go one `Refine` each, in action order —
-        // unless batching coalesces this round's co-destined ones into
-        // one `RefineBatch` per destination (n-1 headers saved).
-        let handoffs: Vec<(AgentId, Vec<SubQueryMsg>)> =
-            if self.routing_opt.as_ref().is_some_and(|o| o.batching) {
-                let mut groups: BTreeMap<AgentId, Vec<SubQueryMsg>> = BTreeMap::new();
-                for (to, sq) in handoffs {
-                    groups.entry(to).or_default().push(sq);
-                }
-                groups.into_iter().collect()
-            } else {
-                handoffs
-                    .into_iter()
-                    .map(|(to, sq)| (to, vec![sq]))
-                    .collect()
-            };
-        for (to, mut subs) in handoffs {
-            subs.sort_by_key(|s| (s.qid, s.prefix.key(), s.prefix.len()));
-            let msg = match <[SubQueryMsg; 1]>::try_from(subs) {
-                Ok([sq]) => SearchMsg::Refine(sq),
-                Err(subs) => SearchMsg::RefineBatch(subs),
-            };
-            self.send_query(ctx, to, msg);
+        // Surrogate hand-offs go one `Refine` each, in action order.
+        for (to, sq) in handoffs {
+            self.send_query(ctx, to, SearchMsg::Refine(sq));
         }
-        if self.routing_opt.is_some() {
-            // One ResultsOpt per origin: every answer this round rides
-            // in a single wire message carrying cache metadata.
-            let mut groups: BTreeMap<AgentId, Vec<ResultItem>> = BTreeMap::new();
-            for ((qid, index), (hops, fragments)) in answers {
-                let (origin, item) = self.answer_item(ctx, qid, index, hops, fragments);
-                groups.entry(origin).or_default().push(item);
-            }
-            for (origin, items) in groups {
-                let coalesced = (items.len() - 1) as u64;
-                // answer_item attributed each item's bytes; the shared
-                // header goes to the first item's query.
-                self.costs.row_mut(items[0].qid).result_bytes += 20;
-                let msg = SearchMsg::ResultsOpt { items };
-                let bytes = msg_bytes(&msg, |i| self.k_of(i));
-                self.telemetry.incr("search.msgs.results", 1);
-                self.telemetry.incr("search.bytes.results", bytes as u64);
-                if coalesced > 0 {
-                    self.telemetry.incr("batch.coalesced", coalesced);
-                }
-                self.send_search(ctx, origin, msg, bytes);
-            }
-        } else {
-            for ((qid, index), (hops, fragments)) in answers {
-                self.answer(ctx, qid, index, hops, fragments);
-            }
+        for ((qid, index), (hops, fragments)) in answers {
+            self.answer(ctx, qid, index, hops, fragments);
         }
     }
 
-    /// Price, account and send one query-delivery message — a `Route`,
-    /// `Refine` or `RefineBatch`: each fragment counts one message to its
-    /// query, the message's bytes go to the first fragment's query (a
-    /// batch is single-query in practice: queries are independent), and
+    /// Price, account and send one query-delivery message — a `Route` or
+    /// a `Refine`: each fragment counts one message to its query, the
+    /// message's bytes go to the first fragment's query (a batch is
+    /// single-query in practice: queries are independent), and
     /// that query's trace records a `Forward` (`Route`) or a `Handoff`.
     fn send_query(&mut self, ctx: &mut ProtoCtx<'_, SearchMsg>, to: AgentId, msg: SearchMsg) {
         let bytes = msg_bytes(&msg, |ix| self.k_of(ix));
@@ -693,7 +530,6 @@ impl SearchNode {
                 (&subs[..], forward, "search.msgs.route")
             }
             SearchMsg::Refine(sq) => (std::slice::from_ref(sq), handoff, "search.msgs.refine"),
-            SearchMsg::RefineBatch(subs) => (&subs[..], handoff, "search.msgs.refine"),
             _ => unreachable!("send_query sends query deliveries only"),
         };
         for s in subs {
@@ -705,9 +541,6 @@ impl SearchNode {
         tel.record(qid, event);
         tel.incr(counter, 1);
         tel.incr("search.bytes.query", bytes as u64);
-        if subs.len() > 1 && self.routing_opt.as_ref().is_some_and(|o| o.batching) {
-            tel.incr("batch.coalesced", (subs.len() - 1) as u64);
-        }
         for s in subs {
             self.incr_index(s.index, "routed", 1);
         }
@@ -725,7 +558,7 @@ impl SearchNode {
         hops: u32,
         fragments: Vec<SubQueryMsg>,
     ) {
-        let core = self.collect_answer(qid, index, &fragments, false);
+        let core = self.collect_answer(qid, index, &fragments);
         let bytes = result_msg_bytes(core.ranked.len());
         self.record_answer(ctx.me(), qid, index, hops, &core, bytes);
         self.telemetry.incr("search.msgs.results", 1);
@@ -737,74 +570,6 @@ impl SearchNode {
             degraded: core.degraded,
         };
         self.send_search(ctx, fragments[0].origin, msg, bytes);
-    }
-
-    /// [`Self::answer`]'s optimization-layer sibling: same scan, same
-    /// ranking, same counters — but the reply is returned as a
-    /// [`ResultItem`] (for per-origin coalescing by the caller) carrying
-    /// the metadata the origin's caches learn from: this node's owned
-    /// ring arc intersected with the fragments' spans, and — when the
-    /// answer is provably complete primary data — the full pre-pruning
-    /// candidate set.
-    fn answer_item(
-        &mut self,
-        ctx: &mut ProtoCtx<'_, SearchMsg>,
-        qid: QueryId,
-        index: u8,
-        hops: u32,
-        fragments: Vec<SubQueryMsg>,
-    ) -> (AgentId, ResultItem) {
-        let mut core = self.collect_answer(qid, index, &fragments, true);
-        let me = self.table.me();
-        // The arc this node's primaries are authoritative for:
-        // `(pred, me]`. With no known predecessor no claim is made (the
-        // origin then simply never completes its fill).
-        let arc = self
-            .table
-            .predecessor()
-            .map(|p| (p.id.0.wrapping_add(1), me.id.0));
-        let mut covered: Vec<(u64, u64)> = Vec::new();
-        if let Some(arc) = arc {
-            let ix = &self.indexes[index as usize];
-            for f in &fragments {
-                let (lo, hi) = ix.grid.key_span(&f.rect);
-                let span = (ix.rotation.to_ring(lo), ix.rotation.to_ring(hi));
-                covered.extend(intersect_wrap(span, arc));
-            }
-            covered.sort_unstable();
-            covered.dedup();
-        }
-        // A cacheable candidate set must be complete primary data: no
-        // replica stand-ins, no known coverage holes, an arc to claim,
-        // and within the configured size bound.
-        let max_cached = self
-            .routing_opt
-            .as_ref()
-            .map_or(0, |o| o.max_cached_entries);
-        let cached = core.cache_pts.take().filter(|pts| {
-            core.replica_answers == 0
-                && !core.degraded
-                && !covered.is_empty()
-                && pts.len() <= max_cached
-        });
-        let bytes = result_item_bytes(
-            core.ranked.len(),
-            covered.len(),
-            cached.as_ref().map(|c| c.len()),
-            self.k_of(index),
-        );
-        self.record_answer(ctx.me(), qid, index, hops, &core, bytes);
-        let item = ResultItem {
-            qid,
-            hops,
-            entries: core.ranked,
-            degraded: core.degraded,
-            index,
-            owner: me.id.0,
-            covered,
-            cached,
-        };
-        (fragments[0].origin, item)
     }
 
     /// Account one local answer of `bytes` on the wire: its result bytes
@@ -851,16 +616,14 @@ impl SearchNode {
         self.incr_index(index, "dist_calls", core.dist_calls);
     }
 
-    /// The answering core shared by [`Self::answer`] and
-    /// [`Self::answer_item`]: scan the fragments' ring spans, dedup and
-    /// radius-prune candidates, answer replicas for suspected owners,
-    /// detect degradation, and rank by true distance.
+    /// The answering core of [`Self::answer`]: scan the fragments' ring
+    /// spans, dedup and radius-prune candidates, answer replicas for
+    /// suspected owners, detect degradation, and rank by true distance.
     fn collect_answer<'s>(
         &'s self,
         qid: QueryId,
         index: u8,
         fragments: &[SubQueryMsg],
-        collect_cache: bool,
     ) -> AnswerCore {
         let resilient = self.resilience.is_some();
         let ix = &self.indexes[index as usize];
@@ -885,10 +648,7 @@ impl SearchNode {
         // candidate carries its pivot lower bound (`None` without a
         // ball: such candidates are never pruned) and the admitted copy's
         // stored vector, borrowed for refinement; candidates provably
-        // outside the metric range are dropped before refinement — but
-        // when a cacheable candidate set is being collected they are
-        // still captured first: a contained future query has a different
-        // center, so only the *rect* filter may be applied at cache time.
+        // outside the metric range are dropped before refinement.
         let bounds = ix.grid.bounds();
         let scans: Vec<_> = fragments
             .iter()
@@ -902,7 +662,6 @@ impl SearchNode {
                 Default::default(),
             );
         let mut cands: Vec<(ObjectId, Option<f64>, &'s [f64])> = Vec::new();
-        let mut cache_pts: Option<Vec<(ObjectId, Box<[f64]>)>> = collect_cache.then(Vec::new);
         let mut pruned = 0u64;
         let mut scanned = 0u64;
         let mut matched = 0u64;
@@ -931,9 +690,6 @@ impl SearchNode {
             for e in hits {
                 if !seen.insert(e.obj) {
                     continue;
-                }
-                if let Some(pts) = &mut cache_pts {
-                    pts.push((e.obj, e.point.into()));
                 }
                 admit(e.obj, e.point);
             }
@@ -1003,14 +759,12 @@ impl SearchNode {
             pruned,
             dist_calls,
             replica_answers,
-            cache_pts,
         }
     }
 
     fn on_issue(&mut self, ctx: &mut ProtoCtx<'_, SearchMsg>, sq: SubQueryMsg) {
         self.telemetry.begin_query(sq.qid, ctx.me());
-        // The row is the query's first-touch mark, even if answering
-        // sends nothing (a result-cache hit).
+        // The row is the query's first-touch mark.
         self.costs.row_mut(sq.qid);
         self.issued.insert(
             sq.qid,
@@ -1027,75 +781,6 @@ impl SearchNode {
         let ix = &self.indexes[sq.index as usize];
         let grid = Arc::clone(&ix.grid);
         let rot = ix.rotation;
-        // Hot-range result cache: a cached region whose rect contains
-        // this query's rect holds the complete candidate set for it, so
-        // the query is answered locally — zero messages, zero hops. The
-        // ball's exclusion test and the ranking are re-run per query
-        // (the cached set is pre-pruning; distances are query-specific).
-        let use_result_cache =
-            self.routing_opt.as_ref().is_some_and(|o| o.result_cache) && self.naive_level.is_none();
-        if use_result_cache {
-            if let Some(ball) = &sq.ball {
-                let bucket = radius_bucket(ball.radius);
-                if let Some(region) = self
-                    .results_cache
-                    .lookup(sq.index, sq.prefix, bucket, &sq.rect)
-                {
-                    let bounds = grid.bounds();
-                    let mut matched = 0u64;
-                    let mut dist_calls = 0u64;
-                    let mut ranked: Vec<(ObjectId, f64)> = Vec::new();
-                    for (obj, point) in &region.entries {
-                        if !sq.rect.contains_point(point) {
-                            continue;
-                        }
-                        matched += 1;
-                        if ball.excludes(point, bounds) {
-                            continue;
-                        }
-                        let d = self.oracle.refine(sq.qid, *obj, Some(ball), point);
-                        dist_calls += 1;
-                        insert_ranked(&mut ranked, (*obj, d), self.knn_k);
-                    }
-                    let returned = ranked.len() as u64;
-                    let now = ctx.now();
-                    let iq = self.issued.get_mut(&sq.qid).expect("inserted above");
-                    iq.first_result = Some(now);
-                    iq.last_result = Some(now);
-                    iq.responses = 1;
-                    iq.merged = ranked;
-                    self.telemetry.record(
-                        sq.qid,
-                        TraceEvent::Answer {
-                            at: ctx.me().0,
-                            hops: 0,
-                            scanned: 0,
-                            matched,
-                            returned,
-                            bytes: 0,
-                        },
-                    );
-                    self.telemetry.incr("cache.hits", 1);
-                    self.telemetry.incr("search.refine.dist_calls", dist_calls);
-                    return;
-                }
-                // Miss: start a fill so the answers about to arrive can
-                // populate the cache once their arcs cover the span.
-                self.telemetry.incr("cache.misses", 1);
-                let (lo, hi) = grid.key_span(&sq.rect);
-                let needed = split_wrap((rot.to_ring(lo), rot.to_ring(hi)));
-                self.cache_fill.insert(
-                    sq.qid,
-                    CacheFill {
-                        key: (sq.index, sq.prefix.key(), sq.prefix.len(), bucket),
-                        rect: sq.rect.clone(),
-                        needed,
-                        covered: Vec::new(),
-                        cands: Vec::new(),
-                    },
-                );
-            }
-        }
         let Some(level) = self.naive_level else {
             return self.route_all(ctx, vec![sq], false);
         };
@@ -1136,81 +821,6 @@ impl SearchNode {
                 insert_ranked(&mut iq.merged, (obj, d), k);
             }
         }
-    }
-
-    /// Fold one [`ResultItem`] of a coalesced reply into the origin's
-    /// state: learn owner shortcuts from its coverage claim, advance (or
-    /// poison) the result-cache fill, then merge its entries exactly as
-    /// a classic [`SearchMsg::Results`] would have been.
-    fn on_result_item(
-        &mut self,
-        ctx: &mut ProtoCtx<'_, SearchMsg>,
-        from: AgentId,
-        item: ResultItem,
-    ) {
-        let ResultItem {
-            qid,
-            hops,
-            entries,
-            degraded,
-            index,
-            owner,
-            covered,
-            cached,
-        } = item;
-        let (learn, fill_on, max_cached) = match &self.routing_opt {
-            Some(o) => (o.shortcuts, o.result_cache, o.max_cached_entries),
-            None => (false, false, 0),
-        };
-        // The answerer's owned arc ∩ queried span is exactly the key
-        // interval it is authoritative for: remember it owns those keys.
-        if learn && from != ctx.me() && owner != self.table.me().id.0 {
-            let mut evicted = 0u64;
-            for &iv in &covered {
-                evicted += self.shortcuts.learn(iv, chord::NodeRef::new(owner, from.0));
-            }
-            if evicted > 0 {
-                self.telemetry.incr("cache.evictions", evicted);
-            }
-        }
-        if fill_on && self.cache_fill.get(&qid).is_some_and(|f| f.key.0 == index) {
-            let pts = match cached {
-                Some(pts) if !degraded => Some(pts),
-                // Replica-assisted, degraded, or oversize answer: the
-                // union can never be proven complete primary data.
-                _ => None,
-            };
-            if let Some(pts) = pts {
-                let fill = self.cache_fill.get_mut(&qid).expect("checked above");
-                for (o, p) in pts {
-                    if !fill.cands.iter().any(|(x, _)| *x == o) {
-                        fill.cands.push((o, p));
-                    }
-                }
-                if fill.cands.len() > max_cached {
-                    self.cache_fill.remove(&qid);
-                } else {
-                    fill.covered.extend(covered.iter().copied());
-                    if covers(&fill.needed, &fill.covered) {
-                        let fill = self.cache_fill.remove(&qid).expect("checked above");
-                        let evicted = self.results_cache.insert(
-                            fill.key,
-                            CachedRegion {
-                                rect: fill.rect,
-                                entries: fill.cands,
-                            },
-                        );
-                        self.telemetry.incr("cache.stores", 1);
-                        if evicted > 0 {
-                            self.telemetry.incr("cache.evictions", evicted);
-                        }
-                    }
-                }
-            } else {
-                self.cache_fill.remove(&qid);
-            }
-        }
-        self.on_results(ctx, qid, hops, entries, degraded);
     }
 
     /// Route or store one published entry. In resilient mode the routing
@@ -1263,16 +873,6 @@ impl SearchNode {
         self.telemetry.observe("publish.hops", hops as u64);
         self.incr_index(index, "published", 1);
         self.publishes_stored.push((hops, entry.obj));
-        if self.routing_opt.is_some() {
-            // A new entry landing inside a cached region would make that
-            // cached answer incomplete: drop any region containing it.
-            let n = self
-                .results_cache
-                .invalidate_containing(index, &entry.point);
-            if n > 0 {
-                self.telemetry.incr("cache.invalidations", n);
-            }
-        }
         self.indexes[index as usize].store.insert(entry.clone());
         self.replicate_out(ctx, index, entry);
     }
@@ -1318,15 +918,6 @@ impl Protocol for SearchNode {
             SearchMsg::Issue(sq) => self.on_issue(ctx, sq),
             SearchMsg::Route(subs) => self.route_all(ctx, subs, false),
             SearchMsg::Refine(sq) => self.route_all(ctx, vec![sq], true),
-            // Coalesced co-destined hand-offs: refine each fragment, then
-            // execute the whole round's actions at once so its own
-            // outputs coalesce again.
-            SearchMsg::RefineBatch(subs) => self.route_all(ctx, subs, true),
-            SearchMsg::ResultsOpt { items } => {
-                for item in items {
-                    self.on_result_item(ctx, from, item);
-                }
-            }
             SearchMsg::Results {
                 qid,
                 hops,
@@ -1356,7 +947,7 @@ impl Protocol for SearchNode {
                 let me_id = self.table.me().id.0;
                 for d in dead {
                     if d != me_id {
-                        self.suspect_id(d);
+                        self.suspected.insert(d);
                     }
                 }
                 if !self.seen_tracked.insert((from.0, seq)) {
@@ -1402,7 +993,7 @@ impl Protocol for SearchNode {
             // the payload around it.
             if let Some(id) = p.dst_id {
                 if id != self.table.me().id.0 {
-                    self.suspect_id(id);
+                    self.suspected.insert(id);
                 }
             }
             self.telemetry.incr("resilience.failovers", 1);
@@ -1414,13 +1005,7 @@ impl Protocol for SearchNode {
         // The simulator discarded this host's timers with the crash;
         // clear the bookkeeping that assumed they would fire. In-flight
         // requests die here — the *senders'* retry timers cover them.
-        // Learned routing-plane caches die with the process too: a
-        // restarted node relearns from scratch rather than trusting
-        // pre-crash views of the ring.
         self.pending.clear();
-        self.shortcuts.clear();
-        self.results_cache.clear_index(None);
-        self.cache_fill.clear();
     }
 }
 
@@ -1691,18 +1276,16 @@ mod tests {
             shortcut: false,
         };
         let fragments = [fragment(0.5, 2.0, 0b00), fragment(2.0, 3.5, 0b01)];
-        let core = node.collect_answer(0, 0, &fragments, true);
+        let core = node.collect_answer(0, 0, &fragments);
         // Each fragment matched three entries, object 100 both times...
         assert_eq!(core.matched, 6);
         assert_eq!(core.scanned + core.skipped, 2 * 5);
-        // ...but it is ranked, measured and cached once, where the first
+        // ...but it is ranked and measured once, where the first
         // fragment's scan met it (the oracle's distance is the object id).
         let ranked: Vec<u32> = core.ranked.iter().map(|&(o, _)| o.0).collect();
         assert_eq!(ranked, vec![0, 1, 2, 3, 100]);
         assert_eq!(core.dist_calls, 5);
         assert_eq!(core.pruned, 0);
-        let cached: Vec<u32> = core.cache_pts.unwrap().iter().map(|(o, _)| o.0).collect();
-        assert_eq!(cached, vec![0, 1, 100, 2, 3]);
     }
 
     #[test]
@@ -1846,7 +1429,7 @@ mod tests {
                 point: vec![6.25].into_boxed_slice(),
             },
         );
-        let core = node.collect_answer(9, 0, &[ball_query(9, 4.0, 4.0, &grid)], false);
+        let core = node.collect_answer(9, 0, &[ball_query(9, 4.0, 4.0, &grid)]);
         assert_eq!(core.replica_answers, 1);
         let ranked: Vec<(u32, f64)> = core.ranked.iter().map(|&(o, d)| (o.0, d)).collect();
         assert_eq!(
@@ -1857,29 +1440,6 @@ mod tests {
         want.truncate(4);
         want.push((9, 100, Some(vec![4.0]), vec![6.25]));
         assert_eq!(oracle.calls(), want);
-    }
-
-    #[test]
-    fn the_result_cache_arm_refines_from_the_cached_copy() {
-        let (oracle, (mut sim, _ring, grid)) = refine_only();
-        let tel = crate::telemetry::Telemetry::new();
-        for a in 0..2 {
-            let node = sim.agent_mut(AgentId(a));
-            node.enable_routing_opt(RoutingOptConfig::default());
-            node.attach_telemetry(tel.clone());
-        }
-        // The first query fills node 0's result cache; the second, inside
-        // the same region at the same radius but from another center, is
-        // answered out of it.
-        let first = ball_query(0, 4.0, 4.0, &grid);
-        sim.inject(SimTime::ZERO, AgentId(0), SearchMsg::Issue(first));
-        sim.run();
-        oracle.calls.lock().unwrap().clear();
-        let second = ball_query(1, 4.5, 4.0, &grid);
-        sim.inject(sim.now(), AgentId(0), SearchMsg::Issue(second));
-        sim.run();
-        assert_eq!(tel.lock().registry.counter("cache.hits"), 1);
-        assert_eq!(oracle.calls(), cell_calls(1, 4.5));
     }
 
     #[test]

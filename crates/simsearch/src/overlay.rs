@@ -2,8 +2,8 @@
 //! two things from its DHT — *next-hop routing toward a key* and *ring
 //! ownership arcs*. [`OverlayTable`] captures that interface; Chord's
 //! [`RoutingTable`] (finger table + successor list, the paper's
-//! evaluation platform) is the substrate, and [`FailureAware`] and
-//! [`crate::WithShortcuts`] are views over it.
+//! evaluation platform) is the substrate, and [`FailureAware`] is a
+//! view over it.
 
 use chord::{ChordId, NodeRef, RouteDecision, RoutingTable};
 
@@ -15,14 +15,6 @@ pub trait OverlayTable {
     fn decide(&self, key: ChordId) -> RouteDecision;
     /// Every node this table knows (used by load-balance probing).
     fn neighbors(&self) -> Vec<NodeRef>;
-    /// This node's ring predecessor, when the table knows one — it
-    /// bounds the node's owned arc `(pred, me]`, which the routing-plane
-    /// result cache uses to prove answer completeness. `None` means the
-    /// node cannot prove an arc claim (and the caches simply learn
-    /// nothing from its answers).
-    fn predecessor_ref(&self) -> Option<NodeRef> {
-        None
-    }
     /// Known nodes ordered by clockwise ring distance from this node —
     /// replica placement targets (Chord's successor list).
     fn successor_list(&self) -> Vec<NodeRef>;
@@ -40,9 +32,6 @@ impl OverlayTable for RoutingTable {
     }
     fn successor_list(&self) -> Vec<NodeRef> {
         self.successors().to_vec()
-    }
-    fn predecessor_ref(&self) -> Option<NodeRef> {
-        self.predecessor()
     }
 }
 
@@ -90,12 +79,6 @@ impl OverlayTable for FailureAware<'_> {
             .filter(|n| !self.dead.contains(&n.id.0))
             .copied()
             .collect()
-    }
-    fn predecessor_ref(&self) -> Option<NodeRef> {
-        // The raw predecessor: the owned-arc claim is about ring
-        // geometry, not liveness, and a suspected predecessor does not
-        // change which keys this node stores.
-        self.inner.predecessor()
     }
 }
 

@@ -84,12 +84,6 @@ impl SearchSystem {
         // Ownership moved wholesale: old replica copies now shadow the
         // wrong owners. Recompute placement from the new primaries.
         self.re_replicate(index);
-        // Every cached answer for this index described the old mapping;
-        // learned shortcuts may point at owners whose content moved.
-        let (_, nodes) = self.sim.topology_and_agents_mut();
-        for node in nodes.iter_mut() {
-            node.flush_routing_caches(Some(index as u8), true);
-        }
         ReindexReport {
             published: points.len(),
             migrated,
@@ -171,15 +165,6 @@ impl SearchSystem {
             },
         );
         self.sim.run();
-        // The storing owner invalidated its own overlapping cached
-        // regions en route (see `SearchNode::store_publish`); origins
-        // elsewhere may still hold regions containing the new point, so
-        // publication coherence is completed here at the driver. Key
-        // ownership did not move, so learned shortcuts stay valid.
-        let (_, nodes) = self.sim.topology_and_agents_mut();
-        for node in nodes.iter_mut() {
-            node.flush_routing_caches(Some(index), false);
-        }
         // The owner recorded the arrival.
         let owner = self.ring.owner_of(chord::ChordId(key)).addr;
         self.sim
@@ -204,12 +189,6 @@ impl SearchSystem {
         // every index's replica placement is recomputed from scratch.
         for ix in 0..self.grids.len() {
             self.re_replicate(ix);
-        }
-        // Ring identifiers changed: every learned key→owner shortcut and
-        // every cached region may now be wrong. Drop them all.
-        let (_, nodes) = self.sim.topology_and_agents_mut();
-        for node in nodes.iter_mut() {
-            node.flush_routing_caches(None, true);
         }
         report
     }

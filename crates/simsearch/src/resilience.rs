@@ -72,16 +72,8 @@ impl ResilienceConfig {
     }
 }
 
-/// A node's failure-suspicion set, with edge-triggered insertion.
-///
-/// Wraps the plain id set that failure-aware routing filters on and
-/// makes the *transition* into suspicion observable: [`insert`] returns
-/// whether the id is newly suspected, which is exactly the churn signal
-/// the routing-plane caches hang their invalidation on (a shortcut
-/// learned for a now-suspected owner is dropped the moment suspicion
-/// arrives, whether from local retry exhaustion or gossip).
-///
-/// [`insert`]: SuspicionSet::insert
+/// A node's failure-suspicion set: the plain id set that failure-aware
+/// routing filters on, filled from local retry exhaustion and gossip.
 #[derive(Clone, Debug, Default)]
 pub struct SuspicionSet {
     ids: std::collections::BTreeSet<u64>,
@@ -118,8 +110,7 @@ impl SuspicionSet {
         self.ids.iter().copied()
     }
 
-    /// The raw set, for [`crate::overlay::FailureAware`] and the
-    /// shortcut-cache wrapper.
+    /// The raw set, for [`crate::overlay::FailureAware`].
     pub fn as_set(&self) -> &std::collections::BTreeSet<u64> {
         &self.ids
     }

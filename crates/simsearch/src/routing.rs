@@ -21,13 +21,9 @@
 //!   ranges exceed the node's identifier (walking the node id's 0-bits)
 //!   and re-route them; answer the remainder locally.
 
-use std::cell::Cell;
-use std::collections::BTreeSet;
-
 use chord::RouteDecision;
 use lph::{Grid, Prefix, Rotation, SubQuery};
 
-use crate::cache::ShortcutCache;
 use crate::msg::SubQueryMsg;
 use crate::overlay::OverlayTable;
 
@@ -240,86 +236,6 @@ pub fn route_subquery_traced<T: OverlayTable + ?Sized>(
         }
     }
     out
-}
-
-/// An [`OverlayTable`] view that consults a learned [`ShortcutCache`]
-/// before the substrate's forwarding choice (the routing-plane
-/// optimization layer's entry into `route_subquery`).
-///
-/// Only *multi-hop* decisions are overridden: when the underlying table
-/// already knows the destination (`Local`, or a `Surrogate` hand-off
-/// from the owner's direct predecessor) the cache can add nothing and is
-/// not consulted. A cache hit replaces the greedy finger-table forward
-/// with a direct jump to the learned owner; if the learned owner is
-/// stale the receiving node simply keeps routing with its own table, so
-/// the worst case is one wasted hop — never a wrong answer. Learned
-/// owners currently under failure suspicion are skipped.
-///
-/// Hit/miss tallies accumulate in [`Cell`]s so the wrapper can be used
-/// through the shared `&dyn OverlayTable` routing entry points; the node
-/// drains them into its telemetry registry after each routing pass.
-pub struct WithShortcuts<'a> {
-    inner: &'a dyn OverlayTable,
-    cache: &'a ShortcutCache,
-    dead: &'a BTreeSet<u64>,
-    hits: Cell<u64>,
-    misses: Cell<u64>,
-}
-
-impl<'a> WithShortcuts<'a> {
-    /// Wrap `inner`, consulting `cache` and skipping suspected `dead`.
-    pub fn new(
-        inner: &'a dyn OverlayTable,
-        cache: &'a ShortcutCache,
-        dead: &'a BTreeSet<u64>,
-    ) -> WithShortcuts<'a> {
-        WithShortcuts {
-            inner,
-            cache,
-            dead,
-            hits: Cell::new(0),
-            misses: Cell::new(0),
-        }
-    }
-
-    /// Forwarding decisions answered from the cache so far.
-    pub fn hits(&self) -> u64 {
-        self.hits.get()
-    }
-
-    /// Forwarding decisions the cache could not improve.
-    pub fn misses(&self) -> u64 {
-        self.misses.get()
-    }
-}
-
-impl OverlayTable for WithShortcuts<'_> {
-    fn me_ref(&self) -> chord::NodeRef {
-        self.inner.me_ref()
-    }
-    fn decide(&self, key: chord::ChordId) -> RouteDecision {
-        let base = self.inner.decide(key);
-        if !matches!(base, RouteDecision::Forward(_)) {
-            return base;
-        }
-        if let Some(target) = self.cache.lookup(key.0) {
-            if target.addr != self.inner.me_ref().addr && !self.dead.contains(&target.id.0) {
-                self.hits.set(self.hits.get() + 1);
-                return RouteDecision::Forward(target);
-            }
-        }
-        self.misses.set(self.misses.get() + 1);
-        base
-    }
-    fn neighbors(&self) -> Vec<chord::NodeRef> {
-        self.inner.neighbors()
-    }
-    fn successor_list(&self) -> Vec<chord::NodeRef> {
-        self.inner.successor_list()
-    }
-    fn predecessor_ref(&self) -> Option<chord::NodeRef> {
-        self.inner.predecessor_ref()
-    }
 }
 
 /// First 0-bit position of `id` in bit positions `from..=to` (1-based
@@ -820,82 +736,6 @@ mod tests {
                 "self-handoff must resolve to a local answer"
             );
         }
-    }
-
-    /// A table whose every decision is a multi-hop forward to `next` —
-    /// the state where a shortcut can actually help.
-    struct AlwaysForward {
-        me: NodeRef,
-        next: NodeRef,
-    }
-    impl OverlayTable for AlwaysForward {
-        fn me_ref(&self) -> NodeRef {
-            self.me
-        }
-        fn decide(&self, _key: chord::ChordId) -> RouteDecision {
-            RouteDecision::Forward(self.next)
-        }
-        fn neighbors(&self) -> Vec<NodeRef> {
-            vec![self.next]
-        }
-        fn successor_list(&self) -> Vec<NodeRef> {
-            vec![self.next]
-        }
-    }
-
-    #[test]
-    fn shortcut_wrapper_jumps_to_learned_owner() {
-        let table = AlwaysForward {
-            me: NodeRef::new(10, 0),
-            next: NodeRef::new(50, 1),
-        };
-        let owner = NodeRef::new(200, 2);
-        let mut cache = ShortcutCache::new(8);
-        cache.learn((100, 300), owner);
-        let dead = BTreeSet::new();
-        let sc = WithShortcuts::new(&table, &cache, &dead);
-        // Inside the learned interval: direct jump to the learned owner.
-        assert_eq!(
-            sc.decide(chord::ChordId(150)),
-            RouteDecision::Forward(owner)
-        );
-        // Outside it: the substrate's own forward, counted as a miss.
-        assert_eq!(
-            sc.decide(chord::ChordId(50)),
-            RouteDecision::Forward(NodeRef::new(50, 1))
-        );
-        assert_eq!((sc.hits(), sc.misses()), (1, 1));
-    }
-
-    #[test]
-    fn shortcut_wrapper_skips_suspected_owners_and_keeps_local() {
-        let table = AlwaysForward {
-            me: NodeRef::new(10, 0),
-            next: NodeRef::new(50, 1),
-        };
-        let owner = NodeRef::new(200, 2);
-        let mut cache = ShortcutCache::new(8);
-        cache.learn((100, 300), owner);
-        // The learned owner is suspected dead: fall back to the table.
-        let dead: BTreeSet<u64> = [200].into_iter().collect();
-        let sc = WithShortcuts::new(&table, &cache, &dead);
-        assert_eq!(
-            sc.decide(chord::ChordId(150)),
-            RouteDecision::Forward(NodeRef::new(50, 1))
-        );
-        assert_eq!((sc.hits(), sc.misses()), (0, 1));
-        // Ownership decisions are never overridden: a real table that is
-        // Local for a key stays Local even with a covering cache entry.
-        let (tables, ring, grid) = world();
-        let key = 1u64 << 61; // cell 1, owned by node 0 (id 2<<61).
-        assert_eq!(ring.owner_of(chord::ChordId(key)).addr.0, 0);
-        let mut c2 = ShortcutCache::new(8);
-        c2.learn((0, u64::MAX), NodeRef::new(5u64 << 61, 1));
-        let none = BTreeSet::new();
-        let sc2 = WithShortcuts::new(&tables[0], &c2, &none);
-        assert_eq!(sc2.decide(chord::ChordId(key)), RouteDecision::Local);
-        assert_eq!(sc2.hits(), 0);
-        let _ = &grid;
     }
 
     #[test]

@@ -12,7 +12,6 @@ use serde_json::Value;
 use simnet::telemetry::histogram_of;
 use simnet::{AgentId, Sim, SimRng, SimTime, Topology};
 
-use crate::cache::RoutingOptConfig;
 use crate::load::{self, LoadBalanceReport};
 use crate::msg::{DistanceOracle, QueryBall, QueryId, SearchMsg, SubQueryMsg};
 use crate::node::{CostLedger, IndexState, IssuedQuery, SearchNode};
@@ -55,11 +54,6 @@ pub struct SystemConfig {
     /// (see [`crate::resilience`]). `None` (default) keeps the wire
     /// protocol identical to the fault-free implementation.
     pub resilience: Option<ResilienceConfig>,
-    /// `Some` turns on the routing-plane optimization layer (see
-    /// [`crate::cache`]): sub-query batching, learned owner shortcuts,
-    /// and the hot-range result cache. `None` (default) keeps the wire
-    /// protocol byte-identical to the unoptimized implementation.
-    pub routing_opt: Option<RoutingOptConfig>,
     /// Inert: nothing reads it, and the simulator always runs one
     /// serial event loop. It remains only because the repo benchmark
     /// (`benchmark/src/sim.rs`) names it in a struct literal and that
@@ -88,7 +82,6 @@ impl Default for SystemConfig {
             lb: None,
             load_aware_join: false,
             resilience: None,
-            routing_opt: None,
             threads: 1,
             index_telemetry: false,
         }
@@ -337,13 +330,6 @@ impl SearchSystem {
             if let Some(rc) = &cfg.resilience {
                 node.enable_resilience(rc.clone());
             }
-            if let Some(opt) = &cfg.routing_opt {
-                // The naive baseline bypasses Algorithms 3–5, so the
-                // routing-plane caches would never be consulted anyway.
-                if cfg.naive_level.is_none() {
-                    node.enable_routing_opt(opt.clone());
-                }
-            }
         }
 
         let mut ring = ring;
@@ -497,7 +483,7 @@ impl SearchSystem {
             let h = histogram_of(self.sim.agents().map(|n| n.indexes[ix].store.load() as u64));
             load.insert(format!("index{ix}"), h.to_json());
         }
-        let mut config = serde_json::json!({
+        let config = serde_json::json!({
             "n_nodes": Value::UInt(self.cfg.n_nodes as u64),
             "seed": Value::UInt(self.cfg.seed),
             "n_successors": Value::UInt(self.cfg.n_successors as u64),
@@ -511,24 +497,6 @@ impl SearchSystem {
                 self.cfg.resilience.as_ref().map_or(1, |rc| rc.replication) as u64
             ),
         });
-        // Present only when the optimization layer is on, so snapshots
-        // of unoptimized runs stay byte-identical to their pre-cache
-        // goldens.
-        if let Some(opt) = &self.cfg.routing_opt {
-            if let Value::Object(map) = &mut config {
-                map.insert(
-                    "routing_opt".to_string(),
-                    serde_json::json!({
-                        "batching": Value::Bool(opt.batching),
-                        "shortcuts": Value::Bool(opt.shortcuts),
-                        "result_cache": Value::Bool(opt.result_cache),
-                        "shortcut_capacity": Value::UInt(opt.shortcut_capacity as u64),
-                        "result_capacity": Value::UInt(opt.result_capacity as u64),
-                        "max_cached_entries": Value::UInt(opt.max_cached_entries as u64),
-                    }),
-                );
-            }
-        }
         serde_json::json!({
             "config": config,
             "net": serde_json::json!({
@@ -669,8 +637,8 @@ impl SearchSystem {
     /// [`SearchSystem::run_queries`] with caller-chosen issuing nodes:
     /// query `i` is issued from `origins[i % origins.len()]`. Arrival
     /// times still come from the same seeded Poisson process — only the
-    /// origin draw is skipped — so repeated-origin (hot) workloads, the
-    /// ones the per-node routing caches exist for, stay deterministic.
+    /// origin draw is skipped — so repeated-origin (hot) workloads stay
+    /// deterministic.
     pub fn run_queries_from(
         &mut self,
         queries: &[QuerySpec],

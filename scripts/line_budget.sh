@@ -10,7 +10,7 @@
 # Usage: scripts/line_budget.sh
 set -euo pipefail
 
-BUDGET=20443
+BUDGET=19231
 
 cd "$(dirname "$0")/.."
 count=$(find crates/*/src -name '*.rs' -exec awk '
