@@ -1,5 +1,5 @@
 //! The one corpus fixture under the report writers (`micro_report`,
-//! `scale_report`, `load_report`): a clustered 12-d corpus, a 250-object
+//! `scale_report`): a clustered 12-d corpus, a 250-object
 //! sample, 5 k-means landmarks, the mapped points and the
 //! sample-derived boundary — plus the query builders, the qid-keyed L2
 //! oracle and the peak-RSS probe those writers share.

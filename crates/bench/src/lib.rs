@@ -10,14 +10,11 @@
 //! * [`trec`] — the §4.3 text pipeline over the synthetic TREC-like
 //!   corpus (angular metric, sampled boundary);
 //! * [`fixture`] — the corpus, query builders and oracle under the
-//!   three `*_report` writers;
+//!   two `*_report` writers;
 //! * [`report`] — table printing and JSON persistence under
-//!   `target/experiments/`;
-//! * [`load_report`] — the sustained-load capacity-search scenario
-//!   behind `BENCH_load.json` and the CI `load-smoke` gate.
+//!   `target/experiments/`.
 
 pub mod fixture;
-pub mod load_report;
 pub mod micro_report;
 pub mod report;
 pub mod scale;

@@ -16,6 +16,9 @@ usage:
   node --gen-corpus PATH --objects N [--dims D] [--seed S]
       Write the deterministic corpus (one point per line) to PATH.
 
+  Scenario flags: --dims D needs D >= 1 and --depth B (grid divisions,
+  i.e. key bits) needs 1 <= B <= 64; both modes refuse anything else.
+
   node --connect ADDR <operation>
       operations:
         --publish-file PATH                  publish the corpus, wait until stored
@@ -77,15 +80,24 @@ impl Args {
     }
 }
 
+/// The scenario the flags describe, refused before any socket or file
+/// is opened if the index grid could not be built from it.
 fn scenario_from(args: &Args, n_nodes: usize) -> Result<Scenario, String> {
     let defaults = Scenario::new(n_nodes);
-    Ok(Scenario {
+    let sc = Scenario {
         n_nodes,
         dims: args.parse_num("dims", defaults.dims)?,
         depth: args.parse_num("depth", defaults.depth)?,
         n_objects: args.parse_num("objects", defaults.n_objects)?,
         seed: args.parse_num("seed", defaults.seed)?,
-    })
+    };
+    if sc.dims == 0 {
+        return Err("--dims must be at least 1".to_string());
+    }
+    if !(1..=64).contains(&sc.depth) {
+        return Err(format!("--depth {} is outside 1..=64", sc.depth));
+    }
+    Ok(sc)
 }
 
 fn run(argv: Vec<String>) -> Result<(), String> {

@@ -4,10 +4,10 @@
 //! core could not serve, non-finite client coordinates, a client that
 //! never reads, query requests parked until their query has news, a
 //! client-chosen query id near `u32::MAX`, three windows' worth of
-//! queries against nodes that keep only the newest window, and hundreds
-//! of connections opened and closed. `tests/parity.rs` proves the loop
-//! preserves event order; this file proves no connection can stall or
-//! kill the others.
+//! queries against nodes that keep only the newest window, hundreds
+//! of connections opened and closed, and scenario flags no grid can be
+//! built from. `tests/parity.rs` proves the loop preserves event order;
+//! this file proves no connection can stall or kill the others.
 //! One in-process test covers the framer both ends share.
 
 use lph::{Prefix, Rect};
@@ -935,4 +935,51 @@ fn a_node_keeps_state_for_its_newest_window_of_queries_only() {
     );
     assert!(waited >= PARK_PATIENCE, "the report came after {waited:?}");
     ask(&mut client, 3 * window);
+}
+
+/// The exit status and output of one `node` run, killed after
+/// [`PATIENCE`] so a regression that starts serving cannot hang the
+/// suite.
+fn run_node(args: &[&str]) -> (Option<i32>, String, String) {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_node"))
+        .args(args)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn node process");
+    let deadline = Instant::now() + PATIENCE;
+    while child.try_wait().expect("poll the node").is_none() && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let _ = child.kill();
+    let out = child.wait_with_output().expect("collect node output");
+    let text = |b: Vec<u8>| String::from_utf8_lossy(&b).into_owned();
+    (out.status.code(), text(out.stdout), text(out.stderr))
+}
+
+#[test]
+fn out_of_range_scenario_flags_are_refused_before_any_socket_or_file() {
+    let dir = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"));
+    for (flag, value) in [("dims", "0"), ("depth", "0"), ("depth", "65")] {
+        let flag_arg = format!("--{flag}");
+        let bad = [flag_arg.as_str(), value];
+
+        let (code, stdout, stderr) =
+            run_node(&[&["--listen", "127.0.0.1:0", "--expect", "1"], &bad[..]].concat());
+        assert_eq!(code, Some(1), "--{flag} {value}: {stderr}");
+        assert!(
+            !stdout.contains("listening on"),
+            "--{flag} {value} bound: {stdout}"
+        );
+        assert!(stderr.starts_with(&format!("node: --{flag}")), "{stderr}");
+
+        let path = dir.join(format!("bad-corpus-{flag}-{value}.txt"));
+        let _ = std::fs::remove_file(&path);
+        let path_arg = path.to_str().expect("utf-8 temp path");
+        let (code, _, stderr) =
+            run_node(&[&["--gen-corpus", path_arg, "--objects", "3"], &bad[..]].concat());
+        assert_eq!(code, Some(1), "--gen-corpus --{flag} {value}: {stderr}");
+        assert!(stderr.starts_with(&format!("node: --{flag}")), "{stderr}");
+        assert!(!path.exists(), "--{flag} {value} wrote {}", path.display());
+    }
 }

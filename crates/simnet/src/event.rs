@@ -40,11 +40,6 @@ pub struct TimerTag(pub u64);
 pub(crate) enum EventKind<M> {
     /// Deliver a message to `dst` that was sent by `from`.
     Deliver { from: AgentId, msg: M },
-    /// Deliver a message whose service slot was already reserved when
-    /// it was deferred by the finite-capacity model: delivered
-    /// unconditionally at its slot, never re-deferred. Only constructed
-    /// while a service time is set.
-    Serve { from: AgentId, msg: M },
     /// Fire a timer previously scheduled by the destination agent.
     Timer { tag: TimerTag },
     /// The destination host crashes: until it restarts, messages and

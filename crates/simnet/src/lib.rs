@@ -54,7 +54,6 @@
 
 pub mod event;
 pub mod fault;
-pub mod loadgen;
 pub mod rng;
 pub mod sim;
 pub mod stats;
@@ -64,7 +63,6 @@ pub mod topology;
 
 pub use event::TimerTag;
 pub use fault::{FaultPlane, PartitionWindow};
-pub use loadgen::{ArrivalProcess, LatencyLedger, RampPhase};
 pub use rng::SimRng;
 pub use sim::{Agent, AgentId, Ctx, Sim};
 pub use stats::NetStats;

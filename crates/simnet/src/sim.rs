@@ -58,14 +58,6 @@ struct Core<M> {
     /// Liveness per agent; down hosts silently discard messages and
     /// timers until their scheduled restart.
     down: Vec<bool>,
-    /// Opt-in per-node service model: when set, an agent occupies its
-    /// (single) CPU for this long per delivered message, and deliveries
-    /// arriving while it is busy queue behind it. `None` (the default)
-    /// is the historical infinite-capacity model — no behavior change,
-    /// no extra RNG draws, goldens untouched.
-    service: Option<SimDuration>,
-    /// Per-agent busy horizon under the service model.
-    busy_until: Vec<SimTime>,
 }
 
 impl<M: Clone> Core<M> {
@@ -201,24 +193,10 @@ impl<A: Agent> Sim<A> {
                 dup_rng: SimRng::new(seed).fork(0xD0B1),
                 spike_rng: SimRng::new(seed).fork(0x5B1C),
                 down: vec![false; n],
-                service: None,
-                busy_until: vec![SimTime::ZERO; n],
             },
             agents,
             started: false,
         }
-    }
-
-    /// Give every host a finite processing capacity: each delivered
-    /// message occupies the destination for `per_message` of simulated
-    /// time, and messages arriving while it is busy are deferred until
-    /// it frees up (FIFO by arrival order). This is what makes sustained
-    /// load saturate — without it every node is an infinite server and
-    /// no offered rate can violate a latency SLO. `None` restores the
-    /// default infinite-capacity model. Timers and crash/restart events
-    /// are not subject to service time.
-    pub fn set_service_time(&mut self, per_message: Option<SimDuration>) {
-        self.core.service = per_message.filter(|d| d.0 > 0);
     }
 
     /// Drop each cross-host message independently with probability
@@ -296,33 +274,6 @@ impl<A: Agent> Sim<A> {
         };
         debug_assert!(ev.time >= self.core.now, "event queue went backwards");
         self.core.now = ev.time;
-        // Finite-capacity model: a delivery to a still-busy host is
-        // requeued once as a `Serve` event at the next free slot, and
-        // the slot is reserved immediately (busy_until advances at
-        // defer time). Deferred deliveries therefore line up FIFO by
-        // the order their deferrals popped, and each waits in the heap
-        // exactly once — O(1) per message regardless of backlog depth,
-        // where re-deferring to the current busy horizon would re-heap
-        // the whole backlog every slot.
-        if let Some(service) = self.core.service {
-            if matches!(ev.kind, EventKind::Deliver { .. }) && !self.core.down[ev.dst.0] {
-                let busy = self.core.busy_until[ev.dst.0];
-                if busy > ev.time {
-                    self.core.stats.deferred += 1;
-                    self.core.busy_until[ev.dst.0] = busy + service;
-                    let EventKind::Deliver { from, msg } = ev.kind else {
-                        unreachable!("matched Deliver above")
-                    };
-                    self.core
-                        .queue
-                        .push(busy, ev.dst, EventKind::Serve { from, msg });
-                    return true;
-                }
-                self.core.busy_until[ev.dst.0] = ev.time + service;
-            }
-            // A Serve event's slot was reserved when it was deferred;
-            // it runs unconditionally.
-        }
         self.core.stats.events += 1;
         let dst = ev.dst;
         match ev.kind {
@@ -346,7 +297,7 @@ impl<A: Agent> Sim<A> {
         if self.core.down[dst.0] {
             // A down host discards everything addressed to it. Timers
             // vanish for good; crashed agents re-arm via `on_restart`.
-            if matches!(ev.kind, EventKind::Deliver { .. } | EventKind::Serve { .. }) {
+            if matches!(ev.kind, EventKind::Deliver { .. }) {
                 self.core.stats.dropped_down += 1;
             }
             return true;
@@ -356,9 +307,7 @@ impl<A: Agent> Sim<A> {
             me: dst,
         };
         match ev.kind {
-            EventKind::Deliver { from, msg } | EventKind::Serve { from, msg } => {
-                self.agents[dst.0].on_message(ctx, from, msg)
-            }
+            EventKind::Deliver { from, msg } => self.agents[dst.0].on_message(ctx, from, msg),
             EventKind::Timer { tag } => {
                 self.agents[dst.0].on_timer(ctx, tag);
                 self.core.stats.timers += 1;
@@ -536,80 +485,6 @@ mod tests {
         // also to self: zero network messages.
         assert_eq!(sim.stats().messages, 0);
         assert_eq!(sim.stats().bytes, 0);
-    }
-
-    /// A sink that records when each delivery was processed.
-    struct Sink {
-        processed_at: Vec<(u8, SimTime)>,
-    }
-    impl Agent for Sink {
-        type Msg = u8;
-        fn on_message(&mut self, ctx: &mut Ctx<'_, u8>, _from: AgentId, msg: u8) {
-            self.processed_at.push((msg, ctx.now()));
-        }
-    }
-
-    /// Under the per-node service model, simultaneous deliveries to one
-    /// host serialize FIFO, each occupying one service period; without
-    /// it they all process at their arrival instant.
-    #[test]
-    fn service_model_serializes_deliveries_fifo() {
-        let mk = || {
-            Sim::new(
-                Topology::uniform(1, SimTime::from_millis(10)),
-                vec![Sink {
-                    processed_at: vec![],
-                }],
-                1,
-            )
-        };
-        // Baseline: infinite capacity, all three process at t=0.
-        let mut sim = mk();
-        for m in 0..3u8 {
-            sim.inject(SimTime::ZERO, AgentId(0), m);
-        }
-        sim.run();
-        assert!(sim
-            .agent(AgentId(0))
-            .processed_at
-            .iter()
-            .all(|&(_, t)| t == SimTime::ZERO));
-        assert_eq!(sim.stats().deferred, 0);
-
-        // Service model on: 5 ms per message, arrivals at t=0 process at
-        // 0 / 5 / 10 ms in injection (FIFO) order.
-        let mut sim = mk();
-        sim.set_service_time(Some(SimDuration::from_millis(5)));
-        for m in 0..3u8 {
-            sim.inject(SimTime::ZERO, AgentId(0), m);
-        }
-        sim.run();
-        let got = &sim.agent(AgentId(0)).processed_at;
-        assert_eq!(
-            got,
-            &vec![
-                (0, SimTime::ZERO),
-                (1, SimTime::from_millis(5)),
-                (2, SimTime::from_millis(10)),
-            ]
-        );
-        assert!(
-            sim.stats().deferred >= 2,
-            "deferred {}",
-            sim.stats().deferred
-        );
-
-        // A delivery after the busy horizon is not deferred.
-        let mut sim = mk();
-        sim.set_service_time(Some(SimDuration::from_millis(5)));
-        sim.inject(SimTime::ZERO, AgentId(0), 0);
-        sim.inject(SimTime::from_millis(50), AgentId(0), 1);
-        sim.run();
-        assert_eq!(sim.stats().deferred, 0);
-        assert_eq!(
-            sim.agent(AgentId(0)).processed_at[1],
-            (1, SimTime::from_millis(50))
-        );
     }
 
     /// A relay chain exercising real network hops and byte accounting.

@@ -34,11 +34,6 @@ pub struct NetStats {
     /// the simulator's dominant memory driver. It is the event queue's
     /// own high-water mark.
     pub peak_queue: u64,
-    /// Deliveries that had to wait for a busy destination host, counted
-    /// once per waiting delivery (only nonzero under the opt-in
-    /// per-node service model; see `Sim::set_service_time`). A
-    /// high-deferral run is a saturated run.
-    pub deferred: u64,
 }
 
 impl NetStats {

@@ -39,7 +39,6 @@
 pub mod explain;
 pub mod knn;
 pub mod load;
-pub mod loadgen;
 pub mod msg;
 pub mod node;
 pub mod overlay;
@@ -53,10 +52,6 @@ pub mod telemetry;
 
 pub use explain::{ExplainReport, ExplainStep, StepKind};
 pub use knn::KnnOutcome;
-pub use loadgen::{
-    CapacityResult, CapacityTrial, LoadConfig, LoadMode, LoadOutcome, LoadPlan, LoadPools,
-    PlannedOp, PoolKind, QueryMix, SloSpec,
-};
 pub use msg::{QueryBall, QueryDistance, QueryId, SearchMsg, SubQueryMsg};
 pub use node::{IssuedQuery, SearchNode};
 pub use overlay::{FailureAware, OverlayTable};

@@ -543,8 +543,8 @@ impl SearchSystem {
 
     /// Inject one query as a simulation event: `q` is issued by `origin`
     /// at absolute time `at` under id `qid`. This is the admission
-    /// primitive the sustained-load driver uses to admit queries by
-    /// arrival time with many in flight; [`SearchSystem::run_queries`]
+    /// primitive for drivers that admit queries by arrival time with
+    /// many in flight (the scenario runner); [`SearchSystem::run_queries`]
     /// is the batch convenience built on it.
     pub fn inject_query(&mut self, at: SimTime, origin: AgentId, qid: QueryId, q: &QuerySpec) {
         let grid = &self.grids[q.index as usize];
@@ -601,14 +601,6 @@ impl SearchSystem {
         );
     }
 
-    /// Advance the simulation to `horizon` (events at exactly `horizon`
-    /// included), leaving later events queued. The sustained-load driver
-    /// interleaves this with [`SearchSystem::inject_query`] to admit
-    /// arrivals over time and observe completions as they happen.
-    pub fn run_until(&mut self, horizon: SimTime) {
-        self.sim.run_until(horizon);
-    }
-
     /// Run the simulation until no events remain.
     pub fn run_to_quiescence(&mut self) {
         self.sim.run();
@@ -625,13 +617,6 @@ impl SearchSystem {
     /// latency is `last_result`.
     pub fn issued_query(&self, origin: AgentId, qid: QueryId) -> Option<&IssuedQuery> {
         self.sim.agent(origin).issued.get(&qid)
-    }
-
-    /// Opt into the finite per-node processing capacity model (see
-    /// `simnet::Sim::set_service_time`). Off by default; sustained-load
-    /// scenarios enable it so offered rate can actually saturate nodes.
-    pub fn set_service_time(&mut self, per_message: Option<simnet::SimDuration>) {
-        self.sim.set_service_time(per_message);
     }
 
     /// [`SearchSystem::run_queries`] with caller-chosen issuing nodes:

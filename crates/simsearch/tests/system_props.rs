@@ -2,8 +2,8 @@
 //! of the system's knobs (load migration, rotation, naive routing,
 //! load-aware joins), distributed query answers must equal the
 //! brute-force reference — top-k by true distance among the objects
-//! whose index point falls in the query box — and entries must be
-//! conserved.
+//! whose index point falls in the query box — whether queries arrive
+//! seconds apart or many at once, and entries must be conserved.
 
 use std::sync::Arc;
 
@@ -11,7 +11,8 @@ use lph::Rect;
 use metric::ObjectId;
 use proptest::prelude::*;
 use simsearch::{
-    IndexSpec, LoadBalanceConfig, QueryDistance, QueryId, QuerySpec, SearchSystem, SystemConfig,
+    IndexSpec, LoadBalanceConfig, QueryDistance, QueryId, QueryOutcome, QuerySpec, SearchSystem,
+    SystemConfig,
 };
 
 const DIMS: usize = 2;
@@ -105,17 +106,20 @@ proptest! {
             load_aware_join: spec.load_aware,
             ..SystemConfig::default()
         };
-        let mut system = SearchSystem::build(
-            cfg,
-            &[IndexSpec {
-                name: format!("prop-{}", spec.seed),
-                boundary: vec![(0.0, BOUND); DIMS],
-                points: objs.clone(),
-                rotate: spec.rotate,
-                rotation: None,
-            }],
-            oracle,
-        );
+        let build = || {
+            SearchSystem::build(
+                cfg.clone(),
+                &[IndexSpec {
+                    name: format!("prop-{}", spec.seed),
+                    boundary: vec![(0.0, BOUND); DIMS],
+                    points: objs.clone(),
+                    rotate: spec.rotate,
+                    rotation: None,
+                }],
+                oracle.clone(),
+            )
+        };
+        let mut system = build();
         prop_assert_eq!(system.total_entries(0), spec.n_objects);
 
         let queries: Vec<QuerySpec> = qlist
@@ -127,33 +131,53 @@ proptest! {
                 truth: vec![],
             })
             .collect();
-        let outcomes = system.run_queries(&queries, 5.0);
+        let spaced = system.run_queries(&queries, 5.0);
         prop_assert_eq!(system.total_entries(0), spec.n_objects, "entries conserved");
+        // The same world and queries again, arriving every half
+        // millisecond on average: many queries in flight at once.
+        let dense = build().run_queries(&queries, 0.0005);
 
-        for (o, (center, r)) in outcomes.iter().zip(&qlist) {
-            // Brute force: objects whose point is inside the clipped box,
-            // ranked by true distance (ties by id), top knn_k.
-            let rect = Rect::ball(center, *r, &Rect::cube(DIMS, 0.0, BOUND));
-            let mut expect: Vec<(ObjectId, f64)> = objs
-                .iter()
-                .enumerate()
-                .filter(|(_, p)| rect.contains_point(p))
-                .map(|(i, p)| (ObjectId(i as u32), l2(center, p)))
-                .collect();
-            expect.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-            expect.truncate(knn_k);
-            let got: Vec<ObjectId> = o.results.iter().map(|&(id, _)| id).collect();
-            let want: Vec<ObjectId> = expect.iter().map(|&(id, _)| id).collect();
-            prop_assert_eq!(
-                &got, &want,
-                "world {:?}: query at {:?} r={} wrong answers", spec, center, r
-            );
-            // Metric sanity.
-            prop_assert!(o.responses >= 1);
-            prop_assert!(o.max_latency_ms >= o.response_ms);
-            for w in o.results.windows(2) {
-                prop_assert!(w[0].1 <= w[1].1, "results must be sorted");
+        for outcomes in [&spaced, &dense] {
+            for (o, (center, r)) in outcomes.iter().zip(&qlist) {
+                // Brute force: objects whose point is inside the clipped
+                // box, ranked by true distance (ties by id), top knn_k.
+                let rect = Rect::ball(center, *r, &Rect::cube(DIMS, 0.0, BOUND));
+                let mut expect: Vec<(ObjectId, f64)> = objs
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, p)| rect.contains_point(p))
+                    .map(|(i, p)| (ObjectId(i as u32), l2(center, p)))
+                    .collect();
+                expect.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+                expect.truncate(knn_k);
+                let got: Vec<ObjectId> = o.results.iter().map(|&(id, _)| id).collect();
+                let want: Vec<ObjectId> = expect.iter().map(|&(id, _)| id).collect();
+                prop_assert_eq!(
+                    &got, &want,
+                    "world {:?}: query at {:?} r={} wrong answers", spec, center, r
+                );
+                // Metric sanity.
+                prop_assert!(o.responses >= 1);
+                prop_assert!(o.max_latency_ms >= o.response_ms);
+                for w in o.results.windows(2) {
+                    prop_assert!(w[0].1 <= w[1].1, "results must be sorted");
+                }
             }
+        }
+        // Overlapping queries neither share nor lose work: each one's
+        // answer and costs equal its run alone.
+        let cost = |o: &QueryOutcome| {
+            (
+                o.results.clone(),
+                o.query_msgs,
+                o.query_bytes,
+                o.result_bytes,
+                o.hops,
+                o.responses,
+            )
+        };
+        for (s, d) in spaced.iter().zip(&dense) {
+            prop_assert_eq!(cost(s), cost(d), "world {:?}: query {} differs when dense", spec, s.qid);
         }
     }
 
