@@ -14,8 +14,8 @@
 //! * plain recall = 1.0 and churn recall >= `MIN_RECALL_CHURN` — the
 //!   prunes are exact and the resilience layer holds under faults;
 //! * the whole smoke sweep fits the `MAX_SMOKE_WALL_MS` budget — the
-//!   calendar queue, coordinate topology, and instant-ring builder
-//!   keep large overlays cheap.
+//!   event queue, coordinate topology, and instant-ring builder keep
+//!   large overlays cheap.
 
 use bench::fixture::peak_rss_kb;
 use bench::scale_report::{run_scale_point, ScaleFixture, ScalePoint};

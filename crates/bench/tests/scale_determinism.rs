@@ -4,8 +4,8 @@
 //! The 4096-node overlay sits above the dense-topology threshold, so
 //! this pins the whole large-N stack at once: the coordinate topology's
 //! on-demand RTTs, the parallel instant-ring builder (whose rayon
-//! chunking must not leak into results), the calendar event queue's pop
-//! order, and both workloads' full counter sets — everything except the
+//! chunking must not leak into results), the event queue's pop order,
+//! and both workloads' full counter sets — everything except the
 //! wall-clock/RSS `timing` block, which is excluded from
 //! `deterministic_json` by construction.
 

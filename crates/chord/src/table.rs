@@ -106,15 +106,6 @@ impl RoutingTable {
         }
     }
 
-    /// Replace the successor list wholesale (stabilization adopts the
-    /// successor's list shifted by one).
-    pub fn set_successors(&mut self, nodes: impl IntoIterator<Item = NodeRef>) {
-        self.successors.clear();
-        for n in nodes {
-            self.add_successor(n);
-        }
-    }
-
     /// Drop a node (believed failed) from every table slot.
     pub fn remove(&mut self, node: NodeRef) {
         self.successors.retain(|s| s.id != node.id);

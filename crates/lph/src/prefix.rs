@@ -104,11 +104,6 @@ impl Prefix {
         (self.key, self.key | Self::low_mask(self.len))
     }
 
-    /// The highest key sharing this prefix.
-    pub fn high_key(&self) -> u64 {
-        self.key | Self::low_mask(self.len)
-    }
-
     /// Iterate the bits of the prefix from the most significant.
     pub fn bits(&self) -> impl Iterator<Item = u8> + '_ {
         (1..=self.len).map(move |pos| self.bit(pos))

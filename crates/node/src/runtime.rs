@@ -181,7 +181,9 @@ pub struct ServerOpts {
 /// indexes up by the index byte, and [`StoredL2`] refines from the
 /// ball's center and the stored points, so every sub-query must carry a
 /// ball and every center, rect and point must match the grid's `dims`.
-fn admissible(msg: &SearchMsg, indexes: usize, dims: usize) -> Result<(), String> {
+/// Routing splits a sub-query's prefix one bit deeper, so no prefix may
+/// be longer than the grid's `depth`.
+fn admissible(msg: &SearchMsg, indexes: usize, dims: usize, depth: u32) -> Result<(), String> {
     let index = |i: u8| {
         (usize::from(i) < indexes)
             .then_some(())
@@ -197,7 +199,11 @@ fn admissible(msg: &SearchMsg, indexes: usize, dims: usize) -> Result<(), String
         let ball = sq.ball.as_ref();
         let ball = ball.ok_or_else(|| format!("query {} carries no ball", sq.qid))?;
         dims_of("ball center", ball.center.len())?;
-        dims_of("query rect", sq.rect.dims())
+        dims_of("query rect", sq.rect.dims())?;
+        let len = sq.prefix.len();
+        (len <= depth)
+            .then_some(())
+            .ok_or_else(|| format!("{len}-bit prefix in a depth-{depth} grid"))
     };
     let never = |what: &str| Err(format!("{what} is never sent by this node"));
     match msg {
@@ -937,9 +943,13 @@ impl Runtime {
                 ));
             }
             (Link::PeerIn(from), Frame::Search(msg)) => {
-                admissible(&msg, self.node.indexes.len(), self.scenario.dims).map_err(|why| {
-                    format!("peer {from} sent an inadmissible search frame: {why}")
-                })?;
+                admissible(
+                    &msg,
+                    self.node.indexes.len(),
+                    self.scenario.dims,
+                    self.scenario.depth,
+                )
+                .map_err(|why| format!("peer {from} sent an inadmissible search frame: {why}"))?;
                 self.feed(Input::Message {
                     from: AgentId(from),
                     msg,

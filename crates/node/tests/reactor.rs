@@ -461,7 +461,7 @@ fn connection_churn_leaks_nothing_and_disturbs_nobody() {
 fn an_inadmissible_peer_frame_kills_only_its_connection() {
     let cluster = Cluster::spawn(1);
     let mut good = Client::connect(&cluster.addrs[0]).expect("well-behaved client");
-    // The node's grid is the default scenario's: 3-d, one index.
+    // The node's grid is the default scenario's: 3-d, depth 12, one index.
     let sq = |index: u8, rect_dims: usize, center: Option<Vec<f64>>| SubQueryMsg {
         qid: 7,
         index,
@@ -522,6 +522,13 @@ fn an_inadmissible_peer_frame_kills_only_its_connection() {
         (
             "a sub-query into index 1",
             SearchMsg::Refine(sq(1, 3, ball())),
+        ),
+        (
+            "a 13-bit prefix",
+            SearchMsg::Route(vec![SubQueryMsg {
+                prefix: Prefix::of_key(0, 13),
+                ..sq(0, 3, ball())
+            }]),
         ),
         (
             "a publish into index 9",

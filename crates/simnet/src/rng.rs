@@ -48,11 +48,6 @@ impl SimRng {
         }
     }
 
-    /// The root seed this generator (or its ancestor) was created from.
-    pub fn root_seed(&self) -> u64 {
-        self.seed
-    }
-
     /// Derive an independent stream identified by `stream`.
     ///
     /// Forks with distinct stream ids from the same parent are

@@ -2,7 +2,7 @@
 //!
 //! The zero-copy audit (`send_is_zero_copy_without_dup_faults`) pins the
 //! *clone* count; this binary pins the *allocator* itself: once the
-//! event queue's buckets have grown to the workload's working set, a
+//! event queue's heap has grown to the workload's working set, a
 //! send → queue → deliver cycle is moves all the way through. At 100k
 //! nodes the simulator processes hundreds of millions of deliveries, so
 //! a single per-delivery allocation would put the global allocator at
@@ -59,9 +59,10 @@ impl Agent for Forwarder {
 fn steady_state_delivery_does_not_allocate() {
     const BATCH: usize = 500;
 
-    // Zero RTT keeps every event in one calendar bucket, so the warm-up
-    // batch grows that bucket's heap to the working-set size once.
-    let topo = Topology::uniform(2, SimTime::ZERO);
+    // A real 100 ms RTT spreads the deliveries over simulated time; the
+    // warm-up batch grows the queue's one heap to the working-set size
+    // once, however far ahead each delivery lands.
+    let topo = Topology::uniform(2, SimTime::from_millis(100));
     let agents = vec![Forwarder { received: 0 }, Forwarder { received: 0 }];
     let mut sim = Sim::new(topo, agents, 42);
 
