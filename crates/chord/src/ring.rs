@@ -123,7 +123,7 @@ impl OracleRing {
         }
         t.set_predecessor(Some(self.prev_of(i)));
         for s in 1..=n_successors.min(n - 1) {
-            t.add_successor(self.nodes[(i + s) % n]);
+            t.put_successor(self.nodes[(i + s) % n]);
         }
         for row in 0..FINGER_ROWS {
             let start = me.id.finger_start(row as u32);
@@ -154,8 +154,10 @@ impl OracleRing {
                     idx = (idx + 1) % n;
                 }
             }
-            t.set_finger(row, Some(chosen));
+            t.put_finger(row, Some(chosen));
         }
+        // Fill first, then derive the next-hop list once.
+        t.rebuild_hops();
         t
     }
 

@@ -23,6 +23,12 @@ pub enum RouteDecision {
 
 /// A Chord node's routing table: finger table + successor list +
 /// predecessor (the composition the paper's footnote 4 describes).
+///
+/// Next hops are chosen from `hops`, a view of the entries rebuilt when
+/// they change: the fingers, then the successors, each distinct node once
+/// in first-seen order. Most finger rows repeat a few nodes, and skipping
+/// a repeat changes no choice: it has the same distance to the key, and
+/// the scan's strict `<` keeps the first one seen.
 #[derive(Clone, Debug)]
 pub struct RoutingTable {
     me: NodeRef,
@@ -30,6 +36,7 @@ pub struct RoutingTable {
     successors: Vec<NodeRef>,
     max_successors: usize,
     predecessor: Option<NodeRef>,
+    hops: Vec<NodeRef>,
 }
 
 impl RoutingTable {
@@ -42,6 +49,7 @@ impl RoutingTable {
             successors: Vec::new(),
             max_successors,
             predecessor: None,
+            hops: Vec::new(),
         }
     }
 
@@ -78,6 +86,13 @@ impl RoutingTable {
 
     /// Install finger `i`.
     pub fn set_finger(&mut self, i: usize, node: Option<NodeRef>) {
+        self.put_finger(i, node);
+        self.rebuild_hops();
+    }
+
+    /// [`Self::set_finger`] without rebuilding the next-hop list: a
+    /// caller filling a whole table calls [`Self::rebuild_hops`] once.
+    pub(crate) fn put_finger(&mut self, i: usize, node: Option<NodeRef>) {
         self.fingers[i] = node.filter(|n| n.id != self.me.id && n.addr != self.me.addr);
     }
 
@@ -90,18 +105,26 @@ impl RoutingTable {
     /// stale identity. Admitting it would make `closest_preceding` route
     /// a key to ourselves — a zero-delay self-send loop.
     pub fn add_successor(&mut self, node: NodeRef) {
+        if self.put_successor(node) {
+            self.rebuild_hops();
+        }
+    }
+
+    /// [`Self::add_successor`] without rebuilding the next-hop list; true if it changed.
+    pub(crate) fn put_successor(&mut self, node: NodeRef) -> bool {
         if node.id == self.me.id || node.addr == self.me.addr {
-            return;
+            return false;
         }
         let key = self.me.id.cw_dist(node.id);
         match self
             .successors
             .binary_search_by_key(&key, |s| self.me.id.cw_dist(s.id))
         {
-            Ok(_) => {}
+            Ok(_) => false,
             Err(pos) => {
                 self.successors.insert(pos, node);
                 self.successors.truncate(self.max_successors);
+                true
             }
         }
     }
@@ -117,19 +140,25 @@ impl RoutingTable {
         if self.predecessor == Some(node) {
             self.predecessor = None;
         }
+        self.rebuild_hops();
+    }
+
+    /// Recompute the next-hop list, without spare capacity (one per table),
+    /// from the fingers and successors — the one place that chain is written.
+    pub(crate) fn rebuild_hops(&mut self) {
+        self.hops.clear();
+        for &n in self.fingers.iter().flatten().chain(&self.successors) {
+            if !self.hops.contains(&n) {
+                self.hops.push(n);
+            }
+        }
+        self.hops.shrink_to_fit();
     }
 
     /// Every distinct node this table knows about (fingers, successors,
-    /// predecessor), unordered.
+    /// predecessor), by identifier.
     pub fn known_nodes(&self) -> Vec<NodeRef> {
-        let mut all: Vec<NodeRef> = self
-            .fingers
-            .iter()
-            .flatten()
-            .copied()
-            .chain(self.successors.iter().copied())
-            .chain(self.predecessor)
-            .collect();
+        let mut all: Vec<NodeRef> = self.hops.iter().copied().chain(self.predecessor).collect();
         all.sort_unstable_by_key(|n| n.id);
         all.dedup_by_key(|n| n.id);
         all
@@ -148,16 +177,16 @@ impl RoutingTable {
     /// largest identifier in `(me, key)`, or `me` itself when none
     /// exists (then `key ∈ (me, successor]` and the successor owns it).
     pub fn closest_preceding(&self, key: ChordId) -> NodeRef {
+        self.closest_live(key, |_| false)
+    }
+
+    /// [`Self::closest_preceding`] among the nodes `is_dead` does not
+    /// report: one pass over the next-hop list.
+    fn closest_live(&self, key: ChordId, is_dead: impl Fn(u64) -> bool) -> NodeRef {
         let mut best = self.me;
         let mut best_dist = u64::MAX; // cw distance from candidate to key; smaller = closer before key
-        let candidates = self
-            .fingers
-            .iter()
-            .flatten()
-            .copied()
-            .chain(self.successors.iter().copied());
-        for c in candidates {
-            if c.id.in_open(self.me.id, key) {
+        for &c in &self.hops {
+            if c.id.in_open(self.me.id, key) && !is_dead(c.id.0) {
                 let d = c.id.cw_dist(key);
                 if d < best_dist {
                     best_dist = d;
@@ -186,26 +215,7 @@ impl RoutingTable {
         if self.owns(key) {
             return RouteDecision::Local;
         }
-        let mut best = self.me;
-        let mut best_dist = u64::MAX;
-        let candidates = self
-            .fingers
-            .iter()
-            .flatten()
-            .copied()
-            .chain(self.successors.iter().copied());
-        for c in candidates {
-            if is_dead(c.id.0) {
-                continue;
-            }
-            if c.id.in_open(self.me.id, key) {
-                let d = c.id.cw_dist(key);
-                if d < best_dist {
-                    best_dist = d;
-                    best = c;
-                }
-            }
-        }
+        let best = self.closest_live(key, &is_dead);
         if best.id == self.me.id {
             match self.successors.iter().find(|s| !is_dead(s.id.0)) {
                 // No live node precedes the key: the first live successor

@@ -162,22 +162,7 @@ impl Grid {
             self.bounds.contains_rect(rect),
             "query region must be clipped to the index-space boundary"
         );
-        let mut p = Prefix::ROOT;
-        let mut cell = self.bounds.clone();
-        while p.len() < self.depth {
-            let j = self.split_dim(p.len() + 1);
-            let mid = 0.5 * (cell.lo()[j] + cell.hi()[j]);
-            if rect.hi()[j] <= mid {
-                cell.set_dim(j, cell.lo()[j], mid);
-                p = p.child(0);
-            } else if rect.lo()[j] > mid {
-                cell.set_dim(j, mid, cell.hi()[j]);
-                p = p.child(1);
-            } else {
-                break;
-            }
-        }
-        p
+        self.descend(rect, Prefix::ROOT).0
     }
 
     /// The inclusive span `[hash(rect.lo()), hash(rect.hi())]` of hash
@@ -204,6 +189,44 @@ impl Grid {
         (self.hash(rect.lo()), self.hash(rect.hi()))
     }
 
+    /// Algorithm 4's recursive refinement: deepen `prefix` while `rect`
+    /// lies in one half of the next division. Returns the prefix reached
+    /// and, unless that prefix is full depth, the cut of the division
+    /// that straddles `rect`: the dimension it halves and its midpoint.
+    ///
+    /// Nothing is copied: each dimension's interval narrows in place by
+    /// the midpoint arithmetic [`Grid::dim_interval`] replays, so every
+    /// midpoint, and the result, is bit for bit what a chain of
+    /// [`Grid::split`] calls reaches (for any `rect`, in its cell or not).
+    pub fn descend(&self, rect: &Rect, mut prefix: Prefix) -> (Prefix, Option<(usize, f64)>) {
+        assert!(prefix.len() <= self.depth, "prefix deeper than the grid");
+        let mut intervals: Vec<(f64, f64)> = (0..self.dims())
+            .map(|j| self.dim_interval(prefix, j))
+            .collect();
+        while prefix.len() < self.depth {
+            let j = self.split_dim(prefix.len() + 1);
+            let (l, h) = intervals[j];
+            let mid = 0.5 * (l + h);
+            let Some(bit) = half(rect, j, mid) else {
+                return (prefix, Some((j, mid)));
+            };
+            intervals[j] = if bit == 1 { (mid, h) } else { (l, mid) };
+            prefix = prefix.child(bit);
+        }
+        (prefix, None)
+    }
+
+    /// Division `prefix.len() + 1` as `rect` meets it: the dimension it
+    /// halves, its midpoint, and the half holding `rect` — `Some(0)`
+    /// lower, `Some(1)` upper — or `None` when the midpoint cuts `rect`.
+    pub fn division(&self, rect: &Rect, prefix: Prefix) -> (usize, f64, Option<u8>) {
+        assert!(prefix.len() < self.depth, "cannot split beyond grid depth");
+        let j = self.split_dim(prefix.len() + 1);
+        let (l, h) = self.dim_interval(prefix, j);
+        let mid = 0.5 * (l + h);
+        (j, mid, half(rect, j, mid))
+    }
+
     /// One division of Algorithm 4: refine `q` at division
     /// `q.prefix.len() + 1`.
     ///
@@ -212,47 +235,25 @@ impl Grid {
     /// * Otherwise the region splits at the midpoint into a lower and an
     ///   upper fragment — returns `(lower, Some(upper))`.
     ///
+    /// This copies the region once per fragment; routing uses
+    /// [`Grid::descend`] instead, which copies nothing until a cut.
+    ///
     /// Deviation from the paper's pseudocode: the lower-half test is
     /// `hi <= mid` rather than `hi < mid`, matching [`Grid::hash`]'s rule
     /// that points exactly on a midpoint belong to the lower half.
     pub fn split(&self, q: &SubQuery) -> (SubQuery, Option<SubQuery>) {
-        let p = q.prefix.len() + 1;
-        assert!(p <= self.depth, "cannot split beyond grid depth");
-        let j = self.split_dim(p);
-        let (l, h) = self.dim_interval(q.prefix, j);
-        let mid = 0.5 * (l + h);
-        if q.rect.lo()[j] > mid {
-            (
-                SubQuery {
-                    rect: q.rect.clone(),
-                    prefix: q.prefix.child(1),
-                },
-                None,
-            )
-        } else if q.rect.hi()[j] <= mid {
-            (
-                SubQuery {
-                    rect: q.rect.clone(),
-                    prefix: q.prefix.child(0),
-                },
-                None,
-            )
-        } else {
-            let mut lower = q.rect.clone();
-            lower.set_dim(j, q.rect.lo()[j], mid);
-            let mut upper = q.rect.clone();
-            upper.set_dim(j, mid, q.rect.hi()[j]);
-            (
-                SubQuery {
-                    rect: lower,
-                    prefix: q.prefix.child(0),
-                },
-                Some(SubQuery {
-                    rect: upper,
-                    prefix: q.prefix.child(1),
-                }),
-            )
+        let (j, mid, side) = self.division(&q.rect, q.prefix);
+        let piece = |bit: u8| SubQuery {
+            rect: q.rect.clone(),
+            prefix: q.prefix.child(bit),
+        };
+        if let Some(bit) = side {
+            return (piece(bit), None);
         }
+        let (mut lower, mut upper) = (piece(0), piece(1));
+        lower.rect.set_dim(j, q.rect.lo()[j], mid);
+        upper.rect.set_dim(j, mid, q.rect.hi()[j]);
+        (lower, Some(upper))
     }
 
     /// Fully decompose a query region into the set of depth-`level`
@@ -279,6 +280,21 @@ impl Grid {
             stack.push(a);
         }
         out
+    }
+}
+
+/// The half of division `(j, mid)` that holds `rect` — `1` when it lies
+/// above `mid`, `0` when at or below it — or `None` when `mid` cuts it.
+/// [`Grid::descend`], [`Grid::division`] and through them
+/// [`Grid::split`] and [`Grid::enclosing_prefix`] all decide here.
+#[inline]
+fn half(rect: &Rect, j: usize, mid: f64) -> Option<u8> {
+    if rect.lo()[j] > mid {
+        Some(1)
+    } else if rect.hi()[j] <= mid {
+        Some(0)
+    } else {
+        None
     }
 }
 

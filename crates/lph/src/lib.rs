@@ -15,8 +15,9 @@
 //! * [`Rect`] — an axis-aligned box in the index space;
 //! * [`Grid`] — the bisection grid: [`Grid::hash`] (Algorithm 2),
 //!   [`Grid::cell`] (prefix → cuboid), [`Grid::enclosing_prefix`]
-//!   (smallest cuboid holding a query region, §3.3 / figure 1a) and
-//!   [`Grid::split`] (the geometric core of Algorithm 4);
+//!   (smallest cuboid holding a query region, §3.3 / figure 1a),
+//!   [`Grid::descend`] (Algorithm 4's refinement down to the first cut,
+//!   copying nothing) and [`Grid::split`] (one division of it);
 //! * [`Rotation`] — the per-index random rotation offset used by the
 //!   static load-balancing scheme (§3.4, "space mapping rotation").
 //!

@@ -4,10 +4,12 @@
 ///
 /// Query regions (the hypercube of side `2r` around a mapped query point,
 /// paper §3.1) and cuboid cells are both represented as `Rect`s.
+///
+/// Both corners share one allocation (`lo` then `hi`), so copying a
+/// region — which query splitting does at every cut — allocates once.
 #[derive(Clone, PartialEq)]
 pub struct Rect {
-    lo: Box<[f64]>,
-    hi: Box<[f64]>,
+    corners: Box<[f64]>,
 }
 
 impl Rect {
@@ -23,9 +25,11 @@ impl Rect {
                 hi[d]
             );
         }
+        let mut corners = Vec::with_capacity(2 * lo.len());
+        corners.extend_from_slice(&lo);
+        corners.extend_from_slice(&hi);
         Rect {
-            lo: lo.into_boxed_slice(),
-            hi: hi.into_boxed_slice(),
+            corners: corners.into_boxed_slice(),
         }
     }
 
@@ -41,12 +45,12 @@ impl Rect {
         assert_eq!(center.len(), bounds.dims());
         let lo = center
             .iter()
-            .zip(bounds.lo.iter())
+            .zip(bounds.lo())
             .map(|(&c, &b)| (c - r).max(b))
             .collect::<Vec<_>>();
         let hi = center
             .iter()
-            .zip(bounds.hi.iter())
+            .zip(bounds.hi())
             .map(|(&c, &b)| (c + r).min(b))
             .collect::<Vec<_>>();
         // A query centred outside the bounds clips to a face point.
@@ -60,44 +64,46 @@ impl Rect {
 
     /// Number of dimensions.
     pub fn dims(&self) -> usize {
-        self.lo.len()
+        self.corners.len() / 2
     }
 
     /// Lower corner.
     pub fn lo(&self) -> &[f64] {
-        &self.lo
+        &self.corners[..self.dims()]
     }
 
     /// Upper corner.
     pub fn hi(&self) -> &[f64] {
-        &self.hi
+        &self.corners[self.dims()..]
     }
 
     /// Mutate one dimension's interval (used by query splitting).
     pub fn set_dim(&mut self, d: usize, lo: f64, hi: f64) {
         assert!(lo <= hi);
-        self.lo[d] = lo;
-        self.hi[d] = hi;
+        let k = self.dims();
+        self.corners[..k][d] = lo;
+        self.corners[k..][d] = hi;
     }
 
     /// True when `p` lies inside (closed) this box.
     pub fn contains_point(&self, p: &[f64]) -> bool {
         assert_eq!(p.len(), self.dims());
-        p.iter()
-            .enumerate()
-            .all(|(d, &x)| self.lo[d] <= x && x <= self.hi[d])
+        let (lo, hi) = (self.lo(), self.hi());
+        p.iter().enumerate().all(|(d, &x)| lo[d] <= x && x <= hi[d])
     }
 
     /// True when `other` is entirely inside this box.
     pub fn contains_rect(&self, other: &Rect) -> bool {
         assert_eq!(self.dims(), other.dims());
-        (0..self.dims()).all(|d| self.lo[d] <= other.lo[d] && other.hi[d] <= self.hi[d])
+        let (lo, hi, olo, ohi) = (self.lo(), self.hi(), other.lo(), other.hi());
+        (0..self.dims()).all(|d| lo[d] <= olo[d] && ohi[d] <= hi[d])
     }
 
     /// True when the two (closed) boxes share at least one point.
     pub fn intersects(&self, other: &Rect) -> bool {
         assert_eq!(self.dims(), other.dims());
-        (0..self.dims()).all(|d| self.lo[d] <= other.hi[d] && other.lo[d] <= self.hi[d])
+        let (lo, hi, olo, ohi) = (self.lo(), self.hi(), other.lo(), other.hi());
+        (0..self.dims()).all(|d| lo[d] <= ohi[d] && olo[d] <= hi[d])
     }
 
     /// The intersection box, or `None` when disjoint.
@@ -105,25 +111,22 @@ impl Rect {
         if !self.intersects(other) {
             return None;
         }
-        let lo = (0..self.dims())
-            .map(|d| self.lo[d].max(other.lo[d]))
-            .collect();
-        let hi = (0..self.dims())
-            .map(|d| self.hi[d].min(other.hi[d]))
-            .collect();
+        let (lo, hi, olo, ohi) = (self.lo(), self.hi(), other.lo(), other.hi());
+        let lo = (0..self.dims()).map(|d| lo[d].max(olo[d])).collect();
+        let hi = (0..self.dims()).map(|d| hi[d].min(ohi[d])).collect();
         Some(Rect::new(lo, hi))
     }
 
     /// Geometric center.
     pub fn center(&self) -> Vec<f64> {
-        (0..self.dims())
-            .map(|d| 0.5 * (self.lo[d] + self.hi[d]))
-            .collect()
+        let (lo, hi) = (self.lo(), self.hi());
+        (0..self.dims()).map(|d| 0.5 * (lo[d] + hi[d])).collect()
     }
 
     /// Product of side lengths (0 for degenerate boxes).
     pub fn volume(&self) -> f64 {
-        (0..self.dims()).map(|d| self.hi[d] - self.lo[d]).product()
+        let (lo, hi) = (self.lo(), self.hi());
+        (0..self.dims()).map(|d| hi[d] - lo[d]).product()
     }
 }
 
@@ -134,7 +137,7 @@ impl std::fmt::Debug for Rect {
             if d > 0 {
                 write!(f, " × ")?;
             }
-            write!(f, "[{}, {}]", self.lo[d], self.hi[d])?;
+            write!(f, "[{}, {}]", self.lo()[d], self.hi()[d])?;
         }
         write!(f, "]")
     }

@@ -6,7 +6,9 @@
 //! * enclosing prefix minimality — the region fits the prefix cuboid but
 //!   not either child (when a deeper division exists);
 //! * split soundness — fragments stay inside the parent region, union
-//!   covers it, prefixes deepen by exactly one bit.
+//!   covers it, prefixes deepen by exactly one bit;
+//! * descent exactness — `Grid::descend` reaches the prefix and cut a
+//!   chain of `Grid::split` calls reaches, bit for bit.
 
 use lph::{Grid, Prefix, Rect, Rotation, SubQuery};
 use proptest::prelude::*;
@@ -219,6 +221,103 @@ proptest! {
                 hi,
                 point
             );
+        }
+    }
+}
+
+/// A grid of dimensionality `k` (1..=8) and depth `depth` (1..=64) over
+/// the per-dimension bounds `spans` (start, width), a region inside it,
+/// and a prefix of `len` bits.
+///
+/// Per dimension, `corners` gives the region's low corner as a fraction
+/// of the span — pinned to 0, ¼, ½, ¾ or 1 when its selector is below 5,
+/// so regions starting on a midpoint or the boundary turn up often — and
+/// its width as a fraction scaled by 2^-(0..=63), so descents run from
+/// none to the full depth. The prefix is the region's own path (the
+/// leading bits of its low corner's hash) when `key` is even and the
+/// leading bits of `key` otherwise, which puts the region outside the
+/// prefix's cell.
+fn descent_case(
+    (k, depth): (usize, u32),
+    spans: &[(f64, f64)],
+    corners: &[(u8, f64, u8, f64)],
+    (len, key): (u32, u64),
+) -> (Grid, Rect, Prefix) {
+    let pinned = [0.0, 0.25, 0.5, 0.75, 1.0];
+    let lo: Vec<f64> = spans[..k].iter().map(|&(l, _)| l).collect();
+    let hi: Vec<f64> = spans[..k].iter().map(|&(l, w)| l + w).collect();
+    let at = |d: usize, f: f64| (lo[d] + f * (hi[d] - lo[d])).clamp(lo[d], hi[d]);
+    let (rlo, rhi) = (0..k)
+        .map(|d| {
+            let (sel, x, shift, w) = corners[d];
+            let start = pinned.get(sel as usize).copied().unwrap_or(x);
+            let width = w * 0.5f64.powi(i32::from(shift % 64));
+            (at(d, start), at(d, start + width))
+        })
+        .unzip();
+    let grid = Grid::new(Rect::new(lo.clone(), hi.clone()), depth);
+    let rect = Rect::new(rlo, rhi);
+    let path = if key % 2 == 0 {
+        grid.hash(rect.lo())
+    } else {
+        key
+    };
+    (grid, rect, Prefix::of_key(path, len % (depth + 1)))
+}
+
+/// The descent as a chain of `Grid::split` calls: deepen while a split
+/// leaves one piece, and report the cut (dimension, midpoint) of the
+/// first split that leaves two.
+fn split_chain(g: &Grid, rect: &Rect, prefix: Prefix) -> (Prefix, Option<(usize, u64)>) {
+    let mut q = SubQuery {
+        rect: rect.clone(),
+        prefix,
+    };
+    while q.prefix.len() < g.depth() {
+        match g.split(&q) {
+            (a, None) => q = a,
+            (lower, Some(upper)) => {
+                let j = g.split_dim(q.prefix.len() + 1);
+                assert_eq!(lower.rect.hi()[j].to_bits(), upper.rect.lo()[j].to_bits());
+                return (q.prefix, Some((j, upper.rect.lo()[j].to_bits())));
+            }
+        }
+    }
+    (q.prefix, None)
+}
+
+fn bits(r: &Rect) -> Vec<u64> {
+    r.lo().iter().chain(r.hi()).map(|x| x.to_bits()).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    #[test]
+    fn descend_matches_repeated_split(
+        k in 1usize..=8,
+        depth in 1u32..=64,
+        spans in prop::collection::vec((-100.0..100.0, 1e-3..200.0), 8),
+        corners in prop::collection::vec((0u8..10, 0.0..1.0, 0u8..64, 0.0..1.0), 8),
+        len in any::<u32>(),
+        key in any::<u64>(),
+    ) {
+        let (g, rect, prefix) = descent_case((k, depth), &spans, &corners, (len, key));
+        let (reached, cut) = g.descend(&rect, prefix);
+        let cut = cut.map(|(j, mid)| (j, mid.to_bits()));
+        prop_assert_eq!((reached, cut), split_chain(&g, &rect, prefix));
+        // From the root, the descent stops at the enclosing prefix.
+        let root = g.descend(&rect, Prefix::ROOT).0;
+        prop_assert_eq!(root, g.enclosing_prefix(&rect));
+        // Where the prefix's cell holds the region, a split's halves are
+        // the region cut by the children's cells, bit for bit.
+        for len in 0..=root.len().min(g.depth() - 1) {
+            let p = Prefix::of_key(root.key(), len);
+            let (a, b) = g.split(&SubQuery { rect: rect.clone(), prefix: p });
+            for piece in std::iter::once(a).chain(b) {
+                let expect = rect.intersection(&g.cell(piece.prefix)).expect("touches its cell");
+                prop_assert_eq!(bits(&piece.rect), bits(&expect), "prefix {}", piece.prefix);
+            }
         }
     }
 }

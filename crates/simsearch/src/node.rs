@@ -26,7 +26,7 @@ use crate::msg::{
 };
 use crate::overlay::{FailureAware, OverlayTable};
 use crate::resilience::{ResilienceConfig, SuspicionSet};
-use crate::routing::{route_subquery, route_subquery_traced, surrogate_refine_traced, Action};
+use crate::routing::{refine_into, route_into, Action};
 use crate::store::{Entry, Store};
 use crate::telemetry::{Telemetry, TraceEvent};
 
@@ -97,7 +97,12 @@ impl Hasher for IdHasher {
 /// `partition_point`'s precondition for every later entry.
 fn insert_ranked(ranked: &mut Vec<(ObjectId, f64)>, hit: (ObjectId, f64), k: usize) {
     let (obj, d) = hit;
-    let pos = ranked.partition_point(|&(o, x)| x.total_cmp(&d).then(o.cmp(&obj)).is_lt());
+    let precedes = |&(o, x): &(ObjectId, f64)| x.total_cmp(&d).then(o.cmp(&obj)).is_lt();
+    // A full list the hit does not beat: one comparison, the common case.
+    if ranked.len() >= k && ranked.last().is_none_or(precedes) {
+        return;
+    }
+    let pos = ranked.partition_point(precedes);
     if pos < k {
         ranked.insert(pos, hit);
         ranked.truncate(k);
@@ -382,12 +387,9 @@ impl SearchNode {
             let ix = &self.indexes[sq.index as usize];
             let qid = sq.qid;
             let mut sink = |ev| self.telemetry.record_routing(qid, me, ev);
-            let routed = if refine {
-                surrogate_refine_traced(table, &ix.grid, ix.rotation, sq, split, &mut sink)
-            } else {
-                route_subquery_traced(table, &ix.grid, ix.rotation, sq, split, &mut sink)
-            };
-            actions.extend(routed);
+            let (grid, rot) = (&ix.grid, ix.rotation);
+            let route = if refine { refine_into } else { route_into };
+            route(table, grid, rot, sq, split, &mut sink, &mut actions);
         }
         self.execute(ctx, actions);
     }
@@ -634,13 +636,10 @@ impl SearchNode {
         // hash is monotone; see `lph::Grid::key_span`), so the ordered
         // store is binary-searched down to that span instead of scanned
         // end to end.
-        let spans: Vec<(u64, u64)> = fragments
-            .iter()
-            .map(|f| {
-                let (lo, hi) = ix.grid.key_span(&f.rect);
-                (ix.rotation.to_ring(lo), ix.rotation.to_ring(hi))
-            })
-            .collect();
+        let span = |f: &SubQueryMsg| {
+            let (lo, hi) = ix.grid.key_span(&f.rect);
+            (ix.rotation.to_ring(lo), ix.rotation.to_ring(hi))
+        };
         // Collect matching entries over all fragments, each object once
         // however many fragments (a point on a split face lies in both
         // halves) or stored copies (an object published twice) or replica
@@ -650,22 +649,19 @@ impl SearchNode {
         // stored vector, borrowed for refinement; candidates provably
         // outside the metric range are dropped before refinement.
         let bounds = ix.grid.bounds();
-        let scans: Vec<_> = fragments
-            .iter()
-            .zip(&spans)
-            .map(|(f, span)| ix.store.scan_range(&f.rect, *span))
-            .collect();
+        let mut hits = Vec::new();
+        let (mut scanned, mut matched, mut skipped) = (0u64, 0u64, 0u64);
+        for f in fragments {
+            let work = ix.store.scan_into(&f.rect, span(f), &mut hits);
+            scanned += work.scanned as u64;
+            matched += work.matched as u64;
+            skipped += work.skipped as u64;
+        }
         // Sized up front: growing a hash set rehashes it again and again.
         let mut seen: HashSet<ObjectId, BuildHasherDefault<IdHasher>> =
-            HashSet::with_capacity_and_hasher(
-                scans.iter().map(|(hits, _)| hits.len()).sum(),
-                Default::default(),
-            );
+            HashSet::with_capacity_and_hasher(hits.len(), Default::default());
         let mut cands: Vec<(ObjectId, Option<f64>, &'s [f64])> = Vec::new();
         let mut pruned = 0u64;
-        let mut scanned = 0u64;
-        let mut matched = 0u64;
-        let mut skipped = 0u64;
         // The pivot lower bound of one new candidate, computed once: it
         // is both the range test here and the k-th-best test below. The
         // range test cannot fire while the fragment's rect lies inside
@@ -683,14 +679,8 @@ impl SearchNode {
             cands.push((obj, lb, point));
             true
         };
-        for (hits, work) in scans {
-            scanned += work.scanned as u64;
-            matched += work.matched as u64;
-            skipped += work.skipped as u64;
-            for e in hits {
-                if !seen.insert(e.obj) {
-                    continue;
-                }
+        for e in hits {
+            if seen.insert(e.obj) {
                 admit(e.obj, e.point);
             }
         }
@@ -699,8 +689,8 @@ impl SearchNode {
         // suspicion is false — the origin deduplicates by object.
         let mut replica_answers = 0u64;
         if resilient && !self.suspected.is_empty() {
-            for (f, span) in fragments.iter().zip(&spans) {
-                let (reps, _) = ix.store.replicas_in_span(*span);
+            for f in fragments {
+                let (reps, _) = ix.store.replicas_in_span(span(f));
                 for (owner, e) in reps {
                     if !self.suspected.contains(*owner) || !f.rect.contains_point(&e.point) {
                         continue;
@@ -793,7 +783,8 @@ impl SearchNode {
                 prefix: part.prefix,
                 ..sq.clone()
             };
-            actions.extend(route_subquery(&self.table, &grid, rot, frag, false));
+            let table = &self.table;
+            route_into(table, &grid, rot, frag, false, &mut |_| {}, &mut actions);
         }
         self.execute(ctx, actions);
     }

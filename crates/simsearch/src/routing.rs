@@ -20,9 +20,17 @@
 //!   owning the query's `prefix_key`, peel off the sub-cuboids whose key
 //!   ranges exceed the node's identifier (walking the node id's 0-bits)
 //!   and re-route them; answer the remainder locally.
+//!
+//! Neither copies a fragment except where a division cuts it. The
+//! descent ([`lph::Grid::descend`]) only reads the region while the
+//! prefix deepens; a cut clones the fragment once for its lower half and
+//! moves the original into its upper half; and the recursion appends
+//! every action to one buffer (`route_into` / `refine_into`, which
+//! [`crate::node`] calls directly) instead of collecting a vector per
+//! level.
 
 use chord::RouteDecision;
-use lph::{Grid, Prefix, Rotation, SubQuery};
+use lph::{Grid, Prefix, Rotation};
 
 use crate::msg::SubQueryMsg;
 use crate::overlay::OverlayTable;
@@ -81,41 +89,6 @@ pub enum RoutingEvent {
 /// The observer the `*_traced` routing functions report to.
 pub type RoutingSink<'a> = &'a mut dyn FnMut(RoutingEvent);
 
-/// Result of Algorithm 4's recursive descent from a subquery's current
-/// prefix: either the query fits a single deepest cuboid (no split
-/// needed up to full depth), or it straddles a division — then we have
-/// the deepened common parent and the two halves.
-enum Descent {
-    Leaf(SubQuery),
-    Split {
-        parent: SubQuery,
-        lower: SubQuery,
-        upper: SubQuery,
-    },
-}
-
-/// Algorithm 4 with the paper's recursive refinement: descend while the
-/// region lies in one half; stop at the first straddling division (or at
-/// full depth).
-fn descend_and_split(grid: &Grid, sq: SubQuery) -> Descent {
-    let mut q = sq;
-    loop {
-        if q.prefix.len() == grid.depth() {
-            return Descent::Leaf(q);
-        }
-        match grid.split(&q) {
-            (a, None) => q = a,
-            (lower, Some(upper)) => {
-                return Descent::Split {
-                    parent: q,
-                    lower,
-                    upper,
-                }
-            }
-        }
-    }
-}
-
 /// The address a key would be sent to next from this node — the paper's
 /// `nexthop` (footnote 4), used only to decide whether two subqueries
 /// share their next hop. The node itself is returned when it owns the
@@ -128,12 +101,16 @@ fn hop_target<T: OverlayTable + ?Sized>(table: &T, ring_key: u64) -> simnet::Age
     }
 }
 
-fn with_geometry(msg: &SubQueryMsg, geo: SubQuery) -> SubQueryMsg {
-    SubQueryMsg {
-        rect: geo.rect,
-        prefix: geo.prefix,
-        ..msg.clone()
-    }
+/// Cut `sq` at `mid` on dimension `dim` into the two children of
+/// `parent`. The one copy: the lower half is a clone, the upper half is
+/// `sq` itself.
+fn cut(mut sq: SubQueryMsg, parent: Prefix, dim: usize, mid: f64) -> (SubQueryMsg, SubQueryMsg) {
+    let mut lower = sq.clone();
+    lower.prefix = parent.child(0);
+    lower.rect.set_dim(dim, sq.rect.lo()[dim], mid);
+    sq.prefix = parent.child(1);
+    sq.rect.set_dim(dim, mid, sq.rect.hi()[dim]);
+    (lower, sq)
 }
 
 /// Algorithm 3 — `QueryRouting`.
@@ -164,78 +141,73 @@ pub fn route_subquery_traced<T: OverlayTable + ?Sized>(
     sink: RoutingSink<'_>,
 ) -> Vec<Action> {
     let mut out = Vec::new();
-    let mut work: Vec<SubQueryMsg> = Vec::with_capacity(2);
-    if !split || sq.prefix.len() == grid.depth() {
-        work.push(sq);
-    } else {
-        let geo = SubQuery {
-            rect: sq.rect.clone(),
-            prefix: sq.prefix,
-        };
-        match descend_and_split(grid, geo) {
-            Descent::Leaf(q) => work.push(with_geometry(&sq, q)),
-            Descent::Split {
-                parent,
-                lower,
-                upper,
-            } => {
-                let n1 = hop_target(table, rot.to_ring(lower.prefix.key()));
-                let n2 = hop_target(table, rot.to_ring(upper.prefix.key()));
-                if n1 == n2 {
-                    // Shared path: keep the query whole (the descended
-                    // common parent) — one message instead of two.
-                    sink(RoutingEvent::SharedPath {
-                        prefix_len: parent.prefix.len(),
-                    });
-                    work.push(with_geometry(&sq, parent));
-                } else {
-                    sink(RoutingEvent::Split {
-                        prefix_len: parent.prefix.len(),
-                    });
-                    work.push(with_geometry(&sq, lower));
-                    work.push(with_geometry(&sq, upper));
-                }
-            }
-        }
-    }
-    for q in work {
-        let ring_key = chord::ChordId(rot.to_ring(q.prefix.key()));
-        match table.decide(ring_key) {
-            RouteDecision::Local => {
-                // This node owns the prefix key: refine right here.
-                sink(RoutingEvent::LocalRefine {
-                    prefix_len: q.prefix.len(),
-                });
-                out.extend(surrogate_refine_traced(
-                    table, grid, rot, q, split, &mut *sink,
-                ));
-            }
-            // A table may name *us* as the surrogate (stale entries, or
-            // failure-aware fallback when we are the only live node). A
-            // hand-off to ourselves would be a wire message to nowhere —
-            // refine locally instead.
-            RouteDecision::Surrogate(s) if s.addr == table.me_ref().addr => {
-                sink(RoutingEvent::LocalRefine {
-                    prefix_len: q.prefix.len(),
-                });
-                out.extend(surrogate_refine_traced(
-                    table, grid, rot, q, split, &mut *sink,
-                ));
-            }
-            RouteDecision::Surrogate(s) => out.push(Action::Handoff { to: s.addr, sq: q }),
-            // Same audit for forwards: never emit a message to self.
-            RouteDecision::Forward(n) if n.addr == table.me_ref().addr => {
-                sink(RoutingEvent::LocalRefine {
-                    prefix_len: q.prefix.len(),
-                });
-                out.extend(surrogate_refine_traced(
-                    table, grid, rot, q, split, &mut *sink,
-                ));
-            }
-            RouteDecision::Forward(n) => out.push(Action::Forward { to: n.addr, sq: q }),
-        }
-    }
+    route_into(table, grid, rot, sq, split, sink, &mut out);
     out
+}
+
+/// [`route_subquery_traced`], appending its actions to `out`.
+pub(crate) fn route_into<T: OverlayTable + ?Sized>(
+    table: &T,
+    grid: &Grid,
+    rot: Rotation,
+    mut sq: SubQueryMsg,
+    split: bool,
+    sink: RoutingSink<'_>,
+    out: &mut Vec<Action>,
+) {
+    // Algorithm 4: descend while the region lies in one half, up to the
+    // first division that cuts it (or full depth); the naive baseline
+    // routes the fragment as it is.
+    let descent = split.then(|| grid.descend(&sq.rect, sq.prefix));
+    let (parent, at) = descent.unwrap_or((sq.prefix, None));
+    sq.prefix = parent;
+    let Some((dim, mid)) = at else {
+        return dispatch(table, grid, rot, sq, split, sink, out);
+    };
+    let prefix_len = parent.len();
+    let n1 = hop_target(table, rot.to_ring(parent.child(0).key()));
+    let n2 = hop_target(table, rot.to_ring(parent.child(1).key()));
+    if n1 == n2 {
+        // Shared path: keep the descended query whole, one message.
+        sink(RoutingEvent::SharedPath { prefix_len });
+        dispatch(table, grid, rot, sq, split, sink, out);
+    } else {
+        sink(RoutingEvent::Split { prefix_len });
+        let (lower, upper) = cut(sq, parent, dim, mid);
+        dispatch(table, grid, rot, lower, split, &mut *sink, out);
+        dispatch(table, grid, rot, upper, split, sink, out);
+    }
+}
+
+/// Route one refined piece: refine it here when this node owns its
+/// prefix key, else hand it to the surrogate or forward it.
+fn dispatch<T: OverlayTable + ?Sized>(
+    table: &T,
+    grid: &Grid,
+    rot: Rotation,
+    q: SubQueryMsg,
+    split: bool,
+    sink: RoutingSink<'_>,
+    out: &mut Vec<Action>,
+) {
+    let me = table.me_ref().addr;
+    match table.decide(chord::ChordId(rot.to_ring(q.prefix.key()))) {
+        RouteDecision::Surrogate(s) if s.addr != me => {
+            out.push(Action::Handoff { to: s.addr, sq: q })
+        }
+        RouteDecision::Forward(n) if n.addr != me => {
+            out.push(Action::Forward { to: n.addr, sq: q })
+        }
+        // This node owns the prefix key, or the table names *us* as the
+        // next hop (stale entries, or failure-aware fallback when we are
+        // the only live node) — a message to nowhere: refine right here.
+        _ => {
+            sink(RoutingEvent::LocalRefine {
+                prefix_len: q.prefix.len(),
+            });
+            refine_into(table, grid, rot, q, split, sink, out);
+        }
+    }
 }
 
 /// First 0-bit position of `id` in bit positions `from..=to` (1-based
@@ -283,61 +255,82 @@ pub fn surrogate_refine_traced<T: OverlayTable + ?Sized>(
     split: bool,
     sink: RoutingSink<'_>,
 ) -> Vec<Action> {
-    let me_eff = rot.from_ring(table.me_ref().id.0);
-    let mut out = vec![Action::Answer(sq.clone())];
-    refine_rec(table, grid, rot, me_eff, sq, split, &mut out, sink);
+    let mut out = Vec::new();
+    refine_into(table, grid, rot, sq, split, sink, &mut out);
     out
 }
 
+/// [`surrogate_refine_traced`], appending its actions to `out`.
+pub(crate) fn refine_into<T: OverlayTable + ?Sized>(
+    table: &T,
+    grid: &Grid,
+    rot: Rotation,
+    sq: SubQueryMsg,
+    split: bool,
+    sink: RoutingSink<'_>,
+    out: &mut Vec<Action>,
+) {
+    let me_eff = rot.from_ring(table.me_ref().id.0);
+    // The answer goes first; the fragment is copied for it only when
+    // there is something to peel.
+    let Some(j) = peel_division(me_eff, sq.prefix, grid.depth()) else {
+        return out.push(Action::Answer(sq));
+    };
+    out.push(Action::Answer(sq.clone()));
+    peel(table, grid, rot, me_eff, sq, j, split, sink, out);
+}
+
+/// Where Algorithm 5 cuts the cuboid `prefix`: the division of the first
+/// 0 bit of `me_eff` past it. `None` — nothing to peel, the answer covers
+/// the cuboid — when the id leaves the prefix (line 1: the key range ends
+/// before the node) or has only 1s left (lines 5–8: its last key).
+fn peel_division(me_eff: u64, prefix: Prefix, depth: u32) -> Option<u32> {
+    if Prefix::of_key(me_eff, prefix.len()) != prefix {
+        return None;
+    }
+    first_zero_bit(me_eff, prefix.len() + 1, depth)
+}
+
+/// Lines 10–17 of Algorithm 5: deepen the prefix to the id's first
+/// `j - 1` bits (all 1s past the fragment's prefix), split at division
+/// `j`, where the id has its 0, and send on every piece past the node.
 #[allow(clippy::too_many_arguments)]
-fn refine_rec<T: OverlayTable + ?Sized>(
+fn peel<T: OverlayTable + ?Sized>(
     table: &T,
     grid: &Grid,
     rot: Rotation,
     me_eff: u64,
-    sq: SubQueryMsg,
+    mut sq: SubQueryMsg,
+    j: u32,
     split: bool,
-    out: &mut Vec<Action>,
     sink: RoutingSink<'_>,
+    out: &mut Vec<Action>,
 ) {
-    let plen = sq.prefix.len();
-    // Line 1: if the node id leaves the query cuboid's prefix, the whole
-    // cuboid's key range ends before the node — fully covered by the
-    // answer already emitted; nothing to peel.
-    if Prefix::of_key(me_eff, plen) != sq.prefix {
-        return;
-    }
-    // Lines 5–8: find the first 0 bit of the id past the prefix; if all
-    // remaining bits are 1 the node is the cuboid's last key — fully
-    // covered too.
-    let Some(j) = first_zero_bit(me_eff, plen + 1, grid.depth()) else {
-        return;
-    };
-    // Lines 10–12: deepen the prefix to the id's first j-1 bits (all 1s
-    // past plen) and split at division j, where the id has its 0.
-    let parent = SubQuery {
-        rect: sq.rect.clone(),
-        prefix: Prefix::of_key(me_eff, j - 1),
-    };
-    let (lower, upper) = grid.split(&parent);
-    let dispatch = |child: SubQuery, out: &mut Vec<Action>, sink: RoutingSink<'_>| {
-        let child_msg = with_geometry(&sq, child);
-        if Prefix::of_key(me_eff, child_msg.prefix.len()) == child_msg.prefix {
+    let parent = Prefix::of_key(me_eff, j - 1);
+    let next = |child: SubQueryMsg, out: &mut Vec<Action>, sink: RoutingSink<'_>| {
+        if Prefix::of_key(me_eff, child.prefix.len()) == child.prefix {
             // Lines 14–15: still on the id's path — keep peeling.
-            refine_rec(table, grid, rot, me_eff, child_msg, split, out, sink);
+            if let Some(j) = peel_division(me_eff, child.prefix, grid.depth()) {
+                peel(table, grid, rot, me_eff, child, j, split, sink, out);
+            }
         } else {
             // Line 17: keys past this node — back onto the DHT links.
             sink(RoutingEvent::RefinePeel {
-                prefix_len: child_msg.prefix.len(),
+                prefix_len: child.prefix.len(),
             });
-            out.extend(route_subquery_traced(
-                table, grid, rot, child_msg, split, sink,
-            ));
+            route_into(table, grid, rot, child, split, sink, out);
         }
     };
-    dispatch(lower, out, &mut *sink);
-    if let Some(upper) = upper {
-        dispatch(upper, out, sink);
+    match grid.division(&sq.rect, parent) {
+        (_, _, Some(bit)) => {
+            sq.prefix = parent.child(bit);
+            next(sq, out, sink);
+        }
+        (dim, mid, None) => {
+            let (lower, upper) = cut(sq, parent, dim, mid);
+            next(lower, out, &mut *sink);
+            next(upper, out, sink);
+        }
     }
 }
 

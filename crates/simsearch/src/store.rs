@@ -380,22 +380,34 @@ impl Store {
     pub fn scan_range<'a>(
         &'a self,
         rect: &Rect,
-        (lo, hi): (u64, u64),
+        span: (u64, u64),
     ) -> (Vec<EntryRef<'a>>, ScanStats) {
         let mut hits = Vec::new();
+        let stats = self.scan_into(rect, span, &mut hits);
+        (hits, stats)
+    }
+
+    /// [`Store::scan_range`], appending its hits to `hits`: a node
+    /// answering several fragments scans them all into one buffer.
+    pub fn scan_into<'a>(
+        &'a self,
+        rect: &Rect,
+        (lo, hi): (u64, u64),
+        hits: &mut Vec<EntryRef<'a>>,
+    ) -> ScanStats {
+        let before = hits.len();
         let mut scanned = 0;
         if lo <= hi {
-            self.scan_arc(rect, lo, hi, &mut hits, &mut scanned);
+            self.scan_arc(rect, lo, hi, hits, &mut scanned);
         } else {
-            self.scan_arc(rect, 0, hi, &mut hits, &mut scanned);
-            self.scan_arc(rect, lo, u64::MAX, &mut hits, &mut scanned);
+            self.scan_arc(rect, 0, hi, hits, &mut scanned);
+            self.scan_arc(rect, lo, u64::MAX, hits, &mut scanned);
         }
-        let stats = ScanStats {
+        ScanStats {
             scanned,
-            matched: hits.len(),
+            matched: hits.len() - before,
             skipped: self.len - scanned,
-        };
-        (hits, stats)
+        }
     }
 
     /// [`Store::scan_range`] over the non-wrapping key interval

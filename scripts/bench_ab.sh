@@ -26,7 +26,9 @@
 # `failed > 0`, or if a count metric (msgs_per_query,
 # wire_bytes_per_query) is not exactly equal in every run of both sides.
 # Writes nothing under benchmark/ except what run.sh itself leaves in
-# its git-ignored out/. Needs python3.
+# its git-ignored out/: a run.sh build rewrites benchmark/Cargo.lock, so
+# the lock is saved before the first run and put back on exit. Needs
+# python3.
 set -euo pipefail
 
 if [ $# -ne 4 ]; then
@@ -37,7 +39,9 @@ rev=$1 workload=$2 seed=$3 pairs=$4
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 tmp="$(mktemp -d)"
 base="$tmp/base"
-trap 'rm -rf "$tmp"' EXIT
+lock="$root/benchmark/Cargo.lock"
+cp "$lock" "$tmp/Cargo.lock"
+trap 'cp "$tmp/Cargo.lock" "$lock"; rm -rf "$tmp"' EXIT
 mkdir "$base"
 git -C "$root" archive "$rev" | tar -x -C "$base"
 seconds="$(python3 -c 'import json, sys; print(json.load(open(sys.argv[1]))["run_seconds"])' \
