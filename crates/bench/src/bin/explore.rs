@@ -22,7 +22,6 @@
 //!   --replicate R    retry/failover + publish to R successor replicas
 //!   --loss P         drop each message with probability P (e.g. 0.1)
 //!   --churn N        inject N crash/restart pairs across the workload
-//!   --explain        print a step-by-step trace of one query's resolution
 //!   --telemetry      after the sweep, print the run's telemetry summary,
 //!                    the recorded plan of query 0, and save the full
 //!                    snapshot under target/experiments/
@@ -34,12 +33,11 @@ use bench::{print_series, Row};
 use landmark::SelectionMethod;
 use simsearch::LoadBalanceConfig;
 
-fn parse_args() -> (Scale, SynthRun, Vec<f64>, bool, bool) {
+fn parse_args() -> (Scale, SynthRun, Vec<f64>, bool) {
     let mut scale = Scale::quick();
     scale.n_queries = 100;
     let mut run = SynthRun::new(SelectionMethod::KMeans, 10, None);
     let mut factors = vec![0.02, 0.05, 0.10];
-    let mut explain = false;
     let mut telemetry = false;
 
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -84,7 +82,6 @@ fn parse_args() -> (Scale, SynthRun, Vec<f64>, bool, bool) {
             }
             "--loss" => run.loss = value(&mut i).parse().expect("--loss"),
             "--churn" => run.churn = value(&mut i).parse().expect("--churn"),
-            "--explain" => explain = true,
             "--telemetry" => telemetry = true,
             "--help" | "-h" => {
                 println!("see the doc comment at the top of explore.rs for the knob list");
@@ -94,11 +91,11 @@ fn parse_args() -> (Scale, SynthRun, Vec<f64>, bool, bool) {
         }
         i += 1;
     }
-    (scale, run, factors, explain, telemetry)
+    (scale, run, factors, telemetry)
 }
 
 fn main() {
-    let (scale, run, factors, explain, telemetry) = parse_args();
+    let (scale, run, factors, telemetry) = parse_args();
     println!(
         "explore: {} nodes, {} objects, {} queries/factor, {}-{} landmarks{}{}{}",
         scale.n_nodes,
@@ -115,47 +112,6 @@ fn main() {
 
     eprintln!("generating dataset + ground truth ...");
     let setup = synth_setup(&scale);
-
-    if explain {
-        // Build the same system and trace the first query at the first
-        // range factor instead of running the whole sweep.
-        use landmark::{boundary_from_metric, Mapper};
-        use metric::L2;
-        use simsearch::{IndexSpec, SearchSystem, SystemConfig};
-        use std::sync::Arc;
-        let landmarks = bench::synth::select_landmarks(&setup, run.method, run.k, &scale);
-        let metric = L2::bounded(100, 0.0, 100.0);
-        let mapper = Mapper::new(metric, landmarks);
-        let points = mapper.map_all::<[f32], _>(&setup.dataset.objects);
-        let oracle: Arc<dyn simsearch::QueryDistance> =
-            Arc::new(|_q: simsearch::QueryId, _o: metric::ObjectId| 0.0);
-        let system = SearchSystem::build(
-            SystemConfig {
-                n_nodes: scale.n_nodes,
-                seed: scale.seed,
-                lb: run.lb,
-                ..SystemConfig::default()
-            },
-            &[IndexSpec {
-                name: "explore".into(),
-                boundary: boundary_from_metric(&metric, run.k).unwrap().dims,
-                points,
-                rotate: run.rotate,
-                rotation: None,
-            }],
-            oracle,
-        );
-        let qm = mapper.map(setup.qpoints[0].as_slice());
-        let radius = factors[0] * setup.dataset.max_distance();
-        let report = system.explain(0, &qm, radius, 0);
-        println!(
-            "
-query 0 at range factor {:.2}%:
-{report}",
-            factors[0] * 100.0
-        );
-        return;
-    }
 
     eprintln!("running ...");
     let (rows, loads, system) = run_synth_system(&scale, &setup, &run, &factors);

@@ -253,6 +253,22 @@ mod tests {
     }
 
     #[test]
+    fn successors_order_by_clockwise_distance() {
+        let mut rng = SimRng::new(6);
+        let ring = OracleRing::with_random_ids(12, &mut rng);
+        let table = ring.build_table(0, 8, None, 8);
+        let me = table.me();
+        let list = table.successors();
+        assert!(!list.is_empty());
+        for w in list.windows(2) {
+            assert!(me.id.cw_dist(w[0].id) <= me.id.cw_dist(w[1].id));
+        }
+        // The first entry is the ring successor.
+        let pos = ring.nodes().iter().position(|n| n.id == me.id).unwrap();
+        assert_eq!(list[0].id, ring.next_of(pos).id);
+    }
+
+    #[test]
     fn greedy_routing_reaches_owner_in_log_hops() {
         let mut rng = SimRng::new(3);
         let r = OracleRing::with_random_ids(256, &mut rng);

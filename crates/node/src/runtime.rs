@@ -66,11 +66,12 @@
 //!
 //! ## Per-query state
 //!
-//! A node holds three things per query: the origin's
-//! [`SearchNode::issued`] record, which reports read; a cost-ledger row;
-//! and a telemetry trace, which the stats reply summarises. It keeps
-//! them for the [`QUERY_WINDOW`] newest queries by first touch at this
-//! node (an issue, or the first message sent on the query's behalf),
+//! A node holds two things per query: the origin's
+//! [`SearchNode::issued`] record, which reports read, and a telemetry
+//! trace, which records what the query cost here and which the stats
+//! reply summarises. It keeps them for the [`QUERY_WINDOW`] newest
+//! queries by first touch at this node (the first event on the query's
+//! trace: an issue, a routing step or a message sent on its behalf),
 //! and after each input retires whatever is older, so memory and the
 //! stats reply follow the queries in flight, not every query served.
 //! Counters and histograms are run totals and are never retired.
@@ -109,7 +110,9 @@
 //! whose center, rect or point has the wrong dimensionality, or whose
 //! index byte is out of range, is a protocol violation. So is any
 //! variant but the four a node sends (`Route`, `Refine`, `Results`,
-//! `Publish`).
+//! `Publish`), and a `Route` whose fragments name more than one query:
+//! a node batches one query's fragments only, and a trace attributes a
+//! batch to its first fragment's query.
 
 #[cfg(not(target_os = "linux"))]
 compile_error!("the node runtime waits on its sockets with epoll(7) and needs a Linux target");
@@ -182,7 +185,8 @@ pub struct ServerOpts {
 /// ball's center and the stored points, so every sub-query must carry a
 /// ball and every center, rect and point must match the grid's `dims`.
 /// Routing splits a sub-query's prefix one bit deeper, so no prefix may
-/// be longer than the grid's `depth`.
+/// be longer than the grid's `depth`. A node batches fragments of one
+/// query only, so a `Route` may name one query id.
 fn admissible(msg: &SearchMsg, indexes: usize, dims: usize, depth: u32) -> Result<(), String> {
     let index = |i: u8| {
         (usize::from(i) < indexes)
@@ -207,7 +211,13 @@ fn admissible(msg: &SearchMsg, indexes: usize, dims: usize, depth: u32) -> Resul
     };
     let never = |what: &str| Err(format!("{what} is never sent by this node"));
     match msg {
-        SearchMsg::Route(subs) => subs.iter().try_for_each(subquery),
+        SearchMsg::Route(subs) => {
+            if let Some(other) = subs.iter().find(|sq| sq.qid != subs[0].qid) {
+                let first = subs[0].qid;
+                return Err(format!("a route naming queries {first} and {}", other.qid));
+            }
+            subs.iter().try_for_each(subquery)
+        }
         SearchMsg::Refine(sq) => subquery(sq),
         SearchMsg::Publish {
             index: i, entry, ..

@@ -538,6 +538,16 @@ fn an_inadmissible_peer_frame_kills_only_its_connection() {
                 hops: 0,
             },
         ),
+        (
+            "a route naming two queries",
+            SearchMsg::Route(vec![
+                sq(0, 3, ball()),
+                SubQueryMsg {
+                    qid: 8,
+                    ..sq(0, 3, ball())
+                },
+            ]),
+        ),
     ];
     let peer = |msg: SearchMsg| {
         let mut conn = cluster.raw(0);
@@ -829,8 +839,8 @@ fn a_parked_request_dies_with_its_connection() {
 /// that one query, not for every id below it.
 #[test]
 fn a_query_id_near_the_top_costs_one_query_of_memory() {
-    /// Peak resident set a node may reach; a ledger row for every qid
-    /// up to 2^24 alone is ~400 MB.
+    /// Peak resident set a node may reach; a dense per-qid record for
+    /// every id up to 2^24 alone is ~400 MB.
     const MAX_HWM_KB: u64 = 64 * 1024;
     let cluster = Cluster::spawn(2);
     let mut client = Client::connect(&cluster.addrs[0]).expect("client");

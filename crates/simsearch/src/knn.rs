@@ -11,9 +11,9 @@
 //! > `d < d_k <= r` and the range resolution (which is exact, see
 //! > `tests/coverage.rs`) would have returned it.
 //!
-//! Every round reuses the same query id, so the per-query bandwidth
-//! accounting naturally accumulates the *total* cost of the k-NN
-//! conversation, which is what [`KnnOutcome`] reports.
+//! Every round reuses the same query id, so the query's trace — started
+//! afresh before the first round — accumulates the *total* cost of the
+//! k-NN conversation, which is what [`KnnOutcome`] reports.
 
 use metric::ObjectId;
 use simnet::{AgentId, SimDuration, SimTime};
@@ -80,6 +80,8 @@ impl SearchSystem {
         let mut results: Vec<(ObjectId, f64)> = Vec::new();
         let mut rng = simnet::SimRng::new(self.cfg.seed).fork(0x6A ^ qid as u64);
         let center: std::sync::Arc<[f64]> = point.into();
+        // An earlier batch or search under this id must not count here.
+        self.telemetry.forget(qid);
         while rounds < max_rounds {
             rounds += 1;
             let origin = AgentId(rng.index(self.cfg.n_nodes));
@@ -133,21 +135,14 @@ impl SearchSystem {
         }
         results.truncate(k);
 
-        // Fold accumulated bandwidth for this qid across every node.
-        let mut query_bytes = 0;
-        let mut result_bytes = 0;
-        for node in self.sim.agents() {
-            let row = node.costs.row(qid);
-            query_bytes += row.query_bytes;
-            result_bytes += row.result_bytes;
-        }
+        let costs = self.telemetry.lock().traces[&qid].summary();
         KnnOutcome {
             results,
             rounds,
             final_radius: radius,
             certified,
-            query_bytes,
-            result_bytes,
+            query_bytes: costs.query_bytes,
+            result_bytes: costs.result_bytes,
             total_ms,
         }
     }
@@ -157,7 +152,7 @@ impl SearchSystem {
 mod tests {
     use super::*;
     use crate::msg::DistanceOracle;
-    use crate::system::{IndexSpec, SystemConfig};
+    use crate::system::{IndexSpec, QuerySpec, SystemConfig};
     use metric::{Metric, L2};
     use std::sync::Arc;
 
@@ -253,6 +248,28 @@ mod tests {
             "expansion rounds should cost extra delivery: {} vs {}",
             tiny.query_bytes,
             generous.query_bytes
+        );
+    }
+
+    #[test]
+    fn a_search_after_a_batch_reports_only_its_own_costs() {
+        let (mut reused, points, q) = world(10);
+        let queries: Vec<QuerySpec> = points[..4]
+            .iter()
+            .map(|p| QuerySpec {
+                index: 0,
+                point: p.clone(),
+                radius: 10.0,
+                truth: vec![],
+            })
+            .collect();
+        reused.run_queries(&queries, 10.0);
+        let after = reused.run_knn(0, 0, &q, 10, 1.0, 2.0, 16);
+        let (mut fresh, _, _) = world(10);
+        let alone = fresh.run_knn(0, 0, &q, 10, 1.0, 2.0, 16);
+        assert_eq!(
+            (after.query_bytes, after.result_bytes),
+            (alone.query_bytes, alone.result_bytes)
         );
     }
 

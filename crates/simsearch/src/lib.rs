@@ -12,7 +12,7 @@
 //!   (SurrogateRefine) as pure functions over a routing table, unit- and
 //!   property-tested against a brute-force coverage oracle;
 //! * [`node`] — the network agent tying routing to [`simnet`] delivery,
-//!   with per-query cost accounting;
+//!   recording each query's costs on its trace;
 //! * [`load`] — load balancing: the static space-mapping rotation is in
 //!   [`lph::Rotation`]; this module adds the paper's *dynamic load
 //!   migration* (probe level `P_l`, threshold factor `δ`, leave-and-
@@ -25,9 +25,11 @@
 //!   so queries keep full recall under the fault plane [`simnet`]
 //!   injects (loss, latency spikes, crash/restart churn);
 //! * [`stats`] — result aggregation helpers (percentiles, series);
-//! * [`telemetry`] — per-query traces (hop/split/refine/answer events)
-//!   plus the run-wide counter registry; serialized canonically so
-//!   identical seeds produce byte-identical snapshots (the CI gate).
+//! * [`telemetry`] — per-query traces (hop/split/refine/answer events),
+//!   the one record of what each query cost and where it went, plus the
+//!   run-wide counter registry; serialized canonically so identical
+//!   seeds produce byte-identical snapshots (the CI gate);
+//! * [`explain`] — a query's recorded trace rendered as a plan.
 //!
 //! The crate is deliberately independent of any particular metric: the
 //! caller maps objects and queries into index-space points (see
@@ -50,7 +52,6 @@ pub mod store;
 pub mod system;
 pub mod telemetry;
 
-pub use explain::{ExplainReport, ExplainStep, StepKind};
 pub use knn::KnnOutcome;
 pub use msg::{QueryBall, QueryDistance, QueryId, SearchMsg, SubQueryMsg};
 pub use node::{IssuedQuery, SearchNode};

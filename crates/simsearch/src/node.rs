@@ -1,16 +1,16 @@
 //! The index node as a sans-io [`sansio::Protocol`]: executes routing
-//! actions as messages, answers queries from its local store, and keeps
-//! the per-query cost accounting the experiments report. Each job has
-//! one path: `route_all` routes or refines a round of fragments,
-//! `send_query` prices and accounts every query delivery,
-//! `record_answer` accounts every local answer, and `insert_ranked` is
-//! the one ranking. Telemetry is always on: every node records into a
-//! handle, its own or its system's. A thin
+//! actions as messages, answers queries from its local store, and
+//! records each query's costs on its trace, the one per-query record the
+//! experiments report from. Each job has one path: `route_all` routes or
+//! refines a round of fragments, `send_query` prices and traces every
+//! query delivery, `record_answer` traces every local answer, and
+//! `insert_ranked` is the one ranking. Telemetry is always on: every
+//! node records into a handle, its own or its system's. A thin
 //! [`simnet::Agent`] adapter at the bottom of this file drives the same
 //! state machine under the deterministic simulator; `crates/node` drives
 //! it over real sockets.
 
-use std::collections::{hash_map, BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
@@ -130,93 +130,6 @@ struct AnswerCore {
     replica_answers: u64,
 }
 
-/// One query's send-cost attribution at a node.
-#[derive(Clone, Copy, Default, PartialEq, Eq, Debug)]
-pub struct CostRow {
-    /// Query-delivery bytes this node sent for the query.
-    pub query_bytes: u64,
-    /// Result bytes this node sent for the query.
-    pub result_bytes: u64,
-    /// Query-delivery messages this node sent for the query.
-    pub query_msgs: u32,
-}
-
-impl CostRow {
-    fn is_zero(&self) -> bool {
-        *self == CostRow::default()
-    }
-}
-
-/// Per-query send-cost ledger, one row per query this node touched.
-///
-/// Keyed by query id in a map, not indexed by it: ids come from clients,
-/// so a dense vector would let one query with a large id allocate rows
-/// for every id below it (`u32::MAX` is ~100 GB). Untouched ids read as
-/// zero.
-///
-/// Every query a node holds any state for has a row (an issue creates
-/// one), so the ledger also keeps the node's first-touch order of
-/// queries, the order [`SearchNode::retire_oldest`] retires them in.
-#[derive(Default)]
-pub struct CostLedger {
-    rows: HashMap<QueryId, CostRow>,
-    /// The keys of `rows`, in the order their rows were created.
-    order: VecDeque<QueryId>,
-}
-
-impl CostLedger {
-    /// Mutable row for `qid`, created on first touch.
-    #[inline]
-    pub fn row_mut(&mut self, qid: QueryId) -> &mut CostRow {
-        match self.rows.entry(qid) {
-            hash_map::Entry::Occupied(row) => row.into_mut(),
-            hash_map::Entry::Vacant(row) => {
-                self.order.push_back(qid);
-                row.insert(CostRow::default())
-            }
-        }
-    }
-
-    /// Remove the oldest row if more than `keep` rows exist, returning
-    /// its query id.
-    fn pop_oldest_beyond(&mut self, keep: usize) -> Option<QueryId> {
-        if self.order.len() <= keep {
-            return None;
-        }
-        let qid = self.order.pop_front()?;
-        self.rows.remove(&qid);
-        Some(qid)
-    }
-
-    /// The row for `qid` (zero if never touched).
-    #[inline]
-    pub fn row(&self, qid: QueryId) -> CostRow {
-        self.rows.get(&qid).copied().unwrap_or_default()
-    }
-
-    /// Iterate `(qid, row)` over rows with any nonzero counter, in no
-    /// particular order.
-    pub fn iter_nonzero(&self) -> impl Iterator<Item = (QueryId, CostRow)> + '_ {
-        self.rows
-            .iter()
-            .filter(|(_, r)| !r.is_zero())
-            .map(|(&qid, r)| (qid, *r))
-    }
-
-    /// Total bytes (query + result) across all queries.
-    pub fn total_bytes(&self) -> u64 {
-        self.rows
-            .values()
-            .map(|r| r.query_bytes + r.result_bytes)
-            .sum()
-    }
-
-    /// Total query-delivery messages across all queries.
-    pub fn total_query_msgs(&self) -> u32 {
-        self.rows.values().map(|r| r.query_msgs).sum()
-    }
-}
-
 /// An unacknowledged cross-host message awaiting its retransmit timer.
 struct PendingSend {
     /// Destination address.
@@ -253,11 +166,6 @@ pub struct SearchNode {
     pub naive_level: Option<u32>,
     /// Queries this node originated.
     pub issued: HashMap<QueryId, IssuedQuery>,
-    /// Per-query send-cost attribution.
-    pub costs: CostLedger,
-    /// `(hops, stored-at)` of publications that completed at this node
-    /// as the owner.
-    pub publishes_stored: Vec<(u32, metric::ObjectId)>,
     /// Telemetry this node records every counter and trace event into:
     /// a fresh handle of its own from [`SearchNode::new`], or the one its
     /// system shares across nodes after [`SearchNode::attach_telemetry`].
@@ -299,8 +207,6 @@ impl SearchNode {
             knn_k,
             naive_level,
             issued: HashMap::new(),
-            costs: CostLedger::default(),
-            publishes_stored: Vec::new(),
             telemetry: Telemetry::new(),
             index_telemetry: false,
             resilience: None,
@@ -334,20 +240,21 @@ impl SearchNode {
     }
 
     /// Forget the oldest queries this node touched until at most `keep`
-    /// remain: each one's [`Self::issued`] entry, cost-ledger row and
-    /// telemetry trace. Age is first touch at this node — an issue, or
-    /// the first message sent on the query's behalf — and a query touched
-    /// again after retirement starts over as the newest. Amortised O(1)
-    /// per query; a no-op while at most `keep` queries are held.
+    /// remain: each one's telemetry trace and [`Self::issued`] entry.
+    /// Age is first touch at this node — the first event on the query's
+    /// trace: an issue, a routing step, or a message sent on the query's
+    /// behalf — and a query touched again after retirement starts over
+    /// as the newest. Amortised O(1) per query; a no-op while at most
+    /// `keep` queries are held.
     ///
-    /// The trace goes from the attached telemetry, so only a driver that
+    /// Age is read from the attached telemetry, so only a driver that
     /// gives each node a handle of its own may call this (the socket
     /// runtime does; the simulator, whose nodes share one, never
     /// retires).
     pub fn retire_oldest(&mut self, keep: usize) {
-        while let Some(qid) = self.costs.pop_oldest_beyond(keep) {
+        let mut st = self.telemetry.lock();
+        while let Some(qid) = st.pop_oldest_beyond(keep) {
             self.issued.remove(&qid);
-            self.telemetry.forget(qid);
         }
     }
 
@@ -507,11 +414,12 @@ impl SearchNode {
         }
     }
 
-    /// Price, account and send one query-delivery message — a `Route` or
-    /// a `Refine`: each fragment counts one message to its query, the
-    /// message's bytes go to the first fragment's query (a batch is
-    /// single-query in practice: queries are independent), and
-    /// that query's trace records a `Forward` (`Route`) or a `Handoff`.
+    /// Price, trace and send one query-delivery message — a `Route` or a
+    /// `Refine`. The query's trace records a `Forward` (`Route`, with its
+    /// fragment count) or a `Handoff`, which is what the query's
+    /// `query_bytes` and `query_msgs` are read from. A batch carries one
+    /// query's fragments only: each round of actions comes from one
+    /// input, and an input names one query.
     fn send_query(&mut self, ctx: &mut ProtoCtx<'_, SearchMsg>, to: AgentId, msg: SearchMsg) {
         let bytes = msg_bytes(&msg, |ix| self.k_of(ix));
         let from = ctx.me().0;
@@ -534,11 +442,7 @@ impl SearchNode {
             SearchMsg::Refine(sq) => (std::slice::from_ref(sq), handoff, "search.msgs.refine"),
             _ => unreachable!("send_query sends query deliveries only"),
         };
-        for s in subs {
-            self.costs.row_mut(s.qid).query_msgs += 1;
-        }
         let qid = subs[0].qid;
-        self.costs.row_mut(qid).query_bytes += bytes as u64;
         let tel = &self.telemetry;
         tel.record(qid, event);
         tel.incr(counter, 1);
@@ -574,10 +478,10 @@ impl SearchNode {
         self.send_search(ctx, fragments[0].origin, msg, bytes);
     }
 
-    /// Account one local answer of `bytes` on the wire: its result bytes
-    /// on the query's ledger row, the `Answer` event on its trace, and
-    /// the store, refinement, resilience and per-index counters of the
-    /// scan behind it.
+    /// Account one local answer of `bytes` on the wire: the `Answer`
+    /// event on the query's trace (its result bytes among them), and the
+    /// store, refinement, resilience and per-index counters of the scan
+    /// behind it.
     fn record_answer(
         &mut self,
         at: AgentId,
@@ -587,7 +491,6 @@ impl SearchNode {
         core: &AnswerCore,
         bytes: u32,
     ) {
-        self.costs.row_mut(qid).result_bytes += bytes as u64;
         let tel = &self.telemetry;
         tel.record(
             qid,
@@ -754,8 +657,6 @@ impl SearchNode {
 
     fn on_issue(&mut self, ctx: &mut ProtoCtx<'_, SearchMsg>, sq: SubQueryMsg) {
         self.telemetry.begin_query(sq.qid, ctx.me());
-        // The row is the query's first-touch mark.
-        self.costs.row_mut(sq.qid);
         self.issued.insert(
             sq.qid,
             IssuedQuery {
@@ -863,7 +764,6 @@ impl SearchNode {
         self.telemetry.incr("publish.stored", 1);
         self.telemetry.observe("publish.hops", hops as u64);
         self.incr_index(index, "published", 1);
-        self.publishes_stored.push((hops, entry.obj));
         self.indexes[index as usize].store.insert(entry.clone());
         self.replicate_out(ctx, index, entry);
     }
@@ -1025,6 +925,7 @@ mod tests {
     use super::*;
     use crate::msg::{QueryBall, QueryDistance};
     use crate::store::Entry;
+    use crate::telemetry::TraceLog;
     use chord::{NodeRef, OracleRing};
     use lph::{Prefix, Rect};
     use simnet::{Sim, SimTime, Topology};
@@ -1077,6 +978,13 @@ mod tests {
             .collect();
         let topo = Topology::uniform(2, SimTime::from_millis(100));
         (Sim::new(topo, nodes, 1), ring, grid)
+    }
+
+    /// `cost` of every trace every node holds, summed.
+    fn traced_total(sim: &Sim<SearchNode>, cost: impl Fn(&TraceLog) -> u64) -> u64 {
+        sim.agents()
+            .map(|n| n.telemetry.lock().traces.values().map(&cost).sum::<u64>())
+            .sum()
     }
 
     fn issue(rect: Rect, grid: &Grid, qid: QueryId) -> SearchMsg {
@@ -1194,7 +1102,10 @@ mod tests {
             issue(Rect::new(vec![0.0], vec![8.0]), &grid, 0),
         );
         sim.run();
-        let total: u64 = sim.agents().map(|n| n.costs.total_bytes()).sum();
+        let total = traced_total(&sim, |t| {
+            let s = t.summary();
+            s.query_bytes + s.result_bytes
+        });
         // Self-sends (origin answering itself) carry no network bytes in
         // sim stats but are attributed in node accounting; so node totals
         // >= wire totals, and both are nonzero here.
@@ -1491,8 +1402,8 @@ mod tests {
             .collect();
         assert_eq!(fast, naive, "naive and embedded-tree answers must agree");
         // The naive router sends at least as many query messages.
-        let fast_msgs: u32 = sim_fast.agents().map(|n| n.costs.total_query_msgs()).sum();
-        let naive_msgs: u32 = sim_naive.agents().map(|n| n.costs.total_query_msgs()).sum();
+        let fast_msgs = traced_total(&sim_fast, |t| t.query_msgs().into());
+        let naive_msgs = traced_total(&sim_naive, |t| t.query_msgs().into());
         assert!(
             naive_msgs >= fast_msgs,
             "naive {naive_msgs} < fast {fast_msgs}"
@@ -1520,15 +1431,13 @@ mod tests {
     }
 
     /// The qids node `a` holds in each of its per-query stores, sorted:
-    /// `issued`, cost-ledger rows, telemetry traces.
-    fn held(sim: &Sim<SearchNode>, tels: &[Telemetry], a: usize) -> [Vec<QueryId>; 3] {
+    /// `issued`, telemetry traces.
+    fn held(sim: &Sim<SearchNode>, tels: &[Telemetry], a: usize) -> [Vec<QueryId>; 2] {
         let node = sim.agent(AgentId(a));
         let mut issued: Vec<QueryId> = node.issued.keys().copied().collect();
-        let mut rows: Vec<QueryId> = node.costs.rows.keys().copied().collect();
         issued.sort_unstable();
-        rows.sort_unstable();
         let traces = tels[a].lock().traces.keys().copied().collect();
-        [issued, rows, traces]
+        [issued, traces]
     }
 
     fn retire_all(sim: &mut Sim<SearchNode>, keep: usize) {
@@ -1542,15 +1451,12 @@ mod tests {
         // Age is first touch, not qid order.
         let (mut sim, _, tels) = touched(&[4, 1, 3, 0, 2]);
         let all = vec![0, 1, 2, 3, 4];
-        assert_eq!(
-            held(&sim, &tels, 0),
-            [all.clone(), all.clone(), all.clone()]
-        );
-        assert_eq!(held(&sim, &tels, 1), [vec![], all.clone(), all]);
+        assert_eq!(held(&sim, &tels, 0), [all.clone(), all.clone()]);
+        assert_eq!(held(&sim, &tels, 1), [vec![], all]);
         retire_all(&mut sim, 2);
-        assert_eq!(held(&sim, &tels, 0), [vec![0, 2], vec![0, 2], vec![0, 2]]);
-        assert_eq!(held(&sim, &tels, 1), [vec![], vec![0, 2], vec![0, 2]]);
-        assert_eq!(sim.agent(AgentId(0)).costs.order, [0, 2]);
+        assert_eq!(held(&sim, &tels, 0), [vec![0, 2], vec![0, 2]]);
+        assert_eq!(held(&sim, &tels, 1), [vec![], vec![0, 2]]);
+        assert_eq!(tels[0].lock().order, [0, 2]);
     }
 
     #[test]
@@ -1577,8 +1483,8 @@ mod tests {
         );
         sim.run();
         retire_all(&mut sim, 1);
-        assert_eq!(held(&sim, &tels, 0), [vec![4], vec![4], vec![4]]);
-        assert_eq!(held(&sim, &tels, 1), [vec![], vec![4], vec![4]]);
+        assert_eq!(held(&sim, &tels, 0), [vec![4], vec![4]]);
+        assert_eq!(held(&sim, &tels, 1), [vec![], vec![4]]);
         let found: Vec<u32> = sim.agent(AgentId(0)).issued[&4]
             .merged
             .iter()
@@ -1604,6 +1510,6 @@ mod tests {
         );
         sim.run();
         assert_eq!(held(&sim, &tels, 0), before);
-        assert_eq!(sim.agent(AgentId(0)).costs.order, [1, 3]);
+        assert_eq!(tels[0].lock().order, [1, 3]);
     }
 }

@@ -13,11 +13,6 @@ pub trait OverlayTable {
     fn me_ref(&self) -> NodeRef;
     /// Chord-semantics routing decision for a key.
     fn decide(&self, key: ChordId) -> RouteDecision;
-    /// Every node this table knows (used by load-balance probing).
-    fn neighbors(&self) -> Vec<NodeRef>;
-    /// Known nodes ordered by clockwise ring distance from this node —
-    /// replica placement targets (Chord's successor list).
-    fn successor_list(&self) -> Vec<NodeRef>;
 }
 
 impl OverlayTable for RoutingTable {
@@ -26,12 +21,6 @@ impl OverlayTable for RoutingTable {
     }
     fn decide(&self, key: ChordId) -> RouteDecision {
         self.route(key)
-    }
-    fn neighbors(&self) -> Vec<NodeRef> {
-        self.known_nodes()
-    }
-    fn successor_list(&self) -> Vec<NodeRef> {
-        self.successors().to_vec()
     }
 }
 
@@ -65,21 +54,6 @@ impl OverlayTable for FailureAware<'_> {
         self.inner
             .route_excluding(key, |id| self.dead.contains(&id))
     }
-    fn neighbors(&self) -> Vec<NodeRef> {
-        self.inner
-            .known_nodes()
-            .into_iter()
-            .filter(|n| !self.dead.contains(&n.id.0))
-            .collect()
-    }
-    fn successor_list(&self) -> Vec<NodeRef> {
-        self.inner
-            .successors()
-            .iter()
-            .filter(|n| !self.dead.contains(&n.id.0))
-            .copied()
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -112,7 +86,6 @@ mod tests {
                         assert_ne!(n.id, owner.id, "trial {trial}: routed to dead owner");
                     }
                 }
-                assert!(fa.neighbors().iter().all(|n| n.id != owner.id));
             }
         }
     }
@@ -130,23 +103,5 @@ mod tests {
             let key = ChordId(rng.next_u64());
             assert_eq!(fa.decide(key), table.decide(key));
         }
-        assert_eq!(fa.successor_list(), table.successor_list());
-    }
-
-    #[test]
-    fn successor_list_orders_by_clockwise_distance() {
-        let mut rng = SimRng::new(6);
-        let ring = OracleRing::with_random_ids(12, &mut rng);
-        let table = ring.build_table(0, 8, None, 8);
-        let me = table.me_ref();
-        let list = table.successor_list();
-        assert!(!list.is_empty());
-        for w in list.windows(2) {
-            assert!(me.id.cw_dist(w[0].id) <= me.id.cw_dist(w[1].id));
-        }
-        // The first entry is the ring successor.
-        let pos = ring.nodes().iter().position(|n| n.id == me.id).unwrap();
-        let next = ring.next_of(pos);
-        assert_eq!(list[0].id, next.id);
     }
 }

@@ -136,47 +136,6 @@ impl SearchSystem {
         placed
     }
 
-    /// Publish one object into a running index *over the network*: the
-    /// entry is routed from a random node toward its ring key and stored
-    /// at the owner (the runtime half of §6's "dynamic datasets";
-    /// build-time publication places entries directly since the paper
-    /// does not measure insertion traffic). Returns the hops the
-    /// publication took.
-    ///
-    /// The caller owns `ObjectId` assignment and must extend its
-    /// distance oracle to cover the new id before querying.
-    pub fn publish(&mut self, index: u8, obj: metric::ObjectId, point: &[f64]) -> u32 {
-        use crate::msg::SearchMsg;
-        use simnet::{AgentId, SimDuration, SimTime};
-
-        let grid = &self.grids[index as usize];
-        let entry = publish_entry(grid, self.rotations[index as usize], obj, point);
-        let key = entry.ring_key;
-        let mut rng = simnet::SimRng::new(self.cfg.seed).fork(0x9B ^ obj.0 as u64);
-        let origin = AgentId(rng.index(self.cfg.n_nodes));
-        let at: SimTime = self.sim.now() + SimDuration::from_millis(1);
-        self.sim.inject(
-            at,
-            origin,
-            SearchMsg::Publish {
-                index,
-                entry,
-                hops: 0,
-            },
-        );
-        self.sim.run();
-        // The owner recorded the arrival.
-        let owner = self.ring.owner_of(chord::ChordId(key)).addr;
-        self.sim
-            .agent(owner)
-            .publishes_stored
-            .iter()
-            .rev()
-            .find(|&&(_, o)| o == obj)
-            .map(|&(h, _)| h)
-            .expect("publication must land on the owner")
-    }
-
     /// Run dynamic load migration now (e.g. after a [`Self::reindex`]
     /// skewed the placement). Same mechanism as the build-time `lb`
     /// option.
@@ -437,12 +396,23 @@ mod tests {
             oracle,
         );
         assert_eq!(system.total_entries(0), 144);
-        // Publish three new objects near (50, 50) over the network.
+        // Publish three new objects near (50, 50) over the network, each
+        // entering at a different node.
         for (i, p) in new_points.iter().enumerate() {
-            let hops = system.publish(0, ObjectId(144 + i as u32), p);
-            assert!(hops <= 12, "publication hop count {hops}");
+            let at = system.now() + simnet::SimDuration::from_millis(1);
+            let origin = simnet::AgentId(7 * i);
+            system.inject_publish(at, origin, 0, ObjectId(144 + i as u32), p);
+            system.run_to_quiescence();
         }
         assert_eq!(system.total_entries(0), 147);
+        let tel = system.telemetry().lock();
+        let hops = tel
+            .registry
+            .histogram("publish.hops")
+            .expect("publications stored");
+        assert_eq!(hops.count(), 3);
+        assert!(hops.max() <= 12, "publication hop count {}", hops.max());
+        drop(tel);
         // The new entries sit on their owners.
         for p in &new_points {
             let owner = system.owner_of_point(0, p);

@@ -695,12 +695,6 @@ mod tests {
                     RouteDecision::Surrogate(self.me)
                 }
             }
-            fn neighbors(&self) -> Vec<NodeRef> {
-                Vec::new()
-            }
-            fn successor_list(&self) -> Vec<NodeRef> {
-                Vec::new()
-            }
         }
         let grid = Grid::new(Rect::cube(1, 0.0, 8.0), 3);
         let rect = Rect::new(vec![3.2], vec![3.8]);

@@ -14,7 +14,7 @@ use simnet::{AgentId, Sim, SimRng, SimTime, Topology};
 
 use crate::load::{self, LoadBalanceReport};
 use crate::msg::{DistanceOracle, QueryBall, QueryId, SearchMsg, SubQueryMsg};
-use crate::node::{CostLedger, IndexState, IssuedQuery, SearchNode};
+use crate::node::{IndexState, IssuedQuery, SearchNode};
 use crate::resilience::ResilienceConfig;
 use crate::store::{Entry, Store};
 use crate::telemetry::Telemetry;
@@ -143,11 +143,12 @@ pub struct QueryOutcome {
     /// Time to the last result, milliseconds. Meaningless (0.0) when
     /// `completed` is false.
     pub max_latency_ms: f64,
-    /// Query-delivery bandwidth, bytes.
+    /// Query-delivery bandwidth, bytes (the trace's `query_bytes`).
     pub query_bytes: u64,
-    /// Result-delivery bandwidth, bytes.
+    /// Result-delivery bandwidth, bytes (the trace's `result_bytes`).
     pub result_bytes: u64,
-    /// Query-delivery messages.
+    /// Query-delivery messages, one per fragment delivered
+    /// ([`crate::TraceLog::query_msgs`]).
     pub query_msgs: u32,
     /// Result messages received.
     pub responses: u32,
@@ -639,11 +640,12 @@ impl SearchSystem {
 
     /// The batch driver under [`Self::run_queries`] and
     /// [`Self::run_queries_from`]: forget every node's origin records and
-    /// cost rows from earlier batches (query ids restart at 0 in each),
-    /// inject query `i` at the `i`-th arrival of the seeded Poisson
-    /// process from the node `origin(i, rng)` picks, run to quiescence
-    /// and fold the outcomes. Telemetry keeps accumulating across
-    /// batches.
+    /// the traces of the ids this batch reuses (query ids restart at 0 in
+    /// each), inject query `i` at the `i`-th arrival of the seeded
+    /// Poisson process from the node `origin(i, rng)` picks, run to
+    /// quiescence and fold the outcomes. Counters keep accumulating
+    /// across batches, and so do the traces of ids only an earlier batch
+    /// used.
     fn run_batch(
         &mut self,
         queries: &[QuerySpec],
@@ -654,7 +656,9 @@ impl SearchSystem {
         let (_, nodes) = self.sim.topology_and_agents_mut();
         for node in nodes.iter_mut() {
             node.issued.clear();
-            node.costs = CostLedger::default();
+        }
+        for qid in 0..queries.len() {
+            self.telemetry.forget(qid as QueryId);
         }
         let mut rng = SimRng::new(self.cfg.seed).fork(0x9E);
         let mut t = self.sim.now().as_secs_f64();
@@ -667,27 +671,25 @@ impl SearchSystem {
         self.collect(queries)
     }
 
+    /// Fold each query's outcome from its origin's record and, for its
+    /// costs, from its trace.
     fn collect(&self, queries: &[QuerySpec]) -> Vec<QueryOutcome> {
-        // One pass over the population folds both the per-query cost
-        // attribution and the origin records — at 100k nodes a per-query
-        // scan for its origin would dominate everything else here.
-        let mut query_bytes = vec![0u64; queries.len()];
-        let mut result_bytes = vec![0u64; queries.len()];
-        let mut query_msgs = vec![0u32; queries.len()];
+        // One pass over the population finds every origin record — at
+        // 100k nodes a per-query scan for its origin would dominate
+        // everything else here.
         let mut issued_at: Vec<Option<(usize, &IssuedQuery)>> = vec![None; queries.len()];
         for (addr, node) in self.sim.agents().enumerate() {
-            for (qid, row) in node.costs.iter_nonzero() {
-                query_bytes[qid as usize] += row.query_bytes;
-                result_bytes[qid as usize] += row.result_bytes;
-                query_msgs[qid as usize] += row.query_msgs;
-            }
             for (&qid, iq) in &node.issued {
                 issued_at[qid as usize] = Some((addr, iq));
             }
         }
+        let st = self.telemetry.lock();
         let mut out = Vec::with_capacity(queries.len());
         for (qid, q) in queries.iter().enumerate() {
             let (origin, iq) = issued_at[qid].expect("query was issued");
+            // The issue started the trace.
+            let trace = &st.traces[&(qid as QueryId)];
+            let costs = trace.summary();
             let issued = iq.issued_at;
             let response_ms = iq
                 .first_result
@@ -714,9 +716,9 @@ impl SearchSystem {
                 completed: iq.first_result.is_some(),
                 response_ms,
                 max_latency_ms,
-                query_bytes: query_bytes[qid],
-                result_bytes: result_bytes[qid],
-                query_msgs: query_msgs[qid],
+                query_bytes: costs.query_bytes,
+                result_bytes: costs.result_bytes,
+                query_msgs: trace.query_msgs(),
                 responses: iq.responses,
                 results: iq.merged.clone(),
                 recall,

@@ -10,7 +10,8 @@
 //! runs with the same seed produce byte-identical JSON, which is what
 //! the golden-snapshot CI gate relies on.
 
-use std::collections::BTreeMap;
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use serde_json::Value;
@@ -397,6 +398,19 @@ impl TraceLog {
         QuerySummary::of(self.events())
     }
 
+    /// Query-delivery messages, one per fragment delivered: each
+    /// `Forward`'s subqueries plus one per `Handoff` (a batch carries
+    /// fragments of one query only).
+    pub fn query_msgs(&self) -> u32 {
+        self.events()
+            .map(|e| match e {
+                TraceEvent::Forward { subqueries, .. } => subqueries,
+                TraceEvent::Handoff { .. } => 1,
+                _ => 0,
+            })
+            .sum()
+    }
+
     /// The decoded trace.
     pub fn to_trace(&self) -> QueryTrace {
         QueryTrace {
@@ -413,6 +427,10 @@ pub struct TelemetryState {
     pub registry: Registry,
     /// Per-query traces, keyed by query id.
     pub traces: BTreeMap<QueryId, TraceLog>,
+    /// The keys of `traces`, in the order their traces were created:
+    /// the first-touch order [`crate::SearchNode::retire_oldest`]
+    /// retires queries in.
+    pub(crate) order: VecDeque<QueryId>,
 }
 
 /// Cloneable handle to one system's telemetry. Cheap to clone (an `Arc`);
@@ -433,12 +451,12 @@ impl Telemetry {
 
     /// Start (or re-anchor) the trace of `qid` at its issuing node.
     pub fn begin_query(&self, qid: QueryId, origin: AgentId) {
-        self.lock().traces.entry(qid).or_default().origin = origin.0;
+        self.lock().log_mut(qid).origin = origin.0;
     }
 
     /// Append one event to the trace of `qid`.
     pub fn record(&self, qid: QueryId, event: TraceEvent) {
-        self.lock().traces.entry(qid).or_default().push(&event);
+        self.lock().log_mut(qid).push(&event);
     }
 
     /// Add `by` to a named counter.
@@ -470,13 +488,19 @@ impl Telemetry {
         };
         let mut st = self.lock();
         st.registry.incr(counter, 1);
-        st.traces.entry(qid).or_default().push(&event);
+        st.log_mut(qid).push(&event);
     }
 
     /// Drop the trace of `qid`; a later event on it starts a fresh one.
-    /// Registry counters and histograms keep everything it added.
+    /// Registry counters and histograms keep everything it added. Its
+    /// place in the first-touch order is searched for from the oldest
+    /// end, where a batch's reused ids sit.
     pub fn forget(&self, qid: QueryId) {
-        self.lock().traces.remove(&qid);
+        let mut st = self.lock();
+        if st.traces.remove(&qid).is_some() {
+            let at = st.order.iter().position(|&q| q == qid);
+            st.order.remove(at.expect("every trace is in the order"));
+        }
     }
 
     /// The decoded trace of `qid`, if the query was seen.
@@ -486,6 +510,29 @@ impl Telemetry {
 }
 
 impl TelemetryState {
+    /// The trace of `qid`, created (and appended to the first-touch
+    /// order) on first touch.
+    fn log_mut(&mut self, qid: QueryId) -> &mut TraceLog {
+        match self.traces.entry(qid) {
+            Entry::Occupied(log) => log.into_mut(),
+            Entry::Vacant(log) => {
+                self.order.push_back(qid);
+                log.insert(TraceLog::default())
+            }
+        }
+    }
+
+    /// Drop the oldest trace if more than `keep` exist, returning its
+    /// query id.
+    pub(crate) fn pop_oldest_beyond(&mut self, keep: usize) -> Option<QueryId> {
+        if self.order.len() <= keep {
+            return None;
+        }
+        let qid = self.order.pop_front()?;
+        self.traces.remove(&qid);
+        Some(qid)
+    }
+
     /// Canonical JSON of every trace, keyed by decimal query id.
     pub fn traces_json(&self) -> Value {
         let map: BTreeMap<String, Value> = self
@@ -602,6 +649,49 @@ mod tests {
         assert!(t.trace(1).is_none());
         assert_eq!(t.trace(2).unwrap().events.len(), 1);
         assert_eq!(t.lock().registry.counter("routing.splits"), 2);
+    }
+
+    #[test]
+    fn the_order_is_first_touch_through_forget_and_retirement() {
+        let t = Telemetry::new();
+        let split = TraceEvent::Split {
+            at: 0,
+            prefix_len: 1,
+        };
+        for qid in [5, 2, 9, 2] {
+            t.record(qid, split);
+        }
+        assert_eq!(t.lock().order, [5, 2, 9]);
+        t.forget(2);
+        t.begin_query(2, AgentId(0));
+        let mut st = t.lock();
+        assert_eq!(st.order, [5, 9, 2]);
+        assert_eq!(st.pop_oldest_beyond(1), Some(5));
+        assert_eq!(st.pop_oldest_beyond(1), Some(9));
+        assert_eq!(st.pop_oldest_beyond(1), None);
+        assert_eq!(st.traces.keys().copied().collect::<Vec<_>>(), [2]);
+    }
+
+    #[test]
+    fn query_msgs_counts_fragments_delivered() {
+        let mut log = TraceLog::default();
+        log.push(&TraceEvent::Forward {
+            from: 0,
+            to: 1,
+            subqueries: 3,
+            bytes: 111,
+        });
+        log.push(&TraceEvent::Refine {
+            at: 1,
+            prefix_len: 4,
+        });
+        log.push(&TraceEvent::Handoff {
+            from: 1,
+            to: 2,
+            bytes: 73,
+        });
+        assert_eq!(log.query_msgs(), 4);
+        assert_eq!(log.summary().forwards + log.summary().handoffs, 2);
     }
 
     #[test]
