@@ -11,7 +11,7 @@
 use std::collections::HashMap;
 
 use sansio::{Input, ProtoCtx, Protocol};
-use simnet::telemetry::SharedRegistry;
+use simnet::telemetry::{CounterId, HistogramId, SharedRegistry};
 use simnet::{AgentId, SimDuration, SimTime, TimerTag};
 
 use crate::id::{ChordId, NodeRef};
@@ -267,7 +267,7 @@ impl ChordAgent {
         if let Some(reg) = &self.telemetry {
             let mut reg = reg.lock().expect("telemetry lock");
             reg.incr(&format!("chord.msgs.{}", msg.kind()), 1);
-            reg.incr("chord.bytes", bytes as u64);
+            reg.incr_id(CounterId::ChordBytes, bytes as u64);
         }
     }
 
@@ -406,8 +406,8 @@ impl ChordAgent {
             Pending::UserLookup { key, started, .. } => {
                 if let Some(reg) = &self.telemetry {
                     let mut reg = reg.lock().expect("telemetry lock");
-                    reg.incr("chord.lookups", 1);
-                    reg.observe("chord.lookup_hops", hops as u64);
+                    reg.incr_id(CounterId::ChordLookups, 1);
+                    reg.observe_id(HistogramId::ChordLookupHops, hops as u64);
                 }
                 self.lookups.push(LookupResult {
                     key,
@@ -502,7 +502,7 @@ impl ChordAgent {
                 if let Some(reg) = &self.telemetry {
                     reg.lock()
                         .expect("telemetry lock")
-                        .incr("chord.failed_lookups", 1);
+                        .incr_id(CounterId::ChordFailedLookups, 1);
                 }
                 self.failed_lookups.push(key);
             } else {

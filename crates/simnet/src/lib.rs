@@ -66,6 +66,6 @@ pub use fault::{FaultPlane, PartitionWindow};
 pub use rng::SimRng;
 pub use sim::{Agent, AgentId, Ctx, Sim};
 pub use stats::NetStats;
-pub use telemetry::{Histogram, Registry, SharedRegistry};
+pub use telemetry::{CounterId, Histogram, HistogramId, Registry, SharedRegistry};
 pub use time::{SimDuration, SimTime};
 pub use topology::Topology;

@@ -1,47 +1,139 @@
 //! Deterministic counters and histograms for overlay/search telemetry.
 //!
-//! The registry is deliberately minimal: named monotone `u64` counters
-//! plus power-of-two-bucket histograms, all keyed by `BTreeMap` so every
-//! serialization is canonically ordered. Nothing here reads a wall
-//! clock — values come only from simulated events — so two runs with the
-//! same seed produce byte-identical [`Registry::to_json`] output. That
-//! property is what the repository's golden-snapshot CI gate checks.
+//! The registry is deliberately minimal: monotone `u64` counters plus
+//! power-of-two-bucket histograms. Every name the code records under is
+//! declared once below, in [`CounterId`] and [`HistogramId`]; a value
+//! under a declared name lives in a dense array slot, so recording it
+//! is an array index. Names built at run time (`index{i}.*`,
+//! `chord.msgs.<kind>`) live in `BTreeMap`s. Readers see one namespace:
+//! every listing and serialization merges both by name into canonical
+//! order. Nothing here reads a wall clock — values come only from
+//! simulated events — so two runs with the same seed produce
+//! byte-identical [`Registry::to_json`] output. That property is what
+//! the repository's golden-snapshot CI gate checks.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 use serde_json::Value;
 
+/// Declare a static metric table: an id enum whose variants index a
+/// registry array, each with its one name.
+macro_rules! metric_ids {
+    ($(#[$doc:meta])* $ty:ident { $($var:ident = $name:literal,)* }) => {
+        $(#[$doc])*
+        #[derive(Clone, Copy, Debug, PartialEq, Eq)]
+        #[allow(missing_docs)]
+        pub enum $ty {
+            $($var,)*
+        }
+
+        impl $ty {
+            /// Every id, in declaration order.
+            pub const ALL: &'static [$ty] = &[$($ty::$var,)*];
+            /// How many ids the table declares.
+            pub const COUNT: usize = $ty::ALL.len();
+
+            /// The metric's name.
+            pub const fn name(self) -> &'static str {
+                match self {
+                    $($ty::$var => $name,)*
+                }
+            }
+
+            /// The id declared under `name`, if any.
+            pub fn of(name: &str) -> Option<$ty> {
+                match name {
+                    $($name => Some($ty::$var),)*
+                    _ => None,
+                }
+            }
+        }
+    };
+}
+
+metric_ids! {
+    /// A counter with a static name: its slot in a [`Registry`].
+    CounterId {
+        ChordBytes = "chord.bytes",
+        ChordFailedLookups = "chord.failed_lookups",
+        ChordLookups = "chord.lookups",
+        LbMigrations = "lb.migrations",
+        LbRounds = "lb.rounds",
+        PublishStored = "publish.stored",
+        ReplicateStored = "replicate.stored",
+        ResilienceAcked = "resilience.acked",
+        ResilienceDegradedAnswers = "resilience.degraded_answers",
+        ResilienceDupDropped = "resilience.dup_dropped",
+        ResilienceFailovers = "resilience.failovers",
+        ResilienceReplicaAnswers = "resilience.replica_answers",
+        ResilienceReplicasLost = "resilience.replicas_lost",
+        ResilienceResultsLost = "resilience.results_lost",
+        ResilienceRetries = "resilience.retries",
+        ResilienceTrackedSent = "resilience.tracked_sent",
+        RoutingLocalRefines = "routing.local_refines",
+        RoutingPeels = "routing.peels",
+        RoutingSharedPath = "routing.shared_path",
+        RoutingSplits = "routing.splits",
+        SearchBytesPublish = "search.bytes.publish",
+        SearchBytesQuery = "search.bytes.query",
+        SearchBytesReplicate = "search.bytes.replicate",
+        SearchBytesResults = "search.bytes.results",
+        SearchMsgsPublish = "search.msgs.publish",
+        SearchMsgsRefine = "search.msgs.refine",
+        SearchMsgsReplicate = "search.msgs.replicate",
+        SearchMsgsResults = "search.msgs.results",
+        SearchMsgsRoute = "search.msgs.route",
+        SearchRefineDistCalls = "search.refine.dist_calls",
+        SearchRefinePruned = "search.refine.pruned",
+        StoreEntriesMatched = "store.entries_matched",
+        StoreEntriesScanned = "store.entries_scanned",
+        StoreEntriesSkipped = "store.entries_skipped",
+    }
+}
+
+metric_ids! {
+    /// A histogram with a static name: its slot in a [`Registry`].
+    HistogramId {
+        ChordLookupHops = "chord.lookup_hops",
+        LbMigrationsPerRound = "lb.migrations_per_round",
+        PublishHops = "publish.hops",
+    }
+}
+
 /// A histogram over `u64` samples with logarithmic (power-of-two)
 /// buckets: bucket `0` holds the value `0`, bucket `b >= 1` holds values
 /// in `[2^(b-1), 2^b)`.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Histogram {
-    /// Occupied buckets only: bucket index -> sample count.
-    buckets: BTreeMap<u32, u64>,
+    /// Sample count by bucket index, up to the largest occupied bucket
+    /// (empty when no sample was recorded).
+    buckets: Vec<u64>,
     /// Total samples observed.
     count: u64,
-    /// Sum of all observed values.
+    /// Sum of all observed values, saturating at `u64::MAX`.
     sum: u64,
     /// Largest observed value.
     max: u64,
 }
 
 /// The bucket index a value falls into.
-fn bucket_of(value: u64) -> u32 {
-    if value == 0 {
-        0
-    } else {
-        64 - value.leading_zeros()
-    }
+#[inline]
+fn bucket_of(value: u64) -> usize {
+    (u64::BITS - value.leading_zeros()) as usize
 }
 
 impl Histogram {
     /// Record one sample.
+    #[inline]
     pub fn observe(&mut self, value: u64) {
-        *self.buckets.entry(bucket_of(value)).or_default() += 1;
+        let b = bucket_of(value);
+        if self.buckets.len() <= b {
+            self.buckets.resize(b + 1, 0);
+        }
+        self.buckets[b] += 1;
         self.count += 1;
-        self.sum += value;
+        self.sum = self.sum.saturating_add(value);
         self.max = self.max.max(value);
     }
 
@@ -50,7 +142,7 @@ impl Histogram {
         self.count
     }
 
-    /// Sum of all observed values.
+    /// Sum of all observed values (saturating at `u64::MAX`).
     pub fn sum(&self) -> u64 {
         self.sum
     }
@@ -62,22 +154,31 @@ impl Histogram {
 
     /// Fold another histogram into this one.
     pub fn merge(&mut self, other: &Histogram) {
-        for (&b, &c) in &other.buckets {
-            *self.buckets.entry(b).or_default() += c;
+        if self.buckets.len() < other.buckets.len() {
+            self.buckets.resize(other.buckets.len(), 0);
+        }
+        for (mine, &c) in self.buckets.iter_mut().zip(&other.buckets) {
+            *mine += c;
         }
         self.count += other.count;
-        self.sum += other.sum;
+        self.sum = self.sum.saturating_add(other.sum);
         self.max = self.max.max(other.max);
     }
 
     /// Canonical JSON: integer summary fields plus the occupied buckets
     /// as `[bucket_upper_bound_exclusive, count]` pairs in bucket order.
+    /// The top bucket's bound, `2^64`, is written as `u64::MAX`.
     pub fn to_json(&self) -> Value {
         let buckets: Vec<Value> = self
             .buckets
             .iter()
-            .map(|(&b, &c)| {
-                let le = if b == 0 { 0 } else { 1u64 << b };
+            .enumerate()
+            .filter(|&(_, &c)| c > 0)
+            .map(|(b, &c)| {
+                let le = match b {
+                    0 => 0,
+                    b => 1u64.checked_shl(b as u32).unwrap_or(u64::MAX),
+                };
                 Value::Array(vec![Value::UInt(le), Value::UInt(c)])
             })
             .collect();
@@ -99,11 +200,33 @@ pub fn histogram_of(values: impl IntoIterator<Item = u64>) -> Histogram {
     h
 }
 
-/// A named-metric registry: counters and histograms, canonically ordered.
-#[derive(Clone, Debug, Default)]
+/// A metric registry: counters and histograms, one namespace.
+///
+/// A declared name's value sits in an array slot indexed by its id, and
+/// any other name's in a `BTreeMap`; a name reaches the same value
+/// through either path. A counter exists from its first touch, even one
+/// adding 0.
+#[derive(Clone, Debug)]
 pub struct Registry {
+    /// Declared counters by [`CounterId`]; `None` until first touched.
+    counter_slots: [Option<u64>; CounterId::COUNT],
+    /// Declared histograms by [`HistogramId`].
+    histogram_slots: [Option<Histogram>; HistogramId::COUNT],
+    /// Counters under names built at run time.
     counters: BTreeMap<String, u64>,
+    /// Histograms under names built at run time.
     histograms: BTreeMap<String, Histogram>,
+}
+
+impl Default for Registry {
+    fn default() -> Registry {
+        Registry {
+            counter_slots: [None; CounterId::COUNT],
+            histogram_slots: [const { None }; HistogramId::COUNT],
+            counters: BTreeMap::new(),
+            histograms: BTreeMap::new(),
+        }
+    }
 }
 
 impl Registry {
@@ -112,9 +235,27 @@ impl Registry {
         Registry::default()
     }
 
+    /// Add `by` to a declared counter.
+    #[inline]
+    pub fn incr_id(&mut self, id: CounterId, by: u64) {
+        *self.counter_slots[id as usize].get_or_insert(0) += by;
+    }
+
+    /// Record one sample into a declared histogram.
+    #[inline]
+    pub fn observe_id(&mut self, id: HistogramId, value: u64) {
+        self.histogram_slots[id as usize]
+            .get_or_insert_with(Histogram::default)
+            .observe(value);
+    }
+
     /// Add `by` to the named counter (created at 0 on first touch; only
-    /// then is the name copied).
+    /// then is an undeclared name copied).
+    #[inline]
     pub fn incr(&mut self, name: &str, by: u64) {
+        if let Some(id) = CounterId::of(name) {
+            return self.incr_id(id, by);
+        }
         match self.counters.get_mut(name) {
             Some(c) => *c += by,
             None => {
@@ -124,8 +265,12 @@ impl Registry {
     }
 
     /// Record one sample into the named histogram (created on first
-    /// touch; only then is the name copied).
+    /// touch; only then is an undeclared name copied).
+    #[inline]
     pub fn observe(&mut self, name: &str, value: u64) {
+        if let Some(id) = HistogramId::of(name) {
+            return self.observe_id(id, value);
+        }
         match self.histograms.get_mut(name) {
             Some(h) => h.observe(value),
             None => self
@@ -138,37 +283,54 @@ impl Registry {
 
     /// Current value of a counter (0 when never touched).
     pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
+        match CounterId::of(name) {
+            Some(id) => self.counter_slots[id as usize],
+            None => self.counters.get(name).copied(),
+        }
+        .unwrap_or(0)
     }
 
     /// The named histogram, if any sample was recorded.
     pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
-    }
-
-    /// True when nothing was ever recorded.
-    pub fn is_empty(&self) -> bool {
-        self.counters.is_empty() && self.histograms.is_empty()
+        match HistogramId::of(name) {
+            Some(id) => self.histogram_slots[id as usize].as_ref(),
+            None => self.histograms.get(name),
+        }
     }
 
     /// All counters, in name order.
     pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.counters.iter().map(|(k, &v)| (k.as_str(), v))
+        let declared = CounterId::ALL
+            .iter()
+            .filter_map(|&id| Some((id.name(), self.counter_slots[id as usize]?)));
+        let named = self.counters.iter().map(|(k, &v)| (k.as_str(), v));
+        by_name(declared.chain(named))
     }
 
     /// All histograms, in name order.
     pub fn histograms(&self) -> impl Iterator<Item = (&str, &Histogram)> {
-        self.histograms.iter().map(|(k, h)| (k.as_str(), h))
+        let declared = HistogramId::ALL.iter().filter_map(|&id| {
+            let h = self.histogram_slots[id as usize].as_ref()?;
+            Some((id.name(), h))
+        });
+        let named = self.histograms.iter().map(|(k, h)| (k.as_str(), h));
+        by_name(declared.chain(named))
     }
 
     /// Fold another registry into this one (summing counters, merging
     /// histograms).
     pub fn merge(&mut self, other: &Registry) {
-        for (k, &v) in &other.counters {
-            *self.counters.entry(k.clone()).or_default() += v;
+        for (k, v) in other.counters() {
+            self.incr(k, v);
         }
-        for (k, h) in &other.histograms {
-            self.histograms.entry(k.clone()).or_default().merge(h);
+        for (k, h) in other.histograms() {
+            match HistogramId::of(k) {
+                Some(id) => {
+                    self.histogram_slots[id as usize].get_or_insert_with(Histogram::default)
+                }
+                None => self.histograms.entry(k.to_string()).or_default(),
+            }
+            .merge(h);
         }
     }
 
@@ -176,20 +338,26 @@ impl Registry {
     /// sorted keys and integer values throughout.
     pub fn to_json(&self) -> Value {
         let counters: BTreeMap<String, Value> = self
-            .counters
-            .iter()
-            .map(|(k, &v)| (k.clone(), Value::UInt(v)))
+            .counters()
+            .map(|(k, v)| (k.to_string(), Value::UInt(v)))
             .collect();
         let histograms: BTreeMap<String, Value> = self
-            .histograms
-            .iter()
-            .map(|(k, h)| (k.clone(), h.to_json()))
+            .histograms()
+            .map(|(k, h)| (k.to_string(), h.to_json()))
             .collect();
         serde_json::json!({
             "counters": Value::Object(counters),
             "histograms": Value::Object(histograms),
         })
     }
+}
+
+/// `(name, value)` pairs in name order. A name is declared or built at
+/// run time, never both, so no two pairs share one.
+fn by_name<'a, V>(pairs: impl Iterator<Item = (&'a str, V)>) -> impl Iterator<Item = (&'a str, V)> {
+    let mut pairs: Vec<_> = pairs.collect();
+    pairs.sort_unstable_by_key(|&(k, _)| k);
+    pairs.into_iter()
 }
 
 /// A registry shared between agents of one simulation. The simulator
@@ -229,6 +397,53 @@ mod tests {
         assert_eq!(j["count"].as_u64(), Some(5));
         // 0 -> bucket le=0; 1,1 -> le=2; 5 -> le=8; 9 -> le=16.
         assert_eq!(j["buckets"].to_string(), "[[0,1],[2,2],[8,1],[16,1]]");
+    }
+
+    #[test]
+    fn samples_at_the_top_of_the_range_saturate() {
+        let h = histogram_of([1 << 63, u64::MAX]);
+        assert_eq!(h.count(), 2);
+        assert_eq!(h.sum(), u64::MAX);
+        assert_eq!(h.max(), u64::MAX);
+        // Both land in bucket 64, whose bound 2^64 is written as u64::MAX.
+        let want = format!("[[{},2]]", u64::MAX);
+        assert_eq!(h.to_json()["buckets"].to_string(), want);
+        let mut twice = h.clone();
+        twice.merge(&h);
+        assert_eq!((twice.count(), twice.sum()), (4, u64::MAX));
+    }
+
+    #[test]
+    fn every_declared_name_maps_back_to_its_id() {
+        for &id in CounterId::ALL {
+            assert_eq!(CounterId::of(id.name()), Some(id));
+        }
+        for &id in HistogramId::ALL {
+            assert_eq!(HistogramId::of(id.name()), Some(id));
+        }
+        assert_eq!(CounterId::of("index0.scanned"), None);
+    }
+
+    #[test]
+    fn a_declared_name_and_its_id_share_one_value() {
+        let mut r = Registry::new();
+        r.incr("search.msgs.route", 2);
+        r.incr_id(CounterId::SearchMsgsRoute, 3);
+        r.incr_id(CounterId::StoreEntriesSkipped, 0);
+        r.incr("index0.scanned", 4);
+        r.observe_id(HistogramId::PublishHops, 2);
+        r.observe("publish.hops", 5);
+        assert_eq!(r.counter("search.msgs.route"), 5);
+        assert_eq!(r.histogram("publish.hops").map(Histogram::count), Some(2));
+        let names: Vec<_> = r.counters().collect();
+        assert_eq!(
+            names,
+            [
+                ("index0.scanned", 4),
+                ("search.msgs.route", 5),
+                ("store.entries_skipped", 0)
+            ]
+        );
     }
 
     #[test]

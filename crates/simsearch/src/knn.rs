@@ -108,7 +108,7 @@ impl SearchSystem {
                     shortcut: false,
                 }),
             );
-            self.sim.run();
+            self.run_to_quiescence();
             let iq = self.sim.agent(origin).issued[&qid].clone();
             total_ms += iq
                 .last_result

@@ -20,7 +20,7 @@
 //!   owners. Entry conservation is asserted.
 
 use chord::{ChordId, NodeRef, OracleRing};
-use simnet::{SimRng, Topology};
+use simnet::{CounterId, HistogramId, SimRng, Topology};
 
 use crate::node::SearchNode;
 
@@ -333,15 +333,15 @@ pub fn balance(
         }
 
         if let Some(reg) = registry.as_deref_mut() {
-            reg.incr("lb.rounds", 1);
-            reg.observe("lb.migrations_per_round", moved_this_round as u64);
+            reg.incr_id(CounterId::LbRounds, 1);
+            reg.observe_id(HistogramId::LbMigrationsPerRound, moved_this_round as u64);
         }
         if moved_this_round == 0 {
             break;
         }
         report.migrations += moved_this_round;
         if let Some(reg) = registry.as_deref_mut() {
-            reg.incr("lb.migrations", moved_this_round as u64);
+            reg.incr_id(CounterId::LbMigrations, moved_this_round as u64);
         }
         *ring = OracleRing::new(
             new_ids

@@ -18,6 +18,7 @@ use chord::RoutingTable;
 use lph::{Grid, Rotation};
 use metric::ObjectId;
 use sansio::{Input, ProtoCtx, Protocol};
+use simnet::telemetry::{CounterId as C, HistogramId as H};
 use simnet::{AgentId, SimDuration, SimTime, TimerTag};
 
 use crate::msg::{
@@ -250,11 +251,16 @@ impl SearchNode {
     /// Age is read from the attached telemetry, so only a driver that
     /// gives each node a handle of its own may call this (the socket
     /// runtime does; the simulator, whose nodes share one, never
-    /// retires).
+    /// retires). Such a driver never reaches quiescence, so this also
+    /// trims the traces once more than `keep` logs grew since the last
+    /// trim, which bounds the list of grown logs.
     pub fn retire_oldest(&mut self, keep: usize) {
         let mut st = self.telemetry.lock();
         while let Some(qid) = st.pop_oldest_beyond(keep) {
             self.issued.remove(&qid);
+        }
+        if st.grown.len() > keep {
+            st.trim();
         }
     }
 
@@ -346,7 +352,7 @@ impl SearchNode {
                 first_timeout: timeout,
             },
         );
-        self.telemetry.incr("resilience.tracked_sent", 1);
+        self.telemetry.incr_id(C::ResilienceTrackedSent, 1);
         ctx.schedule(timeout, TimerTag(seq));
         ctx.send(to, wire, wire_bytes);
     }
@@ -363,10 +369,10 @@ impl SearchNode {
             SearchMsg::Publish { index, entry, hops } => self.on_publish(ctx, index, entry, hops),
             // The query's origin is gone; there is nowhere else for its
             // results to go. Count the loss instead of hiding it.
-            SearchMsg::Results { .. } => self.telemetry.incr("resilience.results_lost", 1),
+            SearchMsg::Results { .. } => self.telemetry.incr_id(C::ResilienceResultsLost, 1),
             // The chosen replica holder is dead: the entry keeps fewer
             // copies until the next re-replication pass.
-            SearchMsg::Replicate { .. } => self.telemetry.incr("resilience.replicas_lost", 1),
+            SearchMsg::Replicate { .. } => self.telemetry.incr_id(C::ResilienceReplicasLost, 1),
             // Never wrapped in tracked envelopes.
             SearchMsg::Issue(_) | SearchMsg::Tracked { .. } | SearchMsg::Ack { .. } => {}
         }
@@ -437,16 +443,16 @@ impl SearchNode {
                     subqueries,
                     bytes,
                 };
-                (&subs[..], forward, "search.msgs.route")
+                (&subs[..], forward, C::SearchMsgsRoute)
             }
-            SearchMsg::Refine(sq) => (std::slice::from_ref(sq), handoff, "search.msgs.refine"),
+            SearchMsg::Refine(sq) => (std::slice::from_ref(sq), handoff, C::SearchMsgsRefine),
             _ => unreachable!("send_query sends query deliveries only"),
         };
-        let qid = subs[0].qid;
-        let tel = &self.telemetry;
-        tel.record(qid, event);
-        tel.incr(counter, 1);
-        tel.incr("search.bytes.query", bytes as u64);
+        let mut st = self.telemetry.lock();
+        st.push(subs[0].qid, &event);
+        st.registry.incr_id(counter, 1);
+        st.registry.incr_id(C::SearchBytesQuery, bytes as u64);
+        drop(st);
         for s in subs {
             self.incr_index(s.index, "routed", 1);
         }
@@ -467,8 +473,6 @@ impl SearchNode {
         let core = self.collect_answer(qid, index, &fragments);
         let bytes = result_msg_bytes(core.ranked.len());
         self.record_answer(ctx.me(), qid, index, hops, &core, bytes);
-        self.telemetry.incr("search.msgs.results", 1);
-        self.telemetry.incr("search.bytes.results", bytes as u64);
         let msg = SearchMsg::Results {
             qid,
             hops,
@@ -479,9 +483,9 @@ impl SearchNode {
     }
 
     /// Account one local answer of `bytes` on the wire: the `Answer`
-    /// event on the query's trace (its result bytes among them), and the
-    /// store, refinement, resilience and per-index counters of the scan
-    /// behind it.
+    /// event on the query's trace (its result bytes among them), the
+    /// result message, and the store, refinement, resilience and
+    /// per-index counters of the scan behind it.
     fn record_answer(
         &mut self,
         at: AgentId,
@@ -491,10 +495,10 @@ impl SearchNode {
         core: &AnswerCore,
         bytes: u32,
     ) {
-        let tel = &self.telemetry;
-        tel.record(
+        let mut st = self.telemetry.lock();
+        st.push(
             qid,
-            TraceEvent::Answer {
+            &TraceEvent::Answer {
                 at: at.0,
                 hops,
                 scanned: core.scanned,
@@ -503,19 +507,23 @@ impl SearchNode {
                 bytes,
             },
         );
-        tel.incr("store.entries_scanned", core.scanned);
-        tel.incr("store.entries_matched", core.matched);
-        tel.incr("store.entries_skipped", core.skipped);
-        tel.incr("search.refine.dist_calls", core.dist_calls);
+        let reg = &mut st.registry;
+        reg.incr_id(C::SearchMsgsResults, 1);
+        reg.incr_id(C::SearchBytesResults, bytes as u64);
+        reg.incr_id(C::StoreEntriesScanned, core.scanned);
+        reg.incr_id(C::StoreEntriesMatched, core.matched);
+        reg.incr_id(C::StoreEntriesSkipped, core.skipped);
+        reg.incr_id(C::SearchRefineDistCalls, core.dist_calls);
         if core.pruned > 0 {
-            tel.incr("search.refine.pruned", core.pruned);
+            reg.incr_id(C::SearchRefinePruned, core.pruned);
         }
         if core.replica_answers > 0 {
-            tel.incr("resilience.replica_answers", core.replica_answers);
+            reg.incr_id(C::ResilienceReplicaAnswers, core.replica_answers);
         }
         if core.degraded {
-            tel.incr("resilience.degraded_answers", 1);
+            reg.incr_id(C::ResilienceDegradedAnswers, 1);
         }
+        drop(st);
         self.incr_index(index, "answers", 1);
         self.incr_index(index, "scanned", core.scanned);
         self.incr_index(index, "dist_calls", core.dist_calls);
@@ -747,8 +755,8 @@ impl SearchNode {
                     hops: hops + 1,
                 };
                 let bytes = msg_bytes(&msg, |ix| self.k_of(ix));
-                self.telemetry.incr("search.msgs.publish", 1);
-                self.telemetry.incr("search.bytes.publish", bytes as u64);
+                self.telemetry.incr_id(C::SearchMsgsPublish, 1);
+                self.telemetry.incr_id(C::SearchBytesPublish, bytes as u64);
                 self.send_search(ctx, next.addr, msg, bytes);
             }
         }
@@ -761,8 +769,8 @@ impl SearchNode {
         entry: Entry,
         hops: u32,
     ) {
-        self.telemetry.incr("publish.stored", 1);
-        self.telemetry.observe("publish.hops", hops as u64);
+        self.telemetry.incr_id(C::PublishStored, 1);
+        self.telemetry.observe_id(H::PublishHops, hops as u64);
         self.incr_index(index, "published", 1);
         self.indexes[index as usize].store.insert(entry.clone());
         self.replicate_out(ctx, index, entry);
@@ -794,8 +802,9 @@ impl SearchNode {
                 entry: entry.clone(),
             };
             let bytes = msg_bytes(&msg, |ix| self.k_of(ix));
-            self.telemetry.incr("search.msgs.replicate", 1);
-            self.telemetry.incr("search.bytes.replicate", bytes as u64);
+            self.telemetry.incr_id(C::SearchMsgsReplicate, 1);
+            self.telemetry
+                .incr_id(C::SearchBytesReplicate, bytes as u64);
             self.send_search(ctx, s.addr, msg, bytes);
         }
     }
@@ -825,7 +834,7 @@ impl Protocol for SearchNode {
                 owner,
                 entry,
             } => {
-                self.telemetry.incr("replicate.stored", 1);
+                self.telemetry.incr_id(C::ReplicateStored, 1);
                 self.indexes[index as usize].store.put_replica(owner, entry);
             }
             SearchMsg::Tracked { seq, dead, inner } => {
@@ -844,14 +853,14 @@ impl Protocol for SearchNode {
                 if !self.seen_tracked.insert((from.0, seq)) {
                     // Retransmission or network duplicate of a payload
                     // already executed: ack again (above), run nothing.
-                    self.telemetry.incr("resilience.dup_dropped", 1);
+                    self.telemetry.incr_id(C::ResilienceDupDropped, 1);
                     return;
                 }
                 Protocol::on_message(self, ctx, from, *inner);
             }
             SearchMsg::Ack { seq } => {
                 if self.pending.remove(&seq).is_some() {
-                    self.telemetry.incr("resilience.acked", 1);
+                    self.telemetry.incr_id(C::ResilienceAcked, 1);
                 }
             }
         }
@@ -875,7 +884,7 @@ impl Protocol for SearchNode {
                 inner: Box::new(p.msg.clone()),
             };
             let delay = rc.backoff_timeout(p.first_timeout, p.attempts);
-            self.telemetry.incr("resilience.retries", 1);
+            self.telemetry.incr_id(C::ResilienceRetries, 1);
             ctx.schedule(delay, TimerTag(seq));
             ctx.send(p.to, wire, wire_bytes);
             self.pending.insert(seq, p);
@@ -887,7 +896,7 @@ impl Protocol for SearchNode {
                     self.suspected.insert(id);
                 }
             }
-            self.telemetry.incr("resilience.failovers", 1);
+            self.telemetry.incr_id(C::ResilienceFailovers, 1);
             self.redispatch(ctx, p.msg);
         }
     }
@@ -1457,6 +1466,16 @@ mod tests {
         assert_eq!(held(&sim, &tels, 0), [vec![0, 2], vec![0, 2]]);
         assert_eq!(held(&sim, &tels, 1), [vec![], vec![0, 2]]);
         assert_eq!(tels[0].lock().order, [0, 2]);
+    }
+
+    #[test]
+    fn retiring_bounds_the_list_of_grown_logs() {
+        let (mut sim, _, tels) = touched(&[4, 1, 3, 0, 2]);
+        assert!(tels[0].lock().grown.len() > 2);
+        retire_all(&mut sim, 2);
+        for tel in &tels {
+            assert!(tel.lock().grown.len() <= 2);
+        }
     }
 
     #[test]

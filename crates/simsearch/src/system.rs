@@ -602,9 +602,12 @@ impl SearchSystem {
         );
     }
 
-    /// Run the simulation until no events remain.
+    /// Run the simulation until no events remain, then trim every trace
+    /// log written since the last quiescence to its exact length: no
+    /// more events can reach it until the next injection.
     pub fn run_to_quiescence(&mut self) {
         self.sim.run();
+        self.telemetry.lock().trim();
     }
 
     /// Current simulated time.
@@ -667,7 +670,7 @@ impl SearchSystem {
             let origin = AgentId(origin(qid, &mut rng));
             self.inject_query(SimTime::from_secs_f64(t), origin, qid as QueryId, q);
         }
-        self.sim.run();
+        self.run_to_quiescence();
         self.collect(queries)
     }
 

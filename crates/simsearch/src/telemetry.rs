@@ -10,12 +10,13 @@
 //! runs with the same seed produce byte-identical JSON, which is what
 //! the golden-snapshot CI gate relies on.
 
+use std::cell::{RefCell, RefMut};
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::rc::Rc;
 
 use serde_json::Value;
-use simnet::telemetry::Registry;
+use simnet::telemetry::{CounterId, HistogramId, Registry};
 use simnet::AgentId;
 
 use crate::msg::QueryId;
@@ -431,12 +432,17 @@ pub struct TelemetryState {
     /// the first-touch order [`crate::SearchNode::retire_oldest`]
     /// retires queries in.
     pub(crate) order: VecDeque<QueryId>,
+    /// Queries whose log outgrew its buffer since the last
+    /// [`Self::trim`]: the only logs that can hold spare capacity.
+    pub(crate) grown: Vec<QueryId>,
 }
 
-/// Cloneable handle to one system's telemetry. Cheap to clone (an `Arc`);
-/// every node of a system holds the same handle.
+/// Cloneable handle to one system's telemetry. Cheap to clone (an `Rc`);
+/// every node of a system holds the same handle. A system runs on one
+/// thread, so the state sits in a `RefCell`: recording is a borrow flag
+/// and an array index, never a lock.
 #[derive(Clone, Debug, Default)]
-pub struct Telemetry(Arc<Mutex<TelemetryState>>);
+pub struct Telemetry(Rc<RefCell<TelemetryState>>);
 
 impl Telemetry {
     /// Fresh, empty telemetry.
@@ -444,9 +450,11 @@ impl Telemetry {
         Telemetry::default()
     }
 
-    /// Lock the state for direct inspection or mutation.
-    pub fn lock(&self) -> MutexGuard<'_, TelemetryState> {
-        self.0.lock().expect("telemetry poisoned")
+    /// Borrow the state for direct inspection or mutation. Only one
+    /// borrow may be live at a time; a second one panics.
+    #[inline]
+    pub fn lock(&self) -> RefMut<'_, TelemetryState> {
+        self.0.borrow_mut()
     }
 
     /// Start (or re-anchor) the trace of `qid` at its issuing node.
@@ -456,39 +464,54 @@ impl Telemetry {
 
     /// Append one event to the trace of `qid`.
     pub fn record(&self, qid: QueryId, event: TraceEvent) {
-        self.lock().log_mut(qid).push(&event);
+        self.lock().push(qid, &event);
     }
 
     /// Add `by` to a named counter.
+    #[inline]
     pub fn incr(&self, name: &str, by: u64) {
         self.lock().registry.incr(name, by);
     }
 
+    /// Add `by` to a declared counter.
+    #[inline]
+    pub fn incr_id(&self, id: CounterId, by: u64) {
+        self.lock().registry.incr_id(id, by);
+    }
+
     /// Record one histogram sample.
+    #[inline]
     pub fn observe(&self, name: &str, value: u64) {
         self.lock().registry.observe(name, value);
     }
 
+    /// Record one sample into a declared histogram.
+    #[inline]
+    pub fn observe_id(&self, id: HistogramId, value: u64) {
+        self.lock().registry.observe_id(id, value);
+    }
+
     /// Record a routing-layer event observed at node `at` while working
     /// on query `qid`: appends the trace event and bumps the matching
-    /// counter in one lock acquisition.
+    /// counter in one borrow.
     pub fn record_routing(&self, qid: QueryId, at: usize, ev: crate::routing::RoutingEvent) {
         use crate::routing::RoutingEvent as R;
+        use CounterId as C;
         let (counter, event) = match ev {
-            R::Split { prefix_len } => ("routing.splits", TraceEvent::Split { at, prefix_len }),
+            R::Split { prefix_len } => (C::RoutingSplits, TraceEvent::Split { at, prefix_len }),
             R::SharedPath { prefix_len } => (
-                "routing.shared_path",
+                C::RoutingSharedPath,
                 TraceEvent::SharedPath { at, prefix_len },
             ),
             R::LocalRefine { prefix_len } => (
-                "routing.local_refines",
+                C::RoutingLocalRefines,
                 TraceEvent::Refine { at, prefix_len },
             ),
-            R::RefinePeel { prefix_len } => ("routing.peels", TraceEvent::Peel { at, prefix_len }),
+            R::RefinePeel { prefix_len } => (C::RoutingPeels, TraceEvent::Peel { at, prefix_len }),
         };
         let mut st = self.lock();
-        st.registry.incr(counter, 1);
-        st.log_mut(qid).push(&event);
+        st.registry.incr_id(counter, 1);
+        st.push(qid, &event);
     }
 
     /// Drop the trace of `qid`; a later event on it starts a fresh one.
@@ -518,6 +541,29 @@ impl TelemetryState {
             Entry::Vacant(log) => {
                 self.order.push_back(qid);
                 log.insert(TraceLog::default())
+            }
+        }
+    }
+
+    /// Append one event to the trace of `qid`, noting the log if its
+    /// buffer grew.
+    pub(crate) fn push(&mut self, qid: QueryId, event: &TraceEvent) {
+        let log = self.log_mut(qid);
+        let capacity = log.bytes.capacity();
+        log.push(event);
+        if log.bytes.capacity() != capacity {
+            self.grown.push(qid);
+        }
+    }
+
+    /// Shrink every log that grew since the last trim to its exact
+    /// length. A buffer grows by doubling, so a finished log can hold up
+    /// to twice its bytes; a driver calls this once the logs it wrote
+    /// are complete.
+    pub(crate) fn trim(&mut self) {
+        for qid in self.grown.drain(..) {
+            if let Some(log) = self.traces.get_mut(&qid) {
+                log.bytes.shrink_to_fit();
             }
         }
     }
@@ -670,6 +716,29 @@ mod tests {
         assert_eq!(st.pop_oldest_beyond(1), Some(9));
         assert_eq!(st.pop_oldest_beyond(1), None);
         assert_eq!(st.traces.keys().copied().collect::<Vec<_>>(), [2]);
+    }
+
+    #[test]
+    fn trim_leaves_every_grown_log_at_its_length() {
+        let mut st = TelemetryState::default();
+        let split = TraceEvent::Split {
+            at: 1,
+            prefix_len: 2,
+        };
+        for qid in (0..100).map(|i| i % 3) {
+            st.push(qid, &split);
+        }
+        let slack = |st: &TelemetryState| -> Vec<usize> {
+            let logs = st.traces.values();
+            logs.map(|l| l.bytes.capacity() - l.bytes.len()).collect()
+        };
+        assert!(slack(&st).iter().any(|&s| s > 0));
+        st.trim();
+        assert_eq!(slack(&st), [0, 0, 0]);
+        assert!(st.grown.is_empty());
+        // A trimmed log that grows again is trimmed again.
+        st.push(0, &split);
+        assert_eq!(st.grown, [0]);
     }
 
     #[test]
