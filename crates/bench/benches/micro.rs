@@ -510,6 +510,27 @@ fn kernel_timings(budget: Duration) -> serde_json::Value {
         black_box(ball.lower_bound(black_box(&pt), black_box(&bounds)));
     });
 
+    // 1 024 points of the 5-d, 64-division grid and the side-20 boxes
+    // around them, cycled: each division's outcome is then as hard to
+    // predict as on a workload's own points, not learnt from one input.
+    let grid = Grid::uniform(5, 0.0, 100.0);
+    let mut grid_rng = SimRng::new(0xE5);
+    let points: Vec<Vec<f64>> = (0..1024)
+        .map(|_| (0..5).map(|_| grid_rng.f64() * 100.0).collect())
+        .collect();
+    let mut next = points.iter().cycle();
+    let hash = time_ns(budget, || {
+        black_box(grid.hash(black_box(next.next().expect("cycled"))));
+    });
+    let rects: Vec<Rect> = points
+        .iter()
+        .map(|p| Rect::ball(p, 10.0, grid.bounds()))
+        .collect();
+    let mut next = rects.iter().cycle();
+    let key_span = time_ns(budget, || {
+        black_box(grid.key_span(black_box(next.next().expect("cycled"))));
+    });
+
     let objs: Vec<Vec<f32>> = (0..4_000)
         .map(|_| (0..100).map(|_| rng.f64() as f32 * 100.0).collect())
         .collect();
@@ -541,6 +562,8 @@ fn kernel_timings(budget: Duration) -> serde_json::Value {
         "refine_wide_7500_sniffed_maps_dist_ns_per_answer": sniffed.1,
         "refine_wide_7500_stored_l2_dist_ns_per_answer": stored.1,
         "lower_bound_5d_ns": lower_bound,
+        "hash_5d_ns": hash,
+        "key_span_5d_ns": key_span,
         "map_seq_4000x100d_k10_ns": map_seq,
         "map_all_par_4000x100d_k10_ns": map_par,
     })

@@ -61,16 +61,19 @@ impl Grid {
     }
 
     /// Dimensionality `k` of the index space.
+    #[inline]
     pub fn dims(&self) -> usize {
         self.bounds.dims()
     }
 
     /// Number of divisions `m`.
+    #[inline]
     pub fn depth(&self) -> u32 {
         self.depth
     }
 
     /// The index-space boundary.
+    #[inline]
     pub fn bounds(&self) -> &Rect {
         &self.bounds
     }
@@ -90,30 +93,51 @@ impl Grid {
     /// boundary are clamped onto it first (paper §3.1: out-of-boundary
     /// objects map to boundary points).
     ///
+    /// One midpoint chain per dimension; see `Grid::bisect`.
+    pub fn hash(&self, point: &[f64]) -> u64 {
+        let [key] = self.bisect([point]);
+        key
+    }
+
+    /// [`Grid::hash`] of each of `N` points, their midpoint chains run
+    /// side by side.
+    ///
     /// A division only narrows its own dimension's interval, so each
     /// dimension is bisected on its own — the divisions at positions
     /// `j + 1`, `j + 1 + k`, … — and its bits are dropped straight into
-    /// their key positions: no scratch bounds, no division by `k`, and a
-    /// select instead of a data-dependent branch.
-    pub fn hash(&self, point: &[f64]) -> u64 {
+    /// their key positions: no scratch bounds and no division by `k`.
+    /// Each chain takes the same `0.5 * (lo + hi)` steps in the same
+    /// order as a lone one, so its key is the same; the `N` chains of a
+    /// dimension are independent, so the processor overlaps them. The
+    /// half is chosen by masking the bits of `lo`, `hi` and the
+    /// midpoint, never by a branch: the comparisons are coin flips no
+    /// predictor learns.
+    fn bisect<const N: usize>(&self, points: [&[f64]; N]) -> [u64; N] {
         let k = self.dims();
-        assert_eq!(point.len(), k, "dimension mismatch");
+        for p in points {
+            assert_eq!(p.len(), k, "dimension mismatch");
+        }
         let (bound_lo, bound_hi) = (self.bounds.lo(), self.bounds.hi());
-        let mut key = 0u64;
+        let mut keys = [0u64; N];
         for j in 0..k {
-            let x = point[j].clamp(bound_lo[j], bound_hi[j]);
-            let (mut lo, mut hi) = (bound_lo[j], bound_hi[j]);
+            let x = points.map(|p| p[j].clamp(bound_lo[j], bound_hi[j]));
+            let mut lo = [bound_lo[j].to_bits(); N];
+            let mut hi = [bound_hi[j].to_bits(); N];
             let mut pos = j as u32 + 1;
             while pos <= self.depth {
-                let mid = 0.5 * (lo + hi);
-                let upper = x > mid;
-                lo = if upper { mid } else { lo };
-                hi = if upper { hi } else { mid };
-                key |= u64::from(upper) << (KEY_BITS - pos);
+                for c in 0..N {
+                    let mid = 0.5 * (f64::from_bits(lo[c]) + f64::from_bits(hi[c]));
+                    let upper = u64::from(x[c] > mid);
+                    // All ones when `x` lies above the midpoint.
+                    let take = upper.wrapping_neg();
+                    lo[c] = (lo[c] & !take) | (mid.to_bits() & take);
+                    hi[c] = (mid.to_bits() & !take) | (hi[c] & take);
+                    keys[c] |= upper << (KEY_BITS - pos);
+                }
                 pos += k as u32;
             }
         }
-        key
+        keys
     }
 
     /// The cuboid of a prefix: the sub-box reached by replaying the
@@ -185,8 +209,12 @@ impl Grid {
     /// [`Grid::enclosing_prefix`], which rounds the region up to a whole
     /// cuboid. Unlike `enclosing_prefix`, this accepts unclipped regions
     /// (`hash` clamps out-of-boundary coordinates).
+    ///
+    /// Both corners are hashed in one `Grid::bisect`, their chains side
+    /// by side.
     pub fn key_span(&self, rect: &Rect) -> (u64, u64) {
-        (self.hash(rect.lo()), self.hash(rect.hi()))
+        let [lo, hi] = self.bisect([rect.lo(), rect.hi()]);
+        (lo, hi)
     }
 
     /// Algorithm 4's recursive refinement: deepen `prefix` while `rect`

@@ -63,21 +63,25 @@ impl Rect {
     }
 
     /// Number of dimensions.
+    #[inline]
     pub fn dims(&self) -> usize {
         self.corners.len() / 2
     }
 
     /// Lower corner.
+    #[inline]
     pub fn lo(&self) -> &[f64] {
         &self.corners[..self.dims()]
     }
 
     /// Upper corner.
+    #[inline]
     pub fn hi(&self) -> &[f64] {
         &self.corners[self.dims()..]
     }
 
     /// Mutate one dimension's interval (used by query splitting).
+    #[inline]
     pub fn set_dim(&mut self, d: usize, lo: f64, hi: f64) {
         assert!(lo <= hi);
         let k = self.dims();
@@ -86,6 +90,7 @@ impl Rect {
     }
 
     /// True when `p` lies inside (closed) this box.
+    #[inline]
     pub fn contains_point(&self, p: &[f64]) -> bool {
         assert_eq!(p.len(), self.dims());
         let (lo, hi) = (self.lo(), self.hi());

@@ -8,7 +8,9 @@
 //! * split soundness — fragments stay inside the parent region, union
 //!   covers it, prefixes deepen by exactly one bit;
 //! * descent exactness — `Grid::descend` reaches the prefix and cut a
-//!   chain of `Grid::split` calls reaches, bit for bit.
+//!   chain of `Grid::split` calls reaches, bit for bit;
+//! * hash exactness — `Grid::hash` and both ends of `Grid::key_span` are
+//!   the division-by-division hash, bit for bit.
 
 use lph::{Grid, Prefix, Rect, Rotation, SubQuery};
 use proptest::prelude::*;
@@ -172,6 +174,40 @@ fn hash_by_divisions(grid: &Grid, point: &[f64]) -> u64 {
     key << (64 - grid.depth())
 }
 
+/// A coordinate for a dimension over `[l, h]`, by selector `kind`: the
+/// interior, an exact division midpoint, the boundary, outside it, NaN
+/// or an infinity.
+fn coordinate((kind, u, level, m): (u8, f64, u32, u64), l: f64, h: f64) -> f64 {
+    match kind {
+        0 | 1 => l + u * (h - l),
+        // The midpoint of a division `level` deep: an odd multiple of
+        // span / 2^level, exact in binary.
+        2 => {
+            let odd = 2 * (m % (1u64 << (level - 1))) + 1;
+            l + (h - l) * (odd as f64 / (1u64 << level) as f64)
+        }
+        3 => l,
+        4 => h,
+        5 => l - 1.0 - 100.0 * u,
+        6 => h + 1.0 + 100.0 * u,
+        7 => f64::NAN,
+        _ if u < 0.5 => f64::INFINITY,
+        _ => f64::NEG_INFINITY,
+    }
+}
+
+/// Dyadic bounds of `dims` dimensions: each starts at a whole number at
+/// or below 0 and spans a power of two.
+fn dyadic_bounds(dims: usize, bounds: &[(u32, u32)]) -> (Vec<f64>, Vec<f64>) {
+    let lo: Vec<f64> = bounds[..dims].iter().map(|&(a, _)| -f64::from(a)).collect();
+    let hi = bounds[..dims]
+        .iter()
+        .zip(&lo)
+        .map(|(&(_, e), l)| l + f64::from(1u32 << e))
+        .collect();
+    (lo, hi)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -184,31 +220,11 @@ proptest! {
         bounds in prop::collection::vec((0u32..8, 0u32..6), 5),
         coords in prop::collection::vec((0u8..9, 0.0f64..1.0, 1u32..24, any::<u64>()), 5),
     ) {
-        let lo: Vec<f64> = bounds[..dims].iter().map(|&(a, _)| -f64::from(a)).collect();
-        let hi: Vec<f64> = bounds[..dims]
-            .iter()
-            .zip(&lo)
-            .map(|(&(_, e), l)| l + f64::from(1u32 << e))
-            .collect();
+        let (lo, hi) = dyadic_bounds(dims, &bounds);
         let point: Vec<f64> = coords[..dims]
             .iter()
             .zip(lo.iter().zip(&hi))
-            .map(|(&(kind, u, level, m), (&l, &h))| match kind {
-                0 | 1 => l + u * (h - l),
-                // The midpoint of a division `level` deep: an odd
-                // multiple of span / 2^level, exact in binary.
-                2 => {
-                    let odd = 2 * (m % (1u64 << (level - 1))) + 1;
-                    l + (h - l) * (odd as f64 / (1u64 << level) as f64)
-                }
-                3 => l,
-                4 => h,
-                5 => l - 1.0 - 100.0 * u,
-                6 => h + 1.0 + 100.0 * u,
-                7 => f64::NAN,
-                _ if u < 0.5 => f64::INFINITY,
-                _ => f64::NEG_INFINITY,
-            })
+            .map(|(&c, (&l, &h))| coordinate(c, l, h))
             .collect();
         for depth in 1..=64 {
             let g = Grid::new(Rect::new(lo.clone(), hi.clone()), depth);
@@ -221,6 +237,42 @@ proptest! {
                 hi,
                 point
             );
+        }
+    }
+
+    /// `key_span` hashes both corners in one bisection, and each end is
+    /// still the division-by-division hash of its corner: for the cells
+    /// of the grid (corners on division midpoints and the boundary) at
+    /// every prefix length, and for boxes between two coordinates drawn
+    /// as above — beyond the bounds and infinite too. (No `Rect` has a
+    /// NaN corner; the hash test covers NaN.)
+    #[test]
+    fn key_span_matches_the_division_by_division_loop(
+        dims in 1usize..=5,
+        bounds in prop::collection::vec((0u32..8, 0u32..6), 5),
+        a in prop::collection::vec((0u8..9, 0.0f64..1.0, 1u32..24, any::<u64>()), 5),
+        b in prop::collection::vec((0u8..9, 0.0f64..1.0, 1u32..24, any::<u64>()), 5),
+        key in any::<u64>(),
+        len in any::<u32>(),
+    ) {
+        let (lo, hi) = dyadic_bounds(dims, &bounds);
+        let corner = |c: &[(u8, f64, u32, u64)]| -> Vec<f64> {
+            (0..dims)
+                .map(|d| Some(coordinate(c[d], lo[d], hi[d])).filter(|x| !x.is_nan()).unwrap_or(lo[d]))
+                .collect()
+        };
+        let (a, b) = (corner(&a), corner(&b));
+        let rect = Rect::new(
+            a.iter().zip(&b).map(|(x, y)| x.min(*y)).collect(),
+            a.iter().zip(&b).map(|(x, y)| x.max(*y)).collect(),
+        );
+        for depth in 1..=64 {
+            let g = Grid::new(Rect::new(lo.clone(), hi.clone()), depth);
+            let cell = g.cell(Prefix::of_key(key, len % (depth + 1)));
+            for r in [&rect, &cell] {
+                let want = (hash_by_divisions(&g, r.lo()), hash_by_divisions(&g, r.hi()));
+                prop_assert_eq!(g.key_span(r), want, "depth {} region {:?}", depth, r);
+            }
         }
     }
 }

@@ -14,8 +14,10 @@
 //!
 //! # Two representations
 //!
-//! The dense `n × n` matrix is exact and fast but quadratic: at 100k
-//! hosts it would need 80 GB. [`Topology::king_like_scalable`] therefore
+//! The dense matrix is exact and fast but quadratic. It stores one RTT
+//! per unordered pair — the triangle above the diagonal, `n(n-1)/2`
+//! slots, which the generator fills in place — yet at 100k hosts that
+//! would still be 40 GB. [`Topology::king_like_scalable`] therefore
 //! stores only the per-host embedding (40 bytes/host) and computes each
 //! RTT **on demand**: base propagation from the coordinates plus a
 //! pair-keyed deterministic jitter, rescaled by a factor calibrated once
@@ -51,8 +53,9 @@ const STAT_SAMPLE_PAIRS: usize = 1 << 17;
 /// How pairwise RTTs are stored.
 #[derive(Clone)]
 enum Repr {
-    /// Flattened `n * n` RTTs in nanoseconds; diagonal is zero. Exact,
-    /// O(n²) memory.
+    /// The RTT in nanoseconds of every pair `i < j`, row after row (see
+    /// [`pair_slot`]); the diagonal is zero and `(j, i)` is `(i, j)`.
+    /// Exact, O(n²) memory.
     Dense { rtt_ns: Box<[u64]> },
     /// Per-host embedding; RTTs computed on demand. O(n) memory.
     Coords {
@@ -75,14 +78,7 @@ impl Topology {
     /// A matrix where every distinct pair has the same RTT. Useful for
     /// unit tests where latency variation would be noise.
     pub fn uniform(n: usize, rtt: crate::time::SimTime) -> Topology {
-        let mut rtt_ns = vec![0u64; n * n].into_boxed_slice();
-        for i in 0..n {
-            for j in 0..n {
-                if i != j {
-                    rtt_ns[i * n + j] = rtt.0;
-                }
-            }
-        }
+        let rtt_ns = vec![rtt.0; pairs(n)].into_boxed_slice();
         Topology {
             n,
             repr: Repr::Dense { rtt_ns },
@@ -102,7 +98,7 @@ impl Topology {
             return Topology {
                 n,
                 repr: Repr::Dense {
-                    rtt_ns: vec![0u64; 1].into_boxed_slice(),
+                    rtt_ns: Box::default(),
                 },
             };
         }
@@ -120,9 +116,11 @@ impl Topology {
 
         // Raw latencies: base propagation from the embedding plus a small
         // constant floor (last-mile) and multiplicative lognormal jitter.
-        let mut raw = vec![0.0f64; n * n];
+        // Each pair's slot holds its raw latency's bits until the rescale
+        // below overwrites them with its RTT, in pair order.
+        let mut rtt_ns = vec![0u64; pairs(n)].into_boxed_slice();
+        let mut slots = rtt_ns.iter_mut();
         let mut sum = 0.0f64;
-        let mut pairs = 0u64;
         for i in 0..n {
             for j in (i + 1)..n {
                 let mut d2 = 0.0;
@@ -135,23 +133,16 @@ impl Topology {
                 let z = normal_sample(&mut rng);
                 let jitter = (JITTER_SIGMA * z).exp();
                 let lat = (LAST_MILE + base) * jitter;
-                raw[i * n + j] = lat;
-                raw[j * n + i] = lat;
+                *slots.next().expect("one slot per pair") = lat.to_bits();
                 sum += lat;
-                pairs += 1;
             }
         }
 
         // Rescale to the requested mean.
-        let scale = mean_rtt_ms / (sum / pairs as f64);
-        let mut rtt_ns = vec![0u64; n * n].into_boxed_slice();
-        for i in 0..n {
-            for j in 0..n {
-                if i != j {
-                    let ms = raw[i * n + j] * scale;
-                    rtt_ns[i * n + j] = (ms * 1e6).round() as u64;
-                }
-            }
+        let scale = mean_rtt_ms / (sum / rtt_ns.len() as f64);
+        for slot in rtt_ns.iter_mut() {
+            let ms = f64::from_bits(*slot) * scale;
+            *slot = (ms * 1e6).round() as u64;
         }
         Topology {
             n,
@@ -236,7 +227,13 @@ impl Topology {
     #[inline]
     fn rtt_ns(&self, a: usize, b: usize) -> u64 {
         match &self.repr {
-            Repr::Dense { rtt_ns } => rtt_ns[a * self.n + b],
+            Repr::Dense { rtt_ns } => {
+                if a == b {
+                    0
+                } else {
+                    rtt_ns[pair_slot(self.n, a.min(b), a.max(b))]
+                }
+            }
             Repr::Coords {
                 coords,
                 scale,
@@ -290,19 +287,25 @@ impl Topology {
             return;
         }
         match &self.repr {
-            Repr::Dense { rtt_ns } => {
-                for i in 0..self.n {
-                    for j in (i + 1)..self.n {
-                        f(rtt_ns[i * self.n + j]);
-                    }
-                }
-            }
+            Repr::Dense { rtt_ns } => rtt_ns.iter().for_each(|&rtt| f(rtt)),
             Repr::Coords { seed, .. } => {
                 let seed = *seed;
                 for_each_stat_pair(self.n, seed, |i, j| f(self.rtt_ns(i, j)));
             }
         }
     }
+}
+
+/// Number of distinct pairs among `n` hosts: the dense triangle's size.
+fn pairs(n: usize) -> usize {
+    n * n.saturating_sub(1) / 2
+}
+
+/// The dense triangle's slot of pair `i < j`: rows `0..i` hold
+/// `n-1, n-2, …, n-i` pairs before it.
+#[inline]
+fn pair_slot(n: usize, i: usize, j: usize) -> usize {
+    i * (2 * n - i - 1) / 2 + (j - i - 1)
 }
 
 /// Visit a deterministic set of distinct pairs for statistics: all
@@ -378,6 +381,68 @@ mod tests {
         assert_eq!(t.rtt(1, 3), SimDuration::from_millis(100));
         assert_eq!(t.one_way(1, 3), SimDuration::from_millis(50));
         assert!((t.mean_rtt_ms() - 100.0).abs() < 1e-9);
+    }
+
+    /// The dense builder before it stored a triangle: an `n × n` matrix
+    /// of raw latencies, then one of RTTs.
+    fn king_like_square(n: usize, seed: u64, mean_rtt_ms: f64) -> Vec<u64> {
+        if n == 1 {
+            return vec![0];
+        }
+        let mut rng = SimRng::new(seed).fork(0x7090);
+        let coords: Vec<[f64; DIMS]> = (0..n)
+            .map(|_| {
+                let mut c = [0.0; DIMS];
+                for v in &mut c {
+                    *v = rng.f64();
+                }
+                c
+            })
+            .collect();
+        let mut raw = vec![0.0f64; n * n];
+        let mut sum = 0.0f64;
+        let mut pairs = 0u64;
+        for i in 0..n {
+            for j in (i + 1)..n {
+                let mut d2 = 0.0;
+                for (a, b) in coords[i].iter().zip(&coords[j]) {
+                    let d = a - b;
+                    d2 += d * d;
+                }
+                let z = normal_sample(&mut rng);
+                let lat = (LAST_MILE + d2.sqrt()) * (JITTER_SIGMA * z).exp();
+                raw[i * n + j] = lat;
+                raw[j * n + i] = lat;
+                sum += lat;
+                pairs += 1;
+            }
+        }
+        let scale = mean_rtt_ms / (sum / pairs as f64);
+        let mut rtt_ns = vec![0u64; n * n];
+        for i in 0..n {
+            for j in 0..n {
+                if i != j {
+                    rtt_ns[i * n + j] = (raw[i * n + j] * scale * 1e6).round() as u64;
+                }
+            }
+        }
+        rtt_ns
+    }
+
+    #[test]
+    fn the_triangle_equals_the_square_matrix_bit_for_bit() {
+        for n in [1, 2, 3, 64, 1024] {
+            let square = king_like_square(n, 42, DEFAULT_MEAN_RTT_MS);
+            let t = Topology::king_like(n, 42, DEFAULT_MEAN_RTT_MS);
+            let flat = Topology::uniform(n, SimTime::from_millis(7));
+            for i in 0..n {
+                for j in 0..n {
+                    assert_eq!(t.rtt(i, j).0, square[i * n + j], "n={n} ({i}, {j})");
+                    let want = if i == j { 0 } else { 7_000_000 };
+                    assert_eq!(flat.rtt(i, j).0, want, "uniform n={n} ({i}, {j})");
+                }
+            }
+        }
     }
 
     #[test]

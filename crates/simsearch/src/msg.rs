@@ -76,18 +76,65 @@ impl QueryBall {
         let mut lb = 0.0f64;
         let dims = self.center.len().min(point.len());
         for (i, &x) in point.iter().enumerate().take(dims) {
-            let q = self.center[i];
-            let (lo, hi) = (bounds.lo()[i], bounds.hi()[i]);
-            let gap = if x >= hi {
-                (hi - q).max(0.0)
-            } else if x <= lo {
-                (q - lo).max(0.0)
-            } else {
-                (q - x).abs()
-            };
-            lb = lb.max(gap);
+            lb = lb.max(gap(self.center[i], x, bounds.lo()[i], bounds.hi()[i]));
         }
         lb
+    }
+
+    /// An upper bound on [`Self::lower_bound`] over every point of
+    /// `rect`: the largest per-dimension gap at the rect's two faces.
+    ///
+    /// In one dimension the gap is, as a function of the coordinate `x`,
+    /// quasi-convex: `|q − x|` falls then rises inside the bounds, and
+    /// it is constant beyond each boundary, at a value no smaller than
+    /// the interior gap next to that boundary when `q` lies within the
+    /// bounds — and monotone throughout when `q` lies outside them (or
+    /// the bounds are one point). Rounded subtraction is monotone too,
+    /// so the computed gap keeps that shape, and on an interval it peaks
+    /// at an end. A NaN center coordinate gives a NaN or zero gap at
+    /// every `x`, which `f64::max` passes over here as there.
+    pub fn reach(&self, rect: &Rect, bounds: &Rect) -> f64 {
+        let mut reach = 0.0f64;
+        let dims = self.center.len().min(rect.dims());
+        for i in 0..dims {
+            let (q, lo, hi) = (self.center[i], bounds.lo()[i], bounds.hi()[i]);
+            reach = reach
+                .max(gap(q, rect.lo()[i], lo, hi))
+                .max(gap(q, rect.hi()[i], lo, hi));
+        }
+        reach
+    }
+
+    /// Narrow `safe` — per dimension the bound reads, an interval of
+    /// coordinates — so that a point of `rect` whose every coordinate
+    /// lies in its dimension's interval has a [`Self::lower_bound`] of
+    /// at most `limit`. Start from `(-inf, inf)` and narrow by every rect
+    /// such points come from; a negative `limit` leaves no point in.
+    ///
+    /// The coordinates whose gap does not exceed `limit` form an interval
+    /// `L`, as the gap is quasi-convex (see [`Self::reach`]). A face of
+    /// `rect` in `L` leaves `safe` as it is. A face outside `L` moves its
+    /// end of `safe` to the first of the next few floats inward that is
+    /// in `L`, or shuts `safe` when none is. Either way a coordinate of
+    /// `rect` inside `safe` lies between two points of `L`, hence in
+    /// `L`. (A face of a rect built as `q ± r` is outside `L` about half
+    /// the time: `q − r` can round one step farther than `r` from `q`.)
+    pub fn narrow_safe(&self, rect: &Rect, bounds: &Rect, limit: f64, safe: &mut [(f64, f64)]) {
+        for (i, (a, b)) in safe.iter_mut().enumerate() {
+            let (q, lo, hi) = (self.center[i], bounds.lo()[i], bounds.hi()[i]);
+            // A NaN gap exceeds nothing (see `lower_bound`).
+            let in_l = |x: f64| {
+                let g = gap(q, x, lo, hi);
+                limit >= 0.0 && (g <= limit || g.is_nan())
+            };
+            let inward = |face: f64, step: fn(f64) -> f64| {
+                std::iter::successors(Some(face), |&x| Some(step(x)))
+                    .take(4)
+                    .find(|&x| in_l(x))
+            };
+            *a = a.max(inward(rect.lo()[i], f64::next_up).unwrap_or(f64::INFINITY));
+            *b = b.min(inward(rect.hi()[i], f64::next_down).unwrap_or(f64::NEG_INFINITY));
+        }
     }
 
     /// True when the object at `point` provably lies outside the metric
@@ -96,6 +143,20 @@ impl QueryBall {
     /// input.
     pub fn excludes(&self, point: &[f64], bounds: &Rect) -> bool {
         self.lower_bound(point, bounds) > self.radius
+    }
+}
+
+/// One dimension's term of [`QueryBall::lower_bound`]: the certain gap
+/// between the query coordinate `q` and a stored coordinate `x` clamped
+/// onto `[lo, hi]` at publish time.
+#[inline]
+fn gap(q: f64, x: f64, lo: f64, hi: f64) -> f64 {
+    if x >= hi {
+        (hi - q).max(0.0)
+    } else if x <= lo {
+        (q - lo).max(0.0)
+    } else {
+        (q - x).abs()
     }
 }
 

@@ -555,11 +555,33 @@ impl SearchNode {
         // however many fragments (a point on a split face lies in both
         // halves) or stored copies (an object published twice) or replica
         // copies match it: the first sighting, in scan order, decides. A
-        // candidate carries its pivot lower bound (`None` without a
-        // ball: such candidates are never pruned) and the admitted copy's
-        // stored vector, borrowed for refinement; candidates provably
-        // outside the metric range are dropped before refinement.
+        // candidate carries its pivot lower bound if the range test
+        // computed one and the admitted copy's stored vector, borrowed
+        // for refinement; candidates provably outside the metric range
+        // are dropped before refinement.
         let bounds = ix.grid.bounds();
+        // Every candidate lies in some fragment's rect, so its pivot
+        // lower bound is at most `reach` (`QueryBall::reach`), and at
+        // most the radius when every coordinate lies in `safe`
+        // (`QueryBall::narrow_safe`). A prune test these settle needs no
+        // bound. A ball-less query prunes nothing.
+        let reach = ball.as_ref().map(|b| {
+            fragments
+                .iter()
+                .fold(0.0f64, |r, f| r.max(b.reach(&f.rect, bounds)))
+        });
+        let cannot_exceed = |limit: f64| reach.is_none_or(|r| r <= limit);
+        let mut safe = Vec::new();
+        if let Some(b) = &ball {
+            safe.resize(
+                b.center.len().min(bounds.dims()),
+                (f64::NEG_INFINITY, f64::INFINITY),
+            );
+            for f in fragments {
+                b.narrow_safe(&f.rect, bounds, b.radius, &mut safe);
+            }
+        }
+        let in_safe = |p: &[f64]| p.iter().zip(&safe).all(|(&x, &(a, b))| a <= x && x <= b);
         let mut hits = Vec::new();
         let (mut scanned, mut matched, mut skipped) = (0u64, 0u64, 0u64);
         for f in fragments {
@@ -571,19 +593,20 @@ impl SearchNode {
         // Sized up front: growing a hash set rehashes it again and again.
         let mut seen: HashSet<ObjectId, BuildHasherDefault<IdHasher>> =
             HashSet::with_capacity_and_hasher(hits.len(), Default::default());
-        let mut cands: Vec<(ObjectId, Option<f64>, &'s [f64])> = Vec::new();
+        let mut cands: Vec<(ObjectId, Option<f64>, &'s [f64])> = Vec::with_capacity(hits.len());
         let mut pruned = 0u64;
-        // The pivot lower bound of one new candidate, computed once: it
-        // is both the range test here and the k-th-best test below. The
-        // range test cannot fire while the fragment's rect lies inside
-        // the ball's own bounding box — every coordinate gap is then at
-        // most the radius — which is how every driver in this repository
-        // builds its queries; it stays as the guard for a caller whose
-        // rect is looser than its ball. Strict `>`: a NaN bound excludes
-        // nothing.
+        // The pivot lower bound of one new candidate, computed at most
+        // once: by the range test here unless `safe` settles it, else by
+        // the k-th-best test below unless `reach` settles that. The range
+        // test can fire only within rounding of the faces while the
+        // fragment's rect lies inside the ball's own bounding box, which
+        // is how every driver in this repository builds its queries; it
+        // stays as the guard for a caller whose rect is looser than its
+        // ball. Strict `>`: a NaN bound excludes nothing.
         let mut admit = |obj: ObjectId, point: &'s [f64]| -> bool {
-            let lb = ball.as_ref().map(|b| b.lower_bound(point, bounds));
-            if lb.zip(ball.as_ref()).is_some_and(|(lb, b)| lb > b.radius) {
+            let range_test = ball.as_ref().filter(|_| !in_safe(point));
+            let lb = range_test.map(|b| b.lower_bound(point, bounds));
+            if lb.zip(range_test).is_some_and(|(lb, b)| lb > b.radius) {
                 pruned += 1;
                 return false;
             }
@@ -636,12 +659,13 @@ impl SearchNode {
         // expensive) metric call is skipped. Strict `>` means ties — and
         // NaN bounds or distances — fall through to the metric call, so
         // the reply is identical to the unpruned sort-then-truncate.
-        let mut ranked: Vec<(ObjectId, f64)> = Vec::new();
+        let mut ranked: Vec<(ObjectId, f64)> = Vec::with_capacity(self.knn_k + 1);
         let mut dist_calls = 0u64;
         for (o, lb, point) in cands {
             if ranked.len() == self.knn_k {
-                if let (Some(lb), Some(&(_, worst))) = (lb, ranked.last()) {
-                    if lb > worst {
+                if let (Some(b), Some(&(_, worst))) = (&ball, ranked.last()) {
+                    let bound = || lb.unwrap_or_else(|| b.lower_bound(point, bounds));
+                    if !cannot_exceed(worst) && bound() > worst {
                         pruned += 1;
                         continue;
                     }

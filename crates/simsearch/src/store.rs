@@ -43,7 +43,9 @@
 //!   non-NaN coordinates. (NaN coordinates are left out: a point with
 //!   one is in no rectangle, so no scan can want it.) `insert` widens
 //!   them, dividing a block recomputes them, and entries only leave
-//!   wholesale, so they never go slack.
+//!   wholesale, so they never go slack. A block's `nan` flag says
+//!   exactly whether one of its points has a NaN coordinate: only then
+//!   do bounds that lie inside a rect not prove every point does.
 //!
 //! # Why bounds and not the rect's prefix decomposition
 //!
@@ -119,6 +121,9 @@ struct Block {
     lo: Box<[f64]>,
     /// Per-dimension maximum over `points`, NaN coordinates left out.
     hi: Box<[f64]>,
+    /// Whether some point has a NaN coordinate — one the bounds leave
+    /// out, so they alone cannot vouch that every point is in a rect.
+    nan: bool,
 }
 
 /// The low `64 - plen` bits: what a key under a prefix of `plen` bits is
@@ -140,6 +145,7 @@ impl Block {
             points: Vec::new(),
             lo,
             hi,
+            nan: false,
         }
     }
 
@@ -179,7 +185,7 @@ impl Block {
         self.keys.insert(at, e.ring_key);
         self.objs.insert(at, e.obj);
         self.points.splice(at * d..at * d, e.point.iter().copied());
-        widen(&mut self.lo, &mut self.hi, &e.point);
+        self.nan |= widen(&mut self.lo, &mut self.hi, &e.point);
     }
 
     /// Append the leaves of the canonical partition of this block's
@@ -189,7 +195,7 @@ impl Block {
     fn settle(mut self, out: &mut Vec<Block>) {
         if self.len() <= BLOCK_CAP || self.plen == u64::BITS {
             if self.len() > 0 {
-                (self.lo, self.hi) = self.exact_bounds();
+                (self.lo, self.hi, self.nan) = self.exact_bounds();
                 out.push(self);
             }
             return;
@@ -206,19 +212,28 @@ impl Block {
         upper.settle(out);
     }
 
-    /// The bounding box of the block's points, from scratch.
-    fn exact_bounds(&self) -> (Box<[f64]>, Box<[f64]>) {
+    /// The bounding box of the block's points and its `nan` flag, from
+    /// scratch.
+    fn exact_bounds(&self) -> (Box<[f64]>, Box<[f64]>, bool) {
         let (mut lo, mut hi) = empty_bounds(self.dims());
+        let mut nan = false;
         for p in self.points.chunks_exact(self.dims()) {
-            widen(&mut lo, &mut hi, p);
+            nan |= widen(&mut lo, &mut hi, p);
         }
-        (lo, hi)
+        (lo, hi, nan)
     }
 
     /// False when no point of the block can lie in `rect`.
     fn may_intersect(&self, rect: &Rect) -> bool {
         let (rlo, rhi) = (rect.lo(), rect.hi());
         (0..self.dims()).all(|d| self.lo[d] <= rhi[d] && rlo[d] <= self.hi[d])
+    }
+
+    /// True when every point of the block lies in `rect`: its bounds do,
+    /// and no point has a NaN coordinate they leave out.
+    fn within(&self, rect: &Rect) -> bool {
+        let (rlo, rhi) = (rect.lo(), rect.hi());
+        !self.nan && (0..self.dims()).all(|d| rlo[d] <= self.lo[d] && self.hi[d] <= rhi[d])
     }
 }
 
@@ -230,13 +245,15 @@ fn empty_bounds(dims: usize) -> (Box<[f64]>, Box<[f64]>) {
     )
 }
 
-/// Grow the box `[lo, hi]` to take in `point`. NaN coordinates leave it
-/// as it is (`f64::min`/`max` return the other operand).
-fn widen(lo: &mut [f64], hi: &mut [f64], point: &[f64]) {
+/// Grow the box `[lo, hi]` to take in `point`, and say whether the point
+/// has a NaN coordinate. NaN coordinates leave the box as it is
+/// (`f64::min`/`max` return the other operand).
+fn widen(lo: &mut [f64], hi: &mut [f64], point: &[f64]) -> bool {
     for ((lo, hi), &x) in lo.iter_mut().zip(hi).zip(point) {
         *lo = lo.min(x);
         *hi = hi.max(x);
     }
+    point.iter().any(|x| x.is_nan())
 }
 
 /// A node's entries for one index scheme, ordered by ring key.
@@ -375,8 +392,9 @@ impl Store {
     /// brute-force filter of the whole store by `rect`.
     ///
     /// The blocks are binary-searched to the span, and inside it every
-    /// block whose bounds miss `rect` is passed over whole; only entries
-    /// of the remaining blocks are rect-tested.
+    /// block whose bounds miss `rect` is passed over whole. A block that
+    /// lies within `rect` is taken whole; the entries of the remaining
+    /// blocks are rect-tested. Both kinds count as scanned.
     pub fn scan_range<'a>(
         &'a self,
         rect: &Rect,
@@ -448,17 +466,25 @@ impl Store {
                 b.len()
             };
             *scanned += to - from;
-            for (i, p) in (from..to).zip(b.points[from * d..to * d].chunks_exact(d)) {
-                let inside = p
-                    .iter()
-                    .zip(rlo.iter().zip(rhi))
-                    .fold(true, |acc, (&x, (&l, &h))| acc & (l <= x) & (x <= h));
-                if inside {
-                    hits.push(EntryRef {
-                        ring_key: b.keys[i],
-                        obj: b.objs[i],
-                        point: p,
-                    });
+            if b.within(rect) {
+                hits.extend((from..to).map(|i| b.entry(i)));
+                continue;
+            }
+            // Test up to 64 entries into a mask, then push its set bits:
+            // lowest first, which is entry order.
+            for at in (from..to).step_by(64) {
+                let end = to.min(at + 64);
+                let mut inside = 0u64;
+                for (bit, p) in b.points[at * d..end * d].chunks_exact(d).enumerate() {
+                    let hit = p
+                        .iter()
+                        .zip(rlo.iter().zip(rhi))
+                        .fold(true, |acc, (&x, (&l, &h))| acc & (l <= x) & (x <= h));
+                    inside |= u64::from(hit) << bit;
+                }
+                while inside != 0 {
+                    hits.push(b.entry(at + inside.trailing_zeros() as usize));
+                    inside &= inside - 1;
                 }
             }
         }
@@ -505,7 +531,7 @@ impl Store {
             );
             assert_eq!(
                 b.exact_bounds(),
-                (b.lo.clone(), b.hi.clone()),
+                (b.lo.clone(), b.hi.clone(), b.nan),
                 "block {bi}: bounds"
             );
             total += b.len();
@@ -571,8 +597,9 @@ impl Store {
 /// Work accounting for one local scan of a node's store.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ScanStats {
-    /// Entries actually rect-tested: those inside the query's ring-key
-    /// span whose block's bounds do not rule the query rectangle out.
+    /// Entries inside the query's ring-key span whose block's bounds do
+    /// not rule the query rectangle out: each is rect-tested, or taken
+    /// untested when its block's bounds lie inside the rectangle.
     pub scanned: usize,
     /// Entries whose index point fell inside the query region.
     pub matched: usize,
