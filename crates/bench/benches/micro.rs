@@ -2,7 +2,7 @@
 //! hashing, query splitting, metric evaluations, landmark selection,
 //! local routing decisions, and the query-path performance kernels
 //! (span- and bounds-narrowed store scans, store inserts, one node's
-//! refine answer through `sansio::dispatch` with the parent's sniffed
+//! refine answer through `simnet::dispatch` with the parent's sniffed
 //! oracle and with the stored-vector one, lower-bound pruning, parallel
 //! mapping).
 //!
@@ -24,8 +24,7 @@ use lph::{Grid, Prefix, Rect, Rotation};
 use metric::{Angular, EditDistance, Metric, ObjectId, SparseVector, L2};
 use node::scenario::{l2, rotation, Scenario, StoredL2, KNN_K};
 use rand::RngCore;
-use sansio::{dispatch, Input, Links, Output, ProtoCtx};
-use simnet::{AgentId, SimDuration, SimRng, SimTime};
+use simnet::{dispatch, AgentId, Input, Links, Output, ProtoCtx, SimDuration, SimRng, SimTime};
 use simsearch::msg::DistanceOracle;
 use simsearch::node::IndexState;
 use simsearch::{

@@ -1,7 +1,6 @@
-//! The live Chord protocol as a sans-io [`sansio::Protocol`]: recursive
+//! The live Chord protocol as a sans-io [`simnet::Protocol`]: recursive
 //! lookups, joins, stabilization, finger repair, and proximity neighbor
-//! selection. A thin [`simnet::Agent`] adapter at the bottom drives the
-//! same state machine under the deterministic simulator.
+//! selection. The deterministic simulator drives it directly.
 //!
 //! The index experiments start from pre-stabilized tables (see
 //! [`crate::ring`]); this module exists to *justify* that shortcut — the
@@ -10,9 +9,8 @@
 
 use std::collections::HashMap;
 
-use sansio::{Input, ProtoCtx, Protocol};
 use simnet::telemetry::{CounterId, HistogramId, SharedRegistry};
-use simnet::{AgentId, SimDuration, SimTime, TimerTag};
+use simnet::{AgentId, ProtoCtx, Protocol, SimDuration, SimTime, TimerTag};
 
 use crate::id::{ChordId, NodeRef};
 use crate::table::{RouteDecision, RoutingTable, FINGER_ROWS};
@@ -197,8 +195,7 @@ enum Pending {
     },
 }
 
-/// One Chord node as a sans-io [`sansio::Protocol`] (driven under the
-/// simulator via the [`simnet::Agent`] adapter below).
+/// One Chord node as a sans-io [`simnet::Protocol`].
 pub struct ChordAgent {
     /// Routing state (public for test inspection).
     pub table: RoutingTable,
@@ -779,21 +776,5 @@ impl Protocol for ChordAgent {
             }
             other => unreachable!("unknown timer {other:?}"),
         }
-    }
-}
-
-/// The simulator driver: each simnet callback runs the sans-io core via
-/// [`sansio::drive`], which buffers the core's outputs and replays them
-/// through the simulator in exact emission order — byte-identical event
-/// sequences to the pre-refactor direct-call code.
-impl simnet::Agent for ChordAgent {
-    type Msg = ChordMsg;
-
-    fn on_message(&mut self, ctx: &mut simnet::Ctx<'_, ChordMsg>, from: AgentId, msg: ChordMsg) {
-        sansio::drive(self, ctx, Input::Message { from, msg });
-    }
-
-    fn on_timer(&mut self, ctx: &mut simnet::Ctx<'_, ChordMsg>, tag: TimerTag) {
-        sansio::drive(self, ctx, Input::Timer(tag));
     }
 }

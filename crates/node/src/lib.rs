@@ -1,7 +1,7 @@
 //! # node — the real-socket driver for the sans-io search protocol
 //!
 //! The simulator (`simnet` + `simsearch`) is one driver of the
-//! [`sansio`] protocol core; this crate is the second: the same
+//! [`simnet::Protocol`] contract; this crate is the second: the same
 //! [`simsearch::SearchNode`] state machine, byte-for-byte, driven by a
 //! `std::net` TCP event loop instead of a discrete-event queue. One
 //! process hosts one node; a shell script (or the loopback CI smoke

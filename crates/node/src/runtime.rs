@@ -4,9 +4,9 @@
 //! One process hosts one node, and one thread is the whole node: it
 //! owns the listener, every connection, the protocol state, the timer
 //! wheel and the self-send queue. As in the simulator, every inbound
-//! frame and every expired timer becomes one [`sansio::Input`]; every
-//! resulting [`sansio::Output::Send`] is encoded into its destination's
-//! write buffer and every [`sansio::Output::Timer`] is armed on the
+//! frame and every expired timer becomes one [`simnet::Input`]; every
+//! resulting [`simnet::Output::Send`] is encoded into its destination's
+//! write buffer and every [`simnet::Output::Timer`] is armed on the
 //! wheel the loop sleeps against. The core never sees a socket.
 //!
 //! ## The loop
@@ -119,8 +119,7 @@ compile_error!("the node runtime waits on its sockets with epoll(7) and needs a 
 
 use crate::scenario::{rotation, RangeQuery, Scenario, StoredL2, KNN_K};
 use crate::wire::{self, Frame, FrameBuf, HistogramSummary, Member, Role, StatsReport};
-use sansio::{dispatch, Input, Links, Output, ProtoCtx};
-use simnet::{AgentId, SimDuration, SimTime, TimerTag};
+use simnet::{dispatch, AgentId, Input, Links, Output, ProtoCtx, SimDuration, SimTime, TimerTag};
 use simsearch::node::IndexState;
 use simsearch::{QueryId, SearchMsg, SearchNode, Store, SubQueryMsg, Telemetry};
 use std::collections::{BinaryHeap, VecDeque};

@@ -7,7 +7,10 @@
 //!
 //! * an event queue with deterministic ordering (integer nanosecond time,
 //!   FIFO sequence tie-breaking),
-//! * a population of message-driven agents (one per simulated host),
+//! * a population of message-driven agents (one per simulated host), each
+//!   a sans-io [`Protocol`] state machine ([`protocol`]) whose outputs
+//!   the simulator applies itself, in emission order — the same contract
+//!   the real-socket node runtime (`crates/node`) drives,
 //! * per-pair propagation delays drawn from a latency matrix
 //!   ([`topology::Topology`]) that substitutes for the King dataset,
 //! * per-message byte accounting so experiments can report bandwidth cost,
@@ -21,7 +24,7 @@
 //! ## Example
 //!
 //! ```
-//! use simnet::{Agent, AgentId, Ctx, Sim, SimTime, TimerTag};
+//! use simnet::{AgentId, ProtoCtx, Protocol, Sim, SimTime, TimerTag};
 //! use simnet::topology::Topology;
 //!
 //! /// A trivial agent that forwards a counter around the ring once.
@@ -30,16 +33,16 @@
 //!     seen: Option<u32>,
 //! }
 //!
-//! impl Agent for RingHop {
+//! impl Protocol for RingHop {
 //!     type Msg = u32;
-//!     fn on_message(&mut self, ctx: &mut Ctx<'_, u32>, _from: AgentId, msg: u32) {
+//!     fn on_message(&mut self, ctx: &mut ProtoCtx<'_, u32>, _from: AgentId, msg: u32) {
 //!         self.seen = Some(msg);
 //!         if (msg as usize) < self.n - 1 {
 //!             let next = AgentId((ctx.me().0 + 1) % self.n);
 //!             ctx.send(next, msg + 1, 20);
 //!         }
 //!     }
-//!     fn on_timer(&mut self, _ctx: &mut Ctx<'_, u32>, _t: TimerTag) {}
+//!     fn on_timer(&mut self, _ctx: &mut ProtoCtx<'_, u32>, _t: TimerTag) {}
 //! }
 //!
 //! let topo = Topology::uniform(4, SimTime::from_millis(100));
@@ -54,6 +57,7 @@
 
 pub mod event;
 pub mod fault;
+pub mod protocol;
 pub mod rng;
 pub mod sim;
 pub mod stats;
@@ -63,8 +67,9 @@ pub mod topology;
 
 pub use event::TimerTag;
 pub use fault::{FaultPlane, PartitionWindow};
+pub use protocol::{dispatch, Input, Links, Output, ProtoCtx, Protocol};
 pub use rng::SimRng;
-pub use sim::{Agent, AgentId, Ctx, Sim};
+pub use sim::{AgentId, Sim};
 pub use stats::NetStats;
 pub use telemetry::{CounterId, Histogram, HistogramId, Registry, SharedRegistry};
 pub use time::{SimDuration, SimTime};

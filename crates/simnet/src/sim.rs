@@ -1,7 +1,9 @@
-//! The simulation driver: agents, contexts, and the event loop.
+//! The simulator: one [`Protocol`] per host, and the event loop that
+//! dispatches each event to its host and applies the outputs itself.
 
-use crate::event::{EventKind, EventQueue, TimerTag};
+use crate::event::{EventKind, EventQueue};
 use crate::fault::FaultPlane;
+use crate::protocol::{self, Input, Links, Output, ProtoCtx, Protocol};
 use crate::rng::SimRng;
 use crate::stats::NetStats;
 use crate::time::{SimDuration, SimTime};
@@ -12,41 +14,11 @@ use crate::topology::Topology;
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct AgentId(pub usize);
 
-/// A simulated protocol participant.
-///
-/// All state lives inside the agent; all interaction with the outside
-/// world goes through the [`Ctx`] passed to each callback. Callbacks run
-/// one at a time (the simulator is single-threaded and deterministic).
-pub trait Agent {
-    /// The message type exchanged between agents of this simulation.
-    type Msg;
-
-    /// Called once, at time zero, before any message is delivered.
-    fn on_start(&mut self, _ctx: &mut Ctx<'_, Self::Msg>) {}
-
-    /// Called when a message addressed to this agent arrives.
-    fn on_message(&mut self, ctx: &mut Ctx<'_, Self::Msg>, from: AgentId, msg: Self::Msg);
-
-    /// Called when a timer scheduled by this agent fires.
-    fn on_timer(&mut self, _ctx: &mut Ctx<'_, Self::Msg>, _tag: TimerTag) {}
-
-    /// Called when a scheduled crash takes this host down. The agent
-    /// keeps its state (a restart is a reboot, not a wipe) but all of
-    /// its pending timers are discarded; use this hook to drop whatever
-    /// bookkeeping assumed those timers would fire.
-    fn on_crash(&mut self) {}
-
-    /// Called when a crashed host comes back up; the agent may re-arm
-    /// timers or re-announce itself here.
-    fn on_restart(&mut self, _ctx: &mut Ctx<'_, Self::Msg>) {}
-}
-
 /// Everything except the agents themselves: clock, queue, network model.
 struct Core<M> {
     now: SimTime,
     queue: EventQueue<M>,
     topo: Topology,
-    rng: SimRng,
     stats: NetStats,
     /// Fault-injection configuration (default: strict no-op).
     faults: FaultPlane,
@@ -61,6 +33,28 @@ struct Core<M> {
 }
 
 impl<M: Clone> Core<M> {
+    /// Apply the outputs host `me` emitted in one callback, in emission
+    /// order, leaving `out` empty with its capacity kept. A send to
+    /// oneself is queued with zero delay, does not count as network
+    /// traffic, and is exempt from every fault (it never touches the
+    /// wire); every other send takes [`Core::deliver_cross`]. A timer
+    /// fires on `me` after its delay.
+    fn apply(&mut self, me: AgentId, out: &mut Vec<Output<M>>) {
+        let at = self.now;
+        for output in out.drain(..) {
+            match output {
+                Output::Send { to, msg, .. } if to == me => {
+                    self.queue
+                        .push(at, me, EventKind::Deliver { from: me, msg });
+                }
+                Output::Send { to, msg, bytes } => self.deliver_cross(at, me, to, msg, bytes),
+                Output::Timer { delay, tag } => {
+                    self.queue.push(at + delay, me, EventKind::Timer { tag });
+                }
+            }
+        }
+    }
+
     /// The full cross-host delivery path with every fault draw. `at` is
     /// the simulated instant the message was sent; `src != dst`.
     fn deliver_cross(&mut self, at: SimTime, src: AgentId, dst: AgentId, msg: M, bytes: u32) {
@@ -106,75 +100,32 @@ impl<M: Clone> Core<M> {
     }
 }
 
-/// The capability handle given to agent callbacks.
-pub struct Ctx<'a, M> {
-    core: &'a mut Core<M>,
-    me: AgentId,
-}
+/// The [`Links`] of a callback on host `.1`: round-trip times from `.0`.
+struct TopoLinks<'a>(&'a Topology, usize);
 
-impl<M> Ctx<'_, M> {
-    /// Current simulated time.
-    pub fn now(&self) -> SimTime {
-        self.core.now
-    }
-
-    /// The id of the agent this callback is running on.
-    pub fn me(&self) -> AgentId {
-        self.me
-    }
-
-    /// Total number of agents in the simulation.
-    pub fn n_agents(&self) -> usize {
-        self.core.topo.len()
-    }
-
-    /// Send `msg` to `dst`; it arrives after the one-way propagation delay
-    /// between the two hosts. `bytes` is the modelled wire size and feeds
-    /// the bandwidth accounting. A message to oneself is delivered with
-    /// zero delay, does not count as network traffic, and is exempt from
-    /// every fault (it never touches the wire).
-    pub fn send(&mut self, dst: AgentId, msg: M, bytes: u32)
-    where
-        M: Clone,
-    {
-        let (me, at) = (self.me, self.core.now);
-        if dst == me {
-            self.core
-                .queue
-                .push(at, dst, EventKind::Deliver { from: me, msg });
-        } else {
-            self.core.deliver_cross(at, me, dst, msg, bytes);
-        }
-    }
-
-    /// Round-trip time between this agent and `other`.
-    pub fn rtt_to(&self, other: AgentId) -> SimDuration {
-        self.core.topo.rtt(self.me.0, other.0)
-    }
-
-    /// Schedule a timer for this agent to fire after `delay`.
-    pub fn schedule(&mut self, delay: SimDuration, tag: TimerTag) {
-        let at = self.core.now + delay;
-        self.core.queue.push(at, self.me, EventKind::Timer { tag });
-    }
-
-    /// Deterministic randomness scoped to the simulation.
-    pub fn rng(&mut self) -> &mut SimRng {
-        &mut self.core.rng
+impl Links for TopoLinks<'_> {
+    fn rtt_to(&self, other: AgentId) -> SimDuration {
+        self.0.rtt(self.1, other.0)
     }
 }
 
-/// A complete simulation: a topology, a population of agents, and an event
-/// queue. See the crate docs for a usage example.
-pub struct Sim<A: Agent> {
-    core: Core<A::Msg>,
-    agents: Vec<A>,
+/// A complete simulation: a topology, one [`Protocol`] agent per host,
+/// and an event queue. See the crate docs for a usage example.
+pub struct Sim<P: Protocol> {
+    core: Core<P::Msg>,
+    agents: Vec<P>,
+    /// The one output buffer every callback fills and
+    /// [`Core::apply`] drains, so no callback allocates its own.
+    out: Vec<Output<P::Msg>>,
     started: bool,
 }
 
-impl<A: Agent> Sim<A> {
+impl<P: Protocol> Sim<P>
+where
+    P::Msg: Clone,
+{
     /// Build a simulation. `agents.len()` must equal `topo.len()`.
-    pub fn new(topo: Topology, agents: Vec<A>, seed: u64) -> Self {
+    pub fn new(topo: Topology, agents: Vec<P>, seed: u64) -> Self {
         assert_eq!(
             topo.len(),
             agents.len(),
@@ -186,7 +137,6 @@ impl<A: Agent> Sim<A> {
                 now: SimTime::ZERO,
                 queue: EventQueue::new(),
                 topo,
-                rng: SimRng::new(seed).fork(0x51B0),
                 stats: NetStats::default(),
                 faults: FaultPlane::default(),
                 drop_rng: SimRng::new(seed).fork(0x1055),
@@ -195,6 +145,7 @@ impl<A: Agent> Sim<A> {
                 down: vec![false; n],
             },
             agents,
+            out: Vec::new(),
             started: false,
         }
     }
@@ -245,7 +196,7 @@ impl<A: Agent> Sim<A> {
     /// `at` (which must not be in the simulation's past). The `from` field
     /// seen by the agent is its own id. Use this to feed workload events
     /// (queries, joins) into the simulation.
-    pub fn inject(&mut self, at: SimTime, dst: AgentId, msg: A::Msg) {
+    pub fn inject(&mut self, at: SimTime, dst: AgentId, msg: P::Msg) {
         assert!(at >= self.core.now, "cannot inject into the past");
         self.core
             .queue
@@ -259,12 +210,20 @@ impl<A: Agent> Sim<A> {
             return;
         }
         self.started = true;
-        for (i, agent) in self.agents.iter_mut().enumerate() {
-            agent.on_start(&mut Ctx {
-                core: &mut self.core,
-                me: AgentId(i),
-            });
+        for i in 0..self.agents.len() {
+            self.dispatch(AgentId(i), Input::Start);
         }
+    }
+
+    /// Run one callback of host `me` at the current time, then apply its
+    /// outputs. The callback fills the simulation's one output buffer.
+    fn dispatch(&mut self, me: AgentId, input: Input<P::Msg>) {
+        let links = TopoLinks(&self.core.topo, me.0);
+        let out = std::mem::take(&mut self.out);
+        let mut ctx = ProtoCtx::with_buffer(me, self.core.now, self.core.topo.len(), &links, out);
+        protocol::dispatch(&mut self.agents[me.0], &mut ctx, input);
+        self.out = ctx.into_outputs();
+        self.core.apply(me, &mut self.out);
     }
 
     /// Process a single event. Returns `false` when the queue is empty.
@@ -286,10 +245,7 @@ impl<A: Agent> Sim<A> {
             EventKind::Restart => {
                 self.core.down[dst.0] = false;
                 self.core.stats.restarts += 1;
-                self.agents[dst.0].on_restart(&mut Ctx {
-                    core: &mut self.core,
-                    me: dst,
-                });
+                self.dispatch(dst, Input::Restart);
                 return true;
             }
             _ => {}
@@ -302,14 +258,10 @@ impl<A: Agent> Sim<A> {
             }
             return true;
         }
-        let ctx = &mut Ctx {
-            core: &mut self.core,
-            me: dst,
-        };
         match ev.kind {
-            EventKind::Deliver { from, msg } => self.agents[dst.0].on_message(ctx, from, msg),
+            EventKind::Deliver { from, msg } => self.dispatch(dst, Input::Message { from, msg }),
             EventKind::Timer { tag } => {
-                self.agents[dst.0].on_timer(ctx, tag);
+                self.dispatch(dst, Input::Timer(tag));
                 self.core.stats.timers += 1;
             }
             EventKind::Crash | EventKind::Restart => unreachable!("handled above"),
@@ -361,31 +313,31 @@ impl<A: Agent> Sim<A> {
     }
 
     /// Immutable access to one agent.
-    pub fn agent(&self, id: AgentId) -> &A {
+    pub fn agent(&self, id: AgentId) -> &P {
         &self.agents[id.0]
     }
 
     /// Mutable access to one agent (for setup between phases; do not
     /// mutate agents while events that concern them are in flight unless
     /// the protocol tolerates it).
-    pub fn agent_mut(&mut self, id: AgentId) -> &mut A {
+    pub fn agent_mut(&mut self, id: AgentId) -> &mut P {
         &mut self.agents[id.0]
     }
 
     /// Iterate over all agents.
-    pub fn agents(&self) -> impl Iterator<Item = &A> {
+    pub fn agents(&self) -> impl Iterator<Item = &P> {
         self.agents.iter()
     }
 
     /// Split borrow: the latency model together with mutable access to
     /// every agent. For between-phase maintenance (e.g. load migration)
     /// that must read the topology while rewriting agent state.
-    pub fn topology_and_agents_mut(&mut self) -> (&Topology, &mut [A]) {
+    pub fn topology_and_agents_mut(&mut self) -> (&Topology, &mut [P]) {
         (&self.core.topo, &mut self.agents)
     }
 
     /// Consume the simulation and return its agents.
-    pub fn into_agents(self) -> Vec<A> {
+    pub fn into_agents(self) -> Vec<P> {
         self.agents
     }
 }
@@ -393,6 +345,7 @@ impl<A: Agent> Sim<A> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::TimerTag;
 
     /// Echo server: replies to every Ping with a Pong; the client records
     /// arrival times.
@@ -408,12 +361,12 @@ mod tests {
         started: bool,
     }
 
-    impl Agent for PingAgent {
+    impl Protocol for PingAgent {
         type Msg = PingMsg;
-        fn on_start(&mut self, _ctx: &mut Ctx<'_, PingMsg>) {
+        fn on_start(&mut self, _ctx: &mut ProtoCtx<'_, PingMsg>) {
             self.started = true;
         }
-        fn on_message(&mut self, ctx: &mut Ctx<'_, PingMsg>, from: AgentId, msg: PingMsg) {
+        fn on_message(&mut self, ctx: &mut ProtoCtx<'_, PingMsg>, from: AgentId, msg: PingMsg) {
             match msg {
                 PingMsg::Ping => ctx.send(from, PingMsg::Pong, 20),
                 PingMsg::Pong => self.pongs.push(ctx.now()),
@@ -492,9 +445,9 @@ mod tests {
         next: Option<AgentId>,
         got_at: Option<SimTime>,
     }
-    impl Agent for Relay {
+    impl Protocol for Relay {
         type Msg = u8;
-        fn on_message(&mut self, ctx: &mut Ctx<'_, u8>, _from: AgentId, msg: u8) {
+        fn on_message(&mut self, ctx: &mut ProtoCtx<'_, u8>, _from: AgentId, msg: u8) {
             self.got_at = Some(ctx.now());
             if let Some(next) = self.next {
                 ctx.send(next, msg, 100);
@@ -535,12 +488,12 @@ mod tests {
         beeps: Vec<SimTime>,
         remaining: u32,
     }
-    impl Agent for Beeper {
+    impl Protocol for Beeper {
         type Msg = ();
-        fn on_start(&mut self, ctx: &mut Ctx<'_, ()>) {
+        fn on_start(&mut self, ctx: &mut ProtoCtx<'_, ()>) {
             ctx.schedule(SimDuration::from_secs(1), TimerTag(1));
         }
-        fn on_timer(&mut self, ctx: &mut Ctx<'_, ()>, tag: TimerTag) {
+        fn on_timer(&mut self, ctx: &mut ProtoCtx<'_, ()>, tag: TimerTag) {
             assert_eq!(tag, TimerTag(1));
             self.beeps.push(ctx.now());
             self.remaining -= 1;
@@ -548,7 +501,7 @@ mod tests {
                 ctx.schedule(SimDuration::from_secs(1), TimerTag(1));
             }
         }
-        fn on_message(&mut self, _: &mut Ctx<'_, ()>, _: AgentId, _: ()) {}
+        fn on_message(&mut self, _: &mut ProtoCtx<'_, ()>, _: AgentId, _: ()) {}
     }
 
     #[test]
@@ -614,16 +567,16 @@ mod tests {
             struct Spammer {
                 received: u32,
             }
-            impl Agent for Spammer {
+            impl Protocol for Spammer {
                 type Msg = u8;
-                fn on_start(&mut self, ctx: &mut Ctx<'_, u8>) {
+                fn on_start(&mut self, ctx: &mut ProtoCtx<'_, u8>) {
                     if ctx.me() == AgentId(0) {
                         for _ in 0..200 {
                             ctx.send(AgentId(1), 1, 10);
                         }
                     }
                 }
-                fn on_message(&mut self, _: &mut Ctx<'_, u8>, _: AgentId, _: u8) {
+                fn on_message(&mut self, _: &mut ProtoCtx<'_, u8>, _: AgentId, _: u8) {
                     self.received += 1;
                 }
             }
@@ -652,14 +605,14 @@ mod tests {
         struct SelfTalker {
             received: u32,
         }
-        impl Agent for SelfTalker {
+        impl Protocol for SelfTalker {
             type Msg = u8;
-            fn on_start(&mut self, ctx: &mut Ctx<'_, u8>) {
+            fn on_start(&mut self, ctx: &mut ProtoCtx<'_, u8>) {
                 for _ in 0..100 {
                     ctx.send(AgentId(0), 1, 10);
                 }
             }
-            fn on_message(&mut self, _: &mut Ctx<'_, u8>, _: AgentId, _: u8) {
+            fn on_message(&mut self, _: &mut ProtoCtx<'_, u8>, _: AgentId, _: u8) {
                 self.received += 1;
             }
         }
@@ -688,15 +641,15 @@ mod tests {
             }
         }
     }
-    impl Agent for Counter {
+    impl Protocol for Counter {
         type Msg = u8;
-        fn on_message(&mut self, _: &mut Ctx<'_, u8>, _: AgentId, _: u8) {
+        fn on_message(&mut self, _: &mut ProtoCtx<'_, u8>, _: AgentId, _: u8) {
             self.received += 1;
         }
         fn on_crash(&mut self) {
             self.crashes += 1;
         }
-        fn on_restart(&mut self, _ctx: &mut Ctx<'_, u8>) {
+        fn on_restart(&mut self, _ctx: &mut ProtoCtx<'_, u8>) {
             self.restarts += 1;
         }
     }
@@ -706,9 +659,9 @@ mod tests {
     struct Forwarder {
         received: u32,
     }
-    impl Agent for Forwarder {
+    impl Protocol for Forwarder {
         type Msg = u8;
-        fn on_message(&mut self, ctx: &mut Ctx<'_, u8>, _from: AgentId, msg: u8) {
+        fn on_message(&mut self, ctx: &mut ProtoCtx<'_, u8>, _from: AgentId, msg: u8) {
             self.received += 1;
             if ctx.me() == AgentId(0) {
                 ctx.send(AgentId(1), msg, 10);
@@ -846,9 +799,14 @@ mod tests {
         received: usize,
     }
 
-    impl Agent for CountedForwarder {
+    impl Protocol for CountedForwarder {
         type Msg = CountedMsg;
-        fn on_message(&mut self, ctx: &mut Ctx<'_, CountedMsg>, _from: AgentId, msg: CountedMsg) {
+        fn on_message(
+            &mut self,
+            ctx: &mut ProtoCtx<'_, CountedMsg>,
+            _from: AgentId,
+            msg: CountedMsg,
+        ) {
             self.received += 1;
             if ctx.me() == AgentId(0) {
                 ctx.send(AgentId(1), msg, 10);
@@ -874,7 +832,7 @@ mod tests {
         (sim.agent(AgentId(1)).received, sim.stats())
     }
 
-    /// `Ctx::send` must move the message into the event queue — fan-out
+    /// A send must move the message into the event queue — fan-out
     /// is 1, so a clone would be a pure copy tax on every delivery (the
     /// payloads are whole index entries and result sets). The one
     /// exception is the duplication fault, whose fan-out of 2 needs
@@ -905,6 +863,118 @@ mod tests {
             MSG_CLONES.load(std::sync::atomic::Ordering::Relaxed),
             dup,
             "exactly one clone per duplicated send, none otherwise"
+        );
+    }
+
+    /// What fired on a host, as seen by [`Scripted`].
+    #[derive(Clone, Copy, PartialEq, Debug)]
+    enum Fired {
+        Msg(u8),
+        Timer(u64),
+    }
+
+    type FireLog = std::rc::Rc<std::cell::RefCell<Vec<(SimTime, AgentId, Fired)>>>;
+
+    /// On its trigger (message 0) emits its script in one callback, in
+    /// order; every host logs what fires on it into one shared log.
+    struct Scripted {
+        script: Vec<Output<u8>>,
+        log: FireLog,
+    }
+
+    impl Protocol for Scripted {
+        type Msg = u8;
+        fn on_message(&mut self, ctx: &mut ProtoCtx<'_, u8>, _from: AgentId, msg: u8) {
+            let entry = (ctx.now(), ctx.me(), Fired::Msg(msg));
+            self.log.borrow_mut().push(entry);
+            if msg == 0 {
+                for out in std::mem::take(&mut self.script) {
+                    match out {
+                        Output::Send { to, msg, bytes } => ctx.send(to, msg, bytes),
+                        Output::Timer { delay, tag } => ctx.schedule(delay, tag),
+                    }
+                }
+            }
+        }
+        fn on_timer(&mut self, ctx: &mut ProtoCtx<'_, u8>, tag: TimerTag) {
+            let entry = (ctx.now(), ctx.me(), Fired::Timer(tag.0));
+            self.log.borrow_mut().push(entry);
+        }
+    }
+
+    /// Two hosts 10 ms apart one way; host 0 runs `script` on a trigger
+    /// injected at time zero. Returns everything that fired, in order.
+    fn fire_order(script: Vec<Output<u8>>) -> Vec<(SimTime, AgentId, Fired)> {
+        let log = FireLog::default();
+        let agents = vec![
+            Scripted {
+                script,
+                log: log.clone(),
+            },
+            Scripted {
+                script: vec![],
+                log: log.clone(),
+            },
+        ];
+        let mut sim = Sim::new(Topology::uniform(2, SimTime::from_millis(20)), agents, 1);
+        sim.inject(SimTime::ZERO, AgentId(0), 0);
+        sim.run();
+        let fired = log.borrow().clone();
+        fired
+    }
+
+    #[test]
+    fn one_callbacks_self_sends_and_timer_fire_in_emission_order() {
+        let (me, t0) = (AgentId(0), SimTime::ZERO);
+        let fired = fire_order(vec![
+            Output::Send {
+                to: me,
+                msg: 1,
+                bytes: 10,
+            },
+            Output::Timer {
+                delay: SimDuration::ZERO,
+                tag: TimerTag(2),
+            },
+            Output::Send {
+                to: me,
+                msg: 3,
+                bytes: 10,
+            },
+        ]);
+        assert_eq!(
+            fired,
+            vec![
+                (t0, me, Fired::Msg(0)),
+                (t0, me, Fired::Msg(1)),
+                (t0, me, Fired::Timer(2)),
+                (t0, me, Fired::Msg(3)),
+            ]
+        );
+    }
+
+    #[test]
+    fn a_cross_host_send_and_a_timer_due_together_fire_in_emission_order() {
+        let send = Output::Send {
+            to: AgentId(1),
+            msg: 1,
+            bytes: 10,
+        };
+        let timer = Output::Timer {
+            delay: SimDuration::from_millis(10),
+            tag: TimerTag(2),
+        };
+        let (t0, t10) = (SimTime::ZERO, SimTime::from_millis(10));
+        let trigger = (t0, AgentId(0), Fired::Msg(0));
+        let arrival = (t10, AgentId(1), Fired::Msg(1));
+        let firing = (t10, AgentId(0), Fired::Timer(2));
+        assert_eq!(
+            fire_order(vec![send.clone(), timer.clone()]),
+            vec![trigger, arrival, firing]
+        );
+        assert_eq!(
+            fire_order(vec![timer, send]),
+            vec![trigger, firing, arrival]
         );
     }
 

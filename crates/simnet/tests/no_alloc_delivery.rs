@@ -2,11 +2,14 @@
 //!
 //! The zero-copy audit (`send_is_zero_copy_without_dup_faults`) pins the
 //! *clone* count; this binary pins the *allocator* itself: once the
-//! event queue's heap has grown to the workload's working set, a
-//! send → queue → deliver cycle is moves all the way through. At 100k
-//! nodes the simulator processes hundreds of millions of deliveries, so
-//! a single per-delivery allocation would put the global allocator at
-//! the top of every profile.
+//! event queue's heap and the simulator's one output buffer have grown
+//! to the workload's working set, a send → output buffer → queue →
+//! deliver cycle is moves all the way through. The forwarder is a
+//! [`Protocol`], the one contract every real protocol implements, so
+//! this is the path the search nodes and Chord run. At 100k nodes the
+//! simulator processes hundreds of millions of deliveries, so a single
+//! per-delivery allocation would put the global allocator at the top of
+//! every profile.
 //!
 //! This file deliberately holds ONE test: the counting allocator is
 //! process-global, and a concurrently running sibling test would bleed
@@ -38,16 +41,16 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-use simnet::{Agent, AgentId, Ctx, Sim, SimTime, Topology};
+use simnet::{AgentId, ProtoCtx, Protocol, Sim, SimTime, Topology};
 
-/// Agent 0 forwards every delivery to agent 1; both count arrivals.
+/// Node 0 forwards every delivery to agent 1; both count arrivals.
 struct Forwarder {
     received: usize,
 }
 
-impl Agent for Forwarder {
+impl Protocol for Forwarder {
     type Msg = u64;
-    fn on_message(&mut self, ctx: &mut Ctx<'_, u64>, _from: AgentId, msg: u64) {
+    fn on_message(&mut self, ctx: &mut ProtoCtx<'_, u64>, _from: AgentId, msg: u64) {
         self.received += 1;
         if ctx.me() == AgentId(0) {
             ctx.send(AgentId(1), msg, 16);
@@ -66,7 +69,8 @@ fn steady_state_delivery_does_not_allocate() {
     let agents = vec![Forwarder { received: 0 }, Forwarder { received: 0 }];
     let mut sim = Sim::new(topo, agents, 42);
 
-    // Warm-up: size the queue, fault RNG streams, and agent state.
+    // Warm-up: size the queue, the output buffer, fault RNG streams,
+    // and agent state.
     for i in 0..BATCH {
         sim.inject(SimTime::ZERO, AgentId(0), i as u64);
     }
@@ -74,8 +78,8 @@ fn steady_state_delivery_does_not_allocate() {
     assert_eq!(sim.agent(AgentId(1)).received, BATCH);
 
     // Measured: the identical workload through the warmed machinery.
-    // Every inject, send, queue push/pop, and delivery must be
-    // allocation-free.
+    // Every inject, send, output-buffer push/drain, queue push/pop, and
+    // delivery must be allocation-free.
     let now = sim.now();
     let before = ALLOCS.load(Ordering::Relaxed);
     for i in 0..BATCH {

@@ -1,14 +1,13 @@
-//! The index node as a sans-io [`sansio::Protocol`]: executes routing
+//! The index node as a sans-io [`simnet::Protocol`]: executes routing
 //! actions as messages, answers queries from its local store, and
 //! records each query's costs on its trace, the one per-query record the
 //! experiments report from. Each job has one path: `route_all` routes or
 //! refines a round of fragments, `send_query` prices and traces every
 //! query delivery, `record_answer` traces every local answer, and
 //! `insert_ranked` is the one ranking. Telemetry is always on: every
-//! node records into a handle, its own or its system's. A thin
-//! [`simnet::Agent`] adapter at the bottom of this file drives the same
-//! state machine under the deterministic simulator; `crates/node` drives
-//! it over real sockets.
+//! node records into a handle, its own or its system's. The deterministic
+//! simulator drives this state machine directly; `crates/node` drives it
+//! over real sockets.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
@@ -17,9 +16,8 @@ use std::sync::Arc;
 use chord::RoutingTable;
 use lph::{Grid, Rotation};
 use metric::ObjectId;
-use sansio::{Input, ProtoCtx, Protocol};
 use simnet::telemetry::{CounterId as C, HistogramId as H};
-use simnet::{AgentId, SimDuration, SimTime, TimerTag};
+use simnet::{AgentId, ProtoCtx, Protocol, SimDuration, SimTime, TimerTag};
 
 use crate::msg::{
     ack_msg_bytes, msg_bytes, result_msg_bytes, tracked_overhead_bytes, DistanceOracle, QueryId,
@@ -930,26 +928,6 @@ impl Protocol for SearchNode {
         // clear the bookkeeping that assumed they would fire. In-flight
         // requests die here — the *senders'* retry timers cover them.
         self.pending.clear();
-    }
-}
-
-/// The simulator driver: each simnet callback runs the sans-io core via
-/// [`sansio::drive`], which buffers the core's outputs and replays them
-/// through the simulator in exact emission order — byte-identical event
-/// sequences (and telemetry) to the pre-refactor direct-call code.
-impl simnet::Agent for SearchNode {
-    type Msg = SearchMsg;
-
-    fn on_message(&mut self, ctx: &mut simnet::Ctx<'_, SearchMsg>, from: AgentId, msg: SearchMsg) {
-        sansio::drive(self, ctx, Input::Message { from, msg });
-    }
-
-    fn on_timer(&mut self, ctx: &mut simnet::Ctx<'_, SearchMsg>, tag: TimerTag) {
-        sansio::drive(self, ctx, Input::Timer(tag));
-    }
-
-    fn on_crash(&mut self) {
-        Protocol::on_crash(self);
     }
 }
 
