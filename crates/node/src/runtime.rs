@@ -570,6 +570,8 @@ struct Runtime {
     /// Self-addressed sends, drained before anything else — matching
     /// the simulator, where a self-send is just the earliest event.
     local: VecDeque<SearchMsg>,
+    /// The one output buffer every callback is lent, empty between them.
+    outbox: Vec<Output<SearchMsg>>,
     start: Instant,
     telemetry: Telemetry,
     /// What every member derives its grid and messages from.
@@ -600,13 +602,13 @@ impl Runtime {
     fn feed(&mut self, input: Input<SearchMsg>) {
         let now = SimTime(self.start.elapsed().as_nanos() as u64);
         let links = ConstLinks(PEER_RTT);
-        let outputs = {
-            let mut ctx = ProtoCtx::new(AgentId(self.me), now, self.members.len(), &links);
-            dispatch(&mut self.node, &mut ctx, input);
-            ctx.into_outputs()
-        };
+        let outbox = std::mem::take(&mut self.outbox);
+        let n = self.members.len();
+        let mut ctx = ProtoCtx::with_buffer(AgentId(self.me), now, n, &links, outbox);
+        dispatch(&mut self.node, &mut ctx, input);
+        let mut outputs = ctx.into_outputs();
         self.node.retire_oldest(QUERY_WINDOW);
-        for out in outputs {
+        for out in outputs.drain(..) {
             match out {
                 Output::Send { to, msg, bytes: _ } => {
                     if to.0 == self.me {
@@ -621,6 +623,7 @@ impl Runtime {
                 }
             }
         }
+        self.outbox = outputs;
     }
 
     /// Feed every queued self-send, including the ones that feeding
@@ -808,11 +811,20 @@ impl Runtime {
                         self.scenario.dims
                     ));
                 }
-                // No query rect could ever hold it.
+                // No query rect could ever hold it: `Rect::ball` clips
+                // every query to the bounds.
                 if let Some(x) = point.iter().find(|x| !x.is_finite()) {
                     return error(format!("published coordinate {x} is not a finite number"));
                 }
                 let grid = &self.node.indexes[index as usize].grid;
+                let bounds = grid.bounds();
+                if !bounds.contains_point(&point) {
+                    return error(format!(
+                        "published point {point:?} lies outside the index bounds {:?}..={:?}",
+                        bounds.lo(),
+                        bounds.hi()
+                    ));
+                }
                 let entry = self.scenario.entry(grid, obj, &point);
                 self.feed(Input::Message {
                     from: AgentId(self.me),
@@ -1207,6 +1219,7 @@ pub fn run_server(opts: &ServerOpts) -> Result<(), String> {
         node,
         wheel: TimerWheel::default(),
         local: VecDeque::new(),
+        outbox: Vec::new(),
         start: Instant::now(),
         telemetry,
         scenario: sc,

@@ -9,7 +9,12 @@
 //! lists without exchanging any of them.
 //!
 //! The landmark mapping is the identity: objects *are* their index
-//! points in `[0, 1]^dims` and the metric is L2. The system's ball
+//! points in `[0, 1]^dims` and the metric is L2. A node therefore
+//! refuses a point outside the cube instead of clamping it onto the
+//! boundary as §3.1 does for a mapped object: the stored vector is the
+//! object, and a clamped copy would falsify [`StoredL2`]'s distance.
+//! Entries and `Issue` sub-queries are built by the simulator's own
+//! [`Entry::new`] and [`SubQueryMsg::issue`]. The system's ball
 //! pruning is the L∞ lower bound — sound but not tight under L2, so a
 //! range answer is the top-k *by true distance* of every object the
 //! bound admits (which can include points just outside the metric
@@ -18,7 +23,7 @@
 //! the corpus alone.
 
 use chord::{NodeRef, OracleRing};
-use lph::{Grid, Prefix, Rect, Rotation};
+use lph::{Grid, Rect, Rotation};
 use metric::ObjectId;
 use simnet::{AgentId, SimRng};
 use simsearch::msg::{QueryBall, QueryDistance, QueryId, SearchMsg, SubQueryMsg};
@@ -123,33 +128,19 @@ impl Scenario {
     }
 
     /// The store entry for an object (identity mapping: the object's
-    /// point is its index point).
+    /// point is its index point), built as the simulator builds it.
     pub fn entry(&self, grid: &Grid, obj: u32, point: &[f64]) -> Entry {
-        Entry {
-            ring_key: grid.hash(point),
-            obj: ObjectId(obj),
-            point: point.to_vec().into_boxed_slice(),
-        }
+        Entry::new(grid, rotation(), ObjectId(obj), point)
     }
 
     /// The `Issue` message both drivers inject for a range query: the
     /// parity test into the simulator, a node for each client query.
     pub fn issue_msg(&self, grid: &Grid, qid: u32, q: &RangeQuery) -> SearchMsg {
-        let rect = Rect::ball(&q.center, q.radius, grid.bounds());
-        let prefix: Prefix = grid.enclosing_prefix(&rect);
-        SearchMsg::Issue(SubQueryMsg {
-            qid,
-            index: 0,
-            rect,
-            prefix,
-            hops: 0,
-            origin: AgentId(q.origin),
-            ball: Some(QueryBall {
-                center: q.center.clone().into(),
-                radius: q.radius,
-            }),
-            shortcut: false,
-        })
+        let ball = QueryBall {
+            center: q.center.clone().into(),
+            radius: q.radius,
+        };
+        SearchMsg::Issue(SubQueryMsg::issue(qid, 0, AgentId(q.origin), grid, ball))
     }
 
     /// Model answer for a range query: every corpus object the system's

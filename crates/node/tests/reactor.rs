@@ -330,10 +330,11 @@ fn a_bad_connection_dies_alone() {
         .expect("new connection served");
 }
 
-/// A query center or published point with a NaN or infinite coordinate
-/// is refused with an error reply. Clipped to the index bounds, a NaN
-/// center would turn into a query over the whole space, and no query
-/// could ever match such a point. The connection goes on serving.
+/// A query center or published point with a NaN or infinite coordinate,
+/// or a published point outside the index bounds, is refused with an
+/// error reply. Clipped to the index bounds, a NaN center would turn
+/// into a query over the whole space, and no query could ever match
+/// such a point. The connection goes on serving.
 #[test]
 fn a_non_finite_query_or_point_is_refused() {
     let cluster = Cluster::spawn(1);
@@ -344,6 +345,16 @@ fn a_non_finite_query_or_point_is_refused() {
         assert!(e.contains("not a finite number"), "center {center:?}: {e}");
         let e = client.publish(0, 1, &center).expect_err("refused publish");
         assert!(e.contains("not a finite number"), "point {center:?}: {e}");
+    }
+    // Finite but outside the unit cube: no query rect could hold it
+    // either, since every query is clipped to the bounds.
+    for point in [[1.5, 0.5, 0.5], [-0.25, 0.5, 0.5]] {
+        let e = client.publish(0, 1, &point).expect_err("refused publish");
+        assert!(
+            e.contains("outside the index bounds"),
+            "point {point:?}: {e}"
+        );
+        assert!(e.contains("[0.0, 0.0, 0.0]..=[1.0, 1.0, 1.0]"), "{e}");
     }
     assert_eq!(client.stats().expect("stats").load, 0, "nothing stored");
     client.publish(0, 1, &[0.5; 3]).expect("a finite publish");

@@ -12,10 +12,11 @@
 //! of the build-time dataset, so their object ids (and the ground truth
 //! that grows with them) are known before the system is built.
 
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use landmark::{boundary_from_metric, boundary_from_sample, greedy, kmeans, Mapper};
+use landmark::{boundary_from_metric, boundary_from_sample, greedy, kmeans, Boundary, Mapper};
 use metric::{Angular, EditDistance, Metric, ObjectId, SparseVector, L2};
 use serde_json::Value;
 use simnet::{AgentId, SimRng, SimTime};
@@ -28,7 +29,7 @@ use workloads::{
     TimeSeriesParams, TimeSeriesWorkload, Zipf,
 };
 
-use crate::schema::{LbDecl, Scenario, SchemeDecl, TenantDecl};
+use crate::schema::{IndexDecl, LbDecl, Scenario, SchemeDecl, TenantDecl};
 
 /// What one scenario run produced: the canonical digest (what goldens
 /// byte-compare) and any invariant violations (empty on a passing run —
@@ -74,244 +75,54 @@ struct BuiltIndex {
 /// True distance from pool object `qref` to object `oid`.
 type TrueDist = Arc<dyn Fn(usize, usize) -> f64 + Send + Sync>;
 
-/// What one scheme build yields: `(base_n, total_n, pub_points,
-/// pool_points, boundary, points, radius, dist)`.
-type SchemeBuild = (
-    usize,
-    usize,
-    Vec<Vec<f64>>,
-    Vec<Vec<f64>>,
-    Vec<(f64, f64)>,
-    Vec<Vec<f64>>,
-    f64,
-    TrueDist,
-);
-
 /// Derive a per-purpose RNG stream for one index.
 fn index_seed(sc: &Scenario, data_seed: u64, stream: u64) -> u64 {
     sc.seed ^ data_seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ stream
 }
 
-fn build_index(sc: &Scenario, pos: usize, pool_total: usize, publish_total: usize) -> BuiltIndex {
-    let decl = &sc.indexes[pos];
-    let dseed = index_seed(sc, decl.data_seed, 0x0DA7A);
-    let qseed = index_seed(sc, decl.data_seed, 0x9001);
-    let mut sel_rng = SimRng::new(index_seed(sc, decl.data_seed, 0x5E1));
-    let (base_n, total_n, pub_points, pool_points, boundary, points, radius, dist): SchemeBuild =
-        match decl.scheme {
-            SchemeDecl::Clustered {
-                objects,
-                dims,
-                clusters,
-                deviation,
-            } => {
-                let total = objects + publish_total;
-                let data = ClusteredVectors::generate(
-                    ClusteredParams {
-                        dims,
-                        clusters,
-                        deviation,
-                        n_objects: total,
-                        ..ClusteredParams::default()
-                    },
-                    dseed,
-                );
-                let pool: Vec<Vec<f32>> = data.queries(pool_total, qseed);
-                let metric = L2::bounded(dims, 0.0, 100.0);
-                let sample: Vec<Vec<f32>> = sel_rng
-                    .sample_indices(total, decl.sample.min(total))
-                    .into_iter()
-                    .map(|i| data.objects[i].clone())
-                    .collect();
-                let landmarks =
-                    kmeans::<_, [f32], _>(&metric, &sample, decl.landmarks, 8, &mut sel_rng);
-                let mapper = Mapper::new(metric, landmarks);
-                let all = mapper.map_all::<[f32], _>(&data.objects);
-                let boundary = boundary_from_metric(&L2::bounded(dims, 0.0, 100.0), decl.landmarks)
-                    .expect("bounded L2 has an upper bound")
-                    .dims;
-                let pool_points = pool
-                    .iter()
-                    .map(|p| mapper.map(p.as_slice()).into_vec())
-                    .collect();
-                let radius = decl.radius * data.max_distance();
-                let objs = Arc::new(data.objects);
-                let probes = Arc::new(pool);
-                let dist = Arc::new(move |q: usize, oid: usize| {
-                    L2::new().distance(probes[q].as_slice(), objs[oid].as_slice())
-                });
-                let (points, pubs) = split_points(all, objects);
-                (
-                    objects,
-                    total,
-                    pubs,
-                    pool_points,
-                    boundary,
-                    points,
-                    radius,
-                    dist,
-                )
-            }
-            SchemeDecl::Strings { families, members } => {
-                let data = StringWorkload::generate(
-                    StringWorkloadParams {
-                        families,
-                        members_per_family: members,
-                        ..StringWorkloadParams::default()
-                    },
-                    dseed,
-                );
-                let objects = data.sequences.len().saturating_sub(publish_total);
-                assert!(objects > 0, "strings scheme too small for its publishes");
-                let pool: Vec<String> = data.queries(pool_total, qseed);
-                let sample: Vec<String> = sel_rng
-                    .sample_indices(data.sequences.len(), decl.sample.min(data.sequences.len()))
-                    .into_iter()
-                    .map(|i| data.sequences[i].clone())
-                    .collect();
-                let landmarks =
-                    greedy::<_, str, _>(&EditDistance, &sample, decl.landmarks, &mut sel_rng);
-                let mapper = Mapper::new(EditDistance, landmarks);
-                let all = mapper.map_all::<str, _>(&data.sequences);
-                let boundary = boundary_from_sample::<_, str, _>(&mapper, &sample, 0.05).dims;
-                let pool_points = pool
-                    .iter()
-                    .map(|p| mapper.map(p.as_str()).into_vec())
-                    .collect();
-                let seqs = Arc::new(data.sequences);
-                let probes = Arc::new(pool);
-                let dist = Arc::new(move |q: usize, oid: usize| {
-                    Metric::<str>::distance(&EditDistance, &probes[q], &seqs[oid])
-                });
-                let total = objects + publish_total;
-                let (points, pubs) = split_points(all, objects);
-                (
-                    objects,
-                    total,
-                    pubs,
-                    pool_points,
-                    boundary,
-                    points,
-                    decl.radius,
-                    dist,
-                )
-            }
-            SchemeDecl::Docs { docs, vocab, areas } => {
-                let total = docs + publish_total;
-                let corpus = Corpus::generate(
-                    CorpusParams {
-                        n_docs: total,
-                        vocab,
-                        stopwords: (vocab / 25).max(50),
-                        subject_areas: areas,
-                        ..CorpusParams::default()
-                    },
-                    dseed,
-                );
-                // Query pool: the corpus's query topics, cycled.
-                let pool: Vec<SparseVector> = (0..pool_total)
-                    .map(|i| corpus.topics[i % corpus.topics.len()].clone())
-                    .collect();
-                let metric = Angular::new();
-                let sample: Vec<SparseVector> = sel_rng
-                    .sample_indices(total, decl.sample.min(total))
-                    .into_iter()
-                    .map(|i| corpus.docs[i].clone())
-                    .collect();
-                let landmarks = kmeans::<_, SparseVector, _>(
-                    &metric,
-                    &sample,
-                    decl.landmarks,
-                    10,
-                    &mut sel_rng,
-                );
-                let mapper = Mapper::new(metric, landmarks);
-                let all = mapper.map_all::<SparseVector, _>(&corpus.docs);
-                let boundary =
-                    boundary_from_sample::<_, SparseVector, _>(&mapper, &sample, 0.02).dims;
-                let pool_points = pool.iter().map(|p| mapper.map(p).into_vec()).collect();
-                let docs_arc = Arc::new(corpus.docs);
-                let probes = Arc::new(pool);
-                let dist = Arc::new(move |q: usize, oid: usize| {
-                    Angular::new().distance(&probes[q], &docs_arc[oid])
-                });
-                let radius = decl.radius * std::f64::consts::FRAC_PI_2;
-                let (points, pubs) = split_points(all, docs);
-                (
-                    docs,
-                    total,
-                    pubs,
-                    pool_points,
-                    boundary,
-                    points,
-                    radius,
-                    dist,
-                )
-            }
-            SchemeDecl::Timeseries {
-                length,
-                window,
-                stride,
-                motifs,
-                repeats,
-                noise,
-            } => {
-                let ts = TimeSeriesWorkload::generate(
-                    TimeSeriesParams {
-                        length,
-                        window,
-                        stride,
-                        motifs,
-                        motif_repeats: repeats,
-                        noise,
-                    },
-                    dseed,
-                );
-                let objects = ts.windows.len().saturating_sub(publish_total);
-                assert!(objects > 0, "timeseries scheme too small for its publishes");
-                let pool: Vec<Vec<f32>> = ts
-                    .queries(pool_total, qseed)
-                    .into_iter()
-                    .map(|(_, w)| w)
-                    .collect();
-                let metric = L2::new();
-                let sample: Vec<Vec<f32>> = sel_rng
-                    .sample_indices(ts.windows.len(), decl.sample.min(ts.windows.len()))
-                    .into_iter()
-                    .map(|i| ts.windows[i].clone())
-                    .collect();
-                let landmarks =
-                    kmeans::<_, [f32], _>(&metric, &sample, decl.landmarks, 8, &mut sel_rng);
-                let mapper = Mapper::new(metric, landmarks);
-                let all = mapper.map_all::<[f32], _>(&ts.windows);
-                let boundary = boundary_from_sample::<_, [f32], _>(&mapper, &sample, 0.05).dims;
-                let pool_points = pool
-                    .iter()
-                    .map(|p| mapper.map(p.as_slice()).into_vec())
-                    .collect();
-                let wins = Arc::new(ts.windows);
-                let probes = Arc::new(pool);
-                let dist = Arc::new(move |q: usize, oid: usize| {
-                    L2::new().distance(probes[q].as_slice(), wins[oid].as_slice())
-                });
-                let total = objects + publish_total;
-                let (points, pubs) = split_points(all, objects);
-                (
-                    objects,
-                    total,
-                    pubs,
-                    pool_points,
-                    boundary,
-                    points,
-                    decl.radius,
-                    dist,
-                )
-            }
-        };
+/// The one §3.1 mapping pipeline every scheme runs: sample `objects` on
+/// `sel_rng`, `select` the landmarks, map the objects, fix the boundary,
+/// map the query `pool`, hold the objects past `base_n` out as runtime
+/// publishes, and keep the true distance for the oracle.
+#[allow(clippy::too_many_arguments)]
+fn map_index<T, Q, M>(
+    decl: &IndexDecl,
+    sel_rng: &mut SimRng,
+    pool: Vec<T>,
+    objects: Vec<T>,
+    metric: M,
+    base_n: usize,
+    radius: f64,
+    select: impl FnOnce(&M, &[T], &mut SimRng) -> Vec<T>,
+    boundary: impl FnOnce(&Mapper<T, M>, &[T]) -> Boundary,
+) -> BuiltIndex
+where
+    T: Clone + Borrow<Q> + Send + Sync + 'static,
+    Q: ?Sized + Sync,
+    M: Metric<Q> + Clone + 'static,
+{
+    let total = objects.len();
+    let sample: Vec<T> = sel_rng
+        .sample_indices(total, decl.sample.min(total))
+        .into_iter()
+        .map(|i| objects[i].clone())
+        .collect();
+    let landmarks = select(&metric, &sample, sel_rng);
+    let mapper = Mapper::new(metric.clone(), landmarks);
+    let mut points = mapper.map_all::<Q, T>(&objects);
+    let boundary = boundary(&mapper, &sample).dims;
+    let pool_points = pool
+        .iter()
+        .map(|p| mapper.map(p.borrow()).into_vec())
+        .collect();
+    let pub_points = points.split_off(base_n);
+    let dist = Arc::new(move |q: usize, oid: usize| {
+        metric.distance(pool[q].borrow(), objects[oid].borrow())
+    });
     BuiltIndex {
         name: decl.name.clone(),
         base_n,
-        total_n,
+        total_n: total,
         spec: IndexSpec {
             name: decl.name.clone(),
             boundary,
@@ -326,10 +137,128 @@ fn build_index(sc: &Scenario, pos: usize, pool_total: usize, publish_total: usiz
     }
 }
 
-/// Split mapped points into build-time entries and held-out publishes.
-fn split_points(mut all: Vec<Vec<f64>>, base_n: usize) -> (Vec<Vec<f64>>, Vec<Vec<f64>>) {
-    let pubs = all.split_off(base_n);
-    (all, pubs)
+fn build_index(sc: &Scenario, pos: usize, pool_total: usize, publish_total: usize) -> BuiltIndex {
+    let decl = &sc.indexes[pos];
+    let dseed = index_seed(sc, decl.data_seed, 0x0DA7A);
+    let qseed = index_seed(sc, decl.data_seed, 0x9001);
+    let rng = &mut SimRng::new(index_seed(sc, decl.data_seed, 0x5E1));
+    let k = decl.landmarks;
+    match decl.scheme {
+        SchemeDecl::Clustered {
+            objects,
+            dims,
+            clusters,
+            deviation,
+        } => {
+            let data = ClusteredVectors::generate(
+                ClusteredParams {
+                    dims,
+                    clusters,
+                    deviation,
+                    n_objects: objects + publish_total,
+                    ..ClusteredParams::default()
+                },
+                dseed,
+            );
+            let radius = decl.radius * data.max_distance();
+            map_index::<_, [f32], _>(
+                decl,
+                rng,
+                data.queries(pool_total, qseed),
+                data.objects,
+                L2::bounded(dims, 0.0, 100.0),
+                objects,
+                radius,
+                |m, s, r| kmeans::<_, [f32], _>(m, s, k, 8, r),
+                |m, _| boundary_from_metric::<[f32], _>(m.metric(), k).expect("bounded L2"),
+            )
+        }
+        SchemeDecl::Strings { families, members } => {
+            let data = StringWorkload::generate(
+                StringWorkloadParams {
+                    families,
+                    members_per_family: members,
+                    ..StringWorkloadParams::default()
+                },
+                dseed,
+            );
+            let base_n = data.sequences.len().saturating_sub(publish_total);
+            assert!(base_n > 0, "strings scheme too small for its publishes");
+            map_index::<_, str, _>(
+                decl,
+                rng,
+                data.queries(pool_total, qseed),
+                data.sequences,
+                EditDistance,
+                base_n,
+                decl.radius,
+                |m, s, r| greedy::<_, str, _>(m, s, k, r),
+                |m, s| boundary_from_sample::<_, str, _>(m, s, 0.05),
+            )
+        }
+        SchemeDecl::Docs { docs, vocab, areas } => {
+            let corpus = Corpus::generate(
+                CorpusParams {
+                    n_docs: docs + publish_total,
+                    vocab,
+                    stopwords: (vocab / 25).max(50),
+                    subject_areas: areas,
+                    ..CorpusParams::default()
+                },
+                dseed,
+            );
+            map_index::<_, SparseVector, _>(
+                decl,
+                rng,
+                // Query pool: the corpus's query topics, cycled.
+                (0..pool_total)
+                    .map(|i| corpus.topics[i % corpus.topics.len()].clone())
+                    .collect(),
+                corpus.docs,
+                Angular::new(),
+                docs,
+                decl.radius * std::f64::consts::FRAC_PI_2,
+                |m, s, r| kmeans::<_, SparseVector, _>(m, s, k, 10, r),
+                |m, s| boundary_from_sample::<_, SparseVector, _>(m, s, 0.02),
+            )
+        }
+        SchemeDecl::Timeseries {
+            length,
+            window,
+            stride,
+            motifs,
+            repeats,
+            noise,
+        } => {
+            let ts = TimeSeriesWorkload::generate(
+                TimeSeriesParams {
+                    length,
+                    window,
+                    stride,
+                    motifs,
+                    motif_repeats: repeats,
+                    noise,
+                },
+                dseed,
+            );
+            let base_n = ts.windows.len().saturating_sub(publish_total);
+            assert!(base_n > 0, "timeseries scheme too small for its publishes");
+            map_index::<_, [f32], _>(
+                decl,
+                rng,
+                ts.queries(pool_total, qseed)
+                    .into_iter()
+                    .map(|(_, w)| w)
+                    .collect(),
+                ts.windows,
+                L2::new(),
+                base_n,
+                decl.radius,
+                |m, s, r| kmeans::<_, [f32], _>(m, s, k, 8, r),
+                |m, s| boundary_from_sample::<_, [f32], _>(m, s, 0.05),
+            )
+        }
+    }
 }
 
 /// One pre-drawn operation of the global sequence.
@@ -437,8 +366,7 @@ pub fn run(sc: &Scenario) -> RunReport {
             qid_probe.push((lay.index_pos, lay.pool_base + pool_item));
         }
     }
-    let dists: Vec<Arc<dyn Fn(usize, usize) -> f64 + Send + Sync>> =
-        built.iter().map(|b| Arc::clone(&b.dist)).collect();
+    let dists: Vec<TrueDist> = built.iter().map(|b| Arc::clone(&b.dist)).collect();
     let probe_table = Arc::new(qid_probe.clone());
     let oracle_dists = dists.clone();
     let oracle: Arc<dyn QueryDistance> = Arc::new(move |qid: QueryId, obj: ObjectId| {

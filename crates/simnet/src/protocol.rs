@@ -112,10 +112,10 @@ impl<'a, M> ProtoCtx<'a, M> {
         Self::with_buffer(me, now, n_agents, links, Vec::new())
     }
 
-    /// [`ProtoCtx::new`] over an empty buffer the caller lends, so a
+    /// [`Self::new`] over an empty buffer the caller lends, so a
     /// driver that dispatches millions of callbacks grows one buffer
     /// once instead of allocating one per sending callback.
-    pub(crate) fn with_buffer(
+    pub fn with_buffer(
         me: AgentId,
         now: SimTime,
         n_agents: usize,

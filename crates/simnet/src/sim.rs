@@ -347,8 +347,9 @@ mod tests {
     use super::*;
     use crate::event::TimerTag;
 
-    /// Echo server: replies to every Ping with a Pong; the client records
-    /// arrival times.
+    /// Echo server: replies to every Ping with a Pong. An agent given a
+    /// peer pings it once on start; every agent records when each Ping
+    /// and Pong reached it.
     #[derive(Clone, Copy, PartialEq, Debug)]
     enum PingMsg {
         Ping,
@@ -357,29 +358,38 @@ mod tests {
 
     struct PingAgent {
         peer: Option<AgentId>,
+        pings: Vec<SimTime>,
         pongs: Vec<SimTime>,
         started: bool,
     }
 
     impl Protocol for PingAgent {
         type Msg = PingMsg;
-        fn on_start(&mut self, _ctx: &mut ProtoCtx<'_, PingMsg>) {
+        fn on_start(&mut self, ctx: &mut ProtoCtx<'_, PingMsg>) {
             self.started = true;
+            if let Some(peer) = self.peer {
+                ctx.send(peer, PingMsg::Ping, 20);
+            }
         }
         fn on_message(&mut self, ctx: &mut ProtoCtx<'_, PingMsg>, from: AgentId, msg: PingMsg) {
             match msg {
-                PingMsg::Ping => ctx.send(from, PingMsg::Pong, 20),
+                PingMsg::Ping => {
+                    self.pings.push(ctx.now());
+                    ctx.send(from, PingMsg::Pong, 20);
+                }
                 PingMsg::Pong => self.pongs.push(ctx.now()),
             }
-            self.peer = Some(from);
         }
     }
 
-    fn two_agents() -> Sim<PingAgent> {
+    /// Two agents 80 ms apart (round trip); agent 0 pings agent 1 on
+    /// start when `ping` is set.
+    fn agents(ping: bool) -> Sim<PingAgent> {
         let topo = Topology::uniform(2, SimTime::from_millis(80));
         let agents = (0..2)
-            .map(|_| PingAgent {
-                peer: None,
+            .map(|i| PingAgent {
+                peer: (ping && i == 0).then_some(AgentId(1)),
+                pings: vec![],
                 pongs: vec![],
                 started: false,
             })
@@ -387,38 +397,32 @@ mod tests {
         Sim::new(topo, agents, 1)
     }
 
+    fn two_agents() -> Sim<PingAgent> {
+        agents(false)
+    }
+
     #[test]
     fn ping_pong_latency() {
-        let mut sim = two_agents();
-        // Client (agent 0) pings the server (agent 1) at t=0 via inject +
-        // immediate forward.
-        sim.inject(SimTime::ZERO, AgentId(1), PingMsg::Ping);
+        let mut sim = agents(true);
         sim.run();
-        // inject is a self-delivery at t=0; the Pong takes one one-way hop
-        // of 40ms back to... wait, inject delivers Ping *to agent 1 from
-        // itself*, so the pong goes 1 -> 1 with zero delay.
-        assert_eq!(sim.agent(AgentId(1)).pongs, vec![SimTime::ZERO]);
+        // Agent 0's Ping reaches agent 1 after one one-way delay, and the
+        // Pong is back after the full 80 ms round trip.
+        assert_eq!(sim.agent(AgentId(1)).pings, vec![SimTime::from_millis(40)]);
+        assert_eq!(sim.agent(AgentId(0)).pongs, vec![SimTime::from_millis(80)]);
+        assert_eq!(sim.stats().messages, 2);
+        assert_eq!(sim.stats().bytes, 40);
     }
 
     #[test]
     fn cross_host_latency_is_one_way() {
-        let mut sim = two_agents();
-        sim.inject(SimTime::ZERO, AgentId(0), PingMsg::Ping);
-        // Agent 0 receives Ping (from itself) and replies Pong to itself —
-        // that's the degenerate case above. Instead drive a real exchange:
+        let mut sim = agents(true);
         sim.run();
-        let mut sim = two_agents();
-        sim.start();
-        // Send a ping from 0 to 1 by injecting Ping at agent 1 with a fake
-        // sender is not possible through inject; use a bootstrap message.
-        struct Boot;
-        let _ = Boot;
-        // Simplest: agent 0 sends the ping from on_message of an injected
-        // Ping. Already covered; here verify timing of a 0->1->0 exchange.
-        sim.inject(SimTime::ZERO, AgentId(0), PingMsg::Ping);
-        sim.run();
-        // 0 ponged itself at t=0, so its own pong list has one entry at 0.
-        assert_eq!(sim.agent(AgentId(0)).pongs, vec![SimTime::ZERO]);
+        // Each crossing costs half the round-trip time, once per
+        // direction: nothing arrives at t = 0 or at 80 ms on the far side.
+        let (a, b) = (sim.agent(AgentId(0)), sim.agent(AgentId(1)));
+        assert_eq!((&a.pings, &b.pongs), (&vec![], &vec![]));
+        assert_eq!(b.pings, vec![SimTime::from_millis(40)]);
+        assert_eq!(a.pongs, vec![SimTime::from_millis(40 + 40)]);
     }
 
     #[test]

@@ -9,12 +9,12 @@
 //! routing prefix.
 
 use chord::ChordId;
-use lph::{Prefix, Rect};
 use metric::ObjectId;
 use simnet::AgentId;
 
 use crate::msg::QueryId;
-use crate::system::{publish_entry, SearchSystem};
+use crate::store::Entry;
+use crate::system::SearchSystem;
 
 impl SearchSystem {
     /// Render the recorded telemetry trace of a simulated query as a
@@ -93,15 +93,8 @@ impl SearchSystem {
     /// The node that owns a given index-space point (diagnostics).
     pub fn owner_of_point(&self, index: u8, point: &[f64]) -> AgentId {
         let grid = &self.grids[index as usize];
-        let entry = publish_entry(grid, self.rotations[index as usize], ObjectId(0), point);
+        let entry = Entry::new(grid, self.rotations[index as usize], ObjectId(0), point);
         self.ring().owner_of(ChordId(entry.ring_key)).addr
-    }
-
-    /// The prefix a query region would be routed with (diagnostics).
-    pub fn enclosing_prefix_of(&self, index: u8, point: &[f64], radius: f64) -> Prefix {
-        let grid = &self.grids[index as usize];
-        let rect = Rect::ball(point, radius, grid.bounds());
-        grid.enclosing_prefix(&rect)
     }
 }
 
@@ -178,10 +171,5 @@ mod tests {
         let system = world();
         let owner = system.owner_of_point(0, &[10.0, 10.0]);
         assert!(owner.0 < 20);
-        let p = system.enclosing_prefix_of(0, &[10.0, 10.0], 1.0);
-        assert!(!p.is_empty());
-        // A huge radius forces the root prefix.
-        let root = system.enclosing_prefix_of(0, &[50.0, 50.0], 60.0);
-        assert_eq!(root.len(), 0);
     }
 }

@@ -18,9 +18,8 @@
 use metric::ObjectId;
 use simnet::{AgentId, SimDuration, SimTime};
 
-use crate::msg::{QueryId, SearchMsg, SubQueryMsg};
+use crate::msg::{QueryBall, QueryId, SearchMsg, SubQueryMsg};
 use crate::system::SearchSystem;
-use lph::Rect;
 
 /// Result of an iterative k-NN search.
 #[derive(Clone, Debug)]
@@ -85,29 +84,16 @@ impl SearchSystem {
         while rounds < max_rounds {
             rounds += 1;
             let origin = AgentId(rng.index(self.cfg.n_nodes));
-            let rect = Rect::ball(point, radius, grid.bounds());
-            let prefix = grid.enclosing_prefix(&rect);
             let at: SimTime = self.sim.now() + SimDuration::from_millis(1);
-            self.sim.inject(
-                at,
-                origin,
-                SearchMsg::Issue(SubQueryMsg {
-                    qid,
-                    index,
-                    rect,
-                    prefix,
-                    hops: 0,
-                    origin,
-                    // This round's ball: pruning stays exact per round
-                    // because certification only inspects distances
-                    // `<= radius`, which the bound can never exclude.
-                    ball: Some(crate::msg::QueryBall {
-                        center: std::sync::Arc::clone(&center),
-                        radius,
-                    }),
-                    shortcut: false,
-                }),
-            );
+            // This round's ball: pruning stays exact per round because
+            // certification only inspects distances `<= radius`, which
+            // the bound can never exclude.
+            let ball = QueryBall {
+                center: std::sync::Arc::clone(&center),
+                radius,
+            };
+            let msg = SubQueryMsg::issue(qid, index, origin, &grid, ball);
+            self.sim.inject(at, origin, SearchMsg::Issue(msg));
             self.run_to_quiescence();
             let iq = self.sim.agent(origin).issued[&qid].clone();
             total_ms += iq

@@ -23,6 +23,7 @@ use chord::{ChordId, NodeRef, OracleRing};
 use simnet::{CounterId, HistogramId, SimRng, Topology};
 
 use crate::node::SearchNode;
+use crate::store::Entry;
 
 /// Parameters of the dynamic load-migration mechanism.
 #[derive(Clone, Copy, Debug)]
@@ -82,38 +83,23 @@ pub fn load_aware_ids(entry_keys: &[u64], n_nodes: usize, rng: &mut SimRng) -> V
             let idx = ids.partition_point(|&id| id < k) % ids.len();
             counts[idx] += 1;
         }
-        let (heavy, &load) = counts
+        let (heavy, _) = counts
             .iter()
             .enumerate()
             .max_by_key(|&(i, &c)| (c, std::cmp::Reverse(i)))
             .expect("ids holds at least the bootstrap id, so counts is never empty");
-        let mut new_id = None;
-        if load >= 2 {
-            // Median key of the heavy arc, in offset space from the arc
-            // start (the predecessor id + 1).
-            let pred = ids[(heavy + ids.len() - 1) % ids.len()];
-            let start = pred.wrapping_add(1);
-            let mut offsets: Vec<u64> = keys
-                .iter()
-                .filter(|&&k| {
-                    let idx = ids.partition_point(|&id| id < k) % ids.len();
-                    idx == heavy
-                })
-                .map(|&k| k.wrapping_sub(start))
-                .collect();
-            offsets.sort_unstable();
-            if offsets[0] != offsets[offsets.len() - 1] {
-                let mut m = offsets[(offsets.len() - 1) / 2];
-                if m == offsets[offsets.len() - 1] {
-                    let i = offsets.partition_point(|&o| o < m);
-                    m = offsets[i - 1];
-                }
-                let candidate = start.wrapping_add(m);
-                if !taken.contains(&candidate) {
-                    new_id = Some(candidate);
-                }
-            }
-        }
+        // Split the heavy arc in offset space from its start (the
+        // predecessor id + 1).
+        let start = ids[(heavy + ids.len() - 1) % ids.len()].wrapping_add(1);
+        let mut offsets: Vec<u64> = keys
+            .iter()
+            .filter(|&&k| ids.partition_point(|&id| id < k) % ids.len() == heavy)
+            .map(|&k| k.wrapping_sub(start))
+            .collect();
+        offsets.sort_unstable();
+        let new_id = median_split(&offsets)
+            .map(|m| start.wrapping_add(m))
+            .filter(|c| !taken.contains(c));
         let id = new_id.unwrap_or_else(|| {
             let mut id = rng.next_u64();
             while taken.contains(&id) {
@@ -156,11 +142,28 @@ fn probe_set(nodes: &[SearchNode], start: usize, level: u32) -> Vec<usize> {
     out
 }
 
-/// The split identifier for a heavy node: the largest entry key that
-/// leaves both halves non-empty, i.e. the median ring key *in offset
-/// space* relative to the start of the node's arc. `None` when the load
-/// cannot be divided (fewer than 2 entries, or every entry hashed to a
-/// single key — the paper's greedy/TREC pathology).
+/// The one §3.4 split rule, shared by join-time splitting and
+/// leave-and-rejoin migration: the median of a heavy range's sorted key
+/// offsets. Entries exactly at the split go to the lower half, so a
+/// median equal to the largest offset walks down to the previous
+/// distinct one and the upper half stays non-empty. `None` when the
+/// range cannot be divided (fewer than 2 entries, or every entry hashed
+/// to a single key — the paper's greedy/TREC pathology).
+fn median_split(offsets: &[u64]) -> Option<u64> {
+    let (&first, &last) = (offsets.first()?, offsets.last()?);
+    if first == last {
+        return None;
+    }
+    let m = offsets[(offsets.len() - 1) / 2];
+    Some(if m == last {
+        offsets[offsets.partition_point(|&o| o < m) - 1]
+    } else {
+        m
+    })
+}
+
+/// The split identifier for a heavy node: [`median_split`] over its
+/// entries' ring keys in offset space from the start of its arc.
 fn split_point(node: &SearchNode, arc_start: u64) -> Option<u64> {
     let mut offsets: Vec<u64> = node
         .indexes
@@ -168,22 +171,27 @@ fn split_point(node: &SearchNode, arc_start: u64) -> Option<u64> {
         .flat_map(|ix| ix.store.entries())
         .map(|e| e.ring_key.wrapping_sub(arc_start))
         .collect();
-    if offsets.len() < 2 {
-        return None;
-    }
     offsets.sort_unstable();
-    if offsets[0] == offsets[offsets.len() - 1] {
-        return None; // single key: indivisible
+    median_split(&offsets).map(|m| arc_start.wrapping_add(m))
+}
+
+/// Place a batch of index `index`'s entries as primaries on the owners
+/// their ring keys map to (§3.2), in batch order among equal keys. The
+/// one placement pass: build, re-index and migration all publish
+/// through it.
+pub(crate) fn place(
+    ring: &OracleRing,
+    nodes: &mut [SearchNode],
+    index: usize,
+    entries: impl IntoIterator<Item = Entry>,
+) {
+    let mut per_addr: Vec<Vec<Entry>> = vec![Vec::new(); nodes.len()];
+    for e in entries {
+        per_addr[ring.owner_of(ChordId(e.ring_key)).addr.0].push(e);
     }
-    let mut m = offsets[(offsets.len() - 1) / 2];
-    // Entries exactly at the median key go to the lower half; make sure
-    // the upper half stays non-empty.
-    if m == offsets[offsets.len() - 1] {
-        // Walk down to the previous distinct key.
-        let idx = offsets.partition_point(|&o| o < m);
-        m = offsets[idx - 1];
+    for (node, batch) in nodes.iter_mut().zip(per_addr) {
+        node.indexes[index].store.extend(batch);
     }
-    Some(arc_start.wrapping_add(m))
 }
 
 /// Redistribute every entry to the owner its ring key maps to under the
@@ -193,19 +201,12 @@ pub fn redistribute(ring: &OracleRing, nodes: &mut [SearchNode]) -> usize {
     let n_indexes = nodes.first().map(|n| n.indexes.len()).unwrap_or(0);
     let mut total = 0;
     for ix in 0..n_indexes {
-        let mut all = Vec::new();
-        for node in nodes.iter_mut() {
-            all.extend(node.indexes[ix].store.take_all());
-        }
+        let all: Vec<Entry> = nodes
+            .iter_mut()
+            .flat_map(|node| node.indexes[ix].store.take_all())
+            .collect();
         total += all.len();
-        let mut per_addr: Vec<Vec<crate::store::Entry>> = vec![Vec::new(); nodes.len()];
-        for e in all {
-            let owner = ring.owner_of(ChordId(e.ring_key));
-            per_addr[owner.addr.0].push(e);
-        }
-        for (addr, entries) in per_addr.into_iter().enumerate() {
-            nodes[addr].indexes[ix].store.extend(entries);
-        }
+        place(ring, nodes, ix, all);
     }
     total
 }
@@ -708,5 +709,23 @@ mod tests {
             (lower as i64 - 50).abs() <= 1,
             "split should halve: lower={lower}"
         );
+    }
+
+    #[test]
+    fn median_split_keeps_both_halves_non_empty() {
+        assert_eq!(median_split(&[]), None);
+        assert_eq!(median_split(&[7]), None);
+        assert_eq!(
+            median_split(&[7, 7, 7]),
+            None,
+            "a single key is indivisible"
+        );
+        assert_eq!(median_split(&[1, 2, 3, 4]), Some(2));
+        assert_eq!(median_split(&[1, 2, 3, 4, 5]), Some(3));
+        // The median equals the largest offset: walk down to the
+        // previous distinct one, so the upper half keeps the 9s.
+        assert_eq!(median_split(&[1, 9, 9]), Some(1));
+        assert_eq!(median_split(&[1, 1, 4, 9, 9, 9, 9]), Some(4));
+        assert_eq!(median_split(&[1, 1, 9, 9, 9, 9, 9]), Some(1));
     }
 }

@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 
-use lph::{Prefix, Rect};
+use lph::{Grid, Prefix, Rect};
 use metric::ObjectId;
 use simnet::AgentId;
 
@@ -189,6 +189,32 @@ pub struct SubQueryMsg {
     pub shortcut: bool,
 }
 
+impl SubQueryMsg {
+    /// The `Issue` sub-query that starts a range query at `origin`:
+    /// `ball` clipped to the index bounds, the grid prefix enclosing that
+    /// rect, and the ball itself — the unclamped landmark vector answering
+    /// nodes prune refinement candidates against.
+    pub fn issue(
+        qid: QueryId,
+        index: u8,
+        origin: AgentId,
+        grid: &Grid,
+        ball: QueryBall,
+    ) -> SubQueryMsg {
+        let rect = Rect::ball(&ball.center, ball.radius, grid.bounds());
+        SubQueryMsg {
+            qid,
+            index,
+            prefix: grid.enclosing_prefix(&rect),
+            rect,
+            hops: 0,
+            origin,
+            ball: Some(ball),
+            shortcut: false,
+        }
+    }
+}
+
 /// Messages of the index layer.
 #[derive(Clone, Debug)]
 pub enum SearchMsg {
@@ -304,6 +330,38 @@ pub fn msg_bytes(msg: &SearchMsg, k_of_index: impl Fn(u8) -> usize) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn issue_clips_the_ball_and_encloses_it() {
+        let grid = Grid::new(Rect::cube(2, 0.0, 100.0), 16);
+        let ball = |x: f64, radius: f64| QueryBall {
+            center: vec![x, x].into(),
+            radius,
+        };
+        let sq = SubQueryMsg::issue(7, 1, AgentId(3), &grid, ball(10.0, 1.0));
+        assert_eq!(
+            (sq.qid, sq.index, sq.origin, sq.hops),
+            (7, 1, AgentId(3), 0)
+        );
+        assert_eq!(
+            (sq.rect.lo(), sq.rect.hi()),
+            (&[9.0, 9.0][..], &[11.0, 11.0][..])
+        );
+        assert_eq!(sq.prefix, grid.enclosing_prefix(&sq.rect));
+        assert!(!sq.prefix.is_empty());
+        assert_eq!(sq.ball.as_ref().map(|b| b.radius), Some(1.0));
+        assert!(!sq.shortcut);
+        // A ball past the bounds is clipped to them, and one that covers
+        // the whole space is routed from the root prefix.
+        let sq = SubQueryMsg::issue(0, 0, AgentId(0), &grid, ball(95.0, 10.0));
+        assert_eq!(sq.rect.hi(), &[100.0, 100.0][..]);
+        let root = SubQueryMsg::issue(0, 0, AgentId(0), &grid, ball(50.0, 60.0));
+        assert_eq!(root.prefix.len(), 0);
+        assert_eq!(
+            &*root.ball.expect("the ball rides along").center,
+            &[50.0, 50.0][..]
+        );
+    }
 
     #[test]
     fn paper_size_formulas() {

@@ -12,7 +12,6 @@
 //! [`SearchSystem`], plus on-demand dynamic load migration for datasets
 //! whose distribution drifted after build time.
 
-use chord::ChordId;
 use lph::{Grid, Rect};
 use metric::ObjectId;
 use simnet::SimRng;
@@ -20,7 +19,7 @@ use std::sync::Arc;
 
 use crate::load::{self, LoadBalanceConfig, LoadBalanceReport};
 use crate::store::Entry;
-use crate::system::{publish_entry, SearchSystem};
+use crate::system::SearchSystem;
 
 /// What a re-index did.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -47,8 +46,7 @@ impl SearchSystem {
         boundary: &[(f64, f64)],
         points: &[Vec<f64>],
     ) -> ReindexReport {
-        let lo: Vec<f64> = boundary.iter().map(|&(l, _)| l).collect();
-        let hi: Vec<f64> = boundary.iter().map(|&(_, h)| h).collect();
+        let (lo, hi) = boundary.iter().copied().unzip();
         let grid = Arc::new(Grid::new(Rect::new(lo, hi), self.cfg.depth));
         let rot = self.rotations[index];
 
@@ -65,21 +63,22 @@ impl SearchSystem {
         }
 
         // Publish the new mapping.
-        let mut per_addr: Vec<Vec<Entry>> = vec![Vec::new(); self.cfg.n_nodes];
-        let mut migrated = 0usize;
-        for (i, p) in points.iter().enumerate() {
+        let entries = points.iter().enumerate().map(|(i, p)| {
             assert_eq!(p.len(), grid.dims(), "point {i} has wrong dimensionality");
-            let entry = publish_entry(&grid, rot, ObjectId(i as u32), p);
-            let owner = self.ring.owner_of(ChordId(entry.ring_key));
-            if old_owner.get(&entry.obj).copied() != Some(owner.addr.0) {
-                migrated += 1;
-            }
-            per_addr[owner.addr.0].push(entry);
-        }
-        let (_, nodes) = self.sim.topology_and_agents_mut();
-        for (addr, entries) in per_addr.into_iter().enumerate() {
-            nodes[addr].indexes[index].store.extend(entries);
-        }
+            Entry::new(&grid, rot, ObjectId(i as u32), p)
+        });
+        load::place(&self.ring, nodes, index, entries);
+        let migrated = nodes
+            .iter()
+            .enumerate()
+            .map(|(addr, node)| {
+                let store = &node.indexes[index].store;
+                store
+                    .entries()
+                    .filter(|e| old_owner.get(&e.obj) != Some(&addr))
+                    .count()
+            })
+            .sum();
         self.grids[index] = grid;
         // Ownership moved wholesale: old replica copies now shadow the
         // wrong owners. Recompute placement from the new primaries.
@@ -102,35 +101,27 @@ impl SearchSystem {
             Some(rc) if rc.replication > 1 => rc.replication,
             _ => return 0,
         };
-        let ring_nodes: Vec<chord::NodeRef> = self.ring.nodes().to_vec();
-        let n_ring = ring_nodes.len();
+        let ring = self.ring.nodes();
         let (_, nodes) = self.sim.topology_and_agents_mut();
-        // Phase 1 (read-only): collect copies per target address.
+        // Phase 1 (read-only): collect copies per target address, each
+        // owner's in its store's ring-key order.
         let mut copies: Vec<Vec<(u64, Entry)>> = vec![Vec::new(); nodes.len()];
-        for (pos, owner) in ring_nodes.iter().enumerate() {
+        for (pos, owner) in ring.iter().enumerate() {
             let store = &nodes[owner.addr.0].indexes[index].store;
-            if store.is_empty() {
-                continue;
-            }
-            for j in 1..replication {
-                let tgt = ring_nodes[(pos + j) % n_ring];
-                if tgt.addr == owner.addr {
-                    break; // wrapped all the way around
-                }
-                for e in store.entries() {
-                    copies[tgt.addr.0].push((owner.id.0, e.to_entry()));
-                }
+            let targets = (1..replication).map(|j| ring[(pos + j) % ring.len()]);
+            // Stop where the successors wrap all the way around.
+            for tgt in targets.take_while(|t| t.addr != owner.addr) {
+                copies[tgt.addr.0].extend(store.entries().map(|e| (owner.id.0, e.to_entry())));
             }
         }
         // Phase 2: replace every node's replica set.
-        for node in nodes.iter_mut() {
-            node.indexes[index].store.clear_replicas();
-        }
         let mut placed = 0usize;
-        for (addr, list) in copies.into_iter().enumerate() {
+        for (node, list) in nodes.iter_mut().zip(copies) {
+            let store = &mut node.indexes[index].store;
+            store.clear_replicas();
+            placed += list.len();
             for (owner_id, e) in list {
-                nodes[addr].indexes[index].store.put_replica(owner_id, e);
-                placed += 1;
+                store.put_replica(owner_id, e);
             }
         }
         placed

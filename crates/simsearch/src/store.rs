@@ -60,7 +60,7 @@
 //! its bounding box is small, and a block whose box misses the query is
 //! skipped with `2·dims` comparisons instead of `len·dims`.
 
-use lph::Rect;
+use lph::{Grid, Rect, Rotation};
 use metric::ObjectId;
 
 /// Most entries a block holds before it is divided. Measured on the
@@ -81,6 +81,27 @@ pub struct Entry {
     pub obj: ObjectId,
     /// The object's index-space point (landmark distances).
     pub point: Box<[f64]>,
+}
+
+impl Entry {
+    /// The entry `point` publishes as object `obj` in the index of `grid`
+    /// and `rot`: the point clamped to the grid's bounds (objects beyond
+    /// the boundary map to boundary points, paper §3.1), hashed and
+    /// rotated to its ring key (§3.2). The entry stores the clamped
+    /// point, so rect matching and key placement agree.
+    pub fn new(grid: &Grid, rot: Rotation, obj: ObjectId, point: &[f64]) -> Entry {
+        let bounds = grid.bounds();
+        let point: Box<[f64]> = point
+            .iter()
+            .enumerate()
+            .map(|(d, &v)| v.clamp(bounds.lo()[d], bounds.hi()[d]))
+            .collect();
+        Entry {
+            ring_key: rot.to_ring(grid.hash(&point)),
+            obj,
+            point,
+        }
+    }
 }
 
 /// A stored entry, borrowed from the store's flat arrays.
@@ -367,16 +388,6 @@ impl Store {
         let (gone, kept) = if lower { (low, high) } else { (high, low) };
         self.extend(kept);
         gone
-    }
-
-    /// The median ring key of the stored entries — the paper's split
-    /// point "to divide the load in halves". `None` when fewer than two
-    /// entries exist (nothing to divide).
-    pub fn median_key(&self) -> Option<u64> {
-        if self.len < 2 {
-            return None;
-        }
-        self.entries().nth((self.len - 1) / 2).map(|e| e.ring_key)
     }
 
     /// The node's local answer to a region query: the entries whose
@@ -714,19 +725,6 @@ mod tests {
         assert_eq!(upper.len(), 3); // keys 70, 80, 90
         assert_eq!(keys(&s), vec![50, 60]);
         s.assert_invariants();
-    }
-
-    #[test]
-    fn median_key_halves() {
-        let mut s = Store::new();
-        assert_eq!(s.median_key(), None);
-        s.insert(e(10, 0, 0.0));
-        assert_eq!(s.median_key(), None);
-        s.extend((1..10).map(|i| e(10 + i * 10, i as u32, 0.0)));
-        // Keys 10..=100; median splits 5/5.
-        let m = s.median_key().unwrap();
-        let lower = s.entries().filter(|x| x.ring_key <= m).count();
-        assert_eq!(lower, 5);
     }
 
     #[test]

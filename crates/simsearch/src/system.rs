@@ -5,7 +5,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use chord::{ChordId, OracleRing};
+use chord::OracleRing;
 use lph::{Grid, Rect, Rotation};
 use metric::ObjectId;
 use serde_json::Value;
@@ -194,24 +194,6 @@ pub struct SearchSystem {
     pub(crate) telemetry: Telemetry,
 }
 
-/// The entry `point` publishes as object `obj` in the index of `grid`
-/// and `rot`: the point clamped to the grid's bounds (objects beyond the
-/// boundary map to boundary points, paper §3.1), hashed and rotated to
-/// its ring key. The entry stores the clamped point, so rect matching
-/// and key placement agree.
-pub(crate) fn publish_entry(grid: &Grid, rot: Rotation, obj: ObjectId, point: &[f64]) -> Entry {
-    let clamped: Vec<f64> = point
-        .iter()
-        .enumerate()
-        .map(|(d, &v)| v.clamp(grid.bounds().lo()[d], grid.bounds().hi()[d]))
-        .collect();
-    Entry {
-        ring_key: rot.to_ring(grid.hash(&clamped)),
-        obj,
-        point: clamped.into_boxed_slice(),
-    }
-}
-
 impl SearchSystem {
     /// Build the overlay, publish every index, and (optionally) run load
     /// migration. The `oracle` must be able to answer
@@ -228,8 +210,7 @@ impl SearchSystem {
         let grids: Vec<Arc<Grid>> = specs
             .iter()
             .map(|s| {
-                let lo = s.boundary.iter().map(|&(l, _)| l).collect();
-                let hi = s.boundary.iter().map(|&(_, h)| h).collect();
+                let (lo, hi) = s.boundary.iter().copied().unzip();
                 Arc::new(Grid::new(Rect::new(lo, hi), cfg.depth))
             })
             .collect();
@@ -251,7 +232,7 @@ impl SearchSystem {
                 .points
                 .iter()
                 .enumerate()
-                .map(|(i, p)| publish_entry(grid0, rot0, ObjectId(i as u32), p).ring_key)
+                .map(|(i, p)| Entry::new(grid0, rot0, ObjectId(i as u32), p).ring_key)
                 .collect();
             let ids = load::load_aware_ids(&keys, cfg.n_nodes, &mut ring_rng);
             OracleRing::new(
@@ -283,15 +264,10 @@ impl SearchSystem {
 
         // Publish: place every entry directly on its owner (insertion
         // traffic is not part of the paper's measured metrics; queries
-        // are), and — in resilient mode — a replica copy on each of the
-        // owner's `replication - 1` ring successors.
-        let replication = cfg.resilience.as_ref().map_or(1, |rc| rc.replication);
+        // are). Replicas are placed once the ring has settled, below.
         for (ix, spec) in specs.iter().enumerate() {
-            let grid = &grids[ix];
-            let rot = rotations[ix];
-            let mut per_addr: Vec<Vec<Entry>> = vec![Vec::new(); cfg.n_nodes];
-            let mut replicas_per_addr: Vec<Vec<(u64, Entry)>> = vec![Vec::new(); cfg.n_nodes];
-            for (i, p) in spec.points.iter().enumerate() {
+            let (grid, rot) = (&grids[ix], rotations[ix]);
+            let entries = spec.points.iter().enumerate().map(|(i, p)| {
                 assert_eq!(
                     p.len(),
                     grid.dims(),
@@ -299,29 +275,9 @@ impl SearchSystem {
                     spec.name,
                     i
                 );
-                let entry = publish_entry(grid, rot, ObjectId(i as u32), p);
-                let owner = ring.owner_of(ChordId(entry.ring_key));
-                if replication > 1 {
-                    let pos = ring.nodes().partition_point(|n| n.id < owner.id);
-                    let n = ring.nodes().len();
-                    for j in 1..replication {
-                        let tgt = ring.nodes()[(pos + j) % n];
-                        if tgt.addr == owner.addr {
-                            break; // wrapped all the way around
-                        }
-                        replicas_per_addr[tgt.addr.0].push((owner.id.0, entry.clone()));
-                    }
-                }
-                per_addr[owner.addr.0].push(entry);
-            }
-            for (addr, entries) in per_addr.into_iter().enumerate() {
-                nodes[addr].indexes[ix].store.extend(entries);
-            }
-            for (addr, copies) in replicas_per_addr.into_iter().enumerate() {
-                for (owner_id, e) in copies {
-                    nodes[addr].indexes[ix].store.put_replica(owner_id, e);
-                }
-            }
+                Entry::new(grid, rot, ObjectId(i as u32), p)
+            });
+            load::place(&ring, &mut nodes, ix, entries);
         }
 
         let telemetry = Telemetry::new();
@@ -357,12 +313,10 @@ impl SearchSystem {
             lb_report,
             telemetry,
         };
-        // Build-time load balancing moves primaries after the initial
-        // replica placement; redo placement against the settled ring.
-        if system.lb_report.is_some() && system.cfg.resilience.is_some() {
-            for ix in 0..system.grids.len() {
-                system.re_replicate(ix);
-            }
+        // In resilient mode, a replica copy of every primary on each of
+        // its owner's `replication - 1` ring successors.
+        for ix in 0..system.grids.len() {
+            system.re_replicate(ix);
         }
         system
     }
@@ -548,28 +502,13 @@ impl SearchSystem {
     /// many in flight (the scenario runner); [`SearchSystem::run_queries`]
     /// is the batch convenience built on it.
     pub fn inject_query(&mut self, at: SimTime, origin: AgentId, qid: QueryId, q: &QuerySpec) {
+        let ball = QueryBall {
+            center: q.point.clone().into(),
+            radius: q.radius,
+        };
         let grid = &self.grids[q.index as usize];
-        let rect = Rect::ball(&q.point, q.radius, grid.bounds());
-        let prefix = grid.enclosing_prefix(&rect);
-        self.sim.inject(
-            at,
-            origin,
-            SearchMsg::Issue(SubQueryMsg {
-                qid,
-                index: q.index,
-                rect,
-                prefix,
-                hops: 0,
-                origin,
-                // The unclamped landmark vector: answering nodes
-                // prune refinement candidates against this ball.
-                ball: Some(QueryBall {
-                    center: q.point.clone().into(),
-                    radius: q.radius,
-                }),
-                shortcut: false,
-            }),
-        );
+        let msg = SubQueryMsg::issue(qid, q.index, origin, grid, ball);
+        self.sim.inject(at, origin, SearchMsg::Issue(msg));
     }
 
     /// Inject a runtime publication: the entry for `(obj, point)` enters
@@ -590,7 +529,7 @@ impl SearchSystem {
             grid.dims(),
             "publish point has wrong dimensionality"
         );
-        let entry = publish_entry(grid, self.rotations[index as usize], obj, point);
+        let entry = Entry::new(grid, self.rotations[index as usize], obj, point);
         self.sim.inject(
             at,
             origin,

@@ -92,26 +92,6 @@ proptest! {
         prop_assert_eq!(upper.len() + upper_side.load(), keys.len());
     }
 
-    #[test]
-    fn median_key_roughly_halves(keys in prop::collection::vec(any::<u64>(), 2..80)) {
-        let mut s = Store::new();
-        s.extend(keys.iter().enumerate().map(|(i, &k)| entry(k, i as u32, 0.0)));
-        match s.median_key() {
-            None => {
-                // Only when every key is identical.
-                let all_same = keys.windows(2).all(|w| w[0] == w[1]);
-                prop_assert!(all_same || keys.len() < 2);
-            }
-            Some(m) => {
-                let lower = keys.iter().filter(|&&k| k <= m).count();
-                let upper = keys.len() - lower;
-                prop_assert!(lower >= 1 && upper >= 1, "both halves non-empty");
-                // The lower half holds at most ~half plus ties.
-                prop_assert!(lower <= keys.len().div_ceil(2) + keys.iter().filter(|&&k| k == m).count());
-            }
-        }
-    }
-
     /// Any interleaving of `insert`, `extend`, `split_off` and `take_all`
     /// leaves the store listing exactly what the model lists, in the
     /// model's order (ascending keys, arrival order inside a key — an
