@@ -123,9 +123,10 @@ impl OracleRing {
         }
         t.set_predecessor(Some(self.prev_of(i)));
         for s in 1..=n_successors.min(n - 1) {
-            t.put_successor(self.nodes[(i + s) % n]);
+            t.add_successor(self.nodes[(i + s) % n]);
         }
-        for row in 0..FINGER_ROWS {
+        let mut rows = [me; FINGER_ROWS];
+        for (row, slot) in rows.iter_mut().enumerate() {
             let start = me.id.finger_start(row as u32);
             // The interval [me + 2^row, me + 2^(row+1)) has length 2^row
             // (for row 63 it is the half-ring ending at me).
@@ -154,10 +155,9 @@ impl OracleRing {
                     idx = (idx + 1) % n;
                 }
             }
-            t.put_finger(row, Some(chosen));
+            *slot = chosen;
         }
-        // Fill first, then derive the next-hop list once.
-        t.rebuild_hops();
+        t.set_fingers(&rows);
         t
     }
 

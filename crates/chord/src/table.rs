@@ -24,19 +24,29 @@ pub enum RouteDecision {
 /// A Chord node's routing table: finger table + successor list +
 /// predecessor (the composition the paper's footnote 4 describes).
 ///
-/// Next hops are chosen from `hops`, a view of the entries rebuilt when
-/// they change: the fingers, then the successors, each distinct node once
-/// in first-seen order. Most finger rows repeat a few nodes, and skipping
-/// a repeat changes no choice: it has the same distance to the key, and
-/// the scan's strict `<` keeps the first one seen.
+/// The 64 finger rows are stored as runs: in a stabilized table the low
+/// rows all name the successor and each node fills a block of adjacent
+/// rows, so about `log2(n)` runs cover them. Next hops are chosen from
+/// the runs' nodes, then the successors. A node that repeats (in a later
+/// run or in the successor list) changes no choice: it has the same
+/// distance to the key, and the strict `<` keeps the first one seen.
 #[derive(Clone, Debug)]
 pub struct RoutingTable {
     me: NodeRef,
-    fingers: Vec<Option<NodeRef>>,
+    /// Rows `runs[j].first` up to the next run's first row (or
+    /// [`FINGER_ROWS`]) all hold `runs[j].node`. The first run starts at
+    /// row 0, and adjacent runs hold different entries.
+    runs: Vec<Run>,
     successors: Vec<NodeRef>,
     max_successors: usize,
     predecessor: Option<NodeRef>,
-    hops: Vec<NodeRef>,
+}
+
+/// A block of adjacent finger rows holding the same entry.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Run {
+    first: u8,
+    node: Option<NodeRef>,
 }
 
 impl RoutingTable {
@@ -45,11 +55,13 @@ impl RoutingTable {
         assert!(max_successors >= 1);
         RoutingTable {
             me,
-            fingers: vec![None; FINGER_ROWS],
+            runs: vec![Run {
+                first: 0,
+                node: None,
+            }],
             successors: Vec::new(),
             max_successors,
             predecessor: None,
-            hops: Vec::new(),
         }
     }
 
@@ -79,25 +91,61 @@ impl RoutingTable {
         self.predecessor = pred.filter(|p| p.addr != self.me.addr);
     }
 
+    /// The run holding finger row `i`.
+    fn run_of(&self, i: usize) -> usize {
+        assert!(i < FINGER_ROWS, "finger row {i} out of range");
+        self.runs.partition_point(|r| usize::from(r.first) <= i) - 1
+    }
+
     /// Finger `i` (row `i` targets `me + 2^i`).
     pub fn finger(&self, i: usize) -> Option<NodeRef> {
-        self.fingers[i]
+        self.runs[self.run_of(i)].node
     }
 
-    /// Install finger `i`.
+    /// Install finger `i`: its run splits around row `i`, and runs left
+    /// holding the same entry as their neighbour merge.
     pub fn set_finger(&mut self, i: usize, node: Option<NodeRef>) {
-        self.put_finger(i, node);
-        self.rebuild_hops();
+        let j = self.run_of(i);
+        let end = self
+            .runs
+            .get(j + 1)
+            .map_or(FINGER_ROWS, |r| usize::from(r.first));
+        let run = |first: usize, node| Run {
+            first: first as u8,
+            node,
+        };
+        let old = self.runs[j];
+        let parts = [
+            (usize::from(old.first) < i).then_some(old),
+            Some(run(i, node.filter(|n| self.admits(n)))),
+            (i + 1 < end).then(|| run(i + 1, old.node)),
+        ];
+        self.runs.splice(j..=j, parts.into_iter().flatten());
+        self.runs.dedup_by_key(|r| r.node);
     }
 
-    /// [`Self::set_finger`] without rebuilding the next-hop list: a
-    /// caller filling a whole table calls [`Self::rebuild_hops`] once.
-    pub(crate) fn put_finger(&mut self, i: usize, node: Option<NodeRef>) {
-        self.fingers[i] = node.filter(|n| n.id != self.me.id && n.addr != self.me.addr);
+    /// Fill every finger row at once, `rows[i]` into row `i`, storing the
+    /// runs without spare capacity (one table per node).
+    pub(crate) fn set_fingers(&mut self, rows: &[NodeRef; FINGER_ROWS]) {
+        let row = |(i, n): (usize, &NodeRef)| Run {
+            first: i as u8,
+            node: Some(*n).filter(|n| self.admits(n)),
+        };
+        self.runs = rows.iter().enumerate().map(row).collect();
+        self.runs.dedup_by_key(|r| r.node);
+        self.runs.shrink_to_fit();
+    }
+
+    /// False for a reference to this node, under its identifier or its
+    /// address: such a reference never enters the table.
+    fn admits(&self, n: &NodeRef) -> bool {
+        n.id != self.me.id && n.addr != self.me.addr
     }
 
     /// Insert a successor, keeping the list sorted by clockwise distance
-    /// from `me`, deduplicated, and capped at the configured length.
+    /// from `me`, deduplicated, and capped at the configured length (a
+    /// full list drops its farthest entry before the insert, so it never
+    /// outgrows the cap).
     ///
     /// A reference with this node's own address is rejected even when its
     /// identifier differs: after a leave/rejoin migration the host keeps
@@ -105,26 +153,17 @@ impl RoutingTable {
     /// stale identity. Admitting it would make `closest_preceding` route
     /// a key to ourselves — a zero-delay self-send loop.
     pub fn add_successor(&mut self, node: NodeRef) {
-        if self.put_successor(node) {
-            self.rebuild_hops();
-        }
-    }
-
-    /// [`Self::add_successor`] without rebuilding the next-hop list; true if it changed.
-    pub(crate) fn put_successor(&mut self, node: NodeRef) -> bool {
-        if node.id == self.me.id || node.addr == self.me.addr {
-            return false;
+        if !self.admits(&node) {
+            return;
         }
         let key = self.me.id.cw_dist(node.id);
-        match self
+        if let Err(pos) = self
             .successors
             .binary_search_by_key(&key, |s| self.me.id.cw_dist(s.id))
         {
-            Ok(_) => false,
-            Err(pos) => {
+            if pos < self.max_successors {
+                self.successors.truncate(self.max_successors - 1);
                 self.successors.insert(pos, node);
-                self.successors.truncate(self.max_successors);
-                true
             }
         }
     }
@@ -132,33 +171,28 @@ impl RoutingTable {
     /// Drop a node (believed failed) from every table slot.
     pub fn remove(&mut self, node: NodeRef) {
         self.successors.retain(|s| s.id != node.id);
-        for f in &mut self.fingers {
-            if *f == Some(node) {
-                *f = None;
+        for r in &mut self.runs {
+            if r.node == Some(node) {
+                r.node = None;
             }
         }
+        self.runs.dedup_by_key(|r| r.node);
         if self.predecessor == Some(node) {
             self.predecessor = None;
         }
-        self.rebuild_hops();
-    }
-
-    /// Recompute the next-hop list, without spare capacity (one per table),
-    /// from the fingers and successors — the one place that chain is written.
-    pub(crate) fn rebuild_hops(&mut self) {
-        self.hops.clear();
-        for &n in self.fingers.iter().flatten().chain(&self.successors) {
-            if !self.hops.contains(&n) {
-                self.hops.push(n);
-            }
-        }
-        self.hops.shrink_to_fit();
     }
 
     /// Every distinct node this table knows about (fingers, successors,
     /// predecessor), by identifier.
     pub fn known_nodes(&self) -> Vec<NodeRef> {
-        let mut all: Vec<NodeRef> = self.hops.iter().copied().chain(self.predecessor).collect();
+        let mut all: Vec<NodeRef> = Vec::new();
+        let fingers = self.runs.iter().filter_map(|r| r.node);
+        for n in fingers.chain(self.successors.iter().copied()) {
+            if !all.contains(&n) {
+                all.push(n);
+            }
+        }
+        all.extend(self.predecessor);
         all.sort_unstable_by_key(|n| n.id);
         all.dedup_by_key(|n| n.id);
         all
@@ -181,11 +215,11 @@ impl RoutingTable {
     }
 
     /// [`Self::closest_preceding`] among the nodes `is_dead` does not
-    /// report: one pass over the next-hop list.
+    /// report: one pass over the runs, then one successor.
     fn closest_live(&self, key: ChordId, is_dead: impl Fn(u64) -> bool) -> NodeRef {
         let mut best = self.me;
         let mut best_dist = u64::MAX; // cw distance from candidate to key; smaller = closer before key
-        for &c in &self.hops {
+        for c in self.runs.iter().filter_map(|r| r.node) {
             if c.id.in_open(self.me.id, key) && !is_dead(c.id.0) {
                 let d = c.id.cw_dist(key);
                 if d < best_dist {
@@ -194,7 +228,14 @@ impl RoutingTable {
                 }
             }
         }
-        best
+        // The successors are sorted by distance from `me` with distinct
+        // ids, so the nearest before the key is the last live one inside.
+        let before_key = |s: &NodeRef| s.id.in_open(self.me.id, key);
+        let inside = &self.successors[..self.successors.partition_point(before_key)];
+        match inside.iter().rev().find(|s| !is_dead(s.id.0)) {
+            Some(&s) if s.id.cw_dist(key) < best_dist => s,
+            _ => best,
+        }
     }
 
     /// The routing decision for `key` — the dispatch at the heart of the
@@ -264,6 +305,17 @@ mod tests {
         // Own id is ignored.
         t.add_successor(node(100));
         assert_eq!(t.successors().len(), 3);
+    }
+
+    #[test]
+    fn a_full_successor_list_keeps_its_buffer() {
+        let mut t = RoutingTable::new(node(100), 4);
+        for id in [500, 400, 300, 200, 150, 600] {
+            t.add_successor(node(id));
+        }
+        let ids: Vec<u64> = t.successors().iter().map(|n| n.id.0).collect();
+        assert_eq!(ids, vec![150, 200, 300, 400]);
+        assert_eq!(t.successors.capacity(), 4);
     }
 
     #[test]

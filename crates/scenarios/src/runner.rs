@@ -53,15 +53,14 @@ fn micros(x: f64) -> u64 {
     (x * 1e6).round().max(0.0) as u64
 }
 
-/// One pre-built co-hosted index: the publishable spec plus everything
-/// the oracle and the ground truth need.
+/// One pre-built co-hosted index: everything the oracle and the ground
+/// truth need beside its publishable [`IndexSpec`].
 struct BuiltIndex {
     name: String,
     /// Objects published at build time.
     base_n: usize,
     /// Base + held-out runtime publishes.
     total_n: usize,
-    spec: IndexSpec,
     /// Mapped points of the held-out publish objects, in publish order.
     pub_points: Vec<Vec<f64>>,
     /// Mapped points of the tenant query pools, in qref order.
@@ -95,7 +94,7 @@ fn map_index<T, Q, M>(
     radius: f64,
     select: impl FnOnce(&M, &[T], &mut SimRng) -> Vec<T>,
     boundary: impl FnOnce(&Mapper<T, M>, &[T]) -> Boundary,
-) -> BuiltIndex
+) -> (IndexSpec, BuiltIndex)
 where
     T: Clone + Borrow<Q> + Send + Sync + 'static,
     Q: ?Sized + Sync,
@@ -119,25 +118,31 @@ where
     let dist = Arc::new(move |q: usize, oid: usize| {
         metric.distance(pool[q].borrow(), objects[oid].borrow())
     });
-    BuiltIndex {
+    let spec = IndexSpec {
+        name: decl.name.clone(),
+        boundary,
+        points,
+        rotate: decl.rotate,
+        rotation: decl.rotation,
+    };
+    let built = BuiltIndex {
         name: decl.name.clone(),
         base_n,
         total_n: total,
-        spec: IndexSpec {
-            name: decl.name.clone(),
-            boundary,
-            points,
-            rotate: decl.rotate,
-            rotation: decl.rotation,
-        },
         pub_points,
         pool_points,
         radius,
         dist,
-    }
+    };
+    (spec, built)
 }
 
-fn build_index(sc: &Scenario, pos: usize, pool_total: usize, publish_total: usize) -> BuiltIndex {
+fn build_index(
+    sc: &Scenario,
+    pos: usize,
+    pool_total: usize,
+    publish_total: usize,
+) -> (IndexSpec, BuiltIndex) {
     let decl = &sc.indexes[pos];
     let dseed = index_seed(sc, decl.data_seed, 0x0DA7A);
     let qseed = index_seed(sc, decl.data_seed, 0x9001);
@@ -353,9 +358,10 @@ pub fn run(sc: &Scenario) -> RunReport {
     }
 
     // --- build indexes and the qid → (index, qref) recall oracle ---
-    let built: Vec<BuiltIndex> = (0..sc.indexes.len())
+    // `SearchSystem::build` is the only reader of the specs.
+    let (specs, built): (Vec<IndexSpec>, Vec<BuiltIndex>) = (0..sc.indexes.len())
         .map(|i| build_index(sc, i, pool_total[i], publish_total[i]))
-        .collect();
+        .unzip();
     let mut qid_probe: Vec<(usize, usize)> = Vec::new(); // (index, qref)
     for op in &ops {
         if let Op::Query {
@@ -391,8 +397,8 @@ pub fn run(sc: &Scenario) -> RunReport {
         index_telemetry: true,
         ..SystemConfig::default()
     };
-    let specs: Vec<IndexSpec> = built.iter().map(|b| b.spec.clone()).collect();
     let mut system = SearchSystem::build(cfg, &specs, oracle);
+    drop(specs);
     if sc.faults.loss > 0.0 {
         system.set_loss_rate(sc.faults.loss);
     }

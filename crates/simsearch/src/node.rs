@@ -88,7 +88,9 @@ impl Hasher for IdHasher {
 }
 
 /// Insert `hit` into `ranked`, kept ascending by distance then object
-/// id, and keep the best `k`. Every ranking in the node — an answerer's
+/// id, and keep the best `k`. The list never holds more than `k`, and
+/// its buffer doubles as a `Vec`'s does but stops at `k`, so a list that
+/// fills ends at exactly `k` slots. Every ranking in the node — an answerer's
 /// reply and the origin's merge — goes through here, so the origin
 /// merges in exactly the order answerers rank. `total_cmp`, not
 /// `partial_cmp().unwrap()`: a NaN distance from a degenerate oracle
@@ -103,8 +105,12 @@ fn insert_ranked(ranked: &mut Vec<(ObjectId, f64)>, hit: (ObjectId, f64), k: usi
     }
     let pos = ranked.partition_point(precedes);
     if pos < k {
+        ranked.truncate(k - 1);
+        let len = ranked.len();
+        if len == ranked.capacity() {
+            ranked.reserve_exact((2 * len).max(4).min(k) - len);
+        }
         ranked.insert(pos, hit);
-        ranked.truncate(k);
     }
 }
 
@@ -657,7 +663,7 @@ impl SearchNode {
         // expensive) metric call is skipped. Strict `>` means ties — and
         // NaN bounds or distances — fall through to the metric call, so
         // the reply is identical to the unpruned sort-then-truncate.
-        let mut ranked: Vec<(ObjectId, f64)> = Vec::with_capacity(self.knn_k + 1);
+        let mut ranked: Vec<(ObjectId, f64)> = Vec::with_capacity(self.knn_k);
         let mut dist_calls = 0u64;
         for (o, lb, point) in cands {
             if ranked.len() == self.knn_k {
@@ -1069,6 +1075,22 @@ mod tests {
         sorted.sort_by(f64::total_cmp);
         assert_eq!(dists, sorted);
         assert_eq!(iq.merged.len(), 8);
+    }
+
+    #[test]
+    fn a_ranking_keeps_the_best_k_in_at_most_k_slots() {
+        // Worst first, so every hit lands at the head and displaces the
+        // tail once the list is full.
+        for (k, hits, slots) in [(10, 25, 10), (10, 3, 4), (3, 9, 3), (1, 5, 1)] {
+            let mut ranked = Vec::new();
+            for i in (0..hits).rev() {
+                insert_ranked(&mut ranked, (ObjectId(i), f64::from(i)), k);
+            }
+            let want: Vec<u32> = (0..hits.min(k as u32)).collect();
+            let got: Vec<u32> = ranked.iter().map(|&(o, _)| o.0).collect();
+            assert_eq!(got, want, "k {k}");
+            assert_eq!(ranked.capacity(), slots, "k {k}, {hits} hits");
+        }
     }
 
     #[test]

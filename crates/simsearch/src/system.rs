@@ -223,26 +223,36 @@ impl SearchSystem {
             })
             .collect();
 
-        let ring = if cfg.load_aware_join {
-            // Paper §3.4: joiners split the heaviest node's key range.
-            // Identifiers are derived from index 0's entry keys.
-            let grid0 = &grids[0];
-            let rot0 = rotations[0];
-            let keys: Vec<u64> = specs[0]
-                .points
-                .iter()
-                .enumerate()
-                .map(|(i, p)| Entry::new(grid0, rot0, ObjectId(i as u32), p).ring_key)
-                .collect();
-            let ids = load::load_aware_ids(&keys, cfg.n_nodes, &mut ring_rng);
-            OracleRing::new(
-                ids.iter()
-                    .enumerate()
-                    .map(|(addr, &id)| chord::NodeRef::new(id, addr))
-                    .collect(),
-            )
-        } else {
-            OracleRing::with_random_ids(cfg.n_nodes, &mut ring_rng)
+        // Every index's entries, built once: clamp, hash and rotate.
+        let entries_of = |ix: usize| {
+            let (spec, grid, rot) = (&specs[ix], &grids[ix], rotations[ix]);
+            spec.points.iter().enumerate().map(move |(i, p)| {
+                assert_eq!(
+                    p.len(),
+                    grid.dims(),
+                    "index {} point {} has wrong dimensionality",
+                    spec.name,
+                    i
+                );
+                Entry::new(grid, rot, ObjectId(i as u32), p)
+            })
+        };
+        // Paper §3.4: joiners split the heaviest node's key range, with
+        // identifiers derived from index 0's entry keys; those entries
+        // are then the ones placed.
+        let mut first: Option<Vec<Entry>> = cfg.load_aware_join.then(|| entries_of(0).collect());
+        let ring = match &first {
+            Some(entries) => {
+                let keys: Vec<u64> = entries.iter().map(|e| e.ring_key).collect();
+                let ids = load::load_aware_ids(&keys, cfg.n_nodes, &mut ring_rng);
+                OracleRing::new(
+                    ids.iter()
+                        .enumerate()
+                        .map(|(addr, &id)| chord::NodeRef::new(id, addr))
+                        .collect(),
+                )
+            }
+            None => OracleRing::with_random_ids(cfg.n_nodes, &mut ring_rng),
         };
         let topo_opt = (cfg.pns_candidates > 0).then_some(&topo);
         let mut nodes: Vec<SearchNode> = ring
@@ -265,19 +275,11 @@ impl SearchSystem {
         // Publish: place every entry directly on its owner (insertion
         // traffic is not part of the paper's measured metrics; queries
         // are). Replicas are placed once the ring has settled, below.
-        for (ix, spec) in specs.iter().enumerate() {
-            let (grid, rot) = (&grids[ix], rotations[ix]);
-            let entries = spec.points.iter().enumerate().map(|(i, p)| {
-                assert_eq!(
-                    p.len(),
-                    grid.dims(),
-                    "index {} point {} has wrong dimensionality",
-                    spec.name,
-                    i
-                );
-                Entry::new(grid, rot, ObjectId(i as u32), p)
-            });
-            load::place(&ring, &mut nodes, ix, entries);
+        for ix in 0..specs.len() {
+            match first.take() {
+                Some(entries) => load::place(&ring, &mut nodes, ix, entries),
+                None => load::place(&ring, &mut nodes, ix, entries_of(ix)),
+            }
         }
 
         let telemetry = Telemetry::new();

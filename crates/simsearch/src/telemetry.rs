@@ -92,25 +92,26 @@ pub enum TraceEvent {
     },
 }
 
-/// Each variant's snake_case tag and field names, indexed by the tag
-/// byte that starts it in a [`TraceLog`]. [`TraceEvent::fields`] lists
-/// the values in this order, and both the JSON form and the log's
-/// varints follow it.
-const LAYOUT: [(&str, &[&str]); 7] = [
-    ("forward", &["from", "to", "subqueries", "bytes"]),
-    ("handoff", &["from", "to", "bytes"]),
-    ("shared_path", &["at", "prefix_len"]),
-    ("split", &["at", "prefix_len"]),
-    ("refine", &["at", "prefix_len"]),
-    ("peel", &["at", "prefix_len"]),
+/// Each variant's snake_case tag, field names and number of leading
+/// node fields, indexed by the variant number in the low bits of its
+/// [`TraceLog`] tag byte. [`TraceEvent::fields`] lists the values in
+/// this order, and both the JSON form and the log follow it.
+const LAYOUT: [(&str, &[&str], usize); 7] = [
+    ("forward", &["from", "to", "subqueries", "bytes"], 2),
+    ("handoff", &["from", "to", "bytes"], 2),
+    ("shared_path", &["at", "prefix_len"], 1),
+    ("split", &["at", "prefix_len"], 1),
+    ("refine", &["at", "prefix_len"], 1),
+    ("peel", &["at", "prefix_len"], 1),
     (
         "answer",
         &["at", "hops", "scanned", "matched", "returned", "bytes"],
+        1,
     ),
 ];
 
 impl TraceEvent {
-    /// The event's tag byte and its field values widened to `u64`, in
+    /// The event's variant number and its field values widened to `u64`, in
     /// [`LAYOUT`] order; slots past the variant's field count are 0.
     fn fields(&self) -> (u8, [u64; 6]) {
         use TraceEvent as E;
@@ -198,7 +199,7 @@ impl TraceEvent {
     /// Canonical JSON: an object tagged by `"event"`, integer fields only.
     pub fn to_json(&self) -> Value {
         let (tag, values) = self.fields();
-        let (kind, names) = LAYOUT[tag as usize];
+        let (kind, names, _) = LAYOUT[tag as usize];
         let mut obj: BTreeMap<String, Value> = names
             .iter()
             .zip(values)
@@ -340,24 +341,50 @@ impl QueryTrace {
 }
 
 /// One query's trace as it is stored: the origin plus a byte log in
-/// which each event is its variant's tag byte followed by its fields as
-/// LEB128 varints (7 bits a byte, low group first). Node addresses, hop
-/// counts and prefix lengths are small, so an event averages a few
-/// bytes rather than the 48 of a [`TraceEvent`]; every field's full
-/// range still round-trips. [`Self::to_trace`] decodes it.
+/// which each event is a tag byte followed by its fields as LEB128
+/// varints (7 bits a byte, low group first).
+///
+/// The tag byte's low three bits are the variant; each node field
+/// (`at`, or `from` then `to`) takes two more bits, from bit 3 up, that
+/// code it against the two nodes the log named last: 1 for the most
+/// recent, 2 for the one before it, 0 for a varint that follows. A
+/// query's events mostly name the node the previous event ended at, so
+/// those fields cost no byte. Hop counts and prefix lengths are small,
+/// so an event averages a few bytes rather than the 48 of a
+/// [`TraceEvent`]; every field's full range still round-trips.
+/// [`Self::to_trace`] decodes it.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct TraceLog {
     /// The issuing node's address.
     pub origin: usize,
     bytes: Vec<u8>,
+    /// The two nodes the log named last, newest first; both start at 0.
+    recent: [u64; 2],
+}
+
+/// Note that a log named `node`: it becomes the most recent of the two.
+fn remember(recent: &mut [u64; 2], node: u64) {
+    if recent[0] != node {
+        *recent = [node, recent[0]];
+    }
 }
 
 impl TraceLog {
     /// Append one event.
     pub fn push(&mut self, event: &TraceEvent) {
         let (tag, values) = event.fields();
+        let (_, names, nodes) = LAYOUT[tag as usize];
+        let at = self.bytes.len();
         self.bytes.push(tag);
-        for mut v in values.into_iter().take(LAYOUT[tag as usize].1.len()) {
+        for (i, mut v) in values.into_iter().take(names.len()).enumerate() {
+            if i < nodes {
+                let code = self.recent.iter().position(|&r| r == v);
+                remember(&mut self.recent, v);
+                if let Some(slot) = code {
+                    self.bytes[at] |= (slot as u8 + 1) << (3 + 2 * i);
+                    continue;
+                }
+            }
             while v >= 0x80 {
                 self.bytes.push(v as u8 | 0x80);
                 v >>= 7;
@@ -369,20 +396,31 @@ impl TraceLog {
     /// The events in recording order, decoded one at a time.
     pub fn events(&self) -> impl Iterator<Item = TraceEvent> + '_ {
         let mut rest = self.bytes.as_slice();
+        let mut recent = [0u64; 2];
         std::iter::from_fn(move || {
-            let (&tag, tail) = rest.split_first()?;
+            let (&head, tail) = rest.split_first()?;
             rest = tail;
+            let tag = head & 0b111;
+            let (_, names, nodes) = LAYOUT[tag as usize];
             let mut values = [0u64; 6];
-            for v in values.iter_mut().take(LAYOUT[tag as usize].1.len()) {
-                let mut shift = 0;
-                loop {
-                    let (&b, tail) = rest.split_first().expect("truncated trace log");
-                    rest = tail;
-                    *v |= u64::from(b & 0x7f) << shift;
-                    if b < 0x80 {
-                        break;
+            for (i, v) in values.iter_mut().take(names.len()).enumerate() {
+                let code = (i < nodes).then(|| usize::from(head >> (3 + 2 * i) & 0b11));
+                if let Some(slot @ 1..) = code {
+                    *v = recent[slot - 1];
+                } else {
+                    let mut shift = 0;
+                    loop {
+                        let (&b, tail) = rest.split_first().expect("truncated trace log");
+                        rest = tail;
+                        *v |= u64::from(b & 0x7f) << shift;
+                        if b < 0x80 {
+                            break;
+                        }
+                        shift += 7;
                     }
-                    shift += 7;
+                }
+                if code.is_some() {
+                    remember(&mut recent, *v);
                 }
             }
             Some(TraceEvent::from_fields(tag, values))

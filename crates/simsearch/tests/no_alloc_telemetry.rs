@@ -44,7 +44,8 @@ use simsearch::{QueryId, Telemetry};
 
 /// One message's worth of recording: the counters and histogram samples
 /// a node writes by id and by name, and one routing event of each kind
-/// on query `qid`'s trace (3 bytes each).
+/// on query `qid`'s trace (2 bytes each: the tag and the prefix length,
+/// with the node named by the tag as the log's most recent).
 fn record(tel: &Telemetry, qid: QueryId, i: u64) {
     tel.incr_id(CounterId::SearchMsgsRoute, 1);
     tel.incr_id(CounterId::SearchBytesQuery, 100 + i % 7);
@@ -69,9 +70,10 @@ fn steady_state_recording_does_not_allocate() {
     let tel = Telemetry::new();
 
     // Warm-up: creates every metric, the dynamic name's key, and query
-    // 3's trace. 250 rounds write 3 000 bytes, so the doubling trace
-    // buffer ends at 4 096 with room for the measured rounds' 900.
-    for i in 0..250 {
+    // 3's trace. 300 rounds write 2 401 bytes (the first event names
+    // its node in one more), so the doubling trace buffer ends at 4 096
+    // with room for the measured rounds' 600.
+    for i in 0..300 {
         record(&tel, 3, i);
     }
 
@@ -82,9 +84,9 @@ fn steady_state_recording_does_not_allocate() {
     let delta = ALLOCS.load(Ordering::Relaxed) - before;
 
     let st = tel.lock();
-    assert_eq!(st.registry.counter("search.msgs.route"), 325);
-    assert_eq!(st.registry.counter("routing.peels"), 325);
-    assert_eq!(st.traces[&3].byte_len(), 325 * 4 * 3);
+    assert_eq!(st.registry.counter("search.msgs.route"), 375);
+    assert_eq!(st.registry.counter("routing.peels"), 375);
+    assert_eq!(st.traces[&3].byte_len(), 1 + 375 * 4 * 2);
     drop(st);
     assert_eq!(
         delta, 0,

@@ -8,6 +8,10 @@
 //! 3. **Lifecycle** — `begin_query` re-anchors a log's origin without
 //!    touching its events, and `forget` ends a log so the next event on
 //!    its qid starts a fresh one.
+//! 4. **Node references** — a node field coded against the log's two
+//!    most recent nodes round-trips whatever the pattern (repeats,
+//!    alternation, a return to an older node, the origin named again),
+//!    and never costs more than its varint.
 
 use proptest::prelude::*;
 use simnet::AgentId;
@@ -72,6 +76,61 @@ fn event() -> impl Strategy<Value = TraceEvent> {
     })
 }
 
+/// `e` with its node fields renamed: `at` or `from` to `x`, `to` to `y`.
+fn naming(e: TraceEvent, x: usize, y: usize) -> TraceEvent {
+    use TraceEvent as E;
+    match e {
+        E::Forward {
+            subqueries, bytes, ..
+        } => E::Forward {
+            from: x,
+            to: y,
+            subqueries,
+            bytes,
+        },
+        E::Handoff { bytes, .. } => E::Handoff {
+            from: x,
+            to: y,
+            bytes,
+        },
+        E::SharedPath { prefix_len, .. } => E::SharedPath { at: x, prefix_len },
+        E::Split { prefix_len, .. } => E::Split { at: x, prefix_len },
+        E::Refine { prefix_len, .. } => E::Refine { at: x, prefix_len },
+        E::Peel { prefix_len, .. } => E::Peel { at: x, prefix_len },
+        E::Answer {
+            hops,
+            scanned,
+            matched,
+            returned,
+            bytes,
+            ..
+        } => E::Answer {
+            at: x,
+            hops,
+            scanned,
+            matched,
+            returned,
+            bytes,
+        },
+    }
+}
+
+/// The bytes `events` take with every node field as a varint: the
+/// coding without references to recent nodes.
+fn literal_len(events: &[TraceEvent]) -> usize {
+    let varint = |v: u64| (64 - v.leading_zeros() as usize).div_ceil(7).max(1);
+    events
+        .iter()
+        .map(|e| {
+            let serde_json::Value::Object(fields) = e.to_json() else {
+                unreachable!("an event's JSON is an object");
+            };
+            let ints = fields.values().filter_map(serde_json::Value::as_u64);
+            1 + ints.map(varint).sum::<usize>()
+        })
+        .sum()
+}
+
 fn log_of(origin: usize, events: &[TraceEvent]) -> TraceLog {
     let mut log = TraceLog::default();
     log.origin = origin;
@@ -92,6 +151,25 @@ proptest! {
         let trace = log.to_trace();
         prop_assert_eq!(trace.origin, origin);
         prop_assert_eq!(trace.events, events);
+    }
+
+    #[test]
+    fn node_references_round_trip_in_any_pattern(
+        origin in full().prop_map(|o| o as usize),
+        others in (full(), full()),
+        steps in prop::collection::vec((event(), 0usize..4, 0usize..4), 0..96),
+    ) {
+        // Four nodes: the origin, two others and the top of the range.
+        // Drawing every node field from them makes repeats, A-B-A-B
+        // alternation and returns to a node three names back common.
+        let nodes = [origin, others.0 as usize, others.1 as usize, usize::MAX];
+        let events: Vec<TraceEvent> = steps
+            .into_iter()
+            .map(|(e, x, y)| naming(e, nodes[x], nodes[y]))
+            .collect();
+        let log = log_of(origin, &events);
+        prop_assert_eq!(log.to_trace().events, events.clone());
+        prop_assert!(log.byte_len() <= literal_len(&events));
     }
 
     #[test]
@@ -146,6 +224,32 @@ fn an_event_at_the_top_of_every_range_costs_its_full_varints() {
         }],
     );
     assert_eq!(small.byte_len(), 3);
+}
+
+#[test]
+fn a_node_named_in_the_last_two_references_costs_no_byte() {
+    let split = |at| TraceEvent::Split { at, prefix_len: 1 };
+    let hop = |from, to| TraceEvent::Forward {
+        from,
+        to,
+        subqueries: 1,
+        bytes: 100,
+    };
+    // Node 700 is a two-byte varint; the log starts knowing only node 0.
+    let first = log_of(9, &[split(700)]);
+    assert_eq!(first.byte_len(), 1 + 2 + 1);
+    // Named again, it is the most recent: tag and prefix length only.
+    let again = log_of(9, &[split(700), split(700)]);
+    assert_eq!(again.byte_len(), first.byte_len() + 2);
+    // Hops back and forth between 700 and 300 name the second most
+    // recent node twice per event after the first hop.
+    let events = [hop(700, 300), hop(300, 700), hop(700, 300), split(300)];
+    let log = log_of(9, &events);
+    assert_eq!(log.byte_len(), (1 + 2 + 2 + 1 + 1) + 2 * (1 + 1 + 1) + 2);
+    assert_eq!(log.to_trace().events, events);
+    // A third node pushes the oldest out: 700 costs its varint again.
+    let events = [split(700), split(300), split(5), split(700)];
+    assert_eq!(log_of(9, &events).byte_len(), 4 + 4 + 3 + 4);
 }
 
 #[test]
