@@ -6,7 +6,7 @@
 //! layer (`r = 2`, retry/failover). Bare runs silently shed recall as
 //! faults rise; resilient runs hold it at the cost of retransmissions.
 
-use bench::synth::{run_synth, synth_setup, SynthRun};
+use bench::sweep::{run_sweep, synth_setup, Run};
 use bench::Scale;
 use landmark::SelectionMethod;
 use simsearch::ResilienceConfig;
@@ -32,13 +32,13 @@ fn main() {
         ("churn+loss10%/r2", true, 0.10, 2),
     ] {
         eprintln!("running {name} ...");
-        let run = SynthRun {
+        let run = Run {
             resilience: resilient.then(ResilienceConfig::default),
             loss,
             churn,
-            ..SynthRun::new(SelectionMethod::KMeans, 10, None)
+            ..Run::new(SelectionMethod::KMeans, 10, None)
         };
-        let (rows, _) = run_synth(&scale, &setup, &run, &factors);
+        let rows = run_sweep(&scale, &setup, &run, &factors).rows;
         table.push((name, rows));
     }
 

@@ -7,14 +7,10 @@
 //! compares four builds on the same skewed synthetic index:
 //! random ids / load-aware joins, each with and without migration.
 
-use bench::synth::{select_landmarks, synth_setup};
+use bench::sweep::{synth_setup, Run};
 use bench::{save_json, Scale};
-use landmark::{boundary_from_metric, Mapper, SelectionMethod};
-use metric::{Metric, ObjectId, L2};
-use simsearch::{
-    IndexSpec, LoadBalanceConfig, QueryDistance, QueryId, QuerySpec, SearchSystem, SystemConfig,
-};
-use std::sync::Arc;
+use landmark::SelectionMethod;
+use simsearch::{LoadBalanceConfig, QuerySpec, SearchSystem, SystemConfig};
 
 fn main() {
     let scale = Scale::from_env();
@@ -25,34 +21,16 @@ fn main() {
     );
 
     let setup = synth_setup(&scale);
-    let landmarks = select_landmarks(&setup, SelectionMethod::KMeans, 10, &scale);
-    let metric = L2::bounded(100, 0.0, 100.0);
-    let mapper = Mapper::new(metric, landmarks);
-    let boundary = boundary_from_metric(&metric, 10).unwrap();
-    let points = mapper.map_all::<[f32], _>(&setup.dataset.objects);
-    let qmapped = mapper.map_all::<[f32], _>(&setup.qpoints);
-
-    let objects = Arc::new(setup.dataset.objects.clone());
-    let qpoints = Arc::new(setup.qpoints.clone());
-    let nq = qpoints.len();
-    let mk_oracle = || -> Arc<dyn QueryDistance> {
-        let objects = Arc::clone(&objects);
-        let qpoints = Arc::clone(&qpoints);
-        Arc::new(move |qid: QueryId, obj: ObjectId| {
-            L2::new().distance(
-                qpoints[qid as usize % nq].as_slice(),
-                objects[obj.0 as usize].as_slice(),
-            )
-        })
-    };
-
-    let queries: Vec<QuerySpec> = qmapped
+    let (spec, mapping) = setup.index(&scale, &Run::new(SelectionMethod::KMeans, 10, None));
+    let nq = mapping.pool.len();
+    let queries: Vec<QuerySpec> = mapping
+        .pool
         .iter()
         .zip(&setup.truth)
         .map(|(qm, t)| QuerySpec {
             index: 0,
             point: qm.clone(),
-            radius: 0.05 * setup.dataset.max_distance(),
+            radius: 0.05 * setup.max_distance,
             truth: t.clone(),
         })
         .collect();
@@ -73,14 +51,8 @@ fn main() {
             };
             let mut system = SearchSystem::build(
                 cfg,
-                &[IndexSpec {
-                    name: "join-ablation".into(),
-                    boundary: boundary.dims.clone(),
-                    points: points.clone(),
-                    rotate: false,
-                    rotation: None,
-                }],
-                mk_oracle(),
+                std::slice::from_ref(&spec),
+                mapping.oracle(move |qid| qid as usize % nq),
             );
             let max_load = system.load_distribution(0)[0];
             let outcomes = system.run_queries(&queries, 150.0);

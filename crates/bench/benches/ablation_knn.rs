@@ -11,12 +11,11 @@
 //! * `oversized` — start at 30% of the max distance: one round, lowest
 //!   latency, the query floods a large part of the ring.
 
-use bench::synth::{select_landmarks, synth_setup};
+use bench::sweep::{synth_setup, Run};
 use bench::{save_json, Scale};
-use landmark::{boundary_from_metric, Mapper, SelectionMethod};
-use metric::{Metric, ObjectId, L2};
-use simsearch::{IndexSpec, QueryDistance, QueryId, SearchSystem, SystemConfig};
-use std::sync::Arc;
+use landmark::SelectionMethod;
+use metric::ObjectId;
+use simsearch::{QueryId, SearchSystem, SystemConfig};
 
 fn main() {
     let scale = Scale::from_env();
@@ -27,47 +26,26 @@ fn main() {
     );
 
     let setup = synth_setup(&scale);
-    let landmarks = select_landmarks(&setup, SelectionMethod::KMeans, 10, &scale);
-    let metric = L2::bounded(100, 0.0, 100.0);
-    let mapper = Mapper::new(metric, landmarks);
-    let boundary = boundary_from_metric(&metric, 10).unwrap();
-    let points = mapper.map_all::<[f32], _>(&setup.dataset.objects);
+    let (spec, mapping) = setup.index(&scale, &Run::new(SelectionMethod::KMeans, 10, None));
 
     // Estimate the 10-NN radius from the ground truth of the setup
     // (in a deployment: from a published sample); median over queries.
     let mut radii: Vec<f64> = setup
-        .qpoints
+        .truth
         .iter()
-        .zip(&setup.truth)
-        .map(|(q, t)| {
-            let last = t.last().expect("10 truth ids");
-            L2::new().distance(
-                q.as_slice(),
-                setup.dataset.objects[last.0 as usize].as_slice(),
-            )
-        })
+        .enumerate()
+        .map(|(qi, t)| (mapping.dist)(qi, t.last().expect("10 truth ids").0 as usize))
         .collect();
     radii.sort_by(|a, b| a.total_cmp(b));
     let est_radius = radii[radii.len() / 2];
-    let max_d = setup.dataset.max_distance();
+    let max_d = setup.max_distance;
     println!(
         "estimated 10-NN radius: {est_radius:.1} ({:.1}% of max)",
         est_radius / max_d * 100.0
     );
 
     let n_queries = scale.n_queries.min(60); // knn runs are sequential
-    let objects = Arc::new(setup.dataset.objects.clone());
-    let qpoints = Arc::new(setup.qpoints.clone());
-    let mk_oracle = || -> Arc<dyn QueryDistance> {
-        let objects = Arc::clone(&objects);
-        let qpoints = Arc::clone(&qpoints);
-        Arc::new(move |qid: QueryId, obj: ObjectId| {
-            L2::new().distance(
-                qpoints[qid as usize % qpoints.len()].as_slice(),
-                objects[obj.0 as usize].as_slice(),
-            )
-        })
-    };
+    let n_pool = mapping.pool.len();
 
     println!(
         "\n{:>10} {:>8} {:>8} {:>12} {:>12} {:>10} {:>8}",
@@ -86,14 +64,8 @@ fn main() {
         };
         let mut system = SearchSystem::build(
             cfg,
-            &[IndexSpec {
-                name: "knn-ablation".into(),
-                boundary: boundary.dims.clone(),
-                points: points.clone(),
-                rotate: false,
-                rotation: None,
-            }],
-            mk_oracle(),
+            std::slice::from_ref(&spec),
+            mapping.oracle(move |qid| qid as usize % n_pool),
         );
         let mut rounds = 0.0;
         let mut exact = 0usize;
@@ -101,8 +73,7 @@ fn main() {
         let mut rb = 0u64;
         let mut ms = 0.0;
         for qi in 0..n_queries {
-            let qm = mapper.map(setup.qpoints[qi].as_slice());
-            let o = system.run_knn(qi as QueryId, 0, &qm, 10, r0, growth, 24);
+            let o = system.run_knn(qi as QueryId, 0, &mapping.pool[qi], 10, r0, growth, 24);
             rounds += o.rounds as f64;
             let got: Vec<ObjectId> = o.results.iter().map(|&(id, _)| id).collect();
             if o.certified && got == setup.truth[qi] {

@@ -6,7 +6,7 @@
 //! dimensionality of the index space (more subqueries, higher routing
 //! cost). This harness sweeps k at fixed range factors.
 
-use bench::synth::{run_synth, synth_setup, SynthRun};
+use bench::sweep::{run_sweep, synth_setup, Run};
 use bench::{save_json, Scale};
 use landmark::SelectionMethod;
 
@@ -24,8 +24,8 @@ fn main() {
         "k", "range%", "recall", "hops", "query-bytes", "result-bytes", "msgs"
     );
     for &k in &ks {
-        let run = SynthRun::new(SelectionMethod::KMeans, k, None);
-        let (rows, _) = run_synth(&scale, &setup, &run, &factors);
+        let run = Run::new(SelectionMethod::KMeans, k, None);
+        let rows = run_sweep(&scale, &setup, &run, &factors).rows;
         for r in &rows {
             println!(
                 "{:>4} {:>8.1} {:>8.3} {:>8.2} {:>12.0} {:>12.0} {:>10.1}",

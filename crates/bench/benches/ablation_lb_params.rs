@@ -5,7 +5,7 @@
 //! balancing skews node ids, hurting query routing. This harness sweeps
 //! both knobs and reports maximum load, migrations, and routing cost.
 
-use bench::synth::{run_synth, synth_setup, SynthRun};
+use bench::sweep::{run_sweep, synth_setup, Run, Sweep};
 use bench::{save_json, Scale};
 use landmark::SelectionMethod;
 use simsearch::LoadBalanceConfig;
@@ -27,8 +27,8 @@ fn main() {
     let mut results = Vec::new();
     // Baseline: no balancing at all.
     {
-        let run = SynthRun::new(SelectionMethod::KMeans, 10, None);
-        let (rows, loads) = run_synth(&scale, &setup, &run, &factors);
+        let run = Run::new(SelectionMethod::KMeans, 10, None);
+        let Sweep { rows, loads, .. } = run_sweep(&scale, &setup, &run, &factors);
         let r = &rows[0];
         println!(
             "{:>8} {:>6} {:>10} {:>8.2} {:>10.1} {:>10.1} {:>8.3}",
@@ -43,8 +43,8 @@ fn main() {
                 probe_level,
                 max_rounds: 8,
             };
-            let run = SynthRun::new(SelectionMethod::KMeans, 10, Some(lb));
-            let (rows, loads) = run_synth(&scale, &setup, &run, &factors);
+            let run = Run::new(SelectionMethod::KMeans, 10, Some(lb));
+            let Sweep { rows, loads, .. } = run_sweep(&scale, &setup, &run, &factors);
             let r = &rows[0];
             println!(
                 "{:>8.2} {:>6} {:>10} {:>8.2} {:>10.1} {:>10.1} {:>8.3}",

@@ -5,7 +5,7 @@
 //! harness compares query response time and maximum latency with PNS on
 //! (16 candidates, the p2psim default) vs plain Chord fingers.
 
-use bench::synth::{run_synth, synth_setup, SynthRun};
+use bench::sweep::{run_sweep, synth_setup, Run};
 use bench::{save_json, Scale};
 use landmark::SelectionMethod;
 
@@ -22,11 +22,11 @@ fn main() {
     let mut table = Vec::new();
     for (name, pns) in [("plain", 0usize), ("pns-16", 16)] {
         eprintln!("running {name} ...");
-        let run = SynthRun {
+        let run = Run {
             pns,
-            ..SynthRun::new(SelectionMethod::KMeans, 10, None)
+            ..Run::new(SelectionMethod::KMeans, 10, None)
         };
-        let (rows, _) = run_synth(&scale, &setup, &run, &factors);
+        let rows = run_sweep(&scale, &setup, &run, &factors).rows;
         table.push((name, rows));
     }
 

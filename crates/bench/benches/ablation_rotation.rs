@@ -7,13 +7,10 @@
 //! several indexes with *identical* hotspot structure and compares the
 //! busiest node's combined load with rotation off vs on.
 
-use std::sync::Arc;
-
-use bench::synth::{select_landmarks, synth_setup};
+use bench::sweep::{synth_setup, Run};
 use bench::{save_json, Scale};
-use landmark::{boundary_from_metric, Mapper, SelectionMethod};
-use metric::{Metric, ObjectId, L2};
-use simsearch::{IndexSpec, QueryDistance, QueryId, SearchSystem, SystemConfig};
+use landmark::SelectionMethod;
+use simsearch::{IndexSpec, SearchSystem, SystemConfig};
 
 fn main() {
     let scale = Scale::from_env();
@@ -25,34 +22,15 @@ fn main() {
     );
 
     let setup = synth_setup(&scale);
-    let landmarks = select_landmarks(&setup, SelectionMethod::KMeans, 10, &scale);
-    let metric = L2::bounded(100, 0.0, 100.0);
-    let mapper = Mapper::new(metric, landmarks);
-    let boundary = boundary_from_metric(&metric, 10).expect("bounded");
-    let points = mapper.map_all::<[f32], _>(&setup.dataset.objects);
-
-    let l2 = L2::new();
-    let objects = Arc::new(setup.dataset.objects.clone());
-    let queries = Arc::new(setup.qpoints.clone());
-    let mk_oracle = || -> Arc<dyn QueryDistance> {
-        let objects = Arc::clone(&objects);
-        let queries = Arc::clone(&queries);
-        Arc::new(move |qid: QueryId, obj: ObjectId| {
-            l2.distance(
-                queries[qid as usize % queries.len()].as_slice(),
-                objects[obj.0 as usize].as_slice(),
-            )
-        })
-    };
+    let (spec, mapping) = setup.index(&scale, &Run::new(SelectionMethod::KMeans, 10, None));
+    let n_pool = mapping.pool.len();
 
     let run = |rotate: bool| -> (usize, Vec<usize>) {
         let specs: Vec<IndexSpec> = (0..N_INDEXES)
             .map(|i| IndexSpec {
                 name: format!("index-{i}"),
-                boundary: boundary.dims.clone(),
-                points: points.clone(),
                 rotate,
-                rotation: None,
+                ..spec.clone()
             })
             .collect();
         let cfg = SystemConfig {
@@ -60,7 +38,11 @@ fn main() {
             seed: scale.seed,
             ..SystemConfig::default()
         };
-        let system = SearchSystem::build(cfg, &specs, mk_oracle());
+        let system = SearchSystem::build(
+            cfg,
+            &specs,
+            mapping.oracle(move |qid| qid as usize % n_pool),
+        );
         // Combined load per node across all indexes.
         let mut combined = vec![0usize; scale.n_nodes];
         for ix in 0..N_INDEXES {

@@ -7,7 +7,7 @@
 //! same workload, same answers, message/bandwidth cost of the embedded
 //! tree vs naive decomposition at several levels.
 
-use bench::synth::{run_synth, synth_setup, SynthRun};
+use bench::sweep::{run_sweep, synth_setup, Run};
 use bench::{save_json, Scale};
 use landmark::SelectionMethod;
 
@@ -29,11 +29,11 @@ fn main() {
         (format!("naive-L{level}"), Some(level)),
     ] {
         eprintln!("running {name} ...");
-        let run = SynthRun {
+        let run = Run {
             naive,
-            ..SynthRun::new(SelectionMethod::KMeans, 10, None)
+            ..Run::new(SelectionMethod::KMeans, 10, None)
         };
-        let (rows, _) = run_synth(&scale, &setup, &run, &factors);
+        let rows = run_sweep(&scale, &setup, &run, &factors).rows;
         table.push((name, rows));
     }
 

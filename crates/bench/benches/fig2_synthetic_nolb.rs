@@ -10,7 +10,7 @@
 //! clusters); k-means beats greedy.
 
 use bench::scale::RANGE_FACTORS;
-use bench::synth::{run_synth, synth_setup, SynthRun};
+use bench::sweep::{run_sweep, synth_setup, Run};
 use bench::{print_series, save_json, Row, Scale};
 use landmark::SelectionMethod;
 
@@ -42,9 +42,9 @@ fn main() {
     ];
     let mut all: Vec<Row> = Vec::new();
     for (method, k) in configs {
-        let run = SynthRun::new(method, k, None);
+        let run = Run::new(method, k, None);
         eprintln!("running {} ...", run.label());
-        let (rows, _loads) = run_synth(&scale, &setup, &run, RANGE_FACTORS);
+        let rows = run_sweep(&scale, &setup, &run, RANGE_FACTORS).rows;
         all.extend(rows);
     }
 

@@ -8,7 +8,7 @@
 //! their entries were already spread more evenly.
 
 use bench::scale::RANGE_FACTORS;
-use bench::synth::{run_synth, synth_setup, SynthRun};
+use bench::sweep::{run_sweep, synth_setup, Run, Sweep};
 use bench::{print_series, save_json, Row, Scale};
 use landmark::SelectionMethod;
 use simsearch::LoadBalanceConfig;
@@ -35,9 +35,9 @@ fn main() {
     ];
     let mut all: Vec<Row> = Vec::new();
     for (method, k) in configs {
-        let run = SynthRun::new(method, k, Some(lb));
+        let run = Run::new(method, k, Some(lb));
         eprintln!("running {} ...", run.label());
-        let (rows, loads) = run_synth(&scale, &setup, &run, RANGE_FACTORS);
+        let Sweep { rows, loads, .. } = run_sweep(&scale, &setup, &run, RANGE_FACTORS);
         eprintln!(
             "  {}: max load after LB = {}",
             run.label(),

@@ -7,7 +7,7 @@
 //! at 10^5 objects — ≈0.1% of the dataset — for all schemes).
 
 use bench::report::print_load_distribution;
-use bench::synth::{run_synth, synth_setup, SynthRun};
+use bench::sweep::{run_sweep, synth_setup, Run};
 use bench::{save_json, Scale};
 use landmark::SelectionMethod;
 use simsearch::LoadBalanceConfig;
@@ -38,13 +38,13 @@ fn main() {
     let mut without: Vec<(String, Vec<usize>)> = Vec::new();
     let mut with_lb: Vec<(String, Vec<usize>)> = Vec::new();
     for (method, k) in configs {
-        let plain = SynthRun::new(method, k, None);
+        let plain = Run::new(method, k, None);
         eprintln!("running {} (no LB) ...", plain.label());
-        let (_, loads0) = run_synth(&scale, &setup, &plain, &factors);
+        let loads0 = run_sweep(&scale, &setup, &plain, &factors).loads;
         without.push((plain.label(), loads0));
-        let balanced = SynthRun::new(method, k, Some(lb));
+        let balanced = Run::new(method, k, Some(lb));
         eprintln!("running {} (LB) ...", balanced.label());
-        let (_, loads1) = run_synth(&scale, &setup, &balanced, &factors);
+        let loads1 = run_sweep(&scale, &setup, &balanced, &factors).loads;
         with_lb.push((balanced.label(), loads1));
     }
 

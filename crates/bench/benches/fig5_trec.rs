@@ -10,7 +10,7 @@
 //! greedy cannot retrieve the related documents it filtered badly.
 
 use bench::scale::RANGE_FACTORS;
-use bench::trec::{run_trec, trec_setup};
+use bench::sweep::{run_sweep, trec_setup, Run};
 use bench::{print_series, save_json, Row, Scale};
 use landmark::SelectionMethod;
 use simsearch::LoadBalanceConfig;
@@ -32,7 +32,13 @@ fn main() {
     let mut all: Vec<Row> = Vec::new();
     for method in [SelectionMethod::Greedy, SelectionMethod::KMeans] {
         eprintln!("running {method}-10 ...");
-        let (rows, _) = run_trec(&scale, &setup, method, 10, Some(lb), RANGE_FACTORS);
+        let rows = run_sweep(
+            &scale,
+            &setup,
+            &Run::new(method, 10, Some(lb)),
+            RANGE_FACTORS,
+        )
+        .rows;
         all.extend(rows);
     }
 

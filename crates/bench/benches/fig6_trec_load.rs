@@ -8,7 +8,7 @@
 //! with balancing, while k-means spreads out.
 
 use bench::report::print_load_distribution;
-use bench::trec::{run_trec, trec_setup};
+use bench::sweep::{run_sweep, trec_setup, Run};
 use bench::{save_json, Scale};
 use landmark::SelectionMethod;
 use simsearch::LoadBalanceConfig;
@@ -31,7 +31,7 @@ fn main() {
     let mut series: Vec<(String, Vec<usize>)> = Vec::new();
     for method in [SelectionMethod::Greedy, SelectionMethod::KMeans] {
         eprintln!("running {method}-10 ...");
-        let (_, loads) = run_trec(&scale, &setup, method, 10, Some(lb), &factors);
+        let loads = run_sweep(&scale, &setup, &Run::new(method, 10, Some(lb)), &factors).loads;
         series.push((format!("{method}-10"), loads));
     }
     print_load_distribution("Fig 6: WITH load balancing", &series);

@@ -6,7 +6,7 @@
 //! substitution's fidelity is measurable, and prints the query-topic
 //! statistics (paper: 3.5 distinct terms on average) alongside.
 
-use bench::trec::trec_setup;
+use bench::sweep::trec_corpus;
 use bench::{save_json, Scale};
 
 fn main() {
@@ -17,8 +17,8 @@ fn main() {
         scale.corpus_docs, scale.corpus_vocab, scale.seed
     );
 
-    let setup = trec_setup(&scale);
-    let s = setup.corpus.vector_size_stats();
+    let corpus = trec_corpus(&scale);
+    let s = corpus.vector_size_stats();
 
     println!(
         "\n{:>10} {:>6} {:>6} {:>6} {:>6} {:>8} {:>8}",
@@ -33,14 +33,14 @@ fn main() {
         "paper", 1, 50, 146, 293, 676, 155.4
     );
 
-    let qmean = setup.corpus.topics.iter().map(|t| t.nnz()).sum::<usize>() as f64
-        / setup.corpus.topics.len() as f64;
+    let qmean =
+        corpus.topics.iter().map(|t| t.nnz()).sum::<usize>() as f64 / corpus.topics.len() as f64;
     println!(
         "\nquery topics: {} topics, mean {:.2} distinct terms (paper: 50 topics, 3.5 terms)",
-        setup.corpus.topics.len(),
+        corpus.topics.len(),
         qmean
     );
-    let distinct_terms = setup.corpus.df.iter().filter(|&&d| d > 0).count();
+    let distinct_terms = corpus.df.iter().filter(|&&d| d > 0).count();
     println!(
         "distinct terms used: {} of vocabulary {} (paper: 233,640 distinct terms)",
         distinct_terms, scale.corpus_vocab

@@ -26,17 +26,17 @@
 //!                    the recorded plan of query 0, and save the full
 //!                    snapshot under target/experiments/
 
+use bench::print_series;
 use bench::report::print_telemetry_summary;
 use bench::scale::Scale;
-use bench::synth::{run_synth_system, synth_setup, SynthRun};
-use bench::{print_series, Row};
+use bench::sweep::{run_sweep, synth_setup, Run};
 use landmark::SelectionMethod;
 use simsearch::LoadBalanceConfig;
 
-fn parse_args() -> (Scale, SynthRun, Vec<f64>, bool) {
+fn parse_args() -> (Scale, Run, Vec<f64>, bool) {
     let mut scale = Scale::quick();
     scale.n_queries = 100;
-    let mut run = SynthRun::new(SelectionMethod::KMeans, 10, None);
+    let mut run = Run::new(SelectionMethod::KMeans, 10, None);
     let mut factors = vec![0.02, 0.05, 0.10];
     let mut telemetry = false;
 
@@ -114,9 +114,8 @@ fn main() {
     let setup = synth_setup(&scale);
 
     eprintln!("running ...");
-    let (rows, loads, system) = run_synth_system(&scale, &setup, &run, &factors);
-
-    let all: Vec<Row> = rows;
+    let sweep = run_sweep(&scale, &setup, &run, &factors);
+    let (all, loads, system) = (sweep.rows, sweep.loads, sweep.system);
     print_series("recall", &all, |r| r.recall);
     print_series("hops", &all, |r| r.hops);
     print_series("response time [ms]", &all, |r| r.response_ms);

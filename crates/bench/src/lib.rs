@@ -5,10 +5,10 @@
 //!
 //! * [`scale`] — experiment sizing: the quick default and the
 //!   `SIMSEARCH_FULL=1` paper scale;
-//! * [`synth`] — the §4.2 synthetic-dataset pipeline (Table 1 data →
-//!   landmark selection → mapping → system → query sweep);
-//! * [`trec`] — the §4.3 text pipeline over the synthetic TREC-like
-//!   corpus (angular metric, sampled boundary);
+//! * [`sweep`] — the one figure pipeline: a [`sweep::Setup`] (the §4.2
+//!   Table 1 data or the §4.3 TREC-like corpus, with exact top-10
+//!   truth) mapped through [`simsearch::map_index`], and
+//!   [`sweep::run_sweep`] over the query range factors;
 //! * [`fixture`] — the corpus, query builders and oracle under the
 //!   two `*_report` writers;
 //! * [`report`] — table printing and JSON persistence under
@@ -19,8 +19,7 @@ pub mod micro_report;
 pub mod report;
 pub mod scale;
 pub mod scale_report;
-pub mod synth;
-pub mod trec;
+pub mod sweep;
 
 pub use report::{print_series, save_json, Row};
 pub use scale::Scale;

@@ -23,10 +23,11 @@
 use std::sync::Arc;
 
 use serde_json::{ToJson, Value};
-use simnet::{AgentId, SimTime};
+use simnet::AgentId;
 use simsearch::{QueryDistance, QuerySpec, ResilienceConfig, SearchSystem, SystemConfig};
 
 use crate::fixture::{l2_oracle, peak_rss_kb, Corpus, KNN_K};
+use crate::sweep::schedule_churn;
 /// Hot-workload shape: four base query points, re-issued from four
 /// fixed origins for this many rounds.
 const N_HOT_BASE: usize = 4;
@@ -187,39 +188,6 @@ impl ToJson for ScalePoint {
     }
 }
 
-/// Inject `CHURN_PAIRS` crash/restart pairs across the hot workload's
-/// span. Victims are deterministic ring positions that are neither a
-/// query origin (it holds merge state) nor ring-adjacent to another
-/// victim (adjacent victims could take an owner and its `r = 2` replica
-/// holder down together).
-fn schedule_hot_churn(system: &mut SearchSystem, origins: &[usize], span_s: f64) {
-    let origin_addrs: Vec<AgentId> = origins.iter().map(|&o| AgentId(o)).collect();
-    let ring: Vec<AgentId> = system.ring().nodes().iter().map(|n| n.addr).collect();
-    let n = ring.len();
-    let mut victims: Vec<usize> = Vec::new();
-    for (pos, addr) in ring.iter().enumerate() {
-        if victims.len() == CHURN_PAIRS {
-            break;
-        }
-        let adjacent = victims
-            .iter()
-            .any(|&v| (pos + n - v) % n <= 1 || (v + n - pos) % n <= 1);
-        if !origin_addrs.contains(addr) && !adjacent {
-            victims.push(pos);
-        }
-    }
-    assert_eq!(
-        victims.len(),
-        CHURN_PAIRS,
-        "ring too small for churn victims"
-    );
-    for (i, &pos) in victims.iter().enumerate() {
-        let t0 = span_s * (i as f64 + 0.5) / (CHURN_PAIRS as f64 + 1.0);
-        system.schedule_crash(SimTime::from_secs_f64(t0), ring[pos]);
-        system.schedule_restart(SimTime::from_secs_f64(t0 + 0.25 * span_s), ring[pos]);
-    }
-}
-
 fn side_stats(
     system: &mut SearchSystem,
     queries: &[QuerySpec],
@@ -285,7 +253,12 @@ pub fn run_scale_point(fixture: &ScaleFixture, n_nodes: usize, seed: u64) -> Sca
     );
     churn_sys.set_loss_rate(0.05);
     let span_s = INTERARRIVAL_S * fixture.hot_queries.len() as f64;
-    schedule_hot_churn(&mut churn_sys, &HOT_ORIGINS, span_s);
+    schedule_churn(
+        &mut churn_sys,
+        &HOT_ORIGINS.map(AgentId),
+        span_s,
+        CHURN_PAIRS,
+    );
     let churn = side_stats(
         &mut churn_sys,
         &fixture.hot_queries,

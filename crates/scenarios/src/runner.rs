@@ -12,24 +12,23 @@
 //! of the build-time dataset, so their object ids (and the ground truth
 //! that grows with them) are known before the system is built.
 
-use std::borrow::Borrow;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use landmark::{boundary_from_metric, boundary_from_sample, greedy, kmeans, Boundary, Mapper};
-use metric::{Angular, EditDistance, Metric, ObjectId, SparseVector, L2};
+use landmark::{boundary_from_metric, boundary_from_sample, greedy, kmeans};
+use metric::{Angular, EditDistance, ObjectId, SparseVector, L2};
 use serde_json::Value;
 use simnet::{AgentId, SimRng, SimTime};
 use simsearch::{
-    IndexSpec, LoadBalanceConfig, QueryDistance, QueryId, QuerySpec, ResilienceConfig,
-    SearchSystem, SystemConfig,
+    map_index, IndexSpec, LoadBalanceConfig, Mapping, QueryDistance, QueryId, QuerySpec,
+    ResilienceConfig, SearchSystem, SystemConfig, TrueDist,
 };
 use workloads::{
     ClusteredParams, ClusteredVectors, Corpus, CorpusParams, StringWorkload, StringWorkloadParams,
     TimeSeriesParams, TimeSeriesWorkload, Zipf,
 };
 
-use crate::schema::{IndexDecl, LbDecl, Scenario, SchemeDecl, TenantDecl};
+use crate::schema::{LbDecl, Scenario, SchemeDecl, TenantDecl};
 
 /// What one scenario run produced: the canonical digest (what goldens
 /// byte-compare) and any invariant violations (empty on a passing run —
@@ -56,87 +55,22 @@ fn micros(x: f64) -> u64 {
 /// One pre-built co-hosted index: everything the oracle and the ground
 /// truth need beside its publishable [`IndexSpec`].
 struct BuiltIndex {
-    name: String,
+    /// Held-out publishes in publish order, the tenant query pools in
+    /// qref order, and the true distance.
+    mapping: Mapping,
     /// Objects published at build time.
     base_n: usize,
-    /// Base + held-out runtime publishes.
-    total_n: usize,
-    /// Mapped points of the held-out publish objects, in publish order.
-    pub_points: Vec<Vec<f64>>,
-    /// Mapped points of the tenant query pools, in qref order.
-    pool_points: Vec<Vec<f64>>,
     /// Query radius in the original metric (= index-space L∞ radius).
     radius: f64,
-    /// True distance from pool object `qref` to object `oid < total_n`.
-    dist: TrueDist,
 }
-
-/// True distance from pool object `qref` to object `oid`.
-type TrueDist = Arc<dyn Fn(usize, usize) -> f64 + Send + Sync>;
 
 /// Derive a per-purpose RNG stream for one index.
 fn index_seed(sc: &Scenario, data_seed: u64, stream: u64) -> u64 {
     sc.seed ^ data_seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ stream
 }
 
-/// The one §3.1 mapping pipeline every scheme runs: sample `objects` on
-/// `sel_rng`, `select` the landmarks, map the objects, fix the boundary,
-/// map the query `pool`, hold the objects past `base_n` out as runtime
-/// publishes, and keep the true distance for the oracle.
-#[allow(clippy::too_many_arguments)]
-fn map_index<T, Q, M>(
-    decl: &IndexDecl,
-    sel_rng: &mut SimRng,
-    pool: Vec<T>,
-    objects: Vec<T>,
-    metric: M,
-    base_n: usize,
-    radius: f64,
-    select: impl FnOnce(&M, &[T], &mut SimRng) -> Vec<T>,
-    boundary: impl FnOnce(&Mapper<T, M>, &[T]) -> Boundary,
-) -> (IndexSpec, BuiltIndex)
-where
-    T: Clone + Borrow<Q> + Send + Sync + 'static,
-    Q: ?Sized + Sync,
-    M: Metric<Q> + Clone + 'static,
-{
-    let total = objects.len();
-    let sample: Vec<T> = sel_rng
-        .sample_indices(total, decl.sample.min(total))
-        .into_iter()
-        .map(|i| objects[i].clone())
-        .collect();
-    let landmarks = select(&metric, &sample, sel_rng);
-    let mapper = Mapper::new(metric.clone(), landmarks);
-    let mut points = mapper.map_all::<Q, T>(&objects);
-    let boundary = boundary(&mapper, &sample).dims;
-    let pool_points = pool
-        .iter()
-        .map(|p| mapper.map(p.borrow()).into_vec())
-        .collect();
-    let pub_points = points.split_off(base_n);
-    let dist = Arc::new(move |q: usize, oid: usize| {
-        metric.distance(pool[q].borrow(), objects[oid].borrow())
-    });
-    let spec = IndexSpec {
-        name: decl.name.clone(),
-        boundary,
-        points,
-        rotate: decl.rotate,
-        rotation: decl.rotation,
-    };
-    let built = BuiltIndex {
-        name: decl.name.clone(),
-        base_n,
-        total_n: total,
-        pub_points,
-        pool_points,
-        radius,
-        dist,
-    };
-    (spec, built)
-}
-
+/// Map one declared index through [`map_index`], the held-out runtime
+/// publishes included.
 fn build_index(
     sc: &Scenario,
     pos: usize,
@@ -148,7 +82,8 @@ fn build_index(
     let qseed = index_seed(sc, decl.data_seed, 0x9001);
     let rng = &mut SimRng::new(index_seed(sc, decl.data_seed, 0x5E1));
     let k = decl.landmarks;
-    match decl.scheme {
+    let (name, sample) = (decl.name.clone(), decl.sample);
+    let ((spec, mapping), radius) = match decl.scheme {
         SchemeDecl::Clustered {
             objects,
             dims,
@@ -166,17 +101,20 @@ fn build_index(
                 dseed,
             );
             let radius = decl.radius * data.max_distance();
-            map_index::<_, [f32], _>(
-                decl,
+            let mapped = map_index::<_, [f32], _>(
+                name,
+                sample,
+                decl.rotate,
+                decl.rotation,
                 rng,
                 data.queries(pool_total, qseed),
                 data.objects,
                 L2::bounded(dims, 0.0, 100.0),
                 objects,
-                radius,
                 |m, s, r| kmeans::<_, [f32], _>(m, s, k, 8, r),
                 |m, _| boundary_from_metric::<[f32], _>(m.metric(), k).expect("bounded L2"),
-            )
+            );
+            (mapped, radius)
         }
         SchemeDecl::Strings { families, members } => {
             let data = StringWorkload::generate(
@@ -189,17 +127,20 @@ fn build_index(
             );
             let base_n = data.sequences.len().saturating_sub(publish_total);
             assert!(base_n > 0, "strings scheme too small for its publishes");
-            map_index::<_, str, _>(
-                decl,
+            let mapped = map_index::<_, str, _>(
+                name,
+                sample,
+                decl.rotate,
+                decl.rotation,
                 rng,
                 data.queries(pool_total, qseed),
                 data.sequences,
                 EditDistance,
                 base_n,
-                decl.radius,
                 |m, s, r| greedy::<_, str, _>(m, s, k, r),
                 |m, s| boundary_from_sample::<_, str, _>(m, s, 0.05),
-            )
+            );
+            (mapped, decl.radius)
         }
         SchemeDecl::Docs { docs, vocab, areas } => {
             let corpus = Corpus::generate(
@@ -212,8 +153,11 @@ fn build_index(
                 },
                 dseed,
             );
-            map_index::<_, SparseVector, _>(
-                decl,
+            let mapped = map_index::<_, SparseVector, _>(
+                name,
+                sample,
+                decl.rotate,
+                decl.rotation,
                 rng,
                 // Query pool: the corpus's query topics, cycled.
                 (0..pool_total)
@@ -222,10 +166,10 @@ fn build_index(
                 corpus.docs,
                 Angular::new(),
                 docs,
-                decl.radius * std::f64::consts::FRAC_PI_2,
                 |m, s, r| kmeans::<_, SparseVector, _>(m, s, k, 10, r),
                 |m, s| boundary_from_sample::<_, SparseVector, _>(m, s, 0.02),
-            )
+            );
+            (mapped, decl.radius * std::f64::consts::FRAC_PI_2)
         }
         SchemeDecl::Timeseries {
             length,
@@ -248,8 +192,11 @@ fn build_index(
             );
             let base_n = ts.windows.len().saturating_sub(publish_total);
             assert!(base_n > 0, "timeseries scheme too small for its publishes");
-            map_index::<_, [f32], _>(
-                decl,
+            let mapped = map_index::<_, [f32], _>(
+                name,
+                sample,
+                decl.rotate,
+                decl.rotation,
                 rng,
                 ts.queries(pool_total, qseed)
                     .into_iter()
@@ -258,12 +205,18 @@ fn build_index(
                 ts.windows,
                 L2::new(),
                 base_n,
-                decl.radius,
                 |m, s, r| kmeans::<_, [f32], _>(m, s, k, 8, r),
                 |m, s| boundary_from_sample::<_, [f32], _>(m, s, 0.05),
-            )
+            );
+            (mapped, decl.radius)
         }
-    }
+    };
+    let built = BuiltIndex {
+        base_n: spec.points.len(),
+        mapping,
+        radius,
+    };
+    (spec, built)
 }
 
 /// One pre-drawn operation of the global sequence.
@@ -372,12 +325,10 @@ pub fn run(sc: &Scenario) -> RunReport {
             qid_probe.push((lay.index_pos, lay.pool_base + pool_item));
         }
     }
-    let dists: Vec<TrueDist> = built.iter().map(|b| Arc::clone(&b.dist)).collect();
-    let probe_table = Arc::new(qid_probe.clone());
-    let oracle_dists = dists.clone();
+    let dists: Vec<TrueDist> = built.iter().map(|b| Arc::clone(&b.mapping.dist)).collect();
     let oracle: Arc<dyn QueryDistance> = Arc::new(move |qid: QueryId, obj: ObjectId| {
-        let (ix, qref) = probe_table[qid as usize];
-        (oracle_dists[ix])(qref, obj.0 as usize)
+        let (ix, qref) = qid_probe[qid as usize];
+        (dists[ix])(qref, obj.0 as usize)
     });
 
     // --- build the system ---
@@ -464,7 +415,7 @@ pub fn run(sc: &Scenario) -> RunReport {
                     origin,
                     index as u8,
                     ObjectId((b.base_n + seq) as u32),
-                    &b.pub_points[seq],
+                    &b.mapping.held_out[seq],
                 );
                 system.run_to_quiescence();
                 published[index] += 1;
@@ -485,7 +436,7 @@ pub fn run(sc: &Scenario) -> RunReport {
                 let visible = b.base_n + published[index];
                 let mut near: Vec<(ObjectId, f64)> = (0..visible)
                     .filter_map(|oid| {
-                        let d = (b.dist)(qref, oid);
+                        let d = (b.mapping.dist)(qref, oid);
                         (d <= b.radius).then_some((ObjectId(oid as u32), d))
                     })
                     .collect();
@@ -499,7 +450,7 @@ pub fn run(sc: &Scenario) -> RunReport {
                     qid,
                     &QuerySpec {
                         index: index as u8,
-                        point: b.pool_points[qref].clone(),
+                        point: b.mapping.pool[qref].clone(),
                         radius: b.radius,
                         truth: Vec::new(),
                     },
@@ -508,21 +459,12 @@ pub fn run(sc: &Scenario) -> RunReport {
                 let iq = system
                     .issued_query(origin, qid)
                     .expect("query was injected at a live origin");
-                let hits = truth
-                    .iter()
-                    .filter(|t| iq.merged.iter().any(|&(o, _)| o == **t))
-                    .count();
-                let recall = if truth.is_empty() {
-                    1.0
-                } else {
-                    hits as f64 / truth.len() as f64
-                };
                 records.push(QueryRecord {
                     tenant,
                     completed: iq.first_result.is_some(),
                     hops: iq.max_hops,
                     responses: iq.responses,
-                    recall,
+                    recall: iq.recall(&truth),
                 });
             }
         }
@@ -556,7 +498,7 @@ pub fn run(sc: &Scenario) -> RunReport {
             if stored != expected {
                 violations.push(format!(
                     "index {} stores {stored} entries, expected {expected}",
-                    b.name
+                    sc.indexes[i].name
                 ));
             }
         }
@@ -606,12 +548,12 @@ pub fn run(sc: &Scenario) -> RunReport {
     for (i, b) in built.iter().enumerate() {
         let loads = system.load_distribution(i);
         per_index.insert(
-            b.name.clone(),
+            sc.indexes[i].name.clone(),
             serde_json::json!({
                 "entries": Value::UInt(system.total_entries(i) as u64),
                 "base": Value::UInt(b.base_n as u64),
                 "published": Value::UInt(published[i] as u64),
-                "held_out": Value::UInt((b.total_n - b.base_n) as u64),
+                "held_out": Value::UInt(b.mapping.held_out.len() as u64),
                 "rotation": Value::UInt(system.rotation(i).0),
                 "load_max": Value::UInt(loads.first().copied().unwrap_or(0) as u64),
                 "load_nonzero": Value::UInt(loads.iter().filter(|&&l| l > 0).count() as u64),

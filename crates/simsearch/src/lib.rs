@@ -64,6 +64,7 @@ pub use routing::{
 };
 pub use store::{Entry, EntryRef, ScanStats, Store};
 pub use system::{
-    IndexSpec, LoadBalanceConfig, QueryOutcome, QuerySpec, SearchSystem, SystemConfig,
+    map_index, IndexSpec, LoadBalanceConfig, Mapping, QueryOutcome, QuerySpec, SearchSystem,
+    SystemConfig, TrueDist,
 };
 pub use telemetry::{QuerySummary, QueryTrace, Telemetry, TraceEvent, TraceLog};

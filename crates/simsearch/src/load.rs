@@ -67,51 +67,63 @@ pub struct LoadBalanceReport {
 /// id; every later joiner splits the key range of the currently
 /// heaviest node at the median of its entries. Falls back to a random
 /// id when the heaviest range cannot be divided (single-key pile-up).
+///
+/// The arc of id `b` with predecessor `a` is `(a, b]`, wrapping. A join
+/// changes only the arc it lands in, so each join counts the joiner's
+/// half of that arc from the sorted keys instead of recounting the ring.
 pub fn load_aware_ids(entry_keys: &[u64], n_nodes: usize, rng: &mut SimRng) -> Vec<u64> {
     use rand::RngCore;
     assert!(n_nodes >= 1);
     let mut keys = entry_keys.to_vec();
     keys.sort_unstable();
+    // Positions (modulo `keys.len()`) of the keys in arc `(a, b]`; the
+    // whole ring when `a == b`.
+    let arc = |a: u64, b: u64| {
+        let (lo, hi) = (
+            keys.partition_point(|&k| k <= a),
+            keys.partition_point(|&k| k <= b),
+        );
+        lo..if a < b { hi } else { keys.len() + hi }
+    };
+    // Sorted ids, each with its arc's entry count.
     let mut ids: Vec<u64> = vec![rng.next_u64()];
-    let mut taken: std::collections::HashSet<u64> = ids.iter().copied().collect();
+    let mut counts = vec![keys.len()];
+    let mut last = 0;
     while ids.len() < n_nodes {
-        ids.sort_unstable();
-        // Count entries per arc: node ids sorted; the arc of ids[i] is
-        // (ids[i-1], ids[i]], wrapping for i = 0.
-        let mut counts = vec![0usize; ids.len()];
-        for &k in &keys {
-            let idx = ids.partition_point(|&id| id < k) % ids.len();
-            counts[idx] += 1;
-        }
         let (heavy, _) = counts
             .iter()
             .enumerate()
             .max_by_key(|&(i, &c)| (c, std::cmp::Reverse(i)))
             .expect("ids holds at least the bootstrap id, so counts is never empty");
         // Split the heavy arc in offset space from its start (the
-        // predecessor id + 1).
-        let start = ids[(heavy + ids.len() - 1) % ids.len()].wrapping_add(1);
-        let mut offsets: Vec<u64> = keys
-            .iter()
-            .filter(|&&k| ids.partition_point(|&id| id < k) % ids.len() == heavy)
-            .map(|&k| k.wrapping_sub(start))
+        // predecessor id + 1): its keys above the start, then those
+        // wrapped past zero, are in offset order.
+        let below = ids[(heavy + ids.len() - 1) % ids.len()];
+        let start = below.wrapping_add(1);
+        let offsets: Vec<u64> = arc(below, ids[heavy])
+            .map(|i| keys[i % keys.len()].wrapping_sub(start))
             .collect();
-        offsets.sort_unstable();
         let new_id = median_split(&offsets)
             .map(|m| start.wrapping_add(m))
-            .filter(|c| !taken.contains(c));
+            .filter(|c| ids.binary_search(c).is_err());
         let id = new_id.unwrap_or_else(|| {
             let mut id = rng.next_u64();
-            while taken.contains(&id) {
+            while ids.binary_search(&id).is_ok() {
                 id = rng.next_u64();
             }
             id
         });
-        taken.insert(id);
-        ids.push(id);
+        // The joiner takes the low part of the arc it lands in.
+        last = ids.partition_point(|&x| x < id);
+        let taken = arc(ids[(last + ids.len() - 1) % ids.len()], id).len();
+        counts[last % ids.len()] -= taken;
+        ids.insert(last, id);
+        counts.insert(last, taken);
     }
-    // Deterministic (mostly sorted) order; callers pair ids with agent
-    // addresses positionally.
+    // Every id but the last joiner's in ascending order, then the last
+    // joiner's: callers pair ids with agent addresses positionally.
+    let id = ids.remove(last);
+    ids.push(id);
     ids
 }
 
@@ -366,6 +378,7 @@ mod tests {
     use crate::store::{Entry, Store};
     use lph::{Grid, Rect, Rotation};
     use metric::ObjectId;
+    use proptest::prelude::*;
     use std::sync::Arc;
 
     fn make_world(n: usize, entry_keys: &[u64]) -> (OracleRing, Vec<SearchNode>, Topology) {
@@ -520,6 +533,71 @@ mod tests {
         dedup.sort_unstable();
         dedup.dedup();
         assert_eq!(dedup.len(), 8);
+    }
+
+    /// The join-at-a-time rule written out directly: recount every key
+    /// against every arc for each joiner. [`load_aware_ids`] must
+    /// return exactly its ids, in its order.
+    fn load_aware_ids_reference(entry_keys: &[u64], n_nodes: usize, rng: &mut SimRng) -> Vec<u64> {
+        use rand::RngCore;
+        let mut keys = entry_keys.to_vec();
+        keys.sort_unstable();
+        let mut ids: Vec<u64> = vec![rng.next_u64()];
+        let mut taken: std::collections::HashSet<u64> = ids.iter().copied().collect();
+        while ids.len() < n_nodes {
+            ids.sort_unstable();
+            let mut counts = vec![0usize; ids.len()];
+            for &k in &keys {
+                let idx = ids.partition_point(|&id| id < k) % ids.len();
+                counts[idx] += 1;
+            }
+            let (heavy, _) = counts
+                .iter()
+                .enumerate()
+                .max_by_key(|&(i, &c)| (c, std::cmp::Reverse(i)))
+                .unwrap();
+            let start = ids[(heavy + ids.len() - 1) % ids.len()].wrapping_add(1);
+            let mut offsets: Vec<u64> = keys
+                .iter()
+                .filter(|&&k| ids.partition_point(|&id| id < k) % ids.len() == heavy)
+                .map(|&k| k.wrapping_sub(start))
+                .collect();
+            offsets.sort_unstable();
+            let new_id = median_split(&offsets)
+                .map(|m| start.wrapping_add(m))
+                .filter(|c| !taken.contains(c));
+            let id = new_id.unwrap_or_else(|| {
+                let mut id = rng.next_u64();
+                while taken.contains(&id) {
+                    id = rng.next_u64();
+                }
+                id
+            });
+            taken.insert(id);
+            ids.push(id);
+        }
+        ids
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+        #[test]
+        fn load_aware_ids_match_the_reference(
+            seed in 0u64..1_000,
+            n_nodes in 1usize..40,
+            base in any::<u64>(),
+            spread_bits in 0u32..64,
+            raw in prop::collection::vec(any::<u64>(), 0..300),
+        ) {
+            // Keys clustered in a band of 2^spread_bits from `base`
+            // (wrapping past zero when the band crosses it), so arcs
+            // pile up, repeat keys and wrap.
+            let mask = if spread_bits == 0 { 0 } else { u64::MAX >> (64 - spread_bits) };
+            let keys: Vec<u64> = raw.iter().map(|&r| base.wrapping_add(r & mask)).collect();
+            let got = load_aware_ids(&keys, n_nodes, &mut SimRng::new(seed));
+            let want = load_aware_ids_reference(&keys, n_nodes, &mut SimRng::new(seed));
+            prop_assert_eq!(got, want);
+        }
     }
 
     #[test]

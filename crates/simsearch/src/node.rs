@@ -61,6 +61,18 @@ pub struct IssuedQuery {
     pub degraded: bool,
 }
 
+impl IssuedQuery {
+    /// `|truth ∩ merged| / |truth|`, and 1.0 for an empty truth: the
+    /// one recall rule of `SearchSystem` and the scenario runner.
+    pub fn recall(&self, truth: &[ObjectId]) -> f64 {
+        let hit = |t: &&ObjectId| self.merged.iter().any(|&(o, _)| o == **t);
+        match truth.len() {
+            0 => 1.0,
+            n => truth.iter().filter(hit).count() as f64 / n as f64,
+        }
+    }
+}
+
 /// The hasher of one answer's object-dedup set, in place of SipHash: a
 /// Fibonacci multiply of the `u32` id with the high half folded into the
 /// low bits the table indexes by. It is unkeyed and publishers choose

@@ -2,12 +2,14 @@
 //! optionally balance load, run a query workload, and fold the paper's
 //! cost metrics (§4.1) per query.
 
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use chord::OracleRing;
+use landmark::{Boundary, Mapper};
 use lph::{Grid, Rect, Rotation};
-use metric::ObjectId;
+use metric::{Metric, ObjectId};
 use serde_json::Value;
 use simnet::telemetry::histogram_of;
 use simnet::{AgentId, Sim, SimRng, SimTime, Topology};
@@ -106,6 +108,88 @@ pub struct IndexSpec {
     /// prevents. `None` keeps the default behavior (`rotate` decides
     /// between [`Rotation::from_name`] and [`Rotation::IDENTITY`]).
     pub rotation: Option<u64>,
+}
+
+/// True distance from query-pool item `q` to object `oid`.
+pub type TrueDist = Arc<dyn Fn(usize, usize) -> f64 + Send + Sync>;
+
+/// What [`map_index`] returns beside the index to publish: the query
+/// side of the mapping and the objects held out of the index.
+pub struct Mapping {
+    /// The mapped query pool, in pool order.
+    pub pool: Vec<Vec<f64>>,
+    /// The mapped objects past `base_n`, in order: runtime publishes.
+    pub held_out: Vec<Vec<f64>>,
+    /// True distance from pool item `q` to object `oid`.
+    pub dist: TrueDist,
+}
+
+impl Mapping {
+    /// The refinement oracle of a batch whose query `qid` probes pool
+    /// item `probe(qid)`.
+    pub fn oracle(
+        &self,
+        probe: impl Fn(QueryId) -> usize + Send + Sync + 'static,
+    ) -> DistanceOracle {
+        let dist = Arc::clone(&self.dist);
+        Arc::new(move |qid: QueryId, obj: ObjectId| dist(probe(qid), obj.0 as usize))
+    }
+}
+
+/// The one §3.1 mapping pipeline: sample `objects` on `sel_rng`,
+/// `select` the landmarks from the sample on the same stream, map the
+/// objects, fix the boundary, map the query `pool`, hold the objects
+/// past `base_n` out as runtime publishes, and keep the true distance
+/// for the oracle. The spec publishes the first `base_n` objects.
+/// Every experiment maps through it, so keep its `sel_rng` draw order
+/// or every figure and golden moves.
+#[allow(clippy::too_many_arguments)]
+pub fn map_index<T, Q, M>(
+    name: String,
+    sample: usize,
+    rotate: bool,
+    rotation: Option<u64>,
+    sel_rng: &mut SimRng,
+    pool: Vec<T>,
+    objects: Vec<T>,
+    metric: M,
+    base_n: usize,
+    select: impl FnOnce(&M, &[T], &mut SimRng) -> Vec<T>,
+    boundary: impl FnOnce(&Mapper<T, M>, &[T]) -> Boundary,
+) -> (IndexSpec, Mapping)
+where
+    T: Clone + Borrow<Q> + Send + Sync + 'static,
+    Q: ?Sized + Sync,
+    M: Metric<Q> + Clone + 'static,
+{
+    let total = objects.len();
+    let sample: Vec<T> = sel_rng
+        .sample_indices(total, sample.min(total))
+        .into_iter()
+        .map(|i| objects[i].clone())
+        .collect();
+    let landmarks = select(&metric, &sample, sel_rng);
+    let mapper = Mapper::new(metric.clone(), landmarks);
+    let mut points = mapper.map_all::<Q, T>(&objects);
+    let boundary = boundary(&mapper, &sample).dims;
+    let pool_points = mapper.map_all::<Q, T>(&pool);
+    let held_out = points.split_off(base_n);
+    let dist = Arc::new(move |q: usize, oid: usize| {
+        metric.distance(pool[q].borrow(), objects[oid].borrow())
+    });
+    let spec = IndexSpec {
+        name,
+        boundary,
+        points,
+        rotate,
+        rotation,
+    };
+    let mapping = Mapping {
+        pool: pool_points,
+        held_out,
+        dist,
+    };
+    (spec, mapping)
 }
 
 /// One query of the workload. The caller maps the query object to its
@@ -643,16 +727,6 @@ impl SearchSystem {
                 .last_result
                 .map(|t| t.since(issued).as_millis_f64())
                 .unwrap_or(0.0);
-            let hits = q
-                .truth
-                .iter()
-                .filter(|t| iq.merged.iter().any(|&(o, _)| o == **t))
-                .count();
-            let recall = if q.truth.is_empty() {
-                1.0
-            } else {
-                hits as f64 / q.truth.len() as f64
-            };
             out.push(QueryOutcome {
                 qid: qid as QueryId,
                 origin: AgentId(origin),
@@ -665,7 +739,7 @@ impl SearchSystem {
                 query_msgs: trace.query_msgs(),
                 responses: iq.responses,
                 results: iq.merged.clone(),
-                recall,
+                recall: iq.recall(&q.truth),
                 degraded: iq.degraded,
             });
         }

@@ -1,4 +1,6 @@
-//! Shared by the golden-snapshot harnesses (`tests/telemetry_*.rs`).
+//! Shared by the golden-snapshot harnesses (`tests/telemetry_*.rs`, and
+//! `crates/bench/tests/figure_golden.rs`, whose goldens live under its
+//! own crate's `tests/golden/`).
 
 use std::path::PathBuf;
 

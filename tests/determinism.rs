@@ -1,14 +1,10 @@
 //! Reproducibility: the whole pipeline — data generation through
 //! simulated query execution — is a pure function of the seed.
 
-use std::sync::Arc;
-
-use landmark::{boundary_from_metric, greedy, Mapper};
-use metric::{Metric, ObjectId, L2};
+use landmark::{boundary_from_metric, greedy};
+use metric::L2;
 use simnet::SimRng;
-use simsearch::{
-    IndexSpec, QueryDistance, QueryId, QueryOutcome, QuerySpec, SearchSystem, SystemConfig,
-};
+use simsearch::{map_index, QueryOutcome, QuerySpec, SearchSystem, SystemConfig};
 use workloads::{ClusteredParams, ClusteredVectors};
 
 fn run_once(seed: u64) -> Vec<QueryOutcome> {
@@ -22,34 +18,30 @@ fn run_once(seed: u64) -> Vec<QueryOutcome> {
         },
         seed,
     );
-    let metric = L2::bounded(10, 0.0, 100.0);
-    let mut rng = SimRng::new(seed);
-    let sample: Vec<Vec<f32>> = rng
-        .sample_indices(data.objects.len(), 150)
-        .into_iter()
-        .map(|i| data.objects[i].clone())
-        .collect();
-    let landmarks = greedy::<_, [f32], _>(&metric, &sample, 5, &mut rng);
-    let mapper = Mapper::new(metric, landmarks);
-    let points = mapper.map_all::<[f32], _>(&data.objects);
-    let qpoints = data.queries(6, seed ^ 3);
-    let queries: Vec<QuerySpec> = qpoints
+    let (spec, mapping) = map_index::<_, [f32], _>(
+        "det".into(),
+        150,
+        true,
+        None,
+        &mut SimRng::new(seed),
+        data.queries(6, seed ^ 3),
+        data.objects,
+        L2::bounded(10, 0.0, 100.0),
+        1_200,
+        |m, s, r| greedy::<_, [f32], _>(m, s, 5, r),
+        |m, _| boundary_from_metric::<[f32], _>(m.metric(), 5).unwrap(),
+    );
+    let queries: Vec<QuerySpec> = mapping
+        .pool
         .iter()
-        .map(|q| QuerySpec {
+        .map(|p| QuerySpec {
             index: 0,
-            point: mapper.map(q.as_slice()).into_vec(),
+            point: p.clone(),
             radius: 80.0,
             truth: vec![],
         })
         .collect();
-    let objects = Arc::new(data.objects.clone());
-    let qp = Arc::new(qpoints);
-    let oracle: Arc<dyn QueryDistance> = Arc::new(move |qid: QueryId, obj: ObjectId| {
-        L2::new().distance(
-            qp[qid as usize].as_slice(),
-            objects[obj.0 as usize].as_slice(),
-        )
-    });
+    let oracle = mapping.oracle(|qid| qid as usize);
     let mut system = SearchSystem::build(
         SystemConfig {
             n_nodes: 28,
@@ -57,13 +49,7 @@ fn run_once(seed: u64) -> Vec<QueryOutcome> {
             lb: Some(simsearch::LoadBalanceConfig::default()),
             ..SystemConfig::default()
         },
-        &[IndexSpec {
-            name: "det".into(),
-            boundary: boundary_from_metric(&metric, 5).unwrap().dims,
-            points,
-            rotate: true,
-            rotation: None,
-        }],
+        &[spec],
         oracle,
     );
     system.run_queries(&queries, 20.0)

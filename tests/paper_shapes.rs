@@ -2,136 +2,98 @@
 //! "shape" results a reproduction must get right, run at a size suitable
 //! for CI. The full curves are regenerated by the bench harnesses.
 
-use bench_shapes::*;
+use landmark::{boundary_from_metric, greedy, kmeans, SelectionMethod};
+use metric::{Dataset, L2};
+use simnet::SimRng;
+use simsearch::{
+    map_index, LoadBalanceConfig, QueryOutcome, QuerySpec, SearchSystem, SystemConfig,
+};
+use workloads::{knn_batch, ClusteredParams, ClusteredVectors};
 
-/// A tiny experiment-driver shim over the bench crate's pipelines is not
-/// available to the root package (the bench crate is not a dependency),
-/// so the shapes below rebuild the minimal pipeline directly.
-mod bench_shapes {
-    use std::sync::Arc;
-
-    use landmark::{boundary_from_metric, greedy, kmeans, Mapper, SelectionMethod};
-    use metric::{Metric, ObjectId, L2};
-    use simnet::SimRng;
-    use simsearch::{
-        IndexSpec, LoadBalanceConfig, QueryDistance, QueryId, QueryOutcome, QuerySpec,
-        SearchSystem, SystemConfig,
-    };
-    use workloads::{ClusteredParams, ClusteredVectors};
-
-    pub struct Shape {
-        pub outcomes: Vec<QueryOutcome>,
-        pub loads: Vec<usize>,
-    }
-
-    /// Run the synthetic pipeline at toy scale for one configuration.
-    pub fn run_shape(
-        method: SelectionMethod,
-        k: usize,
-        lb: Option<LoadBalanceConfig>,
-        naive: Option<u32>,
-        factors: &[f64],
-        seed: u64,
-    ) -> Shape {
-        let data = ClusteredVectors::generate(
-            ClusteredParams {
-                dims: 30,
-                clusters: 5,
-                deviation: 10.0,
-                n_objects: 4_000,
-                ..ClusteredParams::default()
-            },
-            seed,
-        );
-        let metric = L2::bounded(30, 0.0, 100.0);
-        let mut rng = SimRng::new(seed ^ k as u64);
-        let sample: Vec<Vec<f32>> = rng
-            .sample_indices(data.objects.len(), 400)
-            .into_iter()
-            .map(|i| data.objects[i].clone())
-            .collect();
-        let landmarks = match method {
-            SelectionMethod::Greedy => greedy::<_, [f32], _>(&metric, &sample, k, &mut rng),
-            _ => kmeans::<_, [f32], _>(&metric, &sample, k, 10, &mut rng),
-        };
-        let mapper = Mapper::new(metric, landmarks);
-        let points = mapper.map_all::<[f32], _>(&data.objects);
-
-        let qpoints = data.queries(30, seed ^ 0xF00D);
-        let truth: Vec<Vec<ObjectId>> = qpoints
-            .iter()
-            .map(|q| {
-                let mut d: Vec<(ObjectId, f64)> = data
-                    .objects
-                    .iter()
-                    .enumerate()
-                    .map(|(i, o)| {
-                        (
-                            ObjectId(i as u32),
-                            L2::new().distance(q.as_slice(), o.as_slice()),
-                        )
-                    })
-                    .collect();
-                d.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-                d.into_iter().take(10).map(|(id, _)| id).collect()
-            })
-            .collect();
-
-        let nq = qpoints.len();
-        let max_d = data.max_distance();
-        let mut queries = Vec::new();
-        for &f in factors {
-            for (qi, q) in qpoints.iter().enumerate() {
-                queries.push(QuerySpec {
-                    index: 0,
-                    point: mapper.map(q.as_slice()).into_vec(),
-                    radius: f * max_d,
-                    truth: truth[qi].clone(),
-                });
-            }
-        }
-        let objects = Arc::new(data.objects.clone());
-        let qp = Arc::new(qpoints);
-        let oracle: Arc<dyn QueryDistance> = Arc::new(move |qid: QueryId, obj: ObjectId| {
-            L2::new().distance(
-                qp[qid as usize % qp.len()].as_slice(),
-                objects[obj.0 as usize].as_slice(),
-            )
-        });
-        let mut system = SearchSystem::build(
-            SystemConfig {
-                n_nodes: 48,
-                seed,
-                lb,
-                naive_level: naive,
-                ..SystemConfig::default()
-            },
-            &[IndexSpec {
-                name: format!("shape-{method}-{k}"),
-                boundary: boundary_from_metric(&metric, k).unwrap().dims,
-                points,
-                rotate: false,
-                rotation: None,
-            }],
-            oracle,
-        );
-        let outcomes = system.run_queries(&queries, 50.0);
-        let loads = system.load_distribution(0);
-        let _ = nq;
-        Shape { outcomes, loads }
-    }
-
-    pub fn mean_recall(outcomes: &[QueryOutcome]) -> f64 {
-        outcomes.iter().map(|o| o.recall).sum::<f64>() / outcomes.len() as f64
-    }
-
-    pub fn mean_msgs(outcomes: &[QueryOutcome]) -> f64 {
-        outcomes.iter().map(|o| o.query_msgs as f64).sum::<f64>() / outcomes.len() as f64
-    }
+struct Shape {
+    outcomes: Vec<QueryOutcome>,
+    loads: Vec<usize>,
 }
 
-use landmark::SelectionMethod;
-use simsearch::LoadBalanceConfig;
+/// Run the synthetic pipeline at toy scale for one configuration.
+fn run_shape(
+    method: SelectionMethod,
+    k: usize,
+    lb: Option<LoadBalanceConfig>,
+    naive: Option<u32>,
+    factors: &[f64],
+    seed: u64,
+) -> Shape {
+    let data = ClusteredVectors::generate(
+        ClusteredParams {
+            dims: 30,
+            clusters: 5,
+            deviation: 10.0,
+            n_objects: 4_000,
+            ..ClusteredParams::default()
+        },
+        seed,
+    );
+    let max_d = data.max_distance();
+    let qpoints = data.queries(30, seed ^ 0xF00D);
+    let truth = knn_batch::<_, [f32], _>(
+        &L2::new(),
+        &Dataset::new(data.objects.clone()),
+        &qpoints,
+        10,
+    );
+    let (spec, mapping) = map_index::<_, [f32], _>(
+        format!("shape-{method}-{k}"),
+        400,
+        false,
+        None,
+        &mut SimRng::new(seed ^ k as u64),
+        qpoints,
+        data.objects,
+        L2::bounded(30, 0.0, 100.0),
+        4_000,
+        |m, s, r| match method {
+            SelectionMethod::Greedy => greedy::<_, [f32], _>(m, s, k, r),
+            _ => kmeans::<_, [f32], _>(m, s, k, 10, r),
+        },
+        |m, _| boundary_from_metric::<[f32], _>(m.metric(), k).unwrap(),
+    );
+    let mut queries = Vec::new();
+    for &f in factors {
+        for (p, nn) in mapping.pool.iter().zip(&truth) {
+            queries.push(QuerySpec {
+                index: 0,
+                point: p.clone(),
+                radius: f * max_d,
+                truth: nn.iter().map(|&(id, _)| id).collect(),
+            });
+        }
+    }
+    let n_pool = mapping.pool.len();
+    let oracle = mapping.oracle(move |qid| qid as usize % n_pool);
+    let mut system = SearchSystem::build(
+        SystemConfig {
+            n_nodes: 48,
+            seed,
+            lb,
+            naive_level: naive,
+            ..SystemConfig::default()
+        },
+        &[spec],
+        oracle,
+    );
+    let outcomes = system.run_queries(&queries, 50.0);
+    let loads = system.load_distribution(0);
+    Shape { outcomes, loads }
+}
+
+fn mean_recall(outcomes: &[QueryOutcome]) -> f64 {
+    outcomes.iter().map(|o| o.recall).sum::<f64>() / outcomes.len() as f64
+}
+
+fn mean_msgs(outcomes: &[QueryOutcome]) -> f64 {
+    outcomes.iter().map(|o| o.query_msgs as f64).sum::<f64>() / outcomes.len() as f64
+}
 
 /// Paper figure 2 shape: recall grows with the query range factor and
 /// approaches 1 by the top of the sweep.

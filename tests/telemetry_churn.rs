@@ -8,15 +8,10 @@
 
 mod common;
 
-use std::sync::Arc;
-
-use landmark::{boundary_from_metric, kmeans, Mapper};
-use metric::{Metric, ObjectId, L2};
+use landmark::{boundary_from_metric, kmeans};
+use metric::{ObjectId, L2};
 use simnet::{SimRng, SimTime};
-use simsearch::{
-    IndexSpec, QueryDistance, QueryId, QueryOutcome, QuerySpec, ResilienceConfig, SearchSystem,
-    SystemConfig,
-};
+use simsearch::{map_index, QueryOutcome, QuerySpec, ResilienceConfig, SearchSystem, SystemConfig};
 use workloads::{ClusteredParams, ClusteredVectors};
 
 const SEED: u64 = 64064;
@@ -35,46 +30,38 @@ fn run_scenario() -> (Vec<QueryOutcome>, String) {
         },
         SEED,
     );
-    let metric = L2::bounded(12, 0.0, 100.0);
-    let mut rng = SimRng::new(SEED);
-    let sample: Vec<Vec<f32>> = rng
-        .sample_indices(data.objects.len(), 250)
-        .into_iter()
-        .map(|i| data.objects[i].clone())
-        .collect();
-    let landmarks = kmeans::<_, [f32], _>(&metric, &sample, 5, 10, &mut rng);
-    let mapper = Mapper::new(metric, landmarks);
-    let points = mapper.map_all::<[f32], _>(&data.objects);
-
-    let qpoints = data.queries(N_QUERIES, SEED ^ 7);
     let radius = 0.05 * data.max_distance();
+    let (spec, mapping) = map_index::<_, [f32], _>(
+        "churn".into(),
+        250,
+        true,
+        None,
+        &mut SimRng::new(SEED),
+        data.queries(N_QUERIES, SEED ^ 7),
+        data.objects,
+        L2::bounded(12, 0.0, 100.0),
+        2_000,
+        |m, s, r| kmeans::<_, [f32], _>(m, s, 5, 10, r),
+        |m, _| boundary_from_metric::<[f32], _>(m.metric(), 5).unwrap(),
+    );
     // Brute-force range truth: everything within `radius` by the true
     // metric. The landmark mapping is contractive, so a healthy run
     // answers all of it; churn must not eat any of it either.
-    let queries: Vec<QuerySpec> = qpoints
+    let queries: Vec<QuerySpec> = mapping
+        .pool
         .iter()
-        .map(|q| QuerySpec {
+        .enumerate()
+        .map(|(qi, p)| QuerySpec {
             index: 0,
-            point: mapper.map(q.as_slice()).into_vec(),
+            point: p.clone(),
             radius,
-            truth: data
-                .objects
-                .iter()
-                .enumerate()
-                .filter(|(_, o)| L2::new().distance(q.as_slice(), o.as_slice()) <= radius)
-                .map(|(i, _)| ObjectId(i as u32))
+            truth: (0..2_000)
+                .filter(|&oid| (mapping.dist)(qi, oid) <= radius)
+                .map(|oid| ObjectId(oid as u32))
                 .collect(),
         })
         .collect();
-
-    let objects = Arc::new(data.objects.clone());
-    let qp = Arc::new(qpoints);
-    let oracle: Arc<dyn QueryDistance> = Arc::new(move |qid: QueryId, obj: ObjectId| {
-        L2::new().distance(
-            qp[qid as usize].as_slice(),
-            objects[obj.0 as usize].as_slice(),
-        )
-    });
+    let oracle = mapping.oracle(|qid| qid as usize);
     let mut system = SearchSystem::build(
         SystemConfig {
             n_nodes: 64,
@@ -84,13 +71,7 @@ fn run_scenario() -> (Vec<QueryOutcome>, String) {
             resilience: Some(ResilienceConfig::default()), // r = 2
             ..SystemConfig::default()
         },
-        &[IndexSpec {
-            name: "churn".into(),
-            boundary: boundary_from_metric(&metric, 5).unwrap().dims,
-            points,
-            rotate: true,
-            rotation: None,
-        }],
+        &[spec],
         oracle,
     );
 

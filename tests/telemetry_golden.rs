@@ -7,12 +7,10 @@
 
 mod common;
 
-use std::sync::Arc;
-
-use landmark::{boundary_from_metric, kmeans, Mapper};
-use metric::{Metric, ObjectId, L2};
+use landmark::{boundary_from_metric, kmeans};
+use metric::L2;
 use simnet::SimRng;
-use simsearch::{IndexSpec, QueryDistance, QueryId, QuerySpec, SearchSystem, SystemConfig};
+use simsearch::{map_index, QuerySpec, SearchSystem, SystemConfig};
 use workloads::{ClusteredParams, ClusteredVectors};
 
 const SEED: u64 = 64064;
@@ -29,36 +27,31 @@ fn run_system() -> SearchSystem {
         },
         SEED,
     );
-    let metric = L2::bounded(12, 0.0, 100.0);
-    let mut rng = SimRng::new(SEED);
-    let sample: Vec<Vec<f32>> = rng
-        .sample_indices(data.objects.len(), 250)
-        .into_iter()
-        .map(|i| data.objects[i].clone())
-        .collect();
-    let landmarks = kmeans::<_, [f32], _>(&metric, &sample, 5, 10, &mut rng);
-    let mapper = Mapper::new(metric, landmarks);
-    let points = mapper.map_all::<[f32], _>(&data.objects);
-
-    let qpoints = data.queries(8, SEED ^ 7);
-    let queries: Vec<QuerySpec> = qpoints
+    let radius = 0.05 * data.max_distance();
+    let (spec, mapping) = map_index::<_, [f32], _>(
+        "golden".into(),
+        250,
+        true,
+        None,
+        &mut SimRng::new(SEED),
+        data.queries(8, SEED ^ 7),
+        data.objects,
+        L2::bounded(12, 0.0, 100.0),
+        2_000,
+        |m, s, r| kmeans::<_, [f32], _>(m, s, 5, 10, r),
+        |m, _| boundary_from_metric::<[f32], _>(m.metric(), 5).unwrap(),
+    );
+    let queries: Vec<QuerySpec> = mapping
+        .pool
         .iter()
-        .map(|q| QuerySpec {
+        .map(|p| QuerySpec {
             index: 0,
-            point: mapper.map(q.as_slice()).into_vec(),
-            radius: 0.05 * data.max_distance(),
+            point: p.clone(),
+            radius,
             truth: vec![],
         })
         .collect();
-
-    let objects = Arc::new(data.objects.clone());
-    let qp = Arc::new(qpoints);
-    let oracle: Arc<dyn QueryDistance> = Arc::new(move |qid: QueryId, obj: ObjectId| {
-        L2::new().distance(
-            qp[qid as usize].as_slice(),
-            objects[obj.0 as usize].as_slice(),
-        )
-    });
+    let oracle = mapping.oracle(|qid| qid as usize);
     let mut system = SearchSystem::build(
         SystemConfig {
             n_nodes: 64,
@@ -66,13 +59,7 @@ fn run_system() -> SearchSystem {
             lb: Some(simsearch::LoadBalanceConfig::default()),
             ..SystemConfig::default()
         },
-        &[IndexSpec {
-            name: "golden".into(),
-            boundary: boundary_from_metric(&metric, 5).unwrap().dims,
-            points,
-            rotate: true,
-            rotation: None,
-        }],
+        &[spec],
         oracle,
     );
     system.run_queries(&queries, 10.0);
