@@ -39,24 +39,33 @@ pub struct Setup<T> {
     pub truth: Vec<Vec<ObjectId>>,
     /// The metric's maximum distance, which range factors scale.
     pub max_distance: f64,
+    /// The index name's prefix: `synthetic` or `trec`.
+    name: &'static str,
     mapping: fn(&Setup<T>, &Scale, &Run) -> (IndexSpec, Mapping),
 }
 
 impl<T> Setup<T> {
     /// Select `run`'s landmarks and map the objects and queries.
     pub fn index(&self, scale: &Scale, run: &Run) -> (IndexSpec, Mapping) {
-        (self.mapping)(self, scale, run)
+        let (spec, mapping) = (self.mapping)(self, scale, run);
+        let name = format!("{}-{}", self.name, run.label());
+        let spec = IndexSpec {
+            name,
+            rotate: run.rotate,
+            ..spec
+        };
+        (spec, mapping)
     }
 }
 
 /// Exact 10-NN ids of every query object.
-fn top10<T, Q, M>(metric: &M, objects: &[T], queries: &[T]) -> Vec<Vec<ObjectId>>
+fn top10<T, Q, M>(metric: &M, objects: &Dataset<T>, queries: &[T]) -> Vec<Vec<ObjectId>>
 where
-    T: Clone + Borrow<Q> + Sync,
+    T: Borrow<Q> + Sync,
     Q: ?Sized + Sync,
     M: Metric<Q> + Sync,
 {
-    knn_batch::<_, Q, _>(metric, &Dataset::new(objects.to_vec()), queries, 10)
+    knn_batch::<_, Q, _>(metric, objects, queries, 10)
         .into_iter()
         .map(|nn| nn.into_iter().map(|(id, _)| id).collect())
         .collect()
@@ -71,18 +80,18 @@ pub fn synth_setup(scale: &Scale) -> Setup<Vec<f32>> {
     };
     let dataset = ClusteredVectors::generate(params, scale.seed);
     let queries = dataset.queries(scale.n_queries, scale.seed ^ 0x0A11);
+    let max_distance = dataset.max_distance();
+    let objects = Dataset::new(dataset.objects);
     Setup {
-        truth: top10::<_, [f32], _>(&L2::new(), &dataset.objects, &queries),
-        max_distance: dataset.max_distance(),
-        objects: dataset.objects,
+        truth: top10::<_, [f32], _>(&L2::new(), &objects, &queries),
+        max_distance,
+        name: "synthetic",
+        objects: objects.into_objects(),
         queries,
         mapping: |s, scale, run| {
             let k = run.k;
             map_index::<_, [f32], _>(
-                format!("synthetic-{}", run.label()),
                 scale.sample,
-                run.rotate,
-                None,
                 &mut SimRng::new(scale.seed).fork(0x5E1E ^ k as u64),
                 s.queries.clone(),
                 s.objects.clone(),
@@ -114,18 +123,17 @@ pub fn trec_corpus(scale: &Scale) -> Corpus {
 /// queries), and a boundary from the selection procedure.
 pub fn trec_setup(scale: &Scale) -> Setup<SparseVector> {
     let corpus = trec_corpus(scale);
+    let docs = Dataset::new(corpus.docs);
     Setup {
-        truth: top10::<_, SparseVector, _>(&Angular::new(), &corpus.docs, &corpus.topics),
+        truth: top10::<_, SparseVector, _>(&Angular::new(), &docs, &corpus.topics),
         max_distance: std::f64::consts::FRAC_PI_2,
-        objects: corpus.docs,
+        name: "trec",
+        objects: docs.into_objects(),
         queries: corpus.topics,
         mapping: |s, scale, run| {
             let k = run.k;
             map_index::<_, SparseVector, _>(
-                format!("trec-{}", run.label()),
                 scale.sample,
-                run.rotate,
-                None,
                 &mut SimRng::new(scale.seed).fork(0x7EC5E1 ^ k as u64),
                 s.queries.clone(),
                 s.objects.clone(),

@@ -64,11 +64,29 @@ impl<T, M> Mapper<T, M> {
             .collect()
     }
 
+    /// Map one object into a caller-provided buffer (cleared first), so
+    /// bulk loops can reuse one allocation across objects.
+    pub fn map_into<Q>(&self, obj: &Q, out: &mut Vec<f64>)
+    where
+        Q: ?Sized,
+        T: Borrow<Q>,
+        M: Metric<Q>,
+    {
+        out.clear();
+        out.extend(
+            self.landmarks
+                .iter()
+                .map(|l| self.metric.distance(obj, l.borrow())),
+        );
+    }
+
     /// Map a whole collection, preserving order, fanned out over the
     /// worker threads (each object's `k` landmark distances are an
-    /// independent unit of work). Output is deterministic: the parallel
-    /// map chunks by contiguous index ranges and concatenates in order,
-    /// so this equals the sequential `objs.iter().map(..)` exactly.
+    /// independent unit of work). Each landmark is prepared once
+    /// through [`Metric::distance_to`]. Output is deterministic: the
+    /// parallel map chunks by contiguous index ranges and concatenates
+    /// in order, so this equals the sequential `objs.iter().map(..)`
+    /// exactly.
     pub fn map_all<Q, B>(&self, objs: &[B]) -> Vec<Vec<f64>>
     where
         Q: ?Sized + Sync,
@@ -76,8 +94,11 @@ impl<T, M> Mapper<T, M> {
         T: Borrow<Q> + Sync,
         M: Metric<Q> + Sync,
     {
+        let to: Vec<_> = (self.landmarks.iter())
+            .map(|l| self.metric.distance_to(l.borrow()))
+            .collect();
         objs.par_iter()
-            .map(|o| self.map(o.borrow()).into_vec())
+            .map(|o| to.iter().map(|d| d(o.borrow())).collect())
             .collect()
     }
 }
@@ -129,6 +150,18 @@ mod tests {
         let mapper = Mapper::new(EditDistance, vec!["ACGT".to_string(), "AAAA".to_string()]);
         let p = mapper.map("ACGA");
         assert_eq!(&*p, &[1.0, 2.0]);
+    }
+
+    #[test]
+    fn map_into_reuses_the_buffer() {
+        let mapper = Mapper::new(L2::new(), vec![vec![0.0f32], vec![10.0f32]]);
+        let mut buf = Vec::with_capacity(2);
+        mapper.map_into(&[3.0f32][..], &mut buf);
+        assert_eq!(buf, vec![3.0, 7.0]);
+        let cap = buf.capacity();
+        mapper.map_into(&[9.0f32][..], &mut buf);
+        assert_eq!(buf, vec![9.0, 1.0]);
+        assert_eq!(buf.capacity(), cap, "buffer must be reused, not regrown");
     }
 
     #[test]

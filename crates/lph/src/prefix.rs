@@ -63,6 +63,12 @@ impl Prefix {
         self.len == 0
     }
 
+    /// True when every division has been applied (a single cell).
+    #[inline]
+    pub fn is_full(&self) -> bool {
+        self.len == KEY_BITS
+    }
+
     /// The `pos`-th bit (1-based from the most significant bit, the
     /// paper's convention). Panics if `pos` exceeds the prefix length.
     #[inline]
@@ -211,7 +217,7 @@ mod tests {
         assert!(p.contains_key(key));
         // Full-length prefix is a single key.
         let full = Prefix::of_key(key, 64);
-        assert_eq!(full.len(), KEY_BITS);
+        assert!(full.is_full());
         assert_eq!(full.key_range(), (key, key));
     }
 

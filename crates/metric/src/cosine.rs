@@ -136,6 +136,33 @@ impl Metric<SparseVector> for Angular {
     fn upper_bound(&self) -> Option<f64> {
         Some(self.bound)
     }
+
+    /// One dense weight table for `fixed` makes each dot product a walk
+    /// over the other vector's terms alone, not a merge with `fixed`'s (a
+    /// k-means centroid carries thousands). The matching products are
+    /// summed in the same term order as [`SparseVector::dot`], and the
+    /// zero products it adds leave a sum that is never `-0.0` unchanged,
+    /// so every distance equals [`Metric::distance`]'s bit for bit.
+    fn distance_to<'a>(
+        &'a self,
+        fixed: &'a SparseVector,
+    ) -> Box<dyn Fn(&SparseVector) -> f64 + Send + Sync + 'a> {
+        let len = fixed.terms.last().map_or(0, |&(t, _)| t as usize + 1);
+        let mut dense = vec![0.0f32; len];
+        for &(t, w) in &fixed.terms {
+            dense[t as usize] = w;
+        }
+        Box::new(move |o: &SparseVector| {
+            if o.norm == 0.0 || fixed.norm == 0.0 {
+                return o.cosine(fixed).acos();
+            }
+            let mut dot = 0.0f64;
+            for &(t, w) in o.terms.iter().take_while(|&&(t, _)| (t as usize) < len) {
+                dot += w as f64 * dense[t as usize] as f64;
+            }
+            (dot / (o.norm * fixed.norm)).clamp(-1.0, 1.0).acos()
+        })
+    }
 }
 
 #[cfg(test)]

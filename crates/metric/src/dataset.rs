@@ -54,6 +54,11 @@ impl<T> Dataset<T> {
         (0..self.objects.len() as u32).map(ObjectId)
     }
 
+    /// Unwrap into the objects, in id order.
+    pub fn into_objects(self) -> Vec<T> {
+        self.objects
+    }
+
     /// Add an object, returning its id.
     pub fn push(&mut self, object: T) -> ObjectId {
         let id = ObjectId(self.objects.len() as u32);

@@ -25,6 +25,17 @@ pub trait Metric<T: ?Sized>: Send + Sync {
     fn upper_bound(&self) -> Option<f64> {
         None
     }
+
+    /// `d(·, fixed)` as a function of the other object, for many calls
+    /// against one `fixed` object. A metric that can prepare `fixed`
+    /// overrides it ([`crate::Angular`] spreads its terms into a dense
+    /// table); the function must equal [`Metric::distance`] bit for bit.
+    fn distance_to<'a>(&'a self, fixed: &'a T) -> Box<dyn Fn(&T) -> f64 + Send + Sync + 'a>
+    where
+        T: Sync,
+    {
+        Box::new(move |o| self.distance(o, fixed))
+    }
 }
 
 /// Blanket impl so `&M` is a metric wherever `M` is — lets callers pass
@@ -35,6 +46,12 @@ impl<T: ?Sized, M: Metric<T> + ?Sized> Metric<T> for &M {
     }
     fn upper_bound(&self) -> Option<f64> {
         (**self).upper_bound()
+    }
+    fn distance_to<'a>(&'a self, fixed: &'a T) -> Box<dyn Fn(&T) -> f64 + Send + Sync + 'a>
+    where
+        T: Sync,
+    {
+        (**self).distance_to(fixed)
     }
 }
 

@@ -74,6 +74,22 @@ proptest! {
     }
 
     #[test]
+    fn angular_distance_to_is_distance_bit_for_bit(
+        fixed in prop::collection::vec((0u32..300, -10.0f32..10.0), 0..200),
+        others in prop::collection::vec(prop::collection::vec((0u32..320, -10.0f32..10.0), 0..60), 1..8),
+    ) {
+        // The prepared landmark (a dense table) must reproduce the merge
+        // exactly: signed weights, zero vectors and terms past the
+        // fixed vector's last one included.
+        let fixed = SparseVector::new(fixed);
+        let m = Angular::signed();
+        let to = m.distance_to(&fixed);
+        for o in others.into_iter().map(SparseVector::new) {
+            prop_assert_eq!(to(&o).to_bits(), m.distance(&o, &fixed).to_bits());
+        }
+    }
+
+    #[test]
     fn hausdorff_axioms(x in pointset_strategy(), y in pointset_strategy(), z in pointset_strategy()) {
         check_axioms(&Hausdorff::new(), &x, &y, &z, 1e-9).unwrap();
     }

@@ -82,7 +82,7 @@ fn build_index(
     let qseed = index_seed(sc, decl.data_seed, 0x9001);
     let rng = &mut SimRng::new(index_seed(sc, decl.data_seed, 0x5E1));
     let k = decl.landmarks;
-    let (name, sample) = (decl.name.clone(), decl.sample);
+    let sample = decl.sample;
     let ((spec, mapping), radius) = match decl.scheme {
         SchemeDecl::Clustered {
             objects,
@@ -102,10 +102,7 @@ fn build_index(
             );
             let radius = decl.radius * data.max_distance();
             let mapped = map_index::<_, [f32], _>(
-                name,
                 sample,
-                decl.rotate,
-                decl.rotation,
                 rng,
                 data.queries(pool_total, qseed),
                 data.objects,
@@ -128,10 +125,7 @@ fn build_index(
             let base_n = data.sequences.len().saturating_sub(publish_total);
             assert!(base_n > 0, "strings scheme too small for its publishes");
             let mapped = map_index::<_, str, _>(
-                name,
                 sample,
-                decl.rotate,
-                decl.rotation,
                 rng,
                 data.queries(pool_total, qseed),
                 data.sequences,
@@ -154,10 +148,7 @@ fn build_index(
                 dseed,
             );
             let mapped = map_index::<_, SparseVector, _>(
-                name,
                 sample,
-                decl.rotate,
-                decl.rotation,
                 rng,
                 // Query pool: the corpus's query topics, cycled.
                 (0..pool_total)
@@ -193,10 +184,7 @@ fn build_index(
             let base_n = ts.windows.len().saturating_sub(publish_total);
             assert!(base_n > 0, "timeseries scheme too small for its publishes");
             let mapped = map_index::<_, [f32], _>(
-                name,
                 sample,
-                decl.rotate,
-                decl.rotation,
                 rng,
                 ts.queries(pool_total, qseed)
                     .into_iter()
@@ -215,6 +203,12 @@ fn build_index(
         base_n: spec.points.len(),
         mapping,
         radius,
+    };
+    let spec = IndexSpec {
+        name: decl.name.clone(),
+        rotate: decl.rotate,
+        rotation: decl.rotation,
+        ..spec
     };
     (spec, built)
 }

@@ -43,6 +43,15 @@ impl NetStats {
         self.messages += 1;
         self.bytes += bytes as u64;
     }
+
+    /// Mean message size in bytes, or 0 when no messages were sent.
+    pub fn mean_message_bytes(&self) -> f64 {
+        if self.messages == 0 {
+            0.0
+        } else {
+            self.bytes as f64 / self.messages as f64
+        }
+    }
 }
 
 #[cfg(test)]
@@ -56,5 +65,11 @@ mod tests {
         s.on_send(50);
         assert_eq!(s.messages, 2);
         assert_eq!(s.bytes, 150);
+        assert_eq!(s.mean_message_bytes(), 75.0);
+    }
+
+    #[test]
+    fn empty_mean_is_zero() {
+        assert_eq!(NetStats::default().mean_message_bytes(), 0.0);
     }
 }

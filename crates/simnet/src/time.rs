@@ -73,6 +73,11 @@ impl SimDuration {
         debug_assert!(s >= 0.0 && s.is_finite());
         SimDuration((s * 1e9).round() as u64)
     }
+    /// Construct from fractional milliseconds.
+    pub fn from_millis_f64(ms: f64) -> Self {
+        debug_assert!(ms >= 0.0 && ms.is_finite());
+        SimDuration((ms * 1e6).round() as u64)
+    }
     /// This span expressed in fractional seconds.
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9
@@ -80,6 +85,10 @@ impl SimDuration {
     /// This span expressed in fractional milliseconds.
     pub fn as_millis_f64(self) -> f64 {
         self.0 as f64 / 1e6
+    }
+    /// Integer division of the span, rounding toward zero.
+    pub fn div_by(self, by: u64) -> SimDuration {
+        SimDuration(self.0 / by)
     }
 }
 
@@ -151,6 +160,7 @@ mod tests {
         assert_eq!(SimTime::from_millis(3).0, 3_000_000);
         assert_eq!(SimTime::from_micros(3).0, 3_000);
         assert_eq!(SimTime::from_secs_f64(1.5).as_secs_f64(), 1.5);
+        assert_eq!(SimDuration::from_millis_f64(0.25).as_millis_f64(), 0.25);
     }
 
     #[test]
@@ -182,5 +192,13 @@ mod tests {
     fn display_formats() {
         assert_eq!(format!("{}", SimTime::from_millis(1500)), "1.500000s");
         assert_eq!(format!("{}", SimDuration::from_micros(1500)), "1.500ms");
+    }
+
+    #[test]
+    fn div_duration() {
+        assert_eq!(
+            SimDuration::from_millis(10).div_by(4),
+            SimDuration(2_500_000)
+        );
     }
 }

@@ -140,15 +140,14 @@ impl Mapping {
 /// `select` the landmarks from the sample on the same stream, map the
 /// objects, fix the boundary, map the query `pool`, hold the objects
 /// past `base_n` out as runtime publishes, and keep the true distance
-/// for the oracle. The spec publishes the first `base_n` objects.
-/// Every experiment maps through it, so keep its `sel_rng` draw order
-/// or every figure and golden moves.
+/// for the oracle. The spec publishes the first `base_n` objects; its
+/// name is empty and it is not rotated, so a caller that names or
+/// rotates its index sets those fields. Every experiment maps through
+/// it, so keep its `sel_rng` draw order or every figure and golden
+/// moves.
 #[allow(clippy::too_many_arguments)]
 pub fn map_index<T, Q, M>(
-    name: String,
     sample: usize,
-    rotate: bool,
-    rotation: Option<u64>,
     sel_rng: &mut SimRng,
     pool: Vec<T>,
     objects: Vec<T>,
@@ -178,11 +177,11 @@ where
         metric.distance(pool[q].borrow(), objects[oid].borrow())
     });
     let spec = IndexSpec {
-        name,
+        name: String::new(),
         boundary,
         points,
-        rotate,
-        rotation,
+        rotate: false,
+        rotation: None,
     };
     let mapping = Mapping {
         pool: pool_points,

@@ -4,7 +4,7 @@
 use landmark::{boundary_from_metric, greedy};
 use metric::L2;
 use simnet::SimRng;
-use simsearch::{map_index, QueryOutcome, QuerySpec, SearchSystem, SystemConfig};
+use simsearch::{map_index, IndexSpec, QueryOutcome, QuerySpec, SearchSystem, SystemConfig};
 use workloads::{ClusteredParams, ClusteredVectors};
 
 fn run_once(seed: u64) -> Vec<QueryOutcome> {
@@ -19,10 +19,7 @@ fn run_once(seed: u64) -> Vec<QueryOutcome> {
         seed,
     );
     let (spec, mapping) = map_index::<_, [f32], _>(
-        "det".into(),
         150,
-        true,
-        None,
         &mut SimRng::new(seed),
         data.queries(6, seed ^ 3),
         data.objects,
@@ -31,6 +28,11 @@ fn run_once(seed: u64) -> Vec<QueryOutcome> {
         |m, s, r| greedy::<_, [f32], _>(m, s, 5, r),
         |m, _| boundary_from_metric::<[f32], _>(m.metric(), 5).unwrap(),
     );
+    let spec = IndexSpec {
+        name: "det".into(),
+        rotate: true,
+        ..spec
+    };
     let queries: Vec<QuerySpec> = mapping
         .pool
         .iter()

@@ -43,10 +43,7 @@ fn run_shape(
         10,
     );
     let (spec, mapping) = map_index::<_, [f32], _>(
-        format!("shape-{method}-{k}"),
         400,
-        false,
-        None,
         &mut SimRng::new(seed ^ k as u64),
         qpoints,
         data.objects,

@@ -11,7 +11,9 @@ mod common;
 use landmark::{boundary_from_metric, kmeans};
 use metric::{ObjectId, L2};
 use simnet::{SimRng, SimTime};
-use simsearch::{map_index, QueryOutcome, QuerySpec, ResilienceConfig, SearchSystem, SystemConfig};
+use simsearch::{
+    map_index, IndexSpec, QueryOutcome, QuerySpec, ResilienceConfig, SearchSystem, SystemConfig,
+};
 use workloads::{ClusteredParams, ClusteredVectors};
 
 const SEED: u64 = 64064;
@@ -32,10 +34,7 @@ fn run_scenario() -> (Vec<QueryOutcome>, String) {
     );
     let radius = 0.05 * data.max_distance();
     let (spec, mapping) = map_index::<_, [f32], _>(
-        "churn".into(),
         250,
-        true,
-        None,
         &mut SimRng::new(SEED),
         data.queries(N_QUERIES, SEED ^ 7),
         data.objects,
@@ -44,6 +43,11 @@ fn run_scenario() -> (Vec<QueryOutcome>, String) {
         |m, s, r| kmeans::<_, [f32], _>(m, s, 5, 10, r),
         |m, _| boundary_from_metric::<[f32], _>(m.metric(), 5).unwrap(),
     );
+    let spec = IndexSpec {
+        name: "churn".into(),
+        rotate: true,
+        ..spec
+    };
     // Brute-force range truth: everything within `radius` by the true
     // metric. The landmark mapping is contractive, so a healthy run
     // answers all of it; churn must not eat any of it either.

@@ -10,7 +10,7 @@ mod common;
 use landmark::{boundary_from_metric, kmeans};
 use metric::L2;
 use simnet::SimRng;
-use simsearch::{map_index, QuerySpec, SearchSystem, SystemConfig};
+use simsearch::{map_index, IndexSpec, QuerySpec, SearchSystem, SystemConfig};
 use workloads::{ClusteredParams, ClusteredVectors};
 
 const SEED: u64 = 64064;
@@ -29,10 +29,7 @@ fn run_system() -> SearchSystem {
     );
     let radius = 0.05 * data.max_distance();
     let (spec, mapping) = map_index::<_, [f32], _>(
-        "golden".into(),
         250,
-        true,
-        None,
         &mut SimRng::new(SEED),
         data.queries(8, SEED ^ 7),
         data.objects,
@@ -41,6 +38,11 @@ fn run_system() -> SearchSystem {
         |m, s, r| kmeans::<_, [f32], _>(m, s, 5, 10, r),
         |m, _| boundary_from_metric::<[f32], _>(m.metric(), 5).unwrap(),
     );
+    let spec = IndexSpec {
+        name: "golden".into(),
+        rotate: true,
+        ..spec
+    };
     let queries: Vec<QuerySpec> = mapping
         .pool
         .iter()
