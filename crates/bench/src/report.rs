@@ -210,3 +210,43 @@ mod tests {
         assert!(body.contains('1'));
     }
 }
+
+/// Reading a checked-in `BENCH_*.json` back, for the tests that pin the
+/// report writers to their artifacts.
+#[cfg(test)]
+pub(crate) mod artifact {
+    use std::collections::BTreeMap;
+
+    use serde_json::Value;
+
+    /// The first `block` object of the artifact `text`, as field name →
+    /// the value's text exactly as the artifact prints it.
+    pub(crate) fn block_fields(text: &str, block: &str) -> BTreeMap<String, String> {
+        let start = text
+            .find(&format!("\"{block}\": {{"))
+            .unwrap_or_else(|| panic!("the artifact has no `{block}` object"));
+        text[start..]
+            .lines()
+            .skip(1)
+            .map(str::trim)
+            .take_while(|l| !l.starts_with('}'))
+            .map(|l| {
+                let (k, v) = l
+                    .trim_end_matches(',')
+                    .split_once(": ")
+                    .expect("`key: value`");
+                (k.trim_matches('"').to_string(), v.to_string())
+            })
+            .collect()
+    }
+
+    /// `v`'s fields printed as the artifact prints them.
+    pub(crate) fn fields(v: &Value) -> BTreeMap<String, String> {
+        let Value::Object(map) = v else {
+            panic!("not an object: {v}")
+        };
+        map.iter()
+            .map(|(k, v)| (k.clone(), v.to_string()))
+            .collect()
+    }
+}
