@@ -1,29 +1,30 @@
-//! Criterion microbenchmarks of the hot kernels: locality-preserving
-//! hashing, query splitting, metric evaluations, landmark selection,
-//! local routing decisions, and the query-path performance kernels
-//! (span- and bounds-narrowed store scans, store inserts, one node's
-//! refine answer through `simnet::dispatch` with the parent's sniffed
-//! oracle and with the stored-vector one, lower-bound pruning, parallel
-//! mapping).
+//! Microbenchmarks of the hot kernels — locality-preserving hashing,
+//! query splitting, metric evaluations, landmark selection and mapping,
+//! local routing decisions, store scans and inserts, one node's refine
+//! answer through `simnet::dispatch` with the parent's sniffed oracle
+//! and with the stored-vector one, lower-bound pruning — and of the
+//! 64-node query batch end to end.
 //!
-//! Besides the timing suite, this target emits the canonical
-//! `BENCH_micro.json` (work counters of the 64-node scenario plus kernel
-//! timings) under `target/experiments/`, and doubles as the CI
+//! Every kernel is timed by [`time_ns`] into the `kernels` object of the
+//! canonical `BENCH_micro.json` (beside the work counters of the 64-node
+//! scenario) under `target/experiments/`; `MICRO_QUICK=1` runs the quick
+//! scenario and a shorter timing budget. The target doubles as the CI
 //! `bench-smoke` gate: with `BENCH_SMOKE=1` it runs the quick scenario
 //! only and fails the process when the scanned/pruned counters regress
 //! past the thresholds checked in below (`MAX_SCANNED_QUICK` etc.).
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
+use std::hint::black_box;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use bench::micro_report::run_micro_scenario;
-use criterion::{black_box, criterion_group, Criterion};
 use landmark::{greedy, Mapper};
 use lph::{Grid, Prefix, Rect, Rotation};
 use metric::{Angular, EditDistance, Metric, ObjectId, SparseVector, L2};
 use node::scenario::{l2, rotation, Scenario, StoredL2, KNN_K};
 use rand::RngCore;
+use serde_json::{ToJson, Value};
 use simnet::{dispatch, AgentId, Input, Links, Output, ProtoCtx, SimDuration, SimRng, SimTime};
 use simsearch::msg::DistanceOracle;
 use simsearch::node::IndexState;
@@ -31,109 +32,6 @@ use simsearch::{
     route_subquery, Entry, QueryBall, QueryDistance, QueryId, SearchMsg, SearchNode, Store,
     SubQueryMsg,
 };
-
-fn bench_lph(c: &mut Criterion) {
-    let grid = Grid::uniform(10, 0.0, 1000.0);
-    let mut rng = SimRng::new(1);
-    let point: Vec<f64> = (0..10).map(|_| rng.f64() * 1000.0).collect();
-    c.bench_function("lph/hash_10d_64bit", |b| {
-        b.iter(|| grid.hash(black_box(&point)))
-    });
-
-    let rect = Rect::ball(&point, 25.0, grid.bounds());
-    c.bench_function("lph/enclosing_prefix_10d", |b| {
-        b.iter(|| grid.enclosing_prefix(black_box(&rect)))
-    });
-
-    let sq = lph::SubQuery {
-        rect: rect.clone(),
-        prefix: grid.enclosing_prefix(&rect),
-    };
-    c.bench_function("lph/split_10d", |b| b.iter(|| grid.split(black_box(&sq))));
-
-    c.bench_function("lph/cell_decode_depth64", |b| {
-        let key = grid.hash(&point);
-        b.iter(|| grid.cell(Prefix::of_key(black_box(key), 64)))
-    });
-}
-
-fn bench_metrics(c: &mut Criterion) {
-    let mut rng = SimRng::new(2);
-    let a: Vec<f32> = (0..100).map(|_| rng.f64() as f32 * 100.0).collect();
-    let b: Vec<f32> = (0..100).map(|_| rng.f64() as f32 * 100.0).collect();
-    let l2 = L2::new();
-    c.bench_function("metric/l2_100d", |bch| {
-        bch.iter(|| l2.distance(black_box(&a[..]), black_box(&b[..])))
-    });
-
-    let s1 = "ACGTACGTACGTACGTACGTACGTACGTACGTACGTACGTACGTACGTACGTACGTACGTACGT";
-    let s2 = "ACGTACGAACGTACGTACCTACGTACGTACGAACGTACGTACGTTCGTACGTACGTACGTACG";
-    c.bench_function("metric/edit_64ch", |bch| {
-        bch.iter(|| EditDistance::levenshtein(black_box(s1.as_bytes()), black_box(s2.as_bytes())))
-    });
-
-    let mk_sparse = |n: usize, seed: u64| {
-        let mut r = SimRng::new(seed);
-        SparseVector::new(
-            (0..n)
-                .map(|_| (r.below(40_000) as u32, r.f64() as f32 + 0.1))
-                .collect(),
-        )
-    };
-    let d1 = mk_sparse(150, 3);
-    let d2 = mk_sparse(150, 4);
-    let ang = Angular::new();
-    c.bench_function("metric/angular_150nnz", |bch| {
-        bch.iter(|| ang.distance(black_box(&d1), black_box(&d2)))
-    });
-}
-
-fn bench_selection(c: &mut Criterion) {
-    let mut rng = SimRng::new(5);
-    let sample: Vec<Vec<f32>> = (0..500)
-        .map(|_| (0..10).map(|_| rng.f64() as f32 * 100.0).collect())
-        .collect();
-    c.bench_function("landmark/greedy_500x10d_k10", |b| {
-        b.iter(|| {
-            let mut r = SimRng::new(7);
-            greedy::<_, [f32], _>(&L2::new(), black_box(&sample), 10, &mut r)
-        })
-    });
-}
-
-fn bench_routing(c: &mut Criterion) {
-    let mut rng = SimRng::new(6);
-    let ring = chord::OracleRing::with_random_ids(256, &mut rng);
-    let tables = ring.build_all_tables(16, None, 16);
-    let grid = Grid::uniform(10, 0.0, 1000.0);
-    let center: Vec<f64> = (0..10).map(|_| rng.f64() * 1000.0).collect();
-    let rect = Rect::ball(&center, 50.0, grid.bounds());
-    let sq = SubQueryMsg {
-        qid: 0,
-        index: 0,
-        rect: rect.clone(),
-        prefix: grid.enclosing_prefix(&rect),
-        hops: 0,
-        origin: simnet::AgentId(0),
-        ball: None,
-        shortcut: false,
-    };
-    c.bench_function("routing/route_subquery_256nodes", |b| {
-        b.iter(|| {
-            route_subquery(
-                black_box(&tables[10]),
-                &grid,
-                Rotation::IDENTITY,
-                black_box(sq.clone()),
-                true,
-            )
-        })
-    });
-    let key = chord::ChordId(rng.next_u64());
-    c.bench_function("chord/route_256nodes", |b| {
-        b.iter(|| tables[10].route(black_box(key)))
-    });
-}
 
 /// A populated store plus a query rect and its key span, shaped like the
 /// 64-node scenario's per-node state (clustered 5-d index points).
@@ -149,11 +47,7 @@ fn scan_fixture() -> (Store, Rect, (u64, u64)) {
     };
     store.extend((0..4_000u32).map(|i| {
         let p = point(&mut rng);
-        Entry {
-            ring_key: grid.hash(&p),
-            obj: ObjectId(i),
-            point: p.into_boxed_slice(),
-        }
+        Entry::new(&grid, Rotation::IDENTITY, ObjectId(i), &p)
     }));
     let center = point(&mut rng);
     let rect = Rect::ball(&center, 6.0, grid.bounds());
@@ -170,11 +64,7 @@ fn wide_corpus() -> (Vec<Entry>, QueryBall, Rect, (u64, u64)) {
     let entries = (0..60_000u32)
         .map(|i| {
             let p: Vec<f64> = (0..5).map(|_| rng.f64()).collect();
-            Entry {
-                ring_key: grid.hash(&p),
-                obj: ObjectId(i),
-                point: p.into_boxed_slice(),
-            }
+            Entry::new(&grid, Rotation::IDENTITY, ObjectId(i), &p)
         })
         .collect();
     let center: Vec<f64> = (0..5).map(|_| 0.25 + 0.5 * rng.f64()).collect();
@@ -267,7 +157,7 @@ impl Links for NoLinks {
 
 impl RefineKernel {
     fn new(sniffed: bool) -> RefineKernel {
-        let (entries, ball, rect, _) = wide_fixture();
+        let (entries, ball, _, _) = wide_fixture();
         let sc = Scenario {
             dims: 5,
             depth: 12,
@@ -299,14 +189,8 @@ impl RefineKernel {
             store: store_by_insert(&entries),
         };
         let refine = SubQueryMsg {
-            qid: 0,
-            index: 0,
-            prefix: grid.enclosing_prefix(&rect),
-            rect,
             hops: 1,
-            origin: AgentId(0),
-            ball: Some(ball),
-            shortcut: false,
+            ..SubQueryMsg::issue(0, 0, AgentId(0), &grid, ball)
         };
         RefineKernel {
             node: SearchNode::new(table, vec![index], oracle, KNN_K, None),
@@ -360,87 +244,8 @@ impl RefineKernel {
     }
 }
 
-fn bench_store_scan(c: &mut Criterion) {
-    let (store, rect, span) = scan_fixture();
-    c.bench_function("store/scan_full_4000", |b| {
-        b.iter(|| store.scan_range(black_box(&rect), black_box((0, u64::MAX))))
-    });
-    c.bench_function("store/scan_range_4000", |b| {
-        b.iter(|| store.scan_range(black_box(&rect), black_box(span)))
-    });
-    let (entries, _, rect, span) = wide_fixture();
-    let store = store_by_insert(&entries);
-    c.bench_function("store/scan_range_wide_7500", |b| {
-        b.iter(|| store.scan_range(black_box(&rect), black_box(span)))
-    });
-    c.bench_function("store/insert_wide_7500", |b| {
-        b.iter(|| store_by_insert(black_box(&entries)))
-    });
-}
-
-fn bench_refine(c: &mut Criterion) {
-    for (name, sniffed) in [
-        ("refine/wide_7500_sniffed_maps", true),
-        ("refine/wide_7500_stored_l2", false),
-    ] {
-        let mut kernel = RefineKernel::new(sniffed);
-        c.bench_function(name, |b| b.iter(|| kernel.answer()));
-    }
-}
-
-fn bench_prune(c: &mut Criterion) {
-    let mut rng = SimRng::new(0xB7);
-    let bounds = Rect::cube(5, 0.0, 100.0);
-    let center: Vec<f64> = (0..5).map(|_| rng.f64() * 110.0 - 5.0).collect();
-    let ball = QueryBall {
-        center: center.into(),
-        radius: 10.0,
-    };
-    let point: Vec<f64> = (0..5).map(|_| rng.f64() * 100.0).collect();
-    c.bench_function("prune/lower_bound_5d", |b| {
-        b.iter(|| ball.lower_bound(black_box(&point), black_box(&bounds)))
-    });
-}
-
-fn bench_map_all(c: &mut Criterion) {
-    let mut rng = SimRng::new(0xC9);
-    let objs: Vec<Vec<f32>> = (0..4_000)
-        .map(|_| (0..100).map(|_| rng.f64() as f32 * 100.0).collect())
-        .collect();
-    let landmarks: Vec<Vec<f32>> = (0..10)
-        .map(|_| (0..100).map(|_| rng.f64() as f32 * 100.0).collect())
-        .collect();
-    let mapper = Mapper::new(L2::new(), landmarks);
-    c.bench_function("landmark/map_seq_4000x100d_k10", |b| {
-        b.iter(|| -> Vec<Vec<f64>> {
-            objs.iter()
-                .map(|o| mapper.map(o.as_slice()).into_vec())
-                .collect()
-        })
-    });
-    c.bench_function("landmark/map_all_par_4000x100d_k10", |b| {
-        b.iter(|| mapper.map_all::<[f32], _>(black_box(&objs)))
-    });
-}
-
-fn bench_e2e(c: &mut Criterion) {
-    c.bench_function("e2e/64node_query_batch_quick", |b| {
-        b.iter(|| run_micro_scenario(true))
-    });
-}
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default()
-        .warm_up_time(Duration::from_millis(300))
-        .measurement_time(Duration::from_secs(1))
-        .sample_size(30);
-    targets = bench_lph, bench_metrics, bench_selection, bench_routing, bench_store_scan,
-        bench_refine, bench_prune, bench_map_all, bench_e2e
-}
-
-/// Median-free, budget-bound mean ns/iter — same loop the criterion shim
-/// uses, but returning the number so it can land in `BENCH_micro.json`.
+/// Median-free, budget-bound mean ns/iter: a quarter of `budget` warming
+/// up, then as many calls of `f` as fit in `budget`.
 fn time_ns(budget: Duration, mut f: impl FnMut()) -> f64 {
     let warm = Instant::now();
     while warm.elapsed() < budget / 4 {
@@ -455,45 +260,79 @@ fn time_ns(budget: Duration, mut f: impl FnMut()) -> f64 {
     start.elapsed().as_nanos() as f64 / iters as f64
 }
 
+/// The `kernels` object of the JSON report, filled a kernel at a time.
+struct Kernels {
+    budget: Duration,
+    out: BTreeMap<String, Value>,
+}
+
+impl Kernels {
+    /// Time `f` by [`time_ns`] under `key`, and print it.
+    fn time(&mut self, key: &str, f: impl FnMut()) {
+        self.put(key, time_ns(self.budget, f));
+    }
+
+    /// Record `value` under `key` and print it.
+    fn put(&mut self, key: &str, value: impl ToJson) {
+        let value = value.to_json();
+        println!("{key:<48} {value}");
+        self.out.insert(key.into(), value);
+    }
+}
+
 /// Kernel timings for the JSON report (counters carry the guarantees;
 /// these numbers are indicative, machine-dependent wall clock).
-fn kernel_timings(budget: Duration) -> serde_json::Value {
+fn kernel_timings(budget: Duration) -> Value {
+    let mut k = Kernels {
+        budget,
+        out: BTreeMap::new(),
+    };
     let (store, rect, span) = scan_fixture();
-    let scan_full = time_ns(budget, || {
+    k.time("scan_full_4000_ns", || {
         black_box(store.scan_range(black_box(&rect), black_box((0, u64::MAX))));
     });
-    let scan_range = time_ns(budget, || {
+    k.time("scan_range_4000_ns", || {
         black_box(store.scan_range(black_box(&rect), black_box(span)));
     });
     let (entries, _, rect, span) = wide_fixture();
     let store = store_by_insert(&entries);
     let wide_stats = store.scan_range(&rect, span).1;
-    let scan_wide = time_ns(budget, || {
+    k.put("scan_range_wide_7500_scanned", wide_stats.scanned);
+    k.put("scan_range_wide_7500_matched", wide_stats.matched);
+    k.time("scan_range_wide_7500_ns", || {
         black_box(store.scan_range(black_box(&rect), black_box(span)));
     });
     let insert_wide = time_ns(budget, || {
         black_box(store_by_insert(black_box(&entries)));
-    }) / entries.len() as f64;
+    });
+    k.put(
+        "insert_wide_7500_ns_per_entry",
+        insert_wide / entries.len() as f64,
+    );
 
     // The same answer through the parent's sniffed maps and through the
     // stored vector, whole and its refinement calls alone: identical
     // work, so identical calls with identical distances.
-    let [sniffed, stored] = [true, false].map(|sniffed| {
-        let mut kernel = RefineKernel::new(sniffed);
-        let calls = kernel.record();
-        let answer_ns = time_ns(budget, || {
-            black_box(kernel.answer());
+    let [sniffed, stored] =
+        [("sniffed_maps", true), ("stored_l2", false)].map(|(name, sniffed)| {
+            let mut kernel = RefineKernel::new(sniffed);
+            let calls = kernel.record();
+            k.time(&format!("refine_wide_7500_{name}_ns_per_answer"), || {
+                black_box(kernel.answer());
+            });
+            k.time(
+                &format!("refine_wide_7500_{name}_dist_ns_per_answer"),
+                || {
+                    black_box(kernel.refine_all(black_box(&calls)));
+                },
+            );
+            (calls.len(), kernel.refine_all(&calls).to_bits())
         });
-        let dist_ns = time_ns(budget, || {
-            black_box(kernel.refine_all(black_box(&calls)));
-        });
-        (answer_ns, dist_ns, calls.len(), kernel.refine_all(&calls))
-    });
     assert_eq!(
-        (sniffed.2, sniffed.3.to_bits()),
-        (stored.2, stored.3.to_bits()),
+        sniffed, stored,
         "both oracles make the same calls and find the same distances"
     );
+    k.put("refine_wide_7500_dist_calls_per_answer", stored.0);
 
     let mut rng = SimRng::new(0xD1);
     let bounds = Rect::cube(5, 0.0, 100.0);
@@ -505,7 +344,7 @@ fn kernel_timings(budget: Duration) -> serde_json::Value {
         radius: 10.0,
     };
     let pt: Vec<f64> = (0..5).map(|_| rng.f64() * 100.0).collect();
-    let lower_bound = time_ns(budget, || {
+    k.time("lower_bound_5d_ns", || {
         black_box(ball.lower_bound(black_box(&pt), black_box(&bounds)));
     });
 
@@ -518,7 +357,7 @@ fn kernel_timings(budget: Duration) -> serde_json::Value {
         .map(|_| (0..5).map(|_| grid_rng.f64() * 100.0).collect())
         .collect();
     let mut next = points.iter().cycle();
-    let hash = time_ns(budget, || {
+    k.time("hash_5d_ns", || {
         black_box(grid.hash(black_box(next.next().expect("cycled"))));
     });
     let rects: Vec<Rect> = points
@@ -526,7 +365,7 @@ fn kernel_timings(budget: Duration) -> serde_json::Value {
         .map(|p| Rect::ball(p, 10.0, grid.bounds()))
         .collect();
     let mut next = rects.iter().cycle();
-    let key_span = time_ns(budget, || {
+    k.time("key_span_5d_ns", || {
         black_box(grid.key_span(black_box(next.next().expect("cycled"))));
     });
 
@@ -537,44 +376,134 @@ fn kernel_timings(budget: Duration) -> serde_json::Value {
         .map(|_| (0..100).map(|_| rng.f64() as f32 * 100.0).collect())
         .collect();
     let mapper = Mapper::new(L2::new(), landmarks);
-    let map_seq = time_ns(budget, || {
+    k.time("map_seq_4000x100d_k10_ns", || {
         let v: Vec<Vec<f64>> = objs
             .iter()
             .map(|o| mapper.map(o.as_slice()).into_vec())
             .collect();
         black_box(v);
     });
-    let map_par = time_ns(budget, || {
+    k.time("map_all_par_4000x100d_k10_ns", || {
         black_box(mapper.map_all::<[f32], _>(&objs));
     });
 
-    serde_json::json!({
-        "scan_full_4000_ns": scan_full,
-        "scan_range_4000_ns": scan_range,
-        "scan_range_wide_7500_ns": scan_wide,
-        "scan_range_wide_7500_scanned": wide_stats.scanned,
-        "scan_range_wide_7500_matched": wide_stats.matched,
-        "insert_wide_7500_ns_per_entry": insert_wide,
-        "refine_wide_7500_dist_calls_per_answer": stored.2,
-        "refine_wide_7500_sniffed_maps_ns_per_answer": sniffed.0,
-        "refine_wide_7500_stored_l2_ns_per_answer": stored.0,
-        "refine_wide_7500_sniffed_maps_dist_ns_per_answer": sniffed.1,
-        "refine_wide_7500_stored_l2_dist_ns_per_answer": stored.1,
-        "lower_bound_5d_ns": lower_bound,
-        "hash_5d_ns": hash,
-        "key_span_5d_ns": key_span,
-        "map_seq_4000x100d_k10_ns": map_seq,
-        "map_all_par_4000x100d_k10_ns": map_par,
-    })
+    lph_kernels(&mut k);
+    metric_kernels(&mut k);
+    routing_kernels(&mut k);
+    k.time("e2e_64node_query_batch_quick_ns", || {
+        black_box(run_micro_scenario(true));
+    });
+    Value::Object(k.out)
+}
+
+/// One 10-d point of a 64-bit-deep grid: its hash, the prefix enclosing
+/// the side-50 box around it, that box's split, and a full-depth cell.
+fn lph_kernels(k: &mut Kernels) {
+    let grid = Grid::uniform(10, 0.0, 1000.0);
+    let mut rng = SimRng::new(1);
+    let point: Vec<f64> = (0..10).map(|_| rng.f64() * 1000.0).collect();
+    k.time("hash_10d_64bit_ns", || {
+        black_box(grid.hash(black_box(&point)));
+    });
+    let rect = Rect::ball(&point, 25.0, grid.bounds());
+    k.time("enclosing_prefix_10d_ns", || {
+        black_box(grid.enclosing_prefix(black_box(&rect)));
+    });
+    let sq = lph::SubQuery {
+        rect: rect.clone(),
+        prefix: grid.enclosing_prefix(&rect),
+    };
+    k.time("split_10d_ns", || {
+        black_box(grid.split(black_box(&sq)));
+    });
+    let key = grid.hash(&point);
+    k.time("cell_decode_depth64_ns", || {
+        black_box(grid.cell(Prefix::of_key(black_box(key), 64)));
+    });
+}
+
+/// One distance under each of the vector, string and document metrics,
+/// and greedy selection of 10 landmarks from a 500-object sample.
+fn metric_kernels(k: &mut Kernels) {
+    let mut rng = SimRng::new(2);
+    let a: Vec<f32> = (0..100).map(|_| rng.f64() as f32 * 100.0).collect();
+    let b: Vec<f32> = (0..100).map(|_| rng.f64() as f32 * 100.0).collect();
+    let l2 = L2::new();
+    k.time("l2_100d_ns", || {
+        black_box(l2.distance(black_box(&a[..]), black_box(&b[..])));
+    });
+
+    let s1 = "ACGTACGTACGTACGTACGTACGTACGTACGTACGTACGTACGTACGTACGTACGTACGTACGT";
+    let s2 = "ACGTACGAACGTACGTACCTACGTACGTACGAACGTACGTACGTTCGTACGTACGTACGTACG";
+    k.time("edit_64ch_ns", || {
+        black_box(EditDistance::levenshtein(
+            black_box(s1.as_bytes()),
+            black_box(s2.as_bytes()),
+        ));
+    });
+
+    let sparse = |seed: u64| {
+        let mut r = SimRng::new(seed);
+        SparseVector::new(
+            (0..150)
+                .map(|_| (r.below(40_000) as u32, r.f64() as f32 + 0.1))
+                .collect(),
+        )
+    };
+    let (d1, d2) = (sparse(3), sparse(4));
+    let ang = Angular::new();
+    k.time("angular_150nnz_ns", || {
+        black_box(ang.distance(black_box(&d1), black_box(&d2)));
+    });
+
+    let mut rng = SimRng::new(5);
+    let sample: Vec<Vec<f32>> = (0..500)
+        .map(|_| (0..10).map(|_| rng.f64() as f32 * 100.0).collect())
+        .collect();
+    k.time("greedy_500x10d_k10_ns", || {
+        let mut r = SimRng::new(7);
+        black_box(greedy::<_, [f32], _>(
+            &L2::new(),
+            black_box(&sample),
+            10,
+            &mut r,
+        ));
+    });
+}
+
+/// One node's routing decisions on a 256-node ring: Algorithm 3 on a
+/// side-100 sub-query of a 10-d grid, and one Chord lookup.
+fn routing_kernels(k: &mut Kernels) {
+    let mut rng = SimRng::new(6);
+    let ring = chord::OracleRing::with_random_ids(256, &mut rng);
+    let tables = ring.build_all_tables(16, None, 16);
+    let grid = Grid::uniform(10, 0.0, 1000.0);
+    let ball = QueryBall {
+        center: (0..10)
+            .map(|_| rng.f64() * 1000.0)
+            .collect::<Vec<f64>>()
+            .into(),
+        radius: 50.0,
+    };
+    let sq = SubQueryMsg::issue(0, 0, AgentId(0), &grid, ball);
+    k.time("route_subquery_256nodes_ns", || {
+        black_box(route_subquery(
+            black_box(&tables[10]),
+            &grid,
+            Rotation::IDENTITY,
+            black_box(sq.clone()),
+            true,
+        ));
+    });
+    let key = chord::ChordId(rng.next_u64());
+    k.time("chord_route_256nodes_ns", || {
+        black_box(tables[10].route(black_box(key)));
+    });
 }
 
 fn main() {
     let smoke = std::env::var_os("BENCH_SMOKE").is_some();
     let quick = smoke || std::env::var_os("MICRO_QUICK").is_some();
-
-    if !smoke {
-        benches();
-    }
 
     let counters = run_micro_scenario(quick);
     let mode = if quick { "quick" } else { "full" };

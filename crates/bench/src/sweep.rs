@@ -159,7 +159,7 @@ pub fn trec_setup(scale: &Scale) -> Setup<SparseVector> {
 }
 
 /// Landmark selection by `method` on the mapping's selection stream.
-fn select<T, Q, M>(
+pub(crate) fn select<T, Q, M>(
     method: SelectionMethod,
     k: usize,
     iters: usize,
