@@ -77,7 +77,6 @@ fn parse_args() -> (Scale, Run, Vec<f64>, bool) {
             "--replicate" => {
                 run.resilience = Some(simsearch::ResilienceConfig {
                     replication: value(&mut i).parse().expect("--replicate"),
-                    ..simsearch::ResilienceConfig::default()
                 })
             }
             "--loss" => run.loss = value(&mut i).parse().expect("--loss"),

@@ -24,7 +24,7 @@ use crate::msg::{
     SearchMsg, SubQueryMsg,
 };
 use crate::overlay::{FailureAware, OverlayTable};
-use crate::resilience::{ResilienceConfig, SuspicionSet};
+use crate::resilience::{ResilienceConfig, SuspicionSet, MAX_RETRIES};
 use crate::routing::{refine_into, route_into, Action};
 use crate::store::{Entry, Store};
 use crate::telemetry::{Telemetry, TraceEvent};
@@ -914,7 +914,7 @@ impl Protocol for SearchNode {
         let Some(rc) = &self.resilience else {
             return;
         };
-        if p.attempts < rc.max_retries {
+        if p.attempts < MAX_RETRIES {
             p.attempts += 1;
             let dead: Vec<u64> = self.suspected.iter().collect();
             let wire_bytes = p.bytes + tracked_overhead_bytes(dead.len());

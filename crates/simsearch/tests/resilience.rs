@@ -74,10 +74,7 @@ fn build(seed: u64, replication: usize) -> (SearchSystem, Vec<QuerySpec>) {
         knn_k: 5,
         depth: 16,
         seed,
-        resilience: Some(ResilienceConfig {
-            replication,
-            ..ResilienceConfig::default()
-        }),
+        resilience: Some(ResilienceConfig { replication }),
         ..SystemConfig::default()
     };
     let qs = queries(&points, &qpoints, 30.0, cfg.knn_k);
