@@ -9,8 +9,9 @@
 //!   Table 1 data or the §4.3 TREC-like corpus, with exact top-10
 //!   truth) mapped through [`simsearch::map_index`], and
 //!   [`sweep::run_sweep`] over the query range factors;
-//! * [`fixture`] — the corpus, query builders and oracle under the
-//!   two `*_report` writers;
+//! * [`fixture`] — the corpus (mapped through
+//!   [`simsearch::map_index`], its query batches as the pool) and the
+//!   query builders under the two `*_report` writers;
 //! * [`report`] — table printing and JSON persistence under
 //!   `target/experiments/`.
 
