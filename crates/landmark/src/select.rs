@@ -29,10 +29,8 @@ where
     Q: ?Sized + Sync,
     M: Metric<Q> + Sync,
 {
-    sample
-        .par_iter()
-        .map(|s| metric.distance(s.borrow(), to))
-        .collect()
+    let d = metric.distance_to(to);
+    sample.par_iter().map(|s| d(s.borrow())).collect()
 }
 
 /// Which landmark selection scheme an experiment uses. The paper's plots
@@ -211,14 +209,17 @@ where
         let mut changed = false;
         // Assignment is embarrassingly parallel: each object's nearest
         // center is independent, ties break by center index in every
-        // thread identically.
+        // thread identically. Each centroid is prepared once.
+        let to: Vec<_> = (centers.iter())
+            .map(|c| metric.distance_to(c.borrow()))
+            .collect();
         let best_center: Vec<usize> = sample
             .par_iter()
             .map(|s| {
                 let mut best = 0usize;
                 let mut best_d = f64::INFINITY;
-                for (c, center) in centers.iter().enumerate() {
-                    let d = metric.distance(s.borrow(), center.borrow());
+                for (c, d) in to.iter().enumerate() {
+                    let d = d(s.borrow());
                     if d < best_d {
                         best_d = d;
                         best = c;
@@ -227,6 +228,7 @@ where
                 best
             })
             .collect();
+        drop(to);
         for (i, best) in best_center.into_iter().enumerate() {
             if assignment[i] != best {
                 assignment[i] = best;
@@ -368,7 +370,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use metric::{EditDistance, SparseVector, L2};
+    use metric::{Angular, EditDistance, SparseVector, L2};
 
     fn rng() -> SimRng {
         SimRng::new(42)
@@ -425,6 +427,46 @@ mod tests {
         // True cluster means are 0.45 and 100.45.
         assert!((means[0] - 0.45).abs() < 0.2, "low center {}", means[0]);
         assert!((means[1] - 100.45).abs() < 0.2, "high center {}", means[1]);
+    }
+
+    /// `M` with only [`Metric::distance`]: its `distance_to` is the
+    /// trait's default, one plain distance call per object.
+    struct Plain<M>(M);
+
+    impl<Q: ?Sized, M: Metric<Q>> Metric<Q> for Plain<M> {
+        fn distance(&self, a: &Q, b: &Q) -> f64 {
+            self.0.distance(a, b)
+        }
+    }
+
+    #[test]
+    fn prepared_centroids_give_bit_identical_kmeans() {
+        let mut r = rng();
+        let docs: Vec<SparseVector> = (0..300)
+            .map(|_| {
+                let terms = (0..12).map(|_| (r.index(400) as u32, 1.0 + r.f64() as f32));
+                SparseVector::new(terms.collect())
+            })
+            .collect();
+        let bits = |c: &[SparseVector]| -> Vec<Vec<(u32, u32)>> {
+            (c.iter())
+                .map(|v| v.terms().iter().map(|&(t, w)| (t, w.to_bits())).collect())
+                .collect()
+        };
+        let prepared = kmeans::<_, SparseVector, _>(&Angular::new(), &docs, 8, 10, &mut rng());
+        let plain = kmeans::<_, SparseVector, _>(&Plain(Angular::new()), &docs, 8, 10, &mut rng());
+        assert_eq!(bits(&prepared), bits(&plain));
+        let points: Vec<Vec<f32>> = (0..300)
+            .map(|_| (0..6).map(|_| r.f64() as f32 * 100.0).collect())
+            .collect();
+        let bits = |c: &[Vec<f32>]| -> Vec<Vec<u32>> {
+            c.iter()
+                .map(|v| v.iter().map(|x| x.to_bits()).collect())
+                .collect()
+        };
+        let prepared = kmeans::<_, [f32], _>(&L2::new(), &points, 8, 10, &mut rng());
+        let plain = kmeans::<_, [f32], _>(&Plain(L2::new()), &points, 8, 10, &mut rng());
+        assert_eq!(bits(&prepared), bits(&plain));
     }
 
     #[test]
