@@ -109,8 +109,8 @@
 //! door instead: a peer's search frame whose sub-query lacks a ball, or
 //! whose center, rect or point has the wrong dimensionality, or whose
 //! index byte is out of range, is a protocol violation. So is any
-//! variant but the four a node sends (`Route`, `Refine`, `Results`,
-//! `Publish`), and a `Route` whose fragments name more than one query:
+//! variant but `Route`, `Results` and `Publish`, which a node sends, and
+//! `Refine` (a lone hand-off), and a `Route` naming more than one query:
 //! a node batches one query's fragments only, and a trace attributes a
 //! batch to its first fragment's query.
 
@@ -176,9 +176,9 @@ pub struct ServerOpts {
 }
 
 /// Whether a peer's search message may reach the core. A node runs with
-/// resilience off, so it sends only `Route`, `Refine`, `Results` and
-/// `Publish`; any other variant from a peer would drive machinery this
-/// driver never runs (an ack, a suspicion set, a
+/// resilience off, so it sends only `Route`, `Results` and `Publish`, and
+/// takes those and `Refine`; any other variant from a peer would drive
+/// machinery this driver never runs (an ack, a suspicion set, a
 /// never-pruned duplicate filter, an unanswered replica). The core looks
 /// indexes up by the index byte, and [`StoredL2`] refines from the
 /// ball's center and the stored points, so every sub-query must carry a

@@ -181,11 +181,11 @@ pub struct SubQueryMsg {
     /// duplicates information the rect already carries for interior
     /// queries, and the model stays comparable with the paper's figures.
     pub ball: Option<QueryBall>,
-    /// Always `false`: nothing routes a fragment beyond Chord's own
-    /// tables. The field stays only because the frozen repo benchmark
-    /// (`benchmark/src/inproc.rs`) builds `SubQueryMsg` literals that
-    /// name it; the codec still writes its flag byte, which the §4.1
-    /// byte model does not count.
+    /// Marks a surrogate hand-off (Algorithm 5) riding in a `Route`
+    /// batch: the recipient owns the fragment's prefix key and refines
+    /// it instead of routing it. Set only on the wire, by the sender's
+    /// batching; routing clears it on arrival. The codec writes it as a
+    /// flag byte, which the §4.1 byte model does not count.
     pub shortcut: bool,
 }
 
@@ -222,7 +222,9 @@ pub enum SearchMsg {
     /// (batched into one wire message, which is what the paper's
     /// `n`-subquery size formula models).
     Route(Vec<SubQueryMsg>),
-    /// Algorithm 5 hand-off to the surrogate (owner) node.
+    /// Algorithm 5 hand-off to the surrogate (owner) node, one fragment
+    /// alone. Nodes send hand-offs marked inside `Route` batches
+    /// instead; a `Refine` is still handled as one such fragment.
     Refine(SubQueryMsg),
     /// An index node's local answer, sent straight back to the origin.
     Results {

@@ -19,7 +19,10 @@
 //! * **SurrogateRefine** ([`surrogate_refine`], Algorithm 5): at the node
 //!   owning the query's `prefix_key`, peel off the sub-cuboids whose key
 //!   ranges exceed the node's identifier (walking the node id's 0-bits)
-//!   and re-route them; answer the remainder locally.
+//!   and re-route them; answer the remainder locally. A hand-off
+//!   travels marked (`SubQueryMsg::shortcut`) in the same batch as the
+//!   round's forwards to that node, so routing a marked fragment refines
+//!   it.
 //!
 //! Neither copies a fragment except where a division cuts it. The
 //! descent ([`lph::Grid::descend`]) only reads the region while the
@@ -119,7 +122,9 @@ fn cut(mut sq: SubQueryMsg, parent: Prefix, dim: usize, mid: f64) -> (SubQueryMs
 /// (and only if) its halves part ways on the embedded tree, then route
 /// each piece — answering locally / handing to the surrogate / forwarding
 /// along the DHT links. `split` disables the progressive refinement for
-/// the naive baseline (the fragment is routed as-is).
+/// the naive baseline (the fragment is routed as-is). A fragment marked
+/// as a hand-off (`shortcut`) arrived at its surrogate: the mark is
+/// cleared and the fragment goes to [`surrogate_refine`] instead.
 pub fn route_subquery<T: OverlayTable + ?Sized>(
     table: &T,
     grid: &Grid,
@@ -155,6 +160,11 @@ pub(crate) fn route_into<T: OverlayTable + ?Sized>(
     sink: RoutingSink<'_>,
     out: &mut Vec<Action>,
 ) {
+    // A fragment marked as a surrogate hand-off arrived at the node
+    // owning its prefix key: refine it, as an arriving `Refine` is.
+    if std::mem::take(&mut sq.shortcut) {
+        return refine_into(table, grid, rot, sq, split, sink, out);
+    }
     // Algorithm 4: descend while the region lies in one half, up to the
     // first division that cuts it (or full depth); the naive baseline
     // routes the fragment as it is.
@@ -506,6 +516,50 @@ mod tests {
         // node o3 received a fragment (it answered something).
         assert!(msgs >= 1);
         assert!(answers.iter().any(|(n, _)| *n == o3));
+    }
+
+    #[test]
+    fn a_marked_fragment_routes_exactly_as_surrogate_refine() {
+        // A hand-off travels marked in a `Route` batch. Routed at the
+        // surrogate, it must give `surrogate_refine`'s actions and
+        // events, with the mark cleared on every action.
+        let ring = OracleRing::with_random_ids(16, &mut SimRng::new(5));
+        let tables = ring.build_all_tables(8, None, 8);
+        let grid = Grid::new(Rect::cube(2, 0.0, 64.0), 12);
+        let rot = Rotation(0x9E37_79B9_7F4A_7C15);
+        let mut rng = SimRng::new(6);
+        let (mut peeled, mut differs) = (0, 0);
+        for _ in 0..200 {
+            let center = [rng.f64() * 64.0, rng.f64() * 64.0];
+            let rect = Rect::ball(&center, rng.f64() * 20.0, grid.bounds());
+            let sq = msg(rect.clone(), grid.enclosing_prefix(&rect));
+            let key = chord::ChordId(rot.to_ring(sq.prefix.key()));
+            let table = &tables[ring.owner_of(key).addr.0];
+            let (mut want_events, mut got_events) = (Vec::new(), Vec::new());
+            let want = surrogate_refine_traced(table, &grid, rot, sq.clone(), true, &mut |e| {
+                want_events.push(e)
+            });
+            let marked = SubQueryMsg {
+                shortcut: true,
+                ..sq.clone()
+            };
+            let got =
+                route_subquery_traced(table, &grid, rot, marked, true, &mut |e| got_events.push(e));
+            assert_eq!(format!("{got:?}"), format!("{want:?}"));
+            assert_eq!(got_events, want_events);
+            assert!(got.iter().all(|a| match a {
+                Action::Answer(q)
+                | Action::Handoff { sq: q, .. }
+                | Action::Forward { sq: q, .. } => !q.shortcut,
+            }));
+            peeled += usize::from(got.len() > 1);
+            let unmarked = route_subquery(table, &grid, rot, sq, true);
+            differs += usize::from(format!("{unmarked:?}") != format!("{want:?}"));
+        }
+        assert!(
+            peeled > 0 && differs > 0,
+            "{peeled} peeled, {differs} differ"
+        );
     }
 
     #[test]

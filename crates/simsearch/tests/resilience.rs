@@ -217,3 +217,37 @@ fn crash_restart_churn_keeps_full_recall() {
     let outcomes = sys.run_queries(&qs, 10.0);
     assert_full_recall(&outcomes);
 }
+
+/// Loss and churn with r = 2 while hand-offs travel marked in `Route`
+/// batches: a batch whose destination crashed is re-routed by its
+/// sender, marks cleared, around the dead node (failovers fire), and
+/// recall stays 1.0.
+#[test]
+fn batches_to_crashed_nodes_reroute_at_full_recall() {
+    for seed in [41u64, 42, 43, 44] {
+        let (mut sys, qs) = build(seed, 2);
+        let origins: Vec<AgentId> = sys
+            .query_schedule(qs.len(), 10.0)
+            .into_iter()
+            .map(|(_, o)| o)
+            .collect();
+        let victims: Vec<AgentId> = (0..16)
+            .map(AgentId)
+            .filter(|a| !origins.contains(a))
+            .take(3)
+            .collect();
+        sys.schedule_crash(SimTime::from_secs_f64(0.2), victims[0]);
+        sys.schedule_crash(SimTime::from_secs_f64(1.0), victims[1]);
+        sys.schedule_crash(SimTime::from_secs_f64(2.0), victims[2]);
+        sys.schedule_restart(SimTime::from_secs_f64(15.0), victims[0]);
+        sys.set_loss_rate(0.05);
+        let outcomes = sys.run_queries(&qs, 10.0);
+        assert_full_recall(&outcomes);
+        let failovers = sys
+            .telemetry()
+            .lock()
+            .registry
+            .counter("resilience.failovers");
+        assert!(failovers > 0, "seed {seed}: nothing was re-routed");
+    }
+}
