@@ -13,7 +13,10 @@
 # won ("better" being the direction BENCHMARK.json gives) and a verdict:
 #
 #   gain        head won at least 9 of every 10 pairs, and the medians
-#               differ by more than base's interquartile range
+#               differ by more than base's interquartile range; with
+#               fewer than 10 pairs this reads `unresolved (fewer than
+#               10 pairs)` instead, since a few wins in a row happen by
+#               chance (three in a row 1 time in 8)
 #   worse       head's median is worse than base's by more than the
 #               metric's BENCHMARK.json bound
 #   unresolved  base's interquartile range exceeds the bound, and not
@@ -106,7 +109,7 @@ def verdict(name, base, head, wins):
     (b1, bm, b3), (_, hm, _) = quartiles(base), quartiles(head)
     sign = 1 if better[name] == "higher" else -1
     if wins >= 0.9 * len(base) and sign * (hm - bm) > b3 - b1:
-        return "gain"
+        return "gain" if len(base) >= 10 else "unresolved (fewer than 10 pairs)"
     if name not in bound or not bm:
         return "same"
     if -sign * (hm - bm) / bm > bound[name]:

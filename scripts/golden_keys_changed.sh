@@ -14,13 +14,17 @@
 # answer; a change of store layout may move them and nothing else —
 # results, messages, bytes, hops, distance calls and loads must not.
 #
+# After the per-leaf lines it prints a tally: how many leaves changed
+# under each leaf name, over all files, so a diff of thousands of trace
+# leaves still shows at a glance which names moved and which did not.
+#
 # The golden CI jobs run this after regenerating a failed snapshot, so
 # the log says at once whether the diff is confined to those counts.
 # Needs python3 and git.
 set -euo pipefail
 cd "$(dirname "${BASH_SOURCE[0]}")/.."
 exec python3 - "${1:-HEAD}" <<'PY'
-import json, pathlib, re, subprocess, sys
+import collections, json, pathlib, re, subprocess, sys
 
 rev = sys.argv[1]
 allowed = re.compile(r"^(store\.entries_(scanned|skipped)|index\d+\.scanned|scanned)$")
@@ -45,6 +49,7 @@ listed = subprocess.run(["git", "ls-tree", "-r", "--name-only", rev, "tests/gold
 old_files = {f for f in listed if f.endswith(".json")}
 new_files = {str(p) for p in pathlib.Path("tests/golden").rglob("*.json")}
 bad = 0
+tally = collections.Counter()
 for f in sorted(old_files ^ new_files):
     print(f"{f}: {'removed' if f in old_files else 'added'}  NOT ALLOWED")
     bad += 1
@@ -58,6 +63,7 @@ for f in sorted(old_files & new_files):
         if a == b:
             continue
         changed += 1
+        tally[str(path[-1])] += 1
         ok = path in old and path in new and allowed.match(str(path[-1]))
         if not ok:
             bad += 1
@@ -66,6 +72,10 @@ for f in sorted(old_files & new_files):
             print(f"{f}: {where}: {a} -> {b}{'' if ok else '  NOT ALLOWED'}")
     if changed > 5:
         print(f"{f}: {changed} leaves changed in all")
+if tally:
+    print("changed leaves per leaf name:")
+    for name, n in sorted(tally.items(), key=lambda kv: (-kv[1], kv[0])):
+        print(f"  {n:8d}  {name}")
 print("golden diff confined to store-scan work counts" if not bad
       else f"{bad} changes outside the store-scan work counts")
 sys.exit(1 if bad else 0)
