@@ -5,7 +5,8 @@
 //! and with the stored-vector one, lower-bound pruning — and of the
 //! 64-node query batch end to end.
 //!
-//! Every kernel is timed by [`time_ns`] into the `kernels` object of the
+//! Every kernel is timed by [`time_ns`] — median and quartiles of
+//! several runs — into the `kernels` object of the
 //! canonical `BENCH_micro.json` (beside the work counters of the 64-node
 //! scenario) under `target/experiments/`; `MICRO_QUICK=1` runs the quick
 //! scenario and a shorter timing budget. The target doubles as the CI
@@ -244,20 +245,37 @@ impl RefineKernel {
     }
 }
 
-/// Median-free, budget-bound mean ns/iter: a quarter of `budget` warming
-/// up, then as many calls of `f` as fit in `budget`.
-fn time_ns(budget: Duration, mut f: impl FnMut()) -> f64 {
+/// Runs [`time_ns`] times each kernel for.
+const RUNS: u32 = 9;
+
+/// A kernel's ns/call as `[q1, median, q3]` over [`RUNS`] runs: a
+/// quarter of `budget` warming up, then [`RUNS`] runs, each the mean
+/// ns/call of as many calls of `f` as fit in `budget / RUNS`. One mean
+/// alone cannot tell a change from the host's drift; the quartiles show
+/// the spread beside it.
+fn time_ns(budget: Duration, mut f: impl FnMut()) -> [f64; 3] {
     let warm = Instant::now();
     while warm.elapsed() < budget / 4 {
         f();
     }
-    let start = Instant::now();
-    let mut iters = 0u64;
-    while start.elapsed() < budget {
-        f();
-        iters += 1;
-    }
-    start.elapsed().as_nanos() as f64 / iters as f64
+    let mut runs: Vec<f64> = (0..RUNS)
+        .map(|_| {
+            let start = Instant::now();
+            let mut iters = 0u64;
+            while start.elapsed() < budget / RUNS {
+                f();
+                iters += 1;
+            }
+            start.elapsed().as_nanos() as f64 / iters as f64
+        })
+        .collect();
+    runs.sort_by(f64::total_cmp);
+    [1, 2, 3].map(|q| runs[q * (runs.len() - 1) / 4])
+}
+
+/// A [`time_ns`] result as its JSON row.
+fn spread([q1, median, q3]: [f64; 3]) -> Value {
+    serde_json::json!({ "median": median, "q1": q1, "q3": q3 })
 }
 
 /// The `kernels` object of the JSON report, filled a kernel at a time.
@@ -269,7 +287,7 @@ struct Kernels {
 impl Kernels {
     /// Time `f` by [`time_ns`] under `key`, and print it.
     fn time(&mut self, key: &str, f: impl FnMut()) {
-        self.put(key, time_ns(self.budget, f));
+        self.put(key, spread(time_ns(self.budget, f)));
     }
 
     /// Record `value` under `key` and print it.
@@ -307,7 +325,7 @@ fn kernel_timings(budget: Duration) -> Value {
     });
     k.put(
         "insert_wide_7500_ns_per_entry",
-        insert_wide / entries.len() as f64,
+        spread(insert_wide.map(|t| t / entries.len() as f64)),
     );
 
     // The same answer through the parent's sniffed maps and through the

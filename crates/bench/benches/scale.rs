@@ -25,7 +25,7 @@ const SEED: u64 = 0x5CA1E;
 
 /// Checked-in smoke thresholds (quick fixture, N in {1024, 4096}).
 /// The counters are fully deterministic — current values are
-/// hops/query 10.08 @ 1k and 13.12 @ 4k (1.01 and 1.09 · log2 N; the
+/// hops/query 6.67 @ 1k and 8.58 @ 4k (0.67 and 0.72 · log2 N; the
 /// outcome's `hops` is the deepest chain in the sub-query tree, so the
 /// constant sits above plain Chord's 0.5), churn recall 1.0 at both
 /// points — so the margins only have to absorb intentional retuning,

@@ -14,8 +14,10 @@ pub const DEFAULT_SUCCESSORS: usize = 16;
 pub enum RouteDecision {
     /// This node owns the key (`key ∈ (predecessor, me]`): handle it here.
     Local,
-    /// This node is the closest predecessor of the key it knows of, and
-    /// its immediate successor owns the key: hand over to the surrogate.
+    /// Hand the key to its owner, the surrogate. [`RoutingTable::route`]
+    /// decides this when no known node lies between this node and the
+    /// key, so the immediate successor owns it; the index layer also
+    /// decides it for any owner [`RoutingTable::listed_owner`] names.
     Surrogate(NodeRef),
     /// Forward to the table entry closest-preceding the key.
     Forward(NodeRef),
@@ -238,6 +240,20 @@ impl RoutingTable {
         }
     }
 
+    /// The owner of `key` as the successor list names it: the first
+    /// successor at or past `key` that `is_dead` does not report (a live
+    /// successor inherits a dead one's range), or `None` when `key` lies
+    /// beyond the last successor or every listed node from it on is
+    /// dead. Pure; callers check [`Self::owns`] first.
+    pub fn listed_owner(&self, key: ChordId, is_dead: impl Fn(u64) -> bool) -> Option<NodeRef> {
+        let before_key = |s: &NodeRef| s.id.in_open(self.me.id, key);
+        let from = self.successors.partition_point(before_key);
+        self.successors[from..]
+            .iter()
+            .copied()
+            .find(|s| !is_dead(s.id.0))
+    }
+
     /// The routing decision for `key` — the dispatch at the heart of the
     /// paper's Algorithm 3 (`nexthop`, lines 15–20).
     pub fn route(&self, key: ChordId) -> RouteDecision {
@@ -438,6 +454,50 @@ mod tests {
             t.route_excluding(ChordId(150), |_| true),
             RouteDecision::Local
         );
+    }
+
+    #[test]
+    fn listed_owner_names_the_first_successor_at_or_past_the_key() {
+        let mut t = table_with(100, &[200, 400, 800]);
+        t.set_predecessor(Some(node(900)));
+        let alive = |_: u64| false;
+        assert_eq!(t.listed_owner(ChordId(150), alive), Some(node(200)));
+        assert_eq!(t.listed_owner(ChordId(200), alive), Some(node(200)));
+        assert_eq!(t.listed_owner(ChordId(201), alive), Some(node(400)));
+        assert_eq!(t.listed_owner(ChordId(800), alive), Some(node(800)));
+        // Past the last successor the list names no owner.
+        assert_eq!(t.listed_owner(ChordId(850), alive), None);
+        assert_eq!(t.listed_owner(ChordId(50), alive), None);
+    }
+
+    #[test]
+    fn listed_owner_wraps_past_zero() {
+        let mut t = RoutingTable::new(node(u64::MAX - 10), 4);
+        for id in [u64::MAX - 2, 5, 40] {
+            t.add_successor(node(id));
+        }
+        let alive = |_: u64| false;
+        assert_eq!(t.listed_owner(ChordId(u64::MAX), alive), Some(node(5)));
+        assert_eq!(t.listed_owner(ChordId(3), alive), Some(node(5)));
+        assert_eq!(t.listed_owner(ChordId(6), alive), Some(node(40)));
+        assert_eq!(t.listed_owner(ChordId(41), alive), None);
+    }
+
+    #[test]
+    fn listed_owner_skips_a_dead_owner() {
+        let t = table_with(100, &[200, 400, 800]);
+        // 400 owns 300; with it dead its range passes to 800.
+        assert_eq!(
+            t.listed_owner(ChordId(300), |id| id == 400),
+            Some(node(800))
+        );
+        // A dead node before the key changes nothing.
+        assert_eq!(
+            t.listed_owner(ChordId(300), |id| id == 200),
+            Some(node(400))
+        );
+        // Nobody live at or past the key: no listed owner.
+        assert_eq!(t.listed_owner(ChordId(500), |id| id == 800), None);
     }
 
     #[test]

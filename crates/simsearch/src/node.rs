@@ -641,15 +641,18 @@ impl SearchNode {
             }
         }
         // Degraded detection: a suspected node whose identifier falls in
-        // a queried fragment's ring arc may have taken owned entries down
-        // with it; if we hold no replicas for it, say so rather than
-        // letting recall silently shrink.
+        // a queried fragment's ring arc, or between the arc's start and
+        // this node (whose range it left to us, arc keys included), may
+        // have taken owned entries down with it; if we hold no replicas
+        // for it, say so rather than letting recall silently shrink.
         let mut degraded = false;
         if resilient {
+            let me = self.table.me().id.0;
             for s in self.suspected.iter() {
                 let in_queried_range = fragments.iter().any(|f| {
                     let (start, end) = ix.rotation.ring_arc(f.prefix);
-                    s.wrapping_sub(start) <= end.wrapping_sub(start)
+                    let reach = end.wrapping_sub(start).max(me.wrapping_sub(start));
+                    s.wrapping_sub(start) <= reach
                 });
                 if in_queried_range && !ix.store.replicas().iter().any(|(o, _)| *o == s) {
                     degraded = true;
@@ -766,7 +769,7 @@ impl SearchNode {
         let decision = if self.resilience.is_some() {
             FailureAware::new(&self.table, self.suspected.as_set()).decide(key)
         } else {
-            self.table.route(key)
+            self.table.decide(key)
         };
         match decision {
             chord::RouteDecision::Local => self.store_publish(ctx, index, entry, hops),

@@ -4,6 +4,11 @@
 //! [`RoutingTable`] (finger table + successor list, the paper's
 //! evaluation platform) is the substrate, and [`FailureAware`] is a
 //! view over it.
+//!
+//! Both route *owner first*: a key whose owner the successor list names
+//! goes straight to that owner as its surrogate; any other key takes
+//! Chord's closest-preceding hop (DESIGN.md §11, "One hop to a listed
+//! owner"). Chord's own lookups keep [`RoutingTable::route`].
 
 use chord::{ChordId, NodeRef, RouteDecision, RoutingTable};
 
@@ -11,7 +16,9 @@ use chord::{ChordId, NodeRef, RouteDecision, RoutingTable};
 pub trait OverlayTable {
     /// This node's identity.
     fn me_ref(&self) -> NodeRef;
-    /// Chord-semantics routing decision for a key.
+    /// The routing decision for a key: `Local` when this node owns it,
+    /// `Surrogate(owner)` when the successor list names its owner, else
+    /// Chord's decision.
     fn decide(&self, key: ChordId) -> RouteDecision;
 }
 
@@ -20,7 +27,19 @@ impl OverlayTable for RoutingTable {
         self.me()
     }
     fn decide(&self, key: ChordId) -> RouteDecision {
-        self.route(key)
+        owner_first(self, key, |_| false)
+    }
+}
+
+/// The owner-first rule over `table`, skipping the nodes `is_dead`
+/// reports.
+fn owner_first(table: &RoutingTable, key: ChordId, is_dead: impl Fn(u64) -> bool) -> RouteDecision {
+    if table.owns(key) {
+        return RouteDecision::Local;
+    }
+    match table.listed_owner(key, &is_dead) {
+        Some(owner) => RouteDecision::Surrogate(owner),
+        None => table.route_excluding(key, is_dead),
     }
 }
 
@@ -29,7 +48,8 @@ impl OverlayTable for RoutingTable {
 ///
 /// Constructed per-decision by a resilient node from its current
 /// suspicion set; the underlying table is untouched, so a node cleared
-/// of suspicion is immediately routable again. Decisions come from
+/// of suspicion is immediately routable again. A dead listed owner's
+/// range goes to the next live successor; other keys take
 /// [`RoutingTable::route_excluding`].
 pub struct FailureAware<'a> {
     inner: &'a RoutingTable,
@@ -51,8 +71,7 @@ impl OverlayTable for FailureAware<'_> {
         self.inner.me()
     }
     fn decide(&self, key: ChordId) -> RouteDecision {
-        self.inner
-            .route_excluding(key, |id| self.dead.contains(&id))
+        owner_first(self.inner, key, |id| self.dead.contains(&id))
     }
 }
 

@@ -15,7 +15,9 @@
 //!   recursive refinement), split it once it straddles a division, and
 //!   only send two messages when the two halves take *different* next
 //!   hops — otherwise keep the query whole and forward it down the shared
-//!   path of the embedded tree.
+//!   path of the embedded tree. Each half of a cut is routed again at the
+//!   node that cut it, and a key whose owner the successor list names
+//!   goes straight to that owner ([`crate::overlay`]).
 //! * **SurrogateRefine** ([`surrogate_refine`], Algorithm 5): at the node
 //!   owning the query's `prefix_key`, peel off the sub-cuboids whose key
 //!   ranges exceed the node's identifier (walking the node id's 0-bits)
@@ -43,8 +45,9 @@ use crate::overlay::OverlayTable;
 pub enum Action {
     /// Answer this fragment from the local store and reply to the origin.
     Answer(SubQueryMsg),
-    /// Hand the fragment to the immediate successor, who owns its
-    /// `prefix_key` (the paper's `Successor.SurrogateRefine(sq)`).
+    /// Hand the fragment to the node that owns its `prefix_key` — the
+    /// owner the successor list names, whether or not it is the
+    /// immediate successor (the paper's `Successor.SurrogateRefine(sq)`).
     Handoff {
         /// The surrogate's network address.
         to: simnet::AgentId,
@@ -94,8 +97,8 @@ pub type RoutingSink<'a> = &'a mut dyn FnMut(RoutingEvent);
 
 /// The address a key would be sent to next from this node — the paper's
 /// `nexthop` (footnote 4), used only to decide whether two subqueries
-/// share their next hop. The node itself is returned when it owns the
-/// key or precedes it directly.
+/// share their next hop: the key's owner when the table knows it (this
+/// node itself when it owns the key), else the Chord hop toward it.
 fn hop_target<T: OverlayTable + ?Sized>(table: &T, ring_key: u64) -> simnet::AgentId {
     match table.decide(chord::ChordId(ring_key)) {
         RouteDecision::Local => table.me_ref().addr,
@@ -119,10 +122,11 @@ fn cut(mut sq: SubQueryMsg, parent: Prefix, dim: usize, mid: f64) -> (SubQueryMs
 /// Algorithm 3 — `QueryRouting`.
 ///
 /// Dispatch one subquery from this node: refine its prefix, split it if
-/// (and only if) its halves part ways on the embedded tree, then route
-/// each piece — answering locally / handing to the surrogate / forwarding
-/// along the DHT links. `split` disables the progressive refinement for
-/// the naive baseline (the fragment is routed as-is). A fragment marked
+/// (and only if) its halves part ways on the embedded tree, route each
+/// half the same way, then send each piece — answering locally / handing
+/// to its owner / forwarding along the DHT links. `split` disables the
+/// progressive refinement for the naive baseline (the fragment is routed
+/// as-is). A fragment marked
 /// as a hand-off (`shortcut`) arrived at its surrogate: the mark is
 /// cleared and the fragment goes to [`surrogate_refine`] instead.
 pub fn route_subquery<T: OverlayTable + ?Sized>(
@@ -183,9 +187,11 @@ pub(crate) fn route_into<T: OverlayTable + ?Sized>(
         dispatch(table, grid, rot, sq, split, sink, out);
     } else {
         sink(RoutingEvent::Split { prefix_len });
+        // Each half is routed here again: it descends to its own tightest
+        // prefix and splits once more only where its halves part ways.
         let (lower, upper) = cut(sq, parent, dim, mid);
-        dispatch(table, grid, rot, lower, split, &mut *sink, out);
-        dispatch(table, grid, rot, upper, split, sink, out);
+        route_into(table, grid, rot, lower, split, &mut *sink, out);
+        route_into(table, grid, rot, upper, split, sink, out);
     }
 }
 

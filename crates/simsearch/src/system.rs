@@ -230,7 +230,7 @@ pub struct QueryOutcome {
     pub query_bytes: u64,
     /// Result-delivery bandwidth, bytes (the trace's `result_bytes`).
     pub result_bytes: u64,
-    /// Query-delivery messages, one per fragment delivered
+    /// Query-delivery messages sent, one per `Route` batch
     /// ([`crate::TraceLog::query_msgs`]).
     pub query_msgs: u32,
     /// Result messages received.

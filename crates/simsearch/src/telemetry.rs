@@ -437,17 +437,13 @@ impl TraceLog {
         QuerySummary::of(self.events())
     }
 
-    /// Query-delivery messages, one per fragment delivered: each
-    /// `Forward`'s subqueries plus one per `Handoff` (a batch carries
-    /// fragments of one query only).
+    /// Query-delivery messages sent: one per `Forward` (a `Route` batch
+    /// is one wire message, whatever its fragment count) and one per
+    /// `Handoff`.
     pub fn query_msgs(&self) -> u32 {
-        self.events()
-            .map(|e| match e {
-                TraceEvent::Forward { subqueries, .. } => subqueries,
-                TraceEvent::Handoff { .. } => 1,
-                _ => 0,
-            })
-            .sum()
+        let sent =
+            |e: &TraceEvent| matches!(e, TraceEvent::Forward { .. } | TraceEvent::Handoff { .. });
+        self.events().filter(sent).count() as u32
     }
 
     /// The decoded trace.
@@ -780,7 +776,7 @@ mod tests {
     }
 
     #[test]
-    fn query_msgs_counts_fragments_delivered() {
+    fn query_msgs_counts_messages_sent() {
         let mut log = TraceLog::default();
         log.push(&TraceEvent::Forward {
             from: 0,
@@ -797,7 +793,8 @@ mod tests {
             to: 2,
             bytes: 73,
         });
-        assert_eq!(log.query_msgs(), 4);
+        // The three-fragment batch is one message.
+        assert_eq!(log.query_msgs(), 2);
         assert_eq!(log.summary().forwards + log.summary().handoffs, 2);
     }
 

@@ -21,19 +21,21 @@ use std::collections::BTreeMap;
 /// is one round at its node, every fragment of it goes through
 /// `route_subquery`, and the round's forwards and hand-offs leave as one
 /// batch per destination, the hand-offs marked (`shortcut`). Returns
-/// `(answers, messages)` where answers are `(node, rect)` pairs and
-/// messages counts every fragment delivered (a batch of n counts n).
+/// `(answers, messages, relays)` where answers are `(node, rect)` pairs,
+/// messages counts every fragment delivered (a batch of n counts n) and
+/// relays counts the batches whose recipient answered none of them.
 fn resolve(
     tables: &[RoutingTable],
     grid: &Grid,
     rot: Rotation,
     start: usize,
     sq: SubQueryMsg,
-) -> (Vec<(usize, Rect)>, usize) {
+) -> (Vec<(usize, Rect)>, usize, usize) {
     let mut answers = Vec::new();
-    let mut msgs = 0usize;
+    let (mut msgs, mut relays) = (0usize, 0usize);
     let mut work = vec![(start, vec![sq])];
     while let Some((at, batch)) = work.pop() {
+        let (answered, routed) = (answers.len(), msgs > 0);
         let mut out: BTreeMap<usize, Vec<SubQueryMsg>> = BTreeMap::new();
         for q in batch {
             for a in route_subquery(&tables[at], grid, rot, q, true) {
@@ -51,6 +53,7 @@ fn resolve(
                 out.entry(to.0).or_default().push(sq);
             }
         }
+        relays += usize::from(routed && answers.len() == answered);
         msgs += out.values().map(Vec::len).sum::<usize>();
         work.extend(out);
         assert!(
@@ -58,7 +61,7 @@ fn resolve(
             "routing did not terminate within a sane message budget"
         );
     }
-    (answers, msgs)
+    (answers, msgs, relays)
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -72,10 +75,10 @@ fn check_world(
     rect_hi: Vec<f64>,
     start: usize,
     n_probes: usize,
-) -> Result<(), TestCaseError> {
+) -> Result<usize, TestCaseError> {
     let mut rng = SimRng::new(seed);
     let ring = OracleRing::with_random_ids(n_nodes, &mut rng);
-    let tables = ring.build_all_tables(8, None, 8);
+    let tables = ring.build_all_tables(SUCCESSORS, None, 8);
     let grid = Grid::new(Rect::cube(dims, 0.0, 64.0), depth);
     let rect = Rect::new(
         rect_lo
@@ -99,7 +102,7 @@ fn check_world(
         ball: None,
         shortcut: false,
     };
-    let (answers, msgs) = resolve(&tables, &grid, rot, start % n_nodes, sq);
+    let (answers, msgs, relays) = resolve(&tables, &grid, rot, start % n_nodes, sq);
 
     // Probe points inside the region (corners, center, random interior):
     // each probe's owning node must have answered a region containing it.
@@ -128,8 +131,11 @@ fn check_world(
         msgs <= n_nodes * 40 + 200,
         "{msgs} messages for {n_nodes} nodes"
     );
-    Ok(())
+    Ok(relays)
 }
+
+/// Successors each table lists in [`check_world`]'s rings.
+const SUCCESSORS: usize = 8;
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -180,6 +186,22 @@ proptest! {
         )?;
     }
 
+    /// On a ring every node's successor list spans, each node knows
+    /// every key's owner: a `Route` goes straight to a node that answers
+    /// it, never through a relay, and coverage holds from every start.
+    #[test]
+    fn listed_owners_answer_every_route(
+        seed in 0u64..10_000,
+        n_nodes in 2usize..=SUCCESSORS + 1,
+        a in prop::collection::vec(0.0f64..64.0, 2),
+        b in prop::collection::vec(0.0f64..64.0, 2),
+    ) {
+        for start in 0..n_nodes {
+            let relays = check_world(n_nodes, 2, 12, seed, Rotation::IDENTITY, a.clone(), b.clone(), start, 12)?;
+            prop_assert_eq!(relays, 0, "start {}: a Route reached a node that answered none of it", start);
+        }
+    }
+
     #[test]
     fn degenerate_point_query(
         seed in 0u64..10_000,
@@ -214,7 +236,7 @@ fn zero_radius_query_is_a_single_point_lookup() {
             shortcut: false,
         };
         let start = (seed as usize) % 12;
-        let (answers, _) = resolve(&tables, &grid, Rotation::IDENTITY, start, sq);
+        let (answers, _, _) = resolve(&tables, &grid, Rotation::IDENTITY, start, sq);
         let key = Rotation::IDENTITY.to_ring(grid.hash(&p));
         let owner = ring.owner_of(ChordId(key)).addr.0;
         assert_eq!(answers.len(), 1, "seed {seed}: one answer, not a scatter");
@@ -240,7 +262,7 @@ fn single_node_world_answers_locally() {
         ball: None,
         shortcut: false,
     };
-    let (answers, msgs) = resolve(&tables, &grid, Rotation::IDENTITY, 0, sq);
+    let (answers, msgs, _) = resolve(&tables, &grid, Rotation::IDENTITY, 0, sq);
     assert_eq!(msgs, 0, "one node: zero network messages");
     assert!(answers
         .iter()

@@ -4,10 +4,14 @@
 //! `r = 1` a crash degrades answers *visibly* (the `degraded` flag), not
 //! silently.
 
+use chord::ChordId;
+use lph::{Grid, Rect};
 use metric::ObjectId;
 use simnet::{AgentId, SimTime};
 use simsearch::msg::{DistanceOracle, QueryId};
-use simsearch::{IndexSpec, QueryOutcome, QuerySpec, ResilienceConfig, SearchSystem, SystemConfig};
+use simsearch::{
+    Entry, IndexSpec, QueryOutcome, QuerySpec, ResilienceConfig, SearchSystem, SystemConfig,
+};
 use std::sync::Arc;
 
 fn l2(a: &[f64], b: &[f64]) -> f64 {
@@ -86,6 +90,15 @@ fn build(seed: u64, replication: usize) -> (SearchSystem, Vec<QuerySpec>) {
     (SearchSystem::build(cfg, &[spec], oracle), qs)
 }
 
+/// The node holding `obj`'s entry: the ring owner of its key.
+fn holder_of(sys: &SearchSystem, obj: ObjectId) -> AgentId {
+    let (spec, points) = world(100);
+    let (lo, hi) = spec.boundary.iter().copied().unzip();
+    let grid = Grid::new(Rect::new(lo, hi), sys.config().depth);
+    let entry = Entry::new(&grid, sys.rotation(0), obj, &points[obj.0 as usize]);
+    sys.ring().owner_of(ChordId(entry.ring_key)).addr
+}
+
 fn assert_full_recall(outcomes: &[QueryOutcome]) {
     for o in outcomes {
         assert!(
@@ -161,7 +174,8 @@ fn crash_is_absorbed_by_replicas() {
 
 /// Same crash with r = 1: whatever the dead node exclusively owned is
 /// gone, and the protocol must say so — any shortfall in recall is
-/// accompanied by a `degraded` flag on the answer, never silent.
+/// accompanied by a `degraded` flag on the answer, never silent. The
+/// victim holds an entry of some query's truth, so a query needs it.
 #[test]
 fn crash_without_replicas_degrades_loudly() {
     let seed = 21u64;
@@ -171,10 +185,10 @@ fn crash_without_replicas_degrades_loudly() {
         .into_iter()
         .map(|(_, o)| o)
         .collect();
-    let victim = (0..16)
-        .map(AgentId)
+    let victim = (qs.iter().flat_map(|q| &q.truth))
+        .map(|&obj| holder_of(&sys, obj))
         .find(|a| !origins.contains(a))
-        .expect("a non-origin node exists");
+        .expect("a non-origin node holds some query's truth");
     sys.schedule_crash(SimTime::from_secs_f64(0.5), victim);
     let outcomes = sys.run_queries(&qs, 10.0);
     for o in &outcomes {

@@ -17,6 +17,12 @@
 # After the per-leaf lines it prints a tally: how many leaves changed
 # under each leaf name, over all files, so a diff of thousands of trace
 # leaves still shows at a glance which names moved and which did not.
+# Its last line says whether any answer leaf changed — recall
+# (`recall_*_micros`), `completed`, loads (`load_*`), `published` (and
+# its twin `index<i>.published`), `publish.stored`, `replicate.stored`,
+# `held_out` — so a change of message pattern, which may move every cost
+# leaf, shows at once that it left the answers alone. That line does
+# not change the exit status.
 #
 # The golden CI jobs run this after regenerating a failed snapshot, so
 # the log says at once whether the diff is confined to those counts.
@@ -28,6 +34,8 @@ import collections, json, pathlib, re, subprocess, sys
 
 rev = sys.argv[1]
 allowed = re.compile(r"^(store\.entries_(scanned|skipped)|index\d+\.scanned|scanned)$")
+answer = re.compile(r"^(recall_\w+_micros|completed|load_\w+|(index\d+\.)?published"
+                    r"|publish\.stored|replicate\.stored|held_out)$")
 
 def leaves(node, path, out):
     if isinstance(node, dict):
@@ -78,5 +86,8 @@ if tally:
         print(f"  {n:8d}  {name}")
 print("golden diff confined to store-scan work counts" if not bad
       else f"{bad} changes outside the store-scan work counts")
+answers = sorted(name for name in tally if answer.match(name))
+print("no answer leaf changed" if not answers
+      else f"answer leaves changed: {', '.join(answers)}")
 sys.exit(1 if bad else 0)
 PY

@@ -8,11 +8,14 @@
 
 mod common;
 
+use chord::ChordId;
 use landmark::{boundary_from_metric, kmeans};
+use lph::{Grid, Rect};
 use metric::{ObjectId, L2};
 use simnet::{SimRng, SimTime};
 use simsearch::{
-    map_index, IndexSpec, QueryOutcome, QuerySpec, ResilienceConfig, SearchSystem, SystemConfig,
+    map_index, Entry, IndexSpec, QueryOutcome, QuerySpec, ResilienceConfig, SearchSystem,
+    SystemConfig,
 };
 use workloads::{ClusteredParams, ClusteredVectors};
 
@@ -75,7 +78,7 @@ fn run_scenario() -> (Vec<QueryOutcome>, String) {
             resilience: Some(ResilienceConfig::default()), // r = 2
             ..SystemConfig::default()
         },
-        &[spec],
+        std::slice::from_ref(&spec),
         oracle,
     );
 
@@ -83,31 +86,40 @@ fn run_scenario() -> (Vec<QueryOutcome>, String) {
 
     // Eight churn events: four crashes, four restarts. Victims are
     // picked deterministically — never a query origin (the origin holds
-    // the query's merge state) and never ring-adjacent to another victim
+    // the query's merge state), never ring-adjacent to another victim
     // (two adjacent nodes down together would take an owner *and* its
-    // replica holder with r = 2).
-    let origins: Vec<simnet::AgentId> = system
-        .query_schedule(N_QUERIES, MEAN_INTERARRIVAL_S)
-        .into_iter()
-        .map(|(_, o)| o)
-        .collect();
+    // replica holder with r = 2), and where one is allowed, owning the
+    // centre of a query issued while it is down (a region's every key
+    // range is answered by its owner), so crashes sit on live query paths.
+    let schedule = system.query_schedule(N_QUERIES, MEAN_INTERARRIVAL_S);
+    let origins: Vec<simnet::AgentId> = schedule.iter().map(|&(_, o)| o).collect();
+    let (lo, hi) = spec.boundary.iter().copied().unzip();
+    let grid = Grid::new(Rect::new(lo, hi), system.config().depth);
+    let owner = |point: &[f64]| {
+        let key = Entry::new(&grid, system.rotation(0), ObjectId(0), point).ring_key;
+        system.ring().owner_of(ChordId(key)).addr
+    };
+    let crash_at = [2.0, 12.0, 25.0, 40.0];
+    let restart_at = [30.0, 45.0, 60.0, 70.0];
     let ring: Vec<simnet::AgentId> = system.ring().nodes().iter().map(|n| n.addr).collect();
     let n_ring = ring.len();
     let mut victims: Vec<usize> = Vec::new(); // ring positions
-    for (pos, addr) in ring.iter().enumerate() {
-        if victims.len() == 4 {
-            break;
-        }
-        let adjacent = victims
-            .iter()
-            .any(|&v| (pos + n_ring - v) % n_ring <= 1 || (v + n_ring - pos) % n_ring <= 1);
-        if !origins.contains(addr) && !adjacent {
-            victims.push(pos);
-        }
+    for (&down, &up) in crash_at.iter().zip(&restart_at) {
+        let on_path: Vec<simnet::AgentId> = (schedule.iter().zip(&queries))
+            .filter(|((at, _), _)| (down..up).contains(&at.as_secs_f64()))
+            .map(|(_, q)| owner(&q.point))
+            .collect();
+        let allowed = |pos: usize| {
+            let adjacent = (victims.iter())
+                .any(|&v| (pos + n_ring - v) % n_ring <= 1 || (v + n_ring - pos) % n_ring <= 1);
+            !origins.contains(&ring[pos]) && !adjacent
+        };
+        let pick = (0..n_ring)
+            .find(|&pos| allowed(pos) && on_path.contains(&ring[pos]))
+            .or_else(|| (0..n_ring).find(|&pos| allowed(pos)));
+        victims.extend(pick);
     }
     assert_eq!(victims.len(), 4, "could not pick 4 churn victims");
-    let crash_at = [2.0, 12.0, 25.0, 40.0];
-    let restart_at = [30.0, 45.0, 60.0, 70.0];
     for (i, &pos) in victims.iter().enumerate() {
         system.schedule_crash(SimTime::from_secs_f64(crash_at[i]), ring[pos]);
         system.schedule_restart(SimTime::from_secs_f64(restart_at[i]), ring[pos]);
