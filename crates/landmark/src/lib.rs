@@ -15,13 +15,14 @@
 //! * [`boundary`] — index-space boundary determination, both from the
 //!   metric's own bound and from the landmark-selection sample (§3.1,
 //!   "Boundary of index space").
+//!
+//! The paper's §6 landmark refresh is parked: DESIGN.md's extensions
+//! table names the commit that removed it.
 
 pub mod boundary;
 pub mod mapper;
-pub mod quality;
 pub mod select;
 
 pub use boundary::{boundary_from_metric, boundary_from_sample, Boundary};
 pub use mapper::Mapper;
-pub use quality::{filtering_efficiency, should_refresh};
 pub use select::{greedy, kmeans, kmedoids, Centroid, SelectionMethod};

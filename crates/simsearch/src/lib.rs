@@ -56,12 +56,8 @@ pub use knn::KnnOutcome;
 pub use msg::{QueryBall, QueryDistance, QueryId, SearchMsg, SubQueryMsg};
 pub use node::{IssuedQuery, SearchNode};
 pub use overlay::{FailureAware, OverlayTable};
-pub use refresh::ReindexReport;
 pub use resilience::ResilienceConfig;
-pub use routing::{
-    route_subquery, route_subquery_traced, surrogate_refine, surrogate_refine_traced, Action,
-    RoutingEvent,
-};
+pub use routing::{route_subquery, surrogate_refine, Action, RoutingEvent};
 pub use store::{Entry, EntryRef, ScanStats, Store};
 pub use system::{
     map_index, IndexSpec, LoadBalanceConfig, Mapping, QueryOutcome, QuerySpec, SearchSystem,

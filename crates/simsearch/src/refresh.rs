@@ -1,101 +1,23 @@
-//! Online maintenance: re-indexing under new landmarks and on-demand
-//! re-balancing — the paper's §6 "dynamic datasets" direction:
-//!
-//! > "New landmark sets can be periodically generated and evaluated. If
-//! > the new landmark set outperforms the current one according to some
-//! > threshold, the new landmarks will be disseminated to the nodes in
-//! > the system. Indices will be recalculated and migrated to new nodes
-//! > accordingly."
-//!
-//! The evaluation half lives in [`landmark::quality`]; this module
-//! provides the recalculate-and-migrate half on a running
-//! [`SearchSystem`], plus on-demand dynamic load migration for datasets
-//! whose distribution drifted after build time.
+//! Maintenance of a running [`SearchSystem`]: recomputing replica
+//! placement after primaries move, on-demand dynamic load migration for
+//! datasets whose distribution drifted after build time, and adopting
+//! routing tables built by the live Chord protocol in place of the
+//! instant stabilized ones.
 
-use lph::{Grid, Rect};
-use metric::ObjectId;
 use simnet::SimRng;
-use std::sync::Arc;
 
 use crate::load::{self, LoadBalanceConfig, LoadBalanceReport};
 use crate::store::Entry;
 use crate::system::SearchSystem;
 
-/// What a re-index did.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ReindexReport {
-    /// Entries published under the new mapping.
-    pub published: usize,
-    /// Entries whose owning node changed relative to the old mapping.
-    pub migrated: usize,
-}
-
 impl SearchSystem {
-    /// Replace index `index` wholesale: new per-dimension boundary, new
-    /// mapped points (the dataset may have grown or shrunk — `ObjectId`s
-    /// are re-assigned as positions of `points`). Entries are re-hashed
-    /// and migrated to their new owners; the rotation offset is kept.
-    ///
-    /// This is the "indices recalculated and migrated" step of a
-    /// landmark refresh; pair it with [`landmark::should_refresh`] for
-    /// the decision and re-run queries with an oracle matching the new
-    /// object set.
-    pub fn reindex(
-        &mut self,
-        index: usize,
-        boundary: &[(f64, f64)],
-        points: &[Vec<f64>],
-    ) -> ReindexReport {
-        let (lo, hi) = boundary.iter().copied().unzip();
-        let grid = Arc::new(Grid::new(Rect::new(lo, hi), self.cfg.depth));
-        let rot = self.rotations[index];
-
-        // Record old ownership for the migration count, then drop the
-        // old entries.
-        let mut old_owner: std::collections::HashMap<ObjectId, usize> =
-            std::collections::HashMap::new();
-        let (_, nodes) = self.sim.topology_and_agents_mut();
-        for (addr, node) in nodes.iter_mut().enumerate() {
-            node.indexes[index].grid = Arc::clone(&grid);
-            for e in node.indexes[index].store.take_all() {
-                old_owner.insert(e.obj, addr);
-            }
-        }
-
-        // Publish the new mapping.
-        let entries = points.iter().enumerate().map(|(i, p)| {
-            assert_eq!(p.len(), grid.dims(), "point {i} has wrong dimensionality");
-            Entry::new(&grid, rot, ObjectId(i as u32), p)
-        });
-        load::place(&self.ring, nodes, index, entries);
-        let migrated = nodes
-            .iter()
-            .enumerate()
-            .map(|(addr, node)| {
-                let store = &node.indexes[index].store;
-                store
-                    .entries()
-                    .filter(|e| old_owner.get(&e.obj) != Some(&addr))
-                    .count()
-            })
-            .sum();
-        self.grids[index] = grid;
-        // Ownership moved wholesale: old replica copies now shadow the
-        // wrong owners. Recompute placement from the new primaries.
-        self.re_replicate(index);
-        ReindexReport {
-            published: points.len(),
-            migrated,
-        }
-    }
-
     /// Recompute replica placement for one index from the current
     /// primaries and ring membership: every owner's entries are copied to
     /// its `replication - 1` ring successors, and all previously held
     /// replicas are dropped first. No-op (returning 0) outside resilient
     /// mode. Call after any operation that moves primaries or ring
-    /// identifiers — re-indexing, load migration — since ownership
-    /// changes strand old copies on the wrong successors.
+    /// identifiers, such as load migration, since ownership changes
+    /// strand old copies on the wrong successors.
     pub fn re_replicate(&mut self, index: usize) -> usize {
         let replication = match &self.cfg.resilience {
             Some(rc) if rc.replication > 1 => rc.replication,
@@ -127,9 +49,9 @@ impl SearchSystem {
         placed
     }
 
-    /// Run dynamic load migration now (e.g. after a [`Self::reindex`]
-    /// skewed the placement). Same mechanism as the build-time `lb`
-    /// option.
+    /// Run dynamic load migration now (e.g. on a placement that
+    /// publications skewed after build time). Same mechanism as the
+    /// build-time `lb` option.
     pub fn rebalance(&mut self, lb: &LoadBalanceConfig) -> LoadBalanceReport {
         let n_succ = self.cfg.n_successors;
         let pns = self.cfg.pns_candidates.max(1);
@@ -204,7 +126,9 @@ mod tests {
     use super::*;
     use crate::msg::{DistanceOracle, QueryId};
     use crate::system::{IndexSpec, QuerySpec, SystemConfig};
+    use metric::ObjectId;
     use metric::{Metric, L2};
+    use std::sync::Arc;
 
     fn grid_points(side: usize, scale: f64) -> Vec<Vec<f64>> {
         (0..side * side)
@@ -282,8 +206,13 @@ mod tests {
     }
 
     #[test]
-    fn reindex_and_rebalance_recompute_replica_placement() {
-        let points = grid_points(20, 100.0);
+    fn rebalance_recomputes_replica_placement() {
+        // Every coordinate halved: the entries crowd into one quadrant,
+        // so migration has primaries to move.
+        let points: Vec<Vec<f64>> = grid_points(20, 100.0)
+            .iter()
+            .map(|p| p.iter().map(|&x| x * 0.5).collect())
+            .collect();
         let op: Vec<Vec<f64>> = points.clone();
         let oracle: DistanceOracle = Arc::new(move |_q: QueryId, obj: ObjectId| {
             let p = &op[obj.0 as usize];
@@ -300,7 +229,7 @@ mod tests {
             &[IndexSpec {
                 name: "refresh".into(),
                 boundary: vec![(0.0, 100.0); 2],
-                points: points.clone(),
+                points,
                 rotate: false,
                 rotation: None,
             }],
@@ -308,54 +237,8 @@ mod tests {
         );
         assert_replicas_consistent(&mut system);
 
-        let new_points: Vec<Vec<f64>> = points
-            .iter()
-            .map(|p| p.iter().map(|&x| x * 0.5).collect())
-            .collect();
-        system.reindex(0, &[(0.0, 100.0); 2], &new_points);
-        assert_replicas_consistent(&mut system);
-
         system.rebalance(&LoadBalanceConfig::default());
         assert_replicas_consistent(&mut system);
-    }
-
-    #[test]
-    fn reindex_conserves_and_migrates() {
-        let points = grid_points(20, 100.0);
-        let mut system = build(&points);
-        assert_eq!(system.total_entries(0), 400);
-        // Re-index with a *shifted* mapping (simulating new landmarks):
-        // all coordinates scaled down — keys change, entries move.
-        let new_points: Vec<Vec<f64>> = points
-            .iter()
-            .map(|p| p.iter().map(|&x| x * 0.5).collect())
-            .collect();
-        let report = system.reindex(0, &[(0.0, 100.0); 2], &new_points);
-        assert_eq!(report.published, 400);
-        assert!(report.migrated > 100, "rescaling must move most entries");
-        assert_eq!(system.total_entries(0), 400);
-        // And queries against the new mapping still work end to end.
-        let outcomes = system.run_queries(
-            &[QuerySpec {
-                index: 0,
-                point: vec![25.0, 25.0], // = old (50, 50) after scaling
-                radius: 10.0,
-                truth: vec![],
-            }],
-            1.0,
-        );
-        assert!(!outcomes[0].results.is_empty());
-    }
-
-    #[test]
-    fn reindex_supports_grown_dataset() {
-        let points = grid_points(10, 100.0);
-        let mut system = build(&points);
-        assert_eq!(system.total_entries(0), 100);
-        let bigger = grid_points(16, 100.0);
-        let report = system.reindex(0, &[(0.0, 100.0); 2], &bigger);
-        assert_eq!(report.published, 256);
-        assert_eq!(system.total_entries(0), 256);
     }
 
     #[test]
@@ -429,15 +312,13 @@ mod tests {
     }
 
     #[test]
-    fn rebalance_after_skewed_reindex() {
-        let points = grid_points(20, 100.0);
-        let mut system = build(&points);
+    fn rebalance_flattens_skewed_placement() {
         // Cram everything into one corner: heavy skew.
-        let skewed: Vec<Vec<f64>> = points
+        let skewed: Vec<Vec<f64>> = grid_points(20, 100.0)
             .iter()
             .map(|p| p.iter().map(|&x| x * 0.02).collect())
             .collect();
-        system.reindex(0, &[(0.0, 100.0); 2], &skewed);
+        let mut system = build(&skewed);
         let max_before = system.load_distribution(0)[0];
         assert!(max_before > 100, "corner pile expected, got {max_before}");
         let report = system.rebalance(&LoadBalanceConfig::default());
