@@ -2,9 +2,11 @@
 //! `telemetry_golden.rs` placed under adversity — 10% uniform message
 //! loss, eight crash/restart events, replication `r = 2` — must keep
 //! 100% range-query recall against the brute-force oracle and serialize
-//! to a byte-identical snapshot. Regenerate the golden with
-//! `UPDATE_GOLDEN=1 cargo test --test telemetry_churn` and review the
-//! diff like source.
+//! to a byte-identical snapshot. The radius gives every query at least
+//! `MIN_TRUTH` truth objects and fewer than `KNN_K`, so a lost answer
+//! shows as lost recall and the reply cap never does. Regenerate the
+//! golden with `UPDATE_GOLDEN=1 cargo test --test telemetry_churn` and
+//! review the diff like source.
 
 mod common;
 
@@ -23,6 +25,14 @@ const SEED: u64 = 64064;
 const LOSS: f64 = 0.10;
 const N_QUERIES: usize = 8;
 const MEAN_INTERARRIVAL_S: f64 = 10.0;
+/// Range radius as a share of the data's largest distance.
+const RADIUS_SHARE: f64 = 0.10;
+/// Fewest truth objects a query may have: fewer leave the recall check
+/// nothing to lose.
+const MIN_TRUTH: usize = 10;
+/// Answers per node and merged at the origin; a truth set this large
+/// would be cut by the cap, not by churn.
+const KNN_K: usize = 200;
 
 fn run_scenario() -> (Vec<QueryOutcome>, String) {
     let data = ClusteredVectors::generate(
@@ -35,7 +45,7 @@ fn run_scenario() -> (Vec<QueryOutcome>, String) {
         },
         SEED,
     );
-    let radius = 0.05 * data.max_distance();
+    let radius = RADIUS_SHARE * data.max_distance();
     let (spec, mapping) = map_index::<_, [f32], _>(
         250,
         &mut SimRng::new(SEED),
@@ -68,13 +78,20 @@ fn run_scenario() -> (Vec<QueryOutcome>, String) {
                 .collect(),
         })
         .collect();
+    for (qi, q) in queries.iter().enumerate() {
+        let n = q.truth.len();
+        assert!(
+            (MIN_TRUTH..KNN_K).contains(&n),
+            "query {qi} has {n} truth objects, outside {MIN_TRUTH}..{KNN_K}"
+        );
+    }
     let oracle = mapping.oracle(|qid| qid as usize);
     let mut system = SearchSystem::build(
         SystemConfig {
             n_nodes: 64,
             seed: SEED,
             // Per-node answers must not truncate away range results.
-            knn_k: 200,
+            knn_k: KNN_K,
             resilience: Some(ResilienceConfig::default()), // r = 2
             ..SystemConfig::default()
         },
