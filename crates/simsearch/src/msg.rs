@@ -184,9 +184,9 @@ pub struct SubQueryMsg {
     /// Marks a surrogate hand-off (Algorithm 5) riding in a `Route`
     /// batch: the recipient owns the fragment's prefix key — the owner
     /// the sender's successor list named, not necessarily its immediate
-    /// successor — and refines it instead of routing it. Set only on the
-    /// wire, by the sender's batching; routing clears it on arrival. The
-    /// codec writes it as a flag byte, which the §4.1 byte model does not
+    /// successor — and refines it instead of routing it. Routing sets it
+    /// on a `Send` to such an owner and clears it on arrival. The codec
+    /// writes it as a flag byte, which the §4.1 byte model does not
     /// count.
     pub shortcut: bool,
 }

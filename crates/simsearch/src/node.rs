@@ -24,7 +24,6 @@ use crate::msg::{
 };
 use crate::overlay::{FailureAware, OverlayTable};
 use crate::resilience::{ResilienceConfig, SuspicionSet, MAX_RETRIES};
-use crate::routing::route_into;
 use crate::store::{Entry, Store};
 use crate::telemetry::Telemetry;
 
@@ -280,25 +279,22 @@ impl SearchNode {
                 degraded: false,
             },
         );
-        let ix = &self.indexes[sq.index as usize];
-        let grid = Arc::clone(&ix.grid);
-        let rot = ix.rotation;
         let Some(level) = self.naive_level else {
             return self.route_all(ctx, vec![sq]);
         };
         // Naive baseline: decompose fully at the issuing node and route
         // every cuboid independently (no shared paths).
-        let mut actions = Vec::new();
-        for part in grid.decompose(&sq.rect, level.min(grid.depth())) {
-            let frag = SubQueryMsg {
+        let grid = &self.indexes[sq.index as usize].grid;
+        let fragments = grid
+            .decompose(&sq.rect, level.min(grid.depth()))
+            .into_iter()
+            .map(|part| SubQueryMsg {
                 rect: part.rect,
                 prefix: part.prefix,
                 ..sq.clone()
-            };
-            let table = &self.table;
-            route_into(table, &grid, rot, frag, false, &mut |_| {}, &mut actions);
-        }
-        self.execute(ctx, actions);
+            })
+            .collect();
+        self.route_all(ctx, fragments);
     }
 
     fn on_results(
@@ -326,9 +322,10 @@ impl SearchNode {
         }
     }
 
-    /// Route or store one published entry. In resilient mode the routing
-    /// is failure-aware and a stored entry is pushed to `replication - 1`
-    /// ring successors.
+    /// Route or store one published entry, with `route_all`'s next-hop
+    /// rule: it stops here when this node owns its key or the table names
+    /// this node (never a wire message to itself). In resilient mode a
+    /// stored entry is pushed to `replication - 1` ring successors.
     fn on_publish(
         &mut self,
         ctx: &mut ProtoCtx<'_, SearchMsg>,
@@ -336,33 +333,19 @@ impl SearchNode {
         entry: Entry,
         hops: u32,
     ) {
-        let key = chord::ChordId(entry.ring_key);
-        let decision = if self.resilience.is_some() {
-            FailureAware::new(&self.table, self.suspected.as_set()).decide(key)
-        } else {
-            self.table.decide(key)
+        let table = FailureAware::new(&self.table, self.suspected.as_set());
+        let Some((next, _)) = table.next_hop(chord::ChordId(entry.ring_key)) else {
+            return self.store_publish(ctx, index, entry, hops);
         };
-        match decision {
-            chord::RouteDecision::Local => self.store_publish(ctx, index, entry, hops),
-            chord::RouteDecision::Surrogate(next) | chord::RouteDecision::Forward(next) => {
-                if next.addr == ctx.me() {
-                    // Self-handoff audit: a stale or failure-narrowed
-                    // table naming *us* as next hop means the entry stops
-                    // here — never a wire message to ourselves.
-                    self.store_publish(ctx, index, entry, hops);
-                    return;
-                }
-                let msg = SearchMsg::Publish {
-                    index,
-                    entry,
-                    hops: hops + 1,
-                };
-                let bytes = msg_bytes(&msg, |ix| self.k_of(ix));
-                self.telemetry.incr_id(C::SearchMsgsPublish, 1);
-                self.telemetry.incr_id(C::SearchBytesPublish, bytes as u64);
-                self.send_search(ctx, next.addr, msg, bytes);
-            }
-        }
+        let msg = SearchMsg::Publish {
+            index,
+            entry,
+            hops: hops + 1,
+        };
+        let bytes = msg_bytes(&msg, |ix| self.k_of(ix));
+        self.telemetry.incr_id(C::SearchMsgsPublish, 1);
+        self.telemetry.incr_id(C::SearchBytesPublish, bytes as u64);
+        self.send_search(ctx, next, msg, bytes);
     }
 
     fn store_publish(
@@ -1158,6 +1141,39 @@ mod tests {
             naive_msgs >= fast_msgs,
             "naive {naive_msgs} < fast {fast_msgs}"
         );
+    }
+
+    /// The naive baseline's origin routes its cuboids through the same
+    /// sink as every other round, so each of its local answers follows a
+    /// refinement or peel on the query's trace, and both are counted.
+    #[test]
+    fn a_naive_origins_local_answers_follow_its_refines() {
+        let (mut sim, _, grid) = build();
+        for node_idx in 0..2 {
+            sim.agent_mut(AgentId(node_idx)).naive_level = Some(3);
+        }
+        // Node 0 owns cells 0..=3, so cells 1..=3 are answered at the origin.
+        sim.inject(
+            SimTime::ZERO,
+            AgentId(0),
+            issue(Rect::new(vec![1.2], vec![6.8]), &grid, 0),
+        );
+        sim.run();
+        let tel = &sim.agent(AgentId(0)).telemetry;
+        let events = tel.trace(0).unwrap().events;
+        let (mut refined, mut answers) = (false, 0);
+        for ev in &events {
+            match *ev {
+                TraceEvent::Refine { at: 0, .. } | TraceEvent::Peel { at: 0, .. } => refined = true,
+                TraceEvent::Answer { at: 0, .. } => {
+                    assert!(refined, "an origin answer before any refine: {events:?}");
+                    answers += 1;
+                }
+                _ => {}
+            }
+        }
+        assert!(answers > 0, "{events:?}");
+        assert!(tel.lock().registry.counter("routing.local_refines") > 0);
     }
 
     /// The two-node world with a telemetry handle per node, as the socket

@@ -3,7 +3,7 @@
 
 use super::SearchNode;
 use crate::msg::{msg_bytes, QueryId, SearchMsg, SubQueryMsg};
-use crate::overlay::{FailureAware, OverlayTable};
+use crate::overlay::FailureAware;
 use crate::routing::{route_into, Action};
 use crate::telemetry::TraceEvent;
 use simnet::{telemetry::CounterId as C, AgentId, ProtoCtx};
@@ -15,8 +15,10 @@ impl SearchNode {
     /// instead — recording routing events on each fragment's trace, then
     /// execute the round's actions at once so its outputs coalesce.
     ///
-    /// Fragments route over the failure-aware view of the node's table
-    /// when resilient, over the table itself otherwise.
+    /// Fragments route over the failure-aware view of the node's table:
+    /// its suspicion set is empty unless resilience is on, and then the
+    /// view decides as the table itself does. The naive baseline routes
+    /// its decomposed cuboids through here too, unsplit.
     pub(super) fn route_all(
         &mut self,
         ctx: &mut ProtoCtx<'_, SearchMsg>,
@@ -24,28 +26,22 @@ impl SearchNode {
     ) {
         let me = ctx.me().0;
         let split = self.naive_level.is_none();
-        let fa;
-        let table: &dyn OverlayTable = if self.resilience.is_some() {
-            fa = FailureAware::new(&self.table, self.suspected.as_set());
-            &fa
-        } else {
-            &self.table
-        };
+        let table = FailureAware::new(&self.table, self.suspected.as_set());
         let mut actions = Vec::new();
         for sq in fragments {
             let ix = &self.indexes[sq.index as usize];
             let qid = sq.qid;
             let mut sink = |ev| self.telemetry.record_routing(qid, me, ev);
             let (grid, rot) = (&ix.grid, ix.rotation);
-            route_into(table, grid, rot, sq, split, &mut sink, &mut actions);
+            route_into(&table, grid, rot, sq, split, &mut sink, &mut actions);
         }
         self.execute(ctx, actions);
     }
 
     /// Execute routing actions: send each destination one `Route` batch
-    /// (the paper's n-subquery message) of the forwards and the marked
-    /// surrogate hand-offs bound for it, and answer local fragments with
-    /// one result message per query.
+    /// (the paper's n-subquery message) of the fragments bound for it —
+    /// forwards, and the surrogate hand-offs routing marked — and answer
+    /// local fragments with one result message per query.
     pub(super) fn execute(&mut self, ctx: &mut ProtoCtx<'_, SearchMsg>, actions: Vec<Action>) {
         // BTreeMaps, not HashMaps: iteration order decides message send
         // order, which decides simulated event order — telemetry
@@ -54,19 +50,17 @@ impl SearchNode {
         // (qid, index) -> (max hops, fragments)
         let mut answers: BTreeMap<(QueryId, u8), (u32, Vec<SubQueryMsg>)> = BTreeMap::new();
         for a in actions {
-            let (to, mut sq, handoff) = match a {
-                Action::Forward { to, sq } => (to, sq, false),
-                Action::Handoff { to, sq } => (to, sq, true),
+            match a {
+                Action::Send { to, mut sq } => {
+                    sq.hops += 1;
+                    batches.entry(to).or_default().push(sq);
+                }
                 Action::Answer(sq) => {
                     let slot = answers.entry((sq.qid, sq.index)).or_default();
                     slot.0 = slot.0.max(sq.hops);
                     slot.1.push(sq);
-                    continue;
                 }
-            };
-            sq.hops += 1;
-            sq.shortcut = handoff;
-            batches.entry(to).or_default().push(sq);
+            }
         }
         for (to, mut subs) in batches {
             // Deterministic order inside a batch.

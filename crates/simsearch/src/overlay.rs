@@ -8,9 +8,14 @@
 //! Both route *owner first*: a key whose owner the successor list names
 //! goes straight to that owner as its surrogate; any other key takes
 //! Chord's closest-preceding hop (DESIGN.md §11, "One hop to a listed
-//! owner"). Chord's own lookups keep [`RoutingTable::route`].
+//! owner"). Chord's own lookups keep [`RoutingTable::route`]. Routing,
+//! refinement and publishing all take their next hop from
+//! [`OverlayTable::next_hop`], always over a [`FailureAware`] view: its
+//! suspicion set is empty unless resilience is on, and an empty set
+//! decides exactly as the bare table does.
 
 use chord::{ChordId, NodeRef, RouteDecision, RoutingTable};
+use simnet::AgentId;
 
 /// The routing interface the index layer programs against.
 pub trait OverlayTable {
@@ -20,6 +25,19 @@ pub trait OverlayTable {
     /// `Surrogate(owner)` when the successor list names its owner, else
     /// Chord's decision.
     fn decide(&self, key: ChordId) -> RouteDecision;
+    /// The paper's `nexthop` (footnote 4), the one next-hop rule of the
+    /// index layer: `None` to handle the key here — this node owns it,
+    /// or the table names this node itself (a stale entry, or every
+    /// other node suspected) — else `Some((to, owner))`, the address to
+    /// send to and whether `to` owns the key. One [`Self::decide`] call.
+    fn next_hop(&self, key: ChordId) -> Option<(AgentId, bool)> {
+        let (to, owner) = match self.decide(key) {
+            RouteDecision::Local => return None,
+            RouteDecision::Surrogate(s) => (s.addr, true),
+            RouteDecision::Forward(n) => (n.addr, false),
+        };
+        (to != self.me_ref().addr).then_some((to, owner))
+    }
 }
 
 impl OverlayTable for RoutingTable {

@@ -496,11 +496,6 @@ impl Telemetry {
         self.lock().log_mut(qid).origin = origin.0;
     }
 
-    /// Append one event to the trace of `qid`.
-    pub fn record(&self, qid: QueryId, event: TraceEvent) {
-        self.lock().push(qid, &event);
-    }
-
     /// Add `by` to a named counter.
     #[inline]
     pub fn incr(&self, name: &str, by: u64) {
@@ -581,7 +576,7 @@ impl TelemetryState {
 
     /// Append one event to the trace of `qid`, noting the log if its
     /// buffer grew.
-    pub(crate) fn push(&mut self, qid: QueryId, event: &TraceEvent) {
+    pub fn push(&mut self, qid: QueryId, event: &TraceEvent) {
         let log = self.log_mut(qid);
         let capacity = log.bytes.capacity();
         log.push(event);
@@ -699,9 +694,9 @@ mod tests {
         let t = Telemetry::new();
         let t2 = t.clone();
         t.begin_query(7, AgentId(2));
-        t2.record(
+        t2.lock().push(
             7,
-            TraceEvent::Split {
+            &TraceEvent::Split {
                 at: 2,
                 prefix_len: 1,
             },
@@ -739,7 +734,7 @@ mod tests {
             prefix_len: 1,
         };
         for qid in [5, 2, 9, 2] {
-            t.record(qid, split);
+            t.lock().push(qid, &split);
         }
         assert_eq!(t.lock().order, [5, 2, 9]);
         t.forget(2);

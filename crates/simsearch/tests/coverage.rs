@@ -19,12 +19,14 @@ use std::collections::BTreeMap;
 
 /// Deliver actions until quiescence, as nodes do: each delivered batch
 /// is one round at its node, every fragment of it goes through
-/// `route_subquery`, and the round's forwards and hand-offs leave as one
-/// batch per destination, the hand-offs marked (`shortcut`). Returns
+/// `route_subquery`, and the round's sends leave as one batch per
+/// destination. A send must be marked (`shortcut`) exactly when `ring`
+/// says its destination owns the fragment's prefix key. Returns
 /// `(answers, messages, relays)` where answers are `(node, rect)` pairs,
 /// messages counts every fragment delivered (a batch of n counts n) and
 /// relays counts the batches whose recipient answered none of them.
 fn resolve(
+    ring: &OracleRing,
     tables: &[RoutingTable],
     grid: &Grid,
     rot: Rotation,
@@ -39,18 +41,21 @@ fn resolve(
         let mut out: BTreeMap<usize, Vec<SubQueryMsg>> = BTreeMap::new();
         for q in batch {
             for a in route_subquery(&tables[at], grid, rot, q, true) {
-                let (to, mut sq, handoff) = match a {
+                match a {
                     Action::Answer(ans) => {
                         assert!(!ans.shortcut, "an answered fragment carries no mark");
                         answers.push((at, ans.rect));
-                        continue;
                     }
-                    Action::Handoff { to, sq } => (to, sq, true),
-                    Action::Forward { to, sq } => (to, sq, false),
-                };
-                assert!(!sq.shortcut, "routing clears every mark it reads");
-                sq.shortcut = handoff;
-                out.entry(to.0).or_default().push(sq);
+                    Action::Send { to, sq } => {
+                        let owner = ring.owner_of(ChordId(rot.to_ring(sq.prefix.key())));
+                        assert_eq!(
+                            sq.shortcut,
+                            owner.addr == to,
+                            "a send is marked exactly when its destination owns its key"
+                        );
+                        out.entry(to.0).or_default().push(sq);
+                    }
+                }
             }
         }
         relays += usize::from(routed && answers.len() == answered);
@@ -102,7 +107,7 @@ fn check_world(
         ball: None,
         shortcut: false,
     };
-    let (answers, msgs, relays) = resolve(&tables, &grid, rot, start % n_nodes, sq);
+    let (answers, msgs, relays) = resolve(&ring, &tables, &grid, rot, start % n_nodes, sq);
 
     // Probe points inside the region (corners, center, random interior):
     // each probe's owning node must have answered a region containing it.
@@ -236,7 +241,7 @@ fn zero_radius_query_is_a_single_point_lookup() {
             shortcut: false,
         };
         let start = (seed as usize) % 12;
-        let (answers, _, _) = resolve(&tables, &grid, Rotation::IDENTITY, start, sq);
+        let (answers, _, _) = resolve(&ring, &tables, &grid, Rotation::IDENTITY, start, sq);
         let key = Rotation::IDENTITY.to_ring(grid.hash(&p));
         let owner = ring.owner_of(ChordId(key)).addr.0;
         assert_eq!(answers.len(), 1, "seed {seed}: one answer, not a scatter");
@@ -262,7 +267,7 @@ fn single_node_world_answers_locally() {
         ball: None,
         shortcut: false,
     };
-    let (answers, msgs, _) = resolve(&tables, &grid, Rotation::IDENTITY, 0, sq);
+    let (answers, msgs, _) = resolve(&ring, &tables, &grid, Rotation::IDENTITY, 0, sq);
     assert_eq!(msgs, 0, "one node: zero network messages");
     assert!(answers
         .iter()

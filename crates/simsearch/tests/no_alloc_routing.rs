@@ -105,9 +105,7 @@ fn routing_a_deep_fragment_allocates_only_at_its_cut() {
     let allocs = ALLOCS.load(Ordering::Relaxed) - before;
 
     assert_eq!(actions.len(), warm.len());
-    assert!(actions
-        .iter()
-        .all(|a| matches!(a, Action::Forward { .. } | Action::Handoff { .. })));
+    assert!(actions.iter().all(|a| matches!(a, Action::Send { .. })));
     assert!(
         allocs <= MAX_ALLOCS,
         "routing a fragment through {DEEP} divisions allocated {allocs} times (at most {MAX_ALLOCS})"

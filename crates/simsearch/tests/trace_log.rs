@@ -256,9 +256,9 @@ fn a_node_named_in_the_last_two_references_costs_no_byte() {
 fn begin_query_re_anchors_the_origin_and_keeps_the_events() {
     let t = Telemetry::new();
     t.begin_query(5, AgentId(1));
-    t.record(
+    t.lock().push(
         5,
-        TraceEvent::Split {
+        &TraceEvent::Split {
             at: 1,
             prefix_len: 2,
         },
@@ -279,9 +279,9 @@ fn begin_query_re_anchors_the_origin_and_keeps_the_events() {
 fn forget_then_record_starts_a_fresh_log() {
     let t = Telemetry::new();
     t.begin_query(5, AgentId(4));
-    t.record(
+    t.lock().push(
         5,
-        TraceEvent::Split {
+        &TraceEvent::Split {
             at: 4,
             prefix_len: 1,
         },
@@ -292,7 +292,7 @@ fn forget_then_record_starts_a_fresh_log() {
         at: 2,
         prefix_len: 6,
     };
-    t.record(5, peel);
+    t.lock().push(5, &peel);
     let trace = t.trace(5).unwrap();
     assert_eq!(
         trace.origin, 0,
